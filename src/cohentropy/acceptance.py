@@ -35,14 +35,12 @@ from .scenarios import (
     build_near_degenerate_scenario,
     build_otto_report,
     build_reversal_scenario,
-    coherent_prepared_state,
-    diagonal_prepared_state,
+    conservation_scan,
     run_reversal_scenario,
     run_thermal_operation_scenario,
     thermal_operation_systems,
 )
 from .spectrum import coherence_measures, thermal_state_of
-from .thermalops import conservation_report, sample_energy_conserving_unitary
 from .thermo import (
     check_rates_by_finite_differences,
     complementarity_report,
@@ -67,8 +65,7 @@ class CriterionResult:
 class AcceptanceContext:
     """Shared, lazily built artifacts for the acceptance criteria."""
 
-    def __init__(self, threads: int = 1, perturb: str | None = None):
-        self.threads = threads
+    def __init__(self, perturb: str | None = None):
         self.perturb = perturb
 
     def tol(self, cid: int, base: float) -> float:
@@ -334,14 +331,7 @@ def criterion_9(ctx: AcceptanceContext) -> CriterionResult:
     total = 0
     for name, sys_ in ctx.thermal_systems:
         rho_b = thermal_state_of(sys_.els_B, 1.3)
-
-        def one(seed: int):
-            rho_s = coherent_prepared_state(sys_.els_S, 0.7, 10_000 + seed)
-            u = sample_energy_conserving_unitary(sys_, seed)
-            return conservation_report(sys_, u, rho_s, rho_b, 1.3, tol=tol)
-
-        from .scenarios import _parallel_map
-        for rep in _parallel_map(one, range(N_SEEDS), ctx.threads):
+        for rep in conservation_scan(sys_, range(N_SEEDS), rho_b, 1.3, beta_0=0.7, tol=tol):
             total += 1
             if not rep.all_pass:
                 failures += 1
@@ -358,17 +348,9 @@ def criterion_10(ctx: AcceptanceContext) -> CriterionResult:
     max_ch = 0.0
     for name, sys_ in ctx.thermal_systems:
         rho_b = thermal_state_of(sys_.els_B, 1.3)
-
-        def one(seed: int):
-            rho_s = diagonal_prepared_state(sys_.els_S, 20_000 + seed)
-            u = sample_energy_conserving_unitary(sys_, seed)
-            rep = conservation_report(sys_, u, rho_s, rho_b, 1.3)
-            return rep.S_final.C_v, rep.S_final.C_h
-
-        from .scenarios import _parallel_map
-        for cv, ch in _parallel_map(one, range(N_SEEDS), ctx.threads):
-            max_cv = max(max_cv, cv)
-            max_ch = max(max_ch, ch)
+        for rep in conservation_scan(sys_, range(N_SEEDS), rho_b, 1.3):
+            max_cv = max(max_cv, rep.S_final.C_v)
+            max_ch = max(max_ch, rep.S_final.C_h)
     ok = max_cv <= tol and max_ch > ctx.threshold(10, 1e-6)
     return CriterionResult(
         10, "no vertical-coherence generation; horizontal generation witnessed",
@@ -440,7 +422,7 @@ def criterion_14(ctx: AcceptanceContext) -> CriterionResult:
         cfg_ops = ScenarioConfig(
             scenario="thermal-operation", beta_0=0.7, beta_B=1.3, seeds=32, seed=seed
         )
-        out_ops = run_thermal_operation_scenario(cfg_ops, ctx.threads)
+        out_ops = run_thermal_operation_scenario(cfg_ops)
         return out_rev.csv_text + out_rev.summary_text + out_ops.csv_text + out_ops.summary_text
 
     first = bundle(0)
@@ -465,6 +447,6 @@ def run_criterion(ctx: AcceptanceContext, cid: int) -> CriterionResult:
     return CRITERIA[cid](ctx)
 
 
-def run_all(threads: int = 1, perturb: str | None = None) -> list[CriterionResult]:
-    ctx = AcceptanceContext(threads=threads, perturb=perturb)
+def run_all(perturb: str | None = None) -> list[CriterionResult]:
+    ctx = AcceptanceContext(perturb=perturb)
     return [run_criterion(ctx, cid) for cid in sorted(CRITERIA)]

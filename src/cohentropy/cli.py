@@ -1,7 +1,7 @@
 """Command-line scenario runner and acceptance gate.
 
-    cohentropy run <config.json> [--out DIR] [--seed N] [--threads N]
-    cohentropy verify [--threads N] [--perturb CRITERION]
+    cohentropy run <config.json> [--out DIR] [--seed N]
+    cohentropy verify [--out DIR] [--perturb CRITERION]
 
 `run` executes one configured scenario and writes a time-series CSV plus a
 structured-text summary; exit code 0 on all-pass, 2 on any invariant failure,
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -23,25 +22,12 @@ from .exceptions import CohentropyError, ConfigError
 from .scenarios import config_from_json, run_scenario_config
 
 
-def _thread_count(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("COHENTROPY_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"COHENTROPY_THREADS={env!r} is not an integer") from exc
-    return 1
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     path = Path(args.config)
     try:
         cfg = config_from_json(path.read_text())
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
-        threads = _thread_count(args)
     except OSError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
@@ -51,7 +37,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     written: list[Path] = []
     try:
-        result = run_scenario_config(cfg, threads=threads)
+        result = run_scenario_config(cfg)
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / "timeseries.csv"
         summary_path = out_dir / "summary.txt"
@@ -83,8 +69,7 @@ def _cleanup(paths: list[Path]) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    threads = _thread_count(args)
-    results = run_all(threads=threads, perturb=args.perturb)
+    results = run_all(perturb=args.perturb)
     lines = [r.line() for r in results]
     for line in lines:
         print(line)
@@ -106,13 +91,10 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("config", help="path to a JSON scenario configuration")
     p_run.add_argument("--out", default="out", help="output directory (default: ./out)")
     p_run.add_argument("--seed", type=int, default=None, help="base seed override")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: COHENTROPY_THREADS or 1)")
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="run the built-in acceptance suite")
     p_verify.add_argument("--out", default=None, help="also write the summary to this directory")
-    p_verify.add_argument("--threads", type=int, default=None)
     p_verify.add_argument("--perturb", default=None, metavar="CRITERION",
                           help="poison one criterion's tolerance (self-test; must fail)")
     p_verify.set_defaults(func=_cmd_verify)

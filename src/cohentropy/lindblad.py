@@ -27,7 +27,13 @@ from .exceptions import (
     NumericalFailure,
     ShapeMismatch,
 )
-from .qcore import DensityMatrix, HermitianObservable, cleaned_state, max_abs
+from .qcore import (
+    DensityMatrix,
+    HermitianObservable,
+    cleaned_state,
+    max_abs,
+    max_admissible_amplitude,
+)
 from .spectrum import EnergyLevelStructure
 
 ZERO_OPERATOR_TOL = 1e-13
@@ -419,7 +425,7 @@ def steady_states(gen: LindbladGenerator) -> list[DensityMatrix]:
             candidates.append(h / tr)
         direction = h - tr * base.elements
         if max_abs(direction) > 1e-10:
-            t_max = _max_admissible(base.elements, direction)
+            t_max = max_admissible_amplitude(base.elements, direction)
             if t_max > 0:
                 candidates.append(base.elements + 0.9 * t_max * direction)
         for cand in candidates:
@@ -430,24 +436,3 @@ def steady_states(gen: LindbladGenerator) -> list[DensityMatrix]:
             if all(max_abs(state.elements - s.elements) > 1e-8 for s in states):
                 states.append(state)
     return states
-
-
-def _max_admissible(base: np.ndarray, direction: np.ndarray) -> float:
-    """Largest t with base + t*direction positive semidefinite (bisection)."""
-    lo, hi = 0.0, 1.0
-    def ok(t: float) -> bool:
-        lam = np.linalg.eigvalsh(base + t * direction)
-        return lam[0] >= -1e-12
-    if not ok(0.0):
-        return 0.0
-    while ok(hi) and hi < 1e6:
-        lo, hi = hi, 2 * hi
-    if hi >= 1e6:
-        return lo
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo

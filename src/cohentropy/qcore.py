@@ -236,3 +236,23 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
         raise ShapeMismatch(f"dimension mismatch {a.dim} != {b.dim}")
     lam = np.linalg.eigvalsh(a.elements - b.elements)
     return float(0.5 * np.sum(np.abs(lam)))
+
+
+def max_admissible_amplitude(base: np.ndarray, direction: np.ndarray) -> float:
+    """Largest t keeping base + t * direction positive, by bisection on the minimum eigenvalue."""
+    lo, hi = 0.0, 1.0
+
+    def ok(t: float) -> bool:
+        return float(np.linalg.eigvalsh(base + t * direction)[0]) >= 0.0
+
+    if not ok(0.0):
+        raise InvariantViolation("base state not positive")
+    while ok(hi) and hi < 1e3:
+        lo, hi = hi, 2 * hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Any, Sequence
 
@@ -39,9 +38,13 @@ from .spectrum import (
     thermal_state_of,
 )
 from .thermalops import (
+    CHECK_TOL,
     BipartiteSystem,
+    ConservationReport,
+    apply_operation,
     conservation_report,
     divergence_witness,
+    horizontal_pattern,
     sample_energy_conserving_unitary,
 )
 from .thermo import (
@@ -60,7 +63,6 @@ SCENARIOS = (
     "thermal-operation",
     "near-degenerate",
     "otto-cycle",
-    "custom",
 )
 
 CSV_HEADER = "t,S,C_v,C_h,D_th,E_S,F_D,Pi_rate,Phi_rate,rate_C_v,rate_C_h,rate_D_th,flags"
@@ -164,7 +166,7 @@ class ScenarioConfig:
         if self.n < 1 or self.s <= 0 or round(2 * self.s) != 2 * self.s:
             raise ConfigError("need n >= 1 and positive half-integer s")
         dim = int(round(2 * self.s + 1)) ** self.n
-        if self.scenario in ("collective-spins", "heat-flow-reversal", "near-degenerate", "custom"):
+        if self.scenario in ("collective-spins", "heat-flow-reversal", "near-degenerate"):
             if dim > LINDBLAD_DIM_BUDGET:
                 raise ConfigError(
                     f"(2s+1)^n = {dim} exceeds the Lindblad budget {LINDBLAD_DIM_BUDGET}"
@@ -253,16 +255,6 @@ class ReversalScenario:
     initial_snapshot: ThermoSnapshot
 
 
-def reversal_pattern(els: EnergyLevelStructure) -> HermitianObservable:
-    """Horizontal coherence |01><10| + h.c. in the one-excitation doublet."""
-    level = next(n for n, l in enumerate(els.degeneracies) if l > 1)
-    start = sum(els.degeneracies[:level])
-    v1 = els.basis_vectors[:, start]
-    v2 = els.basis_vectors[:, start + 1]
-    x = np.outer(v1, v2.conj())
-    return HermitianObservable(x + x.conj().T)
-
-
 def build_reversal_scenario(
     omega: float = 1.0,
     beta_0: float = 1.1,
@@ -271,20 +263,21 @@ def build_reversal_scenario(
     amplitude: float | None = None,
     grid: TimeGrid | None = None,
 ) -> ReversalScenario:
-    """Two resonant qubits, collective coupling, rho0 = thermal(beta_0) + chi.
+    """Two resonant qubits, collective coupling, rho0 = thermal(beta_0) + c chi.
 
-    When no amplitude is given, c is scanned upward (fractions of the largest
-    positivity-preserving value) until the initial heat flow reverses,
-    (beta_0 - beta_B) dE/dt < 0.
+    chi = |01><10| + h.c. in the one-excitation doublet.  When no amplitude is
+    given, c is scanned upward (fractions of c_max) until the initial heat flow
+    reverses, (beta_0 - beta_B) dE/dt < 0.
     """
     spec = SpinEnsembleSpec(2, 0.5, omega)
     system = collective_coupling(spec)
     els = system.level_structure()
     gen = build_collective_generator(system.A_S, els, flat_bath(gamma, beta_B))
     base = thermal_state_of(els, beta_0)
-    pattern = reversal_pattern(els)
-    lam_min = float(np.linalg.eigvalsh(base.elements)[0])
-    c_max = lam_min  # the pattern has eigenvalues +-1 inside the doublet
+    pattern = horizontal_pattern(els)
+    # chi has eigenvalues +-1, so c < lambda_min(base) suffices for positivity;
+    # it is not the largest positive amplitude (0.187 against 0.0624 at beta_0 = 1.1)
+    c_max = float(np.linalg.eigvalsh(base.elements)[0])
     if amplitude is None:
         chosen = None
         for frac in np.linspace(0.05, 0.95, 19):
@@ -299,7 +292,9 @@ def build_reversal_scenario(
         amplitude = chosen
     else:
         if amplitude >= c_max:
-            raise ConfigError(f"coherence_amplitude {amplitude} breaks positivity (max {c_max:.6g})")
+            raise ConfigError(
+                f"coherence_amplitude {amplitude} must be below lambda_min(rho_th) = {c_max:.6g}"
+            )
     rho0 = DensityMatrix(base.elements + amplitude * pattern.elements, base.basis_labels)
     grid = grid or TimeGrid(t_min=0.01 / gamma, t_max=20.0 / gamma, points=50, include_zero=True)
     series = decompose_series(gen, rho0, grid.times(), "heat-flow-reversal")
@@ -408,6 +403,30 @@ def diagonal_prepared_state(els: EnergyLevelStructure, seed: int) -> DensityMatr
     rng = np.random.default_rng(seed)
     p = rng.random(els.dim) + 0.05
     return DensityMatrix(np.diag(p / p.sum()).astype(complex), els.basis_labels)
+
+
+def conservation_scan(
+    sys_: BipartiteSystem,
+    seeds: Sequence[int],
+    rho_B: DensityMatrix,
+    beta_B: float,
+    beta_0: float | None = None,
+    tol: float = CHECK_TOL,
+) -> list[ConservationReport]:
+    """conservation_report for the energy-conserving unitary of each seed.
+
+    rho_S is coherent_prepared_state at beta_0 (seeded 10000 + seed) or, when
+    beta_0 is None, the incoherent diagonal_prepared_state (seeded 20000 + seed).
+    """
+    reports = []
+    for seed in seeds:
+        if beta_0 is None:
+            rho_s = diagonal_prepared_state(sys_.els_S, 20_000 + seed)
+        else:
+            rho_s = coherent_prepared_state(sys_.els_S, beta_0, 10_000 + seed)
+        u = sample_energy_conserving_unitary(sys_, seed)
+        reports.append(conservation_report(sys_, u, rho_s, rho_B, beta_B, tol=tol))
+    return reports
 
 
 def build_otto_report(
@@ -622,39 +641,26 @@ def run_reversal_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
     return ScenarioOutput(cfg.scenario, series_to_csv(scen.series), summary.text(), failures)
 
 
-def run_thermal_operation_scenario(cfg: ScenarioConfig, threads: int = 1) -> ScenarioOutput:
+def run_thermal_operation_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
     summary = _Summary("thermal-operation")
     summary.kv("seeds", cfg.seeds)
     summary.kv("beta_0", cfg.beta_0)
     summary.kv("beta_B", cfg.beta_B)
     failures = 0
-    witness_rows = None
-    base = cfg.seed
+    witness_rows = []
+    seeds = range(cfg.seed, cfg.seed + cfg.seeds)
     for name, sys_ in thermal_operation_systems(cfg.omega):
         summary.section(f"conservation laws: {name}")
         rho_b = thermal_state_of(sys_.els_B, cfg.beta_B)
-
-        def one(seed: int):
-            rho_s = coherent_prepared_state(sys_.els_S, cfg.beta_0, 10_000 + base + seed)
-            u = sample_energy_conserving_unitary(sys_, base + seed)
-            return conservation_report(sys_, u, rho_s, rho_b, cfg.beta_B)
-
-        reports = _parallel_map(one, range(cfg.seeds), threads)
-        check_names = list(reports[0].checks)
-        for cname in check_names:
+        reports = conservation_scan(sys_, seeds, rho_b, cfg.beta_B, beta_0=cfg.beta_0)
+        for cname in reports[0].checks:
             bad = sum(0 if r.checks[cname][1] else 1 for r in reports)
             summary.kv(cname, f"{len(reports) - bad}/{len(reports)} pass")
             failures += bad
 
-        def one_diag(seed: int):
-            rho_s = diagonal_prepared_state(sys_.els_S, 20_000 + base + seed)
-            u = sample_energy_conserving_unitary(sys_, base + seed)
-            rep = conservation_report(sys_, u, rho_s, rho_b, cfg.beta_B)
-            return rep.S_final.C_v, rep.S_final.C_h
-
-        pairs = _parallel_map(one_diag, range(cfg.seeds), threads)
-        max_cv = max(p[0] for p in pairs)
-        max_ch = max(p[1] for p in pairs)
+        finals = [r.S_final for r in conservation_scan(sys_, seeds, rho_b, cfg.beta_B)]
+        max_cv = max(f.C_v for f in finals)
+        max_ch = max(f.C_h for f in finals)
         summary.kv("max_final_C_v_from_incoherent", max_cv)
         summary.kv("max_final_C_h_from_incoherent", max_ch)
         if max_cv > 1e-9:
@@ -664,7 +670,7 @@ def run_thermal_operation_scenario(cfg: ScenarioConfig, threads: int = 1) -> Sce
                 failures += 1
             summary.section(f"population-divergence witness: {name}")
             try:
-                wit = divergence_witness(sys_, range(base, base + cfg.seeds), cfg.beta_B)
+                wit = divergence_witness(sys_, seeds, cfg.beta_B)
             except WitnessNotFound as exc:
                 summary.kv("witness", f"not found ({exc})")
                 failures += 1
@@ -674,31 +680,32 @@ def run_thermal_operation_scenario(cfg: ScenarioConfig, threads: int = 1) -> Sce
                 summary.kv("delta_D_th_S", wit.delta_D_th_S)
                 summary.kv("delta_C_h_S", wit.delta_C_h_S)
                 summary.kv("delta_E_S", wit.delta_E_S)
-                witness_rows = _operation_rows(wit, sys_, cfg.beta_B)
-    csv_text = snapshot_rows_to_csv(witness_rows) if witness_rows else snapshot_rows_to_csv([])
-    return ScenarioOutput(cfg.scenario, csv_text, summary.text(), failures)
+                _, rho_s_f, _ = apply_operation(sys_, wit.unitary, wit.rho_S, wit.rho_B)
+                witness_rows = finite_change_rows(
+                    (t, state, sys_.els_S, cfg.beta_B, "finite-operation")
+                    for t, state in ((0.0, wit.rho_S), (1.0, rho_s_f))
+                )
+    return ScenarioOutput(cfg.scenario, snapshot_rows_to_csv(witness_rows), summary.text(), failures)
 
 
-def _operation_rows(wit, sys_: BipartiteSystem, beta_B: float):
-    """Before/after functionals of the witness operation, rates as finite changes."""
-    from .thermalops import apply_operation
-
-    _, rho_s_f, _ = apply_operation(sys_, wit.unitary, wit.rho_S, wit.rho_B)
+def finite_change_rows(frames):
+    """Rows of state functionals at (t, state, els, beta, flag) frames; the rate
+    columns hold the finite changes from the previous frame (zero on the first)."""
     rows = []
     prev: dict[str, float] = {}
-    for t, state in ((0.0, wit.rho_S), (1.0, rho_s_f)):
-        c_v, c_h = coherence_measures(state, sys_.els_S)
-        d_th = distance_to_thermal(state, sys_.els_S, beta_B)
+    for t, state, els, beta, flag in frames:
+        c_v, c_h = coherence_measures(state, els)
+        d_th = distance_to_thermal(state, els, beta)
         s = von_neumann_entropy(state)
-        e_s = float(np.trace(sys_.els_S.hamiltonian().elements @ state.elements).real)
-        rho_d = dephase_diagonal(state, sys_.els_S)
-        f_d = e_s - von_neumann_entropy(rho_d) / beta_B if beta_B else float("nan")
+        e_s = float(np.trace(els.hamiltonian().elements @ state.elements).real)
+        rho_d = dephase_diagonal(state, els)
+        f_d = e_s - von_neumann_entropy(rho_d) / beta if beta else float("nan")
         values = {"S": s, "C_v": c_v, "C_h": c_h, "D_th": d_th, "E_S": e_s, "F_D": f_d}
         if prev:
             deltas = {k: values[k] - prev[k] for k in values}
             values.update(
                 Pi_rate=-(deltas["C_v"] + deltas["C_h"] + deltas["D_th"]),
-                Phi_rate=beta_B * deltas["E_S"],
+                Phi_rate=beta * deltas["E_S"],
                 rate_C_v=deltas["C_v"],
                 rate_C_h=deltas["C_h"],
                 rate_D_th=deltas["D_th"],
@@ -706,7 +713,7 @@ def _operation_rows(wit, sys_: BipartiteSystem, beta_B: float):
         else:
             values.update(Pi_rate=0.0, Phi_rate=0.0, rate_C_v=0.0, rate_C_h=0.0, rate_D_th=0.0)
         prev = dict(values)
-        rows.append((t, values, ("finite-operation",)))
+        rows.append((t, values, (flag,)))
     return rows
 
 
@@ -738,6 +745,17 @@ def run_otto_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
     summary.kv("beta_hot", cfg.otto.beta_hot)
     summary.kv("stroke_time", cfg.otto.stroke_time)
     summary.kv("prep_beta", cfg.otto.prep_beta)
+    spec = SpinEnsembleSpec(2, 0.5, cfg.omega)
+    h_cold = collective_coupling(spec).H_S
+    els_c = build_level_structure(h_cold, labels=spec.basis_labels())
+    els_h = build_level_structure(
+        HermitianObservable(cfg.otto.lam * h_cold.elements), labels=spec.basis_labels()
+    )
+    frames = (
+        ("start", els_c, cfg.otto.beta_cold),
+        ("after-cold-isochore", els_c, cfg.otto.beta_cold),
+        ("after-hot-isochore", els_h, cfg.otto.beta_hot),
+    )
     failures = 0
     rows = []
     for label, m in (("incoherent", report.incoherent), ("coherent", report.coherent)):
@@ -753,7 +771,10 @@ def run_otto_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
             summary.kv("flags", ";".join(m.flags))
         if abs(m.second_law_residual) > 1e-8:
             failures += 1
-        rows.extend(_otto_rows(label, m, cfg))
+        rows.extend(finite_change_rows(
+            (phase, state, els, beta, f"machine={label};stroke={stroke}")
+            for phase, (state, (stroke, els, beta)) in enumerate(zip(m.stroke_states, frames))
+        ))
     summary.section("exchange-relation branch")
     summary.kv("equal_W_applies", report.equal_W_applies)
     if report.equal_W_identity is not None:
@@ -771,64 +792,15 @@ def run_otto_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
     return ScenarioOutput(cfg.scenario, snapshot_rows_to_csv(rows), summary.text(), failures)
 
 
-def _otto_rows(label: str, machine, cfg: ScenarioConfig):
-    """Stroke-boundary functionals; rate columns hold changes over the stroke."""
-    spec = SpinEnsembleSpec(2, 0.5, cfg.omega)
-    h_cold = collective_coupling(spec).H_S
-    els_c = build_level_structure(h_cold, labels=spec.basis_labels())
-    els_h = build_level_structure(
-        HermitianObservable(cfg.otto.lam * h_cold.elements), labels=spec.basis_labels()
-    )
-    frames = (
-        ("start", els_c, cfg.otto.beta_cold),
-        ("after-cold-isochore", els_c, cfg.otto.beta_cold),
-        ("after-hot-isochore", els_h, cfg.otto.beta_hot),
-    )
-    rows = []
-    prev: dict[str, float] = {}
-    for phase, (state, (stroke, els, beta)) in enumerate(zip(machine.stroke_states, frames)):
-        c_v, c_h = coherence_measures(state, els)
-        d_th = distance_to_thermal(state, els, beta)
-        s = von_neumann_entropy(state)
-        e_s = float(np.trace(els.hamiltonian().elements @ state.elements).real)
-        f_d = e_s - von_neumann_entropy(dephase_diagonal(state, els)) / beta
-        values = {"S": s, "C_v": c_v, "C_h": c_h, "D_th": d_th, "E_S": e_s, "F_D": f_d}
-        if prev:
-            values.update(
-                Pi_rate=-(values["C_v"] - prev["C_v"])
-                - (values["C_h"] - prev["C_h"])
-                - (values["D_th"] - prev["D_th"]),
-                Phi_rate=beta * (values["E_S"] - prev["E_S"]),
-                rate_C_v=values["C_v"] - prev["C_v"],
-                rate_C_h=values["C_h"] - prev["C_h"],
-                rate_D_th=values["D_th"] - prev["D_th"],
-            )
-        else:
-            values.update(Pi_rate=0.0, Phi_rate=0.0, rate_C_v=0.0, rate_C_h=0.0, rate_D_th=0.0)
-        prev = dict(values)
-        rows.append((float(phase), values, (f"machine={label};stroke={stroke}",)))
-    return rows
-
-
-def run_scenario_config(cfg: ScenarioConfig, threads: int = 1) -> ScenarioOutput:
+def run_scenario_config(cfg: ScenarioConfig) -> ScenarioOutput:
     if cfg.scenario == "collective-spins":
         return run_collective_scenario(cfg)
     if cfg.scenario == "heat-flow-reversal":
         return run_reversal_scenario(cfg)
     if cfg.scenario == "thermal-operation":
-        return run_thermal_operation_scenario(cfg, threads)
+        return run_thermal_operation_scenario(cfg)
     if cfg.scenario == "near-degenerate":
         return run_near_degenerate_scenario(cfg)
     if cfg.scenario == "otto-cycle":
         return run_otto_scenario(cfg)
-    if cfg.scenario == "custom":
-        return run_collective_scenario(cfg)
     raise ConfigError(f"unknown scenario {cfg.scenario!r}")
-
-
-def _parallel_map(fn, items, threads: int) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

@@ -19,6 +19,7 @@ from .qcore import (
     DensityMatrix,
     HermitianObservable,
     max_abs,
+    max_admissible_amplitude,
     partial_trace,
     tensor_labels,
 )
@@ -321,26 +322,6 @@ def horizontal_pattern(els: EnergyLevelStructure) -> HermitianObservable:
     raise InvariantViolation("level structure has no degenerate level")
 
 
-def max_admissible_amplitude(base: DensityMatrix, pattern: HermitianObservable) -> float:
-    """Largest c keeping base + c * pattern positive, by bisection on the minimum eigenvalue."""
-    lo, hi = 0.0, 1.0
-
-    def ok(c: float) -> bool:
-        return float(np.linalg.eigvalsh(base.elements + c * pattern.elements)[0]) >= 0.0
-
-    if not ok(0.0):
-        raise InvariantViolation("base state not positive")
-    while ok(hi) and hi < 1e3:
-        lo, hi = hi, 2 * hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def divergence_witness(
     sys: BipartiteSystem,
     seeds: range | list[int],
@@ -360,7 +341,7 @@ def divergence_witness(
     if pattern is None:
         pattern = horizontal_pattern(sys.els_S)
     base = thermal_state_of(sys.els_S, beta_B)
-    c = amplitude_fraction * max_admissible_amplitude(base, pattern)
+    c = amplitude_fraction * max_admissible_amplitude(base.elements, pattern.elements)
     rho_s = DensityMatrix(base.elements + c * pattern.elements, base.basis_labels)
     rho_b = thermal_state_of(sys.els_B, beta_B)
     for seed in seeds:

@@ -17,7 +17,7 @@ quantities (-dC_h/dt etc.) are the signed contributions to Pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +47,7 @@ from .spectrum import (
     coherence_measures,
     dephase_block_diagonal,
     dephase_diagonal,
+    distance_to_thermal,
     thermal_state_of,
 )
 from .qcore import relative_entropy
@@ -77,14 +78,8 @@ class ThermoSnapshot:
     rate_C_v: float
     rate_C_h: float
     rate_D_th: float
+    E_dot: float  # heat flow Tr(drho H); Phi = beta_B * E_dot
     flags: tuple[str, ...] = ()
-
-    @property
-    def E_dot(self) -> float:
-        """Heat flow Tr(drho H); Phi = beta_B * E_dot."""
-        return self._e_dot
-
-    _e_dot: float = field(default=0.0, repr=False)
 
 
 @dataclass(frozen=True)
@@ -173,8 +168,8 @@ def instantaneous_rates(
         rate_C_v=rate_c_v,
         rate_C_h=rate_c_h,
         rate_D_th=rate_d_th,
+        E_dot=e_dot,
         flags=tuple(flags),
-        _e_dot=e_dot,
     )
 
 
@@ -264,7 +259,7 @@ def _functionals(matrix: np.ndarray, gen: LindbladGenerator, labels) -> dict[str
     els = gen.els
     s = von_neumann_entropy(state)
     c_v, c_h = coherence_measures(state, els)
-    d_th = relative_entropy(dephase_diagonal(state, els), thermal_state_of(els, gen.bath.beta_B))
+    d_th = distance_to_thermal(state, els, gen.bath.beta_B)
     return {"dS/dt = Pi + Phi": s, "dC_v/dt": c_v, "dC_h/dt": c_h, "dD_th/dt": d_th}
 
 

@@ -11,7 +11,7 @@ from cohentropy.acceptance import CRITERIA, AcceptanceContext, run_criterion
 
 @pytest.fixture(scope="module")
 def ctx():
-    return AcceptanceContext(threads=4)
+    return AcceptanceContext()
 
 
 @pytest.mark.parametrize("cid", sorted(CRITERIA))

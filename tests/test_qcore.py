@@ -15,7 +15,7 @@ from cohentropy import (
     thermal_state,
     von_neumann_entropy,
 )
-from cohentropy.qcore import tensor_labels
+from cohentropy.qcore import max_admissible_amplitude, tensor_labels
 from conftest import random_density
 
 
@@ -218,3 +218,21 @@ class TestMatrixLog:
     def test_rejects_negative_input(self):
         with pytest.raises(InvariantViolation):
             matrix_log_on_support(np.diag([1.5, -0.5]).astype(complex))
+
+
+class TestMaxAdmissibleAmplitude:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_boundary_of_positivity(self, seed):
+        base = random_density(4, seed)
+        rng = np.random.default_rng(100 + seed)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        direction = g + g.conj().T
+        direction -= np.trace(direction) / 4 * np.eye(4)
+        t = max_admissible_amplitude(base, direction)
+        assert t > 0
+        assert np.linalg.eigvalsh(base + t * direction)[0] >= 0
+        assert np.linalg.eigvalsh(base + 1.001 * t * direction)[0] < 0
+
+    def test_rejects_non_positive_base(self):
+        with pytest.raises(InvariantViolation, match="not positive"):
+            max_admissible_amplitude(np.diag([1.5, -0.5]).astype(complex), np.eye(2))

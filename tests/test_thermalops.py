@@ -15,13 +15,12 @@ from cohentropy import (
     sample_energy_conserving_unitary,
     thermal_state_of,
 )
-from cohentropy.qcore import tensor_labels
+from cohentropy.qcore import max_admissible_amplitude, tensor_labels
 from cohentropy.thermalops import (
     BipartiteSystem,
     EnergyConservingUnitary,
     combine_level_structures,
     horizontal_pattern,
-    max_admissible_amplitude,
 )
 from cohentropy.scenarios import coherent_prepared_state, diagonal_prepared_state
 from conftest import random_density
@@ -217,7 +216,7 @@ class TestDivergenceWitness:
         beta_b = 1.0
         base = thermal_state_of(els_s, beta_b)
         pattern = horizontal_pattern(els_s)
-        c_lim = max_admissible_amplitude(base, pattern)
+        c_lim = max_admissible_amplitude(base.elements, pattern.elements)
         rho_b = thermal_state_of(els_b, beta_b)
         # one fixed Haar unitary with a nontrivial resonant block
         u = sample_energy_conserving_unitary(sys_, 2)
