@@ -35,6 +35,7 @@ from .spectrum import (
     dephase_block_diagonal,
     dephase_diagonal,
     distance_to_thermal,
+    state_functionals,
     thermal_state_of,
 )
 from .lindblad import (

@@ -5,8 +5,9 @@
 
 `run` executes one configured scenario and writes a time-series CSV plus a
 structured-text summary; exit code 0 on all-pass, 2 on any invariant failure,
-1 on configuration errors.  Outputs are written only after the computation
-completes, so failures never leave partial files behind.  `verify` runs the
+1 on configuration or output errors.  Outputs are written only after the
+computation completes, and a failed write removes the files this run wrote,
+so failures never leave partial files behind.  `verify` runs the
 built-in acceptance suite and prints one line per criterion.
 """
 
@@ -34,38 +35,33 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    out_dir = Path(args.out)
-    written: list[Path] = []
     try:
         result = run_scenario_config(cfg)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        csv_path = out_dir / "timeseries.csv"
-        summary_path = out_dir / "summary.txt"
-        csv_path.write_text(result.csv_text)
-        written.append(csv_path)
-        summary_path.write_text(result.summary_text)
-        written.append(summary_path)
     except ConfigError as exc:
-        _cleanup(written)
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except CohentropyError as exc:
-        _cleanup(written)
         print(f"scenario failed: {exc}", file=sys.stderr)
         return 2
+    out_dir = Path(args.out)
+    csv_path = out_dir / "timeseries.csv"
+    summary_path = out_dir / "summary.txt"
+    written: list[Path] = []
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for path, text in ((csv_path, result.csv_text), (summary_path, result.summary_text)):
+            path.write_text(text)
+            written.append(path)
+    except OSError as exc:
+        for path in written:
+            path.unlink(missing_ok=True)
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     if result.invariant_failures:
         print(f"{result.invariant_failures} invariant failure(s); see {summary_path}", file=sys.stderr)
         return 2
     print(f"wrote {csv_path} and {summary_path}")
     return 0
-
-
-def _cleanup(paths: list[Path]) -> None:
-    for p in paths:
-        try:
-            p.unlink()
-        except OSError:
-            pass
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -91,9 +91,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.elements.shape[0]
 
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.elements)
-
 
 def cleaned_state(
     matrix: np.ndarray,
@@ -125,17 +122,32 @@ def cleaned_state(
     return DensityMatrix(m, basis_labels)
 
 
-def expectation(rho: DensityMatrix | np.ndarray, op: np.ndarray) -> float:
-    """Real part of Tr(rho op); op is assumed Hermitian."""
-    m = rho.elements if isinstance(rho, DensityMatrix) else rho
-    return float(np.trace(m @ op).real)
+def entropy_of_spectrum(lam: np.ndarray) -> float:
+    """-sum lambda ln lambda over the eigenvalues above the clip floor (0 ln 0 = 0)."""
+    lam = lam[lam > CLIP_FLOOR]
+    return float(-np.sum(lam * np.log(lam)))
+
+
+def log_of_spectrum(lam: np.ndarray) -> np.ndarray:
+    """ln lambda above the clip floor and 0 on the null space; rejects a negative spectrum."""
+    if lam.min() < -POSITIVITY_TOL:
+        raise InvariantViolation(f"negative eigenvalue {lam.min():.3e} in matrix log")
+    return np.where(lam > CLIP_FLOOR, np.log(np.maximum(lam, CLIP_FLOOR)), 0.0)
+
+
+def boltzmann_weights(energies: np.ndarray, beta: float) -> np.ndarray:
+    """exp(-beta e)/Z with an overflow shift; beta may be negative, and for |beta| *
+    spread large the weights go to the uniform ones on the extremal energies."""
+    if not np.isfinite(beta):
+        raise InvariantViolation("beta must be finite")
+    exponent = -beta * np.asarray(energies, dtype=float)
+    weights = np.exp(exponent - exponent.max())
+    return weights / weights.sum()
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-Tr rho ln rho with the convention 0 ln 0 = 0."""
-    lam = np.linalg.eigvalsh(rho.elements)
-    lam = lam[lam > CLIP_FLOOR]
-    return float(-np.sum(lam * np.log(lam)))
+    return entropy_of_spectrum(np.linalg.eigvalsh(rho.elements))
 
 
 def matrix_log_on_support(rho: DensityMatrix | np.ndarray) -> HermitianObservable:
@@ -146,19 +158,23 @@ def matrix_log_on_support(rho: DensityMatrix | np.ndarray) -> HermitianObservabl
     """
     m = rho.elements if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     lam, vec = np.linalg.eigh(0.5 * (m + m.conj().T))
-    if lam[0] < -POSITIVITY_TOL:
-        raise InvariantViolation(f"negative eigenvalue {lam[0]:.3e} in matrix log")
-    loglam = np.where(lam > CLIP_FLOOR, np.log(np.maximum(lam, CLIP_FLOOR)), 0.0)
-    out = (vec * loglam) @ vec.conj().T
+    out = (vec * log_of_spectrum(lam)) @ vec.conj().T
     return HermitianObservable(0.5 * (out + out.conj().T))
 
 
-def null_projector(rho: DensityMatrix | np.ndarray) -> np.ndarray:
-    """Projector onto the numerical null space (eigenvalues <= clip floor)."""
-    m = rho.elements if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    lam, vec = np.linalg.eigh(0.5 * (m + m.conj().T))
-    null = vec[:, lam <= CLIP_FLOOR]
-    return null @ null.conj().T
+def relative_entropy_from_logs(
+    sigma: np.ndarray, log_sigma: np.ndarray, log_rho: np.ndarray, rho_null: np.ndarray
+) -> float:
+    """Tr sigma (ln sigma - ln rho) from logs on the supports, all in one basis; +inf if
+    sigma weighs more than SUPPORT_WEIGHT_TOL on the columns of ``rho_null``."""
+    if rho_null.shape[1]:
+        weight = float(np.trace(rho_null.conj().T @ sigma @ rho_null).real)
+        if weight > SUPPORT_WEIGHT_TOL:
+            return float("inf")
+    val = float(np.trace(sigma @ (log_sigma - log_rho)).real)
+    if val < -POSITIVITY_TOL:
+        raise InvariantViolation(f"relative entropy {val:.3e} below -{POSITIVITY_TOL}")
+    return val
 
 
 def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix) -> float:
@@ -168,33 +184,15 @@ def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix) -> float:
     if sigma.basis_labels != rho.basis_labels:
         raise ShapeMismatch("basis labels differ between sigma and rho")
     lam, vec = np.linalg.eigh(rho.elements)
-    null = vec[:, lam <= CLIP_FLOOR]
-    if null.shape[1]:
-        weight = float(np.trace(null.conj().T @ sigma.elements @ null).real)
-        if weight > SUPPORT_WEIGHT_TOL:
-            return float("inf")
+    log_rho = (vec * log_of_spectrum(lam)) @ vec.conj().T
     log_sigma = matrix_log_on_support(sigma).elements
-    log_rho = matrix_log_on_support(rho).elements
-    val = float(np.trace(sigma.elements @ (log_sigma - log_rho)).real)
-    if val < -POSITIVITY_TOL:
-        raise InvariantViolation(f"relative entropy {val:.3e} below -{POSITIVITY_TOL}")
-    return val
+    return relative_entropy_from_logs(sigma.elements, log_sigma, log_rho, vec[:, lam <= CLIP_FLOOR])
 
 
 def thermal_state(H: HermitianObservable, beta: float, labels: tuple[str, ...] = ()) -> DensityMatrix:
-    """exp(-beta H)/Z, computed in the eigenbasis of H with overflow shift.
-
-    ``beta`` may be negative (inverted populations); for |beta| * spread large
-    the result degenerates to the normalized projector onto the extremal
-    eigenspace, which is the intended limit.
-    """
-    if not np.isfinite(beta):
-        raise InvariantViolation("beta must be finite")
+    """exp(-beta H)/Z in the eigenbasis of H, with the weights of ``boltzmann_weights``."""
     lam, vec = np.linalg.eigh(H.elements)
-    exponent = -beta * lam
-    weights = np.exp(exponent - exponent.max())
-    weights /= weights.sum()
-    m = (vec * weights) @ vec.conj().T
+    m = (vec * boltzmann_weights(lam, beta)) @ vec.conj().T
     return DensityMatrix(0.5 * (m + m.conj().T), labels)
 
 

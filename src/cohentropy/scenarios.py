@@ -28,13 +28,11 @@ from .lindblad import (
     build_collective_generator,
     flat_bath,
 )
-from .qcore import DensityMatrix, HermitianObservable, trace_distance, von_neumann_entropy
+from .qcore import DensityMatrix, HermitianObservable, trace_distance
 from .spectrum import (
     EnergyLevelStructure,
     build_level_structure,
-    coherence_measures,
-    dephase_diagonal,
-    distance_to_thermal,
+    state_functionals,
     thermal_state_of,
 )
 from .thermalops import (
@@ -175,8 +173,25 @@ class ScenarioConfig:
             raise ConfigError("coherence_amplitude must be nonnegative")
 
 
+_NUMBER_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None))}
+
+
+def _check_number(name: str, kind: str, value: Any) -> None:
+    """An int field takes an int, a float field a finite number; bools are neither."""
+    allowed = _NUMBER_TYPES.get(kind)
+    if allowed is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        noun = "an integer" if kind == "int" else "a number"
+        raise ConfigError(f"{name} must be {noun}, got {json.dumps(value)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+
+
 def parse_config(raw: dict[str, Any]) -> ScenarioConfig:
-    """Strict construction: unknown keys anywhere raise ConfigError."""
+    """Strict construction: unknown keys anywhere raise ConfigError, as do
+    int fields that are not integers and float fields that are not finite
+    numbers (booleans count as neither)."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be an object")
     def build(cls, data, path):
@@ -186,6 +201,10 @@ def parse_config(raw: dict[str, Any]) -> ScenarioConfig:
         unknown = set(data) - allowed
         if unknown:
             raise ConfigError(f"unknown keys at {path}: {sorted(unknown)}")
+        for f in fields(cls):
+            if f.name in data:
+                name = f.name if path == "<root>" else f"{path}.{f.name}"
+                _check_number(name, f.type, data[f.name])
         return data
     data = dict(build(ScenarioConfig, raw, "<root>"))
     try:
@@ -694,13 +713,8 @@ def finite_change_rows(frames):
     rows = []
     prev: dict[str, float] = {}
     for t, state, els, beta, flag in frames:
-        c_v, c_h = coherence_measures(state, els)
-        d_th = distance_to_thermal(state, els, beta)
-        s = von_neumann_entropy(state)
-        e_s = float(np.trace(els.hamiltonian().elements @ state.elements).real)
-        rho_d = dephase_diagonal(state, els)
-        f_d = e_s - von_neumann_entropy(rho_d) / beta if beta else float("nan")
-        values = {"S": s, "C_v": c_v, "C_h": c_h, "D_th": d_th, "E_S": e_s, "F_D": f_d}
+        f = state_functionals(state, els, beta)
+        values = {"S": f.S, "C_v": f.C_v, "C_h": f.C_h, "D_th": f.D_th, "E_S": f.E_S, "F_D": f.F_D}
         if prev:
             deltas = {k: values[k] - prev[k] for k in values}
             values.update(

@@ -14,13 +14,16 @@ import numpy as np
 
 from .exceptions import AmbiguousClustering, InvariantViolation, ShapeMismatch
 from .qcore import (
+    CLIP_FLOOR,
     DensityMatrix,
     HermitianObservable,
+    boltzmann_weights,
     default_labels,
+    entropy_of_spectrum,
+    log_of_spectrum,
     max_abs,
-    relative_entropy,
+    relative_entropy_from_logs,
     thermal_state,
-    von_neumann_entropy,
 )
 
 PROJECTOR_TOL = 1e-12
@@ -95,19 +98,18 @@ class EnergyLevelStructure:
         return len(self.energies)
 
     @property
-    def level_of_index(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for n, l in enumerate(self.degeneracies):
-            out.extend([n] * l)
-        return tuple(out)
+    def level_of_index(self) -> np.ndarray:
+        """Level n of each eigenbasis column |n,i>."""
+        return np.repeat(np.arange(self.n_levels), self.degeneracies)
 
     @property
-    def basis_map(self) -> tuple[tuple[int, int], ...]:
-        """(n, i) label of each eigenbasis column, 1 <= i <= l_n."""
-        out: list[tuple[int, int]] = []
-        for n, l in enumerate(self.degeneracies):
-            out.extend((n, i + 1) for i in range(l))
-        return tuple(out)
+    def index_energies(self) -> np.ndarray:
+        """Level energy e_n of each eigenbasis column |n,i>."""
+        return np.repeat(self.energies, self.degeneracies)
+
+    def to_labeled(self, m: np.ndarray) -> np.ndarray:
+        """V^dag m V: the operator m written in the labeled eigenbasis."""
+        return self.basis_vectors.conj().T @ m @ self.basis_vectors
 
     def projector(self, n: int) -> np.ndarray:
         """pi_n = sum_i |n,i><n,i|."""
@@ -124,10 +126,7 @@ class EnergyLevelStructure:
 
     def hamiltonian(self) -> HermitianObservable:
         """sum_n e_n pi_n, the representative (clustered) Hamiltonian."""
-        diag = np.concatenate(
-            [np.full(l, e) for e, l in zip(self.energies, self.degeneracies)]
-        )
-        m = (self.basis_vectors * diag) @ self.basis_vectors.conj().T
+        m = (self.basis_vectors * self.index_energies) @ self.basis_vectors.conj().T
         return HermitianObservable(0.5 * (m + m.conj().T))
 
     @property
@@ -248,33 +247,69 @@ def dephase_diagonal(rho: DensityMatrix, els: EnergyLevelStructure) -> DensityMa
     """Zero all off-diagonal elements in the labeled eigenbasis."""
     _check_state(rho, els)
     v = els.basis_vectors
-    populations = np.real(np.einsum("ki,kl,li->i", v.conj(), rho.elements, v))
-    out = (v * populations) @ v.conj().T
+    out = (v * els.to_labeled(rho.elements).diagonal().real) @ v.conj().T
     return DensityMatrix(0.5 * (out + out.conj().T), rho.basis_labels)
 
 
-def coherence_measures(rho: DensityMatrix, els: EnergyLevelStructure) -> tuple[float, float]:
-    """(C_v, C_h): entropy gaps opened by the two dephasing cuts.
+@dataclass(frozen=True)
+class StateFunctionals:
+    """Functionals of one state at beta, plus ln rho, ln rho_BD, ln rho_D and ln rho_th
+    on their supports in the labeled eigenbasis and the null vectors of rho
+    (eigenvalues <= CLIP_FLOOR) as columns in the input basis."""
 
-    C_v = S(rho_BD) - S(rho) measures vertical coherences, C_h = S(rho_D) -
-    S(rho_BD) horizontal ones.  The equivalent relative-entropy forms
-    S(rho|rho_BD) and S(rho_BD|rho_D) are asserted to agree to 1e-8.
+    S: float
+    C_v: float
+    C_h: float
+    D_th: float
+    E_S: float
+    F_D: float
+    log_rho: np.ndarray
+    log_bd: np.ndarray
+    log_d: np.ndarray
+    log_th: np.ndarray
+    null: np.ndarray
+
+
+def state_functionals(rho: DensityMatrix, els: EnergyLevelStructure, beta: float) -> StateFunctionals:
+    """S, C_v, C_h, D_th, E_S and F_D from two eigendecompositions of r = V^dag rho V.
+
+    The spectra of rho_D and rho_th are diag(r) and the Boltzmann weights.
+    C_v = S(rho_BD) - S(rho) and C_h = S(rho_D) - S(rho_BD) must agree with
+    S(rho|rho_BD) and S(rho_BD|rho_D) to 1e-8; F_D is nan at beta = 0.
     """
-    rho_bd = dephase_block_diagonal(rho, els)
-    rho_d = dephase_diagonal(rho, els)
-    s = von_neumann_entropy(rho)
-    s_bd = von_neumann_entropy(rho_bd)
-    s_d = von_neumann_entropy(rho_d)
-    c_v = s_bd - s
-    c_h = s_d - s_bd
-    alt_v = relative_entropy(rho, rho_bd)
-    alt_h = relative_entropy(rho_bd, rho_d)
+    _check_state(rho, els)
+    r = els.to_labeled(rho.elements)
+    level = els.level_of_index
+    bd = np.where(level[:, None] == level[None, :], r, 0.0)
+    lam, u = np.linalg.eigh(r)
+    lam_bd, u_bd = np.linalg.eigh(bd)
+    pops = r.diagonal().real
+    weights = boltzmann_weights(els.index_energies, beta)
+    log_rho = (u * log_of_spectrum(lam)) @ u.conj().T
+    log_bd = (u_bd * log_of_spectrum(lam_bd)) @ u_bd.conj().T
+    log_d = np.diag(log_of_spectrum(pops))
+    log_th = np.diag(log_of_spectrum(weights))
+    s, s_bd, s_d = (entropy_of_spectrum(x) for x in (lam, lam_bd, pops))
+    c_v, c_h = s_bd - s, s_d - s_bd
+    eye = np.eye(els.dim)
+    alt_v = relative_entropy_from_logs(r, log_rho, log_bd, u_bd[:, lam_bd <= CLIP_FLOOR])
+    alt_h = relative_entropy_from_logs(bd, log_bd, log_d, eye[:, pops <= CLIP_FLOOR])
     if abs(alt_v - c_v) > MEASURE_CONSISTENCY_TOL or abs(alt_h - c_h) > MEASURE_CONSISTENCY_TOL:
         raise InvariantViolation(
             f"coherence measures disagree with relative-entropy forms: "
             f"C_v {c_v:.3e} vs {alt_v:.3e}, C_h {c_h:.3e} vs {alt_h:.3e}"
         )
-    return c_v, c_h
+    d_th = relative_entropy_from_logs(np.diag(pops), log_d, log_th, eye[:, weights <= CLIP_FLOOR])
+    e_s = float(pops @ els.index_energies)
+    f_d = e_s - s_d / beta if beta != 0.0 else float("nan")
+    null = els.basis_vectors @ u[:, lam <= CLIP_FLOOR]
+    return StateFunctionals(s, c_v, c_h, d_th, e_s, f_d, log_rho, log_bd, log_d, log_th, null)
+
+
+def coherence_measures(rho: DensityMatrix, els: EnergyLevelStructure) -> tuple[float, float]:
+    """(C_v, C_h): entropy gaps opened by the two dephasing cuts (see state_functionals)."""
+    f = state_functionals(rho, els, 0.0)
+    return f.C_v, f.C_h
 
 
 def thermal_state_of(els: EnergyLevelStructure, beta: float) -> DensityMatrix:
@@ -284,5 +319,4 @@ def thermal_state_of(els: EnergyLevelStructure, beta: float) -> DensityMatrix:
 
 def distance_to_thermal(rho: DensityMatrix, els: EnergyLevelStructure, beta_B: float) -> float:
     """D_th = S(rho_D | rho_th(beta_B)) >= 0: population distance to equilibrium."""
-    rho_d = dephase_diagonal(rho, els)
-    return relative_entropy(rho_d, thermal_state_of(els, beta_B))
+    return state_functionals(rho, els, beta_B).D_th

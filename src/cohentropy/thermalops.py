@@ -25,9 +25,8 @@ from .qcore import (
 )
 from .spectrum import (
     EnergyLevelStructure,
-    coherence_measures,
     dephase_block_diagonal,
-    distance_to_thermal,
+    state_functionals,
     thermal_state_of,
 )
 
@@ -181,8 +180,8 @@ class CutQuantities:
 
 
 def cut_quantities(rho: DensityMatrix, els: EnergyLevelStructure, beta_B: float) -> CutQuantities:
-    c_v, c_h = coherence_measures(rho, els)
-    return CutQuantities(C_v=c_v, C_h=c_h, D_th=distance_to_thermal(rho, els, beta_B))
+    f = state_functionals(rho, els, beta_B)
+    return CutQuantities(C_v=f.C_v, C_h=f.C_h, D_th=f.D_th)
 
 
 @dataclass(frozen=True)

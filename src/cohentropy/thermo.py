@@ -34,23 +34,18 @@ from .qcore import (
     CLIP_FLOOR,
     DensityMatrix,
     HermitianObservable,
-    expectation,
-    matrix_log_on_support,
     max_abs,
-    null_projector,
+    relative_entropy,
     trace_distance,
     von_neumann_entropy,
 )
 from .spectrum import (
     EnergyLevelStructure,
     build_level_structure,
-    coherence_measures,
-    dephase_block_diagonal,
     dephase_diagonal,
-    distance_to_thermal,
+    state_functionals,
     thermal_state_of,
 )
-from .qcore import relative_entropy
 
 RATE_POSITIVITY_TOL = 1e-8
 CLOSURE_TOL = 1e-8
@@ -112,28 +107,21 @@ def instantaneous_rates(
     """
     els = gen.els
     beta_b = gen.bath.beta_B
+    f = state_functionals(rho, els, beta_b)
     rho_dot = gen.apply(rho)
-    rho_bd = dephase_block_diagonal(rho, els)
-    rho_d = dephase_diagonal(rho, els)
-    rho_th = thermal_state_of(els, beta_b)
-    h = els.hamiltonian().elements
-
-    log_rho = matrix_log_on_support(rho).elements
-    log_bd = matrix_log_on_support(rho_bd).elements
-    log_d = matrix_log_on_support(rho_d).elements
-    log_th = matrix_log_on_support(rho_th).elements
+    r_dot = els.to_labeled(rho_dot)
 
     def overlap(op: np.ndarray) -> float:
-        return float(np.trace(rho_dot @ op).real)
+        return float(np.trace(r_dot @ op).real)
 
-    rate_c_v = overlap(log_rho - log_bd)
-    rate_c_h = overlap(log_bd - log_d)
-    rate_d_th = overlap(log_d - log_th)
-    pi = -overlap(log_rho - log_th)
-    e_dot = overlap(h)
+    rate_c_v = overlap(f.log_rho - f.log_bd)
+    rate_c_h = overlap(f.log_bd - f.log_d)
+    rate_d_th = overlap(f.log_d - f.log_th)
+    pi = -overlap(f.log_rho - f.log_th)
+    e_dot = float(np.trace(rho_dot @ els.hamiltonian().elements).real)
 
     flags: list[str] = []
-    nullp = null_projector(rho)
+    nullp = f.null @ f.null.conj().T
     if max_abs(nullp) > 0.5 and max_abs(nullp @ rho_dot @ nullp) > 1e-12:
         flags.append(FLAG_PI_DIVERGENT)
         pi_out = float("inf")
@@ -144,25 +132,17 @@ def instantaneous_rates(
             raise InvariantViolation(f"decomposition closure violated by {closure:.3e}")
         if pi < -RATE_POSITIVITY_TOL:
             raise InvariantViolation(f"negative entropy production {pi:.3e}")
-
-    s = von_neumann_entropy(rho)
-    c_v, c_h = coherence_measures(rho, els)
-    d_th = relative_entropy(rho_d, rho_th)
-    e_s = expectation(rho, h)
-    if beta_b != 0.0:
-        f_d = e_s - von_neumann_entropy(rho_d) / beta_b
-    else:
-        f_d = float("nan")
+    if beta_b == 0.0:
         flags.append(FLAG_NOT_APPLICABLE)
 
     return ThermoSnapshot(
         t=float(t),
-        S=s,
-        C_v=c_v,
-        C_h=c_h,
-        D_th=d_th,
-        E_S=e_s,
-        F_D=f_d,
+        S=f.S,
+        C_v=f.C_v,
+        C_h=f.C_h,
+        D_th=f.D_th,
+        E_S=f.E_S,
+        F_D=f.F_D,
         Pi_rate=pi_out,
         Phi_rate=beta_b * e_dot,
         rate_C_v=rate_c_v,
@@ -182,12 +162,12 @@ def decompose_series(
 ) -> ThermoSeries:
     """Evolve rho0 and emit snapshots; cross-check rates by finite differences.
 
-    Rates are cross-validated at interior points against centered differences
-    of the state functionals taken at step h with h ||L|| ~ 1e-3 (dedicated
-    evaluations at t +- h, not grid neighbors), to relative 1e-4.  Points
-    where the state has eigenvalues below 1e-6 are skipped: there the
-    functionals are dominated by log-singular transients no fixed-step
-    difference can resolve.
+    Rates are cross-validated at interior points, to relative 1e-4, against
+    the Richardson extrapolation of centered differences of the state
+    functionals at steps h and h/2 with h ||L|| = 1e-3 (dedicated evaluations
+    at t +- h/2 and t +- h, not grid neighbors).  Points where the state has
+    eigenvalues below 1e-6 are skipped: there the functionals are dominated
+    by log-singular transients no fixed-step difference can resolve.
     """
     states = evolve(gen, rho0, times)
     snapshots = [instantaneous_rates(gen, s, t) for t, s in zip(times, states)]
@@ -214,16 +194,27 @@ def check_rates_by_finite_differences(
     raise_on_failure: bool = True,
     rel_tol: float | None = None,
 ) -> list[str]:
-    """Compare analytic rates with centered finite differences at h ||L|| ~ 1e-3.
+    """Compare analytic rates with finite differences of the state functionals.
 
-    Returns the list of failing identity descriptions (empty when all pass).
+    The estimate is the Richardson extrapolation (4 D(h/2) - D(h)) / 3 of the
+    centered differences D at h ||L|| = 1e-3, so its error is O(h^4); the
+    states at t +- h/2 and t +- h come from one or two half steps
+    expm(+-hL/2).  Returns the list of failing identity descriptions (empty
+    when all pass).
     """
     rel = FD_RELATIVE_TOL if rel_tol is None else rel_tol
     norm = gen.norm_inf
     h = 1e-3 / max(norm, 1e-12)
-    minus = scipy.linalg.expm(-h * gen.superoperator)
-    plus = scipy.linalg.expm(h * gen.superoperator)
+    half_back = scipy.linalg.expm(-0.5 * h * gen.superoperator)
+    half_fwd = scipy.linalg.expm(0.5 * h * gen.superoperator)
     atol = 1e-9 * max(1.0, norm)
+    d = gen.dim
+
+    def functionals(vec: np.ndarray, labels) -> tuple[float, float, float, float]:
+        state = DensityMatrix(_resymm(vec.reshape(d, d)), labels)
+        f = state_functionals(state, gen.els, gen.bath.beta_B)
+        return f.S, f.C_v, f.C_h, f.D_th
+
     failures: list[str] = []
     for t, state, snap in points:
         if t <= h:
@@ -231,19 +222,20 @@ def check_rates_by_finite_differences(
         lam_min = float(np.linalg.eigvalsh(state.elements)[0])
         if lam_min < FD_MINEIG_FLOOR:
             continue
-        d = gen.dim
         vec = state.elements.reshape(-1)
-        before = _functionals((minus @ vec).reshape(d, d), gen, state.basis_labels)
-        after = _functionals((plus @ vec).reshape(d, d), gen, state.basis_labels)
+        back, fwd = half_back @ vec, half_fwd @ vec
+        columns = zip(*(
+            functionals(x, state.basis_labels)
+            for x in (half_back @ back, back, fwd, half_fwd @ fwd)
+        ))
         analytic = {
             "dS/dt = Pi + Phi": snap.Pi_rate + snap.Phi_rate,
             "dC_v/dt": snap.rate_C_v,
             "dC_h/dt": snap.rate_C_h,
             "dD_th/dt": snap.rate_D_th,
         }
-        for key in analytic:
-            fd = (after[key] - before[key]) / (2 * h)
-            an = analytic[key]
+        for (key, an), (b2, b1, f1, f2) in zip(analytic.items(), columns):
+            fd = (4 * (f1 - b1) / h - (f2 - b2) / (2 * h)) / 3
             tol = rel * max(abs(fd), abs(an)) + (atol if rel >= 0 else 0.0)
             if abs(fd - an) > tol:
                 failures.append(
@@ -252,15 +244,6 @@ def check_rates_by_finite_differences(
     if failures and raise_on_failure:
         raise IdentityViolation("; ".join(failures))
     return failures
-
-
-def _functionals(matrix: np.ndarray, gen: LindbladGenerator, labels) -> dict[str, float]:
-    state = DensityMatrix(_resymm(matrix), labels)
-    els = gen.els
-    s = von_neumann_entropy(state)
-    c_v, c_h = coherence_measures(state, els)
-    d_th = distance_to_thermal(state, els, gen.bath.beta_B)
-    return {"dS/dt = Pi + Phi": s, "dC_v/dt": c_v, "dC_h/dt": c_h, "dD_th/dt": d_th}
 
 
 @dataclass(frozen=True)
@@ -352,11 +335,8 @@ def fit_inverse_temperature(
 ) -> tuple[float, float]:
     """Least-squares beta from ln p against level energies; residual is the
     max elementwise deviation of the refitted thermal state."""
-    v = els.basis_vectors
-    pops = np.real(np.einsum("ki,kl,li->i", v.conj(), rho_d.elements, v))
-    energies = np.concatenate(
-        [np.full(l, e) for e, l in zip(els.energies, els.degeneracies)]
-    )
+    pops = els.to_labeled(rho_d.elements).diagonal().real
+    energies = els.index_energies
     usable = pops > 1e-290
     if usable.sum() < 2:
         return float("nan"), float("inf")

@@ -52,6 +52,34 @@ class TestConfigParsing:
             config_from_json("{not json")
 
 
+BAD_VALUES = [
+    ('"n": true', "n must be an integer"),
+    ('"n": 2.5', "n must be an integer"),
+    ('"gamma": NaN', "gamma must be finite"),
+    ('"beta_B": Infinity', "beta_B must be finite"),
+    ('"otto": {"lam": NaN}', "otto.lam must be finite"),
+]
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("entry,message", BAD_VALUES)
+    def test_rejected_by_parser(self, entry, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_json('{"scenario": "collective-spins", %s}' % entry)
+
+    @pytest.mark.parametrize("entry,message", BAD_VALUES)
+    def test_run_exits_1_without_outputs(self, tmp_path, capsys, entry, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"scenario": "collective-spins", %s}' % entry)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_field_accepted(self):
+        assert parse_config({"scenario": "collective-spins", "beta_B": 2}).beta_B == 2
+
+
 class TestRunCommand:
     def test_reversal_run_writes_outputs(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -123,6 +151,27 @@ class TestRunCommand:
         hot = [r for r in rows if r[-1].endswith("stroke=after-hot-isochore")]
         assert len(hot) == 2
         assert all(r[6] == "nan" for r in hot)  # F_D is undefined at beta = 0
+
+    def test_single_spin_passes_finite_difference_check(self, tmp_path):
+        cfg = tmp_path / "n1.json"
+        cfg.write_text(json.dumps({"scenario": "collective-spins", "n": 1}))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    def test_out_naming_a_file_is_an_output_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert "output error:" in capsys.readouterr().err
+        assert out.read_text() == "keep"
+
+    def test_failed_summary_write_removes_the_csv(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        (out / "summary.txt").mkdir(parents=True)
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert "output error:" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["summary.txt"]
 
     def test_collective_run_sweep_table(self, tmp_path):
         cfg = write_config(

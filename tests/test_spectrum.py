@@ -6,14 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from cohentropy import (
     AmbiguousClustering,
+    BipartiteSystem,
     DensityMatrix,
     HermitianObservable,
+    SpinEnsembleSpec,
     build_level_structure,
     coherence_measures,
+    collective_coupling,
     dephase_block_diagonal,
     dephase_diagonal,
     distance_to_thermal,
     relative_entropy,
+    state_functionals,
     thermal_state_of,
     von_neumann_entropy,
 )
@@ -195,3 +199,67 @@ class TestDiagonalFreeEnergy:
                              for e, l in zip(els.energies, els.degeneracies)))
         d_th = distance_to_thermal(rho, els, beta_b)
         assert d_th == pytest.approx(beta_b * f_d + log_z, abs=1e-10)
+
+
+def _rotated_qutrit():
+    """Levels (0, 1, 1) in a basis where H is not diagonal."""
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    return build_level_structure(HermitianObservable(q @ np.diag([0.0, 1.0, 1.0]) @ q.conj().T))
+
+
+_QUBIT = build_level_structure(HermitianObservable(np.diag([0.0, 1.0])))
+STRUCTURES = {
+    "two-qubit collective": collective_coupling(SpinEnsembleSpec(2, 0.5, 1.0)).level_structure(),
+    "degenerate qutrit": build_level_structure(HermitianObservable(np.diag([0.0, 1.0, 1.0]))),
+    "qubit*qubit joint": BipartiteSystem.build(_QUBIT, _QUBIT).joint,
+    "rotated qutrit": _rotated_qutrit(),
+}
+
+
+def _agree(got: float, want: float) -> bool:
+    """Equal to 1e-10, with inf matching inf and nan matching nan."""
+    if not math.isfinite(want):
+        return got == want or (math.isnan(got) and math.isnan(want))
+    return abs(got - want) <= 1e-10
+
+
+class TestStateFunctionals:
+    """The kernel against the reference path: one eigendecomposition per cut."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(STRUCTURES)),
+        seed=st.integers(0, 10_000),
+        rank=st.sampled_from([None, 1, 2]),
+        beta=st.sampled_from([-0.8, 0.0, 1.3, 40.0]),  # beta = 40: weights below CLIP_FLOOR
+    )
+    def test_matches_reference_path(self, name, seed, rank, beta):
+        els = STRUCTURES[name]
+        rho = DensityMatrix(random_density(els.dim, seed, rank), els.basis_labels)
+        f = state_functionals(rho, els, beta)
+        rho_bd, rho_d = dephase_block_diagonal(rho, els), dephase_diagonal(rho, els)
+        rho_th = thermal_state_of(els, beta)
+        s, s_bd, s_d = (von_neumann_entropy(x) for x in (rho, rho_bd, rho_d))
+        e_s = float(np.trace(rho.elements @ els.hamiltonian().elements).real)
+        assert _agree(f.S, s)
+        assert _agree(f.C_v, s_bd - s)
+        assert _agree(f.C_h, s_d - s_bd)
+        assert _agree(f.D_th, relative_entropy(rho_d, rho_th))
+        assert _agree(f.C_h + f.D_th, relative_entropy(rho_bd, rho_th))
+        assert _agree(f.E_S, e_s)
+        assert _agree(f.F_D, e_s - s_d / beta if beta else float("nan"))
+
+    def test_ground_state_distance_stays_finite_at_low_temperature(self):
+        els = STRUCTURES["degenerate qutrit"]
+        rho = DensityMatrix(np.diag([1.0, 0.0, 0.0]), els.basis_labels)
+        d_th = state_functionals(rho, els, 40.0).D_th
+        assert math.isfinite(d_th)
+        assert _agree(d_th, relative_entropy(dephase_diagonal(rho, els), thermal_state_of(els, 40.0)))
+
+    def test_null_vectors_in_input_basis(self):
+        els = STRUCTURES["rotated qutrit"]
+        rho = DensityMatrix(random_density(3, 7, rank=1), els.basis_labels)
+        null = state_functionals(rho, els, 1.0).null
+        assert null.shape == (3, 2)
+        assert np.max(np.abs(rho.elements @ null)) < 1e-12
