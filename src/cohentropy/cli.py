@@ -8,7 +8,8 @@ structured-text summary; exit code 0 on all-pass, 2 on any invariant failure,
 1 on configuration or output errors.  Outputs are written only after the
 computation completes, and a failed write removes the files this run wrote,
 so failures never leave partial files behind.  `verify` runs the
-built-in acceptance suite and prints one line per criterion.
+built-in acceptance suite and prints one line per criterion; its `--out`
+write fails the same way, as an output error with exit code 1.
 """
 
 from __future__ import annotations
@@ -21,6 +22,22 @@ from pathlib import Path
 from .acceptance import run_all
 from .exceptions import CohentropyError, ConfigError
 from .scenarios import config_from_json, run_scenario_config
+
+
+def _write_outputs(texts: dict[Path, str]) -> bool:
+    """Write each text to its path; on OSError remove what was written, report, return False."""
+    written: list[Path] = []
+    try:
+        for path, text in texts.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+            written.append(path)
+    except OSError as exc:
+        for path in written:
+            path.unlink(missing_ok=True)
+        print(f"output error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -46,16 +63,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     csv_path = out_dir / "timeseries.csv"
     summary_path = out_dir / "summary.txt"
-    written: list[Path] = []
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for path, text in ((csv_path, result.csv_text), (summary_path, result.summary_text)):
-            path.write_text(text)
-            written.append(path)
-    except OSError as exc:
-        for path in written:
-            path.unlink(missing_ok=True)
-        print(f"output error: {exc}", file=sys.stderr)
+    if not _write_outputs({csv_path: result.csv_text, summary_path: result.summary_text}):
         return 1
     if result.invariant_failures:
         print(f"{result.invariant_failures} invariant failure(s); see {summary_path}", file=sys.stderr)
@@ -69,10 +77,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     lines = [r.line() for r in results]
     for line in lines:
         print(line)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "verify_summary.txt").write_text("\n".join(lines) + "\n")
+    summary = "\n".join(lines) + "\n"
+    if args.out and not _write_outputs({Path(args.out) / "verify_summary.txt": summary}):
+        return 1
     return 0 if all(r.passed for r in results) else 2
 
 

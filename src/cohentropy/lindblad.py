@@ -13,6 +13,7 @@ is stationary.  Superoperators use row-stacking: vec(A X B) = (A kron B^T) vec(X
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -201,7 +202,10 @@ def eigenoperators(A_S: HermitianObservable, els: EnergyLevelStructure) -> JumpO
 
 @dataclass(frozen=True)
 class LindbladGenerator:
-    """Explicit superoperator matrix acting on row-stacked density matrices."""
+    """Explicit superoperator matrix acting on row-stacked density matrices.
+
+    ``propagate`` is the one finite-time exp(t L), through an eig of L cached on first use.
+    """
 
     superoperator: np.ndarray
     els: EnergyLevelStructure
@@ -233,6 +237,34 @@ class LindbladGenerator:
         m = rho.elements if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
         d = self.dim
         return (self.superoperator @ m.reshape(-1)).reshape(d, d)
+
+    @cached_property
+    def _eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(w, V, V^-1) with L = V diag(w) V^-1, or None when L is not diagonalizable."""
+        L = self.superoperator
+        try:
+            w, v = np.linalg.eig(L)
+            vinv = np.linalg.inv(v)
+        except np.linalg.LinAlgError:
+            return None
+        resid = max_abs((v * w) @ vinv - L)
+        if np.isfinite(resid) and resid <= 1e-9 * max(1.0, max_abs(L)):
+            return w, v, vinv
+        return None
+
+    def propagate(self, vec0: np.ndarray, times: Sequence[float]) -> list[np.ndarray]:
+        """exp(t L) vec0 for each t of any sign and order; expm steps if L is defective."""
+        if self._eig is not None:
+            w, v, vinv = self._eig
+            coeffs = vinv @ vec0
+            return [v @ (np.exp(w * t) * coeffs) for t in times]
+        out = []
+        current, t_prev = vec0, 0.0
+        for t in times:
+            current = scipy.linalg.expm(self.superoperator * (t - t_prev)) @ current
+            t_prev = t
+            out.append(current)
+        return out
 
 
 def dissipator_superoperator(
@@ -290,41 +322,10 @@ def _check_horizon(els: EnergyLevelStructure, t_max: float) -> None:
         )
 
 
-class _Propagator:
-    """exp(t L) applied through eigendecomposition, with expm fallback."""
-
-    def __init__(self, L: np.ndarray):
-        self.L = L
-        self.eig = None
-        try:
-            w, v = np.linalg.eig(L)
-            vinv = np.linalg.inv(v)
-            resid = max_abs((v * w) @ vinv - L)
-            if np.isfinite(resid) and resid <= 1e-9 * max(1.0, max_abs(L)):
-                self.eig = (w, v, vinv)
-        except np.linalg.LinAlgError:
-            self.eig = None
-
-    def propagate(self, vec0: np.ndarray, times: Sequence[float]) -> list[np.ndarray]:
-        if self.eig is not None:
-            w, v, vinv = self.eig
-            coeffs = vinv @ vec0
-            return [v @ (np.exp(w * t) * coeffs) for t in times]
-        out = []
-        current = vec0
-        t_prev = 0.0
-        for t in times:
-            step = scipy.linalg.expm(self.L * (t - t_prev))
-            current = step @ current
-            t_prev = t
-            out.append(current)
-        return out
-
-
 def evolve(
     gen: LindbladGenerator, rho0: DensityMatrix, times: Sequence[float]
 ) -> list[DensityMatrix]:
-    """rho(t) = exp(t L) rho0 for each t in a sorted nonnegative time list."""
+    """rho(t) = exp(t L) rho0 by ``gen.propagate`` for each t in a sorted nonnegative list."""
     ts = [float(t) for t in times]
     if any(t < 0 for t in ts) or ts != sorted(ts):
         raise InvariantViolation("times must be sorted and nonnegative")
@@ -332,10 +333,8 @@ def evolve(
         raise ShapeMismatch(f"state dimension {rho0.dim} != generator {gen.dim}")
     if ts:
         _check_horizon(gen.els, max(ts))
-    prop = _Propagator(gen.superoperator)
-    vec0 = rho0.elements.reshape(-1)
     out: list[DensityMatrix] = []
-    for t, vec in zip(ts, prop.propagate(vec0, ts)):
+    for t, vec in zip(ts, gen.propagate(rho0.elements.reshape(-1), ts)):
         if t == 0.0:
             out.append(rho0)
             continue

@@ -32,6 +32,8 @@ def _as_square_complex(elements: np.ndarray) -> np.ndarray:
     m = np.asarray(elements, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvariantViolation("matrix has non-finite entries")
     return m
 
 

@@ -26,6 +26,7 @@ from .exceptions import CohentropyError, ConfigError, WitnessNotFound
 from .lindblad import (
     LindbladGenerator,
     build_collective_generator,
+    evolve,
     flat_bath,
 )
 from .qcore import DensityMatrix, HermitianObservable, trace_distance
@@ -366,12 +367,9 @@ def build_near_degenerate_scenario(
     rho0 = thermal_state_of(els_exact, beta_0)
     horizon = 0.1 / delta
     times = list(np.geomspace(0.01 / gamma, horizon, points))
-    from .lindblad import evolve
-
     traj_exact = evolve(gen_exact, rho0, times)
-    traj_clustered = evolve(gen_clustered, DensityMatrix(rho0.elements, rho0.basis_labels), times)
-    dist = max(trace_distance(a, b) for a, b in zip(traj_exact, traj_clustered))
     series = decompose_series(gen_clustered, rho0, times, "near-degenerate")
+    dist = max(trace_distance(a, b) for a, b in zip(traj_exact, series.states))
     return NearDegenerateScenario(
         els_exact=els_exact,
         els_clustered=els_clustered,

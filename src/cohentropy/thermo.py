@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     IdentityViolation,
@@ -198,15 +197,12 @@ def check_rates_by_finite_differences(
 
     The estimate is the Richardson extrapolation (4 D(h/2) - D(h)) / 3 of the
     centered differences D at h ||L|| = 1e-3, so its error is O(h^4); the
-    states at t +- h/2 and t +- h come from one or two half steps
-    expm(+-hL/2).  Returns the list of failing identity descriptions (empty
-    when all pass).
+    states at t +- h/2 and t +- h come from one ``gen.propagate`` call.
+    Returns the list of failing identity descriptions (empty when all pass).
     """
     rel = FD_RELATIVE_TOL if rel_tol is None else rel_tol
     norm = gen.norm_inf
     h = 1e-3 / max(norm, 1e-12)
-    half_back = scipy.linalg.expm(-0.5 * h * gen.superoperator)
-    half_fwd = scipy.linalg.expm(0.5 * h * gen.superoperator)
     atol = 1e-9 * max(1.0, norm)
     d = gen.dim
 
@@ -222,12 +218,8 @@ def check_rates_by_finite_differences(
         lam_min = float(np.linalg.eigvalsh(state.elements)[0])
         if lam_min < FD_MINEIG_FLOOR:
             continue
-        vec = state.elements.reshape(-1)
-        back, fwd = half_back @ vec, half_fwd @ vec
-        columns = zip(*(
-            functionals(x, state.basis_labels)
-            for x in (half_back @ back, back, fwd, half_fwd @ fwd)
-        ))
+        shifted = gen.propagate(state.elements.reshape(-1), (-h, -0.5 * h, 0.5 * h, h))
+        columns = zip(*(functionals(x, state.basis_labels) for x in shifted))
         analytic = {
             "dS/dt = Pi + Phi": snap.Pi_rate + snap.Phi_rate,
             "dC_v/dt": snap.rate_C_v,
@@ -471,19 +463,6 @@ def _proportionality(H_cold: HermitianObservable, H_hot: HermitianObservable) ->
     return lam
 
 
-class _Stroke:
-    """Full relaxation under one isochore generator via a cached propagator."""
-
-    def __init__(self, gen: LindbladGenerator, stroke_time: float):
-        self.gen = gen
-        self.step = scipy.linalg.expm(gen.superoperator * stroke_time)
-
-    def relax(self, rho: DensityMatrix) -> DensityMatrix:
-        vec = self.step @ rho.elements.reshape(-1)
-        d = self.gen.dim
-        return DensityMatrix(_resymm(vec.reshape(d, d)), rho.basis_labels)
-
-
 def _resymm(m: np.ndarray) -> np.ndarray:
     m = 0.5 * (m + m.conj().T)
     return m / m.trace().real
@@ -503,21 +482,23 @@ def _run_machine(
     cycle_tol: float,
     residual_tol: float,
 ) -> OttoMachineResult:
-    cold = _Stroke(gen_cold, stroke_time)
-    hot = _Stroke(gen_hot, stroke_time)
+    def relax(gen: LindbladGenerator, rho: DensityMatrix) -> DensityMatrix:
+        (vec,) = gen.propagate(rho.elements.reshape(-1), (stroke_time,))
+        return DensityMatrix(_resymm(vec.reshape(rho.dim, rho.dim)), rho.basis_labels)
+
     s0 = rho_start
     cycles = 0
     for cycles in range(1, max_cycles + 1):
-        s1 = cold.relax(s0)          # isochore at the cold bath (H_cold)
-        s2 = hot.relax(s1)           # adiabatic rescale, isochore at the hot bath
+        s1 = relax(gen_cold, s0)     # isochore at the cold bath (H_cold)
+        s2 = relax(gen_hot, s1)      # adiabatic rescale, isochore at the hot bath
         if trace_distance(s2, s0) < cycle_tol:
             s0 = s2
             break
         s0 = s2
     else:
         raise NonConvergence(f"{label}: no limit cycle within {max_cycles} cycles")
-    s1 = cold.relax(s0)
-    s2 = hot.relax(s1)
+    s1 = relax(gen_cold, s0)
+    s2 = relax(gen_hot, s1)
     for gen, state, name in ((gen_cold, s1, "cold"), (gen_hot, s2, "hot")):
         resid = max_abs(gen.apply(state))
         if resid > residual_tol:

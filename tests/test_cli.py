@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from cohentropy.acceptance import CriterionResult
 from cohentropy.cli import main
 from cohentropy.scenarios import CSV_HEADER, config_from_json, parse_config
 from cohentropy.exceptions import ConfigError
@@ -173,6 +174,14 @@ class TestRunCommand:
         assert "output error:" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["summary.txt"]
 
+    def test_non_finite_state_is_a_scenario_failure(self, tmp_path, capsys):
+        cfg = tmp_path / "otto.json"
+        cfg.write_text(json.dumps({"scenario": "otto-cycle", "otto": {"stroke_time": 1e300}}))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert "scenario failed: matrix has non-finite entries" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_collective_run_sweep_table(self, tmp_path):
         cfg = write_config(
             tmp_path, scenario="collective-spins", beta_0=50.0, beta_B=1.0,
@@ -196,3 +205,14 @@ class TestVerifyCommand:
         lines = [l for l in proc.stdout.splitlines() if "criterion  5" in l]
         assert lines and lines[0].startswith("[FAIL]")
         assert sum(1 for l in proc.stdout.splitlines() if l.startswith("[")) == 14
+
+    def test_out_naming_a_file_is_an_output_error(self, tmp_path, capsys, monkeypatch):
+        stub = [CriterionResult(k, "stub", True, "ok") for k in range(1, 15)]
+        monkeypatch.setattr("cohentropy.cli.run_all", lambda perturb=None: stub)
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        assert main(["verify", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert sum(1 for l in captured.out.splitlines() if l.startswith("[PASS]")) == 14
+        assert "output error:" in captured.err
+        assert out.read_text() == "keep"

@@ -1,11 +1,17 @@
-"""Eigendecomposition budget of the callers of the spectral kernel.
+"""Eigendecomposition budgets of the spectral kernel and of the propagator.
 
 Every state functional comes from ``spectrum.state_functionals``, which needs
-two eigendecompositions; these counts catch a second functional path.
+two eigendecompositions; these counts catch a second functional path.  Every
+finite-time exp(t L) comes from ``LindbladGenerator.propagate``, which needs
+one ``eig`` per generator and no ``expm`` when L is diagonalizable; the
+per-config counts catch a second propagation path.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cohentropy import (
     DensityMatrix,
@@ -14,7 +20,12 @@ from cohentropy import (
     sample_energy_conserving_unitary,
     thermal_state_of,
 )
-from cohentropy.scenarios import coherent_prepared_state, thermal_operation_systems
+from cohentropy.scenarios import (
+    coherent_prepared_state,
+    config_from_json,
+    run_scenario_config,
+    thermal_operation_systems,
+)
 from conftest import random_density
 
 
@@ -47,3 +58,26 @@ def test_conservation_report_budget(eig_calls, index):
     eig_calls["n"] = 0
     conservation_report(sys_, u, rho_s, rho_b, 1.3)
     assert 1 <= eig_calls["n"] <= 24
+
+
+PROPAGATION_BUDGET = {
+    "collective": (1, 0),
+    "near_degenerate": (2, 0),
+    "otto": (4, 0),
+    "reversal": (1, 0),
+    "thermal_operation": (0, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROPAGATION_BUDGET))
+def test_shipped_config_propagation_budget(monkeypatch, name):
+    """np.linalg.eig and scipy.linalg.expm calls of one shipped config."""
+    calls = {"eig": 0, "expm": 0}
+    for module, fn in ((np.linalg, "eig"), (scipy.linalg, "expm")):
+        def counted(*args, _orig=getattr(module, fn), _fn=fn, **kwargs):
+            calls[_fn] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(module, fn, counted)
+    path = Path(__file__).parent.parent / "configs" / f"{name}.json"
+    run_scenario_config(config_from_json(path.read_text()))
+    assert (calls["eig"], calls["expm"]) == PROPAGATION_BUDGET[name]

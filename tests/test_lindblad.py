@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from cohentropy import (
@@ -23,7 +24,12 @@ from cohentropy import (
     steady_states,
     thermal_state_of,
 )
-from cohentropy.lindblad import BathSpectrum, stationary_kernel_dimension
+from cohentropy.lindblad import (
+    BathSpectrum,
+    LindbladGenerator,
+    dissipator_superoperator,
+    stationary_kernel_dimension,
+)
 from conftest import SX, random_density
 
 
@@ -181,6 +187,47 @@ class TestEvolve:
         evolve(gen, rho0, [5.0])  # within 0.1/delta = 10
         with pytest.raises(HorizonExceeded):
             evolve(gen, rho0, [11.0])
+
+
+def cascade_generator() -> LindbladGenerator:
+    """Decay |0> -> |1> -> |2> at equal rates: L is not diagonalizable."""
+    down_01 = np.zeros((3, 3), dtype=complex)
+    down_01[1, 0] = 1.0
+    down_12 = np.zeros((3, 3), dtype=complex)
+    down_12[2, 1] = 1.0
+    L = dissipator_superoperator([(down_01, 0.05), (down_12, 0.05)], 3)
+    els = build_level_structure(HermitianObservable(np.diag([0.0, 1.0, 2.0])))
+    return LindbladGenerator(superoperator=L, els=els, bath=flat_bath(0.1, 1.0))
+
+
+class TestPropagate:
+    """Both branches of ``propagate`` against the dense expm reference."""
+
+    TIMES = (-1e-3, 5e-4, 5.0)
+
+    def check_against_expm(self, gen):
+        vec = random_density(gen.dim, 5).reshape(-1)
+        for t, got in zip(self.TIMES, gen.propagate(vec, self.TIMES)):
+            want = scipy.linalg.expm(t * gen.superoperator) @ vec
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_expm_fallback_on_defective_generator(self):
+        gen = cascade_generator()
+        assert gen._eig is None
+        self.check_against_expm(gen)
+
+    def test_eig_branch_on_collective_generator(self, two_qubit_collective):
+        *_, gen = two_qubit_collective
+        assert gen._eig is not None
+        self.check_against_expm(gen)
+
+    def test_evolve_on_defective_generator(self):
+        gen = cascade_generator()
+        rho0 = DensityMatrix(random_density(3, 9), gen.els.basis_labels)
+        times = [0.5, 5.0, 40.0]
+        for t, state in zip(times, evolve(gen, rho0, times)):
+            want = scipy.linalg.expm(t * gen.superoperator) @ rho0.elements.reshape(-1)
+            assert np.max(np.abs(state.elements.reshape(-1) - want)) < 1e-12
 
 
 class TestShortTimeState:
