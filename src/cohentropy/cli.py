@@ -4,10 +4,11 @@
     cohentropy verify [--out DIR] [--perturb CRITERION]
 
 `run` executes one configured scenario and writes a time-series CSV plus a
-structured-text summary; exit code 0 on all-pass, 2 on any invariant failure,
-1 on configuration or output errors.  Outputs are written only after the
-computation completes, and a failed write removes the files this run wrote,
-so failures never leave partial files behind.  `verify` runs the
+structured-text summary; exit code 0 on all-pass, 2 on any invariant failure
+or numerical failure (a numpy ``LinAlgError`` included), 1 on configuration or
+output errors.  Outputs are written only after the computation completes, and
+a failed write removes the files this run wrote, so failures never leave
+partial files behind.  `verify` runs the
 built-in acceptance suite and prints one line per criterion; its `--out`
 write fails the same way, as an output error with exit code 1.
 """
@@ -18,6 +19,8 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .acceptance import run_all
 from .exceptions import CohentropyError, ConfigError
@@ -57,7 +60,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except CohentropyError as exc:
+    except (CohentropyError, np.linalg.LinAlgError) as exc:
         print(f"scenario failed: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out)

@@ -204,7 +204,10 @@ def eigenoperators(A_S: HermitianObservable, els: EnergyLevelStructure) -> JumpO
 class LindbladGenerator:
     """Explicit superoperator matrix acting on row-stacked density matrices.
 
-    ``propagate`` is the one finite-time exp(t L), through an eig of L cached on first use.
+    ``propagate`` is the one finite-time exp(t L).  It splits L into the
+    connected blocks of its nonzero pattern (the Bohr-frequency sectors of a
+    secular generator) and applies each block the initial vector occupies
+    through that block's own eig, cached on first use.
     """
 
     superoperator: np.ndarray
@@ -239,32 +242,75 @@ class LindbladGenerator:
         return (self.superoperator @ m.reshape(-1)).reshape(d, d)
 
     @cached_property
-    def _eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(w, V, V^-1) with L = V diag(w) V^-1, or None when L is not diagonalizable."""
-        L = self.superoperator
-        try:
-            w, v = np.linalg.eig(L)
-            vinv = np.linalg.inv(v)
-        except np.linalg.LinAlgError:
-            return None
-        resid = max_abs((v * w) @ vinv - L)
-        if np.isfinite(resid) and resid <= 1e-9 * max(1.0, max_abs(L)):
-            return w, v, vinv
-        return None
+    def _blocks(self) -> list[np.ndarray]:
+        """Connected components of the exact nonzero pattern of L (its invariant blocks).
+
+        A secular generator with H diagonal in the stored basis splits into its
+        Bohr-frequency sectors; any other L comes out as one block.
+        """
+        link = self.superoperator != 0
+        link |= link.T
+        unseen = np.ones(len(link), dtype=bool)
+        blocks = []
+        while unseen.any():
+            member = np.zeros_like(unseen)
+            frontier = member.copy()
+            frontier[np.argmax(unseen)] = True
+            while frontier.any():
+                member |= frontier
+                frontier = link[frontier].any(axis=0) & ~member
+            unseen &= ~member
+            blocks.append(np.flatnonzero(member))
+        return blocks
+
+    @cached_property
+    def _block_eigs(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
+        """Per-block ``_diagonalize`` results, filled by ``propagate`` on first use."""
+        return {}
+
+    @cached_property
+    def _eig_tol(self) -> float:
+        """Residual bound of every block's eig, on the scale of the whole L."""
+        return 1e-9 * max(1.0, max_abs(self.superoperator))
 
     def propagate(self, vec0: np.ndarray, times: Sequence[float]) -> list[np.ndarray]:
-        """exp(t L) vec0 for each t of any sign and order; expm steps if L is defective."""
-        if self._eig is not None:
-            w, v, vinv = self._eig
-            coeffs = vinv @ vec0
-            return [v @ (np.exp(w * t) * coeffs) for t in times]
-        out = []
-        current, t_prev = vec0, 0.0
-        for t in times:
-            current = scipy.linalg.expm(self.superoperator * (t - t_prev)) @ current
-            t_prev = t
-            out.append(current)
-        return out
+        """exp(t L) vec0 for each t of any sign and order, block by block.
+
+        Blocks where vec0 vanishes are skipped; each occupied block is applied
+        through its cached eig, or by expm steps between times if it is defective.
+        """
+        ts = np.asarray(times, dtype=float)
+        vec0 = np.asarray(vec0, dtype=complex)
+        out = np.zeros((len(ts), len(vec0)), dtype=complex)
+        for k, idx in enumerate(self._blocks):
+            x = vec0[idx]
+            if not x.any():
+                continue
+            if k not in self._block_eigs:
+                self._block_eigs[k] = _diagonalize(self.superoperator[np.ix_(idx, idx)], self._eig_tol)
+            eig = self._block_eigs[k]
+            if eig is not None:
+                w, v, vinv = eig
+                out[:, idx] = (np.exp(np.outer(ts, w)) * (vinv @ x)) @ v.T
+                continue
+            block = self.superoperator[np.ix_(idx, idx)]
+            t_prev = 0.0
+            for j, t in enumerate(ts):
+                x = scipy.linalg.expm(block * (t - t_prev)) @ x
+                t_prev = t
+                out[j, idx] = x
+        return list(out)
+
+
+def _diagonalize(block: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(w, V, V^-1) with block = V diag(w) V^-1 to within tol, or None when it is defective."""
+    try:
+        w, v = np.linalg.eig(block)
+        vinv = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        return None
+    resid = max_abs((v * w) @ vinv - block)
+    return (w, v, vinv) if np.isfinite(resid) and resid <= tol else None
 
 
 def dissipator_superoperator(

@@ -9,6 +9,7 @@ the block-diagonal cut kills only coherences between different energy levels
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -125,7 +126,11 @@ class EnergyLevelStructure:
         return slice(start, start + self.degeneracies[n])
 
     def hamiltonian(self) -> HermitianObservable:
-        """sum_n e_n pi_n, the representative (clustered) Hamiltonian."""
+        """sum_n e_n pi_n, the representative (clustered) Hamiltonian, built once."""
+        return self._hamiltonian
+
+    @cached_property
+    def _hamiltonian(self) -> HermitianObservable:
         m = (self.basis_vectors * self.index_energies) @ self.basis_vectors.conj().T
         return HermitianObservable(0.5 * (m + m.conj().T))
 

@@ -33,6 +33,7 @@ from .qcore import (
     CLIP_FLOOR,
     DensityMatrix,
     HermitianObservable,
+    _as_square_complex,
     max_abs,
     relative_entropy,
     trace_distance,
@@ -464,8 +465,13 @@ def _proportionality(H_cold: HermitianObservable, H_hot: HermitianObservable) ->
 
 
 def _resymm(m: np.ndarray) -> np.ndarray:
+    """Hermitian part of a propagated state at unit trace; rejects it before dividing if it is lost."""
+    m = _as_square_complex(m)
+    tr = m.trace().real
+    if not tr > 0.0:
+        raise InvariantViolation(f"propagated state has trace {tr:.3e}")
     m = 0.5 * (m + m.conj().T)
-    return m / m.trace().real
+    return m / tr
 
 
 def _run_machine(

@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cohentropy import cli
 from cohentropy.acceptance import CriterionResult
 from cohentropy.cli import main
 from cohentropy.scenarios import CSV_HEADER, config_from_json, parse_config
@@ -175,11 +178,24 @@ class TestRunCommand:
         assert sorted(p.name for p in out.iterdir()) == ["summary.txt"]
 
     def test_non_finite_state_is_a_scenario_failure(self, tmp_path, capsys):
+        """exp(t L) at t = 1e300 loses the state (all zero here); the Otto stroke reports it."""
         cfg = tmp_path / "otto.json"
         cfg.write_text(json.dumps({"scenario": "otto-cycle", "otto": {"stroke_time": 1e300}}))
         out = tmp_path / "out"
-        assert main(["run", str(cfg), "--out", str(out)]) == 2
-        assert "scenario failed: matrix has non-finite entries" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning ahead of the error line
+            assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "scenario failed: propagated state has trace 0.000e+00\n"
+        assert not out.exists()
+
+    def test_linalg_error_is_a_scenario_failure(self, tmp_path, capsys, monkeypatch):
+        def broken(cfg):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli, "run_scenario_config", broken)
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "scenario failed: Eigenvalues did not converge\n"
         assert not out.exists()
 
     def test_collective_run_sweep_table(self, tmp_path):

@@ -3,8 +3,9 @@
 Every state functional comes from ``spectrum.state_functionals``, which needs
 two eigendecompositions; these counts catch a second functional path.  Every
 finite-time exp(t L) comes from ``LindbladGenerator.propagate``, which needs
-one ``eig`` per generator and no ``expm`` when L is diagonalizable; the
-per-config counts catch a second propagation path.
+one ``eig`` per occupied block of L and no ``expm`` when the block is
+diagonalizable; the per-config counts catch a second propagation path, and a
+thermal start must decompose its one Bohr sector only.
 """
 
 from pathlib import Path
@@ -15,7 +16,12 @@ import scipy.linalg
 
 from cohentropy import (
     DensityMatrix,
+    SpinEnsembleSpec,
+    build_collective_generator,
+    collective_coupling,
     conservation_report,
+    evolve,
+    flat_bath,
     instantaneous_rates,
     sample_energy_conserving_unitary,
     thermal_state_of,
@@ -81,3 +87,19 @@ def test_shipped_config_propagation_budget(monkeypatch, name):
     path = Path(__file__).parent.parent / "configs" / f"{name}.json"
     run_scenario_config(config_from_json(path.read_text()))
     assert (calls["eig"], calls["expm"]) == PROPAGATION_BUDGET[name]
+
+
+def test_thermal_start_decomposes_one_sector(monkeypatch):
+    """n = 5: a thermal state lives in the 252-dimensional population sector of the 1024 of L."""
+    system = collective_coupling(SpinEnsembleSpec(5, 0.5, 1.0))
+    els = system.level_structure()
+    gen = build_collective_generator(system.A_S, els, flat_bath(0.1, 1.0))
+    shapes = []
+
+    def counted(a, _orig=np.linalg.eig):
+        shapes.append(a.shape)
+        return _orig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    evolve(gen, thermal_state_of(els, 2.0), [0.5, 5.0, 50.0])
+    assert shapes == [(252, 252)]

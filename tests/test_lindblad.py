@@ -11,15 +11,19 @@ from cohentropy import (
     HermitianObservable,
     HorizonExceeded,
     MissingRate,
+    SpinEnsembleSpec,
     asymptotic_state,
     build_collective_generator,
     build_generator,
     build_level_structure,
+    build_multichannel_generator,
+    collective_coupling,
     dephase_block_diagonal,
     dephase_diagonal,
     eigenoperators,
     evolve,
     flat_bath,
+    local_couplings,
     short_time_state,
     steady_states,
     thermal_state_of,
@@ -29,6 +33,12 @@ from cohentropy.lindblad import (
     LindbladGenerator,
     dissipator_superoperator,
     stationary_kernel_dimension,
+)
+from cohentropy.scenarios import (
+    OttoParams,
+    TimeGrid,
+    build_near_degenerate_scenario,
+    build_reversal_scenario,
 )
 from conftest import SX, random_density
 
@@ -200,8 +210,48 @@ def cascade_generator() -> LindbladGenerator:
     return LindbladGenerator(superoperator=L, els=els, bath=flat_bath(0.1, 1.0))
 
 
+def collective_generator(n: int) -> LindbladGenerator:
+    system = collective_coupling(SpinEnsembleSpec(n, 0.5, 1.0))
+    return build_collective_generator(system.A_S, system.level_structure(), flat_bath(0.1, 1.0))
+
+
+def otto_generator(machine: str, stroke: str) -> LindbladGenerator:
+    """Generator of one Otto isochore, built as ``otto_cycle`` builds it."""
+    spec = SpinEnsembleSpec(2, 0.5, 1.0)
+    system = collective_coupling(spec)
+    params = OttoParams()
+    scale, beta = (1.0, params.beta_cold) if stroke == "cold" else (params.lam, params.beta_hot)
+    els = build_level_structure(HermitianObservable(scale * system.H_S.elements))
+    couplings = [system.A_S] if machine == "coherent" else local_couplings(spec)
+    return build_multichannel_generator(couplings, els, flat_bath(0.1, beta))
+
+
+def rotated_qutrit_generator() -> LindbladGenerator:
+    """Levels (0, 1, 1) in a basis where H is not diagonal: L has no zero pattern to split."""
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    els = build_level_structure(HermitianObservable(q @ np.diag([0.0, 1.0, 1.0]) @ q.conj().T))
+    coupling = np.array([[0, 1, 0.5], [1, 0, 0], [0.5, 0, 0]], dtype=complex)
+    return build_collective_generator(HermitianObservable(q @ coupling @ q.conj().T), els, flat_bath(0.1, 1.0))
+
+
+BLOCKED_GENERATORS = {
+    **{f"collective n={n}": (lambda n=n: collective_generator(n)) for n in (1, 2, 3, 4)},
+    "reversal": lambda: build_reversal_scenario(grid=TimeGrid(0.1, 1.0, 3)).gen,
+    "near-degenerate exact": lambda: build_near_degenerate_scenario(points=3).gen_exact,
+    "near-degenerate clustered": lambda: build_near_degenerate_scenario(points=3).gen_clustered,
+    **{
+        f"otto {machine} {stroke}": (lambda m=machine, s=stroke: otto_generator(m, s))
+        for machine in ("coherent", "incoherent")
+        for stroke in ("cold", "hot")
+    },
+    "rotated qutrit": rotated_qutrit_generator,
+    "cascade": cascade_generator,
+}
+
+
 class TestPropagate:
-    """Both branches of ``propagate`` against the dense expm reference."""
+    """The blocked ``propagate`` against the dense expm reference."""
 
     TIMES = (-1e-3, 5e-4, 5.0)
 
@@ -211,15 +261,29 @@ class TestPropagate:
             want = scipy.linalg.expm(t * gen.superoperator) @ vec
             assert np.max(np.abs(got - want)) < 1e-12
 
+    @pytest.mark.parametrize("name", list(BLOCKED_GENERATORS))
+    def test_every_block_against_expm(self, name):
+        gen = BLOCKED_GENERATORS[name]()
+        self.check_against_expm(gen)
+        assert len(gen._block_eigs) == len(gen._blocks)  # a full state occupies every block
+
     def test_expm_fallback_on_defective_generator(self):
         gen = cascade_generator()
-        assert gen._eig is None
         self.check_against_expm(gen)
+        fallback = [gen._blocks[k].tolist() for k, eig in gen._block_eigs.items() if eig is None]
+        assert fallback == [[0, 4, 8]]  # the populations; each coherence takes its eig
 
     def test_eig_branch_on_collective_generator(self, two_qubit_collective):
         *_, gen = two_qubit_collective
-        assert gen._eig is not None
         self.check_against_expm(gen)
+        assert all(eig is not None for eig in gen._block_eigs.values())
+
+    def test_blocks_are_the_bohr_sectors(self):
+        sizes = sorted((len(idx) for idx in collective_generator(5)._blocks), reverse=True)
+        assert sizes == [252, 210, 210, 120, 120, 45, 45, 10, 10, 1, 1]
+
+    def test_non_diagonal_hamiltonian_is_one_block(self):
+        assert len(rotated_qutrit_generator()._blocks) == 1
 
     def test_evolve_on_defective_generator(self):
         gen = cascade_generator()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from cohentropy import (
     DensityMatrix,
     HermitianObservable,
+    InvariantViolation,
     build_level_structure,
     complementarity_report,
     decompose_series,
@@ -19,6 +21,7 @@ from cohentropy import (
 )
 from cohentropy.collective import SpinEnsembleSpec, collective_coupling, local_couplings
 from cohentropy.scenarios import build_reversal_scenario
+from cohentropy.thermo import _resymm
 from conftest import random_density
 
 
@@ -232,3 +235,17 @@ class TestOttoCycle:
             system.A_S, local_couplings(spec), stroke_time=400.0,
         )
         assert abs(rep.coherent.W) < abs(rep.incoherent.W)
+
+
+class TestResymm:
+    """A lost propagated state is rejected before the trace division, with no RuntimeWarning."""
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(np.full((2, 2), np.nan), "non-finite entries"), (np.zeros((2, 2)), r"trace 0\.000e\+00")],
+    )
+    def test_lost_state_rejected(self, bad, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolation, match=message):
+                _resymm(bad)
