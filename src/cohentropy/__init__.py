@@ -7,7 +7,6 @@ from .exceptions import (
     CohentropyError,
     ConfigError,
     DiagonalizationFailure,
-    ExpansionInvalid,
     HorizonExceeded,
     IdentityViolation,
     InvariantViolation,
@@ -34,7 +33,6 @@ from .spectrum import (
     coherence_measures,
     dephase_block_diagonal,
     dephase_diagonal,
-    distance_to_thermal,
     state_functionals,
     thermal_state_of,
 )
@@ -43,14 +41,10 @@ from .lindblad import (
     JumpOperatorSet,
     LindbladGenerator,
     asymptotic_state,
-    build_collective_generator,
     build_generator,
-    build_multichannel_generator,
     eigenoperators,
     evolve,
     flat_bath,
-    short_time_state,
-    steady_states,
 )
 from .thermo import (
     ComplementarityReport,

@@ -25,7 +25,7 @@ from .collective import (
     delta_C_h_limit,
     entropy_production_ratio,
 )
-from .lindblad import asymptotic_state, build_collective_generator, flat_bath
+from .lindblad import asymptotic_state, build_generator, flat_bath
 from .qcore import DensityMatrix, max_abs
 from .scenarios import (
     OttoParams,
@@ -200,7 +200,7 @@ def criterion_5(ctx: AcceptanceContext) -> CriterionResult:
     spec = SpinEnsembleSpec(2, 0.5)
     system = collective_coupling(spec)
     els = system.level_structure()
-    gen = build_collective_generator(system.A_S, els, flat_bath(0.1, 1.0))
+    gen = build_generator([system.A_S], els, flat_bath(0.1, 1.0))
     worst = 0.0
     coh_ok = True
     for b0 in (50.0, -50.0, 2.0):
@@ -226,7 +226,7 @@ def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
         spec = SpinEnsembleSpec(n, 0.5)
         system = collective_coupling(spec)
         els = system.level_structure()
-        gen = build_collective_generator(system.A_S, els, flat_bath(0.1, 1.0))
+        gen = build_generator([system.A_S], els, flat_bath(0.1, 1.0))
         closed = delta_C_h_limit(spec, 1.0)
         for b0 in (50.0, -50.0):
             asym = asymptotic_state(gen, thermal_state_of(els, b0))
@@ -251,12 +251,12 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
     spec2 = SpinEnsembleSpec(2, 0.5)
     system2 = collective_coupling(spec2)
     els2 = system2.level_structure()
-    systems.append((els2, build_collective_generator(system2.A_S, els2, flat_bath(0.1, 1.0))))
+    systems.append((els2, build_generator([system2.A_S], els2, flat_bath(0.1, 1.0))))
     from .qcore import HermitianObservable
     from .spectrum import build_level_structure
     els_q = build_level_structure(HermitianObservable(np.diag([0.0, 1.0])))
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    systems.append((els_q, build_collective_generator(HermitianObservable(sx), els_q, flat_bath(0.1, 1.0))))
+    systems.append((els_q, build_generator([HermitianObservable(sx)], els_q, flat_bath(0.1, 1.0))))
     for els, gen in systems:
         dim = els.dim
         for _ in range(100):

@@ -80,12 +80,6 @@ class AngularMomentumTable:
         if sum(self.I_m) != dim:
             raise InvariantViolation("sum_m I_m does not reach the dimension")
 
-    def degeneracy(self, j: float) -> int:
-        for jv, l in zip(self.J_values, self.l_J):
-            if jv == j:
-                return l
-        return 0
-
     def multiplicity(self, m: float) -> int:
         for mv, i in zip(self.m_values, self.I_m):
             if mv == m:

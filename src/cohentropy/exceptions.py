@@ -25,10 +25,6 @@ class HorizonExceeded(CohentropyError, ValueError):
     """Requested time beyond the validity window of near-degenerate clustering."""
 
 
-class ExpansionInvalid(CohentropyError, ValueError):
-    """First-order short-time expansion requested with too large a step."""
-
-
 class NumericalFailure(CohentropyError, RuntimeError):
     """State invariants drifted beyond tolerance during integration."""
 

@@ -21,25 +21,17 @@ import scipy.linalg
 
 from .exceptions import (
     DiagonalizationFailure,
-    ExpansionInvalid,
     HorizonExceeded,
     InvariantViolation,
     MissingRate,
     NumericalFailure,
     ShapeMismatch,
 )
-from .qcore import (
-    DensityMatrix,
-    HermitianObservable,
-    cleaned_state,
-    max_abs,
-    max_admissible_amplitude,
-)
+from .qcore import DensityMatrix, HermitianObservable, cleaned_state, max_abs
 from .spectrum import EnergyLevelStructure
 
 ZERO_OPERATOR_TOL = 1e-13
 KERNEL_SV_RATIO = 1e-10
-SHORT_TIME_LIMIT = 0.01
 
 
 @dataclass(frozen=True)
@@ -327,38 +319,27 @@ def dissipator_superoperator(
     return L
 
 
-def build_generator(jumps: JumpOperatorSet, bath: BathSpectrum) -> LindbladGenerator:
-    """Assemble the secular generator of the master equation as a superoperator."""
-    dim = jumps.els.dim
-    terms = [(a, bath.gamma(w)) for w, a in zip(jumps.frequencies, jumps.operators)]
-    L = dissipator_superoperator(terms, dim)
-    return LindbladGenerator(superoperator=L, els=jumps.els, bath=bath, jumps=jumps)
-
-
-def build_collective_generator(
-    A_S: HermitianObservable, els: EnergyLevelStructure, bath: BathSpectrum
-) -> LindbladGenerator:
-    return build_generator(eigenoperators(A_S, els), bath)
-
-
-def build_multichannel_generator(
+def build_generator(
     couplings: Sequence[HermitianObservable],
     els: EnergyLevelStructure,
     bath: BathSpectrum,
 ) -> LindbladGenerator:
-    """Independent dissipation: one secular channel per coupling observable.
+    """The secular generator with one dissipation channel per coupling observable.
 
     Channels see the same bath spectrum but are mutually uncorrelated, so
-    their dissipators add.  Used for the independent-dissipation baseline
-    (local couplings) contrasted with a single collective channel.
+    their dissipators add, in channel order: one collective coupling, or the
+    local couplings of the independent-dissipation baseline.  The generator
+    keeps the jump operators (``jumps``) of a single channel, none of several.
     """
-    dim = els.dim
-    L = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for a_s in couplings:
-        jumps = eigenoperators(a_s, els)
-        terms = [(a, bath.gamma(w)) for w, a in zip(jumps.frequencies, jumps.operators)]
-        L += dissipator_superoperator(terms, dim)
-    return LindbladGenerator(superoperator=L, els=els, bath=bath, jumps=None)
+    jump_sets = [eigenoperators(a_s, els) for a_s in couplings]
+    L = sum(
+        dissipator_superoperator(
+            [(a, bath.gamma(w)) for w, a in zip(jumps.frequencies, jumps.operators)], els.dim
+        )
+        for jumps in jump_sets
+    )
+    jumps = jump_sets[0] if len(jump_sets) == 1 else None
+    return LindbladGenerator(superoperator=L, els=els, bath=bath, jumps=jumps)
 
 
 def _check_horizon(els: EnergyLevelStructure, t_max: float) -> None:
@@ -392,20 +373,6 @@ def evolve(
     return out
 
 
-def short_time_state(gen: LindbladGenerator, rho0: DensityMatrix, t: float) -> DensityMatrix:
-    """First-order expansion rho0 + t L rho0 (valid for t ||L|| <= 0.01)."""
-    if t < 0:
-        raise InvariantViolation("t must be nonnegative")
-    if t * gen.norm_inf > SHORT_TIME_LIMIT * (1 + 1e-12):
-        raise ExpansionInvalid(
-            f"t * ||L|| = {t * gen.norm_inf:.3e} exceeds {SHORT_TIME_LIMIT}"
-        )
-    if t == 0.0:
-        return rho0
-    m = rho0.elements + t * gen.apply(rho0)
-    return cleaned_state(m, rho0.basis_labels, drift_tol=max(1e-8, 10 * t * t * gen.norm_inf ** 2))
-
-
 def _kernel_bases(gen: LindbladGenerator) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal right and left kernel bases of the superoperator."""
     L = gen.superoperator
@@ -432,52 +399,3 @@ def asymptotic_state(gen: LindbladGenerator, rho0: DensityMatrix) -> DensityMatr
     coeffs = np.linalg.solve(m, left.conj().T @ rho0.elements.reshape(-1))
     vec = right @ coeffs
     return cleaned_state(vec.reshape(gen.dim, gen.dim), rho0.basis_labels, drift_tol=1e-7)
-
-
-def stationary_kernel_dimension(gen: LindbladGenerator) -> int:
-    right, _ = _kernel_bases(gen)
-    return right.shape[1]
-
-
-def steady_states(gen: LindbladGenerator) -> list[DensityMatrix]:
-    """Hermitian, positive, unit-trace states spanning the stationary manifold.
-
-    The kernel of L is closed under conjugate transpose, so it admits a basis
-    of Hermitian matrices; each is turned into a state directly when definite,
-    otherwise by mixing with the maximally-mixed asymptotic state.
-    """
-    dim = gen.dim
-    right, _ = _kernel_bases(gen)
-    herm: list[np.ndarray] = []
-    for k in range(right.shape[1]):
-        mat = right[:, k].reshape(dim, dim)
-        for cand in (0.5 * (mat + mat.conj().T), 0.5j * (mat - mat.conj().T)):
-            vec = cand.reshape(-1)
-            for h in herm:
-                hv = h.reshape(-1)
-                vec = vec - (hv.conj() @ vec) * hv
-            norm = np.linalg.norm(vec)
-            if norm > 1e-8:
-                herm.append((vec / norm).reshape(dim, dim))
-    labels = gen.els.basis_labels
-    mixed = DensityMatrix(np.eye(dim, dtype=complex) / dim, labels)
-    base = asymptotic_state(gen, mixed)
-    states: list[DensityMatrix] = [base]
-    for h in herm:
-        tr = float(np.trace(h).real)
-        candidates = []
-        if abs(tr) > 1e-10:
-            candidates.append(h / tr)
-        direction = h - tr * base.elements
-        if max_abs(direction) > 1e-10:
-            t_max = max_admissible_amplitude(base.elements, direction)
-            if t_max > 0:
-                candidates.append(base.elements + 0.9 * t_max * direction)
-        for cand in candidates:
-            lam = np.linalg.eigvalsh(0.5 * (cand + cand.conj().T))
-            if lam[0] < -1e-10:
-                continue
-            state = cleaned_state(cand, labels, drift_tol=1e-7)
-            if all(max_abs(state.elements - s.elements) > 1e-8 for s in states):
-                states.append(state)
-    return states

@@ -25,7 +25,7 @@ from .collective import (
 from .exceptions import CohentropyError, ConfigError, WitnessNotFound
 from .lindblad import (
     LindbladGenerator,
-    build_collective_generator,
+    build_generator,
     evolve,
     flat_bath,
 )
@@ -74,10 +74,23 @@ def fmt(x: float) -> str:
 
 
 @dataclass(frozen=True)
-class TimeGrid:
-    t_min: float = 0.01
-    t_max: float = 300.0
+class GridSpec:
+    """A config's time grid: only the number of points; each scenario sets its span."""
+
     points: int = 60
+
+    def __post_init__(self):
+        if self.points < 3:
+            raise ConfigError("time_grid requires points >= 3")
+
+
+@dataclass(frozen=True)
+class TimeGrid:
+    """The builders' grid: ``points`` geometric times in [t_min, t_max], optionally after t = 0."""
+
+    t_min: float
+    t_max: float
+    points: int
     include_zero: bool = False
 
     def __post_init__(self):
@@ -91,14 +104,13 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    parameter: str = "beta_B_omega"
+    """The beta_B * omega sweep of the collective scenario's ratio table."""
+
     minimum: float = 0.1
     maximum: float = 6.0
     points: int = 25
 
     def __post_init__(self):
-        if self.parameter != "beta_B_omega":
-            raise ConfigError(f"unsupported sweep parameter {self.parameter!r}")
         if not (0 < self.minimum < self.maximum) or self.points < 2:
             raise ConfigError("sweep requires 0 < min < max and points >= 2")
 
@@ -146,7 +158,7 @@ class ScenarioConfig:
     coherence_amplitude: float | None = None
     seeds: int = 256
     seed: int = 0
-    time_grid: TimeGrid = field(default_factory=TimeGrid)
+    time_grid: GridSpec = field(default_factory=GridSpec)
     sweep: SweepSpec = field(default_factory=SweepSpec)
     otto: OttoParams = field(default_factory=OttoParams)
     tolerances: Tolerances = field(default_factory=Tolerances)
@@ -210,7 +222,7 @@ def parse_config(raw: dict[str, Any]) -> ScenarioConfig:
     data = dict(build(ScenarioConfig, raw, "<root>"))
     try:
         if "time_grid" in data:
-            data["time_grid"] = TimeGrid(**build(TimeGrid, data["time_grid"], "time_grid"))
+            data["time_grid"] = GridSpec(**build(GridSpec, data["time_grid"], "time_grid"))
         if "sweep" in data:
             data["sweep"] = SweepSpec(**build(SweepSpec, data["sweep"], "sweep"))
         if "otto" in data:
@@ -257,7 +269,7 @@ def build_collective_scenario(
     spec = SpinEnsembleSpec(n, s, omega)
     system = collective_coupling(spec)
     els = system.level_structure()
-    gen = build_collective_generator(system.A_S, els, flat_bath(gamma, beta_B))
+    gen = build_generator([system.A_S], els, flat_bath(gamma, beta_B))
     rho0 = thermal_state_of(els, beta_0)
     grid = grid or TimeGrid(t_min=0.01 / gamma, t_max=30.0 / gamma, points=60)
     series = decompose_series(gen, rho0, grid.times(), provenance)
@@ -292,7 +304,7 @@ def build_reversal_scenario(
     spec = SpinEnsembleSpec(2, 0.5, omega)
     system = collective_coupling(spec)
     els = system.level_structure()
-    gen = build_collective_generator(system.A_S, els, flat_bath(gamma, beta_B))
+    gen = build_generator([system.A_S], els, flat_bath(gamma, beta_B))
     base = thermal_state_of(els, beta_0)
     pattern = horizontal_pattern(els)
     # chi has eigenvalues +-1, so c < lambda_min(base) suffices for positivity;
@@ -362,8 +374,8 @@ def build_near_degenerate_scenario(
     els_exact = build_level_structure(h_exact)
     els_clustered = build_level_structure(h_mismatch, delta=delta)
     bath = flat_bath(gamma, beta_B)
-    gen_exact = build_collective_generator(a_s, els_exact, bath)
-    gen_clustered = build_collective_generator(a_s, els_clustered, bath)
+    gen_exact = build_generator([a_s], els_exact, bath)
+    gen_clustered = build_generator([a_s], els_clustered, bath)
     rho0 = thermal_state_of(els_exact, beta_0)
     horizon = 0.1 / delta
     times = list(np.geomspace(0.01 / gamma, horizon, points))
@@ -757,16 +769,10 @@ def run_otto_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
     summary.kv("beta_hot", cfg.otto.beta_hot)
     summary.kv("stroke_time", cfg.otto.stroke_time)
     summary.kv("prep_beta", cfg.otto.prep_beta)
-    spec = SpinEnsembleSpec(2, 0.5, cfg.omega)
-    h_cold = collective_coupling(spec).H_S
-    els_c = build_level_structure(h_cold, labels=spec.basis_labels())
-    els_h = build_level_structure(
-        HermitianObservable(cfg.otto.lam * h_cold.elements), labels=spec.basis_labels()
-    )
     frames = (
-        ("start", els_c, cfg.otto.beta_cold),
-        ("after-cold-isochore", els_c, cfg.otto.beta_cold),
-        ("after-hot-isochore", els_h, cfg.otto.beta_hot),
+        ("start", report.els_cold, cfg.otto.beta_cold),
+        ("after-cold-isochore", report.els_cold, cfg.otto.beta_cold),
+        ("after-hot-isochore", report.els_hot, cfg.otto.beta_hot),
     )
     failures = 0
     rows = []

@@ -320,8 +320,3 @@ def coherence_measures(rho: DensityMatrix, els: EnergyLevelStructure) -> tuple[f
 def thermal_state_of(els: EnergyLevelStructure, beta: float) -> DensityMatrix:
     """Thermal state of the clustered Hamiltonian, diagonal in the labeled basis."""
     return thermal_state(els.hamiltonian(), beta, els.basis_labels)
-
-
-def distance_to_thermal(rho: DensityMatrix, els: EnergyLevelStructure, beta_B: float) -> float:
-    """D_th = S(rho_D | rho_th(beta_B)) >= 0: population distance to equilibrium."""
-    return state_functionals(rho, els, beta_B).D_th

@@ -28,7 +28,7 @@ from .exceptions import (
     NonConvergence,
     ShapeMismatch,
 )
-from .lindblad import BathSpectrum, LindbladGenerator, build_multichannel_generator, evolve
+from .lindblad import BathSpectrum, LindbladGenerator, build_generator, evolve
 from .qcore import (
     CLIP_FLOOR,
     DensityMatrix,
@@ -442,11 +442,14 @@ class OttoCycleReport:
 
     ``equal_W_identity`` / ``equal_eta_identity`` hold the residuals of the
     two exchange relations, evaluated only on the branch that applies.
+    ``els_cold`` / ``els_hot`` are the level structures of the two isochores.
     """
 
     incoherent: OttoMachineResult
     coherent: OttoMachineResult
     lam: float
+    els_cold: EnergyLevelStructure
+    els_hot: EnergyLevelStructure
     equal_W_applies: bool
     equal_W_identity: float | None
     equal_eta_applies: bool
@@ -566,11 +569,12 @@ def otto_cycle(
     the coherent one a single collective channel.  The limit cycle of the
     coherent machine depends on the initial state through the conserved
     collective-sector weights; ``initial_state`` defaults to the cold thermal
-    state.
+    state, and the report's level structures carry its basis labels.
     """
     lam = _proportionality(H_cold, H_hot)
-    els_c = build_level_structure(H_cold)
-    els_h = build_level_structure(H_hot)
+    labels = () if initial_state is None else initial_state.basis_labels
+    els_c = build_level_structure(H_cold, labels=labels)
+    els_h = build_level_structure(H_hot, labels=labels)
     if initial_state is None:
         initial_state = thermal_state_of(els_c, bath_c.beta_B)
 
@@ -579,8 +583,8 @@ def otto_cycle(
 
     results = {}
     for label, coup in (("incoherent", coupling_incoherent), ("coherent", coupling_coherent)):
-        gen_cold = build_multichannel_generator(channels(coup), els_c, bath_c)
-        gen_hot = build_multichannel_generator(channels(coup), els_h, bath_h)
+        gen_cold = build_generator(channels(coup), els_c, bath_c)
+        gen_hot = build_generator(channels(coup), els_h, bath_h)
         results[label] = _run_machine(
             label,
             gen_cold,
@@ -612,6 +616,8 @@ def otto_cycle(
         incoherent=inc,
         coherent=coh,
         lam=lam,
+        els_cold=els_c,
+        els_hot=els_h,
         equal_W_applies=equal_w,
         equal_W_identity=equal_w_resid,
         equal_eta_applies=equal_eta,

@@ -3,7 +3,7 @@ import pytest
 
 from cohentropy import (
     HermitianObservable,
-    build_collective_generator,
+    build_generator,
     build_level_structure,
     collective_coupling,
     flat_bath,
@@ -26,7 +26,7 @@ def random_density(dim: int, seed: int, rank: int | None = None) -> np.ndarray:
 def qubit_system():
     """Non-degenerate qubit, sigma_x coupling, flat bath at beta_B = 1."""
     els = build_level_structure(HermitianObservable(np.diag([0.0, 1.0])), labels=("g", "e"))
-    gen = build_collective_generator(HermitianObservable(SX), els, flat_bath(0.1, 1.0))
+    gen = build_generator([HermitianObservable(SX)], els, flat_bath(0.1, 1.0))
     return els, gen
 
 
@@ -36,5 +36,5 @@ def two_qubit_collective():
     spec = SpinEnsembleSpec(2, 0.5, 1.0)
     system = collective_coupling(spec)
     els = system.level_structure()
-    gen = build_collective_generator(system.A_S, els, flat_bath(0.1, 1.0))
+    gen = build_generator([system.A_S], els, flat_bath(0.1, 1.0))
     return spec, system, els, gen

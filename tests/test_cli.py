@@ -16,7 +16,7 @@ from cohentropy.exceptions import ConfigError
 
 def write_config(tmp_path, name="config.json", **overrides):
     cfg = {"scenario": "heat-flow-reversal", "beta_0": 1.1, "beta_B": 1.0,
-           "time_grid": {"t_min": 0.1, "t_max": 50.0, "points": 12}}
+           "time_grid": {"points": 12}}
     cfg.update(overrides)
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -38,6 +38,23 @@ class TestConfigParsing:
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
             parse_config({"scenario": "collective-spins", "time_grid": {"tmin": 0.1}})
+
+    @pytest.mark.parametrize("section, key", [
+        ("time_grid", "t_min"), ("time_grid", "t_max"), ("time_grid", "include_zero"), ("sweep", "parameter"),
+    ])
+    def test_removed_knob_rejected(self, section, key, tmp_path, capsys):
+        """Grid spans and the sweep parameter are set by each scenario, not by a config."""
+        with pytest.raises(ConfigError, match=f"unknown keys at {section}: \\['{key}'\\]"):
+            parse_config({"scenario": "collective-spins", section: {key: 1.0}})
+        path = write_config(tmp_path, **{section: {key: 1.0}})
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert "unknown keys" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_time_grid_needs_three_points(self):
+        with pytest.raises(ConfigError, match="points >= 3"):
+            parse_config({"scenario": "collective-spins", "time_grid": {"points": 2}})
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ConfigError):

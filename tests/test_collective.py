@@ -21,7 +21,7 @@ from cohentropy import (
     von_neumann_entropy,
 )
 from cohentropy.collective import SpinEnsembleSpec, local_couplings, spin_matrices, _embed
-from cohentropy.lindblad import build_multichannel_generator
+from cohentropy.lindblad import build_generator
 
 
 def enumerate_multiplicities(n: int, s: float) -> dict[float, int]:
@@ -207,17 +207,17 @@ class TestEntropyProductionRatio:
     def test_independent_dissipation_reaches_thermal(self, two_qubit_collective):
         """The independent baseline relaxes to the full thermal state."""
         spec, _, els, _ = two_qubit_collective
-        gen = build_multichannel_generator(local_couplings(spec), els, flat_bath(0.1, 1.0))
+        gen = build_generator(local_couplings(spec), els, flat_bath(0.1, 1.0))
         final = asymptotic_state(gen, thermal_state_of(els, 50.0))
         assert np.max(np.abs(final.elements - thermal_state_of(els, 1.0).elements)) < 1e-9
 
     def test_collective_keeps_larger_population_distance(self, two_qubit_collective):
         """-d(inf)D_th is strictly smaller for collective dissipation."""
         spec, _, els, _ = two_qubit_collective
-        from cohentropy import distance_to_thermal
+        from cohentropy import state_functionals
         rho0 = thermal_state_of(els, 50.0)
-        d0 = distance_to_thermal(rho0, els, 1.0)
-        d_col = distance_to_thermal(analytic_steady_state(spec, 50.0, 1.0), els, 1.0)
+        d0 = state_functionals(rho0, els, 1.0).D_th
+        d_col = state_functionals(analytic_steady_state(spec, 50.0, 1.0), els, 1.0).D_th
         minus_delta_col = -(d_col - d0)
         minus_delta_ind = -(0.0 - d0)  # independent relaxes to thermal: D_th(inf) = 0
         assert minus_delta_col < minus_delta_ind

@@ -17,7 +17,7 @@ import scipy.linalg
 from cohentropy import (
     DensityMatrix,
     SpinEnsembleSpec,
-    build_collective_generator,
+    build_generator,
     collective_coupling,
     conservation_report,
     evolve,
@@ -93,7 +93,7 @@ def test_thermal_start_decomposes_one_sector(monkeypatch):
     """n = 5: a thermal state lives in the 252-dimensional population sector of the 1024 of L."""
     system = collective_coupling(SpinEnsembleSpec(5, 0.5, 1.0))
     els = system.level_structure()
-    gen = build_collective_generator(system.A_S, els, flat_bath(0.1, 1.0))
+    gen = build_generator([system.A_S], els, flat_bath(0.1, 1.0))
     shapes = []
 
     def counted(a, _orig=np.linalg.eig):

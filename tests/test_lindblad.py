@@ -7,32 +7,27 @@ from hypothesis import given, settings, strategies as st
 
 from cohentropy import (
     DensityMatrix,
-    ExpansionInvalid,
     HermitianObservable,
     HorizonExceeded,
     MissingRate,
     SpinEnsembleSpec,
     asymptotic_state,
-    build_collective_generator,
     build_generator,
     build_level_structure,
-    build_multichannel_generator,
     collective_coupling,
     dephase_block_diagonal,
     dephase_diagonal,
     eigenoperators,
     evolve,
     flat_bath,
+    instantaneous_rates,
     local_couplings,
-    short_time_state,
-    steady_states,
     thermal_state_of,
 )
 from cohentropy.lindblad import (
     BathSpectrum,
     LindbladGenerator,
     dissipator_superoperator,
-    stationary_kernel_dimension,
 )
 from cohentropy.scenarios import (
     OttoParams,
@@ -146,15 +141,51 @@ class TestBuildGenerator:
 
     def test_identity_coupling_gives_zero_generator(self):
         els = build_level_structure(HermitianObservable(np.diag([0.0, 1.0, 1.0])))
-        jumps = eigenoperators(HermitianObservable(np.eye(3)), els)
-        gen = build_generator(jumps, flat_bath(0.3, 1.0))
+        gen = build_generator([HermitianObservable(np.eye(3))], els, flat_bath(0.3, 1.0))
         assert np.max(np.abs(gen.superoperator)) < 1e-14
 
     def test_lamb_shift_preserves_stationarity(self, two_qubit_collective):
         _, system, els, _ = two_qubit_collective
         bath = BathSpectrum(beta_B=1.0, g_half=lambda w: 0.05, lamb_shift=lambda w: 0.02 * w)
-        gen = build_collective_generator(system.A_S, els, bath)
+        gen = build_generator([system.A_S], els, bath)
         assert np.max(np.abs(gen.apply(thermal_state_of(els, 1.0)))) < 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        levels=st.integers(2, 4).flatmap(lambda d: st.lists(st.integers(0, 2), min_size=d, max_size=d)),
+        channels=st.integers(1, 2),
+        beta_b=st.floats(0.2, 2.0),
+        mix=st.floats(0.0, 1.0),
+        seed=st.integers(0, 10_000),
+    )
+    def test_channels_add_propagate_and_stay_positive(self, levels, channels, beta_b, mix, seed):
+        """Random degeneracy pattern, one or two random channels, a state with lambda_min >= 1e-3."""
+        d = len(levels)
+        els = build_level_structure(HermitianObservable(np.diag(np.sort(levels).astype(float))))
+        rng = np.random.default_rng(seed)
+        couplings = []
+        for _ in range(channels):
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            couplings.append(HermitianObservable(0.5 * (g + g.conj().T)))
+        bath = flat_bath(0.1, beta_b)
+        gen = build_generator(couplings, els, bath)
+        if channels == 2:
+            parts = [build_generator([a], els, bath).superoperator for a in couplings]
+            assert np.array_equal(gen.superoperator, parts[0] + parts[1])
+            assert gen.jumps is None
+        else:
+            assert gen.jumps is not None
+        floor = d * 1e-3
+        p = floor + (1.0 - floor) * mix  # weight of the maximally mixed state
+        rho = DensityMatrix((1.0 - p) * random_density(d, seed) + p * np.eye(d) / d, els.basis_labels)
+        vec = rho.elements.reshape(-1)
+        times = (-1e-3, 0.5, 5.0)
+        for t, got in zip(times, gen.propagate(vec, times)):
+            assert np.max(np.abs(got - scipy.linalg.expm(t * gen.superoperator) @ vec)) < 1e-10
+        snap = instantaneous_rates(gen, rho)
+        assert snap.Pi_rate >= -1e-8
+        assert -snap.rate_C_v >= -1e-8
+        assert -(snap.rate_C_h + snap.rate_D_th) >= -1e-8
 
 
 class TestEvolve:
@@ -192,11 +223,19 @@ class TestEvolve:
         sx01 = np.zeros((3, 3), dtype=complex)
         sx01[0, 1] = sx01[1, 0] = 1.0
         sx01[0, 2] = sx01[2, 0] = 1.0
-        gen = build_collective_generator(HermitianObservable(sx01), els, flat_bath(0.1, 1.0))
+        gen = build_generator([HermitianObservable(sx01)], els, flat_bath(0.1, 1.0))
         rho0 = thermal_state_of(els, 2.0)
         evolve(gen, rho0, [5.0])  # within 0.1/delta = 10
         with pytest.raises(HorizonExceeded):
             evolve(gen, rho0, [11.0])
+
+    def test_degenerate_transitions_generate_horizontal_coherence(self, two_qubit_collective):
+        _, _, els, gen = two_qubit_collective
+        rho0 = thermal_state_of(els, 2.0)  # thermal at beta_0 != beta_B
+        t = 0.01 / gen.norm_inf
+        state = evolve(gen, rho0, [t])[0]
+        assert abs(rho0.elements[1, 2]) < 1e-15
+        assert abs(state.elements[1, 2]) > 1e-7
 
 
 def cascade_generator() -> LindbladGenerator:
@@ -212,7 +251,7 @@ def cascade_generator() -> LindbladGenerator:
 
 def collective_generator(n: int) -> LindbladGenerator:
     system = collective_coupling(SpinEnsembleSpec(n, 0.5, 1.0))
-    return build_collective_generator(system.A_S, system.level_structure(), flat_bath(0.1, 1.0))
+    return build_generator([system.A_S], system.level_structure(), flat_bath(0.1, 1.0))
 
 
 def otto_generator(machine: str, stroke: str) -> LindbladGenerator:
@@ -223,7 +262,7 @@ def otto_generator(machine: str, stroke: str) -> LindbladGenerator:
     scale, beta = (1.0, params.beta_cold) if stroke == "cold" else (params.lam, params.beta_hot)
     els = build_level_structure(HermitianObservable(scale * system.H_S.elements))
     couplings = [system.A_S] if machine == "coherent" else local_couplings(spec)
-    return build_multichannel_generator(couplings, els, flat_bath(0.1, beta))
+    return build_generator(couplings, els, flat_bath(0.1, beta))
 
 
 def rotated_qutrit_generator() -> LindbladGenerator:
@@ -232,7 +271,7 @@ def rotated_qutrit_generator() -> LindbladGenerator:
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     els = build_level_structure(HermitianObservable(q @ np.diag([0.0, 1.0, 1.0]) @ q.conj().T))
     coupling = np.array([[0, 1, 0.5], [1, 0, 0], [0.5, 0, 0]], dtype=complex)
-    return build_collective_generator(HermitianObservable(q @ coupling @ q.conj().T), els, flat_bath(0.1, 1.0))
+    return build_generator([HermitianObservable(q @ coupling @ q.conj().T)], els, flat_bath(0.1, 1.0))
 
 
 BLOCKED_GENERATORS = {
@@ -294,53 +333,23 @@ class TestPropagate:
             assert np.max(np.abs(state.elements.reshape(-1) - want)) < 1e-12
 
 
-class TestShortTimeState:
-    def test_time_zero(self, qubit_system):
-        _, gen = qubit_system
-        rho0 = DensityMatrix(random_density(2, 5), ("g", "e"))
-        assert short_time_state(gen, rho0, 0.0) is rho0
-
-    def test_step_too_large(self, qubit_system):
-        _, gen = qubit_system
-        rho0 = DensityMatrix(np.eye(2) / 2, ("g", "e"))
-        with pytest.raises(ExpansionInvalid):
-            short_time_state(gen, rho0, 1.0)
-
-    def test_richardson_against_evolve(self, two_qubit_collective):
-        """||first-order - exact|| <= C t^2, checked by halving t."""
-        _, _, els, gen = two_qubit_collective
-        rho0 = thermal_state_of(els, 2.0)
-        errors = []
-        for t in (0.02, 0.01, 0.005):
-            exact = evolve(gen, rho0, [t])[0]
-            approx = short_time_state(gen, rho0, t)
-            errors.append(np.max(np.abs(exact.elements - approx.elements)))
-        assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.15)
-        assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.15)
-
-    def test_degenerate_transitions_generate_horizontal_coherence(self, two_qubit_collective):
-        _, _, els, gen = two_qubit_collective
-        rho0 = thermal_state_of(els, 2.0)  # thermal at beta_0 != beta_B
-        t = 0.01 / gen.norm_inf
-        state = short_time_state(gen, rho0, t)
-        assert abs(rho0.elements[1, 2]) < 1e-15
-        assert abs(state.elements[1, 2]) > 1e-7
-
-
 class TestSteadyStates:
     def test_non_degenerate_qubit_unique_gibbs(self, qubit_system):
+        """Every start relaxes to the one Gibbs state."""
         els, gen = qubit_system
-        states = steady_states(gen)
-        assert len(states) == 1
-        assert np.allclose(states[0].elements, thermal_state_of(els, 1.0).elements, atol=1e-9)
+        for seed in (3, 11):
+            steady = asymptotic_state(gen, DensityMatrix(random_density(2, seed), els.basis_labels))
+            assert np.allclose(steady.elements, thermal_state_of(els, 1.0).elements, atol=1e-9)
 
     def test_collective_manifold_dimension(self, two_qubit_collective):
         _, _, els, gen = two_qubit_collective
-        assert stationary_kernel_dimension(gen) == 2
         rho_th = thermal_state_of(els, 1.0)
         assert np.max(np.abs(gen.apply(rho_th))) < 1e-12
-        for state in steady_states(gen):
+        states = [asymptotic_state(gen, DensityMatrix(random_density(4, seed), els.basis_labels))
+                  for seed in (3, 11)]
+        for state in states:
             assert np.max(np.abs(gen.apply(state))) < 1e-10
+        assert np.max(np.abs(states[0].elements - states[1].elements)) > 1e-6  # not one point
 
     def test_detailed_balance_nondegenerate(self):
         """Stationary populations of a connected ladder obey e^(-beta gap)."""
@@ -349,7 +358,7 @@ class TestSteadyStates:
         coupling = np.zeros((3, 3), dtype=complex)
         coupling[0, 1] = coupling[1, 0] = 1.0
         coupling[1, 2] = coupling[2, 1] = 0.6
-        gen = build_collective_generator(HermitianObservable(coupling), els, flat_bath(0.2, 1.1))
+        gen = build_generator([HermitianObservable(coupling)], els, flat_bath(0.2, 1.1))
         steady = asymptotic_state(gen, DensityMatrix(np.eye(3) / 3))
         p = np.diag(steady.elements).real
         assert p[1] / p[0] == pytest.approx(math.exp(-1.1 * 0.7), abs=1e-8)

@@ -15,7 +15,6 @@ from cohentropy import (
     collective_coupling,
     dephase_block_diagonal,
     dephase_diagonal,
-    distance_to_thermal,
     relative_entropy,
     state_functionals,
     thermal_state_of,
@@ -166,7 +165,7 @@ class TestCoherenceMeasures:
 class TestDistanceToThermal:
     def test_thermal_state_has_zero_distance(self, els4):
         rho = thermal_state_of(els4, 1.3)
-        assert distance_to_thermal(rho, els4, 1.3) == pytest.approx(0.0, abs=1e-12)
+        assert state_functionals(rho, els4, 1.3).D_th == pytest.approx(0.0, abs=1e-12)
 
     def test_cut_removes_coherences(self, els4):
         base = thermal_state_of(els4, 2.0)
@@ -175,12 +174,12 @@ class TestDistanceToThermal:
         chi[0, 3] = chi[3, 0] = 0.02  # vertical
         rho = DensityMatrix(base.elements + chi)
         expected = relative_entropy(base, thermal_state_of(els4, 0.9))
-        assert distance_to_thermal(rho, els4, 0.9) == pytest.approx(expected, abs=1e-12)
+        assert state_functionals(rho, els4, 0.9).D_th == pytest.approx(expected, abs=1e-12)
 
     def test_ground_state_versus_infinite_temperature(self):
         els = build_level_structure(HermitianObservable(np.diag([0.0, 1.0])))
         rho = DensityMatrix(np.diag([1.0, 0.0]))
-        assert distance_to_thermal(rho, els, 0.0) == pytest.approx(math.log(2), abs=1e-12)
+        assert state_functionals(rho, els, 0.0).D_th == pytest.approx(math.log(2), abs=1e-12)
 
 
 class TestDiagonalFreeEnergy:
@@ -197,7 +196,7 @@ class TestDiagonalFreeEnergy:
         f_d = e_s - von_neumann_entropy(rho_d) / beta_b
         log_z = math.log(sum(math.exp(-beta_b * e) * l
                              for e, l in zip(els.energies, els.degeneracies)))
-        d_th = distance_to_thermal(rho, els, beta_b)
+        d_th = state_functionals(rho, els, beta_b).D_th
         assert d_th == pytest.approx(beta_b * f_d + log_z, abs=1e-10)
 
 

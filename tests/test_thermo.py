@@ -209,6 +209,9 @@ class TestOttoCycle:
         assert rep.coherent.Sigma == pytest.approx(rep.incoherent.Sigma, abs=1e-12)
         assert rep.coherent.eta == pytest.approx(rep.incoherent.eta, abs=1e-12)
         assert rep.equal_W_applies and abs(rep.equal_W_identity) < 1e-12
+        for els in (rep.els_cold, rep.els_hot):  # the level structures of the states it reports
+            assert els.basis_labels == rep.coherent.stroke_states[0].basis_labels == spec.basis_labels()
+        assert rep.els_hot.energies == pytest.approx([2.0 * e for e in rep.els_cold.energies])
 
     def test_collective_beats_independent_at_witness_point(self, machines):
         spec, system, h_cold, h_hot, els_c = machines
