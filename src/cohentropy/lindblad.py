@@ -28,7 +28,7 @@ from .exceptions import (
     ShapeMismatch,
 )
 from .qcore import DensityMatrix, HermitianObservable, cleaned_state, max_abs
-from .spectrum import EnergyLevelStructure
+from .spectrum import EnergyLevelStructure, clustering_tolerance, gap_clusters
 
 ZERO_OPERATOR_TOL = 1e-13
 KERNEL_SV_RATIO = 1e-10
@@ -143,43 +143,31 @@ class JumpOperatorSet:
 def eigenoperators(A_S: HermitianObservable, els: EnergyLevelStructure) -> JumpOperatorSet:
     """Decompose A_S into eigenoperators A(w) by projector sandwiching.
 
-    Bohr frequencies are level-energy differences, merged when within the
-    cluster width delta (near-degenerate mode).  Operators with max element
-    below 1e-13 are dropped along with their frequencies.
+    Bohr frequencies are level-energy differences grouped by ``gap_clusters``
+    at the cluster width delta (merged in near-degenerate mode).  Operators
+    with max element below 1e-13 are dropped along with their frequencies.
     """
     if A_S.dim != els.dim:
         raise ShapeMismatch(f"coupling dimension {A_S.dim} != structure {els.dim}")
     v = els.basis_vectors
-    a_eig = v.conj().T @ A_S.elements @ v
+    a_eig = els.to_labeled(A_S.elements)
     energies = np.array(els.energies)
-    n_levels = els.n_levels
-    scale = max(1.0, float(np.max(np.abs(energies))))
-    merge_tol = max(els.cluster_width, 1e-10 * scale)
+    # e_m - e_n of the level pair (n, m) at n * n_levels + m, and that pair for each index pair
+    diffs = (energies[None, :] - energies[:, None]).ravel()
+    level = els.level_of_index
+    pair = level[:, None] * els.n_levels + level[None, :]
+    zero_tol = clustering_tolerance(diffs, els.cluster_width)
 
-    pairs = [(n, m, float(energies[m] - energies[n])) for n in range(n_levels) for m in range(n_levels)]
-    diffs = sorted({d for _, _, d in pairs})
-    groups: list[list[float]] = [[diffs[0]]]
-    for d in diffs[1:]:
-        if d - groups[-1][-1] > merge_tol:
-            groups.append([d])
-        else:
-            groups[-1].append(d)
-
-    starts = np.cumsum([0] + list(els.degeneracies))
     out_freqs: list[float] = []
     out_ops: list[np.ndarray] = []
-    for group in groups:
-        rep = float(np.mean(group))
-        if abs(rep) <= merge_tol and 0.0 in group:
+    for group in gap_clusters(diffs, els.cluster_width):
+        members = sorted(set(diffs[group].tolist()))
+        rep = float(np.mean(members))
+        if abs(rep) <= zero_tol and 0.0 in members:
             rep = 0.0
-        members = set(group)
-        m_eig = np.zeros_like(a_eig)
-        for n, m, d in pairs:
-            if d in members:
-                rn = slice(starts[n], starts[n + 1])
-                rm = slice(starts[m], starts[m + 1])
-                m_eig[rn, rm] = a_eig[rn, rm]
-        op = v @ m_eig @ v.conj().T
+        in_group = np.zeros(len(diffs), dtype=bool)
+        in_group[group] = True
+        op = v @ np.where(in_group[pair], a_eig, 0.0) @ v.conj().T
         if max_abs(op) < ZERO_OPERATOR_TOL:
             continue
         out_freqs.append(rep)

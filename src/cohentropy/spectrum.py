@@ -24,7 +24,6 @@ from .qcore import (
     log_of_spectrum,
     max_abs,
     relative_entropy_from_logs,
-    thermal_state,
 )
 
 PROJECTOR_TOL = 1e-12
@@ -145,16 +144,29 @@ class EnergyLevelStructure:
         return any(l > 1 for l in self.degeneracies)
 
 
+def clustering_tolerance(values: np.ndarray, delta: float) -> float:
+    """The one grouping width of energies and of their differences: delta when
+    delta > 0, else 1e-10 * max |value|."""
+    return delta if delta > 0.0 else 1e-10 * float(np.max(np.abs(values)))
+
+
+def gap_clusters(values: np.ndarray, delta: float) -> list[np.ndarray]:
+    """Indices of ``values`` in stable ascending order, split greedily wherever two
+    consecutive sorted values differ by more than ``clustering_tolerance``."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    gaps = np.diff(values[order])
+    return np.split(order, np.flatnonzero(gaps > clustering_tolerance(values, delta)) + 1)
+
+
 def build_level_structure(
     H: HermitianObservable,
     delta: float = 0.0,
     labels: tuple[str, ...] = (),
 ) -> EnergyLevelStructure:
-    """Greedily cluster the spectrum of H into levels separated by > delta.
+    """Cluster the spectrum of H by ``gap_clusters`` into levels separated by > delta.
 
-    A new cluster starts whenever the gap between consecutive sorted
-    eigenvalues exceeds ``delta`` (or 1e-10 * ||H|| when delta = 0).  The
-    cluster energy is the degeneracy-weighted mean of its members.  If H is
+    The cluster energy is the degeneracy-weighted mean of its members.  If H is
     diagonal in the supplied basis, the input basis ordering is kept inside
     each cluster; otherwise eigenvectors are ordered by descending overlap
     with the input basis and phase-fixed for reproducibility.
@@ -162,26 +174,13 @@ def build_level_structure(
     if delta < 0.0:
         raise InvariantViolation("delta must be nonnegative")
     m = H.elements
-    dim = H.dim
     scale = max(1.0, max_abs(m))
-    diag_dev = max_abs(m - np.diag(np.diag(m)))
-    if diag_dev <= 1e-12 * scale:
+    if max_abs(m - np.diag(np.diag(m))) <= 1e-12 * scale:
         eigvals = np.real(np.diag(m)).copy()
-        vecs = np.eye(dim, dtype=complex)
-        order = np.argsort(eigvals, kind="stable")
+        vecs = np.eye(H.dim, dtype=complex)
     else:
         eigvals, vecs = np.linalg.eigh(m)
-        order = np.argsort(eigvals, kind="stable")
-    eigvals = eigvals[order]
-    vecs = vecs[:, order]
-
-    tol = delta if delta > 0.0 else 1e-10 * max_abs(m)
-    clusters: list[list[int]] = [[0]]
-    for k in range(1, dim):
-        if eigvals[k] - eigvals[k - 1] > tol:
-            clusters.append([k])
-        else:
-            clusters[-1].append(k)
+    clusters = gap_clusters(eigvals, delta)
 
     if delta > 0.0:
         for cluster in clusters:
@@ -198,25 +197,13 @@ def build_level_structure(
                     f"inter-cluster gap {gap:.6e} <= delta {delta:.6e}"
                 )
 
-    energies: list[float] = []
-    degeneracies: list[int] = []
-    member_energies: list[tuple[float, ...]] = []
-    columns: list[np.ndarray] = []
-    for cluster in clusters:
-        es = eigvals[cluster]
-        energies.append(float(np.mean(es)))
-        degeneracies.append(len(cluster))
-        member_energies.append(tuple(float(e) for e in es))
-        block = vecs[:, cluster]
-        columns.append(_order_and_fix_phase(block))
-    basis = np.hstack(columns)
     return EnergyLevelStructure(
-        energies=tuple(energies),
-        degeneracies=tuple(degeneracies),
-        basis_vectors=basis,
+        energies=tuple(float(np.mean(eigvals[c])) for c in clusters),
+        degeneracies=tuple(len(c) for c in clusters),
+        basis_vectors=np.hstack([_order_and_fix_phase(vecs[:, c]) for c in clusters]),
         basis_labels=labels,
         cluster_width=delta,
-        member_energies=tuple(member_energies),
+        member_energies=tuple(tuple(float(e) for e in eigvals[c]) for c in clusters),
     )
 
 
@@ -318,5 +305,8 @@ def coherence_measures(rho: DensityMatrix, els: EnergyLevelStructure) -> tuple[f
 
 
 def thermal_state_of(els: EnergyLevelStructure, beta: float) -> DensityMatrix:
-    """Thermal state of the clustered Hamiltonian, diagonal in the labeled basis."""
-    return thermal_state(els.hamiltonian(), beta, els.basis_labels)
+    """Thermal state of the clustered Hamiltonian: V diag(Boltzmann weights of the
+    level energies) V^dag in the structure's own eigenbasis, without a diagonalization."""
+    v = els.basis_vectors
+    m = (v * boltzmann_weights(els.index_energies, beta)) @ v.conj().T
+    return DensityMatrix(0.5 * (m + m.conj().T), els.basis_labels)

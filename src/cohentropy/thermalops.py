@@ -10,7 +10,7 @@ coherences and of horizontal coherences plus population convergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .qcore import (
 )
 from .spectrum import (
     EnergyLevelStructure,
+    build_level_structure,
     dephase_block_diagonal,
     state_functionals,
     thermal_state_of,
@@ -43,45 +44,17 @@ def combine_level_structures(
 ) -> EnergyLevelStructure:
     """Joint level structure with eigenspaces of H_S + H_B (clusters of e_m + E_mu).
 
-    The joint labeled basis is the tensor product of the two labeled bases,
-    reordered by joint energy; degenerate joint transitions arise whenever
+    The sums are clustered by ``build_level_structure`` of their diagonal matrix,
+    whose permutation of the product basis carries over to the tensor product
+    of the two labeled bases; degenerate joint transitions arise whenever
     different (m, mu) pairs produce the same sum.
     """
-    dim_b = els_B.dim
-    v_joint = np.kron(els_S.basis_vectors, els_B.basis_vectors)
-    entries: list[tuple[float, int]] = []
-    col_s = 0
-    for es, ls in zip(els_S.energies, els_S.degeneracies):
-        for _ in range(ls):
-            col_b = 0
-            for eb, lb in zip(els_B.energies, els_B.degeneracies):
-                for _ in range(lb):
-                    entries.append((es + eb, col_s * dim_b + col_b))
-                    col_b += 1
-            col_s += 1
-    entries.sort(key=lambda t: (t[0], t[1]))
-    scale = max(1.0, max(abs(e) for e, _ in entries))
-    tol = 1e-10 * scale
-    clusters: list[list[tuple[float, int]]] = [[entries[0]]]
-    for e, c in entries[1:]:
-        if e - clusters[-1][-1][0] > tol:
-            clusters.append([(e, c)])
-        else:
-            clusters[-1].append((e, c))
-    energies, degs, members, cols = [], [], [], []
-    for cluster in clusters:
-        es = [e for e, _ in cluster]
-        energies.append(float(np.mean(es)))
-        degs.append(len(cluster))
-        members.append(tuple(es))
-        cols.extend(c for _, c in cluster)
-    return EnergyLevelStructure(
-        energies=tuple(energies),
-        degeneracies=tuple(degs),
-        basis_vectors=v_joint[:, cols],
+    sums = np.add.outer(els_S.index_energies, els_B.index_energies).ravel()
+    joint = build_level_structure(HermitianObservable(np.diag(sums)))
+    return replace(
+        joint,
+        basis_vectors=np.kron(els_S.basis_vectors, els_B.basis_vectors) @ joint.basis_vectors,
         basis_labels=tensor_labels(els_S.basis_labels, els_B.basis_labels),
-        cluster_width=0.0,
-        member_energies=tuple(members),
     )
 
 

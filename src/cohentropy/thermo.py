@@ -34,15 +34,16 @@ from .qcore import (
     DensityMatrix,
     HermitianObservable,
     _as_square_complex,
+    boltzmann_weights,
+    log_of_spectrum,
     max_abs,
-    relative_entropy,
+    relative_entropy_from_logs,
     trace_distance,
     von_neumann_entropy,
 )
 from .spectrum import (
     EnergyLevelStructure,
     build_level_structure,
-    dephase_diagonal,
     state_functionals,
     thermal_state_of,
 )
@@ -323,12 +324,9 @@ class ComplementarityReport:
     flags: tuple[str, ...] = ()
 
 
-def fit_inverse_temperature(
-    rho_d: DensityMatrix, els: EnergyLevelStructure
-) -> tuple[float, float]:
+def fit_inverse_temperature(pops: np.ndarray, els: EnergyLevelStructure) -> tuple[float, float]:
     """Least-squares beta from ln p against level energies; residual is the
-    max elementwise deviation of the refitted thermal state."""
-    pops = els.to_labeled(rho_d.elements).diagonal().real
+    max deviation of the populations from the refitted Boltzmann weights."""
     energies = els.index_energies
     usable = pops > 1e-290
     if usable.sum() < 2:
@@ -337,8 +335,7 @@ def fit_inverse_temperature(
     a = np.vstack([np.ones(usable.sum()), -energies[usable]]).T
     coef, *_ = np.linalg.lstsq(a, logs, rcond=None)
     beta0 = float(coef[1])
-    residual = max_abs(rho_d.elements - thermal_state_of(els, beta0).elements)
-    return beta0, residual
+    return beta0, float(np.max(np.abs(pops - boltzmann_weights(energies, beta0))))
 
 
 def complementarity_report(
@@ -347,18 +344,21 @@ def complementarity_report(
     """Evaluate the complementarity inequalities between horizontal coherences
     and population convergence on every snapshot pair (0, t).
 
-    Entries based on the thermal-populations identity require the initial
-    diagonal cut to be thermal to ``fit_tol``; otherwise the report is marked
+    Everything here reads the populations p_t = diag(V^dag rho_t V) of the
+    diagonal cut.  Entries based on the thermal-populations identity require
+    p_0 to be thermal to ``fit_tol``; otherwise the report is marked
     not-applicable (only the convention-free check (i) is still evaluated).
     """
     if not series.states:
         raise InvariantViolation("series carries no states; rebuild with decompose_series")
     els = series.els
     first = series.snapshots[0]
-    rho0_d = dephase_diagonal(series.states[0], els)
-    beta0, residual = fit_inverse_temperature(rho0_d, els)
+    pops0 = els.to_labeled(series.states[0].elements).diagonal().real
+    beta0, residual = fit_inverse_temperature(pops0, els)
     applicable = math.isfinite(beta0) and residual <= fit_tol
     flags = () if applicable else (FLAG_NOT_APPLICABLE,)
+    log0 = np.diag(log_of_spectrum(pops0))
+    null0 = np.eye(els.dim)[:, pops0 <= CLIP_FLOOR]
 
     entries: list[ComplementarityEntry] = []
     for snap, state in zip(series.snapshots[1:], series.states[1:]):
@@ -367,7 +367,10 @@ def complementarity_report(
         sum_ok = minus_dch + minus_ddth >= -tol
         if applicable:
             weighted = (beta0 - series.beta_B) * (snap.E_S - first.E_S)
-            backtrack = relative_entropy(dephase_diagonal(state, els), rho0_d)
+            pops = els.to_labeled(state.elements).diagonal().real
+            backtrack = relative_entropy_from_logs(
+                np.diag(pops), np.diag(log_of_spectrum(pops)), log0, null0
+            )
             resid = minus_ddth - (weighted - backtrack)
             energy_ok = abs(resid) <= tol
             reversal_active = weighted < 0.0
@@ -481,10 +484,6 @@ def _run_machine(
     label: str,
     gen_cold: LindbladGenerator,
     gen_hot: LindbladGenerator,
-    h_cold: np.ndarray,
-    h_hot: np.ndarray,
-    beta_c: float,
-    beta_h: float,
     rho_start: DensityMatrix,
     stroke_time: float,
     max_cycles: int,
@@ -515,6 +514,8 @@ def _run_machine(
                 f"{label}: {name} isochore residual ||L rho|| = {resid:.3e} "
                 f"exceeds {residual_tol:.1e}; stroke_time too short"
             )
+    h_cold, h_hot = gen_cold.els.hamiltonian().elements, gen_hot.els.hamiltonian().elements
+    beta_c, beta_h = gen_cold.bath.beta_B, gen_hot.bath.beta_B
     q_c = float(np.trace(h_cold @ (s1.elements - s0.elements)).real)
     q_h = float(np.trace(h_hot @ (s2.elements - s1.elements)).real)
     w = -q_c - q_h
@@ -589,10 +590,6 @@ def otto_cycle(
             label,
             gen_cold,
             gen_hot,
-            els_c.hamiltonian().elements,
-            els_h.hamiltonian().elements,
-            bath_c.beta_B,
-            bath_h.beta_B,
             initial_state,
             stroke_time,
             max_cycles,

@@ -1,7 +1,8 @@
 """Eigendecomposition budgets of the spectral kernel and of the propagator.
 
 Every state functional comes from ``spectrum.state_functionals``, which needs
-two eigendecompositions; these counts catch a second functional path.  Every
+two eigendecompositions; these counts catch a second functional path, and
+the complementarity report, which reads only populations, needs none.  Every
 finite-time exp(t L) comes from ``LindbladGenerator.propagate``, which needs
 one ``eig`` per occupied block of L and no ``expm`` when the block is
 diagonalizable; the per-config counts catch a second propagation path, and a
@@ -19,7 +20,9 @@ from cohentropy import (
     SpinEnsembleSpec,
     build_generator,
     collective_coupling,
+    complementarity_report,
     conservation_report,
+    decompose_series,
     evolve,
     flat_bath,
     instantaneous_rates,
@@ -63,7 +66,17 @@ def test_conservation_report_budget(eig_calls, index):
     u = sample_energy_conserving_unitary(sys_, 4)
     eig_calls["n"] = 0
     conservation_report(sys_, u, rho_s, rho_b, 1.3)
-    assert 1 <= eig_calls["n"] <= 24
+    assert 1 <= eig_calls["n"] <= 19
+
+
+def test_complementarity_report_budget(two_qubit_collective, eig_calls):
+    """The report reads populations off the snapshots and decomposes nothing."""
+    *_, els, gen = two_qubit_collective
+    series = decompose_series(gen, thermal_state_of(els, 2.0), [0.0, 0.5, 5.0, 50.0])
+    eig_calls["n"] = 0
+    rep = complementarity_report(series)
+    assert rep.applicable and all(e.energy_identity_ok for e in rep.entries)
+    assert eig_calls["n"] == 0
 
 
 PROPAGATION_BUDGET = {

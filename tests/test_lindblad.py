@@ -102,6 +102,13 @@ class TestEigenoperators:
         for w in jumps.frequencies:
             assert np.allclose(ops[-w], ops[w].conj().T, atol=1e-13)
 
+    def test_tiny_frequency_keeps_both_channels(self):
+        """Levels 1e-12 apart stay apart: +-omega are not merged into w = 0."""
+        system = collective_coupling(SpinEnsembleSpec(2, 0.5, 1e-12))
+        els = system.level_structure()
+        assert els.n_levels == 3
+        assert eigenoperators(system.A_S, els).frequencies == (-1e-12, 1e-12)
+
     def test_zero_frequency_dephasing_component(self):
         """A_S with a block-diagonal part yields a Hermitian A(0)."""
         els = build_level_structure(HermitianObservable(np.diag([0.0, 1.0, 1.0])))

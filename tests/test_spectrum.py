@@ -17,6 +17,7 @@ from cohentropy import (
     dephase_diagonal,
     relative_entropy,
     state_functionals,
+    thermal_state,
     thermal_state_of,
     von_neumann_entropy,
 )
@@ -248,6 +249,15 @@ class TestStateFunctionals:
         assert _agree(f.C_h + f.D_th, relative_entropy(rho_bd, rho_th))
         assert _agree(f.E_S, e_s)
         assert _agree(f.F_D, e_s - s_d / beta if beta else float("nan"))
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    @pytest.mark.parametrize("beta", [-0.8, 0.0, 1.3, 40.0])
+    def test_thermal_state_from_structure(self, name, beta):
+        els = STRUCTURES[name]
+        got = thermal_state_of(els, beta)
+        want = thermal_state(els.hamiltonian(), beta, els.basis_labels)
+        assert got.basis_labels == els.basis_labels
+        assert np.max(np.abs(got.elements - want.elements)) <= 1e-14
 
     def test_ground_state_distance_stays_finite_at_low_temperature(self):
         els = STRUCTURES["degenerate qutrit"]

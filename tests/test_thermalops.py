@@ -1,7 +1,9 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cohentropy import (
     DensityMatrix,
@@ -22,7 +24,12 @@ from cohentropy.thermalops import (
     combine_level_structures,
     horizontal_pattern,
 )
-from cohentropy.scenarios import coherent_prepared_state, diagonal_prepared_state
+from cohentropy.scenarios import (
+    coherent_prepared_state,
+    diagonal_prepared_state,
+    parse_config,
+    run_scenario_config,
+)
 from conftest import random_density
 
 
@@ -54,6 +61,38 @@ class TestJointStructure:
         els_b = build_level_structure(HermitianObservable(np.diag([0.0, 0.4])))
         joint = combine_level_structures(els_a, els_b)
         assert joint.degeneracies == (1, 1, 1, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        levels=st.tuples(*[
+            st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 2)),
+                     min_size=1, max_size=3, unique_by=lambda t: t[0])
+        ] * 2),
+        k=st.integers(-12, 6),
+        seed=st.integers(0, 10_000),
+    )
+    def test_joint_levels_are_the_distinct_sums(self, levels, k, seed):
+        """Diagonal factors with random degeneracies at energy scale 10^k, in shuffled order."""
+        rng = np.random.default_rng(seed)
+        factors, ints = [], []
+        for lv in levels:
+            n = rng.permutation([e for e, l in lv for _ in range(l)])
+            factors.append(build_level_structure(HermitianObservable(np.diag(n * 10.0**k))))
+            ints.append(np.sort(n))
+        els_s, els_b = factors
+        joint = combine_level_structures(els_s, els_b)
+        sums = Counter(int(a + b) for a in ints[0] for b in ints[1])
+        assert joint.degeneracies == tuple(sums[e] for e in sorted(sums))
+        assert np.allclose(joint.energies, np.array(sorted(sums)) * 10.0**k, rtol=1e-12, atol=0)
+        assert joint.basis_labels == tensor_labels(els_s.basis_labels, els_b.basis_labels)
+        # the basis is a column permutation of kron(V_S, V_B), energy by energy
+        overlap = np.abs(np.kron(els_s.basis_vectors, els_b.basis_vectors).conj().T
+                         @ joint.basis_vectors)
+        perm = np.argmax(overlap, axis=0)
+        assert sorted(perm) == list(range(joint.dim))
+        assert np.allclose(overlap[perm, np.arange(joint.dim)], 1.0, atol=1e-14)
+        product = np.add.outer(els_s.index_energies, els_b.index_energies).ravel()
+        assert np.allclose(product[perm], joint.index_energies, rtol=1e-12, atol=0)
 
 
 class TestSampling:
@@ -237,3 +276,9 @@ class TestDivergenceWitness:
         assert signs[+1.0][0] == -signs[-1.0][0]
         assert signs[+1.0][1] == -signs[-1.0][1]
         assert signs[+1.0][0] == signs[+1.0][1]
+
+
+def test_tiny_frequency_keeps_every_conservation_law():
+    """At omega = 1e-12 the joint and the factor structures must cluster alike."""
+    cfg = parse_config({"scenario": "thermal-operation", "omega": 1e-12, "seeds": 8})
+    assert run_scenario_config(cfg).invariant_failures == 0
