@@ -7,12 +7,14 @@ The master equation implemented here is the interaction-picture secular form
 with jump operators A(w) = sum_{e_n' - e_n = w} pi_n A_S pi_n' and
 Gamma(w) = G(w)/2 + i * lamb_shift(w).  The bath obeys the KMS condition
 G(-w) = G(w) exp(-w beta_B) by construction, so the thermal state at beta_B
-is stationary.  Superoperators use row-stacking: vec(A X B) = (A kron B^T) vec(X).
+is stationary.  The generator commutes with [H, .], so it is held as its
+invariant blocks (the Bohr sectors) on row-stacked matrices in the labeled
+eigenbasis, vec(A X B) = (A kron B^T) vec(X), and never as one d^2 x d^2 matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -77,9 +79,16 @@ def flat_bath(gamma: float, beta_B: float) -> BathSpectrum:
     return BathSpectrum(beta_B=beta_B, g_half=lambda _w: gamma / 2.0)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = np.array(a, dtype=complex)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class JumpOperatorSet:
-    """Bohr frequencies and eigenoperators A(w) of a coupling observable."""
+    """Bohr frequencies and eigenoperators A(w) of a coupling observable, each
+    in the labeled eigenbasis of ``els`` and exactly zero outside its level blocks."""
 
     frequencies: tuple[float, ...]
     operators: tuple[np.ndarray, ...]
@@ -93,14 +102,9 @@ class JumpOperatorSet:
         if list(freqs) != sorted(freqs):
             raise InvariantViolation("frequencies must be sorted ascending")
         dim = self.els.dim
-        ops = []
-        for op in self.operators:
-            a = np.asarray(op, dtype=complex)
-            if a.shape != (dim, dim):
-                raise ShapeMismatch(f"operator shape {a.shape} != ({dim}, {dim})")
-            a = a.copy()
-            a.setflags(write=False)
-            ops.append(a)
+        ops = tuple(_frozen(op) for op in self.operators)
+        if any(a.shape != (dim, dim) for a in ops):
+            raise ShapeMismatch(f"operator shapes must be ({dim}, {dim})")
         scale = max(1.0, max(max_abs(a) for a in ops) if ops else 1.0)
         index = {w: k for k, w in enumerate(freqs)}
         for w, a in zip(freqs, ops):
@@ -110,38 +114,35 @@ class JumpOperatorSet:
             if dev > 1e-12 * scale:
                 raise InvariantViolation(f"A(-w) != A(w)^dag at w = {w} (dev {dev:.3e})")
         if self.coupling is not None:
-            total = sum(ops) if ops else np.zeros((dim, dim), dtype=complex)
-            dev = max_abs(total - np.asarray(self.coupling))
-            if dev > 1e-12 * max(1.0, max_abs(np.asarray(self.coupling))):
+            coupling = self.els.to_labeled(np.asarray(self.coupling))
+            dev = max_abs(sum(ops, np.zeros((dim, dim), dtype=complex)) - coupling)
+            if dev > 1e-12 * max(1.0, max_abs(coupling)):
                 raise InvariantViolation(f"sum of eigenoperators misses A_S by {dev:.3e}")
         self._check_frequency_selection(freqs, ops)
         object.__setattr__(self, "frequencies", freqs)
-        object.__setattr__(self, "operators", tuple(ops))
+        object.__setattr__(self, "operators", ops)
 
     def _check_frequency_selection(self, freqs, ops) -> None:
-        """pi_m A(w) pi_m' must vanish unless e_m' - e_m = w (within delta)."""
+        """The block of A(w) from level m' to level m must vanish unless e_m' - e_m = w
+        (within delta): one mask of the allowed level pairs per frequency."""
         els = self.els
         energies = np.array(els.energies)
-        scale = max(1.0, float(np.max(np.abs(energies))))
-        tol_w = max(els.cluster_width, 1e-9 * scale)
-        projectors = els.projectors()
+        tol_w = max(els.cluster_width, 1e-9 * max(1.0, float(np.max(np.abs(energies)))))
+        gaps = (energies[None, :] - energies[:, None]).ravel()[els.level_pair]
         for w, a in zip(freqs, ops):
-            for m, pm in enumerate(projectors):
-                for mp, pmp in enumerate(projectors):
-                    if abs(energies[mp] - energies[m] - w) <= tol_w:
-                        continue
-                    leak = max_abs(pm @ a @ pmp)
-                    if leak > 1e-12 * max(1.0, max_abs(a)):
-                        raise InvariantViolation(
-                            f"A({w}) leaks between levels {m} and {mp} (|.| = {leak:.3e})"
-                        )
+            leak = np.where(np.abs(gaps - w) <= tol_w, 0.0, np.abs(a))
+            if max_abs(leak) > 1e-12 * max(1.0, max_abs(a)):
+                m, mp = els.level_of_index[list(np.unravel_index(np.argmax(leak), leak.shape))]
+                raise InvariantViolation(
+                    f"A({w}) leaks between levels {m} and {mp} (|.| = {max_abs(leak):.3e})"
+                )
 
     def positive(self) -> list[tuple[float, np.ndarray]]:
         return [(w, a) for w, a in zip(self.frequencies, self.operators) if w > 0.0]
 
 
 def eigenoperators(A_S: HermitianObservable, els: EnergyLevelStructure) -> JumpOperatorSet:
-    """Decompose A_S into eigenoperators A(w) by projector sandwiching.
+    """Decompose A_S into eigenoperators A(w) by masking its labeled level blocks.
 
     Bohr frequencies are level-energy differences grouped by ``gap_clusters``
     at the cluster width delta (merged in near-degenerate mode).  Operators
@@ -149,64 +150,51 @@ def eigenoperators(A_S: HermitianObservable, els: EnergyLevelStructure) -> JumpO
     """
     if A_S.dim != els.dim:
         raise ShapeMismatch(f"coupling dimension {A_S.dim} != structure {els.dim}")
-    v = els.basis_vectors
     a_eig = els.to_labeled(A_S.elements)
     energies = np.array(els.energies)
-    # e_m - e_n of the level pair (n, m) at n * n_levels + m, and that pair for each index pair
+    # e_m - e_n of the level pair (n, m) at n * n_levels + m, the index of els.level_pair
     diffs = (energies[None, :] - energies[:, None]).ravel()
-    level = els.level_of_index
-    pair = level[:, None] * els.n_levels + level[None, :]
     zero_tol = clustering_tolerance(diffs, els.cluster_width)
 
-    out_freqs: list[float] = []
-    out_ops: list[np.ndarray] = []
+    out_freqs, out_ops = [], []
     for group in gap_clusters(diffs, els.cluster_width):
         members = sorted(set(diffs[group].tolist()))
         rep = float(np.mean(members))
         if abs(rep) <= zero_tol and 0.0 in members:
             rep = 0.0
-        in_group = np.zeros(len(diffs), dtype=bool)
-        in_group[group] = True
-        op = v @ np.where(in_group[pair], a_eig, 0.0) @ v.conj().T
+        op = np.where(np.isin(els.level_pair, group), a_eig, 0.0)
         if max_abs(op) < ZERO_OPERATOR_TOL:
             continue
         out_freqs.append(rep)
         out_ops.append(op)
-    return JumpOperatorSet(
-        frequencies=tuple(out_freqs),
-        operators=tuple(out_ops),
-        els=els,
-        coupling=A_S.elements,
-    )
+    return JumpOperatorSet(tuple(out_freqs), tuple(out_ops), els, coupling=A_S.elements)
 
 
 @dataclass(frozen=True)
 class LindbladGenerator:
-    """Explicit superoperator matrix acting on row-stacked density matrices.
-
-    ``propagate`` is the one finite-time exp(t L).  It splits L into the
-    connected blocks of its nonzero pattern (the Bohr-frequency sectors of a
-    secular generator) and applies each block the initial vector occupies
-    through that block's own eig, cached on first use.
+    """Sum over uncorrelated channels of their terms (A_k, Gamma_k),
+    Gamma_k [A_k X A_k^dag - A_k^dag A_k X] + h.c., each A_k in the labeled
+    eigenbasis of ``els``.  ``blocks``, ``apply`` and ``propagate`` (the one
+    finite-time exp(t L)) all derive from the terms.
     """
 
-    superoperator: np.ndarray
+    channels: tuple[tuple[tuple[np.ndarray, complex], ...], ...]
     els: EnergyLevelStructure
     bath: BathSpectrum
     jumps: JumpOperatorSet | None = None
+    # per-block ``_diagonalize`` results, filled by ``propagate`` on first use
+    _block_eigs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        L = np.asarray(self.superoperator, dtype=complex)
-        d2 = self.els.dim ** 2
-        if L.shape != (d2, d2):
-            raise ShapeMismatch(f"superoperator shape {L.shape} != ({d2}, {d2})")
-        vec_id = np.eye(self.els.dim, dtype=complex).reshape(-1)
-        drift = max_abs(vec_id @ L)
-        if drift > 1e-10 * max(1.0, max_abs(L)):
+        d = self.dim
+        channels = tuple(tuple((_frozen(a), complex(g)) for a, g in ch) for ch in self.channels)
+        object.__setattr__(self, "channels", channels)
+        if any(a.shape != (d, d) for ch in channels for a, _ in ch):
+            raise ShapeMismatch(f"jump operator shapes must be ({d}, {d})")
+        left, right = self._sandwiches  # Tr L X = Tr (sum_j right_j left_j) X
+        drift = max_abs(np.sum(right @ left, axis=0))
+        if drift > 1e-10 * self._scale:
             raise InvariantViolation(f"generator does not preserve the trace ({drift:.3e})")
-        L = L.copy()
-        L.setflags(write=False)
-        object.__setattr__(self, "superoperator", L)
 
     @property
     def dim(self) -> int:
@@ -214,72 +202,102 @@ class LindbladGenerator:
 
     @property
     def norm_inf(self) -> float:
-        return float(np.max(np.sum(np.abs(self.superoperator), axis=1)))
+        return max(float(np.max(np.sum(np.abs(b), axis=1))) for _, b in self.blocks)
+
+    @cached_property
+    def _scale(self) -> float:
+        """max(1, max |L_ij|): the scale of the trace check and of every block's eig residual."""
+        return max(1.0, max(max_abs(b) for _, b in self.blocks))
+
+    @cached_property
+    def _sandwiches(self) -> tuple[np.ndarray, np.ndarray]:
+        """L X = sum_j left_j X right_j in the input basis, stacked: left = (2 Re Gamma_k A_k,
+        -K, -1), right = (A_k^dag, 1, K^dag), with K = sum_k Gamma_k A_k^dag A_k."""
+        d, v = self.dim, self.els.basis_vectors
+        terms = [term for channel in self.channels for term in channel]
+        a = v @ np.array([op for op, _ in terms], dtype=complex).reshape(-1, d, d) @ v.conj().T
+        gam = np.array([g for _, g in terms], dtype=complex)
+        ah, eye = np.swapaxes(a.conj(), 1, 2), np.eye(d)
+        k = np.tensordot(gam, ah @ a, 1)
+        left = np.concatenate([2 * gam.real[:, None, None] * a, [-k, -eye]])
+        return left, np.concatenate([ah, [eye, k.conj().T]])
 
     def apply(self, rho: DensityMatrix | np.ndarray) -> np.ndarray:
+        """L rho = sum_k 2 Re Gamma_k A_k rho A_k^dag - K rho - rho K^dag."""
         m = rho.elements if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-        d = self.dim
-        return (self.superoperator @ m.reshape(-1)).reshape(d, d)
+        left, right = self._sandwiches
+        return (left @ m).transpose(1, 0, 2).reshape(self.dim, -1) @ right.reshape(-1, self.dim)
 
     @cached_property
-    def _blocks(self) -> list[np.ndarray]:
-        """Connected components of the exact nonzero pattern of L (its invariant blocks).
+    def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(flat labeled index pairs i * d + j, block of L) per connected component of
+        the level pairs (m, n), the Bohr sectors or their near-degenerate clusters.
 
-        A secular generator with H diagonal in the stored basis splits into its
-        Bohr-frequency sectors; any other L comes out as one block.
+        A X A^dag links (m', n') to (m, n) where A's level pattern P has P[m, m'] and
+        P[n, n'], A^dag A X and X A^dag A where Q = P^T P has Q[m, m'] with n = n' or
+        Q[n', n] with m = m'.  Entries follow the kron form term by term, channel by channel.
         """
-        link = self.superoperator != 0
+        d, nl = self.dim, self.els.n_levels
+        member = np.eye(nl, dtype=int)[self.els.level_of_index]
+        same = np.eye(nl, dtype=bool)
+        link = np.zeros((nl, nl, nl, nl), dtype=bool)  # [m, n, m', n']
+        for a, _ in (term for channel in self.channels for term in channel):
+            p = member.T @ (a != 0) @ member > 0
+            q = p.T.astype(int) @ p > 0
+            link |= p[:, None, :, None] & p[None, :, None, :]
+            link |= q[:, None, :, None] & same[None, :, None, :]
+            link |= same[:, None, :, None] & q.T[None, :, None, :]
+        link = link.reshape(nl * nl, nl * nl)
         link |= link.T
-        unseen = np.ones(len(link), dtype=bool)
-        blocks = []
+        unseen = np.ones(nl * nl, dtype=bool)
+        out = []
         while unseen.any():
-            member = np.zeros_like(unseen)
-            frontier = member.copy()
-            frontier[np.argmax(unseen)] = True
+            comp = np.zeros_like(unseen)
+            frontier = np.arange(nl * nl) == np.argmax(unseen)
             while frontier.any():
-                member |= frontier
-                frontier = link[frontier].any(axis=0) & ~member
-            unseen &= ~member
-            blocks.append(np.flatnonzero(member))
-        return blocks
-
-    @cached_property
-    def _block_eigs(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
-        """Per-block ``_diagonalize`` results, filled by ``propagate`` on first use."""
-        return {}
-
-    @cached_property
-    def _eig_tol(self) -> float:
-        """Residual bound of every block's eig, on the scale of the whole L."""
-        return 1e-9 * max(1.0, max_abs(self.superoperator))
+                comp |= frontier
+                frontier = link[frontier].any(axis=0) & ~comp
+            unseen &= ~comp
+            idx = np.flatnonzero(comp[self.els.level_pair.ravel()])
+            i, j = np.divmod(idx, d)
+            same_i, same_j = i[:, None] == i[None, :], j[:, None] == j[None, :]
+            total = np.zeros((len(idx), len(idx)), dtype=complex)
+            for channel in self.channels:
+                block = np.zeros_like(total)
+                for a, gam in channel:
+                    ada = a.conj().T @ a
+                    sandwich = a[np.ix_(i, i)] * a[np.ix_(j, j)].conj()
+                    block += gam * (sandwich - ada[np.ix_(i, i)] * same_j)
+                    block += np.conj(gam) * (sandwich - same_i * ada.T[np.ix_(j, j)])
+                total = total + block
+            out.append((idx, total))
+        return out
 
     def propagate(self, vec0: np.ndarray, times: Sequence[float]) -> list[np.ndarray]:
-        """exp(t L) vec0 for each t of any sign and order, block by block.
+        """exp(t L) vec0 for each t of any sign and order, row-stacked in the input basis.
 
-        Blocks where vec0 vanishes are skipped; each occupied block is applied
-        through its cached eig, or by expm steps between times if it is defective.
+        vec0 goes to the labeled eigenbasis and back once; each block it occupies is
+        applied through its cached eig, or by expm steps between times if defective.
         """
         ts = np.asarray(times, dtype=float)
-        vec0 = np.asarray(vec0, dtype=complex)
-        out = np.zeros((len(ts), len(vec0)), dtype=complex)
-        for k, idx in enumerate(self._blocks):
-            x = vec0[idx]
+        d, v = self.dim, self.els.basis_vectors
+        x0 = self.els.to_labeled(np.asarray(vec0, dtype=complex).reshape(d, d)).reshape(-1)
+        out = np.zeros((len(ts), d * d), dtype=complex)
+        for k, (idx, block) in enumerate(self.blocks):
+            x = x0[idx]
             if not x.any():
                 continue
             if k not in self._block_eigs:
-                self._block_eigs[k] = _diagonalize(self.superoperator[np.ix_(idx, idx)], self._eig_tol)
+                self._block_eigs[k] = _diagonalize(block, 1e-9 * self._scale)
             eig = self._block_eigs[k]
             if eig is not None:
-                w, v, vinv = eig
-                out[:, idx] = (np.exp(np.outer(ts, w)) * (vinv @ x)) @ v.T
+                w, vec, vinv = eig
+                out[:, idx] = (np.exp(np.outer(ts, w)) * (vinv @ x)) @ vec.T
                 continue
-            block = self.superoperator[np.ix_(idx, idx)]
-            t_prev = 0.0
-            for j, t in enumerate(ts):
-                x = scipy.linalg.expm(block * (t - t_prev)) @ x
-                t_prev = t
+            for j, dt in enumerate(np.diff(ts, prepend=0.0)):
+                x = scipy.linalg.expm(block * dt) @ x
                 out[j, idx] = x
-        return list(out)
+        return list((v @ out.reshape(-1, d, d) @ v.conj().T).reshape(len(ts), -1))
 
 
 def _diagonalize(block: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -291,20 +309,6 @@ def _diagonalize(block: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray,
         return None
     resid = max_abs((v * w) @ vinv - block)
     return (w, v, vinv) if np.isfinite(resid) and resid <= tol else None
-
-
-def dissipator_superoperator(
-    ops_with_gamma: Sequence[tuple[np.ndarray, complex]], dim: int
-) -> np.ndarray:
-    """sum_k { Gamma_k [A X Ad - AdA X] + Gamma_k* [A X Ad - X AdA] } as a matrix."""
-    eye = np.eye(dim, dtype=complex)
-    L = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for a, gam in ops_with_gamma:
-        ada = a.conj().T @ a
-        sandwich = np.kron(a, a.conj())
-        L += gam * (sandwich - np.kron(ada, eye))
-        L += np.conj(gam) * (sandwich - np.kron(eye, ada.T))
-    return L
 
 
 def build_generator(
@@ -320,14 +324,12 @@ def build_generator(
     keeps the jump operators (``jumps``) of a single channel, none of several.
     """
     jump_sets = [eigenoperators(a_s, els) for a_s in couplings]
-    L = sum(
-        dissipator_superoperator(
-            [(a, bath.gamma(w)) for w, a in zip(jumps.frequencies, jumps.operators)], els.dim
-        )
+    channels = tuple(
+        tuple((a, bath.gamma(w)) for w, a in zip(jumps.frequencies, jumps.operators))
         for jumps in jump_sets
     )
     jumps = jump_sets[0] if len(jump_sets) == 1 else None
-    return LindbladGenerator(superoperator=L, els=els, bath=bath, jumps=jumps)
+    return LindbladGenerator(channels=channels, els=els, bath=bath, jumps=jumps)
 
 
 def _check_horizon(els: EnergyLevelStructure, t_max: float) -> None:
@@ -361,29 +363,30 @@ def evolve(
     return out
 
 
-def _kernel_bases(gen: LindbladGenerator) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal right and left kernel bases of the superoperator."""
-    L = gen.superoperator
-    _, s, vh = np.linalg.svd(L)
-    cut = KERNEL_SV_RATIO * s[0] if s[0] > 0 else KERNEL_SV_RATIO
-    right = vh[s < cut].conj().T
-    _, s2, vh2 = np.linalg.svd(L.conj().T)
-    cut2 = KERNEL_SV_RATIO * s2[0] if s2[0] > 0 else KERNEL_SV_RATIO
-    left = vh2[s2 < cut2].conj().T
-    if right.shape[1] == 0 or right.shape[1] != left.shape[1]:
-        raise DiagonalizationFailure(
-            f"kernel dimensions mismatch: right {right.shape[1]}, left {left.shape[1]}"
-        )
-    return right, left
-
-
 def asymptotic_state(gen: LindbladGenerator, rho0: DensityMatrix) -> DensityMatrix:
-    """lim_{t->inf} exp(t L) rho0 via the spectral projector onto ker L."""
-    right, left = _kernel_bases(gen)
-    m = left.conj().T @ right
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > 1e10:
-        raise DiagonalizationFailure(f"defective zero eigenspace (cond {cond:.3e})")
-    coeffs = np.linalg.solve(m, left.conj().T @ rho0.elements.reshape(-1))
-    vec = right @ coeffs
-    return cleaned_state(vec.reshape(gen.dim, gen.dim), rho0.basis_labels, drift_tol=1e-7)
+    """lim_{t->inf} exp(t L) rho0 via the spectral projector onto ker L, per occupied
+    block; the kernel cut is KERNEL_SV_RATIO times the largest singular value of L."""
+    s_max = max(np.linalg.svd(b, compute_uv=False)[0] for _, b in gen.blocks)
+    cut = KERNEL_SV_RATIO * s_max if s_max > 0 else KERNEL_SV_RATIO
+    x0 = gen.els.to_labeled(rho0.elements).reshape(-1)
+    out = np.zeros_like(x0)
+    for idx, block in gen.blocks:
+        if not x0[idx].any():
+            continue
+        # orthonormal right and left kernel bases, as columns
+        svds = map(np.linalg.svd, (block, block.conj().T))
+        right, left = (vh[s < cut].conj().T for _, s, vh in svds)
+        if right.shape[1] != left.shape[1]:
+            raise DiagonalizationFailure(
+                f"kernel dimensions mismatch: right {right.shape[1]}, left {left.shape[1]}"
+            )
+        if right.shape[1]:
+            m = left.conj().T @ right
+            cond = np.linalg.cond(m)
+            if not np.isfinite(cond) or cond > 1e10:
+                raise DiagonalizationFailure(f"defective zero eigenspace (cond {cond:.3e})")
+            out[idx] = right @ np.linalg.solve(m, left.conj().T @ x0[idx])
+    if not out.any():
+        raise DiagonalizationFailure("the state has no weight on the kernel of L")
+    v, d = gen.els.basis_vectors, gen.dim
+    return cleaned_state(v @ out.reshape(d, d) @ v.conj().T, rho0.basis_labels, drift_tol=1e-7)

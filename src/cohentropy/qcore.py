@@ -68,7 +68,8 @@ class DensityMatrix:
     elements: np.ndarray
     basis_labels: tuple[str, ...] = field(default=())
 
-    def __post_init__(self):
+    def __post_init__(self, lam_min: float | None = None):
+        """Check and freeze the fields; ``cleaned_state`` passes the lowest eigenvalue it has."""
         m = _as_square_complex(self.elements)
         labels = tuple(self.basis_labels) or default_labels(m.shape[0])
         if len(labels) != m.shape[0]:
@@ -82,9 +83,10 @@ class DensityMatrix:
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvariantViolation(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-        lam = np.linalg.eigvalsh(m)
-        if lam[0] < -POSITIVITY_TOL:
-            raise InvariantViolation(f"negative eigenvalue {lam[0]:.3e}")
+        if lam_min is None:
+            lam_min = float(np.linalg.eigvalsh(m)[0])
+        if lam_min < -POSITIVITY_TOL:
+            raise InvariantViolation(f"negative eigenvalue {lam_min:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "elements", m)
         object.__setattr__(self, "basis_labels", labels)
@@ -102,26 +104,30 @@ def cleaned_state(
     """Re-symmetrize ((m + m^dag)/2), renormalize and validate a candidate state.
 
     Raises InvariantViolation if the required repair exceeds ``drift_tol``.
+    The state is validated with the lowest eigenvalue found here: one eigvalsh, not two.
     """
     m = _as_square_complex(matrix)
     herm_dev = max_abs(m - m.conj().T)
     tr = m.trace()
     m = 0.5 * (m + m.conj().T)
-    lam = np.linalg.eigvalsh(m)
-    if herm_dev > drift_tol or abs(tr - 1.0) > drift_tol or lam[0] < -drift_tol:
+    lam_min = float(np.linalg.eigvalsh(m)[0])
+    if herm_dev > drift_tol or abs(tr - 1.0) > drift_tol or lam_min < -drift_tol:
         raise InvariantViolation(
             f"state drift beyond {drift_tol:.1e}: hermiticity {herm_dev:.3e}, "
-            f"trace deviation {abs(tr - 1.0):.3e}, min eigenvalue {lam[0]:.3e}"
+            f"trace deviation {abs(tr - 1.0):.3e}, min eigenvalue {lam_min:.3e}"
         )
-    m = m / m.trace().real
-    if lam[0] < 0.0:
+    norm = m.trace().real
+    m, lam_min = m / norm, lam_min / norm
+    if lam_min < 0.0:
         # project tiny negatives away, then renormalize once more
         w, v = np.linalg.eigh(m)
-        w = np.clip(w, 0.0, None)
-        m = (v * w) @ v.conj().T
+        m = (v * np.clip(w, 0.0, None)) @ v.conj().T
         m = 0.5 * (m + m.conj().T)
-        m = m / m.trace().real
-    return DensityMatrix(m, basis_labels)
+        m, lam_min = m / m.trace().real, 0.0  # the clipped spectrum's lowest value
+    state = object.__new__(DensityMatrix)
+    state.__dict__.update(elements=m, basis_labels=basis_labels)
+    state.__post_init__(lam_min)
+    return state
 
 
 def entropy_of_spectrum(lam: np.ndarray) -> float:

@@ -103,6 +103,18 @@ class EnergyLevelStructure:
         return np.repeat(np.arange(self.n_levels), self.degeneracies)
 
     @property
+    def level_pair(self) -> np.ndarray:
+        """Level pair m * n_levels + n of each matrix element (i, j), i in level m and j in n."""
+        level = self.level_of_index
+        return level[:, None] * self.n_levels + level[None, :]
+
+    @property
+    def same_level(self) -> np.ndarray:
+        """Mask of the matrix elements inside one level: the block-diagonal cut."""
+        level = self.level_of_index
+        return level[:, None] == level[None, :]
+
+    @property
     def index_energies(self) -> np.ndarray:
         """Level energy e_n of each eigenbasis column |n,i>."""
         return np.repeat(self.energies, self.degeneracies)
@@ -113,16 +125,8 @@ class EnergyLevelStructure:
 
     def projector(self, n: int) -> np.ndarray:
         """pi_n = sum_i |n,i><n,i|."""
-        cols = self._level_slice(n)
-        block = self.basis_vectors[:, cols]
+        block = self.basis_vectors[:, self.level_of_index == n]
         return block @ block.conj().T
-
-    def projectors(self) -> list[np.ndarray]:
-        return [self.projector(n) for n in range(self.n_levels)]
-
-    def _level_slice(self, n: int) -> slice:
-        start = sum(self.degeneracies[:n])
-        return slice(start, start + self.degeneracies[n])
 
     def hamiltonian(self) -> HermitianObservable:
         """sum_n e_n pi_n, the representative (clustered) Hamiltonian, built once."""
@@ -190,12 +194,6 @@ def build_level_structure(
                     f"chained cluster spans {spread:.6e} > delta {delta:.6e}: "
                     "levels cannot be separated at this width"
                 )
-        for a, b in zip(clusters, clusters[1:]):
-            gap = eigvals[b[0]] - eigvals[a[-1]]
-            if gap <= delta:
-                raise AmbiguousClustering(
-                    f"inter-cluster gap {gap:.6e} <= delta {delta:.6e}"
-                )
 
     return EnergyLevelStructure(
         energies=tuple(float(np.mean(eigvals[c])) for c in clusters),
@@ -228,10 +226,8 @@ def _check_state(rho: DensityMatrix, els: EnergyLevelStructure) -> None:
 def dephase_block_diagonal(rho: DensityMatrix, els: EnergyLevelStructure) -> DensityMatrix:
     """sum_n pi_n rho pi_n: kills vertical coherences only."""
     _check_state(rho, els)
-    out = np.zeros_like(rho.elements)
-    for n in range(els.n_levels):
-        p = els.projector(n)
-        out += p @ rho.elements @ p
+    v = els.basis_vectors
+    out = v @ np.where(els.same_level, els.to_labeled(rho.elements), 0.0) @ v.conj().T
     return DensityMatrix(0.5 * (out + out.conj().T), rho.basis_labels)
 
 
@@ -271,8 +267,7 @@ def state_functionals(rho: DensityMatrix, els: EnergyLevelStructure, beta: float
     """
     _check_state(rho, els)
     r = els.to_labeled(rho.elements)
-    level = els.level_of_index
-    bd = np.where(level[:, None] == level[None, :], r, 0.0)
+    bd = np.where(els.same_level, r, 0.0)
     lam, u = np.linalg.eigh(r)
     lam_bd, u_bd = np.linalg.eigh(bd)
     pops = r.diagonal().real

@@ -90,13 +90,11 @@ class EnergyConservingUnitary:
         dev = max_abs(u.conj().T @ u - np.eye(dim))
         if dev > UNITARY_TOL * max(1.0, dim):
             raise InvariantViolation(f"matrix not unitary (deviation {dev:.3e})")
-        for k in range(self.joint.n_levels):
-            p = self.joint.projector(k)
-            comm = max_abs(u @ p - p @ u)
-            if comm > UNITARY_TOL * max(1.0, dim):
-                raise InvariantViolation(
-                    f"[U, Pi_{k}] = {comm:.3e}: energy conservation violated"
-                )
+        comm = max_abs(np.where(self.joint.same_level, 0.0, self.joint.to_labeled(u)))
+        if comm > UNITARY_TOL * max(1.0, dim):
+            raise InvariantViolation(
+                f"max_k ||[U, Pi_k]|| = {comm:.3e}: energy conservation violated"
+            )
         u = u.copy()
         u.setflags(write=False)
         object.__setattr__(self, "matrix", u)
@@ -110,13 +108,12 @@ def sample_energy_conserving_unitary(
     joint = sys.joint
     v = joint.basis_vectors
     blocks = np.zeros((joint.dim, joint.dim), dtype=complex)
-    start = 0
-    for l in joint.degeneracies:
+    level = joint.level_of_index
+    for k, l in enumerate(joint.degeneracies):
         g = rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l))
         q, r = np.linalg.qr(g)
         phases = np.diag(r) / np.abs(np.diag(r))
-        blocks[start : start + l, start : start + l] = q * phases
-        start += l
+        blocks[np.ix_(level == k, level == k)] = q * phases
     u = v @ blocks @ v.conj().T
     return EnergyConservingUnitary(matrix=u, joint=joint)
 
@@ -286,10 +283,8 @@ def horizontal_pattern(els: EnergyLevelStructure) -> HermitianObservable:
     """|n,1><n,2| + h.c. on the first degenerate level: a unit horizontal coherence."""
     for n, l in enumerate(els.degeneracies):
         if l > 1:
-            start = sum(els.degeneracies[:n])
-            v1 = els.basis_vectors[:, start]
-            v2 = els.basis_vectors[:, start + 1]
-            x = np.outer(v1, v2.conj())
+            i, j = np.flatnonzero(els.level_of_index == n)[:2]
+            x = np.outer(els.basis_vectors[:, i], els.basis_vectors[:, j].conj())
             return HermitianObservable(x + x.conj().T)
     raise InvariantViolation("level structure has no degenerate level")
 

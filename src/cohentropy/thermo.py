@@ -275,10 +275,11 @@ def heat_flow(gen: LindbladGenerator, rho: DensityMatrix) -> HeatFlowReport:
     direct = float(np.trace(gen.apply(rho) @ h).real)
     channels: list[FrequencyChannel] = []
     beta_b = gen.bath.beta_B
+    r = gen.els.to_labeled(rho.elements)  # the jump operators' basis
     for w, a in gen.jumps.positive():
         g = gen.bath.G(w)
-        down = float(np.trace(rho.elements @ (a @ a.conj().T)).real)
-        up = float(np.trace(rho.elements @ (a.conj().T @ a)).real)
+        down = float(np.trace(r @ (a @ a.conj().T)).real)
+        up = float(np.trace(r @ (a.conj().T @ a)).real)
         contribution = w * g * (down * math.exp(-w * beta_b) - up)
         if min(down, up) <= CLIP_FLOOR:
             channels.append(

@@ -13,6 +13,36 @@ from cohentropy import (
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
+def dissipator_superoperator(ops_with_gamma, dim: int) -> np.ndarray:
+    """Reference dense L: sum_k { Gamma_k [A X Ad - AdA X] + Gamma_k* [A X Ad - X AdA] }
+    on row-stacked X, vec(A X B) = (A kron B^T) vec(X)."""
+    eye = np.eye(dim, dtype=complex)
+    L = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for a, gam in ops_with_gamma:
+        ada = a.conj().T @ a
+        sandwich = np.kron(a, a.conj())
+        L += gam * (sandwich - np.kron(ada, eye))
+        L += np.conj(gam) * (sandwich - np.kron(eye, ada.T))
+    return L
+
+
+def dense_superoperator(gen) -> np.ndarray:
+    """The reference L of a generator in the input basis, summed channel by channel."""
+    v = gen.els.basis_vectors
+    return sum(
+        dissipator_superoperator([(v @ a @ v.conj().T, g) for a, g in channel], gen.dim)
+        for channel in gen.channels
+    )
+
+
+def blocked_superoperator(gen) -> np.ndarray:
+    """The generator's blocks scattered into one d^2 x d^2 matrix (labeled eigenbasis)."""
+    L = np.zeros((gen.dim ** 2, gen.dim ** 2), dtype=complex)
+    for idx, block in gen.blocks:
+        L[np.ix_(idx, idx)] = block
+    return L
+
+
 def random_density(dim: int, seed: int, rank: int | None = None) -> np.ndarray:
     """Random full-rank (or fixed-rank) density matrix via a Ginibre factor."""
     rng = np.random.default_rng(seed)

@@ -10,7 +10,7 @@ import pytest
 from cohentropy import cli
 from cohentropy.acceptance import CriterionResult
 from cohentropy.cli import main
-from cohentropy.scenarios import CSV_HEADER, config_from_json, parse_config
+from cohentropy.scenarios import CSV_HEADER, LINDBLAD_DIM_BUDGET, config_from_json, parse_config
 from cohentropy.exceptions import ConfigError
 
 
@@ -225,6 +225,26 @@ class TestRunCommand:
         summary = (out / "summary.txt").read_text()
         assert "beta_B_omega,Pi_th,Pi_col,ratio" in summary
         assert "ratio_within_5_percent: pass" in summary
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_collective_spins_at_the_dimension_budget(tmp_path):
+    """n = 6, d = 2^6 = LINDBLAD_DIM_BUDGET: the largest documented run exits 0 in its own
+    process and reports a peak resident set (VmHWM) under 400 MiB."""
+    assert 2 ** 6 == LINDBLAD_DIM_BUDGET
+    cfg = tmp_path / "n6.json"
+    cfg.write_text(json.dumps({"scenario": "collective-spins", "n": 6}))
+    code = (
+        "import sys\n"
+        "from cohentropy.cli import main\n"
+        f"rc = main(['run', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM:')))\n"
+        "sys.exit(rc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    peak_kib = int(proc.stdout.split("VmHWM:")[1].split()[0])
+    assert peak_kib < 400 * 1024
 
 
 class TestVerifyCommand:

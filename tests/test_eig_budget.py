@@ -6,7 +6,8 @@ the complementarity report, which reads only populations, needs none.  Every
 finite-time exp(t L) comes from ``LindbladGenerator.propagate``, which needs
 one ``eig`` per occupied block of L and no ``expm`` when the block is
 diagonalizable; the per-config counts catch a second propagation path, and a
-thermal start must decompose its one Bohr sector only.
+thermal start must decompose its one Bohr sector only.  Each evolved state is
+validated with one eigvalsh.
 """
 
 from pathlib import Path
@@ -77,6 +78,16 @@ def test_complementarity_report_budget(two_qubit_collective, eig_calls):
     rep = complementarity_report(series)
     assert rep.applicable and all(e.energy_identity_ok for e in rep.entries)
     assert eig_calls["n"] == 0
+
+
+def test_evolve_validates_each_state_once(two_qubit_collective, eig_calls):
+    """One eigvalsh per evolved state: cleaned_state hands its spectrum to the validation."""
+    *_, els, gen = two_qubit_collective
+    rho0 = DensityMatrix(random_density(els.dim, 3), els.basis_labels)
+    times = [0.1, 1.0, 5.0, 50.0]
+    eig_calls["n"] = 0
+    evolve(gen, rho0, times)
+    assert eig_calls["n"] == len(times)
 
 
 PROPAGATION_BUDGET = {

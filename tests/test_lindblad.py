@@ -24,18 +24,15 @@ from cohentropy import (
     local_couplings,
     thermal_state_of,
 )
-from cohentropy.lindblad import (
-    BathSpectrum,
-    LindbladGenerator,
-    dissipator_superoperator,
-)
+from cohentropy.exceptions import InvariantViolation
+from cohentropy.lindblad import BathSpectrum, JumpOperatorSet, LindbladGenerator
 from cohentropy.scenarios import (
     OttoParams,
     TimeGrid,
     build_near_degenerate_scenario,
     build_reversal_scenario,
 )
-from conftest import SX, random_density
+from conftest import SX, blocked_superoperator, dense_superoperator, random_density
 
 
 class TestBathSpectrum:
@@ -123,6 +120,16 @@ class TestEigenoperators:
         assert abs(a0[1, 2]) > 0.4 and abs(a0[0, 0] - 0.3) < 1e-14
         assert abs(a0[0, 1]) < 1e-14
 
+    def test_leaking_operator_rejected(self):
+        """A(1) with an element between levels 1 apart and one between degenerate levels."""
+        els = build_level_structure(HermitianObservable(np.diag([0.0, 1.0, 1.0])))
+        a = np.zeros((3, 3), dtype=complex)
+        a[0, 1] = 1.0
+        JumpOperatorSet(frequencies=(-1.0, 1.0), operators=(a.conj().T, a), els=els)
+        a[1, 2] = 1e-9
+        with pytest.raises(InvariantViolation, match="leaks between levels 1 and 1"):
+            JumpOperatorSet(frequencies=(-1.0, 1.0), operators=(a.conj().T, a), els=els)
+
 
 class TestBuildGenerator:
     def test_thermal_stationarity(self, two_qubit_collective):
@@ -149,7 +156,8 @@ class TestBuildGenerator:
     def test_identity_coupling_gives_zero_generator(self):
         els = build_level_structure(HermitianObservable(np.diag([0.0, 1.0, 1.0])))
         gen = build_generator([HermitianObservable(np.eye(3))], els, flat_bath(0.3, 1.0))
-        assert np.max(np.abs(gen.superoperator)) < 1e-14
+        assert np.max(np.abs(dense_superoperator(gen))) < 1e-14
+        assert max(np.max(np.abs(block)) for _, block in gen.blocks) < 1e-14
 
     def test_lamb_shift_preserves_stationarity(self, two_qubit_collective):
         _, system, els, _ = two_qubit_collective
@@ -166,7 +174,8 @@ class TestBuildGenerator:
         seed=st.integers(0, 10_000),
     )
     def test_channels_add_propagate_and_stay_positive(self, levels, channels, beta_b, mix, seed):
-        """Random degeneracy pattern, one or two random channels, a state with lambda_min >= 1e-3."""
+        """Random degeneracy pattern, one or two random channels, a state with lambda_min >= 1e-3:
+        blocks equal to the dense reference, channels adding exactly, propagate against expm."""
         d = len(levels)
         els = build_level_structure(HermitianObservable(np.diag(np.sort(levels).astype(float))))
         rng = np.random.default_rng(seed)
@@ -176,9 +185,11 @@ class TestBuildGenerator:
             couplings.append(HermitianObservable(0.5 * (g + g.conj().T)))
         bath = flat_bath(0.1, beta_b)
         gen = build_generator(couplings, els, bath)
+        # H is diagonal and sorted, so the labeled eigenbasis is the input basis
+        assert np.array_equal(blocked_superoperator(gen), dense_superoperator(gen))
         if channels == 2:
-            parts = [build_generator([a], els, bath).superoperator for a in couplings]
-            assert np.array_equal(gen.superoperator, parts[0] + parts[1])
+            parts = [blocked_superoperator(build_generator([a], els, bath)) for a in couplings]
+            assert np.array_equal(blocked_superoperator(gen), parts[0] + parts[1])
             assert gen.jumps is None
         else:
             assert gen.jumps is not None
@@ -187,8 +198,9 @@ class TestBuildGenerator:
         rho = DensityMatrix((1.0 - p) * random_density(d, seed) + p * np.eye(d) / d, els.basis_labels)
         vec = rho.elements.reshape(-1)
         times = (-1e-3, 0.5, 5.0)
+        dense = dense_superoperator(gen)
         for t, got in zip(times, gen.propagate(vec, times)):
-            assert np.max(np.abs(got - scipy.linalg.expm(t * gen.superoperator) @ vec)) < 1e-10
+            assert np.max(np.abs(got - scipy.linalg.expm(t * dense) @ vec)) < 1e-10
         snap = instantaneous_rates(gen, rho)
         assert snap.Pi_rate >= -1e-8
         assert -snap.rate_C_v >= -1e-8
@@ -246,14 +258,14 @@ class TestEvolve:
 
 
 def cascade_generator() -> LindbladGenerator:
-    """Decay |0> -> |1> -> |2> at equal rates: L is not diagonalizable."""
+    """Decay |0> -> |1> -> |2> at equal rates, one channel of two terms: L is not diagonalizable."""
     down_01 = np.zeros((3, 3), dtype=complex)
     down_01[1, 0] = 1.0
     down_12 = np.zeros((3, 3), dtype=complex)
     down_12[2, 1] = 1.0
-    L = dissipator_superoperator([(down_01, 0.05), (down_12, 0.05)], 3)
     els = build_level_structure(HermitianObservable(np.diag([0.0, 1.0, 2.0])))
-    return LindbladGenerator(superoperator=L, els=els, bath=flat_bath(0.1, 1.0))
+    channel = ((down_01, 0.05), (down_12, 0.05))
+    return LindbladGenerator(channels=(channel,), els=els, bath=flat_bath(0.1, 1.0))
 
 
 def collective_generator(n: int) -> LindbladGenerator:
@@ -273,7 +285,7 @@ def otto_generator(machine: str, stroke: str) -> LindbladGenerator:
 
 
 def rotated_qutrit_generator() -> LindbladGenerator:
-    """Levels (0, 1, 1) in a basis where H is not diagonal: L has no zero pattern to split."""
+    """Levels (0, 1, 1) in a basis where H is not diagonal: L splits only in the eigenbasis."""
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     els = build_level_structure(HermitianObservable(q @ np.diag([0.0, 1.0, 1.0]) @ q.conj().T))
@@ -297,26 +309,47 @@ BLOCKED_GENERATORS = {
 
 
 class TestPropagate:
-    """The blocked ``propagate`` against the dense expm reference."""
+    """The blocks, ``apply`` and the blocked ``propagate`` against the dense kron reference."""
 
     TIMES = (-1e-3, 5e-4, 5.0)
 
     def check_against_expm(self, gen):
         vec = random_density(gen.dim, 5).reshape(-1)
+        dense = dense_superoperator(gen)
         for t, got in zip(self.TIMES, gen.propagate(vec, self.TIMES)):
-            want = scipy.linalg.expm(t * gen.superoperator) @ vec
+            want = scipy.linalg.expm(t * dense) @ vec
             assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("name", list(BLOCKED_GENERATORS))
+    def test_blocks_equal_dense_reference(self, name):
+        """Exactly when H is diagonal (the eigenbasis permutes the input basis), else to 1e-15."""
+        gen = BLOCKED_GENERATORS[name]()
+        u = np.kron(gen.els.basis_vectors, gen.els.basis_vectors.conj())
+        want = u.conj().T @ dense_superoperator(gen) @ u
+        got = blocked_superoperator(gen)
+        if name == "rotated qutrit":
+            assert np.max(np.abs(got - want)) < 1e-15
+        else:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", list(BLOCKED_GENERATORS))
+    def test_apply_matches_dense_matvec(self, name):
+        gen = BLOCKED_GENERATORS[name]()
+        dense = dense_superoperator(gen)
+        rho = random_density(gen.dim, 7)
+        want = (dense @ rho.reshape(-1)).reshape(gen.dim, gen.dim)
+        assert np.max(np.abs(gen.apply(rho) - want)) <= 1e-14 * max(1.0, np.max(np.abs(dense)))
 
     @pytest.mark.parametrize("name", list(BLOCKED_GENERATORS))
     def test_every_block_against_expm(self, name):
         gen = BLOCKED_GENERATORS[name]()
         self.check_against_expm(gen)
-        assert len(gen._block_eigs) == len(gen._blocks)  # a full state occupies every block
+        assert len(gen._block_eigs) == len(gen.blocks)  # a full state occupies every block
 
     def test_expm_fallback_on_defective_generator(self):
         gen = cascade_generator()
         self.check_against_expm(gen)
-        fallback = [gen._blocks[k].tolist() for k, eig in gen._block_eigs.items() if eig is None]
+        fallback = [gen.blocks[k][0].tolist() for k, eig in gen._block_eigs.items() if eig is None]
         assert fallback == [[0, 4, 8]]  # the populations; each coherence takes its eig
 
     def test_eig_branch_on_collective_generator(self, two_qubit_collective):
@@ -325,18 +358,22 @@ class TestPropagate:
         assert all(eig is not None for eig in gen._block_eigs.values())
 
     def test_blocks_are_the_bohr_sectors(self):
-        sizes = sorted((len(idx) for idx in collective_generator(5)._blocks), reverse=True)
+        sizes = sorted((len(idx) for idx, _ in collective_generator(5).blocks), reverse=True)
         assert sizes == [252, 210, 210, 120, 120, 45, 45, 10, 10, 1, 1]
 
-    def test_non_diagonal_hamiltonian_is_one_block(self):
-        assert len(rotated_qutrit_generator()._blocks) == 1
+    def test_non_diagonal_hamiltonian_splits_into_sectors(self):
+        """Populations with the horizontal coherences of the degenerate level, and one
+        sector per direction of the vertical coherences."""
+        sizes = sorted((len(idx) for idx, _ in rotated_qutrit_generator().blocks), reverse=True)
+        assert sizes == [5, 2, 2]
 
     def test_evolve_on_defective_generator(self):
         gen = cascade_generator()
         rho0 = DensityMatrix(random_density(3, 9), gen.els.basis_labels)
         times = [0.5, 5.0, 40.0]
+        dense = dense_superoperator(gen)
         for t, state in zip(times, evolve(gen, rho0, times)):
-            want = scipy.linalg.expm(t * gen.superoperator) @ rho0.elements.reshape(-1)
+            want = scipy.linalg.expm(t * dense) @ rho0.elements.reshape(-1)
             assert np.max(np.abs(state.elements.reshape(-1) - want)) < 1e-12
 
 
