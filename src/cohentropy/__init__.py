@@ -20,10 +20,7 @@ from .exceptions import (
 from .qcore import (
     DensityMatrix,
     HermitianObservable,
-    matrix_log_on_support,
     partial_trace,
-    relative_entropy,
-    thermal_state,
     trace_distance,
     von_neumann_entropy,
 )
@@ -32,7 +29,6 @@ from .spectrum import (
     build_level_structure,
     coherence_measures,
     dephase_block_diagonal,
-    dephase_diagonal,
     state_functionals,
     thermal_state_of,
 )

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .exceptions import InvariantViolation, RatioUndefined
-from .qcore import DensityMatrix, HermitianObservable, max_abs
+from .qcore import DensityMatrix, HermitianObservable, log_boltzmann_weights, max_abs
 from .spectrum import EnergyLevelStructure, build_level_structure
 
 TABLE_DIM_BUDGET = 4096
@@ -285,10 +284,12 @@ def coupled_basis(spec: SpinEnsembleSpec) -> tuple[CoupledBlock, ...]:
     return _coupled_basis_cached(spec.n, int(round(2 * spec.s)))
 
 
-def _log_zj(j: float, x: float) -> float:
-    """ln sum_{m=-J..J} exp(-m x) with x = omega * beta."""
-    m = np.arange(-j, j + 1.0)
-    return float(logsumexp(-m * x))
+def _log_z(m: np.ndarray, x: float) -> float:
+    """ln sum_m exp(-m x) with x = omega * beta: -m_k x - ln p_k at the largest
+    Boltzmann weight p_k, where ``log_boltzmann_weights`` is exact."""
+    log_w = log_boltzmann_weights(m, x)
+    k = int(np.argmax(log_w))
+    return float(-m[k] * x - log_w[k])
 
 
 def analytic_steady_state(
@@ -304,13 +305,12 @@ def analytic_steady_state(
         raise InvariantViolation(f"dimension {spec.dim} beyond state budget {STATE_DIM_BUDGET}")
     x0 = spec.omega * beta_0
     xb = spec.omega * beta_B
-    log_z1 = _log_zj(spec.s, x0)
+    log_z1 = _log_z(spec.local_m_values(), x0)
     rho = np.zeros((spec.dim, spec.dim), dtype=complex)
     for block in coupled_basis(spec):
-        log_pj = _log_zj(block.J, x0) - spec.n * log_z1
-        log_zjb = _log_zj(block.J, xb)
         m_vals = np.arange(block.J, -block.J - 1e-9, -1.0)
-        lam = np.exp(log_pj - m_vals * xb - log_zjb)
+        log_pj = _log_z(m_vals, x0) - spec.n * log_z1
+        lam = np.exp(log_pj + log_boltzmann_weights(m_vals, xb))
         rho += (block.states.T * lam) @ block.states.conj()
     return DensityMatrix(0.5 * (rho + rho.conj().T), spec.basis_labels())
 
@@ -321,14 +321,14 @@ def delta_C_h_limit(spec: SpinEnsembleSpec, beta_B: float) -> float:
     table = degeneracy_table(spec)
     xb = spec.omega * beta_B
     m = np.array(table.m_values)
-    log_w = -m * xb - logsumexp(-m * xb)
+    log_w = log_boltzmann_weights(m, xb)
     return float(-np.sum(np.exp(log_w) * np.log(np.array(table.I_m, dtype=float))))
 
 
 def _thermal_spectrum(spec: SpinEnsembleSpec, x: float) -> tuple[float, float]:
     """(entropy, energy) of the n-spin product thermal state at omega*beta = x."""
     m = spec.local_m_values()
-    log_w = -m * x - logsumexp(-m * x)
+    log_w = log_boltzmann_weights(m, x)
     w = np.exp(log_w)
     live = w > 0
     s1 = float(-np.sum(w[live] * log_w[live]))
@@ -339,12 +339,12 @@ def _thermal_spectrum(spec: SpinEnsembleSpec, x: float) -> tuple[float, float]:
 def _collective_spectrum(spec: SpinEnsembleSpec, x0: float, xb: float) -> tuple[float, float]:
     """(entropy, energy) of the analytic steady state, from its (J, m) weights."""
     table = degeneracy_table(spec)
-    log_z1 = _log_zj(spec.s, x0)
+    log_z1 = _log_z(spec.local_m_values(), x0)
     total_s = 0.0
     total_e = 0.0
     for j, l in zip(table.J_values, table.l_J):
         m = np.arange(-j, j + 1.0)
-        log_lam = (_log_zj(j, x0) - spec.n * log_z1) - m * xb - _log_zj(j, xb)
+        log_lam = (_log_z(m, x0) - spec.n * log_z1) + log_boltzmann_weights(m, xb)
         lam = np.exp(log_lam)
         live = lam > 0
         total_s += -l * float(np.sum(lam[live] * log_lam[live]))

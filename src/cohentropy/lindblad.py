@@ -19,7 +19,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     DiagonalizationFailure,
@@ -294,6 +293,8 @@ class LindbladGenerator:
                 w, vec, vinv = eig
                 out[:, idx] = (np.exp(np.outer(ts, w)) * (vinv @ x)) @ vec.T
                 continue
+            import scipy.linalg  # only a defective block needs scipy
+
             for j, dt in enumerate(np.diff(ts, prepend=0.0)):
                 x = scipy.linalg.expm(block * dt) @ x
                 out[j, idx] = x

@@ -1,7 +1,8 @@
 """Dense Hermitian linear algebra and information-theoretic primitives.
 
 Conventions: entropies are in nats (natural log), hbar = 1, eigenvalues of a
-density matrix below ``CLIP_FLOOR`` are treated as exactly zero (null space).
+density matrix below ``CLIP_FLOOR`` are treated as exactly zero (null space);
+Boltzmann weights are never clipped (``log_boltzmann_weights``).
 """
 
 from __future__ import annotations
@@ -143,14 +144,19 @@ def log_of_spectrum(lam: np.ndarray) -> np.ndarray:
     return np.where(lam > CLIP_FLOOR, np.log(np.maximum(lam, CLIP_FLOOR)), 0.0)
 
 
-def boltzmann_weights(energies: np.ndarray, beta: float) -> np.ndarray:
-    """exp(-beta e)/Z with an overflow shift; beta may be negative, and for |beta| *
-    spread large the weights go to the uniform ones on the extremal energies."""
+def log_boltzmann_weights(energies: np.ndarray, beta: float) -> np.ndarray:
+    """-beta e - ln Z by a shifted log-sum-exp: exact for every finite beta of either
+    sign, never clipped, so a Boltzmann state has no null space."""
     if not np.isfinite(beta):
         raise InvariantViolation("beta must be finite")
     exponent = -beta * np.asarray(energies, dtype=float)
-    weights = np.exp(exponent - exponent.max())
-    return weights / weights.sum()
+    shifted = exponent - exponent.max()
+    return shifted - np.log(np.exp(shifted).sum())
+
+
+def boltzmann_weights(energies: np.ndarray, beta: float) -> np.ndarray:
+    """exp(-beta e)/Z, the exponential of ``log_boltzmann_weights``."""
+    return np.exp(log_boltzmann_weights(energies, beta))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -158,24 +164,16 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return entropy_of_spectrum(np.linalg.eigvalsh(rho.elements))
 
 
-def matrix_log_on_support(rho: DensityMatrix | np.ndarray) -> HermitianObservable:
-    """U diag(ln lambda) U^dag restricted to eigenvalues above the clip floor.
-
-    On the null space the log is defined as 0; callers must pair the result
-    with states supported on the support of ``rho``.
-    """
-    m = rho.elements if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    lam, vec = np.linalg.eigh(0.5 * (m + m.conj().T))
-    out = (vec * log_of_spectrum(lam)) @ vec.conj().T
-    return HermitianObservable(0.5 * (out + out.conj().T))
-
-
 def relative_entropy_from_logs(
-    sigma: np.ndarray, log_sigma: np.ndarray, log_rho: np.ndarray, rho_null: np.ndarray
+    sigma: np.ndarray,
+    log_sigma: np.ndarray,
+    log_rho: np.ndarray,
+    rho_null: np.ndarray | None = None,
 ) -> float:
     """Tr sigma (ln sigma - ln rho) from logs on the supports, all in one basis; +inf if
-    sigma weighs more than SUPPORT_WEIGHT_TOL on the columns of ``rho_null``."""
-    if rho_null.shape[1]:
+    sigma weighs more than SUPPORT_WEIGHT_TOL on the columns of ``rho_null`` (None: rho
+    has full support)."""
+    if rho_null is not None and rho_null.shape[1]:
         weight = float(np.trace(rho_null.conj().T @ sigma @ rho_null).real)
         if weight > SUPPORT_WEIGHT_TOL:
             return float("inf")
@@ -183,25 +181,6 @@ def relative_entropy_from_logs(
     if val < -POSITIVITY_TOL:
         raise InvariantViolation(f"relative entropy {val:.3e} below -{POSITIVITY_TOL}")
     return val
-
-
-def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix) -> float:
-    """Tr sigma (ln sigma - ln rho); +inf if supp(sigma) is not in supp(rho)."""
-    if sigma.dim != rho.dim:
-        raise ShapeMismatch(f"dimension mismatch {sigma.dim} != {rho.dim}")
-    if sigma.basis_labels != rho.basis_labels:
-        raise ShapeMismatch("basis labels differ between sigma and rho")
-    lam, vec = np.linalg.eigh(rho.elements)
-    log_rho = (vec * log_of_spectrum(lam)) @ vec.conj().T
-    log_sigma = matrix_log_on_support(sigma).elements
-    return relative_entropy_from_logs(sigma.elements, log_sigma, log_rho, vec[:, lam <= CLIP_FLOOR])
-
-
-def thermal_state(H: HermitianObservable, beta: float, labels: tuple[str, ...] = ()) -> DensityMatrix:
-    """exp(-beta H)/Z in the eigenbasis of H, with the weights of ``boltzmann_weights``."""
-    lam, vec = np.linalg.eigh(H.elements)
-    m = (vec * boltzmann_weights(lam, beta)) @ vec.conj().T
-    return DensityMatrix(0.5 * (m + m.conj().T), labels)
 
 
 def partial_trace(

@@ -1,9 +1,10 @@
-"""Degenerate energy-level structure and the two dephasing cuts.
+"""Degenerate energy-level structure, the two dephasing cuts and the state functionals.
 
-The diagonal cut kills every off-diagonal element in the labeled eigenbasis;
-the block-diagonal cut kills only coherences between different energy levels
-(vertical coherences), leaving coherences inside each degenerate eigenspace
-(horizontal coherences) untouched.
+The diagonal cut kills every off-diagonal element in the labeled eigenbasis
+(``state_functionals`` reads it as the populations); the block-diagonal cut
+kills only coherences between different energy levels (vertical coherences),
+leaving coherences inside each degenerate eigenspace (horizontal coherences)
+untouched.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .qcore import (
     boltzmann_weights,
     default_labels,
     entropy_of_spectrum,
+    log_boltzmann_weights,
     log_of_spectrum,
     max_abs,
     relative_entropy_from_logs,
@@ -231,14 +233,6 @@ def dephase_block_diagonal(rho: DensityMatrix, els: EnergyLevelStructure) -> Den
     return DensityMatrix(0.5 * (out + out.conj().T), rho.basis_labels)
 
 
-def dephase_diagonal(rho: DensityMatrix, els: EnergyLevelStructure) -> DensityMatrix:
-    """Zero all off-diagonal elements in the labeled eigenbasis."""
-    _check_state(rho, els)
-    v = els.basis_vectors
-    out = (v * els.to_labeled(rho.elements).diagonal().real) @ v.conj().T
-    return DensityMatrix(0.5 * (out + out.conj().T), rho.basis_labels)
-
-
 @dataclass(frozen=True)
 class StateFunctionals:
     """Functionals of one state at beta, plus ln rho, ln rho_BD, ln rho_D and ln rho_th
@@ -261,7 +255,8 @@ class StateFunctionals:
 def state_functionals(rho: DensityMatrix, els: EnergyLevelStructure, beta: float) -> StateFunctionals:
     """S, C_v, C_h, D_th, E_S and F_D from two eigendecompositions of r = V^dag rho V.
 
-    The spectra of rho_D and rho_th are diag(r) and the Boltzmann weights.
+    The spectrum of rho_D is diag(r); ln rho_th is ``log_boltzmann_weights`` of the
+    level energies, exact and never clipped, so D_th is finite at every finite beta.
     C_v = S(rho_BD) - S(rho) and C_h = S(rho_D) - S(rho_BD) must agree with
     S(rho|rho_BD) and S(rho_BD|rho_D) to 1e-8; F_D is nan at beta = 0.
     """
@@ -271,22 +266,20 @@ def state_functionals(rho: DensityMatrix, els: EnergyLevelStructure, beta: float
     lam, u = np.linalg.eigh(r)
     lam_bd, u_bd = np.linalg.eigh(bd)
     pops = r.diagonal().real
-    weights = boltzmann_weights(els.index_energies, beta)
     log_rho = (u * log_of_spectrum(lam)) @ u.conj().T
     log_bd = (u_bd * log_of_spectrum(lam_bd)) @ u_bd.conj().T
     log_d = np.diag(log_of_spectrum(pops))
-    log_th = np.diag(log_of_spectrum(weights))
+    log_th = np.diag(log_boltzmann_weights(els.index_energies, beta))
     s, s_bd, s_d = (entropy_of_spectrum(x) for x in (lam, lam_bd, pops))
     c_v, c_h = s_bd - s, s_d - s_bd
-    eye = np.eye(els.dim)
     alt_v = relative_entropy_from_logs(r, log_rho, log_bd, u_bd[:, lam_bd <= CLIP_FLOOR])
-    alt_h = relative_entropy_from_logs(bd, log_bd, log_d, eye[:, pops <= CLIP_FLOOR])
+    alt_h = relative_entropy_from_logs(bd, log_bd, log_d, np.eye(els.dim)[:, pops <= CLIP_FLOOR])
     if abs(alt_v - c_v) > MEASURE_CONSISTENCY_TOL or abs(alt_h - c_h) > MEASURE_CONSISTENCY_TOL:
         raise InvariantViolation(
             f"coherence measures disagree with relative-entropy forms: "
             f"C_v {c_v:.3e} vs {alt_v:.3e}, C_h {c_h:.3e} vs {alt_h:.3e}"
         )
-    d_th = relative_entropy_from_logs(np.diag(pops), log_d, log_th, eye[:, weights <= CLIP_FLOOR])
+    d_th = relative_entropy_from_logs(np.diag(pops), log_d, log_th)
     e_s = float(pops @ els.index_energies)
     f_d = e_s - s_d / beta if beta != 0.0 else float("nan")
     null = els.basis_vectors @ u[:, lam <= CLIP_FLOOR]

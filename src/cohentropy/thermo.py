@@ -35,6 +35,7 @@ from .qcore import (
     HermitianObservable,
     _as_square_complex,
     boltzmann_weights,
+    log_boltzmann_weights,
     log_of_spectrum,
     max_abs,
     relative_entropy_from_logs,
@@ -349,6 +350,8 @@ def complementarity_report(
     diagonal cut.  Entries based on the thermal-populations identity require
     p_0 to be thermal to ``fit_tol``; otherwise the report is marked
     not-applicable (only the convention-free check (i) is still evaluated).
+    The backtrack S(p_t|p_0) takes ln p_0 as the exact log Boltzmann weights
+    at the fitted beta_0, so it stays finite however cold the start.
     """
     if not series.states:
         raise InvariantViolation("series carries no states; rebuild with decompose_series")
@@ -358,8 +361,8 @@ def complementarity_report(
     beta0, residual = fit_inverse_temperature(pops0, els)
     applicable = math.isfinite(beta0) and residual <= fit_tol
     flags = () if applicable else (FLAG_NOT_APPLICABLE,)
-    log0 = np.diag(log_of_spectrum(pops0))
-    null0 = np.eye(els.dim)[:, pops0 <= CLIP_FLOOR]
+    if applicable:
+        log0 = np.diag(log_boltzmann_weights(els.index_energies, beta0))
 
     entries: list[ComplementarityEntry] = []
     for snap, state in zip(series.snapshots[1:], series.states[1:]):
@@ -369,9 +372,8 @@ def complementarity_report(
         if applicable:
             weighted = (beta0 - series.beta_B) * (snap.E_S - first.E_S)
             pops = els.to_labeled(state.elements).diagonal().real
-            backtrack = relative_entropy_from_logs(
-                np.diag(pops), np.diag(log_of_spectrum(pops)), log0, null0
-            )
+            log_p = np.diag(log_of_spectrum(pops))
+            backtrack = relative_entropy_from_logs(np.diag(pops), log_p, log0)
             resid = minus_ddth - (weighted - backtrack)
             energy_ok = abs(resid) <= tol
             reversal_active = weighted < 0.0

@@ -2,15 +2,61 @@ import numpy as np
 import pytest
 
 from cohentropy import (
+    DensityMatrix,
     HermitianObservable,
+    ShapeMismatch,
     build_generator,
     build_level_structure,
     collective_coupling,
     flat_bath,
     SpinEnsembleSpec,
 )
+from cohentropy.qcore import (
+    CLIP_FLOOR,
+    boltzmann_weights,
+    log_of_spectrum,
+    relative_entropy_from_logs,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def matrix_log_on_support(rho) -> HermitianObservable:
+    """Reference ln rho: U diag(ln lambda) U^dag on eigenvalues above the clip floor, 0 on
+    the null space."""
+    m = rho.elements if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    lam, vec = np.linalg.eigh(0.5 * (m + m.conj().T))
+    out = (vec * log_of_spectrum(lam)) @ vec.conj().T
+    return HermitianObservable(0.5 * (out + out.conj().T))
+
+
+def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix) -> float:
+    """Reference Tr sigma (ln sigma - ln rho) from the full matrices; +inf if supp(sigma)
+    is not in supp(rho) (eigenvalues of rho at or below the clip floor count as null)."""
+    if sigma.dim != rho.dim:
+        raise ShapeMismatch(f"dimension mismatch {sigma.dim} != {rho.dim}")
+    if sigma.basis_labels != rho.basis_labels:
+        raise ShapeMismatch("basis labels differ between sigma and rho")
+    lam, vec = np.linalg.eigh(rho.elements)
+    log_rho = (vec * log_of_spectrum(lam)) @ vec.conj().T
+    log_sigma = matrix_log_on_support(sigma).elements
+    return relative_entropy_from_logs(sigma.elements, log_sigma, log_rho, vec[:, lam <= CLIP_FLOOR])
+
+
+def thermal_state(H: HermitianObservable, beta: float, labels: tuple[str, ...] = ()) -> DensityMatrix:
+    """Reference exp(-beta H)/Z from an eigendecomposition of H."""
+    lam, vec = np.linalg.eigh(H.elements)
+    m = (vec * boltzmann_weights(lam, beta)) @ vec.conj().T
+    return DensityMatrix(0.5 * (m + m.conj().T), labels)
+
+
+def dephase_diagonal(rho: DensityMatrix, els) -> DensityMatrix:
+    """Reference diagonal cut: zero every off-diagonal element in the labeled eigenbasis."""
+    if rho.dim != els.dim:
+        raise ShapeMismatch(f"state dimension {rho.dim} != structure dimension {els.dim}")
+    v = els.basis_vectors
+    out = (v * els.to_labeled(rho.elements).diagonal().real) @ v.conj().T
+    return DensityMatrix(0.5 * (out + out.conj().T), rho.basis_labels)
 
 
 def dissipator_superoperator(ops_with_gamma, dim: int) -> np.ndarray:

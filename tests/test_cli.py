@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,13 @@ import pytest
 from cohentropy import cli
 from cohentropy.acceptance import CriterionResult
 from cohentropy.cli import main
-from cohentropy.scenarios import CSV_HEADER, LINDBLAD_DIM_BUDGET, config_from_json, parse_config
+from cohentropy.scenarios import (
+    CSV_HEADER,
+    LINDBLAD_DIM_BUDGET,
+    config_from_json,
+    parse_config,
+    run_scenario_config,
+)
 from cohentropy.exceptions import ConfigError
 
 
@@ -225,6 +232,32 @@ class TestRunCommand:
         summary = (out / "summary.txt").read_text()
         assert "beta_B_omega,Pi_th,Pi_col,ratio" in summary
         assert "ratio_within_5_percent: pass" in summary
+
+
+@pytest.mark.parametrize(
+    "config, failure",
+    [
+        # beta_B omega = 20: the rates and the FD check read ln rho_th of weight e^-40
+        ({"scenario": "collective-spins", "n": 2, "beta_0": 1.0, "beta_B": 20.0},
+         "ratio_within_5_percent: FAIL"),
+        # a beta_0 = 50 thermal start: the backtrack reads ln p_0 of weight e^-100
+        ({"scenario": "heat-flow-reversal", "coherence_amplitude": 0}, "heat_flow_reversed: no"),
+    ],
+)
+def test_cold_thermal_weights_keep_exact_logs(config, failure):
+    """A Boltzmann weight below the clip floor keeps its exact log, so the run fails only
+    its genuine physics limit: the ratio at beta_0 omega = 1, no reversal without coherence."""
+    out = run_scenario_config(parse_config(config))
+    assert re.findall(r"^\w+: (?:FAIL|no)$", out.summary_text, re.M) == [failure]
+    assert out.invariant_failures == 1
+
+
+def test_cli_import_loads_no_scipy():
+    """Only a non-diagonalizable generator block (its expm fallback) imports scipy."""
+    code = "import sys, cohentropy.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")

@@ -14,7 +14,6 @@ from cohentropy import (
     coupled_basis,
     degeneracy_table,
     delta_C_h_limit,
-    dephase_diagonal,
     entropy_production_ratio,
     flat_bath,
     thermal_state_of,
@@ -22,6 +21,7 @@ from cohentropy import (
 )
 from cohentropy.collective import SpinEnsembleSpec, local_couplings, spin_matrices, _embed
 from cohentropy.lindblad import build_generator
+from conftest import dephase_diagonal
 
 
 def enumerate_multiplicities(n: int, s: float) -> dict[float, int]:

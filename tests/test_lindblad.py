@@ -16,7 +16,6 @@ from cohentropy import (
     build_level_structure,
     collective_coupling,
     dephase_block_diagonal,
-    dephase_diagonal,
     eigenoperators,
     evolve,
     flat_bath,
@@ -32,7 +31,13 @@ from cohentropy.scenarios import (
     build_near_degenerate_scenario,
     build_reversal_scenario,
 )
-from conftest import SX, blocked_superoperator, dense_superoperator, random_density
+from conftest import (
+    SX,
+    blocked_superoperator,
+    dense_superoperator,
+    dephase_diagonal,
+    random_density,
+)
 
 
 class TestBathSpectrum:

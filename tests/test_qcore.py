@@ -9,14 +9,11 @@ from cohentropy import (
     HermitianObservable,
     InvariantViolation,
     ShapeMismatch,
-    matrix_log_on_support,
     partial_trace,
-    relative_entropy,
-    thermal_state,
     von_neumann_entropy,
 )
 from cohentropy.qcore import max_admissible_amplitude, tensor_labels
-from conftest import random_density
+from conftest import matrix_log_on_support, random_density, relative_entropy, thermal_state
 
 
 class TestDensityMatrix:

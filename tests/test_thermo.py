@@ -22,7 +22,7 @@ from cohentropy import (
 from cohentropy.collective import SpinEnsembleSpec, collective_coupling, local_couplings
 from cohentropy.scenarios import build_reversal_scenario
 from cohentropy.thermo import _resymm
-from conftest import random_density
+from conftest import matrix_log_on_support, random_density
 
 
 class TestInstantaneousRates:
@@ -61,7 +61,6 @@ class TestInstantaneousRates:
         _, _, els, gen = two_qubit_collective
         rho = DensityMatrix(random_density(4, 91), els.basis_labels)
         snap = instantaneous_rates(gen, rho)
-        from cohentropy import matrix_log_on_support
         ds_dt = -float(np.trace(gen.apply(rho) @ matrix_log_on_support(rho).elements).real)
         assert ds_dt == pytest.approx(snap.Pi_rate + snap.Phi_rate, abs=1e-10)
 
