@@ -20,7 +20,6 @@ from .exceptions import (
 from .qcore import (
     DensityMatrix,
     HermitianObservable,
-    partial_trace,
     trace_distance,
     von_neumann_entropy,
 )
@@ -28,7 +27,6 @@ from .spectrum import (
     EnergyLevelStructure,
     build_level_structure,
     coherence_measures,
-    dephase_block_diagonal,
     state_functionals,
     thermal_state_of,
 )

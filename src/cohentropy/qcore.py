@@ -62,6 +62,19 @@ class HermitianObservable:
         return self.elements.shape[0]
 
 
+def _hermitian_unit_trace(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag)/2 of a square complex matrix that is Hermitian to HERMITICITY_TOL and
+    of unit trace to TRACE_TOL: the checks of a state that come before positivity."""
+    herm_dev = max_abs(m - m.conj().T)
+    if herm_dev > HERMITICITY_TOL:
+        raise InvariantViolation(f"not Hermitian (max deviation {herm_dev:.3e})")
+    m = 0.5 * (m + m.conj().T)
+    tr = m.trace()
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise InvariantViolation(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
+    return m
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix in a labeled basis."""
@@ -70,20 +83,14 @@ class DensityMatrix:
     basis_labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self, lam_min: float | None = None):
-        """Check and freeze the fields; ``cleaned_state`` passes the lowest eigenvalue it has."""
+        """Check and freeze the fields; ``_state_with_known_min`` passes the lowest eigenvalue."""
         m = _as_square_complex(self.elements)
         labels = tuple(self.basis_labels) or default_labels(m.shape[0])
         if len(labels) != m.shape[0]:
             raise ShapeMismatch(
                 f"{len(labels)} basis labels for dimension {m.shape[0]}"
             )
-        herm_dev = max_abs(m - m.conj().T)
-        if herm_dev > HERMITICITY_TOL:
-            raise InvariantViolation(f"not Hermitian (max deviation {herm_dev:.3e})")
-        m = 0.5 * (m + m.conj().T)
-        tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvariantViolation(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
+        m = _hermitian_unit_trace(m)
         if lam_min is None:
             lam_min = float(np.linalg.eigvalsh(m)[0])
         if lam_min < -POSITIVITY_TOL:
@@ -125,6 +132,13 @@ def cleaned_state(
         m = (v * np.clip(w, 0.0, None)) @ v.conj().T
         m = 0.5 * (m + m.conj().T)
         m, lam_min = m / m.trace().real, 0.0  # the clipped spectrum's lowest value
+    return _state_with_known_min(m, basis_labels, lam_min)
+
+
+def _state_with_known_min(
+    m: np.ndarray, basis_labels: tuple[str, ...], lam_min: float
+) -> DensityMatrix:
+    """A DensityMatrix validated with its lowest eigenvalue ``lam_min`` known: no eigvalsh."""
     state = object.__new__(DensityMatrix)
     state.__dict__.update(elements=m, basis_labels=basis_labels)
     state.__post_init__(lam_min)
@@ -181,38 +195,6 @@ def relative_entropy_from_logs(
     if val < -POSITIVITY_TOL:
         raise InvariantViolation(f"relative entropy {val:.3e} below -{POSITIVITY_TOL}")
     return val
-
-
-def partial_trace(
-    rho_joint: DensityMatrix,
-    dims: tuple[int, int],
-    keep: str,
-) -> DensityMatrix:
-    """Reduced state on factor ``keep`` in {"A", "B"} of a bipartite state."""
-    d_a, d_b = dims
-    if d_a * d_b != rho_joint.dim:
-        raise ShapeMismatch(f"dims {dims} incompatible with dimension {rho_joint.dim}")
-    if keep not in ("A", "B"):
-        raise ShapeMismatch(f"keep must be 'A' or 'B', got {keep!r}")
-    r = rho_joint.elements.reshape(d_a, d_b, d_a, d_b)
-    if keep == "A":
-        reduced = np.einsum("ikjk->ij", r)
-    else:
-        reduced = np.einsum("kikj->ij", r)
-    labels = _factor_labels(rho_joint.basis_labels, dims, keep)
-    return DensityMatrix(0.5 * (reduced + reduced.conj().T), labels)
-
-
-def _factor_labels(joint: tuple[str, ...], dims: tuple[int, int], keep: str) -> tuple[str, ...]:
-    """Recover factor labels when the joint labels are 'a*b' products."""
-    d_a, d_b = dims
-    parts = [lab.split("*", 1) for lab in joint]
-    if all(len(p) == 2 for p in parts):
-        cand_a = tuple(parts[i * d_b][0] for i in range(d_a))
-        cand_b = tuple(parts[j][1] for j in range(d_b))
-        if tensor_labels(cand_a, cand_b) == joint:
-            return cand_a if keep == "A" else cand_b
-    return default_labels(d_a if keep == "A" else d_b)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -174,6 +174,8 @@ class ScenarioConfig:
             raise ConfigError("delta must be nonnegative")
         if self.seeds < 1:
             raise ConfigError("seeds must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.n < 1 or self.s <= 0 or round(2 * self.s) != 2 * self.s:
             raise ConfigError("need n >= 1 and positive half-integer s")
         dim = int(round(2 * self.s + 1)) ** self.n

@@ -1,10 +1,10 @@
-"""Degenerate energy-level structure, the two dephasing cuts and the state functionals.
+"""Degenerate energy-level structure and the state functionals of its two dephasing cuts.
 
 The diagonal cut kills every off-diagonal element in the labeled eigenbasis
 (``state_functionals`` reads it as the populations); the block-diagonal cut
-kills only coherences between different energy levels (vertical coherences),
-leaving coherences inside each degenerate eigenspace (horizontal coherences)
-untouched.
+(the ``same_level`` mask) kills only coherences between different energy
+levels (vertical coherences), leaving coherences inside each degenerate
+eigenspace (horizontal coherences) untouched.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ from .qcore import (
     CLIP_FLOOR,
     DensityMatrix,
     HermitianObservable,
+    _as_square_complex,
+    _hermitian_unit_trace,
+    _state_with_known_min,
     boltzmann_weights,
     default_labels,
     entropy_of_spectrum,
@@ -38,7 +41,7 @@ HORIZON_FACTOR = 0.1
 
 @dataclass(frozen=True)
 class EnergyLevelStructure:
-    """Clustered spectrum: level energies e_n, degeneracies l_n, projectors pi_n.
+    """Clustered spectrum: level energies e_n and degeneracies l_n.
 
     ``basis_vectors`` columns are the chosen eigenbasis |n,i> ordered by
     (level, in-level index); the diagonal cut is taken in this basis.  When the
@@ -124,11 +127,6 @@ class EnergyLevelStructure:
     def to_labeled(self, m: np.ndarray) -> np.ndarray:
         """V^dag m V: the operator m written in the labeled eigenbasis."""
         return self.basis_vectors.conj().T @ m @ self.basis_vectors
-
-    def projector(self, n: int) -> np.ndarray:
-        """pi_n = sum_i |n,i><n,i|."""
-        block = self.basis_vectors[:, self.level_of_index == n]
-        return block @ block.conj().T
 
     def hamiltonian(self) -> HermitianObservable:
         """sum_n e_n pi_n, the representative (clustered) Hamiltonian, built once."""
@@ -220,19 +218,6 @@ def _order_and_fix_phase(block: np.ndarray) -> np.ndarray:
     return fixed
 
 
-def _check_state(rho: DensityMatrix, els: EnergyLevelStructure) -> None:
-    if rho.dim != els.dim:
-        raise ShapeMismatch(f"state dimension {rho.dim} != structure dimension {els.dim}")
-
-
-def dephase_block_diagonal(rho: DensityMatrix, els: EnergyLevelStructure) -> DensityMatrix:
-    """sum_n pi_n rho pi_n: kills vertical coherences only."""
-    _check_state(rho, els)
-    v = els.basis_vectors
-    out = v @ np.where(els.same_level, els.to_labeled(rho.elements), 0.0) @ v.conj().T
-    return DensityMatrix(0.5 * (out + out.conj().T), rho.basis_labels)
-
-
 @dataclass(frozen=True)
 class StateFunctionals:
     """Functionals of one state at beta, plus ln rho, ln rho_BD, ln rho_D and ln rho_th
@@ -252,16 +237,27 @@ class StateFunctionals:
     null: np.ndarray
 
 
-def state_functionals(rho: DensityMatrix, els: EnergyLevelStructure, beta: float) -> StateFunctionals:
+def state_functionals(
+    rho: DensityMatrix | np.ndarray, els: EnergyLevelStructure, beta: float
+) -> StateFunctionals:
     """S, C_v, C_h, D_th, E_S and F_D from two eigendecompositions of r = V^dag rho V.
 
+    A DensityMatrix was validated where it was built.  An array, a state the library
+    derived from validated ones, gets the same checks here: Hermitian and of unit trace
+    as in DensityMatrix, and no eigenvalue of r below -POSITIVITY_TOL, which
+    ``log_of_spectrum`` enforces on the spectrum the kernel computes anyway.
     The spectrum of rho_D is diag(r); ln rho_th is ``log_boltzmann_weights`` of the
     level energies, exact and never clipped, so D_th is finite at every finite beta.
     C_v = S(rho_BD) - S(rho) and C_h = S(rho_D) - S(rho_BD) must agree with
     S(rho|rho_BD) and S(rho_BD|rho_D) to 1e-8; F_D is nan at beta = 0.
     """
-    _check_state(rho, els)
-    r = els.to_labeled(rho.elements)
+    if isinstance(rho, DensityMatrix):
+        m = rho.elements
+    else:
+        m = _hermitian_unit_trace(_as_square_complex(rho))
+    if m.shape[0] != els.dim:
+        raise ShapeMismatch(f"state dimension {m.shape[0]} != structure dimension {els.dim}")
+    r = els.to_labeled(m)
     bd = np.where(els.same_level, r, 0.0)
     lam, u = np.linalg.eigh(r)
     lam_bd, u_bd = np.linalg.eigh(bd)
@@ -294,7 +290,9 @@ def coherence_measures(rho: DensityMatrix, els: EnergyLevelStructure) -> tuple[f
 
 def thermal_state_of(els: EnergyLevelStructure, beta: float) -> DensityMatrix:
     """Thermal state of the clustered Hamiltonian: V diag(Boltzmann weights of the
-    level energies) V^dag in the structure's own eigenbasis, without a diagonalization."""
+    level energies) V^dag in the structure's own eigenbasis, validated with its known
+    lowest eigenvalue: no eigendecomposition."""
     v = els.basis_vectors
-    m = (v * boltzmann_weights(els.index_energies, beta)) @ v.conj().T
-    return DensityMatrix(0.5 * (m + m.conj().T), els.basis_labels)
+    w = boltzmann_weights(els.index_energies, beta)
+    m = (v * w) @ v.conj().T
+    return _state_with_known_min(0.5 * (m + m.conj().T), els.basis_labels, float(w.min()))

@@ -59,6 +59,33 @@ def dephase_diagonal(rho: DensityMatrix, els) -> DensityMatrix:
     return DensityMatrix(0.5 * (out + out.conj().T), rho.basis_labels)
 
 
+def projector(els, n: int) -> np.ndarray:
+    """pi_n = sum_i |n,i><n,i|, from the eigenbasis columns of level n."""
+    block = els.basis_vectors[:, els.level_of_index == n]
+    return block @ block.conj().T
+
+
+def dephase_block_diagonal(rho: DensityMatrix, els) -> DensityMatrix:
+    """Reference block-diagonal cut sum_n pi_n rho pi_n, independent of the level mask."""
+    if rho.dim != els.dim:
+        raise ShapeMismatch(f"state dimension {rho.dim} != structure dimension {els.dim}")
+    pis = [projector(els, n) for n in range(els.n_levels)]
+    out = sum(p @ rho.elements @ p for p in pis)
+    return DensityMatrix(0.5 * (out + out.conj().T), rho.basis_labels)
+
+
+def partial_trace(rho_joint: DensityMatrix, dims: tuple[int, int], keep: str) -> DensityMatrix:
+    """Reference reduced state on factor ``keep`` in {"A", "B"} of a bipartite state."""
+    d_a, d_b = dims
+    if d_a * d_b != rho_joint.dim:
+        raise ShapeMismatch(f"dims {dims} incompatible with dimension {rho_joint.dim}")
+    if keep not in ("A", "B"):
+        raise ShapeMismatch(f"keep must be 'A' or 'B', got {keep!r}")
+    r = rho_joint.elements.reshape(d_a, d_b, d_a, d_b)
+    reduced = np.einsum("ikjk->ij", r) if keep == "A" else np.einsum("kikj->ij", r)
+    return DensityMatrix(0.5 * (reduced + reduced.conj().T))
+
+
 def dissipator_superoperator(ops_with_gamma, dim: int) -> np.ndarray:
     """Reference dense L: sum_k { Gamma_k [A X Ad - AdA X] + Gamma_k* [A X Ad - X AdA] }
     on row-stacked X, vec(A X B) = (A kron B^T) vec(X)."""

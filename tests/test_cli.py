@@ -104,6 +104,21 @@ class TestConfigValues:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, extra", [
+        ('{"scenario": "thermal-operation", "seed": -1, "seeds": 1}', []),
+        (None, ["--seed", "-3"]),
+    ])
+    def test_negative_seed_exits_1_without_outputs(self, tmp_path, capsys, config, extra):
+        """A negative seed is a configuration error, never a numpy traceback."""
+        path = Path(__file__).parent.parent / "configs" / "thermal_operation.json"
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(config)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out), *extra]) == 1
+        assert "configuration error: seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_float_field_accepted(self):
         assert parse_config({"scenario": "collective-spins", "beta_B": 2}).beta_B == 2
 

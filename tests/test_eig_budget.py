@@ -2,7 +2,11 @@
 
 Every state functional comes from ``spectrum.state_functionals``, which needs
 two eigendecompositions; these counts catch a second functional path, and
-the complementarity report, which reads only populations, needs none.  Every
+the complementarity report, which reads only populations, needs none.  A
+state the library derives from validated ones (a thermal operation's outputs,
+a finite-difference shift) is validated by the kernel from those two
+decompositions, and a thermal state from its known Boltzmann weights, so
+neither pays a decomposition of its own.  Every
 finite-time exp(t L) comes from ``LindbladGenerator.propagate``, which needs
 one ``eig`` per occupied block of L and no ``expm`` when the block is
 diagonalizable; the per-config counts catch a second propagation path, and a
@@ -30,6 +34,7 @@ from cohentropy import (
     sample_energy_conserving_unitary,
     thermal_state_of,
 )
+from cohentropy.thermo import check_rates_by_finite_differences
 from cohentropy.scenarios import (
     coherent_prepared_state,
     config_from_json,
@@ -41,12 +46,13 @@ from conftest import random_density
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """Counter of np.linalg.eigh and np.linalg.eigvalsh calls."""
+    """Counter of the matrices np.linalg.eigh and np.linalg.eigvalsh decompose: a call
+    counts the product of its leading dimensions, so a batched call hides no work."""
     calls = {"n": 0}
     for name in ("eigh", "eigvalsh"):
-        def counted(*args, _orig=getattr(np.linalg, name), **kwargs):
-            calls["n"] += 1
-            return _orig(*args, **kwargs)
+        def counted(a, *args, _orig=getattr(np.linalg, name), **kwargs):
+            calls["n"] += int(np.prod(np.shape(a)[:-2]))
+            return _orig(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
@@ -67,7 +73,24 @@ def test_conservation_report_budget(eig_calls, index):
     u = sample_energy_conserving_unitary(sys_, 4)
     eig_calls["n"] = 0
     conservation_report(sys_, u, rho_s, rho_b, 1.3)
-    assert 1 <= eig_calls["n"] <= 19
+    assert eig_calls["n"] == 12  # two kernel decompositions for each of six states
+
+
+def test_thermal_state_budget(two_qubit_collective, eig_calls):
+    *_, els, _ = two_qubit_collective
+    eig_calls["n"] = 0
+    thermal_state_of(els, 2.0)
+    assert eig_calls["n"] == 0
+
+
+def test_finite_difference_point_budget(two_qubit_collective, eig_calls):
+    """One floor eigvalsh, then two kernel decompositions for each of four shifted states."""
+    *_, els, gen = two_qubit_collective
+    rho = DensityMatrix(random_density(els.dim, 3), els.basis_labels)
+    snap = instantaneous_rates(gen, rho, 1.0)
+    eig_calls["n"] = 0
+    assert check_rates_by_finite_differences(gen, [(1.0, rho, snap)], raise_on_failure=False) == []
+    assert eig_calls["n"] == 9
 
 
 def test_complementarity_report_budget(two_qubit_collective, eig_calls):

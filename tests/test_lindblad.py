@@ -15,7 +15,6 @@ from cohentropy import (
     build_generator,
     build_level_structure,
     collective_coupling,
-    dephase_block_diagonal,
     eigenoperators,
     evolve,
     flat_bath,
@@ -35,6 +34,7 @@ from conftest import (
     SX,
     blocked_superoperator,
     dense_superoperator,
+    dephase_block_diagonal,
     dephase_diagonal,
     random_density,
 )

@@ -9,11 +9,16 @@ from cohentropy import (
     HermitianObservable,
     InvariantViolation,
     ShapeMismatch,
-    partial_trace,
     von_neumann_entropy,
 )
 from cohentropy.qcore import max_admissible_amplitude, tensor_labels
-from conftest import matrix_log_on_support, random_density, relative_entropy, thermal_state
+from conftest import (
+    matrix_log_on_support,
+    partial_trace,
+    random_density,
+    relative_entropy,
+    thermal_state,
+)
 
 
 class TestDensityMatrix:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,16 +11,25 @@ from cohentropy import (
     BipartiteSystem,
     DensityMatrix,
     HermitianObservable,
+    InvariantViolation,
+    ShapeMismatch,
     SpinEnsembleSpec,
     build_level_structure,
     coherence_measures,
     collective_coupling,
-    dephase_block_diagonal,
     state_functionals,
     thermal_state_of,
     von_neumann_entropy,
 )
-from conftest import dephase_diagonal, random_density, relative_entropy, thermal_state
+from cohentropy.scenarios import thermal_operation_systems
+from conftest import (
+    dephase_block_diagonal,
+    dephase_diagonal,
+    projector,
+    random_density,
+    relative_entropy,
+    thermal_state,
+)
 
 
 class TestBuildLevelStructure:
@@ -52,10 +62,10 @@ class TestBuildLevelStructure:
         rng = np.random.default_rng(3)
         g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         els = build_level_structure(HermitianObservable(0.5 * (g + g.conj().T)))
-        total = sum(els.projector(n) for n in range(els.n_levels))
+        total = sum(projector(els, n) for n in range(els.n_levels))
         assert np.max(np.abs(total - np.eye(5))) < 1e-12
         for n in range(els.n_levels):
-            p = els.projector(n)
+            p = projector(els, n)
             assert np.max(np.abs(p @ p - p)) < 1e-12
 
     def test_input_basis_kept_for_diagonal_hamiltonian(self):
@@ -214,6 +224,26 @@ STRUCTURES = {
 }
 
 
+THERMAL_OPERATION_STRUCTURES = [
+    getattr(sys_, part) for _, sys_ in thermal_operation_systems()
+    for part in ("els_S", "els_B", "joint")
+]
+
+
+def _bits(f) -> list:
+    """Every field of a StateFunctionals as bytes: equal lists mean bitwise-equal results."""
+    return [np.asarray(getattr(f, fld.name)).tobytes() for fld in dataclasses.fields(f)]
+
+
+def _perturbed(kind: str, size: float) -> np.ndarray:
+    """A degenerate-qutrit state pushed off one DensityMatrix check by ``size``."""
+    if kind == "eigenvalue":
+        return np.diag([1.0 + size, 0.0, -size]).astype(complex)
+    m = np.array(thermal_state_of(STRUCTURES["degenerate qutrit"], 1.0).elements)
+    m[0, 1 if kind == "hermiticity" else 0] += size
+    return m
+
+
 def _agree(got: float, want: float) -> bool:
     """Equal to 1e-10, with inf matching inf and nan matching nan."""
     if not math.isfinite(want):
@@ -248,6 +278,38 @@ class TestStateFunctionals:
         assert _agree(f.C_h + f.D_th, -s_bd + beta * e_s + log_z)
         assert _agree(f.E_S, e_s)
         assert _agree(f.F_D, e_s - s_d / beta if beta else float("nan"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        els=st.sampled_from(THERMAL_OPERATION_STRUCTURES),
+        seed=st.integers(0, 10_000),
+        rank=st.sampled_from([None, 1]),
+        beta=st.sampled_from([0.0, 1.3]),
+    )
+    def test_array_equals_density_matrix(self, els, seed, rank, beta):
+        """A validated state and its elements give bitwise-equal functionals."""
+        rho = DensityMatrix(random_density(els.dim, seed, rank), els.basis_labels)
+        assert _bits(state_functionals(rho, els, beta)) == _bits(
+            state_functionals(rho.elements, els, beta)
+        )
+
+    @pytest.mark.parametrize("kind, beyond, within, message", [
+        ("hermiticity", 2e-12, 5e-13, "Hermitian"),
+        ("trace", 2e-10, 5e-11, "trace"),
+        ("eigenvalue", 2e-10, 1e-12, "eigenvalue"),
+    ])
+    def test_array_gets_the_density_matrix_checks(self, kind, beyond, within, message):
+        """Beyond a DensityMatrix tolerance both reject the array; within it both accept."""
+        els = STRUCTURES["degenerate qutrit"]
+        for reject in (DensityMatrix, lambda m: state_functionals(m, els, 1.0)):
+            with pytest.raises(InvariantViolation, match=message):
+                reject(_perturbed(kind, beyond))
+        DensityMatrix(_perturbed(kind, within))
+        state_functionals(_perturbed(kind, within), els, 1.0)
+
+    def test_array_of_wrong_dimension(self):
+        with pytest.raises(ShapeMismatch):
+            state_functionals(np.eye(2) / 2, STRUCTURES["degenerate qutrit"], 1.0)
 
     @pytest.mark.parametrize("name", sorted(STRUCTURES))
     @pytest.mark.parametrize("beta", [-0.8, 0.0, 1.3, 40.0])

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +19,11 @@ from cohentropy import (
     thermal_state_of,
 )
 from cohentropy.qcore import max_admissible_amplitude, tensor_labels
+from cohentropy.qcore import max_abs
+from cohentropy.spectrum import state_functionals
 from cohentropy.thermalops import (
     BipartiteSystem,
+    CutQuantities,
     EnergyConservingUnitary,
     combine_level_structures,
     horizontal_pattern,
@@ -29,8 +33,33 @@ from cohentropy.scenarios import (
     diagonal_prepared_state,
     parse_config,
     run_scenario_config,
+    thermal_operation_systems,
 )
-from conftest import random_density
+from conftest import dephase_block_diagonal, partial_trace, random_density
+
+
+def oracle_report_inputs(sys_, u, rho_s, rho_b, beta_b):
+    """The six cut quantities, Delta E_S and the check (g) deviation of a report, rebuilt
+    from validated DensityMatrixes of the reference partial traces and projector cut."""
+    joint0 = DensityMatrix(np.kron(rho_s.elements, rho_b.elements))
+    final = u.matrix @ joint0.elements @ u.matrix.conj().T
+    joint_f = DensityMatrix(0.5 * (final + final.conj().T))
+    rho_s_f = partial_trace(joint_f, sys_.dims, "A")
+    rho_b_f = partial_trace(joint_f, sys_.dims, "B")
+    cuts = []
+    for state, els in ((rho_s, sys_.els_S), (rho_s_f, sys_.els_S), (rho_b, sys_.els_B),
+                       (rho_b_f, sys_.els_B), (joint0, sys_.joint), (joint_f, sys_.joint)):
+        f = state_functionals(state, els, beta_b)
+        cuts.append(CutQuantities(f.C_v, f.C_h, f.D_th))
+    h_s = sys_.els_S.hamiltonian().elements
+    delta_e_s = float(np.trace(h_s @ (rho_s_f.elements - rho_s.elements)).real)
+    factorized = np.kron(dephase_block_diagonal(rho_s, sys_.els_S).elements, rho_b.elements)
+    dev = max_abs(dephase_block_diagonal(joint0, sys_.joint).elements - factorized)
+    return cuts, delta_e_s, dev
+
+
+def float_bits(cuts, delta_e_s, dev):
+    return [x.hex() for c in cuts for x in (c.C_v, c.C_h, c.D_th)] + [delta_e_s.hex(), dev.hex()]
 
 
 @pytest.fixture(scope="module")
@@ -115,8 +144,8 @@ class TestSampling:
         rho_s = DensityMatrix(np.diag([0.8, 0.2]), els_a.basis_labels)
         rho_b = thermal_state_of(els_b, 1.0)
         _, rs, rb = apply_operation(sys_, u, rho_s, rho_b)
-        assert np.allclose(rs.elements, rho_s.elements, atol=1e-12)
-        assert np.allclose(rb.elements, rho_b.elements, atol=1e-12)
+        assert np.allclose(rs, rho_s.elements, atol=1e-12)
+        assert np.allclose(rb, rho_b.elements, atol=1e-12)
 
     def test_resonant_exchange_block_mixes(self, qubit_pair):
         u = sample_energy_conserving_unitary(qubit_pair, 0)
@@ -136,8 +165,8 @@ class TestApplyOperation:
         rho_s = DensityMatrix(random_density(2, 3), ("g", "e"))
         rho_b = thermal_state_of(qubit_pair.els_B, 1.0)
         sb, rs, rb = apply_operation(qubit_pair, u, rho_s, rho_b)
-        assert np.allclose(rs.elements, rho_s.elements, atol=1e-13)
-        assert np.allclose(rb.elements, rho_b.elements, atol=1e-13)
+        assert np.allclose(rs, rho_s.elements, atol=1e-13)
+        assert np.allclose(rb, rho_b.elements, atol=1e-13)
 
     def test_requires_stationary_environment(self, qubit_pair):
         u = EnergyConservingUnitary(np.eye(4, dtype=complex), qubit_pair.joint)
@@ -154,7 +183,7 @@ class TestApplyOperation:
         for seed in range(5):
             u = sample_energy_conserving_unitary(qubit_pair, seed)
             _, rs, _ = apply_operation(qubit_pair, u, rho_s, rho_b)
-            assert np.max(np.abs(rs.elements - rho_s.elements)) < 1e-12
+            assert np.max(np.abs(rs - rho_s.elements)) < 1e-12
 
     def test_resonant_full_swap_exchanges_populations(self, qubit_pair):
         swap = np.zeros((4, 4), dtype=complex)
@@ -164,8 +193,8 @@ class TestApplyOperation:
         rho_s = thermal_state_of(qubit_pair.els_S, 2.0)
         rho_b = thermal_state_of(qubit_pair.els_B, 0.5)
         _, rs, rb = apply_operation(qubit_pair, u, rho_s, rho_b)
-        assert np.allclose(rs.elements, rho_b.elements, atol=1e-13)
-        assert np.allclose(rb.elements, rho_s.elements, atol=1e-13)
+        assert np.allclose(rs, rho_b.elements, atol=1e-13)
+        assert np.allclose(rb, rho_s.elements, atol=1e-13)
 
 
 class TestConservationReport:
@@ -189,6 +218,22 @@ class TestConservationReport:
         # correlated quantities are genuinely correlational: never negative
         for corr in (rep.correlated_initial, rep.correlated_final):
             assert corr.C_v >= -1e-9 and corr.C_h >= -1e-9 and corr.D_th >= -1e-9
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_matches_oracle_rebuild_bit_for_bit(self, index):
+        """The kernel validates the derived arrays; the quantities equal those of the
+        reference path over 16 seeds of coherent and of incoherent inputs."""
+        _, sys_ = thermal_operation_systems()[index]
+        rho_b = thermal_state_of(sys_.els_B, 1.3)
+        for seed in range(16):
+            u = sample_energy_conserving_unitary(sys_, seed)
+            for rho_s in (coherent_prepared_state(sys_.els_S, 0.7, 10_000 + seed),
+                          diagonal_prepared_state(sys_.els_S, 20_000 + seed)):
+                rep = conservation_report(sys_, u, rho_s, rho_b, 1.3)
+                cuts = [rep.S_initial, rep.S_final, rep.B_initial, rep.B_final,
+                        rep.SB_initial, rep.SB_final]
+                got = float_bits(cuts, rep.delta_E_S, rep.checks["g:initial_BD_factorizes"][0])
+                assert got == float_bits(*oracle_report_inputs(sys_, u, rho_s, rho_b, 1.3))
 
     def test_local_horizontal_coherence_changes(self, qutrit_qubit):
         """dC_h^S != 0 generically for thermal-diagonal rho_S at beta_0 != beta_B."""
@@ -276,6 +321,17 @@ class TestDivergenceWitness:
         assert signs[+1.0][0] == -signs[-1.0][0]
         assert signs[+1.0][1] == -signs[-1.0][1]
         assert signs[+1.0][0] == signs[+1.0][1]
+
+
+def test_criterion_14_run_matches_recorded_outputs():
+    """Criterion 14's thermal-operation run reproduces its recorded csv and summary
+    byte for byte; the benchmark has no reference for this path."""
+    cfg = parse_config({"scenario": "thermal-operation", "beta_0": 0.7, "beta_B": 1.3,
+                        "seeds": 32})
+    out = run_scenario_config(cfg)
+    data = Path(__file__).parent / "data"
+    assert out.csv_text.encode() == (data / "thermal_operation_seeds32.csv").read_bytes()
+    assert out.summary_text.encode() == (data / "thermal_operation_seeds32_summary.txt").read_bytes()
 
 
 def test_tiny_frequency_keeps_every_conservation_law():
