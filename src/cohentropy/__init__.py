@@ -57,7 +57,6 @@ from .collective import (
     SpinEnsembleSpec,
     analytic_steady_state,
     collective_coupling,
-    coupled_basis,
     degeneracy_table,
     delta_C_h_limit,
     entropy_production_ratio,

@@ -6,9 +6,9 @@
 `run` executes one configured scenario and writes a time-series CSV plus a
 structured-text summary; exit code 0 on all-pass, 2 on any invariant failure
 or numerical failure (a numpy ``LinAlgError`` included), 1 on configuration or
-output errors.  Outputs are written only after the computation completes, and
-a failed write removes the files this run wrote, so failures never leave
-partial files behind.  `verify` runs the
+output errors or when a run's arrays do not fit in memory.  Outputs are written
+only after the computation completes, and a failed write removes the files this
+run wrote, so failures never leave partial files behind.  `verify` runs the
 built-in acceptance suite and prints one line per criterion; its `--out`
 write fails the same way, as an output error with exit code 1.
 """
@@ -59,6 +59,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result = run_scenario_config(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
     except (CohentropyError, np.linalg.LinAlgError) as exc:
         print(f"scenario failed: {exc}", file=sys.stderr)

@@ -1,19 +1,17 @@
 """Spin-ensemble machinery: degeneracy tables, collective coupling, analytic
 steady states, and the entropy-production-ratio experiment.
 
-The coupled basis |J,m>_i is built by recursive ladder-operator coupling (one
-spin at a time) with Gram-Schmidt inside each magnetization subspace and a
-fixed phase convention (largest-m' parent component positive), so the change
-of basis is deterministic and orthonormal to 1e-12.  Weights are handled in
-log space throughout, so inverse temperatures like beta*omega = +-50 are exact
-to double precision instead of overflowing.
+The analytic steady state is a weighted sum of the spectral projectors of
+(J^2, J_z), one ``eigh`` of J^2 per magnetization sector; no coupled basis
+|J,m>_i is built, since only the projectors enter.  Weights are handled in log
+space throughout, so inverse temperatures like beta*omega = +-50 are exact to
+double precision instead of overflowing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +21,6 @@ from .spectrum import EnergyLevelStructure, build_level_structure
 
 TABLE_DIM_BUDGET = 4096
 STATE_DIM_BUDGET = 1024
-BASIS_ORTHONORMALITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -172,124 +169,28 @@ def local_couplings(spec: SpinEnsembleSpec) -> list[HermitianObservable]:
     ]
 
 
-@dataclass(frozen=True)
-class CoupledBlock:
-    """One irreducible (J, i) block; rows of ``states`` are |J,m> for m = J..-J."""
-
-    J: float
-    i: int
-    states: np.ndarray
-
-
-@lru_cache(maxsize=16)
-def _coupled_basis_cached(n: int, two_s: int) -> tuple[CoupledBlock, ...]:
-    s = two_s / 2.0
-    d = int(round(2 * s + 1))
-    _, jp_local, jm_local = spin_matrices(s)
-    # single spin: one block J = s, states |s,m> for m descending
-    blocks: list[tuple[float, np.ndarray]] = [(s, np.eye(d, dtype=complex)[::-1])]
-    jm_total = jm_local
-    dim = d
-    for _ in range(1, n):
-        new_dim = dim * d
-        jm_total = np.kron(jm_total, np.eye(d)) + np.kron(np.eye(dim), jm_local)
-        new_blocks: list[tuple[float, np.ndarray]] = []
-        for j_parent, parent in blocks:
-            built: list[np.ndarray] = []  # top-m ladders built for this parent
-            j_new = j_parent + s
-            while j_new >= abs(j_parent - s) - 1e-9:
-                top = _top_state(parent, j_parent, s, d, j_new, built)
-                ladder = _ladder_down(top, j_new, jm_total)
-                built.append(ladder)
-                new_blocks.append((j_new, ladder))
-                j_new -= 1.0
-        blocks = new_blocks
-        dim = new_dim
-    counters: dict[float, int] = {}
-    out: list[CoupledBlock] = []
-    for j, states in blocks:
-        counters[j] = counters.get(j, 0) + 1
-        out.append(CoupledBlock(J=j, i=counters[j], states=states))
-    _check_orthonormal(out, dim)
-    return tuple(out)
-
-
-def _top_state(
-    parent: np.ndarray, j_parent: float, s: float, d: int, j_new: float, built: list[np.ndarray]
-) -> np.ndarray:
-    """Highest-weight state |j_new, m=j_new> inside parent (x) spin-s.
-
-    Spanned by |j_parent, m'> (x) |s, j_new - m'>; orthogonal to the ladders of
-    the higher j_new values already built from the same parent; phase fixed by
-    a positive coefficient on the largest admissible m'.
-    """
-    candidates = []
-    for row, m_prime in enumerate(np.arange(j_parent, -j_parent - 1e-9, -1.0)):
-        m_local = j_new - m_prime
-        if abs(m_local) > s + 1e-9:
-            continue
-        local = np.zeros(d, dtype=complex)
-        local[int(round(m_local + s))] = 1.0
-        candidates.append(np.kron(parent[row], local))
-    if not candidates:
-        raise InvariantViolation("empty magnetization subspace in coupling step")
-    span = np.array(candidates)  # orthonormal rows (distinct parent rows)
-    if built:
-        others = []
-        for ladder in built:
-            j_high = (ladder.shape[0] - 1) / 2.0
-            others.append(ladder[int(round(j_high - j_new))])
-        constraint = np.array(others).conj() @ span.T  # rows: <other_k | span_a>
-        _, sv, vh = np.linalg.svd(constraint)
-        null = vh.conj().T[:, len(others):]
-        if null.shape[1] != 1:
-            raise InvariantViolation("highest-weight state not unique in coupling step")
-        coeffs = null[:, 0]
-    else:
-        coeffs = np.zeros(len(candidates), dtype=complex)
-        coeffs[0] = 1.0
-    vec = coeffs @ span
-    vec = vec / np.linalg.norm(vec)
-    # phase convention: coefficient on the largest-m' candidate real positive
-    lead = complex(span[0].conj() @ vec)
-    if abs(lead) < 1e-12:
-        lead = complex(vec[np.argmax(np.abs(vec))])
-    return vec * (abs(lead) / lead)
-
-
-def _ladder_down(top: np.ndarray, j: float, jm_total: np.ndarray) -> np.ndarray:
-    size = int(round(2 * j + 1))
-    states = np.zeros((size, top.size), dtype=complex)
-    states[0] = top
-    m = j
-    for row in range(1, size):
-        nxt = jm_total @ states[row - 1]
-        norm = math.sqrt(j * (j + 1) - m * (m - 1))
-        states[row] = nxt / norm
-        m -= 1.0
-    return states
-
-
-def _check_orthonormal(blocks: list[CoupledBlock], dim: int) -> None:
-    w = np.vstack([b.states for b in blocks])
-    if w.shape != (dim, dim):
-        raise InvariantViolation(f"coupled basis has shape {w.shape}, expected ({dim}, {dim})")
-    dev = max_abs(w @ w.conj().T - np.eye(dim))
-    if dev > BASIS_ORTHONORMALITY_TOL * max(1.0, dim):
-        raise InvariantViolation(f"coupled basis not orthonormal (deviation {dev:.3e})")
-
-
-def coupled_basis(spec: SpinEnsembleSpec) -> tuple[CoupledBlock, ...]:
-    """All (J, i) blocks of the n-spin coupled basis, in coupling order."""
-    return _coupled_basis_cached(spec.n, int(round(2 * spec.s)))
-
-
 def _log_z(m: np.ndarray, x: float) -> float:
     """ln sum_m exp(-m x) with x = omega * beta: -m_k x - ln p_k at the largest
     Boltzmann weight p_k, where ``log_boltzmann_weights`` is exact."""
     log_w = log_boltzmann_weights(m, x)
     k = int(np.argmax(log_w))
     return float(-m[k] * x - log_w[k])
+
+
+def _block_log_weights(
+    spec: SpinEnsembleSpec, table: AngularMomentumTable, x0: float, xb: float
+) -> dict[float, np.ndarray]:
+    """ln of the analytic steady state's eigenvalue on each (J, m), m = -J..J ascending.
+
+    Each (J, i) block keeps its initial thermal weight p_J = Z_J(x0) / Z_1(x0)^n
+    and holds a thermal ladder at the bath: p_J e^(-m xb) / Z_J(xb).
+    """
+    log_z1 = _log_z(spec.local_m_values(), x0)
+    out = {}
+    for j in table.J_values:
+        m = np.arange(-j, j + 1.0)
+        out[j] = (_log_z(m, x0) - spec.n * log_z1) + log_boltzmann_weights(m, xb)
+    return out
 
 
 def analytic_steady_state(
@@ -299,19 +200,32 @@ def analytic_steady_state(
 
     Each (J, i) block keeps its initial thermal weight p_J = Z_J(beta_0) /
     Z_1(beta_0)^n and holds a thermal ladder at the bath temperature:
-    rho = sum_{J,i} p_J sum_m e^(-omega m beta_B) / Z_J(beta_B) |J,m>_i<J,m|_i.
+    rho = sum_{J,m} p_J e^(-omega m beta_B) / Z_J(beta_B) Pi_{J,m}, where the
+    spectral projector Pi_{J,m} = sum_i |J,m>_i<J,m|_i comes from ``eigh`` of
+    J^2 = J_+ J_- + J_z^2 - J_z on the J_z = m sector of the product basis, and
+    its rank must be the table's l_J.
     """
     if spec.dim > STATE_DIM_BUDGET:
         raise InvariantViolation(f"dimension {spec.dim} beyond state budget {STATE_DIM_BUDGET}")
-    x0 = spec.omega * beta_0
-    xb = spec.omega * beta_B
-    log_z1 = _log_z(spec.local_m_values(), x0)
+    table = degeneracy_table(spec)
+    log_w = _block_log_weights(spec, table, spec.omega * beta_0, spec.omega * beta_B)
+    _, jp, _ = spin_matrices(spec.s)
+    mz = np.zeros(1)
+    for _ in range(spec.n):
+        mz = np.add.outer(mz, spec.local_m_values()).ravel()
+    j_plus = sum(_embed(jp, k, spec.n, spec.local_dim) for k in range(spec.n)).real
+    j2 = j_plus @ j_plus.T + np.diag(mz * mz - mz)
     rho = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for block in coupled_basis(spec):
-        m_vals = np.arange(block.J, -block.J - 1e-9, -1.0)
-        log_pj = _log_z(m_vals, x0) - spec.n * log_z1
-        lam = np.exp(log_pj + log_boltzmann_weights(m_vals, xb))
-        rho += (block.states.T * lam) @ block.states.conj()
+    for m in table.m_values:
+        idx = np.flatnonzero(mz == m)
+        lam, vecs = np.linalg.eigh(j2[np.ix_(idx, idx)])
+        j = np.rint(np.sqrt(1.0 + 4.0 * lam) - 1.0) / 2.0
+        ranks = {float(v): int(c) for v, c in zip(*np.unique(j, return_counts=True))}
+        expect = {jv: l for jv, l in zip(table.J_values, table.l_J) if jv >= abs(m)}
+        if ranks != expect or max_abs(lam - j * (j + 1)) > 1e-9 * max(1.0, spec.n * spec.s) ** 2:
+            raise InvariantViolation(f"J^2 spectrum on m = {m:g} disagrees with l_J: {ranks}")
+        weights = np.exp([log_w[jv][int(round(m + jv))] for jv in j])
+        rho[np.ix_(idx, idx)] = (vecs * weights) @ vecs.T
     return DensityMatrix(0.5 * (rho + rho.conj().T), spec.basis_labels())
 
 
@@ -339,15 +253,14 @@ def _thermal_spectrum(spec: SpinEnsembleSpec, x: float) -> tuple[float, float]:
 def _collective_spectrum(spec: SpinEnsembleSpec, x0: float, xb: float) -> tuple[float, float]:
     """(entropy, energy) of the analytic steady state, from its (J, m) weights."""
     table = degeneracy_table(spec)
-    log_z1 = _log_z(spec.local_m_values(), x0)
+    log_w = _block_log_weights(spec, table, x0, xb)
     total_s = 0.0
     total_e = 0.0
     for j, l in zip(table.J_values, table.l_J):
         m = np.arange(-j, j + 1.0)
-        log_lam = (_log_z(m, x0) - spec.n * log_z1) + log_boltzmann_weights(m, xb)
-        lam = np.exp(log_lam)
+        lam = np.exp(log_w[j])
         live = lam > 0
-        total_s += -l * float(np.sum(lam[live] * log_lam[live]))
+        total_s += -l * float(np.sum(lam[live] * log_w[j][live]))
         total_e += l * float(np.sum(lam * m)) * spec.omega
     return total_s, total_e
 

@@ -29,7 +29,7 @@ from .lindblad import (
     evolve,
     flat_bath,
 )
-from .qcore import DensityMatrix, HermitianObservable, trace_distance
+from .qcore import DensityMatrix, HermitianObservable, boltzmann_weights, trace_distance
 from .spectrum import (
     EnergyLevelStructure,
     build_level_structure,
@@ -66,6 +66,8 @@ SCENARIOS = (
 
 CSV_HEADER = "t,S,C_v,C_h,D_th,E_S,F_D,Pi_rate,Phi_rate,rate_C_v,rate_C_h,rate_D_th,flags"
 LINDBLAD_DIM_BUDGET = 64
+RATIO_RELATIVE_TOL = 0.05  # the summary's ratio_within_5_percent verdict
+TRACE_DISTANCE_TOL = 1e-3  # clustered against exactly-degenerate near-degenerate run
 
 
 def fmt(x: float) -> str:
@@ -132,20 +134,6 @@ class OttoParams:
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    """Overridable check tolerances for scenario summaries."""
-
-    invariant: float = 1e-8
-    ratio_relative: float = 0.05
-    trace_distance: float = 1e-3
-
-    def __post_init__(self):
-        for name in ("invariant", "ratio_relative", "trace_distance"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"tolerance {name} must be positive")
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str = "collective-spins"
     n: int = 2
@@ -161,7 +149,6 @@ class ScenarioConfig:
     time_grid: GridSpec = field(default_factory=GridSpec)
     sweep: SweepSpec = field(default_factory=SweepSpec)
     otto: OttoParams = field(default_factory=OttoParams)
-    tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -229,8 +216,6 @@ def parse_config(raw: dict[str, Any]) -> ScenarioConfig:
             data["sweep"] = SweepSpec(**build(SweepSpec, data["sweep"], "sweep"))
         if "otto" in data:
             data["otto"] = OttoParams(**build(OttoParams, data["otto"], "otto"))
-        if "tolerances" in data:
-            data["tolerances"] = Tolerances(**build(Tolerances, data["tolerances"], "tolerances"))
         return ScenarioConfig(**data)
     except TypeError as exc:
         raise ConfigError(f"bad configuration value: {exc}") from exc
@@ -309,9 +294,9 @@ def build_reversal_scenario(
     gen = build_generator([system.A_S], els, flat_bath(gamma, beta_B))
     base = thermal_state_of(els, beta_0)
     pattern = horizontal_pattern(els)
-    # chi has eigenvalues +-1, so c < lambda_min(base) suffices for positivity;
-    # it is not the largest positive amplitude (0.187 against 0.0624 at beta_0 = 1.1)
-    c_max = float(np.linalg.eigvalsh(base.elements)[0])
+    # chi has eigenvalues +-1, so c < lambda_min(base), its smallest Boltzmann weight,
+    # keeps rho positive; not the largest such amplitude (0.187 vs 0.0624 at beta_0 = 1.1)
+    c_max = float(boltzmann_weights(els.index_energies, beta_0).min())
     if amplitude is None:
         chosen = None
         for frac in np.linspace(0.05, 0.95, 19):
@@ -425,7 +410,7 @@ def coherent_prepared_state(
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     x = 0.5 * (x + x.conj().T)
     x -= np.diag(np.diag(x))
-    lam_min = float(np.linalg.eigvalsh(base.elements)[0])
+    lam_min = float(boltzmann_weights(els.index_energies, beta_0).min())
     spread = float(np.max(np.abs(np.linalg.eigvalsh(x)))) or 1.0
     return DensityMatrix(base.elements + amplitude * lam_min / spread * x, base.basis_labels)
 
@@ -611,7 +596,7 @@ def run_collective_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
     summary = _Summary("collective-spins")
     for key in ("n", "s", "omega", "beta_0", "beta_B", "gamma"):
         summary.kv(key, getattr(cfg, key))
-    failures = _summarize_invariants(summary, invariant_scan(scen.series, cfg.tolerances.invariant))
+    failures = _summarize_invariants(summary, invariant_scan(scen.series))
 
     summary.section("horizontal-coherence generation")
     final_ch = scen.series.snapshots[-1].C_h
@@ -630,7 +615,7 @@ def run_collective_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
     top_ratio = rows[-1][-1]
     summary.kv("ratio_at_top", top_ratio)
     summary.kv("ratio_target_n", cfg.n)
-    if abs(top_ratio - cfg.n) > cfg.tolerances.ratio_relative * cfg.n:
+    if abs(top_ratio - cfg.n) > RATIO_RELATIVE_TOL * cfg.n:
         ratio_failures += 1
         summary.kv("ratio_within_5_percent", "FAIL")
     else:
@@ -653,7 +638,7 @@ def run_reversal_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
         summary.kv(key, getattr(cfg, key))
     summary.kv("coherence_amplitude", scen.amplitude)
     summary.kv("coherence_amplitude_max", scen.amplitude_max)
-    failures = _summarize_invariants(summary, invariant_scan(scen.series, cfg.tolerances.invariant))
+    failures = _summarize_invariants(summary, invariant_scan(scen.series))
 
     summary.section("initial heat flow")
     snap0 = scen.initial_snapshot
@@ -753,10 +738,10 @@ def run_near_degenerate_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
         summary.kv(key, getattr(cfg, key))
     summary.kv("delta", delta)
     summary.kv("horizon", 0.1 / delta)
-    failures = _summarize_invariants(summary, invariant_scan(scen.series, cfg.tolerances.invariant))
+    failures = _summarize_invariants(summary, invariant_scan(scen.series))
     summary.section("clustered vs exactly-degenerate twin")
     summary.kv("max_trace_distance", scen.max_trace_distance)
-    ok = scen.max_trace_distance <= cfg.tolerances.trace_distance
+    ok = scen.max_trace_distance <= TRACE_DISTANCE_TOL
     summary.kv("within_tolerance", "pass" if ok else "FAIL")
     if not ok:
         failures += 1

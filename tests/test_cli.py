@@ -59,6 +59,15 @@ class TestConfigParsing:
         assert "unknown keys" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_tolerances_section_rejected(self, tmp_path, capsys):
+        """Check tolerances are fixed: a config cannot loosen an invariant gate."""
+        section = {"invariant": 1e-3, "ratio_relative": 0.1, "trace_distance": 0.5}
+        path = write_config(tmp_path, tolerances=section)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert "unknown keys at <root>: ['tolerances']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_time_grid_needs_three_points(self):
         with pytest.raises(ConfigError, match="points >= 3"):
             parse_config({"scenario": "collective-spins", "time_grid": {"points": 2}})
@@ -235,6 +244,24 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "scenario failed: Eigenvalues did not converge\n"
+        assert not out.exists()
+
+    def test_memory_error_is_one_line_without_outputs(self, tmp_path, capsys, monkeypatch):
+        """A grid too large for memory ends in one stderr line, not a traceback; the
+        allocation is simulated, since a real one may be killed on an overcommitting host."""
+        def too_big(cfg):
+            raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+        monkeypatch.setattr(cli, "run_scenario_config", too_big)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            {"scenario": "collective-spins", "n": 2, "time_grid": {"points": 100000000000}}
+        ))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "out of memory: Unable to allocate 745. GiB for an array with shape (100000000000,)\n"
+        )
         assert not out.exists()
 
     def test_collective_run_sweep_table(self, tmp_path):

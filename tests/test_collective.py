@@ -11,7 +11,6 @@ from cohentropy import (
     asymptotic_state,
     coherence_measures,
     collective_coupling,
-    coupled_basis,
     degeneracy_table,
     delta_C_h_limit,
     entropy_production_ratio,
@@ -32,6 +31,15 @@ def enumerate_multiplicities(n: int, s: float) -> dict[float, int]:
         m = round(sum(combo) * 2) / 2
         counts[m] = counts.get(m, 0) + 1
     return counts
+
+
+def total_spin_operators(spec):
+    """Dense J^2 = J+ J- + J_z^2 - J_z and J_z of the ensemble, from the one-spin matrices."""
+    jz, jp, _ = spin_matrices(spec.s)
+    d = spec.local_dim
+    Jz = sum(_embed(jz, k, spec.n, d) for k in range(spec.n))
+    Jp = sum(_embed(jp, k, spec.n, d) for k in range(spec.n))
+    return Jp @ Jp.conj().T + Jz @ Jz - Jz, Jz
 
 
 class TestDegeneracyTable:
@@ -62,12 +70,7 @@ class TestDegeneracyTable:
         """Oracle: diagonalize J^2 and count eigenvalue multiplicities."""
         for n, s in ((2, 0.5), (3, 0.5), (2, 1.0)):
             spec = SpinEnsembleSpec(n, s)
-            jz, jp, jm = spin_matrices(s)
-            d = spec.local_dim
-            Jz = sum(_embed(jz, k, n, d) for k in range(n))
-            Jp = sum(_embed(jp, k, n, d) for k in range(n))
-            j2 = Jp @ Jp.conj().T + Jz @ Jz - Jz
-            eigs = np.linalg.eigvalsh(j2)
+            eigs = np.linalg.eigvalsh(total_spin_operators(spec)[0])
             table = degeneracy_table(spec)
             for j, l in zip(table.J_values, table.l_J):
                 count = int(np.sum(np.abs(eigs - j * (j + 1)) < 1e-8))
@@ -97,20 +100,36 @@ class TestCollectiveCoupling:
         assert np.max(np.abs(a @ singlet)) < 1e-13
 
 
-class TestCoupledBasis:
+class TestProjectorSteadyState:
     @pytest.mark.parametrize("n,s", [(2, 0.5), (3, 0.5), (4, 0.5), (2, 1.0)])
-    def test_blocks_diagonalize_j2_and_jz(self, n, s):
-        spec = SpinEnsembleSpec(n, s)
-        jz, jp, jm = spin_matrices(s)
-        d = spec.local_dim
-        Jz = sum(_embed(jz, k, n, d) for k in range(n))
-        Jp = sum(_embed(jp, k, n, d) for k in range(n))
-        j2 = Jp @ Jp.conj().T + Jz @ Jz - Jz
-        for block in coupled_basis(spec):
-            for row, m in enumerate(np.arange(block.J, -block.J - 1e-9, -1.0)):
-                v = block.states[row]
-                assert np.max(np.abs(j2 @ v - block.J * (block.J + 1) * v)) < 1e-10
-                assert np.max(np.abs(Jz @ v - m * v)) < 1e-10
+    def test_commutes_and_is_block_thermal(self, n, s):
+        """rho commutes with J^2 and J_z and is p_J e^(-w m b_B)/Z_J on each (J, m) eigenspace."""
+        spec = SpinEnsembleSpec(n, s, omega=1.3)
+        b0, bb = 2.0, 0.7
+        rho = analytic_steady_state(spec, b0, bb).elements
+        j2, jz = total_spin_operators(spec)
+        assert np.max(np.abs(rho @ j2 - j2 @ rho)) < 1e-12
+        assert np.max(np.abs(rho @ jz - jz @ rho)) < 1e-12
+
+        def z(j, beta):
+            return sum(math.exp(-spec.omega * m * beta) for m in np.arange(-j, j + 1.0))
+
+        lam, vecs = np.linalg.eigh(j2)
+        j_of = np.rint(np.sqrt(1.0 + 4.0 * lam) - 1.0) / 2.0
+        mz = np.diag(jz).real
+        table = degeneracy_table(spec)
+        covered = 0
+        for j, l in zip(table.J_values, table.l_J):
+            p_j = vecs[:, j_of == j] @ vecs[:, j_of == j].conj().T
+            p_weight = z(j, b0) / z(s, b0) ** n
+            for m in np.arange(-j, j + 1.0):
+                sector = np.diag((mz == m).astype(float))
+                proj = sector @ p_j @ sector
+                assert round(np.trace(proj).real) == l
+                weight = p_weight * math.exp(-spec.omega * m * bb) / z(j, bb)
+                assert np.max(np.abs(rho @ proj - weight * proj)) < 1e-12
+                covered += l
+        assert covered == spec.dim
 
 
 class TestAnalyticSteadyState:
@@ -185,24 +204,23 @@ class TestEntropyProductionRatio:
         _, _, ratio = entropy_production_ratio(SpinEnsembleSpec(n, 0.5), 50.0, 6.0)
         assert ratio == pytest.approx(target, rel=0.05)
 
-    def test_matrix_level_oracle(self, two_qubit_collective):
-        """Recompute both productions from explicit states for n=2."""
-        spec, _, els, _ = two_qubit_collective
+    def test_matrix_level_oracle(self):
+        """Recompute both productions from explicit states."""
         b0, bb = 50.0, 1.0
-        h = els.hamiltonian().elements
-        rho0 = thermal_state_of(els, b0)
-        rho_th = thermal_state_of(els, bb)
-        rho_col = analytic_steady_state(spec, b0, bb)
 
-        def s_and_e(rho):
+        def s_and_e(rho, h):
             return von_neumann_entropy(rho), float(np.trace(rho.elements @ h).real)
 
-        s0, e0 = s_and_e(rho0)
-        s_th, e_th = s_and_e(rho_th)
-        s_col, e_col = s_and_e(rho_col)
-        pi_th, pi_col, ratio = entropy_production_ratio(spec, b0, bb)
-        assert pi_th == pytest.approx((s_th - s0) - bb * (e_th - e0), abs=1e-10)
-        assert pi_col == pytest.approx((s_col - s0) - bb * (e_col - e0), abs=1e-10)
+        for n, s in ((2, 0.5), (3, 0.5), (4, 0.5), (2, 1.0)):
+            spec = SpinEnsembleSpec(n, s)
+            els = collective_coupling(spec).level_structure()
+            h = els.hamiltonian().elements
+            s0, e0 = s_and_e(thermal_state_of(els, b0), h)
+            s_th, e_th = s_and_e(thermal_state_of(els, bb), h)
+            s_col, e_col = s_and_e(analytic_steady_state(spec, b0, bb), h)
+            pi_th, pi_col, ratio = entropy_production_ratio(spec, b0, bb)
+            assert pi_th == pytest.approx((s_th - s0) - bb * (e_th - e0), abs=1e-10)
+            assert pi_col == pytest.approx((s_col - s0) - bb * (e_col - e0), abs=1e-10)
 
     def test_independent_dissipation_reaches_thermal(self, two_qubit_collective):
         """The independent baseline relaxes to the full thermal state."""

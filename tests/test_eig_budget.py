@@ -76,6 +76,16 @@ def test_conservation_report_budget(eig_calls, index):
     assert eig_calls["n"] == 12  # two kernel decompositions for each of six states
 
 
+@pytest.mark.parametrize("index", [0, 1])
+def test_coherent_prepared_state_budget(eig_calls, index):
+    """One eigvalsh for the coherence pattern's spread and one validating the sum: the
+    thermal base's lowest eigenvalue is its smallest Boltzmann weight."""
+    _, sys_ = thermal_operation_systems()[index]
+    eig_calls["n"] = 0
+    coherent_prepared_state(sys_.els_S, 0.7, seed=11)
+    assert eig_calls["n"] == 2
+
+
 def test_thermal_state_budget(two_qubit_collective, eig_calls):
     *_, els, _ = two_qubit_collective
     eig_calls["n"] = 0
