@@ -30,6 +30,7 @@ from cohentropy.thermalops import (
 )
 from cohentropy.scenarios import (
     coherent_prepared_state,
+    config_from_json,
     diagonal_prepared_state,
     parse_config,
     run_scenario_config,
@@ -332,6 +333,17 @@ def test_criterion_14_run_matches_recorded_outputs():
     data = Path(__file__).parent / "data"
     assert out.csv_text.encode() == (data / "thermal_operation_seeds32.csv").read_bytes()
     assert out.summary_text.encode() == (data / "thermal_operation_seeds32_summary.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["collective", "reversal", "near_degenerate", "otto"])
+def test_shipped_config_matches_recorded_outputs(name):
+    """Each shipped Lindblad and Otto config reproduces its recorded csv and summary
+    byte for byte."""
+    root = Path(__file__).parent
+    cfg = config_from_json((root.parent / "configs" / f"{name}.json").read_text())
+    out = run_scenario_config(cfg)
+    assert out.csv_text.encode() == (root / "data" / f"{name}.csv").read_bytes()
+    assert out.summary_text.encode() == (root / "data" / f"{name}_summary.txt").read_bytes()
 
 
 def test_tiny_frequency_keeps_every_conservation_law():
