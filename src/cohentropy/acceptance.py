@@ -1,13 +1,16 @@
 """The built-in acceptance suite: one callable check per criterion.
 
-Each criterion evaluates a physics claim at a pinned tolerance and returns a
-CriterionResult; `run_all` executes all of them against a shared context so
-expensive artifacts (trajectories, seeded scans) are built once.  The CLI
-`verify` command and the pytest acceptance module both run these functions.
+Each criterion evaluates a physics claim and returns a CriterionResult;
+`run_all` executes all of them against a shared context so expensive
+artifacts (trajectories, seeded scans) are built once.  A claim that a report
+judges is read from that report's ``verdicts(...)``, at the tolerance its
+owning module names; only the criterion-specific checks keep their own
+bounds.  The CLI `verify` command and the pytest acceptance module both run
+these functions.
 
-A criterion name passed as ``perturb`` poisons that criterion's tolerance
-(scaled by 1e-6), which must make it fail: a self-test that the harness can
-detect regressions at all.
+A criterion id passed as ``perturb`` poisons that criterion's tolerances
+(-inf) and witness thresholds (+inf), which must make it fail: a self-test
+that the harness can detect regressions at all.
 """
 
 from __future__ import annotations
@@ -26,8 +29,10 @@ from .collective import (
     entropy_production_ratio,
 )
 from .lindblad import asymptotic_state, build_generator, flat_bath
-from .qcore import DensityMatrix, max_abs
+from .qcore import DensityMatrix, HermitianObservable, max_abs
 from .scenarios import (
+    RATIO_RELATIVE_TOL,
+    TRACE_DISTANCE_TOL,
     OttoParams,
     ScenarioConfig,
     TimeGrid,
@@ -36,18 +41,28 @@ from .scenarios import (
     build_otto_report,
     build_reversal_scenario,
     conservation_scan,
+    ratio_verdict,
     run_reversal_scenario,
     run_thermal_operation_scenario,
     thermal_operation_systems,
 )
-from .spectrum import coherence_measures, thermal_state_of
+from .spectrum import build_level_structure, coherence_measures, thermal_state_of
+from .thermalops import CHECK_TOL, WITNESS_THRESHOLD, incoherent_input_verdicts
 from .thermo import (
+    CLOSURE_TOL,
+    COMPLEMENTARITY_TOL,
+    CYCLE_RESIDUAL_TOL,
+    FD_RELATIVE_TOL,
+    HEAT_FLOW_TOL,
+    RATE_POSITIVITY_TOL,
     check_rates_by_finite_differences,
     complementarity_report,
     heat_flow,
 )
 
 N_SEEDS = 256
+RATIO_MONOTONE_SLACK = 1e-12  # criterion 4: the ratio may dip this much between sweep points
+RATIO_UNIT_SLACK = 1e-9  # criterion 4: and lie this far below its lower bound 1
 
 
 @dataclass(frozen=True)
@@ -70,15 +85,11 @@ class AcceptanceContext:
 
     def tol(self, cid: int, base: float) -> float:
         """Upper-bound tolerance; poisoned to -inf (unachievable) when perturbed."""
-        if self.perturb is not None and self.perturb == str(cid):
-            return -math.inf
-        return base
+        return -math.inf if self.perturb == str(cid) else base
 
     def threshold(self, cid: int, base: float) -> float:
         """Witness-strength threshold; poisoned to +inf when perturbed."""
-        if self.perturb is not None and self.perturb == str(cid):
-            return math.inf
-        return base
+        return math.inf if self.perturb == str(cid) else base
 
     @cached_property
     def collective(self):
@@ -118,32 +129,31 @@ class AcceptanceContext:
         return thermal_operation_systems()
 
 
+def _series_verdicts(ctx: AcceptanceContext, name: str, **tols) -> list:
+    return [v for s in ctx.all_series for v in s.verdicts(**tols) if v.name == name]
+
+
 def criterion_1(ctx: AcceptanceContext) -> CriterionResult:
     """Decomposition closure at every snapshot of every scenario."""
-    tol = ctx.tol(1, 1e-8)
-    worst = 0.0
-    count = 0
-    for series in ctx.all_series:
-        for s in series.snapshots:
-            count += 1
-            resid = abs(s.Pi_rate + s.rate_C_v + s.rate_C_h + s.rate_D_th)
-            worst = max(worst, resid / max(1.0, abs(s.Pi_rate)))
+    tol = ctx.tol(1, CLOSURE_TOL)
+    verdicts = _series_verdicts(ctx, "closure", closure_tol=tol)
+    worst = max((v.value for v in verdicts), default=0.0)
+    count = sum(len(s.snapshots) for s in ctx.all_series)
     return CriterionResult(
         1, "decomposition closure Pi = -dC_v - dC_h - dD_th",
-        worst <= tol, f"max residual {worst:.3e} over {count} snapshots (tol {tol:.1e})",
+        all(v.passed for v in verdicts),
+        f"max residual {worst:.3e} over {count} snapshots (tol {tol:.1e})",
     )
 
 
 def criterion_2(ctx: AcceptanceContext) -> CriterionResult:
     """Pi >= 0, -dC_v >= 0 and -dC_h - dD_th >= 0 everywhere."""
-    tol = ctx.tol(2, 1e-8)
-    worst = math.inf
-    for series in ctx.all_series:
-        for s in series.snapshots:
-            worst = min(worst, s.Pi_rate, -s.rate_C_v, -s.rate_C_h - s.rate_D_th)
+    tol = ctx.tol(2, RATE_POSITIVITY_TOL)
+    verdicts = _series_verdicts(ctx, "positivity", positivity_tol=tol)
+    worst = min((v.value for v in verdicts), default=math.inf)
     return CriterionResult(
         2, "positivity of Pi, -dC_v/dt, -(dC_h + dD_th)/dt",
-        worst >= -tol, f"most negative witness {worst:.3e} (floor {-tol:.1e})",
+        all(v.passed for v in verdicts), f"most negative witness {worst:.3e} (floor {-tol:.1e})",
     )
 
 
@@ -151,7 +161,7 @@ def criterion_3(ctx: AcceptanceContext) -> CriterionResult:
     """Negative contributions exist: -dC_h/dt < 0 (generation) along the
     collective relaxation, and -dD_th/dt < 0 (population divergence) at the
     start of the heat-flow-reversal scenario."""
-    thr = ctx.threshold(3, 1e-6)
+    thr = ctx.threshold(3, WITNESS_THRESHOLD)
     gen_contrib = min(-s.rate_C_h for s in ctx.collective.series.snapshots)
     rev_contrib = -ctx.reversal.initial_snapshot.rate_D_th
     ok = gen_contrib < -thr and rev_contrib < -thr
@@ -170,22 +180,18 @@ def criterion_4(ctx: AcceptanceContext) -> CriterionResult:
     curve descends toward the unit line at small beta_B without crossing it;
     the binding check is the asymptote n.
     """
-    rel = ctx.threshold(4, 0.05)
-    if ctx.perturb == "4":
-        rel = -1.0  # unachievable
+    rel = ctx.tol(4, RATIO_RELATIVE_TOL)
     details = []
     ok = True
     for n in (2, 4, 10):
         spec = SpinEnsembleSpec(n, 0.5)
-        _, _, top = entropy_production_ratio(spec, 50.0, 6.0)
-        if abs(top - n) > rel * n:
-            ok = False
         ratios = [entropy_production_ratio(spec, 50.0, x)[2] for x in np.geomspace(0.01, 6.0, 25)]
+        top = ratios[-1]  # beta_B omega = 6, the endpoint geomspace returns exactly
         floor = n * math.log(2.0) / math.log(n + 1.0)
-        monotone = all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
-        toward_floor = abs(ratios[0] - floor) < 0.05 * floor
-        above_one = all(r >= 1.0 - 1e-9 for r in ratios)
-        if not (monotone and toward_floor and above_one):
+        monotone = all(b >= a - RATIO_MONOTONE_SLACK for a, b in zip(ratios, ratios[1:]))
+        toward_floor = abs(ratios[0] - floor) < rel * floor
+        above_one = all(r >= 1.0 - RATIO_UNIT_SLACK for r in ratios)
+        if not (ratio_verdict(n, top, rel).passed and monotone and toward_floor and above_one):
             ok = False
         details.append(f"n={n}: ratio(6)={top:.4f}, ratio(0.01)={ratios[0]:.4f}, floor={floor:.4f}")
     return CriterionResult(
@@ -197,10 +203,7 @@ def criterion_4(ctx: AcceptanceContext) -> CriterionResult:
 def criterion_5(ctx: AcceptanceContext) -> CriterionResult:
     """Lindblad asymptotic state matches the analytic block-thermal form."""
     tol = ctx.tol(5, 1e-6)
-    spec = SpinEnsembleSpec(2, 0.5)
-    system = collective_coupling(spec)
-    els = system.level_structure()
-    gen = build_generator([system.A_S], els, flat_bath(0.1, 1.0))
+    spec, els, gen = ctx.collective.spec, ctx.collective.els, ctx.collective.gen
     worst = 0.0
     coh_ok = True
     for b0 in (50.0, -50.0, 2.0):
@@ -208,7 +211,7 @@ def criterion_5(ctx: AcceptanceContext) -> CriterionResult:
         ana = analytic_steady_state(spec, b0, 1.0)
         worst = max(worst, max_abs(asym.elements - ana.elements))
         c_v, c_h = coherence_measures(ana, els)
-        if c_v > 1e-10 or c_h <= 1e-6:
+        if c_v > 1e-10 or c_h <= WITNESS_THRESHOLD:
             coh_ok = False
     return CriterionResult(
         5, "asymptotic state matches the analytic steady state elementwise",
@@ -242,21 +245,15 @@ def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
     """Heat-flow identity on random states; T(w) = 1/beta_0 without horizontal coherences."""
-    tol = ctx.tol(7, 1e-8)
+    tol = ctx.tol(7, HEAT_FLOW_TOL)
     t_tol = ctx.tol(7, 1e-9)
     rng = np.random.default_rng(77)
     worst_flow = 0.0
     worst_t = 0.0
-    systems = []
-    spec2 = SpinEnsembleSpec(2, 0.5)
-    system2 = collective_coupling(spec2)
-    els2 = system2.level_structure()
-    systems.append((els2, build_generator([system2.A_S], els2, flat_bath(0.1, 1.0))))
-    from .qcore import HermitianObservable
-    from .spectrum import build_level_structure
     els_q = build_level_structure(HermitianObservable(np.diag([0.0, 1.0])))
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    systems.append((els_q, build_generator([HermitianObservable(sx)], els_q, flat_bath(0.1, 1.0))))
+    sx = HermitianObservable(np.array([[0, 1], [1, 0]], dtype=complex))
+    systems = [(ctx.collective.els, ctx.collective.gen),  # the n = 2 collective generator
+               (els_q, build_generator([sx], els_q, flat_bath(0.1, 1.0)))]
     for els, gen in systems:
         dim = els.dim
         for _ in range(100):
@@ -290,50 +287,36 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
     """Complementarity checks on the reversal and generation scenarios."""
-    tol = ctx.tol(8, 1e-8)
+    tol = ctx.tol(8, COMPLEMENTARITY_TOL)
     problems = []
-    rev = complementarity_report(ctx.reversal.series, tol=tol)
-    gen = complementarity_report(ctx.generation.series, tol=tol)
-    for name, rep, want_active in (("reversal", rev, "reversal"), ("generation", gen, "generation")):
+    active = {}
+    for name in ("reversal", "generation"):
+        rep = complementarity_report(getattr(ctx, name).series, tol=tol)
+        active[name] = sum(getattr(e, f"{name}_active") for e in rep.entries)
         if not rep.applicable:
             problems.append(f"{name}: inapplicable")
             continue
-        if not all(e.sum_nonneg_ok for e in rep.entries):
-            problems.append(f"{name}: (i) fails")
-        if not all(e.energy_identity_ok for e in rep.entries):
-            problems.append(f"{name}: (ii) fails")
-        if not all(e.reversal_bound_ok for e in rep.entries if e.reversal_active):
-            problems.append(f"{name}: (iii) fails")
-        if not all(e.generation_bound_ok for e in rep.entries if e.generation_active):
-            problems.append(f"{name}: (iv) fails")
-        if rep.initial_rate_ok is not True:
-            problems.append(f"{name}: (v) fails")
-        active = any(
-            e.reversal_active if want_active == "reversal" else e.generation_active
-            for e in rep.entries
-        )
-        if not active:
+        problems += [f"{name}: {v.name} fails" for v in rep.verdicts() if not v.passed]
+        if not active[name]:
             problems.append(f"{name}: expected active branch never triggered")
-    n_rev = sum(e.reversal_active for e in rev.entries)
-    n_gen = sum(e.generation_active for e in gen.entries)
     return CriterionResult(
         8, "complementarity suite (i)-(v) incl. strict consumption during reversal",
         not problems,
         problems and "; ".join(problems) or
-        f"all pass; reversal-active {n_rev}, generation-active {n_gen} entries",
+        "all pass; reversal-active {reversal}, generation-active {generation} entries".format(**active),
     )
 
 
 def criterion_9(ctx: AcceptanceContext) -> CriterionResult:
     """Conservation checks (a)-(g) over the seeded unitary family."""
-    tol = ctx.tol(9, 1e-9)
+    tol = ctx.tol(9, CHECK_TOL)
     failures = 0
     total = 0
     for name, sys_ in ctx.thermal_systems:
         rho_b = thermal_state_of(sys_.els_B, 1.3)
         for rep in conservation_scan(sys_, range(N_SEEDS), rho_b, 1.3, beta_0=0.7, tol=tol):
             total += 1
-            if not rep.all_pass:
+            if not all(v.passed for v in rep.verdicts()):
                 failures += 1
     return CriterionResult(
         9, "conservation laws (a)-(g) over 256 seeded energy-conserving unitaries",
@@ -343,18 +326,17 @@ def criterion_9(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_10(ctx: AcceptanceContext) -> CriterionResult:
     """No vertical generation from incoherent inputs; horizontal generation occurs."""
-    tol = ctx.tol(10, 1e-9)
-    max_cv = 0.0
-    max_ch = 0.0
-    for name, sys_ in ctx.thermal_systems:
-        rho_b = thermal_state_of(sys_.els_B, 1.3)
-        for rep in conservation_scan(sys_, range(N_SEEDS), rho_b, 1.3):
-            max_cv = max(max_cv, rep.S_final.C_v)
-            max_ch = max(max_ch, rep.S_final.C_h)
-    ok = max_cv <= tol and max_ch > ctx.threshold(10, 1e-6)
+    finals = [
+        rep.S_final for _, sys_ in ctx.thermal_systems
+        for rep in conservation_scan(sys_, range(N_SEEDS), thermal_state_of(sys_.els_B, 1.3), 1.3)
+    ]
+    cv, ch = incoherent_input_verdicts(
+        finals, ctx.tol(10, CHECK_TOL), ctx.threshold(10, WITNESS_THRESHOLD)
+    )
     return CriterionResult(
         10, "no vertical-coherence generation; horizontal generation witnessed",
-        ok, f"max final C_v^S {max_cv:.3e} (tol {tol:.1e}); max final C_h^S {max_ch:.3e}",
+        cv.passed and ch.passed,
+        f"max final C_v^S {cv.value:.3e} (tol {cv.bound:.1e}); max final C_h^S {ch.value:.3e}",
     )
 
 
@@ -365,9 +347,8 @@ def criterion_11(ctx: AcceptanceContext) -> CriterionResult:
     interior = list(range(1, len(series.snapshots) - 1))
     picks = sorted(rng.choice(interior, size=20, replace=False))
     points = [(series.snapshots[k].t, series.states[k], series.snapshots[k]) for k in picks]
-    rel = -1.0 if ctx.perturb == "11" else None
     failures = check_rates_by_finite_differences(
-        ctx.reversal.gen, points, raise_on_failure=False, rel_tol=rel
+        ctx.reversal.gen, points, raise_on_failure=False, rel_tol=ctx.tol(11, FD_RELATIVE_TOL)
     )
     return CriterionResult(
         11, "analytic rates match centered finite differences (rel 1e-4)",
@@ -377,34 +358,26 @@ def criterion_11(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_12(ctx: AcceptanceContext) -> CriterionResult:
     """Near-degenerate clustered trajectory tracks the exactly-degenerate one."""
-    tol = ctx.tol(12, 1e-3)
-    dist = ctx.near_degenerate.max_trace_distance
-    horizon = 0.1 / 1e-3
+    scen = ctx.near_degenerate
+    (v,) = scen.verdicts(ctx.tol(12, TRACE_DISTANCE_TOL))
     return CriterionResult(
         12, "near-degenerate mode reproduces the degenerate trajectory",
-        dist <= tol, f"max trace distance {dist:.3e} for t <= {horizon:g} (tol {tol:.1e})",
+        v.passed, f"max trace distance {v.value:.3e} for t <= {scen.horizon:g} (tol {v.bound:.1e})",
     )
 
 
 def criterion_13(ctx: AcceptanceContext) -> CriterionResult:
     """Otto relations: closed-cycle second law and the applicable exchange identity."""
-    tol = ctx.tol(13, 1e-8)
     rep = ctx.otto
-    problems = []
-    for label, m in (("incoherent", rep.incoherent), ("coherent", rep.coherent)):
-        if abs(m.second_law_residual) > tol:
-            problems.append(f"{label}: second law residual {m.second_law_residual:.3e}")
-    if rep.equal_eta_applies:
-        if rep.equal_eta_identity is None or abs(rep.equal_eta_identity) > tol:
-            problems.append(f"equal-eta identity residual {rep.equal_eta_identity}")
-    elif rep.equal_W_applies:
-        if rep.equal_W_identity is None or abs(rep.equal_W_identity) > tol:
-            problems.append(f"equal-W identity residual {rep.equal_W_identity}")
-    else:
+    problems = [
+        f"{v.name} {v.value:.3e}" for v in rep.verdicts(ctx.tol(13, CYCLE_RESIDUAL_TOL))
+        if not v.passed
+    ]
+    if not (rep.equal_eta_applies or rep.equal_W_applies):
         problems.append("neither exchange-relation branch applies")
     gain = abs(rep.coherent.W) - abs(rep.incoherent.W)
     sigma_gain = rep.coherent.Sigma - rep.incoherent.Sigma
-    if not (rep.equal_eta_applies and gain > 1e-6 and sigma_gain > 1e-6):
+    if not (rep.equal_eta_applies and gain > WITNESS_THRESHOLD and sigma_gain > WITNESS_THRESHOLD):
         problems.append(f"witness point fails: work gain {gain:.3e}, Sigma gain {sigma_gain:.3e}")
     return CriterionResult(
         13, "Otto second law, exchange identity, and |W*| > |W| with Sigma* > Sigma",

@@ -8,6 +8,7 @@ Boltzmann weights are never clipped (``log_boltzmann_weights``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +19,15 @@ TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 CLIP_FLOOR = 1e-14
 SUPPORT_WEIGHT_TOL = 1e-12
+
+
+class Verdict(NamedTuple):
+    """One judged check of a report: its measured value against its bound."""
+
+    name: str
+    value: float
+    bound: float
+    passed: bool
 
 
 def default_labels(dim: int) -> tuple[str, ...]:

@@ -29,7 +29,7 @@ from .lindblad import (
     evolve,
     flat_bath,
 )
-from .qcore import DensityMatrix, HermitianObservable, boltzmann_weights, trace_distance
+from .qcore import DensityMatrix, HermitianObservable, Verdict, boltzmann_weights, trace_distance
 from .spectrum import (
     EnergyLevelStructure,
     build_level_structure,
@@ -38,15 +38,18 @@ from .spectrum import (
 )
 from .thermalops import (
     CHECK_TOL,
+    WITNESS_THRESHOLD,
     BipartiteSystem,
     ConservationReport,
     apply_operation,
     conservation_report,
     divergence_witness,
     horizontal_pattern,
+    incoherent_input_verdicts,
     sample_energy_conserving_unitary,
 )
 from .thermo import (
+    ComplementarityReport,
     ThermoSeries,
     ThermoSnapshot,
     complementarity_report,
@@ -66,13 +69,19 @@ SCENARIOS = (
 
 CSV_HEADER = "t,S,C_v,C_h,D_th,E_S,F_D,Pi_rate,Phi_rate,rate_C_v,rate_C_h,rate_D_th,flags"
 LINDBLAD_DIM_BUDGET = 64
-RATIO_RELATIVE_TOL = 0.05  # the summary's ratio_within_5_percent verdict
+RATIO_RELATIVE_TOL = 0.05  # the entropy-production ratio against its limits
 TRACE_DISTANCE_TOL = 1e-3  # clustered against exactly-degenerate near-degenerate run
+MAX_GRID_POINTS = 10**12  # far inside numpy's index range, which np.geomspace overflows
 
 
 def fmt(x: float) -> str:
     """17 significant digits, '.' decimal separator, locale independent."""
     return format(float(x), ".17g")
+
+
+def _check_ceiling(name: str, points: int) -> None:
+    if points > MAX_GRID_POINTS:
+        raise ConfigError(f"{name} must be at most {MAX_GRID_POINTS}, got {points}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +93,7 @@ class GridSpec:
     def __post_init__(self):
         if self.points < 3:
             raise ConfigError("time_grid requires points >= 3")
+        _check_ceiling("time_grid.points", self.points)
 
 
 @dataclass(frozen=True)
@@ -98,6 +108,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (0 < self.t_min < self.t_max) or self.points < 3:
             raise ConfigError("time_grid requires 0 < t_min < t_max and points >= 3")
+        _check_ceiling("time_grid.points", self.points)
 
     def times(self) -> list[float]:
         ts = list(np.geomspace(self.t_min, self.t_max, self.points))
@@ -115,6 +126,7 @@ class SweepSpec:
     def __post_init__(self):
         if not (0 < self.minimum < self.maximum) or self.points < 2:
             raise ConfigError("sweep requires 0 < min < max and points >= 2")
+        _check_ceiling("sweep.points", self.points)
 
     def values(self) -> list[float]:
         return list(np.geomspace(self.minimum, self.maximum, self.points))
@@ -272,6 +284,11 @@ class ReversalScenario:
     amplitude: float
     amplitude_max: float
     initial_snapshot: ThermoSnapshot
+    weighted_E_dot: float  # (beta_0 - beta_B) dE/dt at t = 0; negative when heat flow reverses
+
+    def verdicts(self) -> list[Verdict]:
+        w = self.weighted_E_dot
+        return [Verdict("heat_flow_reversed", w, 0.0, w < 0)]
 
 
 def build_reversal_scenario(
@@ -325,6 +342,7 @@ def build_reversal_scenario(
         amplitude=float(amplitude),
         amplitude_max=float(c_max),
         initial_snapshot=series.snapshots[0],
+        weighted_E_dot=(beta_0 - beta_B) * series.snapshots[0].E_dot,
     )
 
 
@@ -336,8 +354,13 @@ class NearDegenerateScenario:
     gen_clustered: LindbladGenerator
     rho0: DensityMatrix
     times: list[float]
+    horizon: float
     series: ThermoSeries
     max_trace_distance: float
+
+    def verdicts(self, tol: float = TRACE_DISTANCE_TOL) -> list[Verdict]:
+        d = self.max_trace_distance
+        return [Verdict("within_tolerance", d, tol, d <= tol)]
 
 
 def build_near_degenerate_scenario(
@@ -376,6 +399,7 @@ def build_near_degenerate_scenario(
         gen_clustered=gen_clustered,
         rho0=rho0,
         times=times,
+        horizon=horizon,
         series=series,
         max_trace_distance=float(dist),
     )
@@ -497,24 +521,9 @@ def snapshot_rows_to_csv(rows: Sequence[tuple[float, dict[str, float], tuple[str
     return "\n".join(lines) + "\n"
 
 
-def invariant_scan(series: ThermoSeries, tol: float = 1e-8) -> dict[str, int]:
-    """Counts of per-snapshot invariant checks over a series."""
-    counts = {"snapshots": 0, "closure_fail": 0, "positivity_fail": 0}
-    for s in series.snapshots:
-        counts["snapshots"] += 1
-        if not math.isfinite(s.Pi_rate):
-            continue
-        closure = abs(s.Pi_rate + s.rate_C_v + s.rate_C_h + s.rate_D_th)
-        if closure > tol * max(1.0, abs(s.Pi_rate)):
-            counts["closure_fail"] += 1
-        trio_ok = (
-            s.Pi_rate >= -tol
-            and -s.rate_C_v >= -tol
-            and (-s.rate_C_h - s.rate_D_th) >= -tol
-        )
-        if not trio_ok:
-            counts["positivity_fail"] += 1
-    return counts
+def ratio_verdict(n: int, ratio: float, tol: float = RATIO_RELATIVE_TOL) -> Verdict:
+    """The entropy-production ratio at large beta_B omega lies within tol * n of n."""
+    return Verdict("ratio_within_5_percent", ratio, tol * n, abs(ratio - n) <= tol * n)
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +542,16 @@ class ScenarioOutput:
 
 
 class _Summary:
-    """Deterministic key/value + table text accumulator."""
+    """Deterministic key/value + table text accumulator that counts the failing
+    verdicts it judges.  It opens with the scenario's title and the named
+    parameters ``keys`` of ``params``."""
 
-    def __init__(self, title: str):
-        self.lines: list[str] = [f"# {title}", ""]
+    def __init__(self, scenario: str, params, keys: Sequence[str]):
+        self.scenario = scenario
+        self.lines: list[str] = [f"# {scenario}", ""]
+        self.failures = 0
+        for key in keys:
+            self.kv(key, getattr(params, key))
 
     def kv(self, key: str, value) -> None:
         if isinstance(value, float):
@@ -551,41 +566,40 @@ class _Summary:
         for row in rows:
             self.lines.append(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row))
 
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
+    def judge(self, v: Verdict, shown=None) -> None:
+        """The verdict's line: pass/FAIL, unless ``shown`` replaces the word."""
+        self.kv(v.name, ("pass" if v.passed else "FAIL") if shown is None else shown)
+        self.failures += not v.passed
 
+    def tally(self, verdicts: Sequence[Verdict]) -> int:
+        """Count the failing verdicts, without a line each; return that count."""
+        bad = sum(not v.passed for v in verdicts)
+        self.failures += bad
+        return bad
 
-def _summarize_invariants(summary: _Summary, scan: dict[str, int]) -> int:
-    summary.section("invariants")
-    summary.kv("snapshots", scan["snapshots"])
-    summary.kv("closure_failures", scan["closure_fail"])
-    summary.kv("positivity_failures", scan["positivity_fail"])
-    return scan["closure_fail"] + scan["positivity_fail"]
+    def invariants(self, series: ThermoSeries) -> None:
+        verdicts = series.verdicts()
+        self.section("invariants")
+        self.kv("snapshots", len(series.snapshots))
+        for name in ("closure", "positivity"):
+            self.kv(f"{name}_failures", self.tally([v for v in verdicts if v.name == name]))
 
+    def complementarity(self, report: ComplementarityReport) -> None:
+        self.section("complementarity")
+        self.kv("applicable", report.applicable)
+        if not report.applicable:
+            self.kv("flags", ";".join(report.flags))
+            return
+        self.kv("beta_0_fit", report.beta_0)
+        self.kv("fit_residual", report.fit_residual)
+        for v in report.verdicts():
+            self.judge(v)
+        self.kv("reversal_active_entries", sum(e.reversal_active for e in report.entries))
+        self.kv("generation_active_entries", sum(e.generation_active for e in report.entries))
 
-def _summarize_complementarity(summary: _Summary, report) -> int:
-    summary.section("complementarity")
-    summary.kv("applicable", report.applicable)
-    if not report.applicable:
-        summary.kv("flags", ";".join(report.flags))
-        return 0
-    summary.kv("beta_0_fit", report.beta_0)
-    summary.kv("fit_residual", report.fit_residual)
-    failures = 0
-    n_rev = sum(1 for e in report.entries if e.reversal_active)
-    n_gen = sum(1 for e in report.entries if e.generation_active)
-    for name, ok in (
-        ("i_sum_nonnegative", all(e.sum_nonneg_ok for e in report.entries)),
-        ("ii_energy_identity", all(e.energy_identity_ok for e in report.entries)),
-        ("iii_reversal_bound", all(e.reversal_bound_ok for e in report.entries if e.reversal_active)),
-        ("iv_generation_bound", all(e.generation_bound_ok for e in report.entries if e.generation_active)),
-        ("v_initial_rate", bool(report.initial_rate_ok)),
-    ):
-        summary.kv(name, "pass" if ok else "FAIL")
-        failures += 0 if ok else 1
-    summary.kv("reversal_active_entries", n_rev)
-    summary.kv("generation_active_entries", n_gen)
-    return failures
+    def output(self, csv_text: str) -> ScenarioOutput:
+        text = "\n".join(self.lines) + "\n"
+        return ScenarioOutput(self.scenario, csv_text, text, self.failures)
 
 
 def run_collective_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
@@ -593,21 +607,16 @@ def run_collective_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
         cfg.n, cfg.s, cfg.omega, cfg.beta_0, cfg.beta_B, cfg.gamma,
         grid=TimeGrid(0.01 / cfg.gamma, 30.0 / cfg.gamma, cfg.time_grid.points),
     )
-    summary = _Summary("collective-spins")
-    for key in ("n", "s", "omega", "beta_0", "beta_B", "gamma"):
-        summary.kv(key, getattr(cfg, key))
-    failures = _summarize_invariants(summary, invariant_scan(scen.series))
+    summary = _Summary(cfg.scenario, cfg, ("n", "s", "omega", "beta_0", "beta_B", "gamma"))
+    summary.invariants(scen.series)
 
     summary.section("horizontal-coherence generation")
-    final_ch = scen.series.snapshots[-1].C_h
-    closed = -delta_C_h_limit(scen.spec, cfg.beta_B)
-    summary.kv("C_h_final", final_ch)
-    summary.kv("C_h_limit_closed_form", closed)
+    summary.kv("C_h_final", scen.series.snapshots[-1].C_h)
+    summary.kv("C_h_limit_closed_form", -delta_C_h_limit(scen.spec, cfg.beta_B))
     summary.kv("max_rate_C_h", max(s.rate_C_h for s in scen.series.snapshots))
 
     summary.section("entropy-production ratio sweep")
     rows = []
-    ratio_failures = 0
     for x in cfg.sweep.values():
         pt, pc, ratio = entropy_production_ratio(scen.spec, cfg.beta_0 * cfg.omega, x / cfg.omega)
         rows.append((x, pt, pc, ratio))
@@ -615,17 +624,8 @@ def run_collective_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
     top_ratio = rows[-1][-1]
     summary.kv("ratio_at_top", top_ratio)
     summary.kv("ratio_target_n", cfg.n)
-    if abs(top_ratio - cfg.n) > RATIO_RELATIVE_TOL * cfg.n:
-        ratio_failures += 1
-        summary.kv("ratio_within_5_percent", "FAIL")
-    else:
-        summary.kv("ratio_within_5_percent", "pass")
-    return ScenarioOutput(
-        scenario=cfg.scenario,
-        csv_text=series_to_csv(scen.series),
-        summary_text=summary.text(),
-        invariant_failures=failures + ratio_failures,
-    )
+    summary.judge(ratio_verdict(cfg.n, top_ratio))
+    return summary.output(series_to_csv(scen.series))
 
 
 def run_reversal_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
@@ -633,75 +633,62 @@ def run_reversal_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
         cfg.omega, cfg.beta_0, cfg.beta_B, cfg.gamma, cfg.coherence_amplitude,
         grid=TimeGrid(0.01 / cfg.gamma, 20.0 / cfg.gamma, cfg.time_grid.points, include_zero=True),
     )
-    summary = _Summary("heat-flow-reversal")
-    for key in ("omega", "beta_0", "beta_B", "gamma"):
-        summary.kv(key, getattr(cfg, key))
+    summary = _Summary(cfg.scenario, cfg, ("omega", "beta_0", "beta_B", "gamma"))
     summary.kv("coherence_amplitude", scen.amplitude)
     summary.kv("coherence_amplitude_max", scen.amplitude_max)
-    failures = _summarize_invariants(summary, invariant_scan(scen.series))
+    summary.invariants(scen.series)
 
     summary.section("initial heat flow")
-    snap0 = scen.initial_snapshot
-    weighted = (cfg.beta_0 - cfg.beta_B) * snap0.E_dot
-    summary.kv("E_dot_initial", snap0.E_dot)
-    summary.kv("weighted_E_dot", weighted)
-    summary.kv("heat_flow_reversed", "yes" if weighted < 0 else "no")
-    if weighted >= 0:
-        failures += 1
-    summary.kv("rate_D_th_initial", snap0.rate_D_th)
+    summary.kv("E_dot_initial", scen.initial_snapshot.E_dot)
+    summary.kv("weighted_E_dot", scen.weighted_E_dot)
+    for v in scen.verdicts():
+        summary.judge(v, "yes" if v.passed else "no")
+    summary.kv("rate_D_th_initial", scen.initial_snapshot.rate_D_th)
     hf = heat_flow(scen.gen, scen.rho0)
     for ch in hf.channels:
         summary.kv(f"apparent_temperature_omega_{fmt(ch.omega)}",
                    "undefined" if ch.T_apparent is None else fmt(ch.T_apparent))
-    failures += _summarize_complementarity(summary, complementarity_report(scen.series))
-    return ScenarioOutput(cfg.scenario, series_to_csv(scen.series), summary.text(), failures)
+    summary.complementarity(complementarity_report(scen.series))
+    return summary.output(series_to_csv(scen.series))
 
 
 def run_thermal_operation_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
-    summary = _Summary("thermal-operation")
-    summary.kv("seeds", cfg.seeds)
-    summary.kv("beta_0", cfg.beta_0)
-    summary.kv("beta_B", cfg.beta_B)
-    failures = 0
+    summary = _Summary(cfg.scenario, cfg, ("seeds", "beta_0", "beta_B"))
     witness_rows = []
     seeds = range(cfg.seed, cfg.seed + cfg.seeds)
     for name, sys_ in thermal_operation_systems(cfg.omega):
         summary.section(f"conservation laws: {name}")
         rho_b = thermal_state_of(sys_.els_B, cfg.beta_B)
         reports = conservation_scan(sys_, seeds, rho_b, cfg.beta_B, beta_0=cfg.beta_0)
-        for cname in reports[0].checks:
-            bad = sum(0 if r.checks[cname][1] else 1 for r in reports)
-            summary.kv(cname, f"{len(reports) - bad}/{len(reports)} pass")
-            failures += bad
+        for column in zip(*(r.verdicts() for r in reports)):
+            bad = summary.tally(column)
+            summary.kv(column[0].name, f"{len(column) - bad}/{len(column)} pass")
 
         finals = [r.S_final for r in conservation_scan(sys_, seeds, rho_b, cfg.beta_B)]
-        max_cv = max(f.C_v for f in finals)
-        max_ch = max(f.C_h for f in finals)
-        summary.kv("max_final_C_v_from_incoherent", max_cv)
-        summary.kv("max_final_C_h_from_incoherent", max_ch)
-        if max_cv > 1e-9:
-            failures += 1
-        if sys_.els_S.is_degenerate():
-            if max_ch <= 1e-6:
-                failures += 1
-            summary.section(f"population-divergence witness: {name}")
-            try:
-                wit = divergence_witness(sys_, seeds, cfg.beta_B)
-            except WitnessNotFound as exc:
-                summary.kv("witness", f"not found ({exc})")
-                failures += 1
-            else:
-                summary.kv("seed", wit.seed)
-                summary.kv("coherence_amplitude", wit.coherence_amplitude)
-                summary.kv("delta_D_th_S", wit.delta_D_th_S)
-                summary.kv("delta_C_h_S", wit.delta_C_h_S)
-                summary.kv("delta_E_S", wit.delta_E_S)
-                _, rho_s_f, _ = apply_operation(sys_, wit.unitary, wit.rho_S, wit.rho_B)
-                witness_rows = finite_change_rows(
-                    (t, state, sys_.els_S, cfg.beta_B, "finite-operation")
-                    for t, state in ((0.0, wit.rho_S), (1.0, rho_s_f))
-                )
-    return ScenarioOutput(cfg.scenario, snapshot_rows_to_csv(witness_rows), summary.text(), failures)
+        cv, ch = incoherent_input_verdicts(finals)
+        summary.judge(cv, cv.value)
+        if not sys_.els_S.is_degenerate():
+            summary.kv(ch.name, ch.value)
+            continue
+        summary.judge(ch, ch.value)
+        summary.section(f"population-divergence witness: {name}")
+        try:
+            wit = divergence_witness(sys_, seeds, cfg.beta_B)
+        except WitnessNotFound as exc:
+            missing = Verdict("witness", math.nan, WITNESS_THRESHOLD, False)
+            summary.judge(missing, f"not found ({exc})")
+            continue
+        summary.kv("seed", wit.seed)
+        summary.kv("coherence_amplitude", wit.coherence_amplitude)
+        summary.kv("delta_D_th_S", wit.delta_D_th_S)
+        summary.kv("delta_C_h_S", wit.delta_C_h_S)
+        summary.kv("delta_E_S", wit.delta_E_S)
+        _, rho_s_f, _ = apply_operation(sys_, wit.unitary, wit.rho_S, wit.rho_B)
+        witness_rows = finite_change_rows(
+            (t, state, sys_.els_S, cfg.beta_B, "finite-operation")
+            for t, state in ((0.0, wit.rho_S), (1.0, rho_s_f))
+        )
+    return summary.output(snapshot_rows_to_csv(witness_rows))
 
 
 def finite_change_rows(frames):
@@ -733,68 +720,54 @@ def run_near_degenerate_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
     scen = build_near_degenerate_scenario(
         cfg.omega, delta, cfg.beta_0, cfg.beta_B, cfg.gamma, points=cfg.time_grid.points
     )
-    summary = _Summary("near-degenerate")
-    for key in ("omega", "beta_0", "beta_B", "gamma"):
-        summary.kv(key, getattr(cfg, key))
+    summary = _Summary(cfg.scenario, cfg, ("omega", "beta_0", "beta_B", "gamma"))
     summary.kv("delta", delta)
-    summary.kv("horizon", 0.1 / delta)
-    failures = _summarize_invariants(summary, invariant_scan(scen.series))
+    summary.kv("horizon", scen.horizon)
+    summary.invariants(scen.series)
     summary.section("clustered vs exactly-degenerate twin")
     summary.kv("max_trace_distance", scen.max_trace_distance)
-    ok = scen.max_trace_distance <= TRACE_DISTANCE_TOL
-    summary.kv("within_tolerance", "pass" if ok else "FAIL")
-    if not ok:
-        failures += 1
-    return ScenarioOutput(cfg.scenario, series_to_csv(scen.series), summary.text(), failures)
+    for v in scen.verdicts():
+        summary.judge(v)
+    return summary.output(series_to_csv(scen.series))
 
 
 def run_otto_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
     report = build_otto_report(cfg.omega, cfg.gamma, cfg.otto)
-    summary = _Summary("otto-cycle")
-    summary.kv("lam", cfg.otto.lam)
-    summary.kv("beta_cold", cfg.otto.beta_cold)
-    summary.kv("beta_hot", cfg.otto.beta_hot)
-    summary.kv("stroke_time", cfg.otto.stroke_time)
-    summary.kv("prep_beta", cfg.otto.prep_beta)
+    keys = ("lam", "beta_cold", "beta_hot", "stroke_time", "prep_beta")
+    summary = _Summary(cfg.scenario, cfg.otto, keys)
     frames = (
         ("start", report.els_cold, cfg.otto.beta_cold),
         ("after-cold-isochore", report.els_cold, cfg.otto.beta_cold),
         ("after-hot-isochore", report.els_hot, cfg.otto.beta_hot),
     )
-    failures = 0
+    verdicts = report.verdicts()
+    machines = (("incoherent", report.incoherent), ("coherent", report.coherent))
     rows = []
-    for label, m in (("incoherent", report.incoherent), ("coherent", report.coherent)):
+    for (label, m), law in zip(machines, verdicts):
         summary.section(f"machine: {label}")
         summary.kv("Q_c", m.Q_c)
         summary.kv("Q_h", m.Q_h)
         summary.kv("W", m.W)
         summary.kv("eta", "undefined" if m.eta is None else fmt(m.eta))
         summary.kv("Sigma", m.Sigma)
-        summary.kv("second_law_residual", m.second_law_residual)
+        summary.judge(law, law.value)
         summary.kv("cycles_to_limit", m.cycles)
         if m.flags:
             summary.kv("flags", ";".join(m.flags))
-        if abs(m.second_law_residual) > 1e-8:
-            failures += 1
         rows.extend(finite_change_rows(
             (phase, state, els, beta, f"machine={label};stroke={stroke}")
             for phase, (state, (stroke, els, beta)) in enumerate(zip(m.stroke_states, frames))
         ))
     summary.section("exchange-relation branch")
-    summary.kv("equal_W_applies", report.equal_W_applies)
-    if report.equal_W_identity is not None:
-        summary.kv("equal_W_identity_residual", report.equal_W_identity)
-        if abs(report.equal_W_identity) > 1e-8:
-            failures += 1
-    summary.kv("equal_eta_applies", report.equal_eta_applies)
-    if report.equal_eta_identity is not None:
-        summary.kv("equal_eta_identity_residual", report.equal_eta_identity)
-        if abs(report.equal_eta_identity) > 1e-8:
-            failures += 1
-    gain = abs(report.coherent.W) - abs(report.incoherent.W)
-    summary.kv("work_gain_coherent", gain)
+    identities = {v.name: v for v in verdicts[2:]}
+    for branch in ("W", "eta"):
+        summary.kv(f"equal_{branch}_applies", getattr(report, f"equal_{branch}_applies"))
+        v = identities.get(f"equal_{branch}_identity_residual")
+        if v is not None:
+            summary.judge(v, v.value)
+    summary.kv("work_gain_coherent", abs(report.coherent.W) - abs(report.incoherent.W))
     summary.kv("Sigma_gain_coherent", report.coherent.Sigma - report.incoherent.Sigma)
-    return ScenarioOutput(cfg.scenario, snapshot_rows_to_csv(rows), summary.text(), failures)
+    return summary.output(snapshot_rows_to_csv(rows))
 
 
 def run_scenario_config(cfg: ScenarioConfig) -> ScenarioOutput:

@@ -11,6 +11,7 @@ coherences and of horizontal coherences plus population convergence.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .exceptions import InvariantViolation, ShapeMismatch, WitnessNotFound
 from .qcore import (
     DensityMatrix,
     HermitianObservable,
+    Verdict,
     max_abs,
     max_admissible_amplitude,
     tensor_labels,
@@ -29,7 +31,8 @@ from .spectrum import (
     thermal_state_of,
 )
 
-CHECK_TOL = 1e-9
+CHECK_TOL = 1e-9  # conservation laws (a)-(f); also no C_v from incoherent inputs
+WITNESS_THRESHOLD = 1e-6  # the least effect that counts as a witness
 FACTORIZATION_TOL = 1e-10
 STATIONARITY_TOL = 1e-10
 UNITARY_TOL = 1e-12
@@ -159,8 +162,8 @@ class CutQuantities:
 class ConservationReport:
     """Before/after coherence bookkeeping and the checks (a)-(g).
 
-    checks maps a short name to (value, passed); for the inequality checks the
-    value is the left-hand side that must be >= -tol.  D_th quantities are
+    checks maps each check's short name to its Verdict; for the inequality checks
+    the value is the left-hand side that must be >= -tol.  D_th quantities are
     measured against beta_B; when rho_B is not thermal at beta_B the S-local
     inequality (f) is not guaranteed by theory and the report carries a flag.
     """
@@ -174,12 +177,11 @@ class ConservationReport:
     correlated_initial: CutQuantities
     correlated_final: CutQuantities
     delta_E_S: float
-    checks: dict[str, tuple[float, bool]]
+    checks: dict[str, Verdict]
     flags: tuple[str, ...] = ()
 
-    @property
-    def all_pass(self) -> bool:
-        return all(ok for _, ok in self.checks.values())
+    def verdicts(self) -> list[Verdict]:
+        return list(self.checks.values())
 
 
 def conservation_report(
@@ -217,25 +219,16 @@ def conservation_report(
     factorized = np.kron(_block_diagonal(rho_S.elements, sys.els_S), rho_B.elements)
     factorization_dev = max_abs(_block_diagonal(rho_sb_0, sys.joint) - factorized)
 
-    checks = {
-        "a:dCv_SB=0": _eq(sbf.C_v - sb0.C_v, tol),
-        "b:dCh_SB+dDth_SB=0": _eq((sbf.C_h - sb0.C_h) + (sbf.D_th - sb0.D_th), tol),
-        "c:local_Cv_to_correlated": _eq(
-            -(sf.C_v - s0.C_v) - (bf.C_v - b0.C_v) - corrf.C_v, tol
-        ),
-        "d:expanded_balance": _eq(
-            -(sf.C_h - s0.C_h)
-            - (bf.C_h - b0.C_h)
-            - (sf.D_th - s0.D_th)
-            - (bf.D_th - b0.D_th)
-            - corrf.C_h
-            - corrf.D_th,
-            tol,
-        ),
-        "e:-dCv_S>=0": _ge(-(sf.C_v - s0.C_v), tol),
-        "f:-dCh_S-dDth_S>=0": _ge(-(sf.C_h - s0.C_h) - (sf.D_th - s0.D_th), tol),
-        "g:initial_BD_factorizes": _eq(factorization_dev, FACTORIZATION_TOL),
-    }
+    checks = (
+        _eq("a:dCv_SB=0", sbf.C_v - sb0.C_v, tol),
+        _eq("b:dCh_SB+dDth_SB=0", (sbf.C_h - sb0.C_h) + (sbf.D_th - sb0.D_th), tol),
+        _eq("c:local_Cv_to_correlated", -(sf.C_v - s0.C_v) - (bf.C_v - b0.C_v) - corrf.C_v, tol),
+        _eq("d:expanded_balance", -(sf.C_h - s0.C_h) - (bf.C_h - b0.C_h) - (sf.D_th - s0.D_th)
+            - (bf.D_th - b0.D_th) - corrf.C_h - corrf.D_th, tol),
+        _ge("e:-dCv_S>=0", -(sf.C_v - s0.C_v), tol),
+        _ge("f:-dCh_S-dDth_S>=0", -(sf.C_h - s0.C_h) - (sf.D_th - s0.D_th), tol),
+        _eq("g:initial_BD_factorizes", factorization_dev, FACTORIZATION_TOL),
+    )
     flags: tuple[str, ...] = ()
     if max_abs(rho_B.elements - thermal_state_of(sys.els_B, beta_B).elements) > tol:
         flags = (FLAG_RHO_B_NOT_THERMAL,)
@@ -249,17 +242,32 @@ def conservation_report(
         correlated_initial=corr0,
         correlated_final=corrf,
         delta_E_S=delta_e_s,
-        checks=checks,
+        checks={v.name: v for v in checks},
         flags=flags,
     )
 
 
-def _eq(value: float, tol: float) -> tuple[float, bool]:
-    return (value, abs(value) <= tol)
+def _eq(name: str, value: float, tol: float) -> Verdict:
+    return Verdict(name, value, tol, abs(value) <= tol)
 
 
-def _ge(value: float, tol: float) -> tuple[float, bool]:
-    return (value, value >= -tol)
+def _ge(name: str, value: float, tol: float) -> Verdict:
+    return Verdict(name, value, -tol, value >= -tol)
+
+
+def incoherent_input_verdicts(
+    finals: Sequence[CutQuantities],
+    tol: float = CHECK_TOL,
+    threshold: float = WITNESS_THRESHOLD,
+) -> list[Verdict]:
+    """Over the final S cuts of incoherent (diagonal) inputs: no vertical coherence,
+    and horizontal coherence generated, max C_h^S > threshold."""
+    max_cv = max(f.C_v for f in finals)
+    max_ch = max(f.C_h for f in finals)
+    return [
+        Verdict("max_final_C_v_from_incoherent", max_cv, tol, max_cv <= tol),
+        Verdict("max_final_C_h_from_incoherent", max_ch, threshold, max_ch > threshold),
+    ]
 
 
 @dataclass(frozen=True)
@@ -293,7 +301,7 @@ def divergence_witness(
     beta_B: float,
     pattern: HermitianObservable | None = None,
     amplitude_fraction: float = 0.95,
-    threshold: float = 1e-6,
+    threshold: float = WITNESS_THRESHOLD,
 ) -> DivergenceWitness:
     """Search the seeded unitary family for -Delta D_th^S < -threshold.
 
@@ -301,7 +309,7 @@ def divergence_witness(
     initial resource: its diagonal is already at equilibrium, so any later
     distance from equilibrium is a reversal of the population convergence).
     The witness also certifies the consumption bound -Delta C_h^S >= Delta
-    D_th^S > 0.
+    D_th^S > 0, reading its report's verdict (f).
     """
     if pattern is None:
         pattern = horizontal_pattern(sys.els_S)
@@ -315,7 +323,7 @@ def divergence_witness(
         d_dth = report.S_final.D_th - report.S_initial.D_th
         d_ch = report.S_final.C_h - report.S_initial.C_h
         if -d_dth < -threshold:
-            if not (-d_ch >= d_dth - CHECK_TOL and d_dth > 0):
+            if not (report.checks["f:-dCh_S-dDth_S>=0"].passed and d_dth > 0):
                 raise InvariantViolation(
                     "witness violates the consumption bound -dC_h >= dD_th > 0"
                 )

@@ -33,6 +33,7 @@ from .qcore import (
     CLIP_FLOOR,
     DensityMatrix,
     HermitianObservable,
+    Verdict,
     _as_square_complex,
     boltzmann_weights,
     log_boltzmann_weights,
@@ -53,6 +54,9 @@ RATE_POSITIVITY_TOL = 1e-8
 CLOSURE_TOL = 1e-8
 FD_RELATIVE_TOL = 1e-4
 HEAT_FLOW_TOL = 1e-8
+COMPLEMENTARITY_TOL = 1e-8  # slack of the complementarity checks (i)-(v)
+THERMAL_FIT_TOL = 1e-9  # largest population deviation of a start read as thermal
+CYCLE_RESIDUAL_TOL = 1e-8  # Otto closed-cycle second law and exchange identities
 
 FLAG_PI_DIVERGENT = "pi-divergent"
 FLAG_UNDEFINED_TEMPERATURE = "undefined-temperature"
@@ -96,6 +100,22 @@ class ThermoSeries:
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(s, name) for s in self.snapshots])
+
+    def verdicts(
+        self, closure_tol: float = CLOSURE_TOL, positivity_tol: float = RATE_POSITIVITY_TOL
+    ) -> list[Verdict]:
+        """Per snapshot, the closure residual relative to max(1, |Pi|) and the least of
+        Pi, -dC_v/dt and -(dC_h + dD_th)/dt; a pi-divergent snapshot is not judged."""
+        out = []
+        for s in self.snapshots:
+            if not math.isfinite(s.Pi_rate):
+                continue
+            closure = abs(s.Pi_rate + s.rate_C_v + s.rate_C_h + s.rate_D_th)
+            closure /= max(1.0, abs(s.Pi_rate))
+            least = min(s.Pi_rate, -s.rate_C_v, -s.rate_C_h - s.rate_D_th)
+            out.append(Verdict("closure", closure, closure_tol, closure <= closure_tol))
+            out.append(Verdict("positivity", least, -positivity_tol, least >= -positivity_tol))
+        return out
 
 
 def instantaneous_rates(
@@ -194,7 +214,7 @@ def check_rates_by_finite_differences(
     gen: LindbladGenerator,
     points: Sequence[tuple[float, DensityMatrix, ThermoSnapshot]],
     raise_on_failure: bool = True,
-    rel_tol: float | None = None,
+    rel_tol: float = FD_RELATIVE_TOL,
 ) -> list[str]:
     """Compare analytic rates with finite differences of the state functionals.
 
@@ -203,7 +223,6 @@ def check_rates_by_finite_differences(
     states at t +- h/2 and t +- h come from one ``gen.propagate`` call.
     Returns the list of failing identity descriptions (empty when all pass).
     """
-    rel = FD_RELATIVE_TOL if rel_tol is None else rel_tol
     norm = gen.norm_inf
     h = 1e-3 / max(norm, 1e-12)
     atol = 1e-9 * max(1.0, norm)
@@ -230,8 +249,7 @@ def check_rates_by_finite_differences(
         }
         for (key, an), (b2, b1, f1, f2) in zip(analytic.items(), columns):
             fd = (4 * (f1 - b1) / h - (f2 - b2) / (2 * h)) / 3
-            tol = rel * max(abs(fd), abs(an)) + (atol if rel >= 0 else 0.0)
-            if abs(fd - an) > tol:
+            if abs(fd - an) > rel_tol * max(abs(fd), abs(an)) + atol:
                 failures.append(
                     f"{key} at t = {t:.6g}: analytic {an:.6e}, finite difference {fd:.6e}"
                 )
@@ -324,6 +342,21 @@ class ComplementarityReport:
     initial_rate_ok: bool | None  # (v) -dC_h/dt + (beta_0 - beta_B) dE/dt >= 0 at t0
     flags: tuple[str, ...] = ()
 
+    def verdicts(self) -> list[Verdict]:
+        """Checks (i)-(v), each valued by its count of failing entries (none when the
+        report is not applicable); complementarity_report judged the entries at its tol."""
+        if not self.applicable:
+            return []
+        e = self.entries
+        checks = (
+            ("i_sum_nonnegative", [x.sum_nonneg_ok for x in e]),
+            ("ii_energy_identity", [x.energy_identity_ok for x in e]),
+            ("iii_reversal_bound", [x.reversal_bound_ok for x in e if x.reversal_active]),
+            ("iv_generation_bound", [x.generation_bound_ok for x in e if x.generation_active]),
+            ("v_initial_rate", [bool(self.initial_rate_ok)]),
+        )
+        return [Verdict(name, oks.count(False), 0, all(oks)) for name, oks in checks]
+
 
 def fit_inverse_temperature(pops: np.ndarray, els: EnergyLevelStructure) -> tuple[float, float]:
     """Least-squares beta from ln p against level energies; residual is the
@@ -340,7 +373,7 @@ def fit_inverse_temperature(pops: np.ndarray, els: EnergyLevelStructure) -> tupl
 
 
 def complementarity_report(
-    series: ThermoSeries, tol: float = 1e-8, fit_tol: float = 1e-9
+    series: ThermoSeries, tol: float = COMPLEMENTARITY_TOL, fit_tol: float = THERMAL_FIT_TOL
 ) -> ComplementarityReport:
     """Evaluate the complementarity inequalities between horizontal coherences
     and population convergence on every snapshot pair (0, t).
@@ -367,43 +400,29 @@ def complementarity_report(
     for snap, state in zip(series.snapshots[1:], series.states[1:]):
         minus_dch = -(snap.C_h - first.C_h)
         minus_ddth = -(snap.D_th - first.D_th)
-        sum_ok = minus_dch + minus_ddth >= -tol
+        weighted = backtrack = float("nan")  # (ii)-(iv) read the thermal start
         if applicable:
             weighted = (beta0 - series.beta_B) * (snap.E_S - first.E_S)
             pops = els.to_labeled(state.elements).diagonal().real
             log_p = np.diag(log_of_spectrum(pops))
             backtrack = relative_entropy_from_logs(np.diag(pops), log_p, log0)
-            resid = minus_ddth - (weighted - backtrack)
-            energy_ok = abs(resid) <= tol
-            reversal_active = weighted < 0.0
-            reversal_ok = (minus_dch >= -weighted - tol) if reversal_active else None
-            generation_active = -minus_dch > tol
-            generation_ok = (weighted >= -minus_dch - tol) if generation_active else None
-        else:
-            weighted = float("nan")
-            backtrack = float("nan")
-            resid = float("nan")
-            energy_ok = False
-            reversal_active = False
-            reversal_ok = None
-            generation_active = False
-            generation_ok = None
-        entries.append(
-            ComplementarityEntry(
-                t=snap.t,
-                minus_dCh=minus_dch,
-                minus_dDth=minus_ddth,
-                weighted_dE=weighted,
-                backtrack=backtrack,
-                sum_nonneg_ok=sum_ok,
-                energy_identity_residual=resid,
-                energy_identity_ok=energy_ok,
-                reversal_active=reversal_active,
-                reversal_bound_ok=reversal_ok,
-                generation_active=generation_active,
-                generation_bound_ok=generation_ok,
-            )
-        )
+        resid = minus_ddth - (weighted - backtrack)
+        reversal_active = weighted < 0.0
+        generation_active = applicable and -minus_dch > tol
+        entries.append(ComplementarityEntry(
+            t=snap.t,
+            minus_dCh=minus_dch,
+            minus_dDth=minus_ddth,
+            weighted_dE=weighted,
+            backtrack=backtrack,
+            sum_nonneg_ok=minus_dch + minus_ddth >= -tol,
+            energy_identity_residual=resid,
+            energy_identity_ok=abs(resid) <= tol,
+            reversal_active=reversal_active,
+            reversal_bound_ok=(minus_dch >= -weighted - tol) if reversal_active else None,
+            generation_active=generation_active,
+            generation_bound_ok=(weighted >= -minus_dch - tol) if generation_active else None,
+        ))
 
     initial_rate_ok: bool | None = None
     if applicable and series.beta_B != 0.0:
@@ -459,6 +478,17 @@ class OttoCycleReport:
     equal_W_identity: float | None
     equal_eta_applies: bool
     equal_eta_identity: float | None
+
+    def verdicts(self, tol: float = CYCLE_RESIDUAL_TOL) -> list[Verdict]:
+        """The second-law residual of each machine (incoherent first), then each
+        exchange-identity residual that was evaluated."""
+        residuals = [("second_law_residual", m.second_law_residual)
+                     for m in (self.incoherent, self.coherent)]
+        residuals += [(name, r) for name, r in (
+            ("equal_W_identity_residual", self.equal_W_identity),
+            ("equal_eta_identity_residual", self.equal_eta_identity),
+        ) if r is not None]
+        return [Verdict(name, r, tol, abs(r) <= tol) for name, r in residuals]
 
 
 def _proportionality(H_cold: HermitianObservable, H_hot: HermitianObservable) -> float:
@@ -524,12 +554,7 @@ def _run_machine(
     ds_cold = von_neumann_entropy(s1) - von_neumann_entropy(s0)
     ds_hot = von_neumann_entropy(s2) - von_neumann_entropy(s1)
     sigma = (ds_cold - beta_c * q_c) + (ds_hot - beta_h * q_h)
-    second_law = sigma + beta_c * q_c + beta_h * q_h
-    if abs(second_law) > 1e-8:
-        raise NonConvergence(
-            f"{label}: closed-cycle second law violated by {second_law:.3e}; "
-            "the cycle has not closed"
-        )
+    second_law = sigma + beta_c * q_c + beta_h * q_h  # judged by OttoCycleReport.verdicts
     flags: tuple[str, ...] = ()
     if q_h > 0.0 and w <= 0.0:
         eta = abs(w) / q_h

@@ -19,3 +19,14 @@ def test_criterion(ctx, cid):
     result = run_criterion(ctx, cid)
     print(result.line())
     assert result.passed, result.details
+
+
+@pytest.mark.parametrize("cid", sorted(CRITERIA))
+def test_perturbed_criterion_fails(ctx, cid):
+    """``--perturb N`` poisons criterion N's own bounds, which must make it fail; the
+    context's artifacts do not depend on ``perturb``, so one context serves all."""
+    ctx.perturb = str(cid)
+    try:
+        assert not run_criterion(ctx, cid).passed
+    finally:
+        ctx.perturb = None

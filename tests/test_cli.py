@@ -11,13 +11,19 @@ import pytest
 from cohentropy import cli
 from cohentropy.acceptance import CriterionResult
 from cohentropy.cli import main
+from cohentropy import scenarios
 from cohentropy.scenarios import (
     CSV_HEADER,
     LINDBLAD_DIM_BUDGET,
+    MAX_GRID_POINTS,
+    NearDegenerateScenario,
+    ReversalScenario,
+    TimeGrid,
     config_from_json,
     parse_config,
     run_scenario_config,
 )
+from cohentropy.thermo import ComplementarityReport, OttoCycleReport, ThermoSeries
 from cohentropy.exceptions import ConfigError
 
 
@@ -127,6 +133,32 @@ class TestConfigValues:
         assert main(["run", str(path), "--out", str(out), *extra]) == 1
         assert "configuration error: seed must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("config, field", [
+        ({"scenario": "collective-spins", "time_grid": {"points": 10**20}}, "time_grid.points"),
+        ({"scenario": "near-degenerate", "time_grid": {"points": 10**20}}, "time_grid.points"),
+        ({"sweep": {"points": 2**63 - 1}}, "sweep.points"),
+        ({"time_grid": {"points": MAX_GRID_POINTS + 1}}, "time_grid.points"),
+    ])
+    def test_huge_point_count_exits_1_without_outputs(self, tmp_path, capsys, config, field):
+        """A point count beyond the ceiling is a configuration error naming its field,
+        never an np.geomspace traceback; nothing is allocated."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: {field} must be at most {MAX_GRID_POINTS}, got "
+        )
+        assert not out.exists()
+
+    def test_point_ceiling_is_shared(self):
+        """The ceiling itself parses; the builders' grid refuses one point more."""
+        cfg = parse_config({"time_grid": {"points": MAX_GRID_POINTS},
+                            "sweep": {"points": MAX_GRID_POINTS}})
+        assert cfg.time_grid.points == cfg.sweep.points == MAX_GRID_POINTS
+        with pytest.raises(ConfigError, match="time_grid.points must be at most"):
+            TimeGrid(0.1, 1.0, MAX_GRID_POINTS + 1)
 
     def test_integral_float_field_accepted(self):
         assert parse_config({"scenario": "collective-spins", "beta_B": 2}).beta_B == 2
@@ -292,6 +324,40 @@ def test_cold_thermal_weights_keep_exact_logs(config, failure):
     out = run_scenario_config(parse_config(config))
     assert re.findall(r"^\w+: (?:FAIL|no)$", out.summary_text, re.M) == [failure]
     assert out.invariant_failures == 1
+
+
+SHIPPED = Path(__file__).parent.parent / "configs"
+
+
+@pytest.mark.parametrize("config", [
+    *(pytest.param(json.loads((SHIPPED / f"{name}.json").read_text()), id=name)
+      for name in ("collective", "reversal", "near_degenerate", "otto")),
+    pytest.param({"scenario": "collective-spins", "n": 2, "beta_0": 1.0, "beta_B": 20.0},
+                 id="cold-collective"),
+    pytest.param({"scenario": "heat-flow-reversal", "coherence_amplitude": 0}, id="cold-reversal"),
+])
+def test_invariant_failures_count_the_reports_verdicts(monkeypatch, config):
+    """A run's invariant_failures is the number of failing verdicts its reports return,
+    and the summary shows each: a FAIL/no line or its share of a *_failures count."""
+    returned = []
+
+    def recording(method):
+        def wrapper(*args, **kwargs):
+            verdicts = method(*args, **kwargs)
+            returned.extend([verdicts] if isinstance(verdicts, tuple) else verdicts)
+            return verdicts
+        return wrapper
+
+    for owner in (ThermoSeries, ComplementarityReport, OttoCycleReport, ReversalScenario,
+                  NearDegenerateScenario):
+        monkeypatch.setattr(owner, "verdicts", recording(owner.verdicts))
+    monkeypatch.setattr(scenarios, "ratio_verdict", recording(scenarios.ratio_verdict))
+    out = run_scenario_config(parse_config(config))
+    failing = sum(not v.passed for v in returned)
+    assert returned and out.invariant_failures == failing
+    shown = len(re.findall(r"^\w+: (?:FAIL|no)$", out.summary_text, re.M))
+    shown += sum(int(k) for k in re.findall(r"^\w+_failures: (\d+)$", out.summary_text, re.M))
+    assert shown == failing
 
 
 def test_cli_import_loads_no_scipy():

@@ -204,7 +204,7 @@ class TestConservationReport:
         rho_s = coherent_prepared_state(qutrit_qubit.els_S, 0.7, 5)
         rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
         rep = conservation_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
-        assert rep.all_pass
+        assert all(v.passed for v in rep.verdicts())
         assert rep.S_final.C_h == pytest.approx(rep.S_initial.C_h, abs=1e-12)
         assert abs(rep.correlated_final.C_v) < 1e-12
         assert abs(rep.delta_E_S) < 1e-13
@@ -215,7 +215,7 @@ class TestConservationReport:
         rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
         u = sample_energy_conserving_unitary(qutrit_qubit, seed)
         rep = conservation_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
-        assert rep.all_pass, {k: v for k, v in rep.checks.items() if not v[1]}
+        assert all(v.passed for v in rep.verdicts()), [v for v in rep.verdicts() if not v.passed]
         # correlated quantities are genuinely correlational: never negative
         for corr in (rep.correlated_initial, rep.correlated_final):
             assert corr.C_v >= -1e-9 and corr.C_h >= -1e-9 and corr.D_th >= -1e-9
@@ -233,7 +233,7 @@ class TestConservationReport:
                 rep = conservation_report(sys_, u, rho_s, rho_b, 1.3)
                 cuts = [rep.S_initial, rep.S_final, rep.B_initial, rep.B_final,
                         rep.SB_initial, rep.SB_final]
-                got = float_bits(cuts, rep.delta_E_S, rep.checks["g:initial_BD_factorizes"][0])
+                got = float_bits(cuts, rep.delta_E_S, rep.checks["g:initial_BD_factorizes"].value)
                 assert got == float_bits(*oracle_report_inputs(sys_, u, rho_s, rho_b, 1.3))
 
     def test_local_horizontal_coherence_changes(self, qutrit_qubit):
@@ -254,8 +254,8 @@ class TestConservationReport:
         rep = conservation_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
         assert "rho_B-not-thermal" in rep.flags
         # the global conservation laws hold for any stationary environment
-        assert rep.checks["a:dCv_SB=0"][1]
-        assert rep.checks["b:dCh_SB+dDth_SB=0"][1]
+        assert rep.checks["a:dCv_SB=0"].passed
+        assert rep.checks["b:dCh_SB+dDth_SB=0"].passed
 
     def test_no_vertical_generation_from_incoherent_inputs(self, qutrit_qubit):
         rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
@@ -283,7 +283,7 @@ class TestDivergenceWitness:
         assert -wit.delta_C_h_S >= wit.delta_D_th_S > 0
         # global bound on S alone and the global conservation trade-off
         rep = wit.report
-        assert rep.checks["f:-dCh_S-dDth_S>=0"][1]
+        assert rep.checks["f:-dCh_S-dDth_S>=0"].passed
         d_ch_sb = rep.SB_final.C_h - rep.SB_initial.C_h
         d_dth_sb = rep.SB_final.D_th - rep.SB_initial.D_th
         assert d_dth_sb == pytest.approx(-d_ch_sb, abs=1e-9)
