@@ -9,7 +9,7 @@ paying for it with a larger entropy production.
 
 import argparse
 
-from cohentropy.scenarios import OttoParams, build_otto_report
+from cohentropy.scenarios import OttoConfig, OttoParams, build_otto_report
 
 
 def main():
@@ -20,10 +20,10 @@ def main():
     parser.add_argument("--prep-beta", type=float, default=50.0)
     args = parser.parse_args()
 
-    rep = build_otto_report(params=OttoParams(
+    rep = build_otto_report(OttoConfig(otto=OttoParams(
         lam=args.lam, beta_cold=args.beta_cold, beta_hot=args.beta_hot,
         prep_beta=args.prep_beta,
-    ))
+    )))
     print(f"{'':14s}{'Q_c':>12s}{'Q_h':>12s}{'W':>12s}{'eta':>10s}{'Sigma':>12s}")
     for label, m in (("incoherent", rep.incoherent), ("coherent", rep.coherent)):
         eta = f"{m.eta:.6f}" if m.eta is not None else "n/a"

@@ -7,12 +7,14 @@ apparent transition temperature, and the running complementarity balance
 -dC_h >= dD_th along the trajectory.
 """
 
-from cohentropy.scenarios import build_reversal_scenario
+from cohentropy.scenarios import GridSpec, ReversalConfig, build_reversal_scenario
 from cohentropy.thermo import complementarity_report, heat_flow
 
 
 def main():
-    scen = build_reversal_scenario(beta_0=1.1, beta_B=1.0, gamma=0.1)
+    scen = build_reversal_scenario(
+        ReversalConfig(beta_0=1.1, beta_B=1.0, gamma=0.1, time_grid=GridSpec(50))
+    )
     snap0 = scen.initial_snapshot
     print(f"coherence amplitude c = {scen.amplitude:.6f} (max {scen.amplitude_max:.6f})")
     print(f"initial dE/dt = {snap0.E_dot:+.6e}  -> (beta_0-beta_B) dE/dt = "

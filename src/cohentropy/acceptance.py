@@ -33,17 +33,19 @@ from .qcore import DensityMatrix, HermitianObservable, max_abs
 from .scenarios import (
     RATIO_RELATIVE_TOL,
     TRACE_DISTANCE_TOL,
-    OttoParams,
-    ScenarioConfig,
-    TimeGrid,
+    CollectiveConfig,
+    GridSpec,
+    NearDegenerateConfig,
+    OttoConfig,
+    ReversalConfig,
+    ThermalOperationConfig,
     build_collective_scenario,
     build_near_degenerate_scenario,
     build_otto_report,
     build_reversal_scenario,
     conservation_scan,
+    geometric_times,
     ratio_verdict,
-    run_reversal_scenario,
-    run_thermal_operation_scenario,
     thermal_operation_systems,
 )
 from .spectrum import build_level_structure, coherence_measures, thermal_state_of
@@ -93,27 +95,26 @@ class AcceptanceContext:
 
     @cached_property
     def collective(self):
-        return build_collective_scenario(n=2, beta_0=50.0, beta_B=1.0, gamma=0.1)
+        return build_collective_scenario(CollectiveConfig())
 
     @cached_property
     def generation(self):
         return build_collective_scenario(
-            n=2, beta_0=2.0, beta_B=1.0, gamma=0.1,
-            grid=TimeGrid(t_min=0.1, t_max=300.0, points=50, include_zero=True),
-            provenance="coherence-generation",
+            CollectiveConfig(beta_0=2.0),
+            times=geometric_times(0.1, 300.0, 50, include_zero=True),
         )
 
     @cached_property
     def reversal(self):
-        return build_reversal_scenario()
+        return build_reversal_scenario(ReversalConfig(beta_0=1.1, time_grid=GridSpec(50)))
 
     @cached_property
     def near_degenerate(self):
-        return build_near_degenerate_scenario()
+        return build_near_degenerate_scenario(NearDegenerateConfig(time_grid=GridSpec(40)))
 
     @cached_property
     def otto(self):
-        return build_otto_report(params=OttoParams())
+        return build_otto_report(OttoConfig())
 
     @cached_property
     def all_series(self):
@@ -390,12 +391,8 @@ def criterion_13(ctx: AcceptanceContext) -> CriterionResult:
 def criterion_14(ctx: AcceptanceContext) -> CriterionResult:
     """Byte-identical outputs on repeated runs with identical seeds."""
     def bundle(seed: int) -> str:
-        cfg_rev = ScenarioConfig(scenario="heat-flow-reversal", beta_0=1.1, beta_B=1.0)
-        out_rev = run_reversal_scenario(cfg_rev)
-        cfg_ops = ScenarioConfig(
-            scenario="thermal-operation", beta_0=0.7, beta_B=1.3, seeds=32, seed=seed
-        )
-        out_ops = run_thermal_operation_scenario(cfg_ops)
+        out_rev = ReversalConfig(beta_0=1.1, beta_B=1.0).run()
+        out_ops = ThermalOperationConfig(beta_0=0.7, beta_B=1.3, seeds=32, seed=seed).run()
         return out_rev.csv_text + out_rev.summary_text + out_ops.csv_text + out_ops.summary_text
 
     first = bundle(0)

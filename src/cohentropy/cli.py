@@ -16,7 +16,6 @@ write fails the same way, as an output error with exit code 1.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .acceptance import run_all
 from .exceptions import CohentropyError, ConfigError
-from .scenarios import config_from_json, run_scenario_config
+from .scenarios import parse_config, read_json, run_scenario_config
 
 
 def _write_outputs(texts: dict[Path, str]) -> bool:
@@ -46,9 +45,10 @@ def _write_outputs(texts: dict[Path, str]) -> bool:
 def _cmd_run(args: argparse.Namespace) -> int:
     path = Path(args.config)
     try:
-        cfg = config_from_json(path.read_text())
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
+        raw = read_json(path.read_text())
+        if args.seed is not None and isinstance(raw, dict):
+            raw = {**raw, "seed": args.seed}  # a scenario without a seed rejects it
+        cfg = parse_config(raw)
     except OSError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
@@ -99,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="run a configured scenario")
     p_run.add_argument("config", help="path to a JSON scenario configuration")
     p_run.add_argument("--out", default="out", help="output directory (default: ./out)")
-    p_run.add_argument("--seed", type=int, default=None, help="base seed override")
+    p_run.add_argument("--seed", type=int, default=None, help="the thermal-operation seed")
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="run the built-in acceptance suite")

@@ -1,9 +1,11 @@
-"""Named experiment scenarios: configuration, builders, runners, serialization.
+"""Named experiment scenarios: builders, serialization, and one config per scenario.
 
-Configurations are strict: unknown keys anywhere are errors, so typos in
-physics parameters cannot silently fall back to defaults.  All outputs are
-deterministic for fixed configuration and seeds; floats are serialized with
-17 significant digits.
+Each scenario's config declares only the fields its run reads, checks them,
+states the scenario's time span once and runs it.  Parsing is strict: a key
+the chosen scenario does not read is an error anywhere, so typos in physics
+parameters cannot silently fall back to defaults and no knob does nothing.
+All outputs are deterministic for fixed configuration and seeds; floats are
+serialized with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import Any, Sequence
+from typing import Any, ClassVar, Sequence, get_args
 
 import numpy as np
 
@@ -59,14 +61,6 @@ from .thermo import (
     otto_cycle,
 )
 
-SCENARIOS = (
-    "collective-spins",
-    "heat-flow-reversal",
-    "thermal-operation",
-    "near-degenerate",
-    "otto-cycle",
-)
-
 CSV_HEADER = "t,S,C_v,C_h,D_th,E_S,F_D,Pi_rate,Phi_rate,rate_C_v,rate_C_h,rate_D_th,flags"
 LINDBLAD_DIM_BUDGET = 64
 RATIO_RELATIVE_TOL = 0.05  # the entropy-production ratio against its limits
@@ -84,6 +78,24 @@ def _check_ceiling(name: str, points: int) -> None:
         raise ConfigError(f"{name} must be at most {MAX_GRID_POINTS}, got {points}")
 
 
+def geometric_times(
+    t_min: float, t_max: float, points: int, include_zero: bool = False, names=("t_min", "t_max")
+) -> list[float]:
+    """``points`` geometric times in [t_min, t_max], optionally after t = 0.
+
+    The one builder of a scenario's time span: a span that is empty or not
+    finite, or a point count above MAX_GRID_POINTS, is a ConfigError, whose
+    message calls the two ends ``names``."""
+    if not (0 < t_min < t_max < math.inf):
+        lo, hi = names
+        raise ConfigError(
+            f"the time span needs 0 < {lo} < {hi} < inf, got {lo} = {t_min:g}, {hi} = {t_max:g}"
+        )
+    _check_ceiling("time_grid.points", points)
+    ts = list(np.geomspace(t_min, t_max, points))
+    return ([0.0] + ts) if include_zero else ts
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """A config's time grid: only the number of points; each scenario sets its span."""
@@ -93,26 +105,6 @@ class GridSpec:
     def __post_init__(self):
         if self.points < 3:
             raise ConfigError("time_grid requires points >= 3")
-        _check_ceiling("time_grid.points", self.points)
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """The builders' grid: ``points`` geometric times in [t_min, t_max], optionally after t = 0."""
-
-    t_min: float
-    t_max: float
-    points: int
-    include_zero: bool = False
-
-    def __post_init__(self):
-        if not (0 < self.t_min < self.t_max) or self.points < 3:
-            raise ConfigError("time_grid requires 0 < t_min < t_max and points >= 3")
-        _check_ceiling("time_grid.points", self.points)
-
-    def times(self) -> list[float]:
-        ts = list(np.geomspace(self.t_min, self.t_max, self.points))
-        return ([0.0] + ts) if self.include_zero else ts
 
 
 @dataclass(frozen=True)
@@ -145,56 +137,13 @@ class OttoParams:
             raise ConfigError("otto requires lam > 0 and stroke_time > 0")
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    scenario: str = "collective-spins"
-    n: int = 2
-    s: float = 0.5
-    omega: float = 1.0
-    beta_0: float = 50.0
-    beta_B: float = 1.0
-    gamma: float = 0.1
-    delta: float = 0.0
-    coherence_amplitude: float | None = None
-    seeds: int = 256
-    seed: int = 0
-    time_grid: GridSpec = field(default_factory=GridSpec)
-    sweep: SweepSpec = field(default_factory=SweepSpec)
-    otto: OttoParams = field(default_factory=OttoParams)
-
-    def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
-        if self.omega <= 0:
-            raise ConfigError("omega must be positive")
-        if self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
-        if self.delta < 0:
-            raise ConfigError("delta must be nonnegative")
-        if self.seeds < 1:
-            raise ConfigError("seeds must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        if self.n < 1 or self.s <= 0 or round(2 * self.s) != 2 * self.s:
-            raise ConfigError("need n >= 1 and positive half-integer s")
-        dim = int(round(2 * self.s + 1)) ** self.n
-        if self.scenario in ("collective-spins", "heat-flow-reversal", "near-degenerate"):
-            if dim > LINDBLAD_DIM_BUDGET:
-                raise ConfigError(
-                    f"(2s+1)^n = {dim} exceeds the Lindblad budget {LINDBLAD_DIM_BUDGET}"
-                )
-        if self.coherence_amplitude is not None and self.coherence_amplitude < 0:
-            raise ConfigError("coherence_amplitude must be nonnegative")
-
-
+_SECTIONS = {cls.__name__: cls for cls in (GridSpec, SweepSpec, OttoParams)}
 _NUMBER_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None))}
 
 
 def _check_number(name: str, kind: str, value: Any) -> None:
     """An int field takes an int, a float field a finite number; bools are neither."""
-    allowed = _NUMBER_TYPES.get(kind)
-    if allowed is None:
-        return
+    allowed = _NUMBER_TYPES[kind]
     if isinstance(value, bool) or not isinstance(value, allowed):
         noun = "an integer" if kind == "int" else "a number"
         raise ConfigError(f"{name} must be {noun}, got {json.dumps(value)}")
@@ -202,43 +151,48 @@ def _check_number(name: str, kind: str, value: Any) -> None:
         raise ConfigError(f"{name} must be finite, got {value}")
 
 
-def parse_config(raw: dict[str, Any]) -> ScenarioConfig:
-    """Strict construction: unknown keys anywhere raise ConfigError, as do
-    int fields that are not integers and float fields that are not finite
-    numbers (booleans count as neither)."""
+def _build(cls, data: Any, path: str):
+    """``cls`` from ``data``: unknown keys, int fields that are not integers and
+    float fields that are not finite numbers (booleans count as neither) raise
+    ConfigError.  Sections are declared last, so every scalar is checked first."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must be an object")
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown keys at {path}: {sorted(unknown)}")
+    values = {}
+    for f in fields(cls):
+        if f.name in data:
+            name = f.name if path == "<root>" else f"{path}.{f.name}"
+            if f.type in _SECTIONS:
+                values[f.name] = _build(_SECTIONS[f.type], data[f.name], name)
+            else:
+                _check_number(name, f.type, data[f.name])
+                values[f.name] = data[f.name]
+    return cls(**values)
+
+
+def parse_config(raw: Any) -> AnyConfig:
+    """The config of the scenario ``raw["scenario"]`` (default collective-spins),
+    built strictly: a key that scenario does not read is an unknown key."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be an object")
-    def build(cls, data, path):
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path} must be an object")
-        allowed = {f.name for f in fields(cls)}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ConfigError(f"unknown keys at {path}: {sorted(unknown)}")
-        for f in fields(cls):
-            if f.name in data:
-                name = f.name if path == "<root>" else f"{path}.{f.name}"
-                _check_number(name, f.type, data[f.name])
-        return data
-    data = dict(build(ScenarioConfig, raw, "<root>"))
-    try:
-        if "time_grid" in data:
-            data["time_grid"] = GridSpec(**build(GridSpec, data["time_grid"], "time_grid"))
-        if "sweep" in data:
-            data["sweep"] = SweepSpec(**build(SweepSpec, data["sweep"], "sweep"))
-        if "otto" in data:
-            data["otto"] = OttoParams(**build(OttoParams, data["otto"], "otto"))
-        return ScenarioConfig(**data)
-    except TypeError as exc:
-        raise ConfigError(f"bad configuration value: {exc}") from exc
+    data = dict(raw)
+    name = data.pop("scenario", CollectiveConfig.scenario)
+    if not isinstance(name, str) or name not in CONFIGS:
+        raise ConfigError(f"unknown scenario {name!r}; choose from {tuple(CONFIGS)}")
+    return _build(CONFIGS[name], data, "<root>")
 
 
-def config_from_json(text: str) -> ScenarioConfig:
+def read_json(text: str) -> Any:
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
-    return parse_config(raw)
+
+
+def config_from_json(text: str) -> AnyConfig:
+    return parse_config(read_json(text))
 
 
 # ---------------------------------------------------------------------------
@@ -256,22 +210,16 @@ class CollectiveScenario:
 
 
 def build_collective_scenario(
-    n: int = 2,
-    s: float = 0.5,
-    omega: float = 1.0,
-    beta_0: float = 50.0,
-    beta_B: float = 1.0,
-    gamma: float = 0.1,
-    grid: TimeGrid | None = None,
-    provenance: str = "collective-spins",
+    cfg: CollectiveConfig, times: Sequence[float] | None = None
 ) -> CollectiveScenario:
-    spec = SpinEnsembleSpec(n, s, omega)
+    """The collective relaxation from thermal(beta_0), at ``times`` or the config's own."""
+    times = cfg.times() if times is None else times
+    spec = SpinEnsembleSpec(cfg.n, cfg.s, cfg.omega)
     system = collective_coupling(spec)
     els = system.level_structure()
-    gen = build_generator([system.A_S], els, flat_bath(gamma, beta_B))
-    rho0 = thermal_state_of(els, beta_0)
-    grid = grid or TimeGrid(t_min=0.01 / gamma, t_max=30.0 / gamma, points=60)
-    series = decompose_series(gen, rho0, grid.times(), provenance)
+    gen = build_generator([system.A_S], els, flat_bath(cfg.gamma, cfg.beta_B))
+    rho0 = thermal_state_of(els, cfg.beta_0)
+    series = decompose_series(gen, rho0, times)
     return CollectiveScenario(spec=spec, els=els, gen=gen, rho0=rho0, series=series)
 
 
@@ -291,49 +239,39 @@ class ReversalScenario:
         return [Verdict("heat_flow_reversed", w, 0.0, w < 0)]
 
 
-def build_reversal_scenario(
-    omega: float = 1.0,
-    beta_0: float = 1.1,
-    beta_B: float = 1.0,
-    gamma: float = 0.1,
-    amplitude: float | None = None,
-    grid: TimeGrid | None = None,
-) -> ReversalScenario:
+def build_reversal_scenario(cfg: ReversalConfig) -> ReversalScenario:
     """Two resonant qubits, collective coupling, rho0 = thermal(beta_0) + c chi.
 
     chi = |01><10| + h.c. in the one-excitation doublet.  When no amplitude is
     given, c is scanned upward (fractions of c_max) until the initial heat flow
     reverses, (beta_0 - beta_B) dE/dt < 0.
     """
-    spec = SpinEnsembleSpec(2, 0.5, omega)
+    times = cfg.times()
+    beta_0, beta_B = cfg.beta_0, cfg.beta_B
+    spec = SpinEnsembleSpec(2, 0.5, cfg.omega)
     system = collective_coupling(spec)
     els = system.level_structure()
-    gen = build_generator([system.A_S], els, flat_bath(gamma, beta_B))
+    gen = build_generator([system.A_S], els, flat_bath(cfg.gamma, beta_B))
     base = thermal_state_of(els, beta_0)
     pattern = horizontal_pattern(els)
     # chi has eigenvalues +-1, so c < lambda_min(base), its smallest Boltzmann weight,
     # keeps rho positive; not the largest such amplitude (0.187 vs 0.0624 at beta_0 = 1.1)
     c_max = float(boltzmann_weights(els.index_energies, beta_0).min())
+    amplitude = cfg.coherence_amplitude
     if amplitude is None:
-        chosen = None
         for frac in np.linspace(0.05, 0.95, 19):
-            c = frac * c_max
-            rho = DensityMatrix(base.elements + c * pattern.elements, base.basis_labels)
-            snap = instantaneous_rates(gen, rho)
-            if (beta_0 - beta_B) * snap.E_dot < -1e-12:
-                chosen = c
+            amplitude = frac * c_max
+            rho = DensityMatrix(base.elements + amplitude * pattern.elements, base.basis_labels)
+            if (beta_0 - beta_B) * instantaneous_rates(gen, rho).E_dot < -1e-12:
                 break
-        if chosen is None:
+        else:
             raise CohentropyError("no reversing coherence amplitude found in scan")
-        amplitude = chosen
-    else:
-        if amplitude >= c_max:
-            raise ConfigError(
-                f"coherence_amplitude {amplitude} must be below lambda_min(rho_th) = {c_max:.6g}"
-            )
+    elif amplitude >= c_max:
+        raise ConfigError(
+            f"coherence_amplitude {amplitude} must be below lambda_min(rho_th) = {c_max:.6g}"
+        )
     rho0 = DensityMatrix(base.elements + amplitude * pattern.elements, base.basis_labels)
-    grid = grid or TimeGrid(t_min=0.01 / gamma, t_max=20.0 / gamma, points=50, include_zero=True)
-    series = decompose_series(gen, rho0, grid.times(), "heat-flow-reversal")
+    series = decompose_series(gen, rho0, times)
     return ReversalScenario(
         els=els,
         gen=gen,
@@ -353,26 +291,23 @@ class NearDegenerateScenario:
     gen_exact: LindbladGenerator
     gen_clustered: LindbladGenerator
     rho0: DensityMatrix
-    times: list[float]
-    horizon: float
     series: ThermoSeries
     max_trace_distance: float
+
+    @property
+    def horizon(self) -> float:
+        return self.series.snapshots[-1].t
 
     def verdicts(self, tol: float = TRACE_DISTANCE_TOL) -> list[Verdict]:
         d = self.max_trace_distance
         return [Verdict("within_tolerance", d, tol, d <= tol)]
 
 
-def build_near_degenerate_scenario(
-    omega: float = 1.0,
-    delta: float = 1e-3,
-    beta_0: float = 50.0,
-    beta_B: float = 1.0,
-    gamma: float = 0.1,
-    points: int = 40,
-) -> NearDegenerateScenario:
+def build_near_degenerate_scenario(cfg: NearDegenerateConfig) -> NearDegenerateScenario:
     """Two qubits with splitting mismatch delta, clustered at delta, against
     the exactly-degenerate twin, for times up to the 0.1/delta horizon."""
+    times = cfg.times()
+    omega, delta = cfg.omega, cfg.mismatch
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     eye = np.eye(2)
     n1 = np.diag([0.0, 1.0])
@@ -383,14 +318,12 @@ def build_near_degenerate_scenario(
     a_s = HermitianObservable(np.kron(sx, eye) + np.kron(eye, sx))
     els_exact = build_level_structure(h_exact)
     els_clustered = build_level_structure(h_mismatch, delta=delta)
-    bath = flat_bath(gamma, beta_B)
+    bath = flat_bath(cfg.gamma, cfg.beta_B)
     gen_exact = build_generator([a_s], els_exact, bath)
     gen_clustered = build_generator([a_s], els_clustered, bath)
-    rho0 = thermal_state_of(els_exact, beta_0)
-    horizon = 0.1 / delta
-    times = list(np.geomspace(0.01 / gamma, horizon, points))
+    rho0 = thermal_state_of(els_exact, cfg.beta_0)
     traj_exact = evolve(gen_exact, rho0, times)
-    series = decompose_series(gen_clustered, rho0, times, "near-degenerate")
+    series = decompose_series(gen_clustered, rho0, times)
     dist = max(trace_distance(a, b) for a, b in zip(traj_exact, series.states))
     return NearDegenerateScenario(
         els_exact=els_exact,
@@ -398,8 +331,6 @@ def build_near_degenerate_scenario(
         gen_exact=gen_exact,
         gen_clustered=gen_clustered,
         rho0=rho0,
-        times=times,
-        horizon=horizon,
         series=series,
         max_trace_distance=float(dist),
     )
@@ -469,27 +400,18 @@ def conservation_scan(
     return reports
 
 
-def build_otto_report(
-    omega: float = 1.0,
-    gamma: float = 0.1,
-    params: OttoParams | None = None,
-):
-    params = params or OttoParams()
-    spec = SpinEnsembleSpec(2, 0.5, omega)
+def build_otto_report(cfg: OttoConfig):
+    params = cfg.otto
+    spec = SpinEnsembleSpec(2, 0.5, cfg.omega)
     system = collective_coupling(spec)
     h_cold = system.H_S
     h_hot = HermitianObservable(params.lam * h_cold.elements)
     els_c = build_level_structure(h_cold, labels=spec.basis_labels())
     prep = thermal_state_of(els_c, params.prep_beta)
     return otto_cycle(
-        h_cold,
-        h_hot,
-        flat_bath(gamma, params.beta_cold),
-        flat_bath(gamma, params.beta_hot),
-        system.A_S,
-        local_couplings(spec),
-        stroke_time=params.stroke_time,
-        initial_state=prep,
+        h_cold, h_hot,
+        flat_bath(cfg.gamma, params.beta_cold), flat_bath(cfg.gamma, params.beta_hot),
+        system.A_S, local_couplings(spec), stroke_time=params.stroke_time, initial_state=prep,
     )
 
 
@@ -498,9 +420,10 @@ def build_otto_report(
 # ---------------------------------------------------------------------------
 
 
-def series_to_csv(series: ThermoSeries) -> str:
+def series_to_csv(snapshots: Sequence[ThermoSnapshot]) -> str:
+    """The CSV of every scenario: one row per snapshot, in the standard header."""
     lines = [CSV_HEADER]
-    for s in series.snapshots:
+    for s in snapshots:
         row = [
             fmt(s.t), fmt(s.S), fmt(s.C_v), fmt(s.C_h), fmt(s.D_th), fmt(s.E_S),
             fmt(s.F_D), fmt(s.Pi_rate), fmt(s.Phi_rate), fmt(s.rate_C_v),
@@ -510,24 +433,34 @@ def series_to_csv(series: ThermoSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def snapshot_rows_to_csv(rows: Sequence[tuple[float, dict[str, float], tuple[str, ...]]]) -> str:
-    """CSV in the standard header for map-style scenarios (finite variations)."""
-    lines = [CSV_HEADER]
-    order = ("S", "C_v", "C_h", "D_th", "E_S", "F_D", "Pi_rate", "Phi_rate",
-             "rate_C_v", "rate_C_h", "rate_D_th")
-    for t, values, flags in rows:
-        row = [fmt(t)] + [fmt(values.get(k, float("nan"))) for k in order] + [";".join(flags)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
 def ratio_verdict(n: int, ratio: float, tol: float = RATIO_RELATIVE_TOL) -> Verdict:
     """The entropy-production ratio at large beta_B omega lies within tol * n of n."""
     return Verdict("ratio_within_5_percent", ratio, tol * n, abs(ratio - n) <= tol * n)
 
 
+def finite_change_rows(frames) -> list[ThermoSnapshot]:
+    """Snapshots of the state functionals at (t, state, els, beta, flag) frames; the
+    rate columns and E_dot hold the finite changes from the previous frame (zero on
+    the first)."""
+    rows: list[ThermoSnapshot] = []
+    for t, state, els, beta, flag in frames:
+        f = state_functionals(state, els, beta)
+        if rows:
+            p = rows[-1]
+            d_cv, d_ch, d_dth, d_e = f.C_v - p.C_v, f.C_h - p.C_h, f.D_th - p.D_th, f.E_S - p.E_S
+            pi, phi = -(d_cv + d_ch + d_dth), beta * d_e
+        else:
+            d_cv = d_ch = d_dth = d_e = pi = phi = 0.0
+        rows.append(ThermoSnapshot(
+            float(t), f.S, f.C_v, f.C_h, f.D_th, f.E_S, f.F_D, pi, phi, d_cv, d_ch, d_dth,
+            E_dot=d_e, flags=(flag,),
+        ))
+    return rows
+
+
 # ---------------------------------------------------------------------------
-# Scenario runners
+# One config per scenario: the fields its run reads, their checks, its time
+# span and the run itself
 # ---------------------------------------------------------------------------
 
 
@@ -535,7 +468,6 @@ def ratio_verdict(n: int, ratio: float, tol: float = RATIO_RELATIVE_TOL) -> Verd
 class ScenarioOutput:
     """In-memory result of one scenario run: serialized files plus a verdict."""
 
-    scenario: str
     csv_text: str
     summary_text: str
     invariant_failures: int
@@ -547,16 +479,18 @@ class _Summary:
     parameters ``keys`` of ``params``."""
 
     def __init__(self, scenario: str, params, keys: Sequence[str]):
-        self.scenario = scenario
         self.lines: list[str] = [f"# {scenario}", ""]
         self.failures = 0
-        for key in keys:
-            self.kv(key, getattr(params, key))
+        self.kvs(params, keys)
 
     def kv(self, key: str, value) -> None:
         if isinstance(value, float):
             value = fmt(value)
         self.lines.append(f"{key}: {value}")
+
+    def kvs(self, obj, keys: Sequence[str]) -> None:
+        for key in keys:
+            self.kv(key, getattr(obj, key))
 
     def section(self, name: str) -> None:
         self.lines.extend(["", f"## {name}"])
@@ -599,186 +533,256 @@ class _Summary:
 
     def output(self, csv_text: str) -> ScenarioOutput:
         text = "\n".join(self.lines) + "\n"
-        return ScenarioOutput(self.scenario, csv_text, text, self.failures)
+        return ScenarioOutput(csv_text, text, self.failures)
 
 
-def run_collective_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
-    scen = build_collective_scenario(
-        cfg.n, cfg.s, cfg.omega, cfg.beta_0, cfg.beta_B, cfg.gamma,
-        grid=TimeGrid(0.01 / cfg.gamma, 30.0 / cfg.gamma, cfg.time_grid.points),
-    )
-    summary = _Summary(cfg.scenario, cfg, ("n", "s", "omega", "beta_0", "beta_B", "gamma"))
-    summary.invariants(scen.series)
-
-    summary.section("horizontal-coherence generation")
-    summary.kv("C_h_final", scen.series.snapshots[-1].C_h)
-    summary.kv("C_h_limit_closed_form", -delta_C_h_limit(scen.spec, cfg.beta_B))
-    summary.kv("max_rate_C_h", max(s.rate_C_h for s in scen.series.snapshots))
-
-    summary.section("entropy-production ratio sweep")
-    rows = []
-    for x in cfg.sweep.values():
-        pt, pc, ratio = entropy_production_ratio(scen.spec, cfg.beta_0 * cfg.omega, x / cfg.omega)
-        rows.append((x, pt, pc, ratio))
-    summary.table(("beta_B_omega", "Pi_th", "Pi_col", "ratio"), rows)
-    top_ratio = rows[-1][-1]
-    summary.kv("ratio_at_top", top_ratio)
-    summary.kv("ratio_target_n", cfg.n)
-    summary.judge(ratio_verdict(cfg.n, top_ratio))
-    return summary.output(series_to_csv(scen.series))
+def _require_positive(cfg, *names: str) -> None:
+    for name in names:
+        if getattr(cfg, name) <= 0:
+            raise ConfigError(f"{name} must be positive")
 
 
-def run_reversal_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
-    scen = build_reversal_scenario(
-        cfg.omega, cfg.beta_0, cfg.beta_B, cfg.gamma, cfg.coherence_amplitude,
-        grid=TimeGrid(0.01 / cfg.gamma, 20.0 / cfg.gamma, cfg.time_grid.points, include_zero=True),
-    )
-    summary = _Summary(cfg.scenario, cfg, ("omega", "beta_0", "beta_B", "gamma"))
-    summary.kv("coherence_amplitude", scen.amplitude)
-    summary.kv("coherence_amplitude_max", scen.amplitude_max)
-    summary.invariants(scen.series)
+@dataclass(frozen=True)
+class CollectiveConfig:
+    """n collectively dissipating spins s: horizontal-coherence generation and
+    the entropy-production ratio."""
 
-    summary.section("initial heat flow")
-    summary.kv("E_dot_initial", scen.initial_snapshot.E_dot)
-    summary.kv("weighted_E_dot", scen.weighted_E_dot)
-    for v in scen.verdicts():
-        summary.judge(v, "yes" if v.passed else "no")
-    summary.kv("rate_D_th_initial", scen.initial_snapshot.rate_D_th)
-    hf = heat_flow(scen.gen, scen.rho0)
-    for ch in hf.channels:
-        summary.kv(f"apparent_temperature_omega_{fmt(ch.omega)}",
-                   "undefined" if ch.T_apparent is None else fmt(ch.T_apparent))
-    summary.complementarity(complementarity_report(scen.series))
-    return summary.output(series_to_csv(scen.series))
+    scenario: ClassVar[str] = "collective-spins"
+    n: int = 2
+    s: float = 0.5
+    omega: float = 1.0
+    beta_0: float = 50.0
+    beta_B: float = 1.0
+    gamma: float = 0.1
+    time_grid: GridSpec = field(default_factory=GridSpec)
+    sweep: SweepSpec = field(default_factory=SweepSpec)
+
+    def __post_init__(self):
+        _require_positive(self, "omega", "gamma")
+        if self.n < 1 or self.s <= 0 or round(2 * self.s) != 2 * self.s:
+            raise ConfigError("need n >= 1 and positive half-integer s")
+        dim = int(round(2 * self.s + 1)) ** self.n
+        if dim > LINDBLAD_DIM_BUDGET:
+            raise ConfigError(f"(2s+1)^n = {dim} exceeds the Lindblad budget {LINDBLAD_DIM_BUDGET}")
+
+    def times(self) -> list[float]:
+        return geometric_times(0.01 / self.gamma, 30.0 / self.gamma, self.time_grid.points)
+
+    def run(self) -> ScenarioOutput:
+        scen = build_collective_scenario(self)
+        summary = _Summary(self.scenario, self, ("n", "s", "omega", "beta_0", "beta_B", "gamma"))
+        summary.invariants(scen.series)
+
+        summary.section("horizontal-coherence generation")
+        summary.kv("C_h_final", scen.series.snapshots[-1].C_h)
+        summary.kv("C_h_limit_closed_form", -delta_C_h_limit(scen.spec, self.beta_B))
+        summary.kv("max_rate_C_h", max(s.rate_C_h for s in scen.series.snapshots))
+
+        summary.section("entropy-production ratio sweep")
+        rows = [
+            (x, *entropy_production_ratio(scen.spec, self.beta_0 * self.omega, x / self.omega))
+            for x in self.sweep.values()
+        ]
+        summary.table(("beta_B_omega", "Pi_th", "Pi_col", "ratio"), rows)
+        top_ratio = rows[-1][-1]
+        summary.kv("ratio_at_top", top_ratio)
+        summary.kv("ratio_target_n", self.n)
+        summary.judge(ratio_verdict(self.n, top_ratio))
+        return summary.output(series_to_csv(scen.series.snapshots))
 
 
-def run_thermal_operation_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
-    summary = _Summary(cfg.scenario, cfg, ("seeds", "beta_0", "beta_B"))
-    witness_rows = []
-    seeds = range(cfg.seed, cfg.seed + cfg.seeds)
-    for name, sys_ in thermal_operation_systems(cfg.omega):
-        summary.section(f"conservation laws: {name}")
-        rho_b = thermal_state_of(sys_.els_B, cfg.beta_B)
-        reports = conservation_scan(sys_, seeds, rho_b, cfg.beta_B, beta_0=cfg.beta_0)
-        for column in zip(*(r.verdicts() for r in reports)):
-            bad = summary.tally(column)
-            summary.kv(column[0].name, f"{len(column) - bad}/{len(column)} pass")
+@dataclass(frozen=True)
+class ReversalConfig:
+    """Two resonant qubits whose horizontal coherence reverses the initial heat flow."""
 
-        finals = [r.S_final for r in conservation_scan(sys_, seeds, rho_b, cfg.beta_B)]
-        cv, ch = incoherent_input_verdicts(finals)
-        summary.judge(cv, cv.value)
-        if not sys_.els_S.is_degenerate():
-            summary.kv(ch.name, ch.value)
-            continue
-        summary.judge(ch, ch.value)
-        summary.section(f"population-divergence witness: {name}")
-        try:
-            wit = divergence_witness(sys_, seeds, cfg.beta_B)
-        except WitnessNotFound as exc:
-            missing = Verdict("witness", math.nan, WITNESS_THRESHOLD, False)
-            summary.judge(missing, f"not found ({exc})")
-            continue
-        summary.kv("seed", wit.seed)
-        summary.kv("coherence_amplitude", wit.coherence_amplitude)
-        summary.kv("delta_D_th_S", wit.delta_D_th_S)
-        summary.kv("delta_C_h_S", wit.delta_C_h_S)
-        summary.kv("delta_E_S", wit.delta_E_S)
-        _, rho_s_f, _ = apply_operation(sys_, wit.unitary, wit.rho_S, wit.rho_B)
-        witness_rows = finite_change_rows(
-            (t, state, sys_.els_S, cfg.beta_B, "finite-operation")
-            for t, state in ((0.0, wit.rho_S), (1.0, rho_s_f))
+    scenario: ClassVar[str] = "heat-flow-reversal"
+    omega: float = 1.0
+    beta_0: float = 50.0
+    beta_B: float = 1.0
+    gamma: float = 0.1
+    coherence_amplitude: float | None = None
+    time_grid: GridSpec = field(default_factory=GridSpec)
+
+    def __post_init__(self):
+        _require_positive(self, "omega", "gamma")
+        if self.coherence_amplitude is not None and self.coherence_amplitude < 0:
+            raise ConfigError("coherence_amplitude must be nonnegative")
+
+    def times(self) -> list[float]:
+        return geometric_times(
+            0.01 / self.gamma, 20.0 / self.gamma, self.time_grid.points, include_zero=True
         )
-    return summary.output(snapshot_rows_to_csv(witness_rows))
+
+    def run(self) -> ScenarioOutput:
+        scen = build_reversal_scenario(self)
+        summary = _Summary(self.scenario, self, ("omega", "beta_0", "beta_B", "gamma"))
+        summary.kv("coherence_amplitude", scen.amplitude)
+        summary.kv("coherence_amplitude_max", scen.amplitude_max)
+        summary.invariants(scen.series)
+
+        summary.section("initial heat flow")
+        summary.kv("E_dot_initial", scen.initial_snapshot.E_dot)
+        summary.kv("weighted_E_dot", scen.weighted_E_dot)
+        for v in scen.verdicts():
+            summary.judge(v, "yes" if v.passed else "no")
+        summary.kv("rate_D_th_initial", scen.initial_snapshot.rate_D_th)
+        hf = heat_flow(scen.gen, scen.rho0)
+        for ch in hf.channels:
+            summary.kv(f"apparent_temperature_omega_{fmt(ch.omega)}",
+                       "undefined" if ch.T_apparent is None else fmt(ch.T_apparent))
+        summary.complementarity(complementarity_report(scen.series))
+        return summary.output(series_to_csv(scen.series.snapshots))
 
 
-def finite_change_rows(frames):
-    """Rows of state functionals at (t, state, els, beta, flag) frames; the rate
-    columns hold the finite changes from the previous frame (zero on the first)."""
-    rows = []
-    prev: dict[str, float] = {}
-    for t, state, els, beta, flag in frames:
-        f = state_functionals(state, els, beta)
-        values = {"S": f.S, "C_v": f.C_v, "C_h": f.C_h, "D_th": f.D_th, "E_S": f.E_S, "F_D": f.F_D}
-        if prev:
-            deltas = {k: values[k] - prev[k] for k in values}
-            values.update(
-                Pi_rate=-(deltas["C_v"] + deltas["C_h"] + deltas["D_th"]),
-                Phi_rate=beta * deltas["E_S"],
-                rate_C_v=deltas["C_v"],
-                rate_C_h=deltas["C_h"],
-                rate_D_th=deltas["D_th"],
+@dataclass(frozen=True)
+class ThermalOperationConfig:
+    """The conservation laws over seeds seed, ..., seed + seeds - 1."""
+
+    scenario: ClassVar[str] = "thermal-operation"
+    omega: float = 1.0
+    beta_0: float = 50.0
+    beta_B: float = 1.0
+    seeds: int = 256
+    seed: int = 0
+
+    def __post_init__(self):
+        _require_positive(self, "omega", "seeds")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+
+    def run(self) -> ScenarioOutput:
+        summary = _Summary(self.scenario, self, ("seeds", "beta_0", "beta_B"))
+        witness_rows = []
+        seeds = range(self.seed, self.seed + self.seeds)
+        for name, sys_ in thermal_operation_systems(self.omega):
+            summary.section(f"conservation laws: {name}")
+            rho_b = thermal_state_of(sys_.els_B, self.beta_B)
+            reports = conservation_scan(sys_, seeds, rho_b, self.beta_B, beta_0=self.beta_0)
+            for column in zip(*(r.verdicts() for r in reports)):
+                bad = summary.tally(column)
+                summary.kv(column[0].name, f"{len(column) - bad}/{len(column)} pass")
+
+            finals = [r.S_final for r in conservation_scan(sys_, seeds, rho_b, self.beta_B)]
+            cv, ch = incoherent_input_verdicts(finals)
+            summary.judge(cv, cv.value)
+            if not sys_.els_S.is_degenerate():
+                summary.kv(ch.name, ch.value)
+                continue
+            summary.judge(ch, ch.value)
+            summary.section(f"population-divergence witness: {name}")
+            try:
+                wit = divergence_witness(sys_, seeds, self.beta_B)
+            except WitnessNotFound as exc:
+                missing = Verdict("witness", math.nan, WITNESS_THRESHOLD, False)
+                summary.judge(missing, f"not found ({exc})")
+                continue
+            keys = ("seed", "coherence_amplitude", "delta_D_th_S", "delta_C_h_S", "delta_E_S")
+            summary.kvs(wit, keys)
+            _, rho_s_f, _ = apply_operation(sys_, wit.unitary, wit.rho_S, wit.rho_B)
+            witness_rows = finite_change_rows(
+                (t, state, sys_.els_S, self.beta_B, "finite-operation")
+                for t, state in ((0.0, wit.rho_S), (1.0, rho_s_f))
             )
-        else:
-            values.update(Pi_rate=0.0, Phi_rate=0.0, rate_C_v=0.0, rate_C_h=0.0, rate_D_th=0.0)
-        prev = dict(values)
-        rows.append((t, values, (flag,)))
-    return rows
+        return summary.output(series_to_csv(witness_rows))
 
 
-def run_near_degenerate_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
-    delta = cfg.delta if cfg.delta > 0 else 1e-3 * cfg.omega
-    scen = build_near_degenerate_scenario(
-        cfg.omega, delta, cfg.beta_0, cfg.beta_B, cfg.gamma, points=cfg.time_grid.points
-    )
-    summary = _Summary(cfg.scenario, cfg, ("omega", "beta_0", "beta_B", "gamma"))
-    summary.kv("delta", delta)
-    summary.kv("horizon", scen.horizon)
-    summary.invariants(scen.series)
-    summary.section("clustered vs exactly-degenerate twin")
-    summary.kv("max_trace_distance", scen.max_trace_distance)
-    for v in scen.verdicts():
-        summary.judge(v)
-    return summary.output(series_to_csv(scen.series))
+@dataclass(frozen=True)
+class NearDegenerateConfig:
+    """Two qubits with splitting mismatch delta against their exactly-degenerate twin."""
+
+    scenario: ClassVar[str] = "near-degenerate"
+    omega: float = 1.0
+    delta: float = 0.0  # 0 means 1e-3 * omega
+    beta_0: float = 50.0
+    beta_B: float = 1.0
+    gamma: float = 0.1
+    time_grid: GridSpec = field(default_factory=GridSpec)
+
+    def __post_init__(self):
+        _require_positive(self, "omega", "gamma")
+        if self.delta < 0:
+            raise ConfigError("delta must be nonnegative")
+
+    @property
+    def mismatch(self) -> float:
+        return self.delta if self.delta > 0 else 1e-3 * self.omega
+
+    def times(self) -> list[float]:
+        """Up to the 0.1/delta horizon of the clustering."""
+        return geometric_times(
+            0.01 / self.gamma, 0.1 / self.mismatch, self.time_grid.points,
+            names=("0.01/gamma", "0.1/delta"),
+        )
+
+    def run(self) -> ScenarioOutput:
+        scen = build_near_degenerate_scenario(self)
+        summary = _Summary(self.scenario, self, ("omega", "beta_0", "beta_B", "gamma"))
+        summary.kv("delta", self.mismatch)
+        summary.kv("horizon", scen.horizon)
+        summary.invariants(scen.series)
+        summary.section("clustered vs exactly-degenerate twin")
+        summary.kv("max_trace_distance", scen.max_trace_distance)
+        for v in scen.verdicts():
+            summary.judge(v)
+        return summary.output(series_to_csv(scen.series.snapshots))
 
 
-def run_otto_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
-    report = build_otto_report(cfg.omega, cfg.gamma, cfg.otto)
-    keys = ("lam", "beta_cold", "beta_hot", "stroke_time", "prep_beta")
-    summary = _Summary(cfg.scenario, cfg.otto, keys)
-    frames = (
-        ("start", report.els_cold, cfg.otto.beta_cold),
-        ("after-cold-isochore", report.els_cold, cfg.otto.beta_cold),
-        ("after-hot-isochore", report.els_hot, cfg.otto.beta_hot),
-    )
-    verdicts = report.verdicts()
-    machines = (("incoherent", report.incoherent), ("coherent", report.coherent))
-    rows = []
-    for (label, m), law in zip(machines, verdicts):
-        summary.section(f"machine: {label}")
-        summary.kv("Q_c", m.Q_c)
-        summary.kv("Q_h", m.Q_h)
-        summary.kv("W", m.W)
-        summary.kv("eta", "undefined" if m.eta is None else fmt(m.eta))
-        summary.kv("Sigma", m.Sigma)
-        summary.judge(law, law.value)
-        summary.kv("cycles_to_limit", m.cycles)
-        if m.flags:
-            summary.kv("flags", ";".join(m.flags))
-        rows.extend(finite_change_rows(
-            (phase, state, els, beta, f"machine={label};stroke={stroke}")
-            for phase, (state, (stroke, els, beta)) in enumerate(zip(m.stroke_states, frames))
-        ))
-    summary.section("exchange-relation branch")
-    identities = {v.name: v for v in verdicts[2:]}
-    for branch in ("W", "eta"):
-        summary.kv(f"equal_{branch}_applies", getattr(report, f"equal_{branch}_applies"))
-        v = identities.get(f"equal_{branch}_identity_residual")
-        if v is not None:
-            summary.judge(v, v.value)
-    summary.kv("work_gain_coherent", abs(report.coherent.W) - abs(report.incoherent.W))
-    summary.kv("Sigma_gain_coherent", report.coherent.Sigma - report.incoherent.Sigma)
-    return summary.output(snapshot_rows_to_csv(rows))
+@dataclass(frozen=True)
+class OttoConfig:
+    """Coherent (collective) against incoherent (local) Otto machines on two spins."""
+
+    scenario: ClassVar[str] = "otto-cycle"
+    omega: float = 1.0
+    gamma: float = 0.1
+    otto: OttoParams = field(default_factory=OttoParams)
+
+    def __post_init__(self):
+        _require_positive(self, "omega", "gamma")
+
+    def run(self) -> ScenarioOutput:
+        report = build_otto_report(self)
+        keys = ("lam", "beta_cold", "beta_hot", "stroke_time", "prep_beta")
+        summary = _Summary(self.scenario, self.otto, keys)
+        frames = (
+            ("start", report.els_cold, self.otto.beta_cold),
+            ("after-cold-isochore", report.els_cold, self.otto.beta_cold),
+            ("after-hot-isochore", report.els_hot, self.otto.beta_hot),
+        )
+        verdicts = report.verdicts()
+        machines = (("incoherent", report.incoherent), ("coherent", report.coherent))
+        rows = []
+        for (label, m), law in zip(machines, verdicts):
+            summary.section(f"machine: {label}")
+            summary.kvs(m, ("Q_c", "Q_h", "W"))
+            summary.kv("eta", "undefined" if m.eta is None else fmt(m.eta))
+            summary.kv("Sigma", m.Sigma)
+            summary.judge(law, law.value)
+            summary.kv("cycles_to_limit", m.cycles)
+            if m.flags:
+                summary.kv("flags", ";".join(m.flags))
+            rows.extend(finite_change_rows(
+                (phase, state, els, beta, f"machine={label};stroke={stroke}")
+                for phase, (state, (stroke, els, beta)) in enumerate(zip(m.stroke_states, frames))
+            ))
+        summary.section("exchange-relation branch")
+        identities = {v.name: v for v in verdicts[2:]}
+        for branch in ("W", "eta"):
+            summary.kv(f"equal_{branch}_applies", getattr(report, f"equal_{branch}_applies"))
+            v = identities.get(f"equal_{branch}_identity_residual")
+            if v is not None:
+                summary.judge(v, v.value)
+        summary.kv("work_gain_coherent", abs(report.coherent.W) - abs(report.incoherent.W))
+        summary.kv("Sigma_gain_coherent", report.coherent.Sigma - report.incoherent.Sigma)
+        return summary.output(series_to_csv(rows))
 
 
-def run_scenario_config(cfg: ScenarioConfig) -> ScenarioOutput:
-    if cfg.scenario == "collective-spins":
-        return run_collective_scenario(cfg)
-    if cfg.scenario == "heat-flow-reversal":
-        return run_reversal_scenario(cfg)
-    if cfg.scenario == "thermal-operation":
-        return run_thermal_operation_scenario(cfg)
-    if cfg.scenario == "near-degenerate":
-        return run_near_degenerate_scenario(cfg)
-    if cfg.scenario == "otto-cycle":
-        return run_otto_scenario(cfg)
-    raise ConfigError(f"unknown scenario {cfg.scenario!r}")
+AnyConfig = (
+    CollectiveConfig | ReversalConfig | ThermalOperationConfig | NearDegenerateConfig | OttoConfig
+)
+CONFIGS = {cls.scenario: cls for cls in get_args(AnyConfig)}
+
+
+def run_scenario_config(cfg: AnyConfig) -> ScenarioOutput:
+    return cfg.run()
+
+

@@ -90,7 +90,6 @@ class ThermoSeries:
     snapshots: tuple[ThermoSnapshot, ...]
     els: EnergyLevelStructure
     beta_B: float
-    provenance: str = ""
     states: tuple[DensityMatrix, ...] = ()
 
     def __post_init__(self):
@@ -179,7 +178,6 @@ def decompose_series(
     gen: LindbladGenerator,
     rho0: DensityMatrix,
     times: Sequence[float],
-    provenance: str = "",
     cross_validate: bool = True,
 ) -> ThermoSeries:
     """Evolve rho0 and emit snapshots; cross-check rates by finite differences.
@@ -197,7 +195,6 @@ def decompose_series(
         snapshots=tuple(snapshots),
         els=gen.els,
         beta_B=gen.bath.beta_B,
-        provenance=provenance,
         states=tuple(states),
     )
     if cross_validate and len(states) >= 3:

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib.util
 import json
 import re
 import subprocess
@@ -13,18 +15,22 @@ from cohentropy.acceptance import CriterionResult
 from cohentropy.cli import main
 from cohentropy import scenarios
 from cohentropy.scenarios import (
+    CONFIGS,
     CSV_HEADER,
     LINDBLAD_DIM_BUDGET,
     MAX_GRID_POINTS,
     NearDegenerateScenario,
     ReversalScenario,
-    TimeGrid,
     config_from_json,
+    geometric_times,
     parse_config,
     run_scenario_config,
 )
 from cohentropy.thermo import ComplementarityReport, OttoCycleReport, ThermoSeries
 from cohentropy.exceptions import ConfigError
+
+
+SHIPPED = Path(__file__).parent.parent / "configs"
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -36,13 +42,56 @@ def write_config(tmp_path, name="config.json", **overrides):
     return path
 
 
+def benchmark_workloads() -> dict:
+    """The scenario configs of the benchmark's workloads, as it declares them."""
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name: cfg for name, cfg in module.WORKLOADS.items() if cfg is not None}
+
+
+def settable_values(cls, prefix="") -> list[str]:
+    """The dotted names a config of ``cls`` can set, sections expanded."""
+    out = []
+    for f in dataclasses.fields(cls):
+        section = scenarios._SECTIONS.get(f.type)
+        out += settable_values(section, f"{f.name}.") if section else [prefix + f.name]
+    return out
+
+
 class TestConfigParsing:
     def test_shipped_configs_parse(self):
         configs = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
         assert len(configs) >= 5
         for path in configs:
-            cfg = config_from_json(path.read_text())
-            assert cfg.scenario
+            raw = json.loads(path.read_text())
+            assert config_from_json(path.read_text()).scenario == raw["scenario"]
+
+    def test_benchmark_workload_configs_parse(self):
+        workloads = benchmark_workloads()
+        assert set(workloads) == {"collective-d32", "reversal-3k"}
+        for raw in workloads.values():
+            assert config_from_json(json.dumps(raw)).scenario == raw["scenario"]
+
+    def test_each_scenario_accepts_only_what_it_reads(self):
+        sweep = ["sweep.minimum", "sweep.maximum", "sweep.points"]
+        otto = ["otto.lam", "otto.beta_cold", "otto.beta_hot", "otto.stroke_time", "otto.prep_beta"]
+        expected = {
+            "collective-spins":
+                ["n", "s", "omega", "beta_0", "beta_B", "gamma", "time_grid.points", *sweep],
+            "heat-flow-reversal":
+                ["omega", "beta_0", "beta_B", "gamma", "coherence_amplitude", "time_grid.points"],
+            "thermal-operation": ["omega", "beta_0", "beta_B", "seeds", "seed"],
+            "near-degenerate": ["omega", "delta", "beta_0", "beta_B", "gamma", "time_grid.points"],
+            "otto-cycle": ["omega", "gamma", *otto],
+        }
+        got = {name: settable_values(cls) for name, cls in CONFIGS.items()}
+        assert got == expected
+        assert sum(map(len, got.values())) == 34
+
+    def test_scenario_defaults_to_collective_spins(self):
+        assert parse_config({}).scenario == "collective-spins"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -96,24 +145,25 @@ class TestConfigParsing:
 
 
 BAD_VALUES = [
-    ('"n": true', "n must be an integer"),
-    ('"n": 2.5', "n must be an integer"),
-    ('"gamma": NaN', "gamma must be finite"),
-    ('"beta_B": Infinity', "beta_B must be finite"),
-    ('"otto": {"lam": NaN}', "otto.lam must be finite"),
+    ("collective-spins", '"n": true', "n must be an integer"),
+    ("collective-spins", '"n": 2.5', "n must be an integer"),
+    ("collective-spins", '"gamma": NaN', "gamma must be finite"),
+    ("collective-spins", '"beta_B": Infinity', "beta_B must be finite"),
+    ("otto-cycle", '"otto": {"lam": NaN}', "otto.lam must be finite"),
 ]
+BAD_VALUE_IDS = [f"{entry}-{message}" for _, entry, message in BAD_VALUES]
 
 
 class TestConfigValues:
-    @pytest.mark.parametrize("entry,message", BAD_VALUES)
-    def test_rejected_by_parser(self, entry, message):
+    @pytest.mark.parametrize("scenario,entry,message", BAD_VALUES, ids=BAD_VALUE_IDS)
+    def test_rejected_by_parser(self, scenario, entry, message):
         with pytest.raises(ConfigError, match=message):
-            config_from_json('{"scenario": "collective-spins", %s}' % entry)
+            config_from_json('{"scenario": "%s", %s}' % (scenario, entry))
 
-    @pytest.mark.parametrize("entry,message", BAD_VALUES)
-    def test_run_exits_1_without_outputs(self, tmp_path, capsys, entry, message):
+    @pytest.mark.parametrize("scenario,entry,message", BAD_VALUES, ids=BAD_VALUE_IDS)
+    def test_run_exits_1_without_outputs(self, tmp_path, capsys, scenario, entry, message):
         cfg = tmp_path / "config.json"
-        cfg.write_text('{"scenario": "collective-spins", %s}' % entry)
+        cfg.write_text('{"scenario": "%s", %s}' % (scenario, entry))
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
@@ -132,6 +182,35 @@ class TestConfigValues:
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out), *extra]) == 1
         assert "configuration error: seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, extra, message", [
+        # one key per scenario that the scenario does not read
+        pytest.param({"scenario": "otto-cycle", "beta_B": 7}, [],
+                     "unknown keys at <root>: ['beta_B']", id="otto+beta_B"),
+        pytest.param({"scenario": "thermal-operation", "gamma": 0.1}, [],
+                     "unknown keys at <root>: ['gamma']", id="thermal-operation+gamma"),
+        pytest.param({"scenario": "collective-spins", "delta": 0.2}, [],
+                     "unknown keys at <root>: ['delta']", id="collective+delta"),
+        pytest.param({"scenario": "heat-flow-reversal", "n": 7}, [],
+                     "unknown keys at <root>: ['n']", id="reversal+n"),
+        pytest.param({"scenario": "near-degenerate", "sweep": {"points": 4}}, [],
+                     "unknown keys at <root>: ['sweep']", id="near-degenerate+sweep"),
+        # --seed goes through the same parse: only thermal-operation has a seed
+        *(pytest.param(json.loads((SHIPPED / f"{name}.json").read_text()), ["--seed", "5"],
+                       "unknown keys at <root>: ['seed']", id=f"{name}+--seed")
+          for name in ("collective", "reversal", "near_degenerate", "otto")),
+        # the 0.1/delta horizon falls below the first time 0.01/gamma
+        pytest.param({"scenario": "near-degenerate", "delta": 0.3, "gamma": 0.001}, [],
+                     "the time span needs 0 < 0.01/gamma < 0.1/delta < inf, "
+                     "got 0.01/gamma = 10, 0.1/delta = 0.333333", id="near-degenerate-inverted"),
+    ])
+    def test_config_error_exits_1_without_outputs(self, tmp_path, capsys, config, extra, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out), *extra]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("config, field", [
@@ -153,12 +232,26 @@ class TestConfigValues:
         assert not out.exists()
 
     def test_point_ceiling_is_shared(self):
-        """The ceiling itself parses; the builders' grid refuses one point more."""
+        """The ceiling itself parses; the one time-span helper refuses one point more."""
         cfg = parse_config({"time_grid": {"points": MAX_GRID_POINTS},
                             "sweep": {"points": MAX_GRID_POINTS}})
         assert cfg.time_grid.points == cfg.sweep.points == MAX_GRID_POINTS
         with pytest.raises(ConfigError, match="time_grid.points must be at most"):
-            TimeGrid(0.1, 1.0, MAX_GRID_POINTS + 1)
+            geometric_times(0.1, 1.0, MAX_GRID_POINTS + 1)
+
+    @pytest.mark.parametrize("t_min, t_max", [(1.0, 1.0), (2.0, 1.0), (0.0, 1.0), (1.0, np.inf)])
+    def test_empty_or_unbounded_span_rejected(self, t_min, t_max):
+        with pytest.raises(ConfigError, match="the time span needs 0 < t_min < t_max < inf"):
+            geometric_times(t_min, t_max, 3)
+
+    def test_span_is_stated_once_per_scenario(self):
+        """Each Lindblad scenario's times come from its config, zero first for reversal."""
+        coll = CONFIGS["collective-spins"]().times()
+        rev = CONFIGS["heat-flow-reversal"](time_grid=scenarios.GridSpec(5)).times()
+        near = CONFIGS["near-degenerate"](delta=0.01).times()
+        assert (len(coll), coll[0], coll[-1]) == (60, 0.01 / 0.1, 30.0 / 0.1)
+        assert (len(rev), rev[:2], rev[-1]) == (6, [0.0, 0.01 / 0.1], 20.0 / 0.1)
+        assert (near[0], near[-1]) == (0.01 / 0.1, 0.1 / 0.01)
 
     def test_integral_float_field_accepted(self):
         assert parse_config({"scenario": "collective-spins", "beta_B": 2}).beta_B == 2
@@ -197,9 +290,10 @@ class TestRunCommand:
         assert outs[0] == outs[1]
 
     def test_thermal_operation_run(self, tmp_path):
-        cfg = write_config(
-            tmp_path, scenario="thermal-operation", beta_0=0.7, beta_B=1.3, seeds=24
-        )
+        cfg = tmp_path / "ops.json"
+        cfg.write_text(json.dumps(
+            {"scenario": "thermal-operation", "beta_0": 0.7, "beta_B": 1.3, "seeds": 24}
+        ))
         out = tmp_path / "ops"
         code = main(["run", str(cfg), "--out", str(out)])
         assert code == 0
@@ -324,9 +418,6 @@ def test_cold_thermal_weights_keep_exact_logs(config, failure):
     out = run_scenario_config(parse_config(config))
     assert re.findall(r"^\w+: (?:FAIL|no)$", out.summary_text, re.M) == [failure]
     assert out.invariant_failures == 1
-
-
-SHIPPED = Path(__file__).parent.parent / "configs"
 
 
 @pytest.mark.parametrize("config", [

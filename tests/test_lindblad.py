@@ -25,8 +25,10 @@ from cohentropy import (
 from cohentropy.exceptions import InvariantViolation
 from cohentropy.lindblad import BathSpectrum, JumpOperatorSet, LindbladGenerator
 from cohentropy.scenarios import (
+    GridSpec,
+    NearDegenerateConfig,
     OttoParams,
-    TimeGrid,
+    ReversalConfig,
     build_near_degenerate_scenario,
     build_reversal_scenario,
 )
@@ -300,9 +302,15 @@ def rotated_qutrit_generator() -> LindbladGenerator:
 
 BLOCKED_GENERATORS = {
     **{f"collective n={n}": (lambda n=n: collective_generator(n)) for n in (1, 2, 3, 4)},
-    "reversal": lambda: build_reversal_scenario(grid=TimeGrid(0.1, 1.0, 3)).gen,
-    "near-degenerate exact": lambda: build_near_degenerate_scenario(points=3).gen_exact,
-    "near-degenerate clustered": lambda: build_near_degenerate_scenario(points=3).gen_clustered,
+    "reversal": lambda: build_reversal_scenario(
+        ReversalConfig(beta_0=1.1, time_grid=GridSpec(3))
+    ).gen,
+    "near-degenerate exact": lambda: build_near_degenerate_scenario(
+        NearDegenerateConfig(time_grid=GridSpec(3))
+    ).gen_exact,
+    "near-degenerate clustered": lambda: build_near_degenerate_scenario(
+        NearDegenerateConfig(time_grid=GridSpec(3))
+    ).gen_clustered,
     **{
         f"otto {machine} {stroke}": (lambda m=machine, s=stroke: otto_generator(m, s))
         for machine in ("coherent", "incoherent")

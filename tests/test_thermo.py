@@ -20,7 +20,7 @@ from cohentropy import (
     von_neumann_entropy,
 )
 from cohentropy.collective import SpinEnsembleSpec, collective_coupling, local_couplings
-from cohentropy.scenarios import build_reversal_scenario
+from cohentropy.scenarios import GridSpec, ReversalConfig, build_reversal_scenario
 from cohentropy.thermo import _resymm
 from conftest import matrix_log_on_support, random_density
 
@@ -158,7 +158,7 @@ class TestComplementarity:
             assert abs(e.minus_dCh) < 1e-10 and abs(e.minus_dDth) < 1e-10
 
     def test_reversal_scenario_consumption_bound(self):
-        scen = build_reversal_scenario()
+        scen = build_reversal_scenario(ReversalConfig(beta_0=1.1, time_grid=GridSpec(50)))
         rep = complementarity_report(scen.series)
         assert rep.applicable
         active = [e for e in rep.entries if e.reversal_active]
