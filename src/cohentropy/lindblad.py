@@ -33,6 +33,7 @@ from .spectrum import EnergyLevelStructure, clustering_tolerance, gap_clusters
 
 ZERO_OPERATOR_TOL = 1e-13
 KERNEL_SV_RATIO = 1e-10
+KRYLOV_MAX_DIM = 64  # a larger block propagates on the Krylov space of at most this many vectors
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,7 @@ class LindbladGenerator:
     els: EnergyLevelStructure
     bath: BathSpectrum
     jumps: JumpOperatorSet | None = None
-    # per-block ``_diagonalize`` results, filled by ``propagate`` on first use
+    # per-block ``_diagonalize`` results of the blocks ``propagate`` applies in full
     _block_eigs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -199,7 +200,7 @@ class LindbladGenerator:
     def dim(self) -> int:
         return self.els.dim
 
-    @property
+    @cached_property
     def norm_inf(self) -> float:
         return max(float(np.max(np.sum(np.abs(b), axis=1))) for _, b in self.blocks)
 
@@ -275,41 +276,81 @@ class LindbladGenerator:
     def propagate(self, vec0: np.ndarray, times: Sequence[float]) -> list[np.ndarray]:
         """exp(t L) vec0 for each t of any sign and order, row-stacked in the input basis.
 
-        vec0 goes to the labeled eigenbasis and back once; each block it occupies is
-        applied through its cached eig, or by expm steps between times if defective.
+        vec0 goes to the labeled eigenbasis and back once.  A block of more than
+        KRYLOV_MAX_DIM rows is applied on the Krylov space its part of vec0 reaches, when
+        at most KRYLOV_MAX_DIM vectors span it and it is invariant; every other block
+        through its cached eig.  Either matrix takes expm steps between times when
+        ``_diagonalize`` rejects it.
         """
         ts = np.asarray(times, dtype=float)
         d, v = self.dim, self.els.basis_vectors
         x0 = self.els.to_labeled(np.asarray(vec0, dtype=complex).reshape(d, d)).reshape(-1)
         out = np.zeros((len(ts), d * d), dtype=complex)
+        tol = 1e-9 * self._scale
         for k, (idx, block) in enumerate(self.blocks):
             x = x0[idx]
             if not x.any():
                 continue
-            if k not in self._block_eigs:
-                self._block_eigs[k] = _diagonalize(block, 1e-9 * self._scale)
-            eig = self._block_eigs[k]
-            if eig is not None:
-                w, vec, vinv = eig
-                out[:, idx] = (np.exp(np.outer(ts, w)) * (vinv @ x)) @ vec.T
+            krylov = len(idx) > KRYLOV_MAX_DIM and _krylov_projection(block, x, self.norm_inf, tol)
+            if krylov:
+                q, small = krylov
+                out[:, idx] = _exp_series(small, _diagonalize(small, tol), q.conj().T @ x, ts) @ q.T
                 continue
-            import scipy.linalg  # only a defective block needs scipy
-
-            for j, dt in enumerate(np.diff(ts, prepend=0.0)):
-                x = scipy.linalg.expm(block * dt) @ x
-                out[j, idx] = x
+            if k not in self._block_eigs:
+                self._block_eigs[k] = _diagonalize(block, tol)
+            out[:, idx] = _exp_series(block, self._block_eigs[k], x, ts)
         return list((v @ out.reshape(-1, d, d) @ v.conj().T).reshape(len(ts), -1))
 
 
+def _krylov_projection(
+    block: np.ndarray, x: np.ndarray, norm: float, tol: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(Q, Q^dag block Q) for orthonormal columns Q spanning the Krylov space of x, by
+    Arnoldi with full reorthogonalization and breakdown at ||w|| <= 1e-9 norm; None
+    when that takes more than KRYLOV_MAX_DIM vectors or ||block Q - Q Q^dag block Q|| > tol."""
+    q = np.zeros((len(x), KRYLOV_MAX_DIM + 1), dtype=complex)
+    bq = np.zeros_like(q)
+    q[:, 0] = x / np.linalg.norm(x)
+    for j in range(KRYLOV_MAX_DIM):
+        w = bq[:, j] = block @ q[:, j]
+        for _ in range(2):
+            w = w - q[:, : j + 1] @ (q[:, : j + 1].conj().T @ w)
+        size = np.linalg.norm(w)
+        if size <= 1e-9 * norm:
+            q, bq = q[:, : j + 1], bq[:, : j + 1]
+            small = q.conj().T @ bq
+            return (q, small) if max_abs(bq - q @ small) <= tol else None
+        q[:, j + 1] = w / size
+    return None
+
+
+def _exp_series(block: np.ndarray, eig: tuple | None, x: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """exp(t block) x for each t, one row per t: through eig = (w, V, V^-1), or by
+    expm steps between times when eig is None."""
+    if eig is not None:
+        w, vec, vinv = eig
+        return (np.exp(np.outer(ts, w)) * (vinv @ x)) @ vec.T
+    import scipy.linalg  # only a defective block needs scipy
+
+    out = np.zeros((len(ts), len(x)), dtype=complex)
+    for j, dt in enumerate(np.diff(ts, prepend=0.0)):
+        x = scipy.linalg.expm(block * dt) @ x
+        out[j] = x
+    return out
+
+
 def _diagonalize(block: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(w, V, V^-1) with block = V diag(w) V^-1 to within tol, or None when it is defective."""
+    """(w, V, V^-1) with block = V diag(w) V^-1 to within tol, or None when it is defective
+    or so near it that eps cond_1(V), the rounding V exp(t w) V^-1 adds to a unit vector,
+    exceeds 1e-9."""
     try:
         w, v = np.linalg.eig(block)
         vinv = np.linalg.inv(v)
     except np.linalg.LinAlgError:
         return None
     resid = max_abs((v * w) @ vinv - block)
-    return (w, v, vinv) if np.isfinite(resid) and resid <= tol else None
+    kappa = np.linalg.norm(v, 1) * np.linalg.norm(vinv, 1)
+    return (w, v, vinv) if resid <= tol and np.finfo(float).eps * kappa <= 1e-9 else None
 
 
 def build_generator(

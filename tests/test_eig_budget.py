@@ -8,10 +8,11 @@ a finite-difference shift) is validated by the kernel from those two
 decompositions, and a thermal state from its known Boltzmann weights, so
 neither pays a decomposition of its own.  Every
 finite-time exp(t L) comes from ``LindbladGenerator.propagate``, which needs
-one ``eig`` per occupied block of L and no ``expm`` when the block is
-diagonalizable; the per-config counts catch a second propagation path, and a
-thermal start must decompose its one Bohr sector only.  Each evolved state is
-validated with one eigvalsh.
+one ``eig`` per occupied block of L, or of the block's Krylov matrix above
+``KRYLOV_MAX_DIM`` rows, and no ``expm`` when that matrix is diagonalizable;
+the per-config counts catch a second propagation path, and a thermal start
+must decompose a small Krylov matrix of its one Bohr sector only, also at a
+nearly defective cold bath.  Each evolved state is validated with one eigvalsh.
 """
 
 from pathlib import Path
@@ -132,31 +133,41 @@ PROPAGATION_BUDGET = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PROPAGATION_BUDGET))
-def test_shipped_config_propagation_budget(monkeypatch, name):
-    """np.linalg.eig and scipy.linalg.expm calls of one shipped config."""
-    calls = {"eig": 0, "expm": 0}
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Rows of each matrix np.linalg.eig and scipy.linalg.expm take, by function."""
+    calls = {"eig": [], "expm": []}
     for module, fn in ((np.linalg, "eig"), (scipy.linalg, "expm")):
-        def counted(*args, _orig=getattr(module, fn), _fn=fn, **kwargs):
-            calls[_fn] += 1
-            return _orig(*args, **kwargs)
+        def counted(a, *args, _orig=getattr(module, fn), _fn=fn, **kwargs):
+            calls[_fn].append(len(a))
+            return _orig(a, *args, **kwargs)
         monkeypatch.setattr(module, fn, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(PROPAGATION_BUDGET))
+def test_shipped_config_propagation_budget(linalg_calls, name):
+    """np.linalg.eig and scipy.linalg.expm calls of one shipped config."""
     path = Path(__file__).parent.parent / "configs" / f"{name}.json"
     run_scenario_config(config_from_json(path.read_text()))
-    assert (calls["eig"], calls["expm"]) == PROPAGATION_BUDGET[name]
+    assert (len(linalg_calls["eig"]), len(linalg_calls["expm"])) == PROPAGATION_BUDGET[name]
 
 
-def test_thermal_start_decomposes_one_sector(monkeypatch):
-    """n = 5: a thermal state lives in the 252-dimensional population sector of the 1024 of L."""
+def test_thermal_start_decomposes_one_sector(linalg_calls):
+    """n = 5: a thermal state lives in the 252-row population sector of the 1024 of L, and
+    there in the span of the 12 (J^2, J_z) projectors: one eig of at most 12 rows (10 at
+    beta_0 = 2), none of the sector."""
     system = collective_coupling(SpinEnsembleSpec(5, 0.5, 1.0))
     els = system.level_structure()
     gen = build_generator([system.A_S], els, flat_bath(0.1, 1.0))
-    shapes = []
-
-    def counted(a, _orig=np.linalg.eig):
-        shapes.append(a.shape)
-        return _orig(a)
-
-    monkeypatch.setattr(np.linalg, "eig", counted)
     evolve(gen, thermal_state_of(els, 2.0), [0.5, 5.0, 50.0])
-    assert shapes == [(252, 252)]
+    assert len(linalg_calls["eig"]) == 1 and linalg_calls["eig"][0] <= 12
+    assert linalg_calls["expm"] == []
+
+
+def test_cold_bath_makes_no_expm(linalg_calls):
+    """At beta_B = 30 the 252-row sector is too near defective for its own eig; its Krylov
+    matrix is not, so no expm step is taken."""
+    run_scenario_config(config_from_json('{"scenario": "collective-spins", "n": 5, "beta_B": 30}'))
+    assert linalg_calls["expm"] == []
+    assert linalg_calls["eig"] and all(rows <= 12 for rows in linalg_calls["eig"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,8 +23,9 @@ from cohentropy import (
     local_couplings,
     thermal_state_of,
 )
+from cohentropy import lindblad
 from cohentropy.exceptions import InvariantViolation
-from cohentropy.lindblad import BathSpectrum, JumpOperatorSet, LindbladGenerator
+from cohentropy.lindblad import KRYLOV_MAX_DIM, BathSpectrum, JumpOperatorSet, LindbladGenerator
 from cohentropy.scenarios import (
     GridSpec,
     NearDegenerateConfig,
@@ -275,9 +277,18 @@ def cascade_generator() -> LindbladGenerator:
     return LindbladGenerator(channels=(channel,), els=els, bath=flat_bath(0.1, 1.0))
 
 
-def collective_generator(n: int) -> LindbladGenerator:
+def collective_generator(n: int, beta_b: float = 1.0, gamma: float = 0.1) -> LindbladGenerator:
     system = collective_coupling(SpinEnsembleSpec(n, 0.5, 1.0))
-    return build_generator([system.A_S], system.level_structure(), flat_bath(0.1, 1.0))
+    return build_generator([system.A_S], system.level_structure(), flat_bath(gamma, beta_b))
+
+
+def generic_generator() -> LindbladGenerator:
+    """Two six-fold degenerate levels and a random coupling: a 72-row population sector
+    whose Krylov spaces are the whole sector, past KRYLOV_MAX_DIM."""
+    rng = np.random.default_rng(3)
+    els = build_level_structure(HermitianObservable(np.diag([0.0] * 6 + [1.0] * 6)))
+    g = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    return build_generator([HermitianObservable(0.5 * (g + g.conj().T))], els, flat_bath(0.1, 1.0))
 
 
 def otto_generator(machine: str, stroke: str) -> LindbladGenerator:
@@ -321,17 +332,50 @@ BLOCKED_GENERATORS = {
 }
 
 
+@pytest.fixture
+def eig_rows(monkeypatch):
+    """Rows of each matrix np.linalg.eig decomposes."""
+    rows = []
+
+    def counted(a, _orig=np.linalg.eig):
+        rows.append(len(a))
+        return _orig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    return rows
+
+
+def block_paths(gen, vec, eig_rows) -> list[str]:
+    """The path each block vec occupies takes in one propagate on a copy of gen with no cached
+    eig, read off eig_rows: one eig per block, of the block ("full") or of its Krylov matrix."""
+    gen = dataclasses.replace(gen)
+    eig_rows.clear()
+    gen.propagate(vec, (1.0,))
+    x = gen.els.to_labeled(vec.reshape(gen.dim, gen.dim)).reshape(-1)
+    rows = [len(idx) for idx, _ in gen.blocks if x[idx].any()]
+    assert len(eig_rows) == len(rows)
+    return ["krylov" if m < r else "full" for m, r in zip(eig_rows, rows)]
+
+
+def full_path_propagate(monkeypatch, gen, vec, times):
+    """propagate on a copy of gen with every block on its eig/expm path, as below the cap."""
+    with monkeypatch.context() as m:
+        m.setattr(lindblad, "KRYLOV_MAX_DIM", 10**9)
+        return dataclasses.replace(gen).propagate(vec, times)
+
+
 class TestPropagate:
     """The blocks, ``apply`` and the blocked ``propagate`` against the dense kron reference."""
 
     TIMES = (-1e-3, 5e-4, 5.0)
 
-    def check_against_expm(self, gen):
-        vec = random_density(gen.dim, 5).reshape(-1)
+    def check_against_expm(self, gen, *vecs):
+        vecs = vecs or (random_density(gen.dim, 5).reshape(-1),)
         dense = dense_superoperator(gen)
-        for t, got in zip(self.TIMES, gen.propagate(vec, self.TIMES)):
-            want = scipy.linalg.expm(t * dense) @ vec
-            assert np.max(np.abs(got - want)) < 1e-12
+        steps = [scipy.linalg.expm(t * dense) for t in self.TIMES]
+        for vec in vecs:
+            for step, got in zip(steps, gen.propagate(vec, self.TIMES)):
+                assert np.max(np.abs(got - step @ vec)) < 1e-12
 
     @pytest.mark.parametrize("name", list(BLOCKED_GENERATORS))
     def test_blocks_equal_dense_reference(self, name):
@@ -354,10 +398,68 @@ class TestPropagate:
         assert np.max(np.abs(gen.apply(rho) - want)) <= 1e-14 * max(1.0, np.max(np.abs(dense)))
 
     @pytest.mark.parametrize("name", list(BLOCKED_GENERATORS))
-    def test_every_block_against_expm(self, name):
+    def test_every_block_against_expm(self, name, eig_rows):
+        """A full-rank state occupies every block; only a block above KRYLOV_MAX_DIM rows
+        (the 70-row population sector at n = 4) goes through its Krylov space."""
         gen = BLOCKED_GENERATORS[name]()
+        vec = random_density(gen.dim, 5).reshape(-1)
+        want = ["krylov" if len(idx) > KRYLOV_MAX_DIM else "full" for idx, _ in gen.blocks]
+        assert block_paths(gen, vec, eig_rows) == want
         self.check_against_expm(gen)
-        assert len(gen._block_eigs) == len(gen.blocks)  # a full state occupies every block
+
+    @pytest.mark.parametrize("beta_b", [1.0, 30.0])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_collective_against_expm(self, n, beta_b, eig_rows):
+        """Thermal (beta_0 = 2) and full-rank starts, also at the nearly defective cold bath.
+        Every block of KRYLOV_MAX_DIM rows or fewer takes its eig/expm path; a larger one
+        its Krylov space, except at n = 5, beta_B = 1, where a full-rank start reaches past
+        the cap in the 252-, 210- and 120-row sectors."""
+        gen = collective_generator(n, beta_b)
+        thermal = thermal_state_of(gen.els, 2.0).elements.reshape(-1)
+        full = random_density(gen.dim, 5).reshape(-1)
+        self.check_against_expm(gen, thermal, full)
+        rows = [len(idx) for idx, _ in gen.blocks]
+        big = "full" if (n, beta_b) == (5, 1.0) else "krylov"
+        paths = [big if r > KRYLOV_MAX_DIM else "full" for r in rows]
+        assert block_paths(gen, thermal, eig_rows) == ["krylov"]
+        assert block_paths(gen, full, eig_rows) == paths
+
+    def test_breakdown_is_relative_to_the_norm(self, eig_rows):
+        """The Arnoldi breakdown scales with ||L||: the same Krylov dimension from gamma = 1e-6 to 1e4."""
+        dims = []
+        for gamma in (1e-6, 0.1, 1e4):
+            gen = collective_generator(5, gamma=gamma)
+            assert gen.norm_inf == max(np.max(np.sum(np.abs(b), axis=1)) for _, b in gen.blocks)
+            eig_rows.clear()
+            gen.propagate(thermal_state_of(gen.els, 2.0).elements.reshape(-1), (1.0,))
+            dims.append(list(eig_rows))
+        assert dims == [[10]] * 3
+
+    def test_krylov_cap_takes_the_full_path_bit_for_bit(self, monkeypatch, eig_rows):
+        """A 72-row sector whose Krylov space needs more than KRYLOV_MAX_DIM vectors."""
+        vec = random_density(12, 5).reshape(-1)
+        gen = generic_generator()
+        got = gen.propagate(vec, self.TIMES)
+        assert eig_rows == [72, 36, 36]
+        want = full_path_propagate(monkeypatch, gen, vec, self.TIMES)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_non_invariant_basis_takes_the_full_path_bit_for_bit(self, monkeypatch):
+        """An early breakdown (the norm inflated 1e12-fold) leaves a basis that fails the
+        invariance check, so the block goes through its own eig."""
+        results = []
+
+        def early(block, x, norm, tol, _orig=lindblad._krylov_projection):
+            results.append(_orig(block, x, 1e12 * norm, tol))
+            return results[-1]
+
+        gen = collective_generator(4)
+        vec = thermal_state_of(gen.els, 2.0).elements.reshape(-1)
+        monkeypatch.setattr(lindblad, "_krylov_projection", early)
+        got = gen.propagate(vec, self.TIMES)
+        assert results == [None]
+        want = full_path_propagate(monkeypatch, gen, vec, self.TIMES)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_expm_fallback_on_defective_generator(self):
         gen = cascade_generator()
