@@ -15,7 +15,7 @@ def main():
     scen = build_reversal_scenario(
         ReversalConfig(beta_0=1.1, beta_B=1.0, gamma=0.1, time_grid=GridSpec(50))
     )
-    snap0 = scen.initial_snapshot
+    snap0 = scen.series.snapshots[0]
     print(f"coherence amplitude c = {scen.amplitude:.6f} (max {scen.amplitude_max:.6f})")
     print(f"initial dE/dt = {snap0.E_dot:+.6e}  -> (beta_0-beta_B) dE/dt = "
           f"{0.1 * snap0.E_dot:+.3e}  (reversed: flows against the gradient)")

@@ -164,7 +164,7 @@ def criterion_3(ctx: AcceptanceContext) -> CriterionResult:
     start of the heat-flow-reversal scenario."""
     thr = ctx.threshold(3, WITNESS_THRESHOLD)
     gen_contrib = min(-s.rate_C_h for s in ctx.collective.series.snapshots)
-    rev_contrib = -ctx.reversal.initial_snapshot.rate_D_th
+    rev_contrib = -ctx.reversal.series.snapshots[0].rate_D_th
     ok = gen_contrib < -thr and rev_contrib < -thr
     return CriterionResult(
         3, "negativity witnesses for -dC_h/dt and -dD_th/dt",
@@ -401,8 +401,7 @@ def criterion_14(ctx: AcceptanceContext) -> CriterionResult:
     same = first == second
     return CriterionResult(
         14, "deterministic outputs for fixed configuration and seeds",
-        same, f"two runs produced {'identical' if same else 'DIFFERENT'} bytes "
-              f"({len(first)} bytes compared)",
+        same, f"two runs produced {'identical' if same else 'DIFFERENT'} bytes",
     )
 
 

@@ -19,7 +19,6 @@ from .exceptions import InvariantViolation, RatioUndefined
 from .qcore import DensityMatrix, HermitianObservable, log_boltzmann_weights, max_abs
 from .spectrum import EnergyLevelStructure, build_level_structure
 
-TABLE_DIM_BUDGET = 4096
 STATE_DIM_BUDGET = 1024
 
 
@@ -90,8 +89,6 @@ def degeneracy_table(spec: SpinEnsembleSpec) -> AngularMomentumTable:
     convolution of a flat local multiplicity; l_J = N(J) - N(J+1) and
     I_m = N(m) follow.
     """
-    if spec.dim > TABLE_DIM_BUDGET:
-        raise InvariantViolation(f"dimension {spec.dim} beyond table budget {TABLE_DIM_BUDGET}")
     counts = np.array([1], dtype=object)
     for _ in range(spec.n):
         counts = np.convolve(counts, np.ones(spec.local_dim, dtype=object))
@@ -272,8 +269,8 @@ def entropy_production_ratio(
     collective dissipation, each evaluated as Delta S - beta_B Delta E between
     the initial thermal state and the respective asymptotic state.
 
-    Uses the (J, m) spectral data directly, so arbitrary ensemble sizes within
-    the table budget are exact without building superoperators.
+    Uses the (J, m) spectral data directly, whose multiplicities are exact
+    integers, so any ensemble size is exact without building superoperators.
     """
     x0 = spec.omega * beta_0
     xb = spec.omega * beta_B

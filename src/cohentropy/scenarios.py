@@ -66,6 +66,7 @@ LINDBLAD_DIM_BUDGET = 64
 RATIO_RELATIVE_TOL = 0.05  # the entropy-production ratio against its limits
 TRACE_DISTANCE_TOL = 1e-3  # clustered against exactly-degenerate near-degenerate run
 MAX_GRID_POINTS = 10**12  # far inside numpy's index range, which np.geomspace overflows
+PREPARED_COHERENCE_FRACTION = 0.45  # prepared coherences' spectral radius / least thermal weight
 
 
 def fmt(x: float) -> str:
@@ -205,7 +206,6 @@ class CollectiveScenario:
     spec: SpinEnsembleSpec
     els: EnergyLevelStructure
     gen: LindbladGenerator
-    rho0: DensityMatrix
     series: ThermoSeries
 
 
@@ -218,9 +218,8 @@ def build_collective_scenario(
     system = collective_coupling(spec)
     els = system.level_structure()
     gen = build_generator([system.A_S], els, flat_bath(cfg.gamma, cfg.beta_B))
-    rho0 = thermal_state_of(els, cfg.beta_0)
-    series = decompose_series(gen, rho0, times)
-    return CollectiveScenario(spec=spec, els=els, gen=gen, rho0=rho0, series=series)
+    series = decompose_series(gen, thermal_state_of(els, cfg.beta_0), times)
+    return CollectiveScenario(spec=spec, els=els, gen=gen, series=series)
 
 
 @dataclass(frozen=True)
@@ -231,7 +230,6 @@ class ReversalScenario:
     series: ThermoSeries
     amplitude: float
     amplitude_max: float
-    initial_snapshot: ThermoSnapshot
     weighted_E_dot: float  # (beta_0 - beta_B) dE/dt at t = 0; negative when heat flow reverses
 
     def verdicts(self) -> list[Verdict]:
@@ -279,18 +277,14 @@ def build_reversal_scenario(cfg: ReversalConfig) -> ReversalScenario:
         series=series,
         amplitude=float(amplitude),
         amplitude_max=float(c_max),
-        initial_snapshot=series.snapshots[0],
         weighted_E_dot=(beta_0 - beta_B) * series.snapshots[0].E_dot,
     )
 
 
 @dataclass(frozen=True)
 class NearDegenerateScenario:
-    els_exact: EnergyLevelStructure
-    els_clustered: EnergyLevelStructure
     gen_exact: LindbladGenerator
     gen_clustered: LindbladGenerator
-    rho0: DensityMatrix
     series: ThermoSeries
     max_trace_distance: float
 
@@ -317,20 +311,16 @@ def build_near_degenerate_scenario(cfg: NearDegenerateConfig) -> NearDegenerateS
     )
     a_s = HermitianObservable(np.kron(sx, eye) + np.kron(eye, sx))
     els_exact = build_level_structure(h_exact)
-    els_clustered = build_level_structure(h_mismatch, delta=delta)
     bath = flat_bath(cfg.gamma, cfg.beta_B)
     gen_exact = build_generator([a_s], els_exact, bath)
-    gen_clustered = build_generator([a_s], els_clustered, bath)
+    gen_clustered = build_generator([a_s], build_level_structure(h_mismatch, delta=delta), bath)
     rho0 = thermal_state_of(els_exact, cfg.beta_0)
     traj_exact = evolve(gen_exact, rho0, times)
     series = decompose_series(gen_clustered, rho0, times)
     dist = max(trace_distance(a, b) for a, b in zip(traj_exact, series.states))
     return NearDegenerateScenario(
-        els_exact=els_exact,
-        els_clustered=els_clustered,
         gen_exact=gen_exact,
         gen_clustered=gen_clustered,
-        rho0=rho0,
         series=series,
         max_trace_distance=float(dist),
     )
@@ -355,9 +345,7 @@ def thermal_operation_systems(omega: float = 1.0) -> list[tuple[str, BipartiteSy
     ]
 
 
-def coherent_prepared_state(
-    els: EnergyLevelStructure, beta_0: float, seed: int, amplitude: float = 0.45
-) -> DensityMatrix:
+def coherent_prepared_state(els: EnergyLevelStructure, beta_0: float, seed: int) -> DensityMatrix:
     """Thermal diagonal at beta_0 plus seeded random coherences, positivity-safe."""
     rng = np.random.default_rng(seed)
     base = thermal_state_of(els, beta_0)
@@ -367,7 +355,8 @@ def coherent_prepared_state(
     x -= np.diag(np.diag(x))
     lam_min = float(boltzmann_weights(els.index_energies, beta_0).min())
     spread = float(np.max(np.abs(np.linalg.eigvalsh(x)))) or 1.0
-    return DensityMatrix(base.elements + amplitude * lam_min / spread * x, base.basis_labels)
+    scale = PREPARED_COHERENCE_FRACTION * lam_min / spread
+    return DensityMatrix(base.elements + scale * x, base.basis_labels)
 
 
 def diagonal_prepared_state(els: EnergyLevelStructure, seed: int) -> DensityMatrix:
@@ -404,14 +393,11 @@ def build_otto_report(cfg: OttoConfig):
     params = cfg.otto
     spec = SpinEnsembleSpec(2, 0.5, cfg.omega)
     system = collective_coupling(spec)
-    h_cold = system.H_S
-    h_hot = HermitianObservable(params.lam * h_cold.elements)
-    els_c = build_level_structure(h_cold, labels=spec.basis_labels())
-    prep = thermal_state_of(els_c, params.prep_beta)
+    prep = thermal_state_of(system.level_structure(), params.prep_beta)
     return otto_cycle(
-        h_cold, h_hot,
+        system.H_S, params.lam,
         flat_bath(cfg.gamma, params.beta_cold), flat_bath(cfg.gamma, params.beta_hot),
-        system.A_S, local_couplings(spec), stroke_time=params.stroke_time, initial_state=prep,
+        [system.A_S], local_couplings(spec), params.stroke_time, prep,
     )
 
 
@@ -621,11 +607,12 @@ class ReversalConfig:
         summary.invariants(scen.series)
 
         summary.section("initial heat flow")
-        summary.kv("E_dot_initial", scen.initial_snapshot.E_dot)
+        first = scen.series.snapshots[0]
+        summary.kv("E_dot_initial", first.E_dot)
         summary.kv("weighted_E_dot", scen.weighted_E_dot)
         for v in scen.verdicts():
             summary.judge(v, "yes" if v.passed else "no")
-        summary.kv("rate_D_th_initial", scen.initial_snapshot.rate_D_th)
+        summary.kv("rate_D_th_initial", first.rate_D_th)
         hf = heat_flow(scen.gen, scen.rho0)
         for ch in hf.channels:
             summary.kv(f"apparent_temperature_omega_{fmt(ch.omega)}",

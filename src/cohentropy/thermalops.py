@@ -33,6 +33,7 @@ from .spectrum import (
 
 CHECK_TOL = 1e-9  # conservation laws (a)-(f); also no C_v from incoherent inputs
 WITNESS_THRESHOLD = 1e-6  # the least effect that counts as a witness
+WITNESS_AMPLITUDE_FRACTION = 0.95  # a witness's coherence, as a fraction of the largest admissible
 FACTORIZATION_TOL = 1e-10
 STATIONARITY_TOL = 1e-10
 UNITARY_TOL = 1e-12
@@ -299,22 +300,19 @@ def divergence_witness(
     sys: BipartiteSystem,
     seeds: range | list[int],
     beta_B: float,
-    pattern: HermitianObservable | None = None,
-    amplitude_fraction: float = 0.95,
-    threshold: float = WITNESS_THRESHOLD,
 ) -> DivergenceWitness:
-    """Search the seeded unitary family for -Delta D_th^S < -threshold.
+    """Search the seeded unitary family for -Delta D_th^S < -WITNESS_THRESHOLD.
 
-    rho_S is the thermal state at beta_B plus horizontal coherences (the only
+    rho_S is the thermal state at beta_B plus the ``horizontal_pattern`` of S at
+    WITNESS_AMPLITUDE_FRACTION of its largest admissible amplitude (the only
     initial resource: its diagonal is already at equilibrium, so any later
     distance from equilibrium is a reversal of the population convergence).
     The witness also certifies the consumption bound -Delta C_h^S >= Delta
     D_th^S > 0, reading its report's verdict (f).
     """
-    if pattern is None:
-        pattern = horizontal_pattern(sys.els_S)
+    pattern = horizontal_pattern(sys.els_S)
     base = thermal_state_of(sys.els_S, beta_B)
-    c = amplitude_fraction * max_admissible_amplitude(base.elements, pattern.elements)
+    c = WITNESS_AMPLITUDE_FRACTION * max_admissible_amplitude(base.elements, pattern.elements)
     rho_s = DensityMatrix(base.elements + c * pattern.elements, base.basis_labels)
     rho_b = thermal_state_of(sys.els_B, beta_B)
     for seed in seeds:
@@ -322,7 +320,7 @@ def divergence_witness(
         report = conservation_report(sys, u, rho_s, rho_b, beta_B)
         d_dth = report.S_final.D_th - report.S_initial.D_th
         d_ch = report.S_final.C_h - report.S_initial.C_h
-        if -d_dth < -threshold:
+        if -d_dth < -WITNESS_THRESHOLD:
             if not (report.checks["f:-dCh_S-dDth_S>=0"].passed and d_dth > 0):
                 raise InvariantViolation(
                     "witness violates the consumption bound -dC_h >= dD_th > 0"

@@ -47,7 +47,6 @@ from .spectrum import (
     EnergyLevelStructure,
     build_level_structure,
     state_functionals,
-    thermal_state_of,
 )
 
 RATE_POSITIVITY_TOL = 1e-8
@@ -57,6 +56,9 @@ HEAT_FLOW_TOL = 1e-8
 COMPLEMENTARITY_TOL = 1e-8  # slack of the complementarity checks (i)-(v)
 THERMAL_FIT_TOL = 1e-9  # largest population deviation of a start read as thermal
 CYCLE_RESIDUAL_TOL = 1e-8  # Otto closed-cycle second law and exchange identities
+MAX_CYCLES = 200  # Otto cycles run before a machine without a limit cycle is rejected
+CYCLE_TOL = 1e-10  # trace distance between successive cycle starts read as the limit cycle
+ISOCHORE_RESIDUAL_TOL = 1e-8  # largest ||L rho|| of a state read as relaxed after an isochore
 
 FLAG_PI_DIVERGENT = "pi-divergent"
 FLAG_UNDEFINED_TEMPERATURE = "undefined-temperature"
@@ -90,7 +92,7 @@ class ThermoSeries:
     snapshots: tuple[ThermoSnapshot, ...]
     els: EnergyLevelStructure
     beta_B: float
-    states: tuple[DensityMatrix, ...] = ()
+    states: tuple[DensityMatrix, ...]
 
     def __post_init__(self):
         ts = [s.t for s in self.snapshots]
@@ -178,7 +180,6 @@ def decompose_series(
     gen: LindbladGenerator,
     rho0: DensityMatrix,
     times: Sequence[float],
-    cross_validate: bool = True,
 ) -> ThermoSeries:
     """Evolve rho0 and emit snapshots; cross-check rates by finite differences.
 
@@ -197,7 +198,7 @@ def decompose_series(
         beta_B=gen.bath.beta_B,
         states=tuple(states),
     )
-    if cross_validate and len(states) >= 3:
+    if len(states) >= 3:
         interior = range(1, len(states) - 1)
         picks = [k for k in interior if not snapshots[k].flags][:: max(1, (len(states) - 2) // 12)]
         check_rates_by_finite_differences(gen, [(times[k], states[k], snapshots[k]) for k in picks])
@@ -370,25 +371,23 @@ def fit_inverse_temperature(pops: np.ndarray, els: EnergyLevelStructure) -> tupl
 
 
 def complementarity_report(
-    series: ThermoSeries, tol: float = COMPLEMENTARITY_TOL, fit_tol: float = THERMAL_FIT_TOL
+    series: ThermoSeries, tol: float = COMPLEMENTARITY_TOL
 ) -> ComplementarityReport:
     """Evaluate the complementarity inequalities between horizontal coherences
     and population convergence on every snapshot pair (0, t).
 
     Everything here reads the populations p_t = diag(V^dag rho_t V) of the
     diagonal cut.  Entries based on the thermal-populations identity require
-    p_0 to be thermal to ``fit_tol``; otherwise the report is marked
+    p_0 to be thermal to ``THERMAL_FIT_TOL``; otherwise the report is marked
     not-applicable (only the convention-free check (i) is still evaluated).
     The backtrack S(p_t|p_0) takes ln p_0 as the exact log Boltzmann weights
     at the fitted beta_0, so it stays finite however cold the start.
     """
-    if not series.states:
-        raise InvariantViolation("series carries no states; rebuild with decompose_series")
     els = series.els
     first = series.snapshots[0]
     pops0 = els.to_labeled(series.states[0].elements).diagonal().real
     beta0, residual = fit_inverse_temperature(pops0, els)
-    applicable = math.isfinite(beta0) and residual <= fit_tol
+    applicable = math.isfinite(beta0) and residual <= THERMAL_FIT_TOL
     flags = () if applicable else (FLAG_NOT_APPLICABLE,)
     if applicable:
         log0 = np.diag(log_boltzmann_weights(els.index_energies, beta0))
@@ -468,7 +467,6 @@ class OttoCycleReport:
 
     incoherent: OttoMachineResult
     coherent: OttoMachineResult
-    lam: float
     els_cold: EnergyLevelStructure
     els_hot: EnergyLevelStructure
     equal_W_applies: bool
@@ -488,17 +486,6 @@ class OttoCycleReport:
         return [Verdict(name, r, tol, abs(r) <= tol) for name, r in residuals]
 
 
-def _proportionality(H_cold: HermitianObservable, H_hot: HermitianObservable) -> float:
-    hc, hh = H_cold.elements, H_hot.elements
-    denom = float(np.trace(hc @ hc).real)
-    if denom <= 0.0:
-        raise InvariantViolation("H_cold must be nonzero")
-    lam = float(np.trace(hh @ hc).real) / denom
-    if lam <= 0.0 or max_abs(hh - lam * hc) > 1e-10 * max(1.0, max_abs(hh)):
-        raise InvariantViolation("H_hot must be a positive rescaling of H_cold")
-    return lam
-
-
 def _resymm(m: np.ndarray) -> np.ndarray:
     """Hermitian part of a propagated state at unit trace; rejects it before dividing if it is lost."""
     m = _as_square_complex(m)
@@ -515,9 +502,6 @@ def _run_machine(
     gen_hot: LindbladGenerator,
     rho_start: DensityMatrix,
     stroke_time: float,
-    max_cycles: int,
-    cycle_tol: float,
-    residual_tol: float,
 ) -> OttoMachineResult:
     def relax(gen: LindbladGenerator, rho: DensityMatrix) -> DensityMatrix:
         (vec,) = gen.propagate(rho.elements.reshape(-1), (stroke_time,))
@@ -525,23 +509,23 @@ def _run_machine(
 
     s0 = rho_start
     cycles = 0
-    for cycles in range(1, max_cycles + 1):
+    for cycles in range(1, MAX_CYCLES + 1):
         s1 = relax(gen_cold, s0)     # isochore at the cold bath (H_cold)
         s2 = relax(gen_hot, s1)      # adiabatic rescale, isochore at the hot bath
-        if trace_distance(s2, s0) < cycle_tol:
+        if trace_distance(s2, s0) < CYCLE_TOL:
             s0 = s2
             break
         s0 = s2
     else:
-        raise NonConvergence(f"{label}: no limit cycle within {max_cycles} cycles")
+        raise NonConvergence(f"{label}: no limit cycle within {MAX_CYCLES} cycles")
     s1 = relax(gen_cold, s0)
     s2 = relax(gen_hot, s1)
     for gen, state, name in ((gen_cold, s1, "cold"), (gen_hot, s2, "hot")):
         resid = max_abs(gen.apply(state))
-        if resid > residual_tol:
+        if resid > ISOCHORE_RESIDUAL_TOL:
             raise NonConvergence(
                 f"{label}: {name} isochore residual ||L rho|| = {resid:.3e} "
-                f"exceeds {residual_tol:.1e}; stroke_time too short"
+                f"exceeds {ISOCHORE_RESIDUAL_TOL:.1e}; stroke_time too short"
             )
     h_cold, h_hot = gen_cold.els.hamiltonian().elements, gen_hot.els.hamiltonian().elements
     beta_c, beta_h = gen_cold.bath.beta_B, gen_hot.bath.beta_B
@@ -573,53 +557,35 @@ def _run_machine(
 
 def otto_cycle(
     H_cold: HermitianObservable,
-    H_hot: HermitianObservable,
+    lam: float,
     bath_c: BathSpectrum,
     bath_h: BathSpectrum,
-    coupling_coherent: HermitianObservable | Sequence[HermitianObservable],
-    coupling_incoherent: HermitianObservable | Sequence[HermitianObservable],
+    coherent: Sequence[HermitianObservable],
+    incoherent: Sequence[HermitianObservable],
     stroke_time: float,
-    initial_state: DensityMatrix | None = None,
-    max_cycles: int = 200,
-    cycle_tol: float = 1e-10,
-    residual_tol: float = 1e-8,
+    initial_state: DensityMatrix,
 ) -> OttoCycleReport:
     """Run both Otto machines to their limit cycle and compare energetics.
 
-    Adiabatic strokes are exact spectral rescalings H -> lam H carrying the
-    state unchanged, so they are entropy-free and work-only.  Each coupling
-    argument may be a single observable (one dissipation channel) or a
-    sequence of observables (independent channels, one per element); the
-    incoherent machine is conventionally the per-subsystem local channels,
-    the coherent one a single collective channel.  The limit cycle of the
-    coherent machine depends on the initial state through the conserved
-    collective-sector weights; ``initial_state`` defaults to the cold thermal
-    state, and the report's level structures carry its basis labels.
+    The hot isochore runs at lam * H_cold.  Adiabatic strokes are exact
+    spectral rescalings H -> lam H carrying the state unchanged, so they are
+    entropy-free and work-only.  Each coupling is a sequence of observables,
+    one independent dissipation channel per element; the incoherent machine
+    is conventionally the per-subsystem local channels, the coherent one a
+    single collective channel.  The limit cycle of the coherent machine
+    depends on ``initial_state`` through the conserved collective-sector
+    weights, and the report's level structures carry its basis labels.
     """
-    lam = _proportionality(H_cold, H_hot)
-    labels = () if initial_state is None else initial_state.basis_labels
+    if not lam > 0.0:
+        raise InvariantViolation(f"lam must be positive, got {lam}")
+    labels = initial_state.basis_labels
     els_c = build_level_structure(H_cold, labels=labels)
-    els_h = build_level_structure(H_hot, labels=labels)
-    if initial_state is None:
-        initial_state = thermal_state_of(els_c, bath_c.beta_B)
-
-    def channels(x) -> list[HermitianObservable]:
-        return [x] if isinstance(x, HermitianObservable) else list(x)
-
+    els_h = build_level_structure(HermitianObservable(lam * H_cold.elements), labels=labels)
     results = {}
-    for label, coup in (("incoherent", coupling_incoherent), ("coherent", coupling_coherent)):
-        gen_cold = build_generator(channels(coup), els_c, bath_c)
-        gen_hot = build_generator(channels(coup), els_h, bath_h)
-        results[label] = _run_machine(
-            label,
-            gen_cold,
-            gen_hot,
-            initial_state,
-            stroke_time,
-            max_cycles,
-            cycle_tol,
-            residual_tol,
-        )
+    for label, channels in (("incoherent", incoherent), ("coherent", coherent)):
+        gen_cold = build_generator(channels, els_c, bath_c)
+        gen_hot = build_generator(channels, els_h, bath_h)
+        results[label] = _run_machine(label, gen_cold, gen_hot, initial_state, stroke_time)
 
     inc, coh = results["incoherent"], results["coherent"]
     equal_w = abs(coh.W - inc.W) < 1e-9
@@ -636,7 +602,6 @@ def otto_cycle(
     return OttoCycleReport(
         incoherent=inc,
         coherent=coh,
-        lam=lam,
         els_cold=els_c,
         els_hot=els_h,
         equal_W_applies=equal_w,

@@ -199,7 +199,7 @@ class TestEntropyProductionRatio:
         with pytest.raises(RatioUndefined):
             entropy_production_ratio(SpinEnsembleSpec(2, 0.5), 1.0, 1.0)
 
-    @pytest.mark.parametrize("n,target", [(2, 2.0), (4, 4.0), (10, 10.0)])
+    @pytest.mark.parametrize("n,target", [(2, 2.0), (4, 4.0), (10, 10.0), (100, 100.0)])
     def test_asymptote_is_spin_count(self, n, target):
         _, _, ratio = entropy_production_ratio(SpinEnsembleSpec(n, 0.5), 50.0, 6.0)
         assert ratio == pytest.approx(target, rel=0.05)

@@ -6,9 +6,7 @@ import pytest
 
 from cohentropy import (
     DensityMatrix,
-    HermitianObservable,
     InvariantViolation,
-    build_level_structure,
     complementarity_report,
     decompose_series,
     eigenoperators,
@@ -86,7 +84,7 @@ class TestDecomposeSeries:
         els, gen = qubit_system
         rho0 = thermal_state_of(els, 3.0)
         times = np.linspace(0.0, 120.0, 4001)
-        series = decompose_series(gen, rho0, times, cross_validate=False)
+        series = decompose_series(gen, rho0, times)
         pi = series.column("Pi_rate")
         integral = float(simpson(pi, x=times))
         ds = series.snapshots[-1].S - von_neumann_entropy(rho0)
@@ -189,19 +187,15 @@ class TestComplementarity:
 def machines():
     spec = SpinEnsembleSpec(2, 0.5, 1.0)
     system = collective_coupling(spec)
-    h_cold = system.H_S
-    h_hot = HermitianObservable(2.0 * h_cold.elements)
-    els_c = build_level_structure(h_cold, labels=spec.basis_labels())
-    return spec, system, h_cold, h_hot, els_c
+    return spec, system, system.level_structure()
 
 
 class TestOttoCycle:
     def test_identical_couplings_identical_machines(self, machines):
-        spec, system, h_cold, h_hot, els_c = machines
+        spec, system, els_c = machines
         rep = otto_cycle(
-            h_cold, h_hot, flat_bath(0.1, 1.17), flat_bath(0.1, 0.1),
-            system.A_S, system.A_S, stroke_time=400.0,
-            initial_state=thermal_state_of(els_c, 50.0),
+            system.H_S, 2.0, flat_bath(0.1, 1.17), flat_bath(0.1, 0.1),
+            [system.A_S], [system.A_S], 400.0, thermal_state_of(els_c, 50.0),
         )
         assert rep.coherent.Q_h == pytest.approx(rep.incoherent.Q_h, abs=1e-12)
         assert rep.coherent.Q_c == pytest.approx(rep.incoherent.Q_c, abs=1e-12)
@@ -213,11 +207,10 @@ class TestOttoCycle:
         assert rep.els_hot.energies == pytest.approx([2.0 * e for e in rep.els_cold.energies])
 
     def test_collective_beats_independent_at_witness_point(self, machines):
-        spec, system, h_cold, h_hot, els_c = machines
+        spec, system, els_c = machines
         rep = otto_cycle(
-            h_cold, h_hot, flat_bath(0.1, 1.17), flat_bath(0.1, 0.1),
-            system.A_S, local_couplings(spec), stroke_time=400.0,
-            initial_state=thermal_state_of(els_c, 50.0),
+            system.H_S, 2.0, flat_bath(0.1, 1.17), flat_bath(0.1, 0.1),
+            [system.A_S], local_couplings(spec), 400.0, thermal_state_of(els_c, 50.0),
         )
         for m in (rep.incoherent, rep.coherent):
             assert abs(m.second_law_residual) <= 1e-8
@@ -231,12 +224,21 @@ class TestOttoCycle:
     def test_cold_thermal_preparation_degrades_work(self, machines):
         """With a cold-thermal start the conserved singlet weight stays thermal
         and the collective machine cannot beat the independent one."""
-        spec, system, h_cold, h_hot, els_c = machines
+        spec, system, els_c = machines
         rep = otto_cycle(
-            h_cold, h_hot, flat_bath(0.1, 1.17), flat_bath(0.1, 0.1),
-            system.A_S, local_couplings(spec), stroke_time=400.0,
+            system.H_S, 2.0, flat_bath(0.1, 1.17), flat_bath(0.1, 0.1),
+            [system.A_S], local_couplings(spec), 400.0, thermal_state_of(els_c, 1.17),
         )
         assert abs(rep.coherent.W) < abs(rep.incoherent.W)
+
+    @pytest.mark.parametrize("lam", [0.0, -2.0, math.nan])
+    def test_nonpositive_rescaling_rejected(self, machines, lam):
+        spec, system, els_c = machines
+        with pytest.raises(InvariantViolation, match="lam must be positive"):
+            otto_cycle(
+                system.H_S, lam, flat_bath(0.1, 1.17), flat_bath(0.1, 0.1),
+                [system.A_S], local_couplings(spec), 400.0, thermal_state_of(els_c, 50.0),
+            )
 
 
 class TestResymm:
