@@ -28,7 +28,7 @@ from .exceptions import (
     NumericalFailure,
     ShapeMismatch,
 )
-from .qcore import DensityMatrix, HermitianObservable, cleaned_state, max_abs
+from .qcore import DensityMatrix, HermitianObservable, cleaned_state, cleaned_states, max_abs
 from .spectrum import EnergyLevelStructure, clustering_tolerance, gap_clusters
 
 ZERO_OPERATOR_TOL = 1e-13
@@ -223,10 +223,12 @@ class LindbladGenerator:
         return left, np.concatenate([ah, [eye, k.conj().T]])
 
     def apply(self, rho: DensityMatrix | np.ndarray) -> np.ndarray:
-        """L rho = sum_k 2 Re Gamma_k A_k rho A_k^dag - K rho - rho K^dag."""
+        """L rho = sum_k 2 Re Gamma_k A_k rho A_k^dag - K rho - rho K^dag, of one matrix or
+        of each of a (T, d, d) stack."""
         m = rho.elements if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
         left, right = self._sandwiches
-        return (left @ m).transpose(1, 0, 2).reshape(self.dim, -1) @ right.reshape(-1, self.dim)
+        terms = np.swapaxes(left @ m[..., None, :, :], -3, -2)  # [..., i, j, :] = (left_j m)[i]
+        return terms.reshape(*m.shape[:-1], -1) @ right.reshape(-1, self.dim)
 
     @cached_property
     def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -273,8 +275,9 @@ class LindbladGenerator:
             out.append((idx, total))
         return out
 
-    def propagate(self, vec0: np.ndarray, times: Sequence[float]) -> list[np.ndarray]:
-        """exp(t L) vec0 for each t of any sign and order, row-stacked in the input basis.
+    def propagate(self, vec0: np.ndarray, times: Sequence[float]) -> np.ndarray:
+        """exp(t L) vec0 for each t of any sign and order, row-stacked in the input basis:
+        one row per t.
 
         vec0 goes to the labeled eigenbasis and back once.  A block of more than
         KRYLOV_MAX_DIM rows is applied on the Krylov space its part of vec0 reaches, when
@@ -299,7 +302,7 @@ class LindbladGenerator:
             if k not in self._block_eigs:
                 self._block_eigs[k] = _diagonalize(block, tol)
             out[:, idx] = _exp_series(block, self._block_eigs[k], x, ts)
-        return list((v @ out.reshape(-1, d, d) @ v.conj().T).reshape(len(ts), -1))
+        return (v @ out.reshape(-1, d, d) @ v.conj().T).reshape(len(ts), -1)
 
 
 def _krylov_projection(
@@ -392,17 +395,13 @@ def evolve(
         raise ShapeMismatch(f"state dimension {rho0.dim} != generator {gen.dim}")
     if ts:
         _check_horizon(gen.els, max(ts))
-    out: list[DensityMatrix] = []
-    for t, vec in zip(ts, gen.propagate(rho0.elements.reshape(-1), ts)):
-        if t == 0.0:
-            out.append(rho0)
-            continue
-        m = vec.reshape(gen.dim, gen.dim)
-        try:
-            out.append(cleaned_state(m, rho0.basis_labels, drift_tol=1e-8))
-        except InvariantViolation as exc:
-            raise NumericalFailure(f"invariant drift at t = {t}: {exc}") from exc
-    return out
+    vecs = gen.propagate(rho0.elements.reshape(-1), ts)
+    first = ts.count(0.0)  # rho0 itself at t = 0, the sorted times' prefix
+    try:
+        states = cleaned_states(vecs[first:].reshape(-1, gen.dim, gen.dim), rho0.basis_labels, 1e-8)
+    except InvariantViolation as exc:
+        raise NumericalFailure(f"invariant drift at t = {ts[first + exc.index]}: {exc}") from exc
+    return [rho0] * first + states
 
 
 def asymptotic_state(gen: LindbladGenerator, rho0: DensityMatrix) -> DensityMatrix:

@@ -19,6 +19,11 @@ TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 CLIP_FLOOR = 1e-14
 SUPPORT_WEIGHT_TOL = 1e-12
+# Matrix entries per chunk of a stacked pass over states: a stack of (d, d) states is
+# processed max(1, CHUNK_ENTRIES // d^2) at a time, so its temporaries stay near 64 KiB
+# whatever its length.  Whole trajectories at once raised peak RSS by 10.9 MiB (3001
+# states, d = 4) and 16.4 MiB (61 states, d = 32) over a process of about 40 MiB.
+CHUNK_ENTRIES = 4096
 
 
 class Verdict(NamedTuple):
@@ -39,10 +44,12 @@ def tensor_labels(labels_a: tuple[str, ...], labels_b: tuple[str, ...]) -> tuple
     return tuple(f"{a}*{b}" for a in labels_a for b in labels_b)
 
 
-def _as_square_complex(elements: np.ndarray) -> np.ndarray:
+def _as_square_complex(elements: np.ndarray, stacked: bool = False) -> np.ndarray:
+    """One square complex matrix, or a (T, d, d) stack of them when ``stacked``."""
     m = np.asarray(elements, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2]:
+        kind = "stack of square matrices" if stacked else "square matrix"
+        raise ShapeMismatch(f"expected a {kind}, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise InvariantViolation("matrix has non-finite entries")
     return m
@@ -50,6 +57,17 @@ def _as_square_complex(elements: np.ndarray) -> np.ndarray:
 
 def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
+
+
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.swapaxes(m.conj(), -1, -2)
+
+
+def chunks(n: int, dim: int) -> list[slice]:
+    """Slices of a stack of n (dim, dim) matrices, max(1, CHUNK_ENTRIES // dim^2) each."""
+    size = max(1, CHUNK_ENTRIES // dim**2)
+    return [slice(k, min(k + size, n)) for k in range(0, n, size)]
 
 
 @dataclass(frozen=True)
@@ -73,14 +91,16 @@ class HermitianObservable:
 
 
 def _hermitian_unit_trace(m: np.ndarray) -> np.ndarray:
-    """(m + m^dag)/2 of a square complex matrix that is Hermitian to HERMITICITY_TOL and
-    of unit trace to TRACE_TOL: the checks of a state that come before positivity."""
-    herm_dev = max_abs(m - m.conj().T)
+    """(m + m^dag)/2 of a square complex matrix, or of each of a stack, that is Hermitian to
+    HERMITICITY_TOL and of unit trace to TRACE_TOL: the checks of a state that come before
+    positivity."""
+    herm_dev = max_abs(m - dagger(m))
     if herm_dev > HERMITICITY_TOL:
         raise InvariantViolation(f"not Hermitian (max deviation {herm_dev:.3e})")
-    m = 0.5 * (m + m.conj().T)
-    tr = m.trace()
-    if abs(tr - 1.0) > TRACE_TOL:
+    m = 0.5 * (m + dagger(m))
+    off = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+    if np.max(off) > TRACE_TOL:
+        tr = np.trace(m, axis1=-2, axis2=-1).flat[np.argmax(off)]
         raise InvariantViolation(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
     return m
 
@@ -92,21 +112,9 @@ class DensityMatrix:
     elements: np.ndarray
     basis_labels: tuple[str, ...] = field(default=())
 
-    def __post_init__(self, lam_min: float | None = None):
-        """Check and freeze the fields; ``_state_with_known_min`` passes the lowest eigenvalue."""
-        m = _as_square_complex(self.elements)
-        labels = tuple(self.basis_labels) or default_labels(m.shape[0])
-        if len(labels) != m.shape[0]:
-            raise ShapeMismatch(
-                f"{len(labels)} basis labels for dimension {m.shape[0]}"
-            )
-        m = _hermitian_unit_trace(m)
-        if lam_min is None:
-            lam_min = float(np.linalg.eigvalsh(m)[0])
-        if lam_min < -POSITIVITY_TOL:
-            raise InvariantViolation(f"negative eigenvalue {lam_min:.3e}")
-        m.setflags(write=False)
-        object.__setattr__(self, "elements", m)
+    def __post_init__(self):
+        m, labels = _checked_states(_as_square_complex(self.elements)[None], self.basis_labels)
+        object.__setattr__(self, "elements", m[0])
         object.__setattr__(self, "basis_labels", labels)
 
     @property
@@ -124,41 +132,92 @@ def cleaned_state(
     Raises InvariantViolation if the required repair exceeds ``drift_tol``.
     The state is validated with the lowest eigenvalue found here: one eigvalsh, not two.
     """
-    m = _as_square_complex(matrix)
-    herm_dev = max_abs(m - m.conj().T)
-    tr = m.trace()
-    m = 0.5 * (m + m.conj().T)
-    lam_min = float(np.linalg.eigvalsh(m)[0])
-    if herm_dev > drift_tol or abs(tr - 1.0) > drift_tol or lam_min < -drift_tol:
-        raise InvariantViolation(
-            f"state drift beyond {drift_tol:.1e}: hermiticity {herm_dev:.3e}, "
-            f"trace deviation {abs(tr - 1.0):.3e}, min eigenvalue {lam_min:.3e}"
-        )
-    norm = m.trace().real
-    m, lam_min = m / norm, lam_min / norm
-    if lam_min < 0.0:
-        # project tiny negatives away, then renormalize once more
-        w, v = np.linalg.eigh(m)
-        m = (v * np.clip(w, 0.0, None)) @ v.conj().T
-        m = 0.5 * (m + m.conj().T)
-        m, lam_min = m / m.trace().real, 0.0  # the clipped spectrum's lowest value
-    return _state_with_known_min(m, basis_labels, lam_min)
-
-
-def _state_with_known_min(
-    m: np.ndarray, basis_labels: tuple[str, ...], lam_min: float
-) -> DensityMatrix:
-    """A DensityMatrix validated with its lowest eigenvalue ``lam_min`` known: no eigvalsh."""
-    state = object.__new__(DensityMatrix)
-    state.__dict__.update(elements=m, basis_labels=basis_labels)
-    state.__post_init__(lam_min)
+    (state,) = cleaned_states(_as_square_complex(matrix)[None], basis_labels, drift_tol)
     return state
 
 
-def entropy_of_spectrum(lam: np.ndarray) -> float:
-    """-sum lambda ln lambda over the eigenvalues above the clip floor (0 ln 0 = 0)."""
-    lam = lam[lam > CLIP_FLOOR]
-    return float(-np.sum(lam * np.log(lam)))
+def cleaned_states(
+    matrices: np.ndarray,
+    basis_labels: tuple[str, ...] = (),
+    drift_tol: float = 1e-8,
+) -> list[DensityMatrix]:
+    """``cleaned_state`` of each matrix of a (T, d, d) stack, by ``chunks`` with one stacked
+    eigvalsh each.  The InvariantViolation raised for the first matrix whose repair
+    exceeds ``drift_tol`` carries that matrix's position in the stack as ``index``."""
+    stack = _as_square_complex(matrices, stacked=True)
+    out: list[DensityMatrix] = []
+    for part in chunks(len(stack), stack.shape[-1]):
+        m = stack[part]
+        herm_dev = np.max(np.abs(m - dagger(m)), axis=(-2, -1))
+        off = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+        m = 0.5 * (m + dagger(m))
+        lam_min = np.linalg.eigvalsh(m)[:, 0]
+        bad = (herm_dev > drift_tol) | (off > drift_tol) | (lam_min < -drift_tol)
+        if bad.any():
+            k = int(np.argmax(bad))
+            exc = InvariantViolation(
+                f"state drift beyond {drift_tol:.1e}: hermiticity {herm_dev[k]:.3e}, "
+                f"trace deviation {off[k]:.3e}, min eigenvalue {lam_min[k]:.3e}"
+            )
+            exc.index = part.start + k
+            raise exc
+        norm = np.trace(m, axis1=-2, axis2=-1).real
+        m, lam_min = m / norm[:, None, None], lam_min / norm
+        neg = lam_min < 0.0
+        if neg.any():
+            # project tiny negatives away, then renormalize once more
+            w, v = np.linalg.eigh(m[neg])
+            x = (v * np.clip(w, 0.0, None)[:, None, :]) @ dagger(v)
+            x = 0.5 * (x + dagger(x))
+            m[neg] = x / np.trace(x, axis1=-2, axis2=-1).real[:, None, None]
+            lam_min[neg] = 0.0  # the clipped spectrum's lowest value
+        out += _states_with_known_min(m, basis_labels, lam_min)
+    return out
+
+
+def _checked_states(
+    m: np.ndarray, basis_labels: tuple[str, ...], lam_min: np.ndarray | None = None
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The checks of a state on a (T, d, d) stack: its labels, ``_hermitian_unit_trace``, and
+    positivity from the lowest eigenvalues ``lam_min`` (one stacked eigvalsh when None).
+    Returns the symmetrized stack, read-only, and the labels."""
+    labels = tuple(basis_labels) or default_labels(m.shape[-1])
+    if len(labels) != m.shape[-1]:
+        raise ShapeMismatch(f"{len(labels)} basis labels for dimension {m.shape[-1]}")
+    m = _hermitian_unit_trace(m)
+    if lam_min is None:
+        lam_min = np.linalg.eigvalsh(m)[:, 0]
+    if np.min(lam_min) < -POSITIVITY_TOL:
+        raise InvariantViolation(f"negative eigenvalue {np.min(lam_min):.3e}")
+    m.setflags(write=False)
+    return m, labels
+
+
+def _states_with_known_min(
+    m: np.ndarray, basis_labels: tuple[str, ...], lam_min: np.ndarray
+) -> list[DensityMatrix]:
+    """A DensityMatrix of each matrix of a (T, d, d) stack whose lowest eigenvalues
+    ``lam_min`` are known: the checks made once on the stack, and no eigvalsh."""
+    m, labels = _checked_states(m, basis_labels, lam_min)
+    states = [object.__new__(DensityMatrix) for _ in range(len(m))]
+    for state, x in zip(states, m):
+        state.__dict__.update(elements=x, basis_labels=labels)
+    return states
+
+
+def entropy_of_spectrum(lam: np.ndarray) -> float | np.ndarray:
+    """-sum lambda ln lambda over the eigenvalues above the clip floor (0 ln 0 = 0), of one
+    spectrum or of each row of a stack.  A row sums its kept terms alone, as one spectrum
+    does: past 8 terms a dropped one would shift numpy's pairwise blocks."""
+    keep = lam > CLIP_FLOOR
+    terms = lam * np.log(np.where(keep, lam, 1.0))
+    if lam.ndim == 1:
+        return float(-np.sum(terms[keep]))
+    out = -np.sum(terms, axis=-1)
+    if not keep.all():
+        for k in np.flatnonzero(~keep.all(axis=-1)):
+            out[k] = -np.sum(terms[k][keep[k]])
+    return out
 
 
 def log_of_spectrum(lam: np.ndarray) -> np.ndarray:
@@ -193,18 +252,30 @@ def relative_entropy_from_logs(
     log_sigma: np.ndarray,
     log_rho: np.ndarray,
     rho_null: np.ndarray | None = None,
-) -> float:
-    """Tr sigma (ln sigma - ln rho) from logs on the supports, all in one basis; +inf if
-    sigma weighs more than SUPPORT_WEIGHT_TOL on the columns of ``rho_null`` (None: rho
-    has full support)."""
-    if rho_null is not None and rho_null.shape[1]:
-        weight = float(np.trace(rho_null.conj().T @ sigma @ rho_null).real)
-        if weight > SUPPORT_WEIGHT_TOL:
-            return float("inf")
-    val = float(np.trace(sigma @ (log_sigma - log_rho)).real)
-    if val < -POSITIVITY_TOL:
-        raise InvariantViolation(f"relative entropy {val:.3e} below -{POSITIVITY_TOL}")
+) -> float | np.ndarray:
+    """Tr sigma (ln sigma - ln rho) from logs on the supports, all in one basis, of one
+    matrix or of each of a stack; +inf where sigma weighs more than SUPPORT_WEIGHT_TOL on
+    the null-space projector ``rho_null`` of rho (None: rho has full support)."""
+    val = np.trace(sigma @ (log_sigma - log_rho), axis1=-2, axis2=-1).real
+    if rho_null is not None and rho_null.any():
+        weight = np.trace(sigma @ rho_null, axis1=-2, axis2=-1).real
+        val = np.where(weight > SUPPORT_WEIGHT_TOL, np.inf, val)
+    _check_relative_entropy(val)
+    return val if np.ndim(val) else float(val)
+
+
+def diagonal_relative_entropy(p: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """sum p (ln p - ln q) of each row of a stack of populations: the relative entropy
+    of two diagonal states, added as the trace of their diagonal matrix product is."""
+    val = np.sum(p * (log_p - log_q), axis=-1)
+    _check_relative_entropy(val)
     return val
+
+
+def _check_relative_entropy(val: np.ndarray) -> None:
+    least = np.min(val)
+    if least < -POSITIVITY_TOL:
+        raise InvariantViolation(f"relative entropy {least:.3e} below -{POSITIVITY_TOL}")
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

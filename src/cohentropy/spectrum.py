@@ -21,9 +21,12 @@ from .qcore import (
     HermitianObservable,
     _as_square_complex,
     _hermitian_unit_trace,
-    _state_with_known_min,
+    _states_with_known_min,
     boltzmann_weights,
+    chunks,
+    dagger,
     default_labels,
+    diagonal_relative_entropy,
     entropy_of_spectrum,
     log_boltzmann_weights,
     log_of_spectrum,
@@ -221,8 +224,9 @@ def _order_and_fix_phase(block: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class StateFunctionals:
     """Functionals of one state at beta, plus ln rho, ln rho_BD, ln rho_D and ln rho_th
-    on their supports in the labeled eigenbasis and the null vectors of rho
-    (eigenvalues <= CLIP_FLOOR) as columns in the input basis."""
+    on their supports in the labeled eigenbasis and the projector onto the null space of
+    rho (eigenvalues <= CLIP_FLOOR) in the input basis.  For a stack of states each field
+    gains a leading axis: floats become arrays, matrices stacks."""
 
     S: float
     C_v: float
@@ -240,7 +244,8 @@ class StateFunctionals:
 def state_functionals(
     rho: DensityMatrix | np.ndarray, els: EnergyLevelStructure, beta: float
 ) -> StateFunctionals:
-    """S, C_v, C_h, D_th, E_S and F_D from two eigendecompositions of r = V^dag rho V.
+    """S, C_v, C_h, D_th, E_S and F_D from two eigendecompositions of r = V^dag rho V, for
+    one state (d, d) or a stack of states (T, d, d), taken by ``chunks``.
 
     A DensityMatrix was validated where it was built.  An array, a state the library
     derived from validated ones, gets the same checks here: Hermitian and of unit trace
@@ -249,37 +254,67 @@ def state_functionals(
     The spectrum of rho_D is diag(r); ln rho_th is ``log_boltzmann_weights`` of the
     level energies, exact and never clipped, so D_th is finite at every finite beta.
     C_v = S(rho_BD) - S(rho) and C_h = S(rho_D) - S(rho_BD) must agree with
-    S(rho|rho_BD) and S(rho_BD|rho_D) to 1e-8; F_D is nan at beta = 0.
+    S(rho|rho_BD) and S(rho_BD|rho_D) to 1e-8; F_D is nan at beta = 0.  Each state's
+    values are bitwise those it gets alone: every step acts on each matrix of the stack
+    by itself.
     """
     if isinstance(rho, DensityMatrix):
         m = rho.elements
     else:
-        m = _hermitian_unit_trace(_as_square_complex(rho))
-    if m.shape[0] != els.dim:
-        raise ShapeMismatch(f"state dimension {m.shape[0]} != structure dimension {els.dim}")
+        m = _hermitian_unit_trace(_as_square_complex(rho, stacked=np.ndim(rho) == 3))
+    if m.shape[-1] != els.dim:
+        raise ShapeMismatch(f"state dimension {m.shape[-1]} != structure dimension {els.dim}")
+    stack = m.reshape(-1, els.dim, els.dim)
+    parts = [_functionals(stack[part], els, beta) for part in chunks(len(stack), els.dim)]
+    columns = [np.concatenate(c) if len(parts) > 1 else c[0] for c in zip(*parts)]
+    if m.ndim == 2:
+        columns = [float(c[0]) if c.ndim == 1 else c[0] for c in columns]
+    return StateFunctionals(*columns)
+
+
+def _functionals(m: np.ndarray, els: EnergyLevelStructure, beta: float) -> tuple:
+    """The StateFunctionals fields of a (T, d, d) stack of checked states, as stacks."""
     r = els.to_labeled(m)
     bd = np.where(els.same_level, r, 0.0)
     lam, u = np.linalg.eigh(r)
     lam_bd, u_bd = np.linalg.eigh(bd)
-    pops = r.diagonal().real
-    log_rho = (u * log_of_spectrum(lam)) @ u.conj().T
-    log_bd = (u_bd * log_of_spectrum(lam_bd)) @ u_bd.conj().T
-    log_d = np.diag(log_of_spectrum(pops))
-    log_th = np.diag(log_boltzmann_weights(els.index_energies, beta))
+    pops = r.diagonal(axis1=-2, axis2=-1).real
+    log_rho = (u * log_of_spectrum(lam)[:, None, :]) @ dagger(u)
+    log_bd = (u_bd * log_of_spectrum(lam_bd)[:, None, :]) @ dagger(u_bd)
+    log_p = log_of_spectrum(pops)
+    log_w = log_boltzmann_weights(els.index_energies, beta)
+    log_d, log_th = _diagonal_stack(log_p), np.repeat(np.diag(log_w)[None], len(m), axis=0)
     s, s_bd, s_d = (entropy_of_spectrum(x) for x in (lam, lam_bd, pops))
     c_v, c_h = s_bd - s, s_d - s_bd
-    alt_v = relative_entropy_from_logs(r, log_rho, log_bd, u_bd[:, lam_bd <= CLIP_FLOOR])
-    alt_h = relative_entropy_from_logs(bd, log_bd, log_d, np.eye(els.dim)[:, pops <= CLIP_FLOOR])
-    if abs(alt_v - c_v) > MEASURE_CONSISTENCY_TOL or abs(alt_h - c_h) > MEASURE_CONSISTENCY_TOL:
+    alt_v = relative_entropy_from_logs(r, log_rho, log_bd, _null_projector(u_bd, lam_bd))
+    alt_h = relative_entropy_from_logs(bd, log_bd, log_d, _null_projector(np.eye(els.dim), pops))
+    bad = np.maximum(np.abs(alt_v - c_v), np.abs(alt_h - c_h)) > MEASURE_CONSISTENCY_TOL
+    if bad.any():
+        k = int(np.argmax(bad))
         raise InvariantViolation(
             f"coherence measures disagree with relative-entropy forms: "
-            f"C_v {c_v:.3e} vs {alt_v:.3e}, C_h {c_h:.3e} vs {alt_h:.3e}"
+            f"C_v {c_v[k]:.3e} vs {alt_v[k]:.3e}, C_h {c_h[k]:.3e} vs {alt_h[k]:.3e}"
         )
-    d_th = relative_entropy_from_logs(np.diag(pops), log_d, log_th)
-    e_s = float(pops @ els.index_energies)
-    f_d = e_s - s_d / beta if beta != 0.0 else float("nan")
-    null = els.basis_vectors @ u[:, lam <= CLIP_FLOOR]
-    return StateFunctionals(s, c_v, c_h, d_th, e_s, f_d, log_rho, log_bd, log_d, log_th, null)
+    d_th = diagonal_relative_entropy(pops, log_p, log_w)
+    e_s = (pops[:, None, :] @ els.index_energies[:, None])[:, 0, 0]  # per state, pops @ e
+    with np.errstate(over="ignore"):  # -inf at a subnormal beta, as float arithmetic gives
+        f_d = e_s - s_d / beta if beta != 0.0 else np.full(len(m), np.nan)
+    null = _null_projector(els.basis_vectors @ u, lam)
+    return s, c_v, c_h, d_th, e_s, f_d, log_rho, log_bd, log_d, log_th, null
+
+
+def _diagonal_stack(rows: np.ndarray) -> np.ndarray:
+    """The diagonal matrix of each row of a (T, d) stack."""
+    out = np.zeros(rows.shape + rows.shape[-1:], dtype=rows.dtype)
+    i = np.arange(rows.shape[-1])
+    out[:, i, i] = rows
+    return out
+
+
+def _null_projector(vecs: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Projector onto the eigenvectors (columns of ``vecs``, or of each of a stack) whose
+    eigenvalue in the matching row of ``lam`` is at most CLIP_FLOOR."""
+    return (vecs * (lam <= CLIP_FLOOR)[:, None, :]) @ dagger(vecs)
 
 
 def coherence_measures(rho: DensityMatrix, els: EnergyLevelStructure) -> tuple[float, float]:
@@ -295,4 +330,6 @@ def thermal_state_of(els: EnergyLevelStructure, beta: float) -> DensityMatrix:
     v = els.basis_vectors
     w = boltzmann_weights(els.index_energies, beta)
     m = (v * w) @ v.conj().T
-    return _state_with_known_min(0.5 * (m + m.conj().T), els.basis_labels, float(w.min()))
+    m = 0.5 * (m + m.conj().T)
+    (state,) = _states_with_known_min(m[None], els.basis_labels, w.min(keepdims=True))
+    return state

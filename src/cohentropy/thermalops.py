@@ -195,13 +195,14 @@ def conservation_report(
 ) -> ConservationReport:
     rho_sb_f, rho_s_f, rho_b_f = apply_operation(sys, U, rho_S, rho_B)
     rho_sb_0 = np.kron(rho_S.elements, rho_B.elements)
-    states = (
-        (rho_S, sys.els_S), (rho_s_f, sys.els_S), (rho_B, sys.els_B),
-        (rho_b_f, sys.els_B), (rho_sb_0, sys.joint), (rho_sb_f, sys.joint),
+    pairs = (
+        ((rho_S.elements, rho_s_f), sys.els_S),
+        ((rho_B.elements, rho_b_f), sys.els_B),
+        ((rho_sb_0, rho_sb_f), sys.joint),
     )
-    s0, sf, b0, bf, sb0, sbf = (
-        CutQuantities(f.C_v, f.C_h, f.D_th)
-        for f in (state_functionals(state, els, beta_B) for state, els in states)
+    (s0, sf), (b0, bf), (sb0, sbf) = (
+        [CutQuantities(*map(float, cut)) for cut in zip(f.C_v, f.C_h, f.D_th)]
+        for f in (state_functionals(pair, els, beta_B) for pair, els in pairs)
     )
 
     def correlated(sb: CutQuantities, s: CutQuantities, b: CutQuantities) -> CutQuantities:

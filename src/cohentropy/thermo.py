@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,10 +36,11 @@ from .qcore import (
     Verdict,
     _as_square_complex,
     boltzmann_weights,
+    chunks,
+    diagonal_relative_entropy,
     log_boltzmann_weights,
     log_of_spectrum,
     max_abs,
-    relative_entropy_from_logs,
     trace_distance,
     von_neumann_entropy,
 )
@@ -119,59 +120,95 @@ class ThermoSeries:
         return out
 
 
+class RateRow(NamedTuple):
+    """State functionals, analytic rates and heat flow E_dot = Tr(L rho H) of one state;
+    ``divergent`` marks a drift L rho with weight on the null space of rho."""
+
+    S: float
+    C_v: float
+    C_h: float
+    D_th: float
+    E_S: float
+    F_D: float
+    Pi: float
+    rate_C_v: float
+    rate_C_h: float
+    rate_D_th: float
+    E_dot: float
+    divergent: bool
+
+
+def rate_rows(gen: LindbladGenerator, states: Sequence[np.ndarray]) -> list[RateRow]:
+    """The RateRow of each state, computed as columns by ``chunks``: per chunk one pass of
+    the spectral kernel and one stacked ``gen.apply``, each rate the overlap of r_dot =
+    V^dag L rho V with a difference of the kernel's logs.  A state's row is bitwise the
+    one it gets alone."""
+    els, beta_b = gen.els, gen.bath.beta_B
+    h = els.hamiltonian().elements
+    rows: list[RateRow] = []
+    for part in chunks(len(states), gen.dim):
+        m = np.array(states[part], dtype=complex)
+        f = state_functionals(m, els, beta_b)
+        rho_dot = gen.apply(m)
+        r_dot = els.to_labeled(rho_dot)
+
+        def overlap(op: np.ndarray) -> np.ndarray:
+            return np.trace(r_dot @ op, axis1=-2, axis2=-1).real
+
+        leak = np.max(np.abs(f.null @ rho_dot @ f.null), axis=(-2, -1)) > 1e-12
+        columns = (
+            f.S, f.C_v, f.C_h, f.D_th, f.E_S, f.F_D,
+            -overlap(f.log_rho - f.log_th),
+            overlap(f.log_rho - f.log_bd),
+            overlap(f.log_bd - f.log_d),
+            overlap(f.log_d - f.log_th),
+            np.trace(rho_dot @ h, axis1=-2, axis2=-1).real,
+            (np.max(np.abs(f.null), axis=(-2, -1)) > 0.5) & leak,
+        )
+        rows += map(RateRow._make, zip(*(c.tolist() for c in columns)))
+    return rows
+
+
 def instantaneous_rates(
-    gen: LindbladGenerator, rho: DensityMatrix, t: float = 0.0
+    gen: LindbladGenerator, rho: DensityMatrix | RateRow, t: float = 0.0
 ) -> ThermoSnapshot:
-    """Entropy production and decomposition rates at the given state.
+    """Entropy production and decomposition rates at the given state, or the snapshot
+    assembled from its ``rate_rows`` row, judged: closure and positivity raise.
 
     If rho is numerically singular, logs are taken on its support; when the
     drift L rho additionally has weight on the null space the production rate
     is divergent and reported as +inf with a warning flag.
     """
-    els = gen.els
+    (row,) = rate_rows(gen, [rho.elements]) if isinstance(rho, DensityMatrix) else (rho,)
     beta_b = gen.bath.beta_B
-    f = state_functionals(rho, els, beta_b)
-    rho_dot = gen.apply(rho)
-    r_dot = els.to_labeled(rho_dot)
-
-    def overlap(op: np.ndarray) -> float:
-        return float(np.trace(r_dot @ op).real)
-
-    rate_c_v = overlap(f.log_rho - f.log_bd)
-    rate_c_h = overlap(f.log_bd - f.log_d)
-    rate_d_th = overlap(f.log_d - f.log_th)
-    pi = -overlap(f.log_rho - f.log_th)
-    e_dot = float(np.trace(rho_dot @ els.hamiltonian().elements).real)
-
     flags: list[str] = []
-    nullp = f.null @ f.null.conj().T
-    if max_abs(nullp) > 0.5 and max_abs(nullp @ rho_dot @ nullp) > 1e-12:
+    pi = row.Pi
+    if row.divergent:
         flags.append(FLAG_PI_DIVERGENT)
-        pi_out = float("inf")
+        pi = float("inf")
     else:
-        pi_out = pi
-        closure = abs(pi + rate_c_v + rate_c_h + rate_d_th)
-        if closure > CLOSURE_TOL * max(1.0, abs(pi)):
+        closure = abs(row.Pi + row.rate_C_v + row.rate_C_h + row.rate_D_th)
+        if closure > CLOSURE_TOL * max(1.0, abs(row.Pi)):
             raise InvariantViolation(f"decomposition closure violated by {closure:.3e}")
-        if pi < -RATE_POSITIVITY_TOL:
-            raise InvariantViolation(f"negative entropy production {pi:.3e}")
+        if row.Pi < -RATE_POSITIVITY_TOL:
+            raise InvariantViolation(f"negative entropy production {row.Pi:.3e}")
     if beta_b == 0.0:
         flags.append(FLAG_NOT_APPLICABLE)
 
     return ThermoSnapshot(
         t=float(t),
-        S=f.S,
-        C_v=f.C_v,
-        C_h=f.C_h,
-        D_th=f.D_th,
-        E_S=f.E_S,
-        F_D=f.F_D,
-        Pi_rate=pi_out,
-        Phi_rate=beta_b * e_dot,
-        rate_C_v=rate_c_v,
-        rate_C_h=rate_c_h,
-        rate_D_th=rate_d_th,
-        E_dot=e_dot,
+        S=row.S,
+        C_v=row.C_v,
+        C_h=row.C_h,
+        D_th=row.D_th,
+        E_S=row.E_S,
+        F_D=row.F_D,
+        Pi_rate=pi,
+        Phi_rate=beta_b * row.E_dot,
+        rate_C_v=row.rate_C_v,
+        rate_C_h=row.rate_C_h,
+        rate_D_th=row.rate_D_th,
+        E_dot=row.E_dot,
         flags=tuple(flags),
     )
 
@@ -183,6 +220,8 @@ def decompose_series(
 ) -> ThermoSeries:
     """Evolve rho0 and emit snapshots; cross-check rates by finite differences.
 
+    The rates of the whole trajectory come from one ``rate_rows`` pass; each
+    snapshot is assembled and judged from its row by ``instantaneous_rates``.
     Rates are cross-validated at interior points, to relative 1e-4, against
     the Richardson extrapolation of centered differences of the state
     functionals at steps h and h/2 with h ||L|| = 1e-3 (dedicated evaluations
@@ -191,7 +230,8 @@ def decompose_series(
     by log-singular transients no fixed-step difference can resolve.
     """
     states = evolve(gen, rho0, times)
-    snapshots = [instantaneous_rates(gen, s, t) for t, s in zip(times, states)]
+    rows = rate_rows(gen, [s.elements for s in states])
+    snapshots = [instantaneous_rates(gen, row, t) for row, t in zip(rows, times)]
     series = ThermoSeries(
         snapshots=tuple(snapshots),
         els=gen.els,
@@ -218,17 +258,14 @@ def check_rates_by_finite_differences(
 
     The estimate is the Richardson extrapolation (4 D(h/2) - D(h)) / 3 of the
     centered differences D at h ||L|| = 1e-3, so its error is O(h^4); the
-    states at t +- h/2 and t +- h come from one ``gen.propagate`` call.
+    states at t +- h/2 and t +- h come from one ``gen.propagate`` call and go to the
+    spectral kernel as one stack.
     Returns the list of failing identity descriptions (empty when all pass).
     """
     norm = gen.norm_inf
     h = 1e-3 / max(norm, 1e-12)
     atol = 1e-9 * max(1.0, norm)
     d = gen.dim
-
-    def functionals(vec: np.ndarray) -> tuple[float, float, float, float]:
-        f = state_functionals(_resymm(vec.reshape(d, d)), gen.els, gen.bath.beta_B)
-        return f.S, f.C_v, f.C_h, f.D_th
 
     failures: list[str] = []
     for t, state, snap in points:
@@ -238,7 +275,8 @@ def check_rates_by_finite_differences(
         if lam_min < FD_MINEIG_FLOOR:
             continue
         shifted = gen.propagate(state.elements.reshape(-1), (-h, -0.5 * h, 0.5 * h, h))
-        columns = zip(*(functionals(x) for x in shifted))
+        f = state_functionals([_resymm(x.reshape(d, d)) for x in shifted], gen.els, gen.bath.beta_B)
+        columns = (c.tolist() for c in (f.S, f.C_v, f.C_h, f.D_th))
         analytic = {
             "dS/dt = Pi + Phi": snap.Pi_rate + snap.Phi_rate,
             "dC_v/dt": snap.rate_C_v,
@@ -385,23 +423,25 @@ def complementarity_report(
     """
     els = series.els
     first = series.snapshots[0]
-    pops0 = els.to_labeled(series.states[0].elements).diagonal().real
-    beta0, residual = fit_inverse_temperature(pops0, els)
+    pops = np.concatenate([
+        els.to_labeled(np.array([s.elements for s in series.states[part]])).diagonal(0, 1, 2).real
+        for part in chunks(len(series.states), els.dim)
+    ])
+    beta0, residual = fit_inverse_temperature(pops[0], els)
     applicable = math.isfinite(beta0) and residual <= THERMAL_FIT_TOL
     flags = () if applicable else (FLAG_NOT_APPLICABLE,)
+    backtracks = np.full(len(pops), np.nan)  # (ii)-(iv) read the thermal start
     if applicable:
-        log0 = np.diag(log_boltzmann_weights(els.index_energies, beta0))
+        log0 = log_boltzmann_weights(els.index_energies, beta0)
+        backtracks[1:] = diagonal_relative_entropy(pops[1:], log_of_spectrum(pops[1:]), log0)
 
     entries: list[ComplementarityEntry] = []
-    for snap, state in zip(series.snapshots[1:], series.states[1:]):
+    for snap, backtrack in zip(series.snapshots[1:], backtracks[1:].tolist()):
         minus_dch = -(snap.C_h - first.C_h)
         minus_ddth = -(snap.D_th - first.D_th)
-        weighted = backtrack = float("nan")  # (ii)-(iv) read the thermal start
+        weighted = float("nan")
         if applicable:
             weighted = (beta0 - series.beta_B) * (snap.E_S - first.E_S)
-            pops = els.to_labeled(state.elements).diagonal().real
-            log_p = np.diag(log_of_spectrum(pops))
-            backtrack = relative_entropy_from_logs(np.diag(pops), log_p, log0)
         resid = minus_ddth - (weighted - backtrack)
         reversal_active = weighted < 0.0
         generation_active = applicable and -minus_dch > tol

@@ -40,7 +40,8 @@ def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix) -> float:
     lam, vec = np.linalg.eigh(rho.elements)
     log_rho = (vec * log_of_spectrum(lam)) @ vec.conj().T
     log_sigma = matrix_log_on_support(sigma).elements
-    return relative_entropy_from_logs(sigma.elements, log_sigma, log_rho, vec[:, lam <= CLIP_FLOOR])
+    null = vec[:, lam <= CLIP_FLOOR]
+    return relative_entropy_from_logs(sigma.elements, log_sigma, log_rho, null @ null.conj().T)
 
 
 def thermal_state(H: HermitianObservable, beta: float, labels: tuple[str, ...] = ()) -> DensityMatrix:

@@ -74,7 +74,7 @@ def test_conservation_report_budget(eig_calls, index):
     u = sample_energy_conserving_unitary(sys_, 4)
     eig_calls["n"] = 0
     conservation_report(sys_, u, rho_s, rho_b, 1.3)
-    assert eig_calls["n"] == 12  # two kernel decompositions for each of six states
+    assert eig_calls["n"] == 12  # two kernel decompositions for each of six states, in three pairs
 
 
 @pytest.mark.parametrize("index", [0, 1])
@@ -122,6 +122,16 @@ def test_evolve_validates_each_state_once(two_qubit_collective, eig_calls):
     eig_calls["n"] = 0
     evolve(gen, rho0, times)
     assert eig_calls["n"] == len(times)
+
+
+def test_decompose_series_budget(two_qubit_collective, eig_calls):
+    """300 snapshots, past one chunk: two kernel decompositions each, one eigvalsh for each
+    evolved state after t = 0, and nine for each of the 13 finite-difference points."""
+    *_, els, gen = two_qubit_collective
+    rho0 = DensityMatrix(random_density(els.dim, 3), els.basis_labels)
+    eig_calls["n"] = 0
+    decompose_series(gen, rho0, np.linspace(0.0, 50.0, 300))
+    assert eig_calls["n"] == 2 * 300 + 299 + 9 * 13
 
 
 PROPAGATION_BUDGET = {

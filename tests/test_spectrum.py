@@ -21,6 +21,7 @@ from cohentropy import (
     thermal_state_of,
     von_neumann_entropy,
 )
+from cohentropy.qcore import CHUNK_ENTRIES
 from cohentropy.scenarios import thermal_operation_systems
 from conftest import (
     dephase_block_diagonal,
@@ -327,9 +328,30 @@ class TestStateFunctionals:
         assert math.isfinite(d_th)
         assert _agree(d_th, relative_entropy(dephase_diagonal(rho, els), thermal_state_of(els, 40.0)))
 
+    @pytest.mark.parametrize("index", range(len(THERMAL_OPERATION_STRUCTURES)))
+    @pytest.mark.parametrize("beta", [0.0, 1.3])
+    def test_stack_equals_single_states(self, index, beta):
+        """d = 2, 3, 4 and 6: a stack one chunk and three states long, rank-deficient states
+        among them, gives each state bitwise the functionals it gets alone."""
+        els = THERMAL_OPERATION_STRUCTURES[index]
+        n = CHUNK_ENTRIES // els.dim**2 + 3
+        stack = np.array([random_density(els.dim, seed, rank=(None, 1)[seed % 2]) for seed in range(n)])
+        f = state_functionals(stack, els, beta)
+        for k in (0, 1, n - 4, n - 3, n - 2, n - 1):
+            one = _bits(state_functionals(stack[k], els, beta))
+            assert [np.asarray(getattr(f, fld.name)[k]).tobytes() for fld in dataclasses.fields(f)] == one
+
+    def test_stack_of_one_keeps_a_leading_axis(self):
+        els = STRUCTURES["degenerate qutrit"]
+        f = state_functionals(random_density(3, 5)[None], els, 1.3)
+        assert f.S.shape == (1,) and f.log_rho.shape == f.null.shape == (1, 3, 3)
+
     def test_null_vectors_in_input_basis(self):
+        """The null-space projector, in the input basis: rank 2 for a rank-1 qutrit."""
         els = STRUCTURES["rotated qutrit"]
         rho = DensityMatrix(random_density(3, 7, rank=1), els.basis_labels)
         null = state_functionals(rho, els, 1.0).null
-        assert null.shape == (3, 2)
+        assert null.shape == (3, 3)
+        assert np.max(np.abs(null @ null - null)) < 1e-12
+        assert abs(np.trace(null) - 2.0) < 1e-12
         assert np.max(np.abs(rho.elements @ null)) < 1e-12

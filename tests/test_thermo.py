@@ -18,7 +18,15 @@ from cohentropy import (
     von_neumann_entropy,
 )
 from cohentropy.collective import SpinEnsembleSpec, collective_coupling, local_couplings
-from cohentropy.scenarios import GridSpec, ReversalConfig, build_reversal_scenario
+from cohentropy.scenarios import (
+    CollectiveConfig,
+    GridSpec,
+    NearDegenerateConfig,
+    ReversalConfig,
+    build_collective_scenario,
+    build_near_degenerate_scenario,
+    build_reversal_scenario,
+)
 from cohentropy.thermo import _resymm
 from conftest import matrix_log_on_support, random_density
 
@@ -68,6 +76,32 @@ class TestInstantaneousRates:
         snap = instantaneous_rates(gen, rho)
         assert "pi-divergent" in snap.flags
         assert snap.Pi_rate == math.inf
+
+
+def _series(name: str, qubit_system):
+    """(generator, series) of one trajectory; the grids cross a chunk boundary."""
+    if name == "reversal":
+        scen = build_reversal_scenario(ReversalConfig(beta_0=1.1, time_grid=GridSpec(300)))
+        return scen.gen, scen.series
+    if name == "collective n=3":
+        scen = build_collective_scenario(CollectiveConfig(n=3), times=np.linspace(0.0, 30.0, 70))
+        return scen.gen, scen.series
+    if name == "near-degenerate":
+        scen = build_near_degenerate_scenario(NearDegenerateConfig())
+        return scen.gen_clustered, scen.series
+    _, gen = qubit_system
+    return gen, decompose_series(gen, DensityMatrix(np.diag([1.0, 0.0]), ("g", "e")), [0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("name", ["reversal", "collective n=3", "near-degenerate", "singular start"])
+def test_series_rows_equal_single_state_rows(name, qubit_system):
+    """Each snapshot of the stacked pass is bitwise the one instantaneous_rates gives its
+    state alone, flags included (the singular start's first row is pi-divergent)."""
+    gen, series = _series(name, qubit_system)
+    for snap, state in zip(series.snapshots, series.states):
+        assert repr(snap) == repr(instantaneous_rates(gen, state, snap.t))
+    if name == "singular start":
+        assert series.snapshots[0].flags == ("pi-divergent",)
 
 
 class TestDecomposeSeries:
