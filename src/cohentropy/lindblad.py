@@ -286,6 +286,8 @@ class LindbladGenerator:
         ``_diagonalize`` rejects it.
         """
         ts = np.asarray(times, dtype=float)
+        if not len(ts):
+            raise ShapeMismatch("LindbladGenerator.propagate: the time list is empty")
         d, v = self.dim, self.els.basis_vectors
         x0 = self.els.to_labeled(np.asarray(vec0, dtype=complex).reshape(d, d)).reshape(-1)
         out = np.zeros((len(ts), d * d), dtype=complex)

@@ -171,7 +171,7 @@ def cleaned_states(
             x = 0.5 * (x + dagger(x))
             m[neg] = x / np.trace(x, axis1=-2, axis2=-1).real[:, None, None]
             lam_min[neg] = 0.0  # the clipped spectrum's lowest value
-        out += _states_with_known_min(m, basis_labels, lam_min)
+        out += density_matrices(m, basis_labels, lam_min)
     return out
 
 
@@ -179,7 +179,8 @@ def _checked_states(
     m: np.ndarray, basis_labels: tuple[str, ...], lam_min: np.ndarray | None = None
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """The checks of a state on a (T, d, d) stack: its labels, ``_hermitian_unit_trace``, and
-    positivity from the lowest eigenvalues ``lam_min`` (one stacked eigvalsh when None).
+    positivity from the lowest eigenvalues ``lam_min`` (one stacked eigvalsh when None), whose
+    InvariantViolation carries the position of the first negative matrix as ``index``.
     Returns the symmetrized stack, read-only, and the labels."""
     labels = tuple(basis_labels) or default_labels(m.shape[-1])
     if len(labels) != m.shape[-1]:
@@ -187,18 +188,22 @@ def _checked_states(
     m = _hermitian_unit_trace(m)
     if lam_min is None:
         lam_min = np.linalg.eigvalsh(m)[:, 0]
-    if np.min(lam_min) < -POSITIVITY_TOL:
-        raise InvariantViolation(f"negative eigenvalue {np.min(lam_min):.3e}")
+    negative = lam_min < -POSITIVITY_TOL
+    if negative.any():
+        k = int(np.argmax(negative))
+        exc = InvariantViolation(f"negative eigenvalue {lam_min[k]:.3e}")
+        exc.index = k
+        raise exc
     m.setflags(write=False)
     return m, labels
 
 
-def _states_with_known_min(
-    m: np.ndarray, basis_labels: tuple[str, ...], lam_min: np.ndarray
+def density_matrices(
+    matrices: np.ndarray, basis_labels: tuple[str, ...] = (), lam_min: np.ndarray | None = None
 ) -> list[DensityMatrix]:
-    """A DensityMatrix of each matrix of a (T, d, d) stack whose lowest eigenvalues
-    ``lam_min`` are known: the checks made once on the stack, and no eigvalsh."""
-    m, labels = _checked_states(m, basis_labels, lam_min)
+    """A DensityMatrix of each matrix of a (T, d, d) stack, checked once on the stack: by one
+    stacked eigvalsh, or by none when its lowest eigenvalues ``lam_min`` are known."""
+    m, labels = _checked_states(_as_square_complex(matrices, stacked=True), basis_labels, lam_min)
     states = [object.__new__(DensityMatrix) for _ in range(len(m))]
     for state, x in zip(states, m):
         state.__dict__.update(elements=x, basis_labels=labels)

@@ -24,14 +24,23 @@ from .collective import (
     entropy_production_ratio,
     local_couplings,
 )
-from .exceptions import CohentropyError, ConfigError, WitnessNotFound
+from .exceptions import CohentropyError, ConfigError, InvariantViolation, WitnessNotFound
 from .lindblad import (
     LindbladGenerator,
     build_generator,
     evolve,
     flat_bath,
 )
-from .qcore import DensityMatrix, HermitianObservable, Verdict, boltzmann_weights, trace_distance
+from .qcore import (
+    DensityMatrix,
+    HermitianObservable,
+    Verdict,
+    boltzmann_weights,
+    chunks,
+    dagger,
+    density_matrices,
+    trace_distance,
+)
 from .spectrum import (
     EnergyLevelStructure,
     build_level_structure,
@@ -48,7 +57,8 @@ from .thermalops import (
     divergence_witness,
     horizontal_pattern,
     incoherent_input_verdicts,
-    sample_energy_conserving_unitary,
+    operation_rows,
+    sample_energy_conserving_unitaries,
 )
 from .thermo import (
     ComplementarityReport,
@@ -345,24 +355,45 @@ def thermal_operation_systems(omega: float = 1.0) -> list[tuple[str, BipartiteSy
     ]
 
 
-def coherent_prepared_state(els: EnergyLevelStructure, beta_0: float, seed: int) -> DensityMatrix:
-    """Thermal diagonal at beta_0 plus seeded random coherences, positivity-safe."""
-    rng = np.random.default_rng(seed)
-    base = thermal_state_of(els, beta_0)
+def coherent_prepared_states(
+    els: EnergyLevelStructure, beta_0: float, seeds: Sequence[int]
+) -> list[DensityMatrix]:
+    """Thermal diagonal at beta_0 plus random coherences, positivity-safe, for each seed:
+    the real and then the imaginary part of a Gaussian matrix from default_rng(seed),
+    Hermitian with its diagonal removed, scaled to PREPARED_COHERENCE_FRACTION of the least
+    thermal weight by its spectral radius.  One stacked eigvalsh takes the radii and one
+    validates the states."""
     dim = els.dim
-    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    x = 0.5 * (x + x.conj().T)
-    x -= np.diag(np.diag(x))
+    g = np.array([np.random.default_rng(seed).standard_normal((2, dim, dim)) for seed in seeds])
+    x = g[:, 0] + 1j * g[:, 1]
+    x = 0.5 * (x + dagger(x))
+    x[:, np.arange(dim), np.arange(dim)] = 0.0
     lam_min = float(boltzmann_weights(els.index_energies, beta_0).min())
-    spread = float(np.max(np.abs(np.linalg.eigvalsh(x)))) or 1.0
-    scale = PREPARED_COHERENCE_FRACTION * lam_min / spread
-    return DensityMatrix(base.elements + scale * x, base.basis_labels)
+    spread = np.max(np.abs(np.linalg.eigvalsh(x)), axis=-1)
+    scale = PREPARED_COHERENCE_FRACTION * lam_min / np.where(spread == 0.0, 1.0, spread)
+    base = thermal_state_of(els, beta_0).elements
+    return density_matrices(base + scale[:, None, None] * x, els.basis_labels)
+
+
+def coherent_prepared_state(els: EnergyLevelStructure, beta_0: float, seed: int) -> DensityMatrix:
+    """``coherent_prepared_states`` of one seed."""
+    (state,) = coherent_prepared_states(els, beta_0, [seed])
+    return state
+
+
+def diagonal_prepared_states(
+    els: EnergyLevelStructure, seeds: Sequence[int]
+) -> list[DensityMatrix]:
+    """Diagonal states of populations default_rng(seed).random() + 0.05, normalized, for each
+    seed; validated by one stacked eigvalsh."""
+    p = np.array([np.random.default_rng(seed).random(els.dim) for seed in seeds]) + 0.05
+    pops = (p / p.sum(axis=-1, keepdims=True))[:, :, None] * np.eye(els.dim)
+    return density_matrices(pops.astype(complex), els.basis_labels)
 
 
 def diagonal_prepared_state(els: EnergyLevelStructure, seed: int) -> DensityMatrix:
-    rng = np.random.default_rng(seed)
-    p = rng.random(els.dim) + 0.05
-    return DensityMatrix(np.diag(p / p.sum()).astype(complex), els.basis_labels)
+    (state,) = diagonal_prepared_states(els, [seed])
+    return state
 
 
 def conservation_scan(
@@ -373,19 +404,34 @@ def conservation_scan(
     beta_0: float | None = None,
     tol: float = CHECK_TOL,
 ) -> list[ConservationReport]:
-    """conservation_report for the energy-conserving unitary of each seed.
+    """conservation_report for the energy-conserving unitary of each seed, by stacked passes.
 
     rho_S is coherent_prepared_state at beta_0 (seeded 10000 + seed) or, when
     beta_0 is None, the incoherent diagonal_prepared_state (seeded 20000 + seed).
+    Each chunk of seeds is one pass: its states and unitaries are drawn and checked as
+    stacks and measured by ``operation_rows``, and each report is assembled and judged
+    from its row by ``conservation_report``.  A check that fails on one seed raises an
+    InvariantViolation whose ``index`` is that seed's position in ``seeds``.
     """
-    reports = []
-    for seed in seeds:
-        if beta_0 is None:
-            rho_s = diagonal_prepared_state(sys_.els_S, 20_000 + seed)
-        else:
-            rho_s = coherent_prepared_state(sys_.els_S, beta_0, 10_000 + seed)
-        u = sample_energy_conserving_unitary(sys_, seed)
-        reports.append(conservation_report(sys_, u, rho_s, rho_B, beta_B, tol=tol))
+    seeds = list(seeds)
+    reports: list[ConservationReport] = []
+    # a pass measures 2 states per seed at the joint dimension d; seeds by chunks of 2d
+    # keep each of its state_functionals calls within one chunk of the kernel
+    for part in chunks(len(seeds), 2 * sys_.joint.dim):
+        try:
+            if beta_0 is None:
+                states = diagonal_prepared_states(sys_.els_S, [20_000 + s for s in seeds[part]])
+            else:
+                prep = [10_000 + s for s in seeds[part]]
+                states = coherent_prepared_states(sys_.els_S, beta_0, prep)
+            unitaries = sample_energy_conserving_unitaries(sys_, seeds[part])
+        except InvariantViolation as exc:
+            if hasattr(exc, "index"):
+                exc.index += part.start
+            raise
+        rho_s = np.array([state.elements for state in states])
+        rows = operation_rows(sys_, unitaries, rho_s, rho_B, beta_B)
+        reports += [conservation_report(sys_, row, tol=tol) for row in rows]
     return reports
 
 

@@ -21,11 +21,11 @@ from .qcore import (
     HermitianObservable,
     _as_square_complex,
     _hermitian_unit_trace,
-    _states_with_known_min,
     boltzmann_weights,
     chunks,
     dagger,
     default_labels,
+    density_matrices,
     diagonal_relative_entropy,
     entropy_of_spectrum,
     log_boltzmann_weights,
@@ -331,5 +331,5 @@ def thermal_state_of(els: EnergyLevelStructure, beta: float) -> DensityMatrix:
     w = boltzmann_weights(els.index_energies, beta)
     m = (v * w) @ v.conj().T
     m = 0.5 * (m + m.conj().T)
-    (state,) = _states_with_known_min(m[None], els.basis_labels, w.min(keepdims=True))
+    (state,) = density_matrices(m[None], els.basis_labels, w.min(keepdims=True))
     return state

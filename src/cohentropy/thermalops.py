@@ -11,7 +11,7 @@ coherences and of horizontal coherences plus population convergence.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .qcore import (
     DensityMatrix,
     HermitianObservable,
     Verdict,
+    dagger,
     max_abs,
     max_admissible_amplitude,
     tensor_labels,
@@ -89,35 +90,87 @@ class EnergyConservingUnitary:
         dim = self.joint.dim
         if u.shape != (dim, dim):
             raise ShapeMismatch(f"unitary shape {u.shape} != ({dim}, {dim})")
-        dev = max_abs(u.conj().T @ u - np.eye(dim))
-        if dev > UNITARY_TOL * max(1.0, dim):
-            raise InvariantViolation(f"matrix not unitary (deviation {dev:.3e})")
-        comm = max_abs(np.where(self.joint.same_level, 0.0, self.joint.to_labeled(u)))
-        if comm > UNITARY_TOL * max(1.0, dim):
-            raise InvariantViolation(
-                f"max_k ||[U, Pi_k]|| = {comm:.3e}: energy conservation violated"
-            )
-        u = u.copy()
-        u.setflags(write=False)
-        object.__setattr__(self, "matrix", u)
+        object.__setattr__(self, "matrix", _checked_unitaries(u[None], self.joint)[0])
+
+
+def _checked_unitaries(u: np.ndarray, joint: EnergyLevelStructure) -> np.ndarray:
+    """The checks of an EnergyConservingUnitary on a (T, d, d) stack: each matrix unitary
+    and with no element between two levels of ``joint`` in its labeled basis, [U, Pi_k] = 0,
+    to UNITARY_TOL max(1, d).  The InvariantViolation raised for the first matrix that fails
+    carries its position in the stack as ``index``.  Returns a read-only copy."""
+    tol = UNITARY_TOL * max(1.0, joint.dim)
+    dev = np.max(np.abs(dagger(u) @ u - np.eye(joint.dim)), axis=(-2, -1))
+    comm = np.max(np.abs(np.where(joint.same_level, 0.0, joint.to_labeled(u))), axis=(-2, -1))
+    bad = (dev > tol) | (comm > tol)
+    if bad.any():
+        k = int(np.argmax(bad))
+        exc = InvariantViolation(
+            f"matrix not unitary (deviation {dev[k]:.3e})" if dev[k] > tol
+            else f"max_k ||[U, Pi_k]|| = {comm[k]:.3e}: energy conservation violated"
+        )
+        exc.index = k
+        raise exc
+    u = u.copy()
+    u.setflags(write=False)
+    return u
+
+
+def sample_energy_conserving_unitaries(sys: BipartiteSystem, seeds: Sequence[int]) -> np.ndarray:
+    """The unitary of each seed as a checked, read-only (T, d, d) stack: an independent Haar
+    block on each joint energy eigenspace.  Seed s draws, from default_rng(s) and level by
+    level, the real and then the imaginary part of a Gaussian block, whose QR with the
+    phases of R's diagonal fixed is taken for all seeds at once."""
+    joint = sys.joint
+    sizes = joint.degeneracies
+    n = 2 * sum(l * l for l in sizes)
+    draws = np.array([np.random.default_rng(seed).standard_normal(n) for seed in seeds])
+    blocks = np.zeros((len(draws), joint.dim, joint.dim), dtype=complex)
+    start = offset = 0
+    for l in sizes:
+        g = draws[:, start:start + 2 * l * l].reshape(-1, 2, l, l)
+        q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+        diag = r.diagonal(axis1=-2, axis2=-1)
+        blocks[:, offset:offset + l, offset:offset + l] = q * (diag / np.abs(diag))[:, None, :]
+        start, offset = start + 2 * l * l, offset + l
+    v = joint.basis_vectors
+    return _checked_unitaries(v @ blocks @ dagger(v), joint)
 
 
 def sample_energy_conserving_unitary(
     sys: BipartiteSystem, seed: int
 ) -> EnergyConservingUnitary:
-    """Independent Haar block on each joint energy eigenspace, deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    joint = sys.joint
-    v = joint.basis_vectors
-    blocks = np.zeros((joint.dim, joint.dim), dtype=complex)
-    level = joint.level_of_index
-    for k, l in enumerate(joint.degeneracies):
-        g = rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l))
-        q, r = np.linalg.qr(g)
-        phases = np.diag(r) / np.abs(np.diag(r))
-        blocks[np.ix_(level == k, level == k)] = q * phases
-    u = v @ blocks @ v.conj().T
-    return EnergyConservingUnitary(matrix=u, joint=joint)
+    """``sample_energy_conserving_unitaries`` of one seed."""
+    return EnergyConservingUnitary(sample_energy_conserving_unitaries(sys, [seed])[0], sys.joint)
+
+
+def _check_stationary(sys: BipartiteSystem, rho_B: DensityMatrix) -> None:
+    """[H_B, rho_B] = 0 to STATIONARITY_TOL: the environment of an a-thermal operation."""
+    hb = sys.els_B.hamiltonian().elements
+    comm = max_abs(hb @ rho_B.elements - rho_B.elements @ hb)
+    if comm > STATIONARITY_TOL * max(1.0, max_abs(hb)):
+        raise InvariantViolation(
+            f"rho_B not stationary: ||[H_B, rho_B]|| = {comm:.3e} (a-thermal conditions violated)"
+        )
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a_k, b) of each matrix of a (T, m, m) stack: the outer product, reshaped."""
+    t, m, n = len(a), a.shape[-1], b.shape[-1]
+    return (a[:, :, None, :, None] * b[None, None, :, None, :]).reshape(t, m * n, m * n)
+
+
+def _operate(
+    sys: BipartiteSystem, u: np.ndarray, rho_s: np.ndarray, rho_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """rho_S (x) rho_B, U (rho_S (x) rho_B) U^dag and its reduced states on S and B, each a
+    (T, ., .) stack of Hermitian arrays, for stacks of unitaries and of rho_S."""
+    d_s, d_b = sys.dims
+    joint0 = _kron(rho_s, rho_b)
+    final = u @ joint0 @ dagger(u)
+    rho_sb = 0.5 * (final + dagger(final))
+    r = rho_sb.reshape(-1, d_s, d_b, d_s, d_b)
+    rho_s_f, rho_b_f = np.einsum("tikjk->tij", r), np.einsum("tkikj->tij", r)
+    return joint0, rho_sb, 0.5 * (rho_s_f + dagger(rho_s_f)), 0.5 * (rho_b_f + dagger(rho_b_f))
 
 
 def apply_operation(
@@ -132,24 +185,17 @@ def apply_operation(
     preserves positivity, so the outputs are validated where they are used, by
     ``state_functionals`` from its own spectrum.
     """
-    hb = sys.els_B.hamiltonian().elements
-    comm = max_abs(hb @ rho_B.elements - rho_B.elements @ hb)
-    if comm > STATIONARITY_TOL * max(1.0, max_abs(hb)):
-        raise InvariantViolation(
-            f"rho_B not stationary: ||[H_B, rho_B]|| = {comm:.3e} (a-thermal conditions violated)"
-        )
-    final = U.matrix @ np.kron(rho_S.elements, rho_B.elements) @ U.matrix.conj().T
-    rho_sb = 0.5 * (final + final.conj().T)
-    r = rho_sb.reshape(sys.dims + sys.dims)
-    rho_s, rho_b = np.einsum("ikjk->ij", r), np.einsum("kikj->ij", r)
-    return rho_sb, 0.5 * (rho_s + rho_s.conj().T), 0.5 * (rho_b + rho_b.conj().T)
+    _check_stationary(sys, rho_B)
+    _, rho_sb, rho_s, rho_b = _operate(sys, U.matrix[None], rho_S.elements[None], rho_B.elements)
+    return rho_sb[0], rho_s[0], rho_b[0]
 
 
 def _block_diagonal(m: np.ndarray, els: EnergyLevelStructure) -> np.ndarray:
-    """sum_n pi_n m pi_n, by the ``same_level`` mask in the labeled eigenbasis."""
+    """sum_n pi_n m pi_n of each matrix of a stack, by the ``same_level`` mask in the labeled
+    eigenbasis."""
     v = els.basis_vectors
-    out = v @ np.where(els.same_level, els.to_labeled(m), 0.0) @ v.conj().T
-    return 0.5 * (out + out.conj().T)
+    out = v @ np.where(els.same_level, els.to_labeled(m), 0.0) @ dagger(v)
+    return 0.5 * (out + dagger(out))
 
 
 @dataclass(frozen=True)
@@ -157,6 +203,51 @@ class CutQuantities:
     C_v: float
     C_h: float
     D_th: float
+
+
+class OperationRow(NamedTuple):
+    """What a report reads of one operation: ``cuts``, the [C_v, C_h, D_th] of S, B and SB,
+    each before and then after; Delta E_S; check (g)'s deviation of the initial joint
+    block-diagonal cut from the product of the factors' cuts; and max |rho_B - rho_th|."""
+
+    cuts: list[list[float]]
+    delta_E_S: float
+    factorization_dev: float
+    thermal_dev: float
+
+
+def operation_rows(
+    sys: BipartiteSystem,
+    U: np.ndarray,
+    rho_S: np.ndarray,
+    rho_B: DensityMatrix,
+    beta_B: float,
+) -> list[OperationRow]:
+    """The OperationRow of U_k (rho_S,k (x) rho_B) U_k^dag for each k of a (T, d, d) stack of
+    checked energy-conserving unitaries and one of checked states, from one stacked pass:
+    the operation and its partial traces, one ``state_functionals`` call on the 2T states
+    before and after of each of S, B and SB, and Delta E_S and check (g) as stacks.
+    rho_B's stationarity, its distance from the thermal state at beta_B and H_S are taken
+    once.  A row is bitwise the one its operation gets alone."""
+    _check_stationary(sys, rho_B)
+    t, rho_b = len(U), rho_B.elements
+    joint0, rho_sb, rho_s_f, rho_b_f = _operate(sys, U, rho_S, rho_b)
+    pairs = (
+        ((rho_S, rho_s_f), sys.els_S),
+        ((np.broadcast_to(rho_b, rho_b_f.shape), rho_b_f), sys.els_B),
+        ((joint0, rho_sb), sys.joint),
+    )
+    cuts = np.stack([
+        np.stack((f.C_v, f.C_h, f.D_th), axis=-1).reshape(2, t, 3)
+        for f in (state_functionals(np.concatenate(pair), els, beta_B) for pair, els in pairs)
+    ])  # (cut, before/after, k, quantity)
+    h_s = sys.els_S.hamiltonian().elements
+    delta_e_s = np.trace(h_s @ (rho_s_f - rho_S), axis1=-2, axis2=-1).real
+    factorized = _kron(_block_diagonal(rho_S, sys.els_S), rho_b)
+    factorization_dev = np.max(np.abs(_block_diagonal(joint0, sys.joint) - factorized), (-2, -1))
+    thermal_dev = max_abs(rho_b - thermal_state_of(sys.els_B, beta_B).elements)
+    columns = (cuts.transpose(2, 0, 1, 3).reshape(t, 6, 3), delta_e_s, factorization_dev)
+    return [OperationRow(*row, thermal_dev) for row in zip(*(c.tolist() for c in columns))]
 
 
 @dataclass(frozen=True)
@@ -187,23 +278,20 @@ class ConservationReport:
 
 def conservation_report(
     sys: BipartiteSystem,
-    U: EnergyConservingUnitary,
-    rho_S: DensityMatrix,
-    rho_B: DensityMatrix,
-    beta_B: float,
+    U: EnergyConservingUnitary | OperationRow,
+    rho_S: DensityMatrix | None = None,
+    rho_B: DensityMatrix | None = None,
+    beta_B: float | None = None,
     tol: float = CHECK_TOL,
 ) -> ConservationReport:
-    rho_sb_f, rho_s_f, rho_b_f = apply_operation(sys, U, rho_S, rho_B)
-    rho_sb_0 = np.kron(rho_S.elements, rho_B.elements)
-    pairs = (
-        ((rho_S.elements, rho_s_f), sys.els_S),
-        ((rho_B.elements, rho_b_f), sys.els_B),
-        ((rho_sb_0, rho_sb_f), sys.joint),
+    """The report of U (rho_S (x) rho_B) U^dag at beta_B, from its ``operation_rows`` row,
+    or the report assembled from a scan's row U, judged: checks (a)-(g), and the
+    rho_B-not-thermal flag when rho_B is farther than tol from the thermal state."""
+    (row,) = (
+        operation_rows(sys, U.matrix[None], rho_S.elements[None], rho_B, beta_B)
+        if isinstance(U, EnergyConservingUnitary) else (U,)
     )
-    (s0, sf), (b0, bf), (sb0, sbf) = (
-        [CutQuantities(*map(float, cut)) for cut in zip(f.C_v, f.C_h, f.D_th)]
-        for f in (state_functionals(pair, els, beta_B) for pair, els in pairs)
-    )
+    s0, sf, b0, bf, sb0, sbf = (CutQuantities(*cut) for cut in row.cuts)
 
     def correlated(sb: CutQuantities, s: CutQuantities, b: CutQuantities) -> CutQuantities:
         return CutQuantities(
@@ -214,13 +302,6 @@ def conservation_report(
 
     corr0 = correlated(sb0, s0, b0)
     corrf = correlated(sbf, sf, bf)
-
-    h_s = sys.els_S.hamiltonian().elements
-    delta_e_s = float(np.trace(h_s @ (rho_s_f - rho_S.elements)).real)
-
-    factorized = np.kron(_block_diagonal(rho_S.elements, sys.els_S), rho_B.elements)
-    factorization_dev = max_abs(_block_diagonal(rho_sb_0, sys.joint) - factorized)
-
     checks = (
         _eq("a:dCv_SB=0", sbf.C_v - sb0.C_v, tol),
         _eq("b:dCh_SB+dDth_SB=0", (sbf.C_h - sb0.C_h) + (sbf.D_th - sb0.D_th), tol),
@@ -229,11 +310,8 @@ def conservation_report(
             - (bf.D_th - b0.D_th) - corrf.C_h - corrf.D_th, tol),
         _ge("e:-dCv_S>=0", -(sf.C_v - s0.C_v), tol),
         _ge("f:-dCh_S-dDth_S>=0", -(sf.C_h - s0.C_h) - (sf.D_th - s0.D_th), tol),
-        _eq("g:initial_BD_factorizes", factorization_dev, FACTORIZATION_TOL),
+        _eq("g:initial_BD_factorizes", row.factorization_dev, FACTORIZATION_TOL),
     )
-    flags: tuple[str, ...] = ()
-    if max_abs(rho_B.elements - thermal_state_of(sys.els_B, beta_B).elements) > tol:
-        flags = (FLAG_RHO_B_NOT_THERMAL,)
     return ConservationReport(
         S_initial=s0,
         S_final=sf,
@@ -243,9 +321,9 @@ def conservation_report(
         SB_final=sbf,
         correlated_initial=corr0,
         correlated_final=corrf,
-        delta_E_S=delta_e_s,
+        delta_E_S=row.delta_E_S,
         checks={v.name: v for v in checks},
-        flags=flags,
+        flags=(FLAG_RHO_B_NOT_THERMAL,) if row.thermal_dev > tol else (),
     )
 
 

@@ -229,6 +229,8 @@ def decompose_series(
     eigenvalues below 1e-6 are skipped: there the functionals are dominated
     by log-singular transients no fixed-step difference can resolve.
     """
+    if not len(times):
+        raise ShapeMismatch("decompose_series: the time list is empty")
     states = evolve(gen, rho0, times)
     rows = rate_rows(gen, [s.elements for s in states])
     snapshots = [instantaneous_rates(gen, row, t) for row, t in zip(rows, times)]

@@ -39,6 +39,7 @@ from cohentropy.thermo import check_rates_by_finite_differences
 from cohentropy.scenarios import (
     coherent_prepared_state,
     config_from_json,
+    conservation_scan,
     run_scenario_config,
     thermal_operation_systems,
 )
@@ -75,6 +76,19 @@ def test_conservation_report_budget(eig_calls, index):
     eig_calls["n"] = 0
     conservation_report(sys_, u, rho_s, rho_b, 1.3)
     assert eig_calls["n"] == 12  # two kernel decompositions for each of six states, in three pairs
+
+
+@pytest.mark.parametrize("index", [0, 1])
+@pytest.mark.parametrize("beta_0, per_seed", [(0.7, 14), (None, 13)])
+def test_conservation_scan_budget(eig_calls, index, beta_0, per_seed):
+    """A 32-seed scan, one stacked pass, decomposes what its 32 reports do one by one: 12
+    matrices per report, plus the prepared state's own, two for a coherent state and one
+    for a diagonal state."""
+    _, sys_ = thermal_operation_systems()[index]
+    rho_b = thermal_state_of(sys_.els_B, 1.3)
+    eig_calls["n"] = 0
+    conservation_scan(sys_, range(32), rho_b, 1.3, beta_0=beta_0)
+    assert eig_calls["n"] == 32 * per_seed
 
 
 @pytest.mark.parametrize("index", [0, 1])

@@ -11,6 +11,7 @@ from cohentropy import (
     HermitianObservable,
     HorizonExceeded,
     MissingRate,
+    ShapeMismatch,
     SpinEnsembleSpec,
     asymptotic_state,
     build_generator,
@@ -376,6 +377,11 @@ class TestPropagate:
         for vec in vecs:
             for step, got in zip(steps, gen.propagate(vec, self.TIMES)):
                 assert np.max(np.abs(got - step @ vec)) < 1e-12
+
+    def test_empty_time_list_is_a_shape_mismatch(self):
+        gen = BLOCKED_GENERATORS["collective n=2"]()
+        with pytest.raises(ShapeMismatch, match="propagate: the time list is empty"):
+            gen.propagate(random_density(gen.dim, 5).reshape(-1), [])
 
     @pytest.mark.parametrize("name", list(BLOCKED_GENERATORS))
     def test_blocks_equal_dense_reference(self, name):

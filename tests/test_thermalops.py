@@ -18,6 +18,7 @@ from cohentropy import (
     sample_energy_conserving_unitary,
     thermal_state_of,
 )
+from cohentropy import scenarios, thermalops
 from cohentropy.qcore import max_admissible_amplitude, tensor_labels
 from cohentropy.qcore import max_abs
 from cohentropy.spectrum import state_functionals
@@ -31,6 +32,7 @@ from cohentropy.thermalops import (
 from cohentropy.scenarios import (
     coherent_prepared_state,
     config_from_json,
+    conservation_scan,
     diagonal_prepared_state,
     parse_config,
     run_scenario_config,
@@ -264,6 +266,71 @@ class TestConservationReport:
             u = sample_energy_conserving_unitary(qutrit_qubit, seed)
             rep = conservation_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
             assert rep.S_final.C_v <= 1e-9
+
+
+class TestConservationScan:
+    SEEDS = range(120)  # past the scan's chunks of seeds: 28 at joint d = 6, 64 at d = 4
+
+    @pytest.mark.parametrize("index", [0, 1])
+    @pytest.mark.parametrize("beta_0", [0.7, None])
+    @pytest.mark.parametrize("environment", ["thermal", "uniform"])
+    def test_scan_equals_single_reports_bit_for_bit(self, index, beta_0, environment):
+        """Each report of the stacked scan equals the single-input report of its seed field
+        for field, verdicts and flags included; a uniform rho_B is stationary, not thermal."""
+        _, sys_ = thermal_operation_systems()[index]
+        els_b = sys_.els_B
+        if environment == "thermal":
+            rho_b = thermal_state_of(els_b, 1.3)
+        else:
+            rho_b = DensityMatrix(np.eye(els_b.dim) / els_b.dim, els_b.basis_labels)
+        reports = conservation_scan(sys_, self.SEEDS, rho_b, 1.3, beta_0=beta_0)
+        assert len(reports) == len(self.SEEDS)
+        for seed, rep in zip(self.SEEDS, reports):
+            if beta_0 is None:
+                rho_s = diagonal_prepared_state(sys_.els_S, 20_000 + seed)
+            else:
+                rho_s = coherent_prepared_state(sys_.els_S, beta_0, 10_000 + seed)
+            u = sample_energy_conserving_unitary(sys_, seed)
+            # a float's repr round-trips, so equal reprs are equal bits
+            assert repr(rep) == repr(conservation_report(sys_, u, rho_s, rho_b, 1.3))
+        flagged = {rep.flags for rep in reports}
+        assert flagged == {("rho_B-not-thermal",) if environment == "uniform" else ()}
+
+    @staticmethod
+    def poisoned(check, position, bad):
+        """``check`` of stacks in which the matrix at ``position``, counted over all the
+        stacks it is given in turn, is replaced by ``bad``."""
+        seen = [0]
+
+        def wrapper(m, *args):
+            k, seen[0] = position - seen[0], seen[0] + len(m)
+            if 0 <= k < len(m):
+                m = m.copy()
+                m[k] = bad
+            return check(m, *args)
+
+        return wrapper
+
+    def test_energy_violating_unitary_names_its_seed(self, qutrit_qubit, monkeypatch):
+        """One U permutes across energy sectors: the stacked check names its seed."""
+        swap = np.eye(6, dtype=complex)[[1, 0, 2, 3, 4, 5]]
+        check = self.poisoned(thermalops._checked_unitaries, 33, swap)
+        monkeypatch.setattr(thermalops, "_checked_unitaries", check)
+        rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
+        with pytest.raises(InvariantViolation, match="energy conservation violated") as info:
+            conservation_scan(qutrit_qubit, range(40), rho_b, 1.3, beta_0=0.7)
+        assert info.value.index == 33
+
+    def test_non_positive_state_names_its_seed(self, qutrit_qubit, monkeypatch):
+        """One rho_S is Hermitian of unit trace but not positive: the stacked validation
+        names its seed."""
+        bad = np.diag([1.2, -0.1, -0.1]).astype(complex)
+        monkeypatch.setattr(scenarios, "density_matrices",
+                            self.poisoned(scenarios.density_matrices, 31, bad))
+        rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
+        with pytest.raises(InvariantViolation, match="negative eigenvalue") as info:
+            conservation_scan(qutrit_qubit, range(40), rho_b, 1.3, beta_0=0.7)
+        assert info.value.index == 31
 
 
 class TestDivergenceWitness:

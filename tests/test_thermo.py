@@ -7,6 +7,7 @@ import pytest
 from cohentropy import (
     DensityMatrix,
     InvariantViolation,
+    ShapeMismatch,
     complementarity_report,
     decompose_series,
     eigenoperators,
@@ -105,6 +106,11 @@ def test_series_rows_equal_single_state_rows(name, qubit_system):
 
 
 class TestDecomposeSeries:
+    def test_empty_time_list_is_a_shape_mismatch(self, two_qubit_collective):
+        _, _, els, gen = two_qubit_collective
+        with pytest.raises(ShapeMismatch, match="decompose_series: the time list is empty"):
+            decompose_series(gen, thermal_state_of(els, 1.0), [])
+
     def test_constant_thermal_trajectory(self, two_qubit_collective):
         _, _, els, gen = two_qubit_collective
         series = decompose_series(gen, thermal_state_of(els, 1.0), [0.5, 1.0, 2.0])
