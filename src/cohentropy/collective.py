@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -174,20 +175,27 @@ def _log_z(m: np.ndarray, x: float) -> float:
     return float(-m[k] * x - log_w[k])
 
 
-def _block_log_weights(
-    spec: SpinEnsembleSpec, table: AngularMomentumTable, x0: float, xb: float
-) -> dict[float, np.ndarray]:
+@lru_cache(maxsize=64)
+def _thermal_start(
+    spec: SpinEnsembleSpec, x0: float
+) -> tuple[AngularMomentumTable, tuple[tuple[float, float], ...], float, float]:
+    """What a sweep over the bath keeps from the thermal start at omega * beta_0 = x0:
+    the degeneracy table, (J, ln p_J = ln Z_J(x0) - n ln Z_1(x0)) per J, and the start's
+    (entropy, energy)."""
+    table = degeneracy_table(spec)
+    log_z1 = _log_z(spec.local_m_values(), x0)
+    log_p = tuple((j, _log_z(np.arange(-j, j + 1.0), x0) - spec.n * log_z1) for j in table.J_values)
+    return table, log_p, *_thermal_spectrum(spec, x0)
+
+
+def _block_log_weights(spec: SpinEnsembleSpec, x0: float, xb: float) -> dict[float, np.ndarray]:
     """ln of the analytic steady state's eigenvalue on each (J, m), m = -J..J ascending.
 
     Each (J, i) block keeps its initial thermal weight p_J = Z_J(x0) / Z_1(x0)^n
     and holds a thermal ladder at the bath: p_J e^(-m xb) / Z_J(xb).
     """
-    log_z1 = _log_z(spec.local_m_values(), x0)
-    out = {}
-    for j in table.J_values:
-        m = np.arange(-j, j + 1.0)
-        out[j] = (_log_z(m, x0) - spec.n * log_z1) + log_boltzmann_weights(m, xb)
-    return out
+    _, log_p, _, _ = _thermal_start(spec, x0)
+    return {j: lp + log_boltzmann_weights(np.arange(-j, j + 1.0), xb) for j, lp in log_p}
 
 
 def analytic_steady_state(
@@ -204,8 +212,9 @@ def analytic_steady_state(
     """
     if spec.dim > STATE_DIM_BUDGET:
         raise InvariantViolation(f"dimension {spec.dim} beyond state budget {STATE_DIM_BUDGET}")
-    table = degeneracy_table(spec)
-    log_w = _block_log_weights(spec, table, spec.omega * beta_0, spec.omega * beta_B)
+    x0 = spec.omega * beta_0
+    table = _thermal_start(spec, x0)[0]
+    log_w = _block_log_weights(spec, x0, spec.omega * beta_B)
     _, jp, _ = spin_matrices(spec.s)
     mz = np.zeros(1)
     for _ in range(spec.n):
@@ -249,8 +258,8 @@ def _thermal_spectrum(spec: SpinEnsembleSpec, x: float) -> tuple[float, float]:
 
 def _collective_spectrum(spec: SpinEnsembleSpec, x0: float, xb: float) -> tuple[float, float]:
     """(entropy, energy) of the analytic steady state, from its (J, m) weights."""
-    table = degeneracy_table(spec)
-    log_w = _block_log_weights(spec, table, x0, xb)
+    table = _thermal_start(spec, x0)[0]
+    log_w = _block_log_weights(spec, x0, xb)
     total_s = 0.0
     total_e = 0.0
     for j, l in zip(table.J_values, table.l_J):
@@ -274,7 +283,7 @@ def entropy_production_ratio(
     """
     x0 = spec.omega * beta_0
     xb = spec.omega * beta_B
-    s0, e0 = _thermal_spectrum(spec, x0)
+    _, _, s0, e0 = _thermal_start(spec, x0)
     s_th, e_th = _thermal_spectrum(spec, xb)
     s_col, e_col = _collective_spectrum(spec, x0, xb)
     pi_th = (s_th - s0) - beta_B * (e_th - e0)

@@ -10,6 +10,7 @@ G(-w) = G(w) exp(-w beta_B) by construction, so the thermal state at beta_B
 is stationary.  The generator commutes with [H, .], so it is held as its
 invariant blocks (the Bohr sectors) on row-stacked matrices in the labeled
 eigenbasis, vec(A X B) = (A kron B^T) vec(X), and never as one d^2 x d^2 matrix.
+A block's entries are evaluated only where a jump operator's nonzeros reach.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ class LindbladGenerator:
     @cached_property
     def _scale(self) -> float:
         """max(1, max |L_ij|): the scale of the trace check and of every block's eig residual."""
-        return max(1.0, max(max_abs(b) for _, b in self.blocks))
+        return self._assembly[1]
 
     @cached_property
     def _sandwiches(self) -> tuple[np.ndarray, np.ndarray]:
@@ -237,8 +238,14 @@ class LindbladGenerator:
 
         A X A^dag links (m', n') to (m, n) where A's level pattern P has P[m, m'] and
         P[n, n'], A^dag A X and X A^dag A where Q = P^T P has Q[m, m'] with n = n' or
-        Q[n', n] with m = m'.  Entries follow the kron form term by term, channel by channel.
+        Q[n', n] with m = m'.  Entries follow the kron form term by term, channel by channel,
+        at the pairs the jump operators' nonzeros reach; every other entry is zero.
         """
+        return self._assembly[0]
+
+    def _components(self) -> list[np.ndarray]:
+        """Sorted flat labeled index pairs i * d + j of each connected component of the
+        level pairs that the terms link."""
         d, nl = self.dim, self.els.n_levels
         member = np.eye(nl, dtype=int)[self.els.level_of_index]
         same = np.eye(nl, dtype=bool)
@@ -251,6 +258,7 @@ class LindbladGenerator:
             link |= same[:, None, :, None] & q.T[None, :, None, :]
         link = link.reshape(nl * nl, nl * nl)
         link |= link.T
+        level_pair = self.els.level_pair.ravel()
         unseen = np.ones(nl * nl, dtype=bool)
         out = []
         while unseen.any():
@@ -260,20 +268,61 @@ class LindbladGenerator:
                 comp |= frontier
                 frontier = link[frontier].any(axis=0) & ~comp
             unseen &= ~comp
-            idx = np.flatnonzero(comp[self.els.level_pair.ravel()])
-            i, j = np.divmod(idx, d)
-            same_i, same_j = i[:, None] == i[None, :], j[:, None] == j[None, :]
-            total = np.zeros((len(idx), len(idx)), dtype=complex)
-            for channel in self.channels:
-                block = np.zeros_like(total)
-                for a, gam in channel:
-                    ada = a.conj().T @ a
-                    sandwich = a[np.ix_(i, i)] * a[np.ix_(j, j)].conj()
-                    block += gam * (sandwich - ada[np.ix_(i, i)] * same_j)
-                    block += np.conj(gam) * (sandwich - same_i * ada.T[np.ix_(j, j)])
-                total = total + block
-            out.append((idx, total))
+            out.append(np.flatnonzero(comp[level_pair]))
         return out
+
+    @cached_property
+    def _assembly(self) -> tuple[list[tuple[np.ndarray, np.ndarray]], float]:
+        """(blocks, max(1, max |L_ij|)).  A term reaches (i j, i' j') by A[i, i'] A[j, j']^*,
+        by (A^dag A)[i, i'] at j = j', and by (A^dag A)[j', j] at i = i'; those pairs,
+        deduplicated, are evaluated at once with the dense kron expression and scattered
+        into their component's block."""
+        d = self.dim
+        terms = [[(a, gam, a.conj().T @ a) for a, gam in channel] for channel in self.channels]
+        keys = [np.zeros(0, dtype=np.int64)]  # row * d^2 + col of each reachable pair
+        span = np.arange(d)
+        for a, _, ada in (term for channel in terms for term in channel):
+            p, q = np.nonzero(a)
+            keys.append(((p[:, None] * d + p) * d * d + q[:, None] * d + q).ravel())
+            p, q = np.nonzero(ada)
+            keys.append(((p[:, None] * d + span) * d * d + q[:, None] * d + span).ravel())
+            keys.append(((span[:, None] * d + q) * d * d + span[:, None] * d + p).ravel())
+        keys = np.sort(np.concatenate(keys))
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[first]
+        row, col = np.divmod(keys, d * d)
+        (i, j), (ip, jp) = np.divmod(row, d), np.divmod(col, d)
+        same_i, same_j = i == ip, j == jp
+        total = np.zeros(len(keys), dtype=complex)
+        for channel in terms:
+            block = np.zeros_like(total)
+            for a, gam, ada in channel:
+                sandwich = a[i, ip] * a[j, jp].conj()
+                block += gam * (sandwich - ada[i, ip] * same_j)
+                block += np.conj(gam) * (sandwich - same_i * ada.T[j, jp])
+            total = total + block
+        components = self._components()
+        sizes = np.array([len(idx) for idx in components])
+        offsets = np.concatenate([[0], np.cumsum(sizes * sizes)])
+        comp_of, pos = np.zeros(d * d, dtype=int), np.zeros(d * d, dtype=int)
+        for c, idx in enumerate(components):
+            comp_of[idx], pos[idx] = c, np.arange(len(idx))
+        comp = comp_of[row]
+        stray = comp != comp_of[col]
+        if stray.any():
+            bad = np.argmax(stray)
+            raise InvariantViolation(
+                f"L links {row[bad]} and {col[bad]} across components "
+                f"{comp[bad]} and {comp_of[col[bad]]}"
+            )
+        flat = np.zeros(offsets[-1], dtype=complex)
+        flat[offsets[comp] + pos[row] * sizes[comp] + pos[col]] = total
+        blocks = [
+            (idx, flat[o : o + s * s].reshape(s, s))
+            for idx, o, s in zip(components, offsets, sizes)
+        ]
+        return blocks, max(1.0, max_abs(total))
 
     def propagate(self, vec0: np.ndarray, times: Sequence[float]) -> np.ndarray:
         """exp(t L) vec0 for each t of any sign and order, row-stacked in the input basis:

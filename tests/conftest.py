@@ -117,6 +117,47 @@ def blocked_superoperator(gen) -> np.ndarray:
     return L
 
 
+def dense_blocks(gen) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Reference blocks of L, each entry of each block evaluated over all rows^2 positions:
+    the components of the level pairs the terms link, then the kron form term by term,
+    channel by channel, on every (row, col) of the component."""
+    d, nl = gen.dim, gen.els.n_levels
+    member = np.eye(nl, dtype=int)[gen.els.level_of_index]
+    same = np.eye(nl, dtype=bool)
+    link = np.zeros((nl, nl, nl, nl), dtype=bool)  # [m, n, m', n']
+    for a, _ in (term for channel in gen.channels for term in channel):
+        p = member.T @ (a != 0) @ member > 0
+        q = p.T.astype(int) @ p > 0
+        link |= p[:, None, :, None] & p[None, :, None, :]
+        link |= q[:, None, :, None] & same[None, :, None, :]
+        link |= same[:, None, :, None] & q.T[None, :, None, :]
+    link = link.reshape(nl * nl, nl * nl)
+    link |= link.T
+    unseen = np.ones(nl * nl, dtype=bool)
+    out = []
+    while unseen.any():
+        comp = np.zeros_like(unseen)
+        frontier = np.arange(nl * nl) == np.argmax(unseen)
+        while frontier.any():
+            comp |= frontier
+            frontier = link[frontier].any(axis=0) & ~comp
+        unseen &= ~comp
+        idx = np.flatnonzero(comp[gen.els.level_pair.ravel()])
+        i, j = np.divmod(idx, d)
+        same_i, same_j = i[:, None] == i[None, :], j[:, None] == j[None, :]
+        total = np.zeros((len(idx), len(idx)), dtype=complex)
+        for channel in gen.channels:
+            block = np.zeros_like(total)
+            for a, gam in channel:
+                ada = a.conj().T @ a
+                sandwich = a[np.ix_(i, i)] * a[np.ix_(j, j)].conj()
+                block += gam * (sandwich - ada[np.ix_(i, i)] * same_j)
+                block += np.conj(gam) * (sandwich - same_i * ada.T[np.ix_(j, j)])
+            total = total + block
+        out.append((idx, total))
+    return out
+
+
 def random_density(dim: int, seed: int, rank: int | None = None) -> np.ndarray:
     """Random full-rank (or fixed-rank) density matrix via a Ginibre factor."""
     rng = np.random.default_rng(seed)
