@@ -21,7 +21,6 @@ from .qcore import (
     DensityMatrix,
     HermitianObservable,
     trace_distance,
-    von_neumann_entropy,
 )
 from .spectrum import (
     EnergyLevelStructure,
@@ -69,7 +68,8 @@ from .thermalops import (
     apply_operation,
     conservation_report,
     divergence_witness,
-    sample_energy_conserving_unitary,
+    operation_rows,
+    sample_energy_conserving_unitaries,
 )
 
 __version__ = "0.1.0"

@@ -76,18 +76,12 @@ class AngularMomentumTable:
         if sum(self.I_m) != dim:
             raise InvariantViolation("sum_m I_m does not reach the dimension")
 
-    def multiplicity(self, m: float) -> int:
-        for mv, i in zip(self.m_values, self.I_m):
-            if mv == m:
-                return i
-        return 0
-
 
 def degeneracy_table(spec: SpinEnsembleSpec) -> AngularMomentumTable:
     """l_J by iterated convolution of magnetization multiplicities.
 
     The number of product states with total magnetization m is the n-fold
-    convolution of a flat local multiplicity; l_J = N(J) - N(J+1) and
+    convolution of one state per local m; l_J = N(J) - N(J+1) and
     I_m = N(m) follow.
     """
     counts = np.array([1], dtype=object)

@@ -29,7 +29,7 @@ from .exceptions import (
     NumericalFailure,
     ShapeMismatch,
 )
-from .qcore import DensityMatrix, HermitianObservable, cleaned_state, cleaned_states, max_abs
+from .qcore import DensityMatrix, HermitianObservable, cleaned_states, max_abs
 from .spectrum import EnergyLevelStructure, clustering_tolerance, gap_clusters
 
 ZERO_OPERATOR_TOL = 1e-13
@@ -481,4 +481,5 @@ def asymptotic_state(gen: LindbladGenerator, rho0: DensityMatrix) -> DensityMatr
     if not out.any():
         raise DiagonalizationFailure("the state has no weight on the kernel of L")
     v, d = gen.els.basis_vectors, gen.dim
-    return cleaned_state(v @ out.reshape(d, d) @ v.conj().T, rho0.basis_labels, drift_tol=1e-7)
+    (state,) = cleaned_states((v @ out.reshape(d, d) @ v.conj().T)[None], rho0.basis_labels, 1e-7)
+    return state

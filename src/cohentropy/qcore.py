@@ -122,28 +122,16 @@ class DensityMatrix:
         return self.elements.shape[0]
 
 
-def cleaned_state(
-    matrix: np.ndarray,
-    basis_labels: tuple[str, ...] = (),
-    drift_tol: float = 1e-8,
-) -> DensityMatrix:
-    """Re-symmetrize ((m + m^dag)/2), renormalize and validate a candidate state.
-
-    Raises InvariantViolation if the required repair exceeds ``drift_tol``.
-    The state is validated with the lowest eigenvalue found here: one eigvalsh, not two.
-    """
-    (state,) = cleaned_states(_as_square_complex(matrix)[None], basis_labels, drift_tol)
-    return state
-
-
 def cleaned_states(
     matrices: np.ndarray,
     basis_labels: tuple[str, ...] = (),
     drift_tol: float = 1e-8,
 ) -> list[DensityMatrix]:
-    """``cleaned_state`` of each matrix of a (T, d, d) stack, by ``chunks`` with one stacked
-    eigvalsh each.  The InvariantViolation raised for the first matrix whose repair
-    exceeds ``drift_tol`` carries that matrix's position in the stack as ``index``."""
+    """Re-symmetrize ((m + m^dag)/2), renormalize and validate each matrix of a (T, d, d)
+    stack of candidate states, by ``chunks`` with one stacked eigvalsh each, whose lowest
+    eigenvalues also validate the states: one eigvalsh per state, not two.  The
+    InvariantViolation raised for the first matrix whose repair exceeds ``drift_tol``
+    carries that matrix's position in the stack as ``index``."""
     stack = _as_square_complex(matrices, stacked=True)
     out: list[DensityMatrix] = []
     for part in chunks(len(stack), stack.shape[-1]):
@@ -210,14 +198,13 @@ def density_matrices(
     return states
 
 
-def entropy_of_spectrum(lam: np.ndarray) -> float | np.ndarray:
-    """-sum lambda ln lambda over the eigenvalues above the clip floor (0 ln 0 = 0), of one
-    spectrum or of each row of a stack.  A row sums its kept terms alone, as one spectrum
-    does: past 8 terms a dropped one would shift numpy's pairwise blocks."""
+def entropy_of_spectrum(lam: np.ndarray) -> np.ndarray:
+    """-sum lambda ln lambda over the eigenvalues above the clip floor (0 ln 0 = 0), of each
+    row of a (T, d) stack of spectra.  A row with a dropped term sums its kept terms alone,
+    so its value is that of its kept spectrum: past 8 terms a dropped one would shift
+    numpy's pairwise blocks."""
     keep = lam > CLIP_FLOOR
     terms = lam * np.log(np.where(keep, lam, 1.0))
-    if lam.ndim == 1:
-        return float(-np.sum(terms[keep]))
     out = -np.sum(terms, axis=-1)
     if not keep.all():
         for k in np.flatnonzero(~keep.all(axis=-1)):
@@ -245,11 +232,6 @@ def log_boltzmann_weights(energies: np.ndarray, beta: float) -> np.ndarray:
 def boltzmann_weights(energies: np.ndarray, beta: float) -> np.ndarray:
     """exp(-beta e)/Z, the exponential of ``log_boltzmann_weights``."""
     return np.exp(log_boltzmann_weights(energies, beta))
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-Tr rho ln rho with the convention 0 ln 0 = 0."""
-    return entropy_of_spectrum(np.linalg.eigvalsh(rho.elements))
 
 
 def relative_entropy_from_logs(

@@ -95,16 +95,22 @@ def geometric_times(
     """``points`` geometric times in [t_min, t_max], optionally after t = 0.
 
     The one builder of a scenario's time span: a span that is empty or not
-    finite, or a point count above MAX_GRID_POINTS, is a ConfigError, whose
-    message calls the two ends ``names``."""
+    finite, a point count above MAX_GRID_POINTS, or a span too narrow for its
+    points to increase strictly is a ConfigError, whose message calls the two
+    ends ``names``."""
+    lo, hi = names
     if not (0 < t_min < t_max < math.inf):
-        lo, hi = names
         raise ConfigError(
             f"the time span needs 0 < {lo} < {hi} < inf, got {lo} = {t_min:g}, {hi} = {t_max:g}"
         )
     _check_ceiling("time_grid.points", points)
-    ts = list(np.geomspace(t_min, t_max, points))
-    return ([0.0] + ts) if include_zero else ts
+    ts = np.geomspace(t_min, t_max, points)
+    if not (np.diff(ts) > 0).all():
+        raise ConfigError(
+            f"the time span {lo} = {t_min:.17g} to {hi} = {t_max:.17g} is too narrow "
+            f"for {points} strictly increasing times"
+        )
+    return ([0.0] + list(ts)) if include_zero else list(ts)
 
 
 @dataclass(frozen=True)
@@ -375,12 +381,6 @@ def coherent_prepared_states(
     return density_matrices(base + scale[:, None, None] * x, els.basis_labels)
 
 
-def coherent_prepared_state(els: EnergyLevelStructure, beta_0: float, seed: int) -> DensityMatrix:
-    """``coherent_prepared_states`` of one seed."""
-    (state,) = coherent_prepared_states(els, beta_0, [seed])
-    return state
-
-
 def diagonal_prepared_states(
     els: EnergyLevelStructure, seeds: Sequence[int]
 ) -> list[DensityMatrix]:
@@ -389,11 +389,6 @@ def diagonal_prepared_states(
     p = np.array([np.random.default_rng(seed).random(els.dim) for seed in seeds]) + 0.05
     pops = (p / p.sum(axis=-1, keepdims=True))[:, :, None] * np.eye(els.dim)
     return density_matrices(pops.astype(complex), els.basis_labels)
-
-
-def diagonal_prepared_state(els: EnergyLevelStructure, seed: int) -> DensityMatrix:
-    (state,) = diagonal_prepared_states(els, [seed])
-    return state
 
 
 def conservation_scan(
@@ -406,8 +401,8 @@ def conservation_scan(
 ) -> list[ConservationReport]:
     """conservation_report for the energy-conserving unitary of each seed, by stacked passes.
 
-    rho_S is coherent_prepared_state at beta_0 (seeded 10000 + seed) or, when
-    beta_0 is None, the incoherent diagonal_prepared_state (seeded 20000 + seed).
+    rho_S is the coherent_prepared_states state at beta_0 (seeded 10000 + seed) or, when
+    beta_0 is None, the incoherent diagonal_prepared_states state (seeded 20000 + seed).
     Each chunk of seeds is one pass: its states and unitaries are drawn and checked as
     stacks and measured by ``operation_rows``, and each report is assembled and judged
     from its row by ``conservation_report``.  A check that fails on one seed raises an

@@ -136,13 +136,6 @@ def sample_energy_conserving_unitaries(sys: BipartiteSystem, seeds: Sequence[int
     return _checked_unitaries(v @ blocks @ dagger(v), joint)
 
 
-def sample_energy_conserving_unitary(
-    sys: BipartiteSystem, seed: int
-) -> EnergyConservingUnitary:
-    """``sample_energy_conserving_unitaries`` of one seed."""
-    return EnergyConservingUnitary(sample_energy_conserving_unitaries(sys, [seed])[0], sys.joint)
-
-
 def _check_stationary(sys: BipartiteSystem, rho_B: DensityMatrix) -> None:
     """[H_B, rho_B] = 0 to STATIONARITY_TOL: the environment of an a-thermal operation."""
     hb = sys.els_B.hamiltonian().elements
@@ -277,20 +270,11 @@ class ConservationReport:
 
 
 def conservation_report(
-    sys: BipartiteSystem,
-    U: EnergyConservingUnitary | OperationRow,
-    rho_S: DensityMatrix | None = None,
-    rho_B: DensityMatrix | None = None,
-    beta_B: float | None = None,
-    tol: float = CHECK_TOL,
+    sys: BipartiteSystem, row: OperationRow, tol: float = CHECK_TOL
 ) -> ConservationReport:
-    """The report of U (rho_S (x) rho_B) U^dag at beta_B, from its ``operation_rows`` row,
-    or the report assembled from a scan's row U, judged: checks (a)-(g), and the
-    rho_B-not-thermal flag when rho_B is farther than tol from the thermal state."""
-    (row,) = (
-        operation_rows(sys, U.matrix[None], rho_S.elements[None], rho_B, beta_B)
-        if isinstance(U, EnergyConservingUnitary) else (U,)
-    )
+    """The report of one operation, assembled from its ``operation_rows`` row and judged:
+    checks (a)-(g), and the rho_B-not-thermal flag when rho_B is farther than tol from the
+    thermal state."""
     s0, sf, b0, bf, sb0, sbf = (CutQuantities(*cut) for cut in row.cuts)
 
     def correlated(sb: CutQuantities, s: CutQuantities, b: CutQuantities) -> CutQuantities:
@@ -395,8 +379,9 @@ def divergence_witness(
     rho_s = DensityMatrix(base.elements + c * pattern.elements, base.basis_labels)
     rho_b = thermal_state_of(sys.els_B, beta_B)
     for seed in seeds:
-        u = sample_energy_conserving_unitary(sys, seed)
-        report = conservation_report(sys, u, rho_s, rho_b, beta_B)
+        u = sample_energy_conserving_unitaries(sys, [seed])
+        (row,) = operation_rows(sys, u, rho_s.elements[None], rho_b, beta_B)
+        report = conservation_report(sys, row)
         d_dth = report.S_final.D_th - report.S_initial.D_th
         d_ch = report.S_final.C_h - report.S_initial.C_h
         if -d_dth < -WITNESS_THRESHOLD:
@@ -409,7 +394,7 @@ def divergence_witness(
                 coherence_amplitude=c,
                 rho_S=rho_s,
                 rho_B=rho_b,
-                unitary=u,
+                unitary=EnergyConservingUnitary(u[0], sys.joint),
                 report=report,
                 delta_D_th_S=d_dth,
                 delta_C_h_S=d_ch,

@@ -42,7 +42,6 @@ from .qcore import (
     log_of_spectrum,
     max_abs,
     trace_distance,
-    von_neumann_entropy,
 )
 from .spectrum import (
     EnergyLevelStructure,
@@ -574,8 +573,10 @@ def _run_machine(
     q_c = float(np.trace(h_cold @ (s1.elements - s0.elements)).real)
     q_h = float(np.trace(h_hot @ (s2.elements - s1.elements)).real)
     w = -q_c - q_h
-    ds_cold = von_neumann_entropy(s1) - von_neumann_entropy(s0)
-    ds_hot = von_neumann_entropy(s2) - von_neumann_entropy(s1)
+    # S is basis-free: the three stroke states share one kernel call in the cold structure
+    stack = np.array([s0.elements, s1.elements, s2.elements])
+    entropy = state_functionals(stack, gen_cold.els, beta_c).S.tolist()
+    ds_cold, ds_hot = entropy[1] - entropy[0], entropy[2] - entropy[1]
     sigma = (ds_cold - beta_c * q_c) + (ds_hot - beta_h * q_h)
     second_law = sigma + beta_c * q_c + beta_h * q_h  # judged by OttoCycleReport.verdicts
     flags: tuple[str, ...] = ()

@@ -17,6 +17,12 @@ from cohentropy.qcore import (
     log_of_spectrum,
     relative_entropy_from_logs,
 )
+from cohentropy.thermalops import (
+    EnergyConservingUnitary,
+    conservation_report,
+    operation_rows,
+    sample_energy_conserving_unitaries,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -28,6 +34,14 @@ def matrix_log_on_support(rho) -> HermitianObservable:
     lam, vec = np.linalg.eigh(0.5 * (m + m.conj().T))
     out = (vec * log_of_spectrum(lam)) @ vec.conj().T
     return HermitianObservable(0.5 * (out + out.conj().T))
+
+
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """Reference -Tr rho ln rho from one eigvalsh, with 0 ln 0 = 0 at or below the clip
+    floor."""
+    lam = np.linalg.eigvalsh(rho.elements)
+    lam = lam[lam > CLIP_FLOOR]
+    return float(-np.sum(lam * np.log(lam)))
 
 
 def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix) -> float:
@@ -156,6 +170,18 @@ def dense_blocks(gen) -> list[tuple[np.ndarray, np.ndarray]]:
             total = total + block
         out.append((idx, total))
     return out
+
+
+def seeded_unitary(sys_, seed: int) -> EnergyConservingUnitary:
+    """The energy-conserving unitary of one seed: a stack of one."""
+    return EnergyConservingUnitary(sample_energy_conserving_unitaries(sys_, [seed])[0], sys_.joint)
+
+
+def single_report(sys_, u: EnergyConservingUnitary, rho_s, rho_b, beta_b: float):
+    """The conservation report of one operation, measured by ``operation_rows`` as a stack
+    of one."""
+    (row,) = operation_rows(sys_, u.matrix[None], rho_s.elements[None], rho_b, beta_b)
+    return conservation_report(sys_, row)
 
 
 def random_density(dim: int, seed: int, rank: int | None = None) -> np.ndarray:

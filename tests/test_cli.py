@@ -204,6 +204,12 @@ class TestConfigValues:
         pytest.param({"scenario": "near-degenerate", "delta": 0.3, "gamma": 0.001}, [],
                      "the time span needs 0 < 0.01/gamma < 0.1/delta < inf, "
                      "got 0.01/gamma = 10, 0.1/delta = 0.333333", id="near-degenerate-inverted"),
+        # 0.1/delta is within a few ulps of 0.01/gamma: np.geomspace repeats times
+        pytest.param({"scenario": "near-degenerate", "omega": 10, "gamma": 0.1,
+                      "delta": 0.9999999999999999}, [],
+                     "the time span 0.01/gamma = 0.099999999999999992 to 0.1/delta = "
+                     "0.10000000000000002 is too narrow for 60 strictly increasing times",
+                     id="near-degenerate-narrow"),
     ])
     def test_config_error_exits_1_without_outputs(self, tmp_path, capsys, config, extra, message):
         path = tmp_path / "config.json"

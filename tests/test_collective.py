@@ -16,11 +16,10 @@ from cohentropy import (
     entropy_production_ratio,
     flat_bath,
     thermal_state_of,
-    von_neumann_entropy,
 )
 from cohentropy.collective import SpinEnsembleSpec, local_couplings, spin_matrices, _embed
 from cohentropy.lindblad import build_generator
-from conftest import dephase_diagonal
+from conftest import dephase_diagonal, von_neumann_entropy
 
 
 def enumerate_multiplicities(n: int, s: float) -> dict[float, int]:
@@ -46,13 +45,12 @@ class TestDegeneracyTable:
     def test_two_spins_half(self):
         table = degeneracy_table(SpinEnsembleSpec(2, 0.5))
         assert dict(zip(table.J_values, table.l_J)) == {1.0: 1, 0.0: 1}
-        assert table.multiplicity(0.0) == 2
-        assert table.multiplicity(1.0) == 1 and table.multiplicity(-1.0) == 1
+        assert dict(zip(table.m_values, table.I_m)) == {-1.0: 1, 0.0: 2, 1.0: 1}
 
     def test_three_spins_half(self):
         table = degeneracy_table(SpinEnsembleSpec(3, 0.5))
         assert dict(zip(table.J_values, table.l_J)) == {1.5: 1, 0.5: 2}
-        assert table.multiplicity(0.5) == 3
+        assert dict(zip(table.m_values, table.I_m))[0.5] == 3
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 6), st.sampled_from([0.5, 1.0, 1.5]))
@@ -164,10 +162,11 @@ class TestAnalyticSteadyState:
         diag = np.diag(dephase_diagonal(state, els).elements).real
         table = degeneracy_table(spec)
         z = sum(math.exp(-m * 1.0) for m in table.m_values)
+        i_m = dict(zip(table.m_values, table.I_m))
         local = spec.local_m_values()
         for idx, combo in enumerate(itertools.product(local, repeat=n)):
             m = sum(combo)
-            expect = math.exp(-m * 1.0) / (z * table.multiplicity(m))
+            expect = math.exp(-m * 1.0) / (z * i_m[m])
             assert diag[idx] == pytest.approx(expect, abs=1e-6)
 
 

@@ -27,23 +27,21 @@ from cohentropy import (
     build_generator,
     collective_coupling,
     complementarity_report,
-    conservation_report,
     decompose_series,
     evolve,
     flat_bath,
     instantaneous_rates,
-    sample_energy_conserving_unitary,
     thermal_state_of,
 )
 from cohentropy.thermo import check_rates_by_finite_differences
 from cohentropy.scenarios import (
-    coherent_prepared_state,
+    coherent_prepared_states,
     config_from_json,
     conservation_scan,
     run_scenario_config,
     thermal_operation_systems,
 )
-from conftest import random_density
+from conftest import random_density, seeded_unitary, single_report
 
 
 @pytest.fixture
@@ -70,11 +68,11 @@ def test_instantaneous_rates_budget(two_qubit_collective, eig_calls):
 @pytest.mark.parametrize("index", [0, 1])
 def test_conservation_report_budget(eig_calls, index):
     _, sys_ = thermal_operation_systems()[index]
-    rho_s = coherent_prepared_state(sys_.els_S, 0.7, seed=11)
+    (rho_s,) = coherent_prepared_states(sys_.els_S, 0.7, [11])
     rho_b = thermal_state_of(sys_.els_B, 1.3)
-    u = sample_energy_conserving_unitary(sys_, 4)
+    u = seeded_unitary(sys_, 4)
     eig_calls["n"] = 0
-    conservation_report(sys_, u, rho_s, rho_b, 1.3)
+    single_report(sys_, u, rho_s, rho_b, 1.3)
     assert eig_calls["n"] == 12  # two kernel decompositions for each of six states, in three pairs
 
 
@@ -97,7 +95,7 @@ def test_coherent_prepared_state_budget(eig_calls, index):
     thermal base's lowest eigenvalue is its smallest Boltzmann weight."""
     _, sys_ = thermal_operation_systems()[index]
     eig_calls["n"] = 0
-    coherent_prepared_state(sys_.els_S, 0.7, seed=11)
+    coherent_prepared_states(sys_.els_S, 0.7, [11])
     assert eig_calls["n"] == 2
 
 
@@ -129,7 +127,7 @@ def test_complementarity_report_budget(two_qubit_collective, eig_calls):
 
 
 def test_evolve_validates_each_state_once(two_qubit_collective, eig_calls):
-    """One eigvalsh per evolved state: cleaned_state hands its spectrum to the validation."""
+    """One eigvalsh per evolved state: cleaned_states hands its spectrum to the validation."""
     *_, els, gen = two_qubit_collective
     rho0 = DensityMatrix(random_density(els.dim, 3), els.basis_labels)
     times = [0.1, 1.0, 5.0, 50.0]

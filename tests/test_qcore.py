@@ -9,7 +9,8 @@ from cohentropy import (
     HermitianObservable,
     InvariantViolation,
     ShapeMismatch,
-    von_neumann_entropy,
+    build_level_structure,
+    state_functionals,
 )
 from cohentropy.qcore import max_admissible_amplitude, tensor_labels
 from conftest import (
@@ -38,6 +39,12 @@ class TestDensityMatrix:
     def test_label_count_must_match(self):
         with pytest.raises(ShapeMismatch):
             DensityMatrix(np.eye(2) / 2, ("a",))
+
+
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """S from the spectral kernel, in a nondegenerate structure of the state's dimension."""
+    els = build_level_structure(HermitianObservable(np.diag(np.arange(rho.dim, dtype=float))))
+    return state_functionals(rho, els, 0.0).S
 
 
 class TestVonNeumannEntropy:

@@ -19,7 +19,6 @@ from cohentropy import (
     collective_coupling,
     state_functionals,
     thermal_state_of,
-    von_neumann_entropy,
 )
 from cohentropy.qcore import CHUNK_ENTRIES
 from cohentropy.scenarios import thermal_operation_systems
@@ -30,6 +29,7 @@ from conftest import (
     random_density,
     relative_entropy,
     thermal_state,
+    von_neumann_entropy,
 )
 
 

@@ -12,10 +12,8 @@ from cohentropy import (
     InvariantViolation,
     apply_operation,
     build_level_structure,
-    conservation_report,
     divergence_witness,
     eigenoperators,
-    sample_energy_conserving_unitary,
     thermal_state_of,
 )
 from cohentropy import scenarios, thermalops
@@ -30,15 +28,21 @@ from cohentropy.thermalops import (
     horizontal_pattern,
 )
 from cohentropy.scenarios import (
-    coherent_prepared_state,
+    coherent_prepared_states,
     config_from_json,
     conservation_scan,
-    diagonal_prepared_state,
+    diagonal_prepared_states,
     parse_config,
     run_scenario_config,
     thermal_operation_systems,
 )
-from conftest import dephase_block_diagonal, partial_trace, random_density
+from conftest import (
+    dephase_block_diagonal,
+    partial_trace,
+    random_density,
+    seeded_unitary,
+    single_report,
+)
 
 
 def oracle_report_inputs(sys_, u, rho_s, rho_b, beta_b):
@@ -129,17 +133,17 @@ class TestJointStructure:
 
 class TestSampling:
     def test_deterministic_per_seed(self, qubit_pair):
-        u1 = sample_energy_conserving_unitary(qubit_pair, 42)
-        u2 = sample_energy_conserving_unitary(qubit_pair, 42)
+        u1 = seeded_unitary(qubit_pair, 42)
+        u2 = seeded_unitary(qubit_pair, 42)
         assert np.array_equal(u1.matrix, u2.matrix)
-        u3 = sample_energy_conserving_unitary(qubit_pair, 43)
+        u3 = seeded_unitary(qubit_pair, 43)
         assert np.max(np.abs(u3.matrix - u1.matrix)) > 1e-3
 
     def test_one_dimensional_eigenspaces_give_pure_phases(self):
         els_a = build_level_structure(HermitianObservable(np.diag([0.0, 1.0])))
         els_b = build_level_structure(HermitianObservable(np.diag([0.0, 0.4])))
         sys_ = BipartiteSystem.build(els_a, els_b)
-        u = sample_energy_conserving_unitary(sys_, 7)
+        u = seeded_unitary(sys_, 7)
         off = u.matrix - np.diag(np.diag(u.matrix))
         assert np.max(np.abs(off)) < 1e-13
         assert np.allclose(np.abs(np.diag(u.matrix)), 1.0, atol=1e-13)
@@ -151,7 +155,7 @@ class TestSampling:
         assert np.allclose(rb, rho_b.elements, atol=1e-12)
 
     def test_resonant_exchange_block_mixes(self, qubit_pair):
-        u = sample_energy_conserving_unitary(qubit_pair, 0)
+        u = seeded_unitary(qubit_pair, 0)
         # the (ge, eg) block is 2-dim: generically nonzero transfer amplitude
         assert abs(u.matrix[1, 2]) > 1e-3
 
@@ -184,7 +188,7 @@ class TestApplyOperation:
         rho_s = thermal_state_of(qubit_pair.els_S, beta)
         rho_b = thermal_state_of(qubit_pair.els_B, beta)
         for seed in range(5):
-            u = sample_energy_conserving_unitary(qubit_pair, seed)
+            u = seeded_unitary(qubit_pair, seed)
             _, rs, _ = apply_operation(qubit_pair, u, rho_s, rho_b)
             assert np.max(np.abs(rs - rho_s.elements)) < 1e-12
 
@@ -203,9 +207,9 @@ class TestApplyOperation:
 class TestConservationReport:
     def test_identity_operation_all_deltas_zero(self, qutrit_qubit):
         u = EnergyConservingUnitary(np.eye(6, dtype=complex), qutrit_qubit.joint)
-        rho_s = coherent_prepared_state(qutrit_qubit.els_S, 0.7, 5)
+        rho_s = coherent_prepared_states(qutrit_qubit.els_S, 0.7, [5])[0]
         rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
-        rep = conservation_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
+        rep = single_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
         assert all(v.passed for v in rep.verdicts())
         assert rep.S_final.C_h == pytest.approx(rep.S_initial.C_h, abs=1e-12)
         assert abs(rep.correlated_final.C_v) < 1e-12
@@ -213,10 +217,10 @@ class TestConservationReport:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 17])
     def test_random_unitaries_pass_all_checks(self, qutrit_qubit, seed):
-        rho_s = coherent_prepared_state(qutrit_qubit.els_S, 0.7, 100 + seed)
+        rho_s = coherent_prepared_states(qutrit_qubit.els_S, 0.7, [100 + seed])[0]
         rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
-        u = sample_energy_conserving_unitary(qutrit_qubit, seed)
-        rep = conservation_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
+        u = seeded_unitary(qutrit_qubit, seed)
+        rep = single_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
         assert all(v.passed for v in rep.verdicts()), [v for v in rep.verdicts() if not v.passed]
         # correlated quantities are genuinely correlational: never negative
         for corr in (rep.correlated_initial, rep.correlated_final):
@@ -229,10 +233,10 @@ class TestConservationReport:
         _, sys_ = thermal_operation_systems()[index]
         rho_b = thermal_state_of(sys_.els_B, 1.3)
         for seed in range(16):
-            u = sample_energy_conserving_unitary(sys_, seed)
-            for rho_s in (coherent_prepared_state(sys_.els_S, 0.7, 10_000 + seed),
-                          diagonal_prepared_state(sys_.els_S, 20_000 + seed)):
-                rep = conservation_report(sys_, u, rho_s, rho_b, 1.3)
+            u = seeded_unitary(sys_, seed)
+            for rho_s in (coherent_prepared_states(sys_.els_S, 0.7, [10_000 + seed])[0],
+                          diagonal_prepared_states(sys_.els_S, [20_000 + seed])[0]):
+                rep = single_report(sys_, u, rho_s, rho_b, 1.3)
                 cuts = [rep.S_initial, rep.S_final, rep.B_initial, rep.B_final,
                         rep.SB_initial, rep.SB_final]
                 got = float_bits(cuts, rep.delta_E_S, rep.checks["g:initial_BD_factorizes"].value)
@@ -244,16 +248,16 @@ class TestConservationReport:
         seen = 0.0
         for seed in range(8):
             rho_s = thermal_state_of(qutrit_qubit.els_S, 0.7)
-            u = sample_energy_conserving_unitary(qutrit_qubit, seed)
-            rep = conservation_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
+            u = seeded_unitary(qutrit_qubit, seed)
+            rep = single_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
             seen = max(seen, abs(rep.S_final.C_h - rep.S_initial.C_h))
         assert seen > 1e-6
 
     def test_nonthermal_stationary_environment_flagged(self, qutrit_qubit):
         rho_b = DensityMatrix(np.diag([0.5, 0.5]), ("g", "e"))  # stationary, not thermal
         rho_s = thermal_state_of(qutrit_qubit.els_S, 0.7)
-        u = sample_energy_conserving_unitary(qutrit_qubit, 3)
-        rep = conservation_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
+        u = seeded_unitary(qutrit_qubit, 3)
+        rep = single_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
         assert "rho_B-not-thermal" in rep.flags
         # the global conservation laws hold for any stationary environment
         assert rep.checks["a:dCv_SB=0"].passed
@@ -262,9 +266,9 @@ class TestConservationReport:
     def test_no_vertical_generation_from_incoherent_inputs(self, qutrit_qubit):
         rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
         for seed in range(10):
-            rho_s = diagonal_prepared_state(qutrit_qubit.els_S, 300 + seed)
-            u = sample_energy_conserving_unitary(qutrit_qubit, seed)
-            rep = conservation_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
+            rho_s = diagonal_prepared_states(qutrit_qubit.els_S, [300 + seed])[0]
+            u = seeded_unitary(qutrit_qubit, seed)
+            rep = single_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
             assert rep.S_final.C_v <= 1e-9
 
 
@@ -275,8 +279,9 @@ class TestConservationScan:
     @pytest.mark.parametrize("beta_0", [0.7, None])
     @pytest.mark.parametrize("environment", ["thermal", "uniform"])
     def test_scan_equals_single_reports_bit_for_bit(self, index, beta_0, environment):
-        """Each report of the stacked scan equals the single-input report of its seed field
-        for field, verdicts and flags included; a uniform rho_B is stationary, not thermal."""
+        """Each report of the stacked scan equals the report of its seed measured alone, as
+        a stack of one, field for field, verdicts and flags included; a uniform rho_B is
+        stationary, not thermal."""
         _, sys_ = thermal_operation_systems()[index]
         els_b = sys_.els_B
         if environment == "thermal":
@@ -287,12 +292,12 @@ class TestConservationScan:
         assert len(reports) == len(self.SEEDS)
         for seed, rep in zip(self.SEEDS, reports):
             if beta_0 is None:
-                rho_s = diagonal_prepared_state(sys_.els_S, 20_000 + seed)
+                rho_s = diagonal_prepared_states(sys_.els_S, [20_000 + seed])[0]
             else:
-                rho_s = coherent_prepared_state(sys_.els_S, beta_0, 10_000 + seed)
-            u = sample_energy_conserving_unitary(sys_, seed)
+                rho_s = coherent_prepared_states(sys_.els_S, beta_0, [10_000 + seed])[0]
+            u = seeded_unitary(sys_, seed)
             # a float's repr round-trips, so equal reprs are equal bits
-            assert repr(rep) == repr(conservation_report(sys_, u, rho_s, rho_b, 1.3))
+            assert repr(rep) == repr(single_report(sys_, u, rho_s, rho_b, 1.3))
         flagged = {rep.flags for rep in reports}
         assert flagged == {("rho_B-not-thermal",) if environment == "uniform" else ()}
 
@@ -339,8 +344,8 @@ class TestDivergenceWitness:
         rho_s = thermal_state_of(qutrit_qubit.els_S, 1.3)
         rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
         for seed in range(6):
-            u = sample_energy_conserving_unitary(qutrit_qubit, seed)
-            rep = conservation_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
+            u = seeded_unitary(qutrit_qubit, seed)
+            rep = single_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
             d_dth = rep.S_final.D_th - rep.S_initial.D_th
             assert -d_dth >= -1e-9
 
@@ -371,7 +376,7 @@ class TestDivergenceWitness:
         c_lim = max_admissible_amplitude(base.elements, pattern.elements)
         rho_b = thermal_state_of(els_b, beta_b)
         # one fixed Haar unitary with a nontrivial resonant block
-        u = sample_energy_conserving_unitary(sys_, 2)
+        u = seeded_unitary(sys_, 2)
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         a_s = HermitianObservable(np.kron(sx, np.eye(2)) + np.kron(np.eye(2), sx))
         jumps = eigenoperators(a_s, els_s)
@@ -381,7 +386,7 @@ class TestDivergenceWitness:
         for sign in (+1.0, -1.0):
             chi = sign * 0.9 * c_lim * pattern.elements
             rho_s = DensityMatrix(base.elements + chi, base.basis_labels)
-            rep = conservation_report(sys_, u, rho_s, rho_b, beta_b)
+            rep = single_report(sys_, u, rho_s, rho_b, beta_b)
             c_plus = np.trace(chi @ aad).real / np.trace(base.elements @ aad).real
             c_minus = np.trace(chi @ ada).real / np.trace(base.elements @ ada).real
             signs[sign] = (math.copysign(1, rep.delta_E_S), math.copysign(1, c_plus - c_minus))
@@ -402,10 +407,13 @@ def test_criterion_14_run_matches_recorded_outputs():
     assert out.summary_text.encode() == (data / "thermal_operation_seeds32_summary.txt").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["collective", "reversal", "near_degenerate", "otto"])
+@pytest.mark.parametrize(
+    "name", ["collective", "reversal", "near_degenerate", "otto", "thermal_operation"]
+)
 def test_shipped_config_matches_recorded_outputs(name):
-    """Each shipped Lindblad and Otto config reproduces its recorded csv and summary
-    byte for byte."""
+    """Each shipped config reproduces its recorded csv and summary byte for byte; the
+    thermal-operation run covers a 256-seed scan over many chunks and the witness at
+    beta_B = 1.3."""
     root = Path(__file__).parent
     cfg = config_from_json((root.parent / "configs" / f"{name}.json").read_text())
     out = run_scenario_config(cfg)

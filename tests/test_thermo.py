@@ -16,7 +16,6 @@ from cohentropy import (
     instantaneous_rates,
     otto_cycle,
     thermal_state_of,
-    von_neumann_entropy,
 )
 from cohentropy.collective import SpinEnsembleSpec, collective_coupling, local_couplings
 from cohentropy.scenarios import (
@@ -29,7 +28,7 @@ from cohentropy.scenarios import (
     build_reversal_scenario,
 )
 from cohentropy.thermo import _resymm
-from conftest import matrix_log_on_support, random_density
+from conftest import matrix_log_on_support, random_density, von_neumann_entropy
 
 
 class TestInstantaneousRates:
