@@ -25,7 +25,6 @@ from .qcore import (
 from .spectrum import (
     EnergyLevelStructure,
     build_level_structure,
-    coherence_measures,
     state_functionals,
     thermal_state_of,
 )

@@ -48,7 +48,7 @@ from .scenarios import (
     ratio_verdict,
     thermal_operation_systems,
 )
-from .spectrum import build_level_structure, coherence_measures, thermal_state_of
+from .spectrum import build_level_structure, state_functionals, thermal_state_of
 from .thermalops import CHECK_TOL, WITNESS_THRESHOLD, incoherent_input_verdicts
 from .thermo import (
     CLOSURE_TOL,
@@ -211,8 +211,8 @@ def criterion_5(ctx: AcceptanceContext) -> CriterionResult:
         asym = asymptotic_state(gen, thermal_state_of(els, b0))
         ana = analytic_steady_state(spec, b0, 1.0)
         worst = max(worst, max_abs(asym.elements - ana.elements))
-        c_v, c_h = coherence_measures(ana, els)
-        if c_v > 1e-10 or c_h <= WITNESS_THRESHOLD:
+        f = state_functionals(ana.elements, els, 0.0)
+        if f.C_v > 1e-10 or f.C_h <= WITNESS_THRESHOLD:
             coh_ok = False
     return CriterionResult(
         5, "asymptotic state matches the analytic steady state elementwise",
@@ -234,7 +234,7 @@ def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
         closed = delta_C_h_limit(spec, 1.0)
         for b0 in (50.0, -50.0):
             asym = asymptotic_state(gen, thermal_state_of(els, b0))
-            _, c_h = coherence_measures(asym, els)
+            c_h = state_functionals(asym.elements, els, 0.0).C_h
             worst = max(worst, abs(-c_h - closed))
     hand = abs(delta_C_h_limit(SpinEnsembleSpec(2, 0.5), 0.0) + math.log(2.0) / 3.0)
     ok = worst <= tol and hand <= 1e-9

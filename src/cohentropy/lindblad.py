@@ -29,7 +29,7 @@ from .exceptions import (
     NumericalFailure,
     ShapeMismatch,
 )
-from .qcore import DensityMatrix, HermitianObservable, cleaned_states, max_abs
+from .qcore import DensityMatrix, HermitianObservable, _density_matrix, cleaned_states, max_abs
 from .spectrum import EnergyLevelStructure, clustering_tolerance, gap_clusters
 
 ZERO_OPERATOR_TOL = 1e-13
@@ -223,10 +223,9 @@ class LindbladGenerator:
         left = np.concatenate([2 * gam.real[:, None, None] * a, [-k, -eye]])
         return left, np.concatenate([ah, [eye, k.conj().T]])
 
-    def apply(self, rho: DensityMatrix | np.ndarray) -> np.ndarray:
+    def apply(self, m: np.ndarray) -> np.ndarray:
         """L rho = sum_k 2 Re Gamma_k A_k rho A_k^dag - K rho - rho K^dag, of one matrix or
         of each of a (T, d, d) stack."""
-        m = rho.elements if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
         left, right = self._sandwiches
         terms = np.swapaxes(left @ m[..., None, :, :], -3, -2)  # [..., i, j, :] = (left_j m)[i]
         return terms.reshape(*m.shape[:-1], -1) @ right.reshape(-1, self.dim)
@@ -435,10 +434,9 @@ def _check_horizon(els: EnergyLevelStructure, t_max: float) -> None:
         )
 
 
-def evolve(
-    gen: LindbladGenerator, rho0: DensityMatrix, times: Sequence[float]
-) -> list[DensityMatrix]:
-    """rho(t) = exp(t L) rho0 by ``gen.propagate`` for each t in a sorted nonnegative list."""
+def evolve(gen: LindbladGenerator, rho0: DensityMatrix, times: Sequence[float]) -> np.ndarray:
+    """rho(t) = exp(t L) rho0 by ``gen.propagate`` for each t in a sorted nonnegative list:
+    the read-only (T, d, d) stack of the states, whose rows at t = 0 are rho0's elements."""
     ts = [float(t) for t in times]
     if any(t < 0 for t in ts) or ts != sorted(ts):
         raise InvariantViolation("times must be sorted and nonnegative")
@@ -446,13 +444,15 @@ def evolve(
         raise ShapeMismatch(f"state dimension {rho0.dim} != generator {gen.dim}")
     if ts:
         _check_horizon(gen.els, max(ts))
-    vecs = gen.propagate(rho0.elements.reshape(-1), ts)
+    states = gen.propagate(rho0.elements.reshape(-1), ts).reshape(-1, gen.dim, gen.dim)
     first = ts.count(0.0)  # rho0 itself at t = 0, the sorted times' prefix
     try:
-        states = cleaned_states(vecs[first:].reshape(-1, gen.dim, gen.dim), rho0.basis_labels, 1e-8)
+        states[first:] = cleaned_states(states[first:], 1e-8)
     except InvariantViolation as exc:
         raise NumericalFailure(f"invariant drift at t = {ts[first + exc.index]}: {exc}") from exc
-    return [rho0] * first + states
+    states[:first] = rho0.elements
+    states.setflags(write=False)
+    return states
 
 
 def asymptotic_state(gen: LindbladGenerator, rho0: DensityMatrix) -> DensityMatrix:
@@ -481,5 +481,5 @@ def asymptotic_state(gen: LindbladGenerator, rho0: DensityMatrix) -> DensityMatr
     if not out.any():
         raise DiagonalizationFailure("the state has no weight on the kernel of L")
     v, d = gen.els.basis_vectors, gen.dim
-    (state,) = cleaned_states((v @ out.reshape(d, d) @ v.conj().T)[None], rho0.basis_labels, 1e-7)
-    return state
+    (m,) = cleaned_states((v @ out.reshape(d, d) @ v.conj().T)[None], 1e-7)
+    return _density_matrix(m, rho0.basis_labels)

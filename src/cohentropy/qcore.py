@@ -107,33 +107,65 @@ def _hermitian_unit_trace(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix in a labeled basis."""
+    """Hermitian, unit-trace, positive-semidefinite matrix in a labeled basis: one input
+    state.  A stack of states is a (T, d, d) array that ``checked_states`` has checked."""
 
     elements: np.ndarray
     basis_labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        m, labels = _checked_states(_as_square_complex(self.elements)[None], self.basis_labels)
-        object.__setattr__(self, "elements", m[0])
-        object.__setattr__(self, "basis_labels", labels)
+        m = _as_square_complex(self.elements)
+        object.__setattr__(self, "basis_labels", _labels(self.basis_labels, m.shape[-1]))
+        object.__setattr__(self, "elements", checked_states(m[None])[0])
 
     @property
     def dim(self) -> int:
         return self.elements.shape[0]
 
 
-def cleaned_states(
-    matrices: np.ndarray,
-    basis_labels: tuple[str, ...] = (),
-    drift_tol: float = 1e-8,
-) -> list[DensityMatrix]:
+def _labels(basis_labels: tuple[str, ...], dim: int) -> tuple[str, ...]:
+    labels = tuple(basis_labels) or default_labels(dim)
+    if len(labels) != dim:
+        raise ShapeMismatch(f"{len(labels)} basis labels for dimension {dim}")
+    return labels
+
+
+def _density_matrix(m: np.ndarray, basis_labels: tuple[str, ...]) -> DensityMatrix:
+    """The DensityMatrix of one matrix of a stack ``checked_states`` returned: its labels
+    are checked, its elements are not checked again."""
+    state = DensityMatrix.__new__(DensityMatrix)
+    object.__setattr__(state, "basis_labels", _labels(basis_labels, m.shape[-1]))
+    object.__setattr__(state, "elements", m)
+    return state
+
+
+def checked_states(matrices: np.ndarray, lam_min: np.ndarray | None = None) -> np.ndarray:
+    """The checks of a state on a (T, d, d) stack: ``_hermitian_unit_trace``, and positivity
+    from the lowest eigenvalues ``lam_min`` (one stacked eigvalsh when None), whose
+    InvariantViolation carries the position of the first negative matrix as ``index``.
+    Returns the symmetrized stack, read-only."""
+    m = _hermitian_unit_trace(_as_square_complex(matrices, stacked=True))
+    if lam_min is None:
+        lam_min = np.linalg.eigvalsh(m)[:, 0]
+    negative = lam_min < -POSITIVITY_TOL
+    if negative.any():
+        k = int(np.argmax(negative))
+        exc = InvariantViolation(f"negative eigenvalue {lam_min[k]:.3e}")
+        exc.index = k
+        raise exc
+    m.setflags(write=False)
+    return m
+
+
+def cleaned_states(matrices: np.ndarray, drift_tol: float = 1e-8) -> np.ndarray:
     """Re-symmetrize ((m + m^dag)/2), renormalize and validate each matrix of a (T, d, d)
     stack of candidate states, by ``chunks`` with one stacked eigvalsh each, whose lowest
-    eigenvalues also validate the states: one eigvalsh per state, not two.  The
-    InvariantViolation raised for the first matrix whose repair exceeds ``drift_tol``
-    carries that matrix's position in the stack as ``index``."""
+    eigenvalues also validate the states: one eigvalsh per state, not two.  Returns the
+    read-only (T, d, d) stack of states.  The InvariantViolation raised for the first
+    matrix whose repair exceeds ``drift_tol`` carries that matrix's position in the stack
+    as ``index``."""
     stack = _as_square_complex(matrices, stacked=True)
-    out: list[DensityMatrix] = []
+    out = np.empty_like(stack)
     for part in chunks(len(stack), stack.shape[-1]):
         m = stack[part]
         herm_dev = np.max(np.abs(m - dagger(m)), axis=(-2, -1))
@@ -159,43 +191,9 @@ def cleaned_states(
             x = 0.5 * (x + dagger(x))
             m[neg] = x / np.trace(x, axis1=-2, axis2=-1).real[:, None, None]
             lam_min[neg] = 0.0  # the clipped spectrum's lowest value
-        out += density_matrices(m, basis_labels, lam_min)
+        out[part] = checked_states(m, lam_min)
+    out.setflags(write=False)
     return out
-
-
-def _checked_states(
-    m: np.ndarray, basis_labels: tuple[str, ...], lam_min: np.ndarray | None = None
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The checks of a state on a (T, d, d) stack: its labels, ``_hermitian_unit_trace``, and
-    positivity from the lowest eigenvalues ``lam_min`` (one stacked eigvalsh when None), whose
-    InvariantViolation carries the position of the first negative matrix as ``index``.
-    Returns the symmetrized stack, read-only, and the labels."""
-    labels = tuple(basis_labels) or default_labels(m.shape[-1])
-    if len(labels) != m.shape[-1]:
-        raise ShapeMismatch(f"{len(labels)} basis labels for dimension {m.shape[-1]}")
-    m = _hermitian_unit_trace(m)
-    if lam_min is None:
-        lam_min = np.linalg.eigvalsh(m)[:, 0]
-    negative = lam_min < -POSITIVITY_TOL
-    if negative.any():
-        k = int(np.argmax(negative))
-        exc = InvariantViolation(f"negative eigenvalue {lam_min[k]:.3e}")
-        exc.index = k
-        raise exc
-    m.setflags(write=False)
-    return m, labels
-
-
-def density_matrices(
-    matrices: np.ndarray, basis_labels: tuple[str, ...] = (), lam_min: np.ndarray | None = None
-) -> list[DensityMatrix]:
-    """A DensityMatrix of each matrix of a (T, d, d) stack, checked once on the stack: by one
-    stacked eigvalsh, or by none when its lowest eigenvalues ``lam_min`` are known."""
-    m, labels = _checked_states(_as_square_complex(matrices, stacked=True), basis_labels, lam_min)
-    states = [object.__new__(DensityMatrix) for _ in range(len(m))]
-    for state, x in zip(states, m):
-        state.__dict__.update(elements=x, basis_labels=labels)
-    return states
 
 
 def entropy_of_spectrum(lam: np.ndarray) -> np.ndarray:
@@ -265,12 +263,13 @@ def _check_relative_entropy(val: np.ndarray) -> None:
         raise InvariantViolation(f"relative entropy {least:.3e} below -{POSITIVITY_TOL}")
 
 
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """(1/2) ||a - b||_1 via eigenvalues of the Hermitian difference."""
-    if a.dim != b.dim:
-        raise ShapeMismatch(f"dimension mismatch {a.dim} != {b.dim}")
-    lam = np.linalg.eigvalsh(a.elements - b.elements)
-    return float(0.5 * np.sum(np.abs(lam)))
+def trace_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(1/2) ||a_k - b_k||_1 of each pair of matrices of two (T, d, d) stacks of states, from
+    one stacked eigvalsh of the Hermitian differences."""
+    if np.shape(a) != np.shape(b):
+        raise ShapeMismatch(f"shape mismatch {np.shape(a)} != {np.shape(b)}")
+    lam = np.linalg.eigvalsh(a - b)
+    return 0.5 * np.sum(np.abs(lam), axis=-1)
 
 
 def max_admissible_amplitude(base: np.ndarray, direction: np.ndarray) -> float:

@@ -36,9 +36,9 @@ from .qcore import (
     HermitianObservable,
     Verdict,
     boltzmann_weights,
+    checked_states,
     chunks,
     dagger,
-    density_matrices,
     trace_distance,
 )
 from .spectrum import (
@@ -67,8 +67,8 @@ from .thermo import (
     complementarity_report,
     decompose_series,
     heat_flow,
-    instantaneous_rates,
     otto_cycle,
+    rate_rows,
 )
 
 CSV_HEADER = "t,S,C_v,C_h,D_th,E_S,F_D,Pi_rate,Phi_rate,rate_C_v,rate_C_h,rate_D_th,flags"
@@ -257,8 +257,9 @@ def build_reversal_scenario(cfg: ReversalConfig) -> ReversalScenario:
     """Two resonant qubits, collective coupling, rho0 = thermal(beta_0) + c chi.
 
     chi = |01><10| + h.c. in the one-excitation doublet.  When no amplitude is
-    given, c is scanned upward (fractions of c_max) until the initial heat flow
-    reverses, (beta_0 - beta_B) dE/dt < 0.
+    given, c is scanned upward over 19 fractions of c_max, measured by one
+    ``rate_rows`` pass, and the first at which the initial heat flow reverses,
+    (beta_0 - beta_B) dE/dt < 0, is taken.
     """
     times = cfg.times()
     beta_0, beta_B = cfg.beta_0, cfg.beta_B
@@ -273,13 +274,13 @@ def build_reversal_scenario(cfg: ReversalConfig) -> ReversalScenario:
     c_max = float(boltzmann_weights(els.index_energies, beta_0).min())
     amplitude = cfg.coherence_amplitude
     if amplitude is None:
-        for frac in np.linspace(0.05, 0.95, 19):
-            amplitude = frac * c_max
-            rho = DensityMatrix(base.elements + amplitude * pattern.elements, base.basis_labels)
-            if (beta_0 - beta_B) * instantaneous_rates(gen, rho).E_dot < -1e-12:
-                break
-        else:
+        amplitudes = np.linspace(0.05, 0.95, 19) * c_max
+        candidates = base.elements + amplitudes[:, None, None] * pattern.elements
+        rows = rate_rows(gen, candidates)
+        reversing = [a for a, r in zip(amplitudes, rows) if (beta_0 - beta_B) * r.E_dot < -1e-12]
+        if not reversing:
             raise CohentropyError("no reversing coherence amplitude found in scan")
+        amplitude = reversing[0]
     elif amplitude >= c_max:
         raise ConfigError(
             f"coherence_amplitude {amplitude} must be below lambda_min(rho_th) = {c_max:.6g}"
@@ -333,12 +334,11 @@ def build_near_degenerate_scenario(cfg: NearDegenerateConfig) -> NearDegenerateS
     rho0 = thermal_state_of(els_exact, cfg.beta_0)
     traj_exact = evolve(gen_exact, rho0, times)
     series = decompose_series(gen_clustered, rho0, times)
-    dist = max(trace_distance(a, b) for a, b in zip(traj_exact, series.states))
     return NearDegenerateScenario(
         gen_exact=gen_exact,
         gen_clustered=gen_clustered,
         series=series,
-        max_trace_distance=float(dist),
+        max_trace_distance=float(np.max(trace_distance(traj_exact, series.states))),
     )
 
 
@@ -363,12 +363,12 @@ def thermal_operation_systems(omega: float = 1.0) -> list[tuple[str, BipartiteSy
 
 def coherent_prepared_states(
     els: EnergyLevelStructure, beta_0: float, seeds: Sequence[int]
-) -> list[DensityMatrix]:
+) -> np.ndarray:
     """Thermal diagonal at beta_0 plus random coherences, positivity-safe, for each seed:
     the real and then the imaginary part of a Gaussian matrix from default_rng(seed),
     Hermitian with its diagonal removed, scaled to PREPARED_COHERENCE_FRACTION of the least
     thermal weight by its spectral radius.  One stacked eigvalsh takes the radii and one
-    validates the states."""
+    validates the states, returned as a checked (T, d, d) stack."""
     dim = els.dim
     g = np.array([np.random.default_rng(seed).standard_normal((2, dim, dim)) for seed in seeds])
     x = g[:, 0] + 1j * g[:, 1]
@@ -378,17 +378,15 @@ def coherent_prepared_states(
     spread = np.max(np.abs(np.linalg.eigvalsh(x)), axis=-1)
     scale = PREPARED_COHERENCE_FRACTION * lam_min / np.where(spread == 0.0, 1.0, spread)
     base = thermal_state_of(els, beta_0).elements
-    return density_matrices(base + scale[:, None, None] * x, els.basis_labels)
+    return checked_states(base + scale[:, None, None] * x)
 
 
-def diagonal_prepared_states(
-    els: EnergyLevelStructure, seeds: Sequence[int]
-) -> list[DensityMatrix]:
+def diagonal_prepared_states(els: EnergyLevelStructure, seeds: Sequence[int]) -> np.ndarray:
     """Diagonal states of populations default_rng(seed).random() + 0.05, normalized, for each
-    seed; validated by one stacked eigvalsh."""
+    seed: a (T, d, d) stack checked by one stacked eigvalsh."""
     p = np.array([np.random.default_rng(seed).random(els.dim) for seed in seeds]) + 0.05
     pops = (p / p.sum(axis=-1, keepdims=True))[:, :, None] * np.eye(els.dim)
-    return density_matrices(pops.astype(complex), els.basis_labels)
+    return checked_states(pops)
 
 
 def conservation_scan(
@@ -415,16 +413,15 @@ def conservation_scan(
     for part in chunks(len(seeds), 2 * sys_.joint.dim):
         try:
             if beta_0 is None:
-                states = diagonal_prepared_states(sys_.els_S, [20_000 + s for s in seeds[part]])
+                rho_s = diagonal_prepared_states(sys_.els_S, [20_000 + s for s in seeds[part]])
             else:
                 prep = [10_000 + s for s in seeds[part]]
-                states = coherent_prepared_states(sys_.els_S, beta_0, prep)
+                rho_s = coherent_prepared_states(sys_.els_S, beta_0, prep)
             unitaries = sample_energy_conserving_unitaries(sys_, seeds[part])
         except InvariantViolation as exc:
             if hasattr(exc, "index"):
                 exc.index += part.start
             raise
-        rho_s = np.array([state.elements for state in states])
         rows = operation_rows(sys_, unitaries, rho_s, rho_B, beta_B)
         reports += [conservation_report(sys_, row, tol=tol) for row in rows]
     return reports
@@ -466,9 +463,9 @@ def ratio_verdict(n: int, ratio: float, tol: float = RATIO_RELATIVE_TOL) -> Verd
 
 
 def finite_change_rows(frames) -> list[ThermoSnapshot]:
-    """Snapshots of the state functionals at (t, state, els, beta, flag) frames; the
-    rate columns and E_dot hold the finite changes from the previous frame (zero on
-    the first)."""
+    """Snapshots of the state functionals at (t, state, els, beta, flag) frames, each state a
+    (d, d) array; the rate columns and E_dot hold the finite changes from the previous
+    frame (zero on the first)."""
     rows: list[ThermoSnapshot] = []
     for t, state, els, beta, flag in frames:
         f = state_functionals(state, els, beta)
@@ -709,7 +706,7 @@ class ThermalOperationConfig:
             _, rho_s_f, _ = apply_operation(sys_, wit.unitary, wit.rho_S, wit.rho_B)
             witness_rows = finite_change_rows(
                 (t, state, sys_.els_S, self.beta_B, "finite-operation")
-                for t, state in ((0.0, wit.rho_S), (1.0, rho_s_f))
+                for t, state in ((0.0, wit.rho_S.elements), (1.0, rho_s_f))
             )
         return summary.output(series_to_csv(witness_rows))
 
@@ -789,7 +786,7 @@ class OttoConfig:
             if m.flags:
                 summary.kv("flags", ";".join(m.flags))
             rows.extend(finite_change_rows(
-                (phase, state, els, beta, f"machine={label};stroke={stroke}")
+                (phase, state.elements, els, beta, f"machine={label};stroke={stroke}")
                 for phase, (state, (stroke, els, beta)) in enumerate(zip(m.stroke_states, frames))
             ))
         summary.section("exchange-relation branch")

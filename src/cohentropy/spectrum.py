@@ -20,12 +20,13 @@ from .qcore import (
     DensityMatrix,
     HermitianObservable,
     _as_square_complex,
+    _density_matrix,
     _hermitian_unit_trace,
     boltzmann_weights,
+    checked_states,
     chunks,
     dagger,
     default_labels,
-    density_matrices,
     diagonal_relative_entropy,
     entropy_of_spectrum,
     log_boltzmann_weights,
@@ -241,16 +242,13 @@ class StateFunctionals:
     null: np.ndarray
 
 
-def state_functionals(
-    rho: DensityMatrix | np.ndarray, els: EnergyLevelStructure, beta: float
-) -> StateFunctionals:
+def state_functionals(m: np.ndarray, els: EnergyLevelStructure, beta: float) -> StateFunctionals:
     """S, C_v, C_h, D_th, E_S and F_D from two eigendecompositions of r = V^dag rho V, for
     one state (d, d) or a stack of states (T, d, d), taken by ``chunks``.
 
-    A DensityMatrix was validated where it was built.  An array, a state the library
-    derived from validated ones, gets the same checks here: Hermitian and of unit trace
-    as in DensityMatrix, and no eigenvalue of r below -POSITIVITY_TOL, which
-    ``log_of_spectrum`` enforces on the spectrum the kernel computes anyway.
+    The states get the checks of ``checked_states`` here: Hermitian and of unit trace, and
+    no eigenvalue of r below -POSITIVITY_TOL, which ``log_of_spectrum`` enforces on the
+    spectrum the kernel computes anyway; a checked state, already Hermitian, keeps its bits.
     The spectrum of rho_D is diag(r); ln rho_th is ``log_boltzmann_weights`` of the
     level energies, exact and never clipped, so D_th is finite at every finite beta.
     C_v = S(rho_BD) - S(rho) and C_h = S(rho_D) - S(rho_BD) must agree with
@@ -258,10 +256,7 @@ def state_functionals(
     values are bitwise those it gets alone: every step acts on each matrix of the stack
     by itself.
     """
-    if isinstance(rho, DensityMatrix):
-        m = rho.elements
-    else:
-        m = _hermitian_unit_trace(_as_square_complex(rho, stacked=np.ndim(rho) == 3))
+    m = _hermitian_unit_trace(_as_square_complex(m, stacked=np.ndim(m) == 3))
     if m.shape[-1] != els.dim:
         raise ShapeMismatch(f"state dimension {m.shape[-1]} != structure dimension {els.dim}")
     stack = m.reshape(-1, els.dim, els.dim)
@@ -317,12 +312,6 @@ def _null_projector(vecs: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return (vecs * (lam <= CLIP_FLOOR)[:, None, :]) @ dagger(vecs)
 
 
-def coherence_measures(rho: DensityMatrix, els: EnergyLevelStructure) -> tuple[float, float]:
-    """(C_v, C_h): entropy gaps opened by the two dephasing cuts (see state_functionals)."""
-    f = state_functionals(rho, els, 0.0)
-    return f.C_v, f.C_h
-
-
 def thermal_state_of(els: EnergyLevelStructure, beta: float) -> DensityMatrix:
     """Thermal state of the clustered Hamiltonian: V diag(Boltzmann weights of the
     level energies) V^dag in the structure's own eigenbasis, validated with its known
@@ -331,5 +320,4 @@ def thermal_state_of(els: EnergyLevelStructure, beta: float) -> DensityMatrix:
     w = boltzmann_weights(els.index_energies, beta)
     m = (v * w) @ v.conj().T
     m = 0.5 * (m + m.conj().T)
-    (state,) = density_matrices(m[None], els.basis_labels, w.min(keepdims=True))
-    return state
+    return _density_matrix(checked_states(m[None], w.min(keepdims=True))[0], els.basis_labels)

@@ -87,20 +87,17 @@ class ThermoSnapshot:
 
 @dataclass(frozen=True)
 class ThermoSeries:
-    """Time-ordered snapshots along one trajectory, with the evolved states."""
+    """Time-ordered snapshots along one trajectory, with the (T, d, d) stack of its states."""
 
     snapshots: tuple[ThermoSnapshot, ...]
     els: EnergyLevelStructure
     beta_B: float
-    states: tuple[DensityMatrix, ...]
+    states: np.ndarray
 
     def __post_init__(self):
         ts = [s.t for s in self.snapshots]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise InvariantViolation("snapshot times must be strictly increasing")
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(s, name) for s in self.snapshots])
 
     def verdicts(
         self, closure_tol: float = CLOSURE_TOL, positivity_tol: float = RATE_POSITIVITY_TOL
@@ -137,16 +134,16 @@ class RateRow(NamedTuple):
     divergent: bool
 
 
-def rate_rows(gen: LindbladGenerator, states: Sequence[np.ndarray]) -> list[RateRow]:
-    """The RateRow of each state, computed as columns by ``chunks``: per chunk one pass of
-    the spectral kernel and one stacked ``gen.apply``, each rate the overlap of r_dot =
-    V^dag L rho V with a difference of the kernel's logs.  A state's row is bitwise the
-    one it gets alone."""
+def rate_rows(gen: LindbladGenerator, states: np.ndarray) -> list[RateRow]:
+    """The RateRow of each state of a (T, d, d) stack, computed as columns by ``chunks``: per
+    chunk one pass of the spectral kernel and one stacked ``gen.apply``, each rate the
+    overlap of r_dot = V^dag L rho V with a difference of the kernel's logs.  A state's row
+    is bitwise the one it gets alone."""
     els, beta_b = gen.els, gen.bath.beta_B
     h = els.hamiltonian().elements
     rows: list[RateRow] = []
     for part in chunks(len(states), gen.dim):
-        m = np.array(states[part], dtype=complex)
+        m = states[part]
         f = state_functionals(m, els, beta_b)
         rho_dot = gen.apply(m)
         r_dot = els.to_labeled(rho_dot)
@@ -168,17 +165,14 @@ def rate_rows(gen: LindbladGenerator, states: Sequence[np.ndarray]) -> list[Rate
     return rows
 
 
-def instantaneous_rates(
-    gen: LindbladGenerator, rho: DensityMatrix | RateRow, t: float = 0.0
-) -> ThermoSnapshot:
-    """Entropy production and decomposition rates at the given state, or the snapshot
-    assembled from its ``rate_rows`` row, judged: closure and positivity raise.
+def instantaneous_rates(gen: LindbladGenerator, row: RateRow, t: float) -> ThermoSnapshot:
+    """The snapshot at time t assembled from a state's ``rate_rows`` row, judged: closure and
+    positivity raise.
 
-    If rho is numerically singular, logs are taken on its support; when the
-    drift L rho additionally has weight on the null space the production rate
-    is divergent and reported as +inf with a warning flag.
+    Logs are taken on the support of a numerically singular state; when the drift L rho
+    additionally has weight on the null space the production rate is divergent and
+    reported as +inf with a warning flag.
     """
-    (row,) = rate_rows(gen, [rho.elements]) if isinstance(rho, DensityMatrix) else (rho,)
     beta_b = gen.bath.beta_B
     flags: list[str] = []
     pi = row.Pi
@@ -224,24 +218,26 @@ def decompose_series(
     Rates are cross-validated at interior points, to relative 1e-4, against
     the Richardson extrapolation of centered differences of the state
     functionals at steps h and h/2 with h ||L|| = 1e-3 (dedicated evaluations
-    at t +- h/2 and t +- h, not grid neighbors).  Points where the state has
-    eigenvalues below 1e-6 are skipped: there the functionals are dominated
-    by log-singular transients no fixed-step difference can resolve.
+    at t +- h/2 and t +- h, not grid neighbors), at interior snapshots that are
+    not pi-divergent.  Points where the state has eigenvalues below 1e-6 are
+    skipped: there the functionals are dominated by log-singular transients no
+    fixed-step difference can resolve.
     """
     if not len(times):
         raise ShapeMismatch("decompose_series: the time list is empty")
     states = evolve(gen, rho0, times)
-    rows = rate_rows(gen, [s.elements for s in states])
+    rows = rate_rows(gen, states)
     snapshots = [instantaneous_rates(gen, row, t) for row, t in zip(rows, times)]
     series = ThermoSeries(
         snapshots=tuple(snapshots),
         els=gen.els,
         beta_B=gen.bath.beta_B,
-        states=tuple(states),
+        states=states,
     )
     if len(states) >= 3:
         interior = range(1, len(states) - 1)
-        picks = [k for k in interior if not snapshots[k].flags][:: max(1, (len(states) - 2) // 12)]
+        usable = [k for k in interior if FLAG_PI_DIVERGENT not in snapshots[k].flags]
+        picks = usable[:: max(1, (len(states) - 2) // 12)]
         check_rates_by_finite_differences(gen, [(times[k], states[k], snapshots[k]) for k in picks])
     return series
 
@@ -251,11 +247,12 @@ FD_MINEIG_FLOOR = 1e-6
 
 def check_rates_by_finite_differences(
     gen: LindbladGenerator,
-    points: Sequence[tuple[float, DensityMatrix, ThermoSnapshot]],
+    points: Sequence[tuple[float, np.ndarray, ThermoSnapshot]],
     raise_on_failure: bool = True,
     rel_tol: float = FD_RELATIVE_TOL,
 ) -> list[str]:
-    """Compare analytic rates with finite differences of the state functionals.
+    """Compare analytic rates with finite differences of the state functionals at each
+    (t, state, snapshot) point, the state a (d, d) array.
 
     The estimate is the Richardson extrapolation (4 D(h/2) - D(h)) / 3 of the
     centered differences D at h ||L|| = 1e-3, so its error is O(h^4); the
@@ -272,11 +269,12 @@ def check_rates_by_finite_differences(
     for t, state, snap in points:
         if t <= h:
             continue
-        lam_min = float(np.linalg.eigvalsh(state.elements)[0])
+        lam_min = float(np.linalg.eigvalsh(state)[0])
         if lam_min < FD_MINEIG_FLOOR:
             continue
-        shifted = gen.propagate(state.elements.reshape(-1), (-h, -0.5 * h, 0.5 * h, h))
-        f = state_functionals([_resymm(x.reshape(d, d)) for x in shifted], gen.els, gen.bath.beta_B)
+        shifted = gen.propagate(state.reshape(-1), (-h, -0.5 * h, 0.5 * h, h))
+        stack = np.array([_resymm(x.reshape(d, d)) for x in shifted])
+        f = state_functionals(stack, gen.els, gen.bath.beta_B)
         columns = (c.tolist() for c in (f.S, f.C_v, f.C_h, f.D_th))
         analytic = {
             "dS/dt = Pi + Phi": snap.Pi_rate + snap.Phi_rate,
@@ -327,7 +325,7 @@ def heat_flow(gen: LindbladGenerator, rho: DensityMatrix) -> HeatFlowReport:
     if gen.jumps is None:
         raise ShapeMismatch("heat_flow requires a generator with a single jump-operator set")
     h = gen.els.hamiltonian().elements
-    direct = float(np.trace(gen.apply(rho) @ h).real)
+    direct = float(np.trace(gen.apply(rho.elements) @ h).real)
     channels: list[FrequencyChannel] = []
     beta_b = gen.bath.beta_B
     r = gen.els.to_labeled(rho.elements)  # the jump operators' basis
@@ -376,7 +374,7 @@ class ComplementarityReport:
     beta_0: float | None
     fit_residual: float
     entries: tuple[ComplementarityEntry, ...]
-    initial_rate_ok: bool | None  # (v) -dC_h/dt + (beta_0 - beta_B) dE/dt >= 0 at t0
+    initial_rate_ok: bool | None  # (v) -dC_h/dt + (beta_0 - beta_B) E_dot >= 0 at t0, if applicable
     flags: tuple[str, ...] = ()
 
     def verdicts(self) -> list[Verdict]:
@@ -390,7 +388,7 @@ class ComplementarityReport:
             ("ii_energy_identity", [x.energy_identity_ok for x in e]),
             ("iii_reversal_bound", [x.reversal_bound_ok for x in e if x.reversal_active]),
             ("iv_generation_bound", [x.generation_bound_ok for x in e if x.generation_active]),
-            ("v_initial_rate", [bool(self.initial_rate_ok)]),
+            ("v_initial_rate", [self.initial_rate_ok]),
         )
         return [Verdict(name, oks.count(False), 0, all(oks)) for name, oks in checks]
 
@@ -425,7 +423,7 @@ def complementarity_report(
     els = series.els
     first = series.snapshots[0]
     pops = np.concatenate([
-        els.to_labeled(np.array([s.elements for s in series.states[part]])).diagonal(0, 1, 2).real
+        els.to_labeled(series.states[part]).diagonal(0, 1, 2).real
         for part in chunks(len(series.states), els.dim)
     ])
     beta0, residual = fit_inverse_temperature(pops[0], els)
@@ -462,9 +460,8 @@ def complementarity_report(
         ))
 
     initial_rate_ok: bool | None = None
-    if applicable and series.beta_B != 0.0:
-        e_dot0 = first.Phi_rate / series.beta_B
-        initial_rate_ok = -first.rate_C_h + (beta0 - series.beta_B) * e_dot0 >= -tol
+    if applicable:
+        initial_rate_ok = -first.rate_C_h + (beta0 - series.beta_B) * first.E_dot >= -tol
     return ComplementarityReport(
         applicable=applicable,
         beta_0=beta0 if applicable else None,
@@ -553,7 +550,7 @@ def _run_machine(
     for cycles in range(1, MAX_CYCLES + 1):
         s1 = relax(gen_cold, s0)     # isochore at the cold bath (H_cold)
         s2 = relax(gen_hot, s1)      # adiabatic rescale, isochore at the hot bath
-        if trace_distance(s2, s0) < CYCLE_TOL:
+        if trace_distance(s2.elements[None], s0.elements[None])[0] < CYCLE_TOL:
             s0 = s2
             break
         s0 = s2
@@ -562,7 +559,7 @@ def _run_machine(
     s1 = relax(gen_cold, s0)
     s2 = relax(gen_hot, s1)
     for gen, state, name in ((gen_cold, s1, "cold"), (gen_hot, s2, "hot")):
-        resid = max_abs(gen.apply(state))
+        resid = max_abs(gen.apply(state.elements))
         if resid > ISOCHORE_RESIDUAL_TOL:
             raise NonConvergence(
                 f"{label}: {name} isochore residual ||L rho|| = {resid:.3e} "

@@ -17,6 +17,7 @@ from cohentropy.qcore import (
     log_of_spectrum,
     relative_entropy_from_logs,
 )
+from cohentropy.thermo import instantaneous_rates, rate_rows
 from cohentropy.thermalops import (
     EnergyConservingUnitary,
     conservation_report,
@@ -177,11 +178,23 @@ def seeded_unitary(sys_, seed: int) -> EnergyConservingUnitary:
     return EnergyConservingUnitary(sample_energy_conserving_unitaries(sys_, [seed])[0], sys_.joint)
 
 
-def single_report(sys_, u: EnergyConservingUnitary, rho_s, rho_b, beta_b: float):
-    """The conservation report of one operation, measured by ``operation_rows`` as a stack
-    of one."""
-    (row,) = operation_rows(sys_, u.matrix[None], rho_s.elements[None], rho_b, beta_b)
+def single_report(sys_, u: EnergyConservingUnitary, rho_s: np.ndarray, rho_b, beta_b: float):
+    """The conservation report of one operation on the (d, d) array rho_s, measured by
+    ``operation_rows`` as a stack of one."""
+    (row,) = operation_rows(sys_, u.matrix[None], rho_s[None], rho_b, beta_b)
     return conservation_report(sys_, row)
+
+
+def rates_of(gen, state: np.ndarray, t: float = 0.0):
+    """The judged snapshot of one (d, d) state at time t, from its ``rate_rows`` row as a
+    stack of one."""
+    (row,) = rate_rows(gen, state[None])
+    return instantaneous_rates(gen, row, t)
+
+
+def column(series, name: str) -> np.ndarray:
+    """The field ``name`` of each snapshot of a series."""
+    return np.array([getattr(s, name) for s in series.snapshots])
 
 
 def random_density(dim: int, seed: int, rank: int | None = None) -> np.ndarray:

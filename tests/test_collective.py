@@ -9,12 +9,12 @@ from cohentropy import (
     RatioUndefined,
     analytic_steady_state,
     asymptotic_state,
-    coherence_measures,
     collective_coupling,
     degeneracy_table,
     delta_C_h_limit,
     entropy_production_ratio,
     flat_bath,
+    state_functionals,
     thermal_state_of,
 )
 from cohentropy.collective import SpinEnsembleSpec, local_couplings, spin_matrices, _embed
@@ -148,10 +148,10 @@ class TestAnalyticSteadyState:
     def test_stationary_and_coherence_structure(self, two_qubit_collective):
         spec, _, els, gen = two_qubit_collective
         state = analytic_steady_state(spec, 2.0, 1.0)
-        assert np.max(np.abs(gen.apply(state))) <= 1e-9
-        c_v, c_h = coherence_measures(state, els)
-        assert c_v <= 1e-10
-        assert c_h > 1e-6  # beta_0 != +-beta_B
+        assert np.max(np.abs(gen.apply(state.elements))) <= 1e-9
+        f = state_functionals(state.elements, els, 0.0)
+        assert f.C_v <= 1e-10
+        assert f.C_h > 1e-6  # beta_0 != +-beta_B
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_diagonal_cut_weights_in_polarized_limit(self, n):
@@ -189,7 +189,7 @@ class TestDeltaChLimit:
     def test_cross_module_consistency(self, b0, two_qubit_collective):
         spec, _, els, _ = two_qubit_collective
         state = analytic_steady_state(spec, b0, 1.0)
-        _, c_h = coherence_measures(state, els)
+        c_h = state_functionals(state.elements, els, 0.0).C_h
         assert -c_h == pytest.approx(delta_C_h_limit(spec, 1.0), abs=1e-3)
 
 
@@ -231,10 +231,9 @@ class TestEntropyProductionRatio:
     def test_collective_keeps_larger_population_distance(self, two_qubit_collective):
         """-d(inf)D_th is strictly smaller for collective dissipation."""
         spec, _, els, _ = two_qubit_collective
-        from cohentropy import state_functionals
         rho0 = thermal_state_of(els, 50.0)
-        d0 = state_functionals(rho0, els, 1.0).D_th
-        d_col = state_functionals(analytic_steady_state(spec, 50.0, 1.0), els, 1.0).D_th
+        d0 = state_functionals(rho0.elements, els, 1.0).D_th
+        d_col = state_functionals(analytic_steady_state(spec, 50.0, 1.0).elements, els, 1.0).D_th
         minus_delta_col = -(d_col - d0)
         minus_delta_ind = -(0.0 - d0)  # independent relaxes to thermal: D_th(inf) = 0
         assert minus_delta_col < minus_delta_ind

@@ -30,7 +30,6 @@ from cohentropy import (
     decompose_series,
     evolve,
     flat_bath,
-    instantaneous_rates,
     thermal_state_of,
 )
 from cohentropy.thermo import check_rates_by_finite_differences
@@ -41,7 +40,7 @@ from cohentropy.scenarios import (
     run_scenario_config,
     thermal_operation_systems,
 )
-from conftest import random_density, seeded_unitary, single_report
+from conftest import random_density, rates_of, seeded_unitary, single_report
 
 
 @pytest.fixture
@@ -61,7 +60,7 @@ def test_instantaneous_rates_budget(two_qubit_collective, eig_calls):
     *_, els, gen = two_qubit_collective
     rho = DensityMatrix(random_density(els.dim, 3), els.basis_labels)
     eig_calls["n"] = 0
-    instantaneous_rates(gen, rho)
+    rates_of(gen, rho.elements)
     assert 1 <= eig_calls["n"] <= 3
 
 
@@ -110,9 +109,10 @@ def test_finite_difference_point_budget(two_qubit_collective, eig_calls):
     """One floor eigvalsh, then two kernel decompositions for each of four shifted states."""
     *_, els, gen = two_qubit_collective
     rho = DensityMatrix(random_density(els.dim, 3), els.basis_labels)
-    snap = instantaneous_rates(gen, rho, 1.0)
+    snap = rates_of(gen, rho.elements, 1.0)
     eig_calls["n"] = 0
-    assert check_rates_by_finite_differences(gen, [(1.0, rho, snap)], raise_on_failure=False) == []
+    points = [(1.0, rho.elements, snap)]
+    assert check_rates_by_finite_differences(gen, points, raise_on_failure=False) == []
     assert eig_calls["n"] == 9
 
 

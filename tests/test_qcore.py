@@ -12,7 +12,7 @@ from cohentropy import (
     build_level_structure,
     state_functionals,
 )
-from cohentropy.qcore import max_admissible_amplitude, tensor_labels
+from cohentropy.qcore import max_admissible_amplitude, tensor_labels, trace_distance
 from conftest import (
     matrix_log_on_support,
     partial_trace,
@@ -41,10 +41,24 @@ class TestDensityMatrix:
             DensityMatrix(np.eye(2) / 2, ("a",))
 
 
+class TestTraceDistance:
+    def test_stack_equals_pairs(self):
+        """One stacked eigvalsh gives each pair bitwise its own (1/2) ||a - b||_1."""
+        a = np.array([random_density(3, seed) for seed in range(6)])
+        b = np.array([random_density(3, seed, rank=1) for seed in range(6, 12)])
+        pairs = [0.5 * np.sum(np.abs(np.linalg.eigvalsh(x - y))) for x, y in zip(a, b)]
+        assert trace_distance(a, b).tobytes() == np.array(pairs).tobytes()
+        assert trace_distance(a[:1], a[:1]).tolist() == [0.0]
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            trace_distance(np.eye(2)[None] / 2, np.eye(3)[None] / 3)
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S from the spectral kernel, in a nondegenerate structure of the state's dimension."""
     els = build_level_structure(HermitianObservable(np.diag(np.arange(rho.dim, dtype=float))))
-    return state_functionals(rho, els, 0.0).S
+    return state_functionals(rho.elements, els, 0.0).S
 
 
 class TestVonNeumannEntropy:

@@ -15,7 +15,6 @@ from cohentropy import (
     ShapeMismatch,
     SpinEnsembleSpec,
     build_level_structure,
-    coherence_measures,
     collective_coupling,
     state_functionals,
     thermal_state_of,
@@ -151,6 +150,12 @@ class TestDephasingCuts:
         assert s_bd >= s - 1e-10
 
 
+def coherence_measures(rho: DensityMatrix, els) -> tuple[float, float]:
+    """(C_v, C_h) of one state from the spectral kernel."""
+    f = state_functionals(rho.elements, els, 0.0)
+    return f.C_v, f.C_h
+
+
 class TestCoherenceMeasures:
     def test_diagonal_state_has_none(self, els4):
         rho = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]))
@@ -175,7 +180,7 @@ class TestCoherenceMeasures:
 class TestDistanceToThermal:
     def test_thermal_state_has_zero_distance(self, els4):
         rho = thermal_state_of(els4, 1.3)
-        assert state_functionals(rho, els4, 1.3).D_th == pytest.approx(0.0, abs=1e-12)
+        assert state_functionals(rho.elements, els4, 1.3).D_th == pytest.approx(0.0, abs=1e-12)
 
     def test_cut_removes_coherences(self, els4):
         base = thermal_state_of(els4, 2.0)
@@ -184,12 +189,12 @@ class TestDistanceToThermal:
         chi[0, 3] = chi[3, 0] = 0.02  # vertical
         rho = DensityMatrix(base.elements + chi)
         expected = relative_entropy(base, thermal_state_of(els4, 0.9))
-        assert state_functionals(rho, els4, 0.9).D_th == pytest.approx(expected, abs=1e-12)
+        assert state_functionals(rho.elements, els4, 0.9).D_th == pytest.approx(expected, abs=1e-12)
 
     def test_ground_state_versus_infinite_temperature(self):
         els = build_level_structure(HermitianObservable(np.diag([0.0, 1.0])))
         rho = DensityMatrix(np.diag([1.0, 0.0]))
-        assert state_functionals(rho, els, 0.0).D_th == pytest.approx(math.log(2), abs=1e-12)
+        assert state_functionals(rho.elements, els, 0.0).D_th == pytest.approx(math.log(2), abs=1e-12)
 
 
 class TestDiagonalFreeEnergy:
@@ -205,7 +210,7 @@ class TestDiagonalFreeEnergy:
         e_s = float(np.trace(rho.elements @ h).real)
         log_z = math.log(sum(math.exp(-beta_b * e) * l
                              for e, l in zip(els.energies, els.degeneracies)))
-        d_th = state_functionals(rho, els, beta_b).D_th
+        d_th = state_functionals(rho.elements, els, beta_b).D_th
         assert d_th == pytest.approx(beta_b * e_s - von_neumann_entropy(rho_d) + log_z, abs=1e-10)
 
 
@@ -267,7 +272,7 @@ class TestStateFunctionals:
         form -S + beta <E> + ln Z, which holds for every finite beta."""
         els = STRUCTURES[name]
         rho = DensityMatrix(random_density(els.dim, seed, rank), els.basis_labels)
-        f = state_functionals(rho, els, beta)
+        f = state_functionals(rho.elements, els, beta)
         rho_bd, rho_d = dephase_block_diagonal(rho, els), dephase_diagonal(rho, els)
         s, s_bd, s_d = (von_neumann_entropy(x) for x in (rho, rho_bd, rho_d))
         e_s = float(np.trace(rho.elements @ els.hamiltonian().elements).real)
@@ -288,9 +293,11 @@ class TestStateFunctionals:
         beta=st.sampled_from([0.0, 1.3]),
     )
     def test_array_equals_density_matrix(self, els, seed, rank, beta):
-        """A validated state and its elements give bitwise-equal functionals."""
-        rho = DensityMatrix(random_density(els.dim, seed, rank), els.basis_labels)
-        assert _bits(state_functionals(rho, els, beta)) == _bits(
+        """A raw array and the elements of its validated state give bitwise-equal
+        functionals: symmetrizing a checked state again keeps its bits."""
+        m = random_density(els.dim, seed, rank)
+        rho = DensityMatrix(m, els.basis_labels)
+        assert _bits(state_functionals(m, els, beta)) == _bits(
             state_functionals(rho.elements, els, beta)
         )
 
@@ -324,7 +331,7 @@ class TestStateFunctionals:
     def test_ground_state_distance_stays_finite_at_low_temperature(self):
         els = STRUCTURES["degenerate qutrit"]
         rho = DensityMatrix(np.diag([1.0, 0.0, 0.0]), els.basis_labels)
-        d_th = state_functionals(rho, els, 40.0).D_th
+        d_th = state_functionals(rho.elements, els, 40.0).D_th
         assert math.isfinite(d_th)
         assert _agree(d_th, relative_entropy(dephase_diagonal(rho, els), thermal_state_of(els, 40.0)))
 
@@ -350,7 +357,7 @@ class TestStateFunctionals:
         """The null-space projector, in the input basis: rank 2 for a rank-1 qutrit."""
         els = STRUCTURES["rotated qutrit"]
         rho = DensityMatrix(random_density(3, 7, rank=1), els.basis_labels)
-        null = state_functionals(rho, els, 1.0).null
+        null = state_functionals(rho.elements, els, 1.0).null
         assert null.shape == (3, 3)
         assert np.max(np.abs(null @ null - null)) < 1e-12
         assert abs(np.trace(null) - 2.0) < 1e-12

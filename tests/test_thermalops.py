@@ -46,8 +46,10 @@ from conftest import (
 
 
 def oracle_report_inputs(sys_, u, rho_s, rho_b, beta_b):
-    """The six cut quantities, Delta E_S and the check (g) deviation of a report, rebuilt
-    from validated DensityMatrixes of the reference partial traces and projector cut."""
+    """The six cut quantities, Delta E_S and the check (g) deviation of a report on the
+    (d, d) array rho_s, rebuilt from validated DensityMatrixes of the reference partial
+    traces and projector cut."""
+    rho_s = DensityMatrix(rho_s, sys_.els_S.basis_labels)
     joint0 = DensityMatrix(np.kron(rho_s.elements, rho_b.elements))
     final = u.matrix @ joint0.elements @ u.matrix.conj().T
     joint_f = DensityMatrix(0.5 * (final + final.conj().T))
@@ -56,7 +58,7 @@ def oracle_report_inputs(sys_, u, rho_s, rho_b, beta_b):
     cuts = []
     for state, els in ((rho_s, sys_.els_S), (rho_s_f, sys_.els_S), (rho_b, sys_.els_B),
                        (rho_b_f, sys_.els_B), (joint0, sys_.joint), (joint_f, sys_.joint)):
-        f = state_functionals(state, els, beta_b)
+        f = state_functionals(state.elements, els, beta_b)
         cuts.append(CutQuantities(f.C_v, f.C_h, f.D_th))
     h_s = sys_.els_S.hamiltonian().elements
     delta_e_s = float(np.trace(h_s @ (rho_s_f.elements - rho_s.elements)).real)
@@ -249,7 +251,7 @@ class TestConservationReport:
         for seed in range(8):
             rho_s = thermal_state_of(qutrit_qubit.els_S, 0.7)
             u = seeded_unitary(qutrit_qubit, seed)
-            rep = single_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
+            rep = single_report(qutrit_qubit, u, rho_s.elements, rho_b, 1.3)
             seen = max(seen, abs(rep.S_final.C_h - rep.S_initial.C_h))
         assert seen > 1e-6
 
@@ -257,7 +259,7 @@ class TestConservationReport:
         rho_b = DensityMatrix(np.diag([0.5, 0.5]), ("g", "e"))  # stationary, not thermal
         rho_s = thermal_state_of(qutrit_qubit.els_S, 0.7)
         u = seeded_unitary(qutrit_qubit, 3)
-        rep = single_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
+        rep = single_report(qutrit_qubit, u, rho_s.elements, rho_b, 1.3)
         assert "rho_B-not-thermal" in rep.flags
         # the global conservation laws hold for any stationary environment
         assert rep.checks["a:dCv_SB=0"].passed
@@ -274,6 +276,17 @@ class TestConservationReport:
 
 class TestConservationScan:
     SEEDS = range(120)  # past the scan's chunks of seeds: 28 at joint d = 6, 64 at d = 4
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_prepared_states_are_checked_stacks(self, index):
+        """Both builders return a read-only (T, d, d) stack of states that a DensityMatrix
+        accepts without moving a bit."""
+        els = thermal_operation_systems()[index][1].els_S
+        for states in (coherent_prepared_states(els, 0.7, range(5)),
+                       diagonal_prepared_states(els, range(5))):
+            assert states.shape == (5, els.dim, els.dim) and not states.flags.writeable
+            for m in states:
+                assert DensityMatrix(m, els.basis_labels).elements.tobytes() == m.tobytes()
 
     @pytest.mark.parametrize("index", [0, 1])
     @pytest.mark.parametrize("beta_0", [0.7, None])
@@ -330,8 +343,8 @@ class TestConservationScan:
         """One rho_S is Hermitian of unit trace but not positive: the stacked validation
         names its seed."""
         bad = np.diag([1.2, -0.1, -0.1]).astype(complex)
-        monkeypatch.setattr(scenarios, "density_matrices",
-                            self.poisoned(scenarios.density_matrices, 31, bad))
+        monkeypatch.setattr(scenarios, "checked_states",
+                            self.poisoned(scenarios.checked_states, 31, bad))
         rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
         with pytest.raises(InvariantViolation, match="negative eigenvalue") as info:
             conservation_scan(qutrit_qubit, range(40), rho_b, 1.3, beta_0=0.7)
@@ -345,7 +358,7 @@ class TestDivergenceWitness:
         rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
         for seed in range(6):
             u = seeded_unitary(qutrit_qubit, seed)
-            rep = single_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
+            rep = single_report(qutrit_qubit, u, rho_s.elements, rho_b, 1.3)
             d_dth = rep.S_final.D_th - rep.S_initial.D_th
             assert -d_dth >= -1e-9
 
@@ -386,7 +399,7 @@ class TestDivergenceWitness:
         for sign in (+1.0, -1.0):
             chi = sign * 0.9 * c_lim * pattern.elements
             rho_s = DensityMatrix(base.elements + chi, base.basis_labels)
-            rep = single_report(sys_, u, rho_s, rho_b, beta_b)
+            rep = single_report(sys_, u, rho_s.elements, rho_b, beta_b)
             c_plus = np.trace(chi @ aad).real / np.trace(base.elements @ aad).real
             c_minus = np.trace(chi @ ada).real / np.trace(base.elements @ ada).real
             signs[sign] = (math.copysign(1, rep.delta_E_S), math.copysign(1, c_plus - c_minus))

@@ -13,11 +13,12 @@ from cohentropy import (
     eigenoperators,
     flat_bath,
     heat_flow,
-    instantaneous_rates,
     otto_cycle,
+    state_functionals,
     thermal_state_of,
 )
 from cohentropy.collective import SpinEnsembleSpec, collective_coupling, local_couplings
+from cohentropy.lindblad import LindbladGenerator
 from cohentropy.scenarios import (
     CollectiveConfig,
     GridSpec,
@@ -26,15 +27,16 @@ from cohentropy.scenarios import (
     build_collective_scenario,
     build_near_degenerate_scenario,
     build_reversal_scenario,
+    parse_config,
 )
 from cohentropy.thermo import _resymm
-from conftest import matrix_log_on_support, random_density, von_neumann_entropy
+from conftest import column, matrix_log_on_support, random_density, rates_of, von_neumann_entropy
 
 
 class TestInstantaneousRates:
     def test_stationary_state_all_rates_vanish(self, two_qubit_collective):
         _, _, els, gen = two_qubit_collective
-        snap = instantaneous_rates(gen, thermal_state_of(els, 1.0))
+        snap = rates_of(gen, thermal_state_of(els, 1.0).elements)
         for name in ("Pi_rate", "Phi_rate", "rate_C_v", "rate_C_h", "rate_D_th"):
             assert abs(getattr(snap, name)) < 1e-10
 
@@ -43,7 +45,7 @@ class TestInstantaneousRates:
         els, gen = qubit_system
         for seed in range(12):
             rho = DensityMatrix(random_density(2, 400 + seed), ("g", "e"))
-            snap = instantaneous_rates(gen, rho)
+            snap = rates_of(gen, rho.elements)
             assert abs(snap.rate_C_h) < 1e-12
             assert -snap.rate_C_v >= -1e-10
             assert -snap.rate_D_th >= -1e-10
@@ -53,27 +55,26 @@ class TestInstantaneousRates:
         _, _, els, gen = two_qubit_collective
         rho0 = thermal_state_of(els, 2.0)
         from cohentropy import evolve
-        from cohentropy.spectrum import coherence_measures
         t = 0.05
-        snap = instantaneous_rates(gen, evolve(gen, rho0, [t])[0], t)
+        snap = rates_of(gen, evolve(gen, rho0, [t])[0], t)
         assert -snap.rate_C_h < -1e-6
         h = 1e-3
-        states = evolve(gen, rho0, [t - h, t + h])
-        fd = (coherence_measures(states[1], els)[1] - coherence_measures(states[0], els)[1]) / (2 * h)
+        c_h = state_functionals(evolve(gen, rho0, [t - h, t + h]), els, 0.0).C_h
+        fd = (c_h[1] - c_h[0]) / (2 * h)
         assert fd == pytest.approx(snap.rate_C_h, rel=1e-3)
 
     def test_entropy_balance(self, two_qubit_collective):
         """dS/dt = Pi + Phi with Phi = beta_B dE/dt."""
         _, _, els, gen = two_qubit_collective
         rho = DensityMatrix(random_density(4, 91), els.basis_labels)
-        snap = instantaneous_rates(gen, rho)
-        ds_dt = -float(np.trace(gen.apply(rho) @ matrix_log_on_support(rho).elements).real)
+        snap = rates_of(gen, rho.elements)
+        ds_dt = -float(np.trace(gen.apply(rho.elements) @ matrix_log_on_support(rho).elements).real)
         assert ds_dt == pytest.approx(snap.Pi_rate + snap.Phi_rate, abs=1e-10)
 
     def test_divergence_flag_on_singular_state(self, qubit_system):
         els, gen = qubit_system
         rho = DensityMatrix(np.diag([1.0, 0.0]), ("g", "e"))
-        snap = instantaneous_rates(gen, rho)
+        snap = rates_of(gen, rho.elements)
         assert "pi-divergent" in snap.flags
         assert snap.Pi_rate == math.inf
 
@@ -95,11 +96,11 @@ def _series(name: str, qubit_system):
 
 @pytest.mark.parametrize("name", ["reversal", "collective n=3", "near-degenerate", "singular start"])
 def test_series_rows_equal_single_state_rows(name, qubit_system):
-    """Each snapshot of the stacked pass is bitwise the one instantaneous_rates gives its
-    state alone, flags included (the singular start's first row is pi-divergent)."""
+    """Each snapshot of the stacked pass is bitwise the one its state gets alone, as a stack
+    of one, flags included (the singular start's first row is pi-divergent)."""
     gen, series = _series(name, qubit_system)
     for snap, state in zip(series.snapshots, series.states):
-        assert repr(snap) == repr(instantaneous_rates(gen, state, snap.t))
+        assert repr(snap) == repr(rates_of(gen, state, snap.t))
     if name == "singular start":
         assert series.snapshots[0].flags == ("pi-divergent",)
 
@@ -114,7 +115,7 @@ class TestDecomposeSeries:
         _, _, els, gen = two_qubit_collective
         series = decompose_series(gen, thermal_state_of(els, 1.0), [0.5, 1.0, 2.0])
         for name in ("Pi_rate", "rate_C_v", "rate_C_h", "rate_D_th"):
-            assert np.max(np.abs(series.column(name))) < 1e-10
+            assert np.max(np.abs(column(series, name))) < 1e-10
 
     def test_quadrature_consistency(self, qubit_system):
         """integral of Pi over the relaxation equals dS - beta_B dE (to 1e-6)."""
@@ -124,7 +125,7 @@ class TestDecomposeSeries:
         rho0 = thermal_state_of(els, 3.0)
         times = np.linspace(0.0, 120.0, 4001)
         series = decompose_series(gen, rho0, times)
-        pi = series.column("Pi_rate")
+        pi = column(series, "Pi_rate")
         integral = float(simpson(pi, x=times))
         ds = series.snapshots[-1].S - von_neumann_entropy(rho0)
         de = series.snapshots[-1].E_S - float(
@@ -183,7 +184,40 @@ class TestHeatFlow:
         assert rep.direct == pytest.approx(rep.spectral, abs=1e-12)
 
 
+def reversal_at(beta_b: float) -> ReversalConfig:
+    """The heat-flow reversal at beta_0 = 1.1 with a fixed coherence amplitude 0.05, too
+    small to reverse the initial heat flow."""
+    return parse_config({
+        "scenario": "heat-flow-reversal", "beta_B": beta_b, "beta_0": 1.1, "coherence_amplitude": 0.05,
+    })
+
+
+@pytest.mark.parametrize("beta_b", [0.0, 1.0])
+def test_finite_differences_check_points_at_any_bath_temperature(beta_b, monkeypatch):
+    """Every snapshot at beta_B = 0 is flagged not-applicable, yet the cross-check skips only
+    pi-divergent ones: 15 points are checked, as at beta_B = 1, and all agree.  A point's
+    propagation to t - h, t - h/2, t + h/2, t + h is the only one to negative times."""
+    checked = []
+    propagate = LindbladGenerator.propagate
+
+    def counted(self, vec0, times):
+        checked.extend(times[:1] if times[0] < 0 else ())
+        return propagate(self, vec0, times)
+
+    monkeypatch.setattr(LindbladGenerator, "propagate", counted)
+    build_reversal_scenario(reversal_at(beta_b))
+    assert len(checked) == 15
+
+
 class TestComplementarity:
+    def test_initial_rate_at_infinite_bath_temperature(self):
+        """Check (v) reads E_dot, so it applies at beta_B = 0, where -dC_h/dt + beta_0 E_dot
+        = +0.103.  The amplitude does not reverse the flow, which fails the run on its
+        heat_flow_reversed line; only the (v) line is asserted."""
+        lines = reversal_at(0.0).run().summary_text.splitlines()
+        assert "v_initial_rate: pass" in lines
+        assert "heat_flow_reversed: no" in lines
+
     def test_stationary_series_trivial(self, two_qubit_collective):
         _, _, els, gen = two_qubit_collective
         series = decompose_series(gen, thermal_state_of(els, 1.0), [0.0, 1.0, 5.0])
