@@ -14,7 +14,7 @@ class ShapeMismatch(CohentropyError, ValueError):
 
 
 class AmbiguousClustering(CohentropyError, ValueError):
-    """Energy levels cannot be clustered: some inter-cluster gap <= delta."""
+    """Levels cannot be clustered: a level gap within the width, or a chained cluster wider."""
 
 
 class MissingRate(CohentropyError, ValueError):

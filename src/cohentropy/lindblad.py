@@ -63,10 +63,11 @@ class BathSpectrum:
             raise MissingRate(f"g_half undefined at |w| = {abs(omega)}: {exc}") from exc
         if base is None or not np.isfinite(base) or base < 0.0:
             raise MissingRate(f"g_half({abs(omega)}) = {base!r} is not a valid rate")
-        g = 2.0 * float(base)
-        if omega >= 0.0:
-            return g
-        return g * float(np.exp(omega * self.beta_B))
+        with np.errstate(over="ignore"):  # an overflowing KMS factor is reported below
+            g = 2.0 * float(base) * float(np.exp(min(omega, 0.0) * self.beta_B))
+        if not np.isfinite(g):
+            raise MissingRate(f"G({omega}) overflows to {g} at beta_B = {self.beta_B}")
+        return g
 
     def gamma(self, omega: float) -> complex:
         shift = 0.0 if self.lamb_shift is None else float(self.lamb_shift(omega))
@@ -125,11 +126,11 @@ class JumpOperatorSet:
 
     def _check_frequency_selection(self, freqs, ops) -> None:
         """The block of A(w) from level m' to level m must vanish unless e_m' - e_m = w
-        (within delta): one mask of the allowed level pairs per frequency."""
+        within ``clustering_tolerance``: one mask of the allowed level pairs per frequency."""
         els = self.els
         energies = np.array(els.energies)
-        tol_w = max(els.cluster_width, 1e-9 * max(1.0, float(np.max(np.abs(energies)))))
         gaps = (energies[None, :] - energies[:, None]).ravel()[els.level_pair]
+        tol_w = clustering_tolerance(gaps, els.cluster_width)
         for w, a in zip(freqs, ops):
             leak = np.where(np.abs(gaps - w) <= tol_w, 0.0, np.abs(a))
             if max_abs(leak) > 1e-12 * max(1.0, max_abs(a)):
@@ -145,9 +146,9 @@ class JumpOperatorSet:
 def eigenoperators(A_S: HermitianObservable, els: EnergyLevelStructure) -> JumpOperatorSet:
     """Decompose A_S into eigenoperators A(w) by masking its labeled level blocks.
 
-    Bohr frequencies are level-energy differences grouped by ``gap_clusters``
-    at the cluster width delta (merged in near-degenerate mode).  Operators
-    with max element below 1e-13 are dropped along with their frequencies.
+    Bohr frequencies are the level differences grouped by ``gap_clusters`` at their
+    ``clustering_tolerance`` (merged in near-degenerate mode).  Operators with max
+    element below 1e-13 are dropped along with their frequencies.
     """
     if A_S.dim != els.dim:
         raise ShapeMismatch(f"coupling dimension {A_S.dim} != structure {els.dim}")
@@ -155,13 +156,13 @@ def eigenoperators(A_S: HermitianObservable, els: EnergyLevelStructure) -> JumpO
     energies = np.array(els.energies)
     # e_m - e_n of the level pair (n, m) at n * n_levels + m, the index of els.level_pair
     diffs = (energies[None, :] - energies[:, None]).ravel()
-    zero_tol = clustering_tolerance(diffs, els.cluster_width)
+    width = clustering_tolerance(diffs, els.cluster_width)
 
     out_freqs, out_ops = [], []
-    for group in gap_clusters(diffs, els.cluster_width):
+    for group in gap_clusters(diffs, width):
         members = sorted(set(diffs[group].tolist()))
         rep = float(np.mean(members))
-        if abs(rep) <= zero_tol and 0.0 in members:
+        if abs(rep) <= width and 0.0 in members:
             rep = 0.0
         op = np.where(np.isin(els.level_pair, group), a_eig, 0.0)
         if max_abs(op) < ZERO_OPERATOR_TOL:
@@ -387,7 +388,8 @@ def _exp_series(block: np.ndarray, eig: tuple | None, x: np.ndarray, ts: np.ndar
 
     out = np.zeros((len(ts), len(x)), dtype=complex)
     for j, dt in enumerate(np.diff(ts, prepend=0.0)):
-        x = scipy.linalg.expm(block * dt) @ x
+        with np.errstate(over="ignore", invalid="ignore"):  # callers report a lost state
+            x = scipy.linalg.expm(block * dt) @ x
         out[j] = x
     return out
 
@@ -446,6 +448,9 @@ def evolve(gen: LindbladGenerator, rho0: DensityMatrix, times: Sequence[float]) 
         _check_horizon(gen.els, max(ts))
     states = gen.propagate(rho0.elements.reshape(-1), ts).reshape(-1, gen.dim, gen.dim)
     first = ts.count(0.0)  # rho0 itself at t = 0, the sorted times' prefix
+    lost = ~np.isfinite(states).all(axis=(-2, -1))
+    if lost.any():
+        raise NumericalFailure(f"propagated state is not finite at t = {ts[int(np.argmax(lost))]}")
     try:
         states[first:] = cleaned_states(states[first:], 1e-8)
     except InvariantViolation as exc:

@@ -42,6 +42,7 @@ from .qcore import (
     trace_distance,
 )
 from .spectrum import (
+    HORIZON_FACTOR,
     EnergyLevelStructure,
     build_level_structure,
     state_functionals,
@@ -733,9 +734,9 @@ class NearDegenerateConfig:
         return self.delta if self.delta > 0 else 1e-3 * self.omega
 
     def times(self) -> list[float]:
-        """Up to the 0.1/delta horizon of the clustering."""
+        """Up to the HORIZON_FACTOR/delta horizon of the clustering."""
         return geometric_times(
-            0.01 / self.gamma, 0.1 / self.mismatch, self.time_grid.points,
+            0.01 / self.gamma, HORIZON_FACTOR / self.mismatch, self.time_grid.points,
             names=("0.01/gamma", "0.1/delta"),
         )
 

@@ -50,7 +50,10 @@ class EnergyLevelStructure:
     ``basis_vectors`` columns are the chosen eigenbasis |n,i> ordered by
     (level, in-level index); the diagonal cut is taken in this basis.  When the
     Hamiltonian is diagonal in the supplied basis the input ordering inside
-    each cluster is preserved, so the labeled basis is the natural one.
+    each cluster is preserved, so the labeled basis is the natural one.  The
+    energies ascend by more than ``clustering_tolerance`` at ``cluster_width``;
+    the spread inside each level is judged where the levels are clustered,
+    in ``build_level_structure``.
     """
 
     energies: tuple[float, ...]
@@ -58,7 +61,6 @@ class EnergyLevelStructure:
     basis_vectors: np.ndarray
     basis_labels: tuple[str, ...] = field(default=())
     cluster_width: float = 0.0
-    member_energies: tuple[tuple[float, ...], ...] = ()
 
     def __post_init__(self):
         v = np.asarray(self.basis_vectors, dtype=complex)
@@ -75,19 +77,11 @@ class EnergyLevelStructure:
         labels = tuple(self.basis_labels) or default_labels(dim)
         if len(labels) != dim:
             raise ShapeMismatch("label count does not match dimension")
-        members = self.member_energies or tuple(
-            tuple(e for _ in range(l)) for e, l in zip(self.energies, self.degeneracies)
-        )
-        scale = max(1.0, max(abs(e) for e in self.energies))
-        tol = max(self.cluster_width, 1e-10 * scale)
-        for e_members in members:
-            if max(e_members) - min(e_members) > tol * (1 + 1e-9):
-                raise InvariantViolation("in-cluster energy spread exceeds delta")
-        for k in range(len(self.energies) - 1):
-            gap = min(members[k + 1]) - max(members[k])
-            if gap <= self.cluster_width:
+        width = clustering_tolerance(np.array(self.energies), self.cluster_width)
+        for k, gap in enumerate(np.diff(self.energies)):
+            if gap <= width:
                 raise AmbiguousClustering(
-                    f"inter-cluster gap {gap:.6e} <= delta {self.cluster_width:.6e} "
+                    f"inter-cluster gap {gap:.6e} <= width {width:.6e} "
                     f"between levels {k} and {k + 1}"
                 )
         v = v.copy()
@@ -96,7 +90,6 @@ class EnergyLevelStructure:
         object.__setattr__(self, "basis_labels", labels)
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
         object.__setattr__(self, "degeneracies", tuple(int(l) for l in self.degeneracies))
-        object.__setattr__(self, "member_energies", members)
 
     @property
     def dim(self) -> int:
@@ -153,18 +146,19 @@ class EnergyLevelStructure:
 
 
 def clustering_tolerance(values: np.ndarray, delta: float) -> float:
-    """The one grouping width of energies and of their differences: delta when
-    delta > 0, else 1e-10 * max |value|."""
-    return delta if delta > 0.0 else 1e-10 * float(np.max(np.abs(values)))
+    """The one width of every comparison of energies and of their differences:
+    delta when delta > 0, else 1e-10 * max |value|, plus 4 ulps of max |value| for
+    the rounding of the values themselves ((w + delta) - w may exceed delta)."""
+    scale = float(np.max(np.abs(values)))
+    return (delta if delta > 0.0 else 1e-10 * scale) + 4.0 * np.finfo(float).eps * scale
 
 
-def gap_clusters(values: np.ndarray, delta: float) -> list[np.ndarray]:
+def gap_clusters(values: np.ndarray, width: float) -> list[np.ndarray]:
     """Indices of ``values`` in stable ascending order, split greedily wherever two
-    consecutive sorted values differ by more than ``clustering_tolerance``."""
+    consecutive sorted values differ by more than ``width``, their ``clustering_tolerance``."""
     values = np.asarray(values, dtype=float)
     order = np.argsort(values, kind="stable")
-    gaps = np.diff(values[order])
-    return np.split(order, np.flatnonzero(gaps > clustering_tolerance(values, delta)) + 1)
+    return np.split(order, np.flatnonzero(np.diff(values[order]) > width) + 1)
 
 
 def build_level_structure(
@@ -172,7 +166,8 @@ def build_level_structure(
     delta: float = 0.0,
     labels: tuple[str, ...] = (),
 ) -> EnergyLevelStructure:
-    """Cluster the spectrum of H by ``gap_clusters`` into levels separated by > delta.
+    """Cluster the spectrum of H by ``gap_clusters`` into levels separated by more than
+    ``clustering_tolerance``; a chained cluster that spans more raises AmbiguousClustering.
 
     The cluster energy is the degeneracy-weighted mean of its members.  If H is
     diagonal in the supplied basis, the input basis ordering is kept inside
@@ -188,16 +183,15 @@ def build_level_structure(
         vecs = np.eye(H.dim, dtype=complex)
     else:
         eigvals, vecs = np.linalg.eigh(m)
-    clusters = gap_clusters(eigvals, delta)
-
-    if delta > 0.0:
-        for cluster in clusters:
-            spread = eigvals[cluster[-1]] - eigvals[cluster[0]]
-            if spread > delta:
-                raise AmbiguousClustering(
-                    f"chained cluster spans {spread:.6e} > delta {delta:.6e}: "
-                    "levels cannot be separated at this width"
-                )
+    width = clustering_tolerance(eigvals, delta)
+    clusters = gap_clusters(eigvals, width)
+    for cluster in clusters:
+        spread = eigvals[cluster[-1]] - eigvals[cluster[0]]
+        if spread > width:
+            raise AmbiguousClustering(
+                f"chained cluster spans {spread:.6e} > width {width:.6e}: "
+                "levels cannot be separated at this width"
+            )
 
     return EnergyLevelStructure(
         energies=tuple(float(np.mean(eigvals[c])) for c in clusters),
@@ -205,7 +199,6 @@ def build_level_structure(
         basis_vectors=np.hstack([_order_and_fix_phase(vecs[:, c]) for c in clusters]),
         basis_labels=labels,
         cluster_width=delta,
-        member_energies=tuple(tuple(float(e) for e in eigvals[c]) for c in clusters),
     )
 
 

@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -9,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cohentropy import cli
 from cohentropy.acceptance import CriterionResult
@@ -326,6 +330,25 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(out)]) == 0
         assert "FAIL" not in (out / "summary.txt").read_text()
 
+    @pytest.mark.parametrize("entries", [
+        {"delta": 1e-5},
+        {"delta": 3e-9},
+        {"omega": 0.3},
+        {"omega": 0.65},
+        {"omega": 11.205092991419518, "delta": 0.0043714565009282, "beta_0": -50,
+         "beta_B": 30, "gamma": 0.0031119294894022403, "time_grid": {"points": 3}},
+    ])
+    def test_near_degenerate_doublet_clusters_at_its_delta(self, tmp_path, entries):
+        """(omega + delta) - omega may round to just above delta; the doublet is still one
+        level, as its Bohr frequency is one, and the run matches the degenerate twin."""
+        cfg = tmp_path / "near.json"
+        cfg.write_text(json.dumps({"scenario": "near-degenerate", **entries}))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text()
+        assert "positivity_failures: 0" in summary
+        assert "within_tolerance: pass" in summary
+
     def test_otto_at_infinite_hot_temperature(self, tmp_path):
         cfg = tmp_path / "otto.json"
         cfg.write_text(json.dumps({"scenario": "otto-cycle", "otto": {"beta_hot": 0}}))
@@ -366,6 +389,26 @@ class TestRunCommand:
             warnings.simplefilter("error")  # no RuntimeWarning ahead of the error line
             assert main(["run", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "scenario failed: propagated state has trace 0.000e+00\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entries, message", [
+        ({"beta_B": -800}, "G(-1.0) overflows to inf at beta_B = -800"),
+        ({"beta_B": -300}, "propagated state is not finite at t = 0.09999999999999999"),
+        # rates near 1e18 over times near 1e8: the expm fallback overflows
+        ({"omega": 0.17906776516898695, "delta": 4.80340180867457e-10, "beta_0": -0.01,
+          "beta_B": -300, "gamma": 3.334694933543093e-06, "time_grid": {"points": 4}},
+         "propagated state is not finite at t = 123247.92638462444"),
+    ])
+    def test_overflowing_rates_are_a_scenario_failure(self, tmp_path, capsys, entries, message):
+        """A bath at beta_B * omega far below -1 (a negative temperature) gives an upward
+        rate that overflows, or a state its propagation loses: one line, no outputs."""
+        cfg = tmp_path / "near.json"
+        cfg.write_text(json.dumps({"scenario": "near-degenerate", **entries}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"scenario failed: {message}\n"
         assert not out.exists()
 
     def test_linalg_error_is_a_scenario_failure(self, tmp_path, capsys, monkeypatch):
@@ -455,6 +498,79 @@ def test_invariant_failures_count_the_reports_verdicts(monkeypatch, config):
     shown = len(re.findall(r"^\w+: (?:FAIL|no)$", out.summary_text, re.M))
     shown += sum(int(k) for k in re.findall(r"^\w+_failures: (\d+)$", out.summary_text, re.M))
     assert shown == failing
+
+
+def decades(lo: float, hi: float):
+    """Log-uniform between lo and hi, both ends included."""
+    inner = st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
+    return inner | st.sampled_from((lo, hi))
+
+
+def signed_decades(lo: float, hi: float):
+    return st.just(0.0) | decades(lo, hi) | decades(lo, hi).map(lambda x: -x)
+
+
+BETA = signed_decades(1e-2, 3e2)
+GRID = st.fixed_dictionaries({"points": st.integers(3, 5)})
+SWEEP_KEYS = {
+    "collective-spins": {
+        "n": st.integers(1, 7), "s": st.integers(1, 4).map(lambda k: k / 2),
+        "omega": decades(1e-3, 1e3), "beta_0": BETA, "beta_B": BETA, "gamma": decades(1e-6, 1e2),
+        "time_grid": GRID,
+        "sweep": st.tuples(decades(1e-3, 1e2), decades(2.0, 1e3) | st.just(1.0),
+                           st.integers(2, 4)).map(
+            lambda x: {"minimum": x[0], "maximum": x[0] * x[1], "points": x[2]}
+        ),
+    },
+    "heat-flow-reversal": {
+        "omega": decades(1e-3, 1e3), "beta_0": BETA, "beta_B": BETA, "gamma": decades(1e-6, 1e2),
+        "coherence_amplitude": st.none() | st.just(0.0) | decades(1e-6, 1.0), "time_grid": GRID,
+    },
+    "thermal-operation": {
+        "omega": decades(1e-3, 1e3), "beta_0": BETA, "beta_B": BETA,
+        "seeds": st.integers(1, 4), "seed": st.just(0) | decades(1.0, 1e9).map(int),
+    },
+    "near-degenerate": {
+        "omega": decades(1e-3, 1e3), "delta": st.just(0.0) | decades(1e-12, 1.0),
+        "beta_0": BETA, "beta_B": BETA, "gamma": decades(1e-6, 1e2), "time_grid": GRID,
+    },
+    "otto-cycle": {
+        "omega": decades(1e-3, 1e3), "gamma": decades(1e-6, 1e2),
+        "otto": st.fixed_dictionaries({"lam": decades(1e-2, 1e2), "beta_cold": BETA,
+                                       "beta_hot": BETA, "stroke_time": decades(1e-1, 1e4),
+                                       "prep_beta": BETA}),
+    },
+}
+
+
+def dotted_keys(config: dict, prefix: str = "") -> list[str]:
+    return [k for key, value in config.items()
+            for k in (dotted_keys(value, f"{key}.") if isinstance(value, dict) else [prefix + key])]
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(st.one_of(*(st.fixed_dictionaries({"scenario": st.just(name), **keys})
+                   for name, keys in SWEEP_KEYS.items())))
+def test_config_sweep_ends_cleanly(tmp_path_factory, config):
+    """Every documented key drawn across its decades: the run exits 0, 1 or 2 with no
+    exception (RuntimeWarnings are errors in tier-1), writes both outputs or none, and an
+    exit 1 names a key.  A delta below about 1e-9 omega may exit 2 with invariant drift."""
+    keys = [key for key in dotted_keys(config) if key != "scenario"]
+    assert sorted(keys) == sorted(settable_values(CONFIGS[config["scenario"]]))
+    config = {key: value for key, value in config.items() if value is not None}
+    path = tmp_path_factory.mktemp("sweep") / "config.json"
+    path.write_text(json.dumps(config))
+    out = path.parent / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", str(path), "--out", str(out)])
+    assert code in (0, 1, 2)
+    assert sorted(p.name for p in out.glob("*")) in ([], ["summary.txt", "timeseries.csv"])
+    if code == 1:
+        names = {name for key in keys for name in (key, *key.split("."))}
+        assert any(re.search(rf"\b{re.escape(name)}\b", err.getvalue()) for name in names), (
+            err.getvalue()
+        )
 
 
 def test_cli_import_loads_no_scipy():

@@ -145,6 +145,16 @@ class TestEigenoperators:
         with pytest.raises(InvariantViolation, match="leaks between levels 1 and 1"):
             JumpOperatorSet(frequencies=(-1.0, 1.0), operators=(a.conj().T, a), els=els)
 
+    def test_frequency_off_by_more_than_the_width_leaks(self):
+        """At cluster width 0 a Bohr frequency matches a level gap within 1e-10 times the
+        largest gap plus the rounding slack: 1 + 5e-10 does not match the gap 1."""
+        els = build_level_structure(HermitianObservable(np.diag([0.0, 1.0, 1.0])))
+        a = np.zeros((3, 3), dtype=complex)
+        a[0, 1] = 1.0
+        w = 1.0 + 5e-10
+        with pytest.raises(InvariantViolation, match=r"A\(-1.0000000005\) leaks between levels 1"):
+            JumpOperatorSet(frequencies=(-w, w), operators=(a.conj().T, a), els=els)
+
 
 class TestBuildGenerator:
     def test_thermal_stationarity(self, two_qubit_collective):

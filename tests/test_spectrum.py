@@ -10,12 +10,14 @@ from cohentropy import (
     AmbiguousClustering,
     BipartiteSystem,
     DensityMatrix,
+    EnergyLevelStructure,
     HermitianObservable,
     InvariantViolation,
     ShapeMismatch,
     SpinEnsembleSpec,
     build_level_structure,
     collective_coupling,
+    eigenoperators,
     state_functionals,
     thermal_state_of,
 )
@@ -51,12 +53,44 @@ class TestBuildLevelStructure:
         els = build_level_structure(HermitianObservable(np.diag([0.0, 0.3, 1.0])), delta=0.01)
         assert els.degeneracies == (1, 1, 1)
 
-    def test_chained_clustering_is_ambiguous(self):
-        # consecutive gaps 0.008 chain into a cluster wider than delta
+    @pytest.mark.parametrize("energies, delta", [
+        ([0.0, 0.008, 0.016, 1.0], 0.01),  # consecutive gaps 0.008 chain past delta
+        ([0.0, 1.0, 1.0 + 8e-11, 1.0 + 1.6e-10], 0.0),  # and past 1e-10 * max|E| at delta = 0
+    ])
+    def test_chained_clustering_is_ambiguous(self, energies, delta):
+        with pytest.raises(AmbiguousClustering, match="chained cluster spans"):
+            build_level_structure(HermitianObservable(np.diag(energies)), delta=delta)
+
+    def test_levels_inside_the_width_are_ambiguous(self):
+        """A structure built by hand meets the same width: at cluster_width 0 it is
+        1e-10 * max|E| plus the rounding slack."""
+        with pytest.raises(AmbiguousClustering, match="inter-cluster gap"):
+            EnergyLevelStructure(energies=(1.0, 1.0 + 5e-11), degeneracies=(1, 1),
+                                 basis_vectors=np.eye(2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-3.0, 3.0), st.floats(-9.0, -1.0))
+    def test_mismatched_doublet_is_one_level(self, log_omega, log_ratio):
+        """omega (x) 1 + (omega + delta) on the second qubit clusters at width delta however
+        (omega + delta) - omega rounds, and its Bohr frequencies are exactly +-w; a chain
+        of gaps 0.8 delta stays ambiguous and a gap of 2 delta stays split."""
+        omega = 10.0**log_omega
+        delta = omega * 10.0**log_ratio
+        n1, eye = np.diag([0.0, 1.0]), np.eye(2)
+        h = omega * np.kron(n1, eye) + (omega + delta) * np.kron(eye, n1)
+        els = build_level_structure(HermitianObservable(h), delta=delta)
+        assert els.degeneracies == (1, 2, 1)
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        jumps = eigenoperators(HermitianObservable(np.kron(sx, eye) + np.kron(eye, sx)), els)
+        w = jumps.frequencies[-1]
+        assert jumps.frequencies == (-w, w)
+        assert w == pytest.approx(omega + delta / 2, rel=1e-12)
+        chain = [0.0, omega, omega + 0.8 * delta, omega + 1.6 * delta]
         with pytest.raises(AmbiguousClustering):
-            build_level_structure(
-                HermitianObservable(np.diag([0.0, 0.008, 0.016, 1.0])), delta=0.01
-            )
+            build_level_structure(HermitianObservable(np.diag(chain)), delta=delta)
+        split = [0.0, omega, omega + 2 * delta, 2 * omega + 2 * delta]
+        els = build_level_structure(HermitianObservable(np.diag(split)), delta=delta)
+        assert els.degeneracies == (1, 1, 1, 1)
 
     def test_projectors_resolve_identity(self):
         rng = np.random.default_rng(3)
