@@ -260,7 +260,7 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
         for _ in range(100):
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             m = g @ g.conj().T
-            rho = DensityMatrix(m / m.trace().real, els.basis_labels)
+            rho = DensityMatrix(m / m.trace().real)
             rep = heat_flow(gen, rho)
             worst_flow = max(worst_flow, abs(rep.direct - rep.spectral))
         # thermal populations plus vertical coherences only
@@ -274,7 +274,7 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
                     chi[i, j] = 0.05 * rng.standard_normal() + 0.05j * rng.standard_normal()
         chi = chi + chi.conj().T
         chi = els.basis_vectors @ chi @ els.basis_vectors.conj().T
-        rho_v = DensityMatrix(base.elements + 0.05 * chi, base.basis_labels)
+        rho_v = DensityMatrix(base.elements + 0.05 * chi)
         for ch in heat_flow(gen, rho_v).channels:
             if ch.T_apparent is not None:
                 worst_t = max(worst_t, abs(ch.T_apparent - 1.0 / beta0))

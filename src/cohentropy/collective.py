@@ -50,13 +50,6 @@ class SpinEnsembleSpec:
         """Local magnetizations ordered ascending (index 0 is m = -s)."""
         return np.arange(self.local_dim) - self.s
 
-    def basis_labels(self) -> tuple[str, ...]:
-        locals_ = [f"{m:+g}" for m in self.local_m_values()]
-        labels = [""]
-        for _ in range(self.n):
-            labels = [f"{a},{b}" if a else b for a in labels for b in locals_]
-        return tuple(labels)
-
 
 @dataclass(frozen=True)
 class AngularMomentumTable:
@@ -136,7 +129,7 @@ class CollectiveSystem:
     H_S: HermitianObservable
 
     def level_structure(self) -> EnergyLevelStructure:
-        return build_level_structure(self.H_S, labels=self.spec.basis_labels())
+        return build_level_structure(self.H_S)
 
 
 def collective_coupling(spec: SpinEnsembleSpec) -> CollectiveSystem:
@@ -226,7 +219,7 @@ def analytic_steady_state(
             raise InvariantViolation(f"J^2 spectrum on m = {m:g} disagrees with l_J: {ranks}")
         weights = np.exp([log_w[jv][int(round(m + jv))] for jv in j])
         rho[np.ix_(idx, idx)] = (vecs * weights) @ vecs.T
-    return DensityMatrix(0.5 * (rho + rho.conj().T), spec.basis_labels())
+    return DensityMatrix(0.5 * (rho + rho.conj().T))
 
 
 def delta_C_h_limit(spec: SpinEnsembleSpec, beta_B: float) -> float:

@@ -10,7 +10,7 @@ class InvariantViolation(CohentropyError, ValueError):
 
 
 class ShapeMismatch(CohentropyError, ValueError):
-    """Dimensions or basis labels of two objects are incompatible."""
+    """An array shape, a dimension or a length does not fit where it is used."""
 
 
 class AmbiguousClustering(CohentropyError, ValueError):

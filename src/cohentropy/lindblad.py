@@ -487,4 +487,4 @@ def asymptotic_state(gen: LindbladGenerator, rho0: DensityMatrix) -> DensityMatr
         raise DiagonalizationFailure("the state has no weight on the kernel of L")
     v, d = gen.els.basis_vectors, gen.dim
     (m,) = cleaned_states((v @ out.reshape(d, d) @ v.conj().T)[None], 1e-7)
-    return _density_matrix(m, rho0.basis_labels)
+    return _density_matrix(m)

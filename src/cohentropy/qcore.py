@@ -7,7 +7,7 @@ Boltzmann weights are never clipped (``log_boltzmann_weights``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -33,15 +33,6 @@ class Verdict(NamedTuple):
     value: float
     bound: float
     passed: bool
-
-
-def default_labels(dim: int) -> tuple[str, ...]:
-    return tuple(str(k) for k in range(dim))
-
-
-def tensor_labels(labels_a: tuple[str, ...], labels_b: tuple[str, ...]) -> tuple[str, ...]:
-    """Labels of a tensor-product basis, first factor slowest (kron order)."""
-    return tuple(f"{a}*{b}" for a in labels_a for b in labels_b)
 
 
 def _as_square_complex(elements: np.ndarray, stacked: bool = False) -> np.ndarray:
@@ -107,15 +98,13 @@ def _hermitian_unit_trace(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix in a labeled basis: one input
-    state.  A stack of states is a (T, d, d) array that ``checked_states`` has checked."""
+    """Hermitian, unit-trace, positive-semidefinite matrix: one input state.  A stack of
+    states is a (T, d, d) array that ``checked_states`` has checked."""
 
     elements: np.ndarray
-    basis_labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         m = _as_square_complex(self.elements)
-        object.__setattr__(self, "basis_labels", _labels(self.basis_labels, m.shape[-1]))
         object.__setattr__(self, "elements", checked_states(m[None])[0])
 
     @property
@@ -123,18 +112,10 @@ class DensityMatrix:
         return self.elements.shape[0]
 
 
-def _labels(basis_labels: tuple[str, ...], dim: int) -> tuple[str, ...]:
-    labels = tuple(basis_labels) or default_labels(dim)
-    if len(labels) != dim:
-        raise ShapeMismatch(f"{len(labels)} basis labels for dimension {dim}")
-    return labels
-
-
-def _density_matrix(m: np.ndarray, basis_labels: tuple[str, ...]) -> DensityMatrix:
-    """The DensityMatrix of one matrix of a stack ``checked_states`` returned: its labels
-    are checked, its elements are not checked again."""
+def _density_matrix(m: np.ndarray) -> DensityMatrix:
+    """The DensityMatrix of one matrix of a stack ``checked_states`` returned, not checked
+    again."""
     state = DensityMatrix.__new__(DensityMatrix)
-    object.__setattr__(state, "basis_labels", _labels(basis_labels, m.shape[-1]))
     object.__setattr__(state, "elements", m)
     return state
 

@@ -286,7 +286,7 @@ def build_reversal_scenario(cfg: ReversalConfig) -> ReversalScenario:
         raise ConfigError(
             f"coherence_amplitude {amplitude} must be below lambda_min(rho_th) = {c_max:.6g}"
         )
-    rho0 = DensityMatrix(base.elements + amplitude * pattern.elements, base.basis_labels)
+    rho0 = DensityMatrix(base.elements + amplitude * pattern.elements)
     series = decompose_series(gen, rho0, times)
     return ReversalScenario(
         els=els,
@@ -350,12 +350,8 @@ def thermal_operation_systems(omega: float = 1.0) -> list[tuple[str, BipartiteSy
     qutrit S (levels 0, w, w) against a qubit B, the smallest S with
     horizontal coherences.
     """
-    els_qubit = build_level_structure(
-        HermitianObservable(np.diag([0.0, omega])), labels=("g", "e")
-    )
-    els_qutrit = build_level_structure(
-        HermitianObservable(np.diag([0.0, omega, omega])), labels=("g", "e1", "e2")
-    )
+    els_qubit = build_level_structure(HermitianObservable(np.diag([0.0, omega])))
+    els_qutrit = build_level_structure(HermitianObservable(np.diag([0.0, omega, omega])))
     return [
         ("qubit*qubit", BipartiteSystem.build(els_qubit, els_qubit)),
         ("qutrit*qubit", BipartiteSystem.build(els_qutrit, els_qubit)),
@@ -622,7 +618,7 @@ class ReversalConfig:
 
     scenario: ClassVar[str] = "heat-flow-reversal"
     omega: float = 1.0
-    beta_0: float = 50.0
+    beta_0: float = 1.1
     beta_B: float = 1.0
     gamma: float = 0.1
     coherence_amplitude: float | None = None

@@ -9,7 +9,7 @@ eigenspace (horizontal coherences) untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,7 +26,6 @@ from .qcore import (
     checked_states,
     chunks,
     dagger,
-    default_labels,
     diagonal_relative_entropy,
     entropy_of_spectrum,
     log_boltzmann_weights,
@@ -48,18 +47,16 @@ class EnergyLevelStructure:
     """Clustered spectrum: level energies e_n and degeneracies l_n.
 
     ``basis_vectors`` columns are the chosen eigenbasis |n,i> ordered by
-    (level, in-level index); the diagonal cut is taken in this basis.  When the
-    Hamiltonian is diagonal in the supplied basis the input ordering inside
-    each cluster is preserved, so the labeled basis is the natural one.  The
-    energies ascend by more than ``clustering_tolerance`` at ``cluster_width``;
-    the spread inside each level is judged where the levels are clustered,
-    in ``build_level_structure``.
+    (level, in-level index), the labeled eigenbasis; the diagonal cut is taken in
+    this basis.  When the Hamiltonian is diagonal in the supplied basis the input
+    ordering inside each cluster is preserved.  The energies ascend by more than
+    ``clustering_tolerance`` at ``cluster_width``; the spread inside each level is
+    judged where the levels are clustered, in ``build_level_structure``.
     """
 
     energies: tuple[float, ...]
     degeneracies: tuple[int, ...]
     basis_vectors: np.ndarray
-    basis_labels: tuple[str, ...] = field(default=())
     cluster_width: float = 0.0
 
     def __post_init__(self):
@@ -74,9 +71,6 @@ class EnergyLevelStructure:
         dev = max_abs(v.conj().T @ v - np.eye(dim))
         if dev > PROJECTOR_TOL * max(1.0, dim):
             raise InvariantViolation(f"basis not orthonormal (deviation {dev:.3e})")
-        labels = tuple(self.basis_labels) or default_labels(dim)
-        if len(labels) != dim:
-            raise ShapeMismatch("label count does not match dimension")
         width = clustering_tolerance(np.array(self.energies), self.cluster_width)
         for k, gap in enumerate(np.diff(self.energies)):
             if gap <= width:
@@ -87,7 +81,6 @@ class EnergyLevelStructure:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "basis_vectors", v)
-        object.__setattr__(self, "basis_labels", labels)
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
         object.__setattr__(self, "degeneracies", tuple(int(l) for l in self.degeneracies))
 
@@ -161,11 +154,7 @@ def gap_clusters(values: np.ndarray, width: float) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(values[order]) > width) + 1)
 
 
-def build_level_structure(
-    H: HermitianObservable,
-    delta: float = 0.0,
-    labels: tuple[str, ...] = (),
-) -> EnergyLevelStructure:
+def build_level_structure(H: HermitianObservable, delta: float = 0.0) -> EnergyLevelStructure:
     """Cluster the spectrum of H by ``gap_clusters`` into levels separated by more than
     ``clustering_tolerance``; a chained cluster that spans more raises AmbiguousClustering.
 
@@ -197,7 +186,6 @@ def build_level_structure(
         energies=tuple(float(np.mean(eigvals[c])) for c in clusters),
         degeneracies=tuple(len(c) for c in clusters),
         basis_vectors=np.hstack([_order_and_fix_phase(vecs[:, c]) for c in clusters]),
-        basis_labels=labels,
         cluster_width=delta,
     )
 
@@ -217,10 +205,8 @@ def _order_and_fix_phase(block: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateFunctionals:
-    """Functionals of one state at beta, plus ln rho, ln rho_BD, ln rho_D and ln rho_th
-    on their supports in the labeled eigenbasis and the projector onto the null space of
-    rho (eigenvalues <= CLIP_FLOOR) in the input basis.  For a stack of states each field
-    gains a leading axis: floats become arrays, matrices stacks."""
+    """Functionals of one state at beta.  For a stack of states each field is an array with
+    one entry per state."""
 
     S: float
     C_v: float
@@ -228,16 +214,27 @@ class StateFunctionals:
     D_th: float
     E_S: float
     F_D: float
-    log_rho: np.ndarray
-    log_bd: np.ndarray
-    log_d: np.ndarray
-    log_th: np.ndarray
-    null: np.ndarray
 
 
 def state_functionals(m: np.ndarray, els: EnergyLevelStructure, beta: float) -> StateFunctionals:
-    """S, C_v, C_h, D_th, E_S and F_D from two eigendecompositions of r = V^dag rho V, for
-    one state (d, d) or a stack of states (T, d, d), taken by ``chunks``.
+    """S, C_v, C_h, D_th, E_S and F_D of one state (d, d), whose fields are floats, or of a
+    stack of states (T, d, d), whose fields are (T,) arrays, by one ``spectral_pass`` per
+    ``chunks`` chunk.  Each state's values are bitwise those it gets alone: every step acts
+    on each matrix of the stack by itself."""
+    single = np.ndim(m) != 3
+    stack = np.asarray(m)[None] if single else np.asarray(m)
+    passes = [spectral_pass(stack[part], els, beta)[:6] for part in chunks(len(stack), els.dim)]
+    columns = [np.concatenate(c) if len(passes) > 1 else c[0] for c in zip(*passes)]
+    return StateFunctionals(*([float(c[0]) for c in columns] if single else columns))
+
+
+def spectral_pass(m: np.ndarray, els: EnergyLevelStructure, beta: float) -> tuple[np.ndarray, ...]:
+    """The kernel on a (T, d, d) stack of states, from two eigendecompositions of each
+    r = V^dag rho V: S, C_v, C_h, D_th, E_S and F_D, each (T,); ln rho, ln rho_BD and ln rho_D
+    on their supports in the labeled eigenbasis, each (T, d, d); ln rho_th, one (d, d)
+    diagonal that broadcasts over the stack; and the projector onto the null space of each
+    rho (eigenvalues <= CLIP_FLOOR) in the input basis, (T, d, d).  ``state_functionals``
+    takes it chunk by chunk; ``thermo.rate_rows`` reads its logs too.
 
     The states get the checks of ``checked_states`` here: Hermitian and of unit trace, and
     no eigenvalue of r below -POSITIVITY_TOL, which ``log_of_spectrum`` enforces on the
@@ -245,23 +242,11 @@ def state_functionals(m: np.ndarray, els: EnergyLevelStructure, beta: float) -> 
     The spectrum of rho_D is diag(r); ln rho_th is ``log_boltzmann_weights`` of the
     level energies, exact and never clipped, so D_th is finite at every finite beta.
     C_v = S(rho_BD) - S(rho) and C_h = S(rho_D) - S(rho_BD) must agree with
-    S(rho|rho_BD) and S(rho_BD|rho_D) to 1e-8; F_D is nan at beta = 0.  Each state's
-    values are bitwise those it gets alone: every step acts on each matrix of the stack
-    by itself.
+    S(rho|rho_BD) and S(rho_BD|rho_D) to 1e-8; F_D is nan at beta = 0.
     """
-    m = _hermitian_unit_trace(_as_square_complex(m, stacked=np.ndim(m) == 3))
+    m = _hermitian_unit_trace(_as_square_complex(m, stacked=True))
     if m.shape[-1] != els.dim:
         raise ShapeMismatch(f"state dimension {m.shape[-1]} != structure dimension {els.dim}")
-    stack = m.reshape(-1, els.dim, els.dim)
-    parts = [_functionals(stack[part], els, beta) for part in chunks(len(stack), els.dim)]
-    columns = [np.concatenate(c) if len(parts) > 1 else c[0] for c in zip(*parts)]
-    if m.ndim == 2:
-        columns = [float(c[0]) if c.ndim == 1 else c[0] for c in columns]
-    return StateFunctionals(*columns)
-
-
-def _functionals(m: np.ndarray, els: EnergyLevelStructure, beta: float) -> tuple:
-    """The StateFunctionals fields of a (T, d, d) stack of checked states, as stacks."""
     r = els.to_labeled(m)
     bd = np.where(els.same_level, r, 0.0)
     lam, u = np.linalg.eigh(r)
@@ -271,7 +256,7 @@ def _functionals(m: np.ndarray, els: EnergyLevelStructure, beta: float) -> tuple
     log_bd = (u_bd * log_of_spectrum(lam_bd)[:, None, :]) @ dagger(u_bd)
     log_p = log_of_spectrum(pops)
     log_w = log_boltzmann_weights(els.index_energies, beta)
-    log_d, log_th = _diagonal_stack(log_p), np.repeat(np.diag(log_w)[None], len(m), axis=0)
+    log_d = _diagonal_stack(log_p)
     s, s_bd, s_d = (entropy_of_spectrum(x) for x in (lam, lam_bd, pops))
     c_v, c_h = s_bd - s, s_d - s_bd
     alt_v = relative_entropy_from_logs(r, log_rho, log_bd, _null_projector(u_bd, lam_bd))
@@ -288,7 +273,7 @@ def _functionals(m: np.ndarray, els: EnergyLevelStructure, beta: float) -> tuple
     with np.errstate(over="ignore"):  # -inf at a subnormal beta, as float arithmetic gives
         f_d = e_s - s_d / beta if beta != 0.0 else np.full(len(m), np.nan)
     null = _null_projector(els.basis_vectors @ u, lam)
-    return s, c_v, c_h, d_th, e_s, f_d, log_rho, log_bd, log_d, log_th, null
+    return s, c_v, c_h, d_th, e_s, f_d, log_rho, log_bd, log_d, np.diag(log_w), null
 
 
 def _diagonal_stack(rows: np.ndarray) -> np.ndarray:
@@ -313,4 +298,4 @@ def thermal_state_of(els: EnergyLevelStructure, beta: float) -> DensityMatrix:
     w = boltzmann_weights(els.index_energies, beta)
     m = (v * w) @ v.conj().T
     m = 0.5 * (m + m.conj().T)
-    return _density_matrix(checked_states(m[None], w.min(keepdims=True))[0], els.basis_labels)
+    return _density_matrix(checked_states(m[None], w.min(keepdims=True))[0])

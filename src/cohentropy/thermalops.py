@@ -23,7 +23,6 @@ from .qcore import (
     dagger,
     max_abs,
     max_admissible_amplitude,
-    tensor_labels,
 )
 from .spectrum import (
     EnergyLevelStructure,
@@ -57,13 +56,12 @@ def combine_level_structures(
     return replace(
         joint,
         basis_vectors=np.kron(els_S.basis_vectors, els_B.basis_vectors) @ joint.basis_vectors,
-        basis_labels=tensor_labels(els_S.basis_labels, els_B.basis_labels),
     )
 
 
 @dataclass(frozen=True)
 class BipartiteSystem:
-    """Two labeled level structures and the induced joint energy eigenspaces."""
+    """Two level structures and the induced joint energy eigenspaces."""
 
     els_S: EnergyLevelStructure
     els_B: EnergyLevelStructure
@@ -376,7 +374,7 @@ def divergence_witness(
     pattern = horizontal_pattern(sys.els_S)
     base = thermal_state_of(sys.els_S, beta_B)
     c = WITNESS_AMPLITUDE_FRACTION * max_admissible_amplitude(base.elements, pattern.elements)
-    rho_s = DensityMatrix(base.elements + c * pattern.elements, base.basis_labels)
+    rho_s = DensityMatrix(base.elements + c * pattern.elements)
     rho_b = thermal_state_of(sys.els_B, beta_B)
     for seed in seeds:
         u = sample_energy_conserving_unitaries(sys, [seed])

@@ -50,8 +50,6 @@ def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix) -> float:
     is not in supp(rho) (eigenvalues of rho at or below the clip floor count as null)."""
     if sigma.dim != rho.dim:
         raise ShapeMismatch(f"dimension mismatch {sigma.dim} != {rho.dim}")
-    if sigma.basis_labels != rho.basis_labels:
-        raise ShapeMismatch("basis labels differ between sigma and rho")
     lam, vec = np.linalg.eigh(rho.elements)
     log_rho = (vec * log_of_spectrum(lam)) @ vec.conj().T
     log_sigma = matrix_log_on_support(sigma).elements
@@ -59,11 +57,11 @@ def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix) -> float:
     return relative_entropy_from_logs(sigma.elements, log_sigma, log_rho, null @ null.conj().T)
 
 
-def thermal_state(H: HermitianObservable, beta: float, labels: tuple[str, ...] = ()) -> DensityMatrix:
+def thermal_state(H: HermitianObservable, beta: float) -> DensityMatrix:
     """Reference exp(-beta H)/Z from an eigendecomposition of H."""
     lam, vec = np.linalg.eigh(H.elements)
     m = (vec * boltzmann_weights(lam, beta)) @ vec.conj().T
-    return DensityMatrix(0.5 * (m + m.conj().T), labels)
+    return DensityMatrix(0.5 * (m + m.conj().T))
 
 
 def dephase_diagonal(rho: DensityMatrix, els) -> DensityMatrix:
@@ -72,7 +70,7 @@ def dephase_diagonal(rho: DensityMatrix, els) -> DensityMatrix:
         raise ShapeMismatch(f"state dimension {rho.dim} != structure dimension {els.dim}")
     v = els.basis_vectors
     out = (v * els.to_labeled(rho.elements).diagonal().real) @ v.conj().T
-    return DensityMatrix(0.5 * (out + out.conj().T), rho.basis_labels)
+    return DensityMatrix(0.5 * (out + out.conj().T))
 
 
 def projector(els, n: int) -> np.ndarray:
@@ -87,7 +85,7 @@ def dephase_block_diagonal(rho: DensityMatrix, els) -> DensityMatrix:
         raise ShapeMismatch(f"state dimension {rho.dim} != structure dimension {els.dim}")
     pis = [projector(els, n) for n in range(els.n_levels)]
     out = sum(p @ rho.elements @ p for p in pis)
-    return DensityMatrix(0.5 * (out + out.conj().T), rho.basis_labels)
+    return DensityMatrix(0.5 * (out + out.conj().T))
 
 
 def partial_trace(rho_joint: DensityMatrix, dims: tuple[int, int], keep: str) -> DensityMatrix:
@@ -209,7 +207,7 @@ def random_density(dim: int, seed: int, rank: int | None = None) -> np.ndarray:
 @pytest.fixture(scope="session")
 def qubit_system():
     """Non-degenerate qubit, sigma_x coupling, flat bath at beta_B = 1."""
-    els = build_level_structure(HermitianObservable(np.diag([0.0, 1.0])), labels=("g", "e"))
+    els = build_level_structure(HermitianObservable(np.diag([0.0, 1.0])))
     gen = build_generator([HermitianObservable(SX)], els, flat_bath(0.1, 1.0))
     return els, gen
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from cohentropy import cli
 from cohentropy.acceptance import CriterionResult
 from cohentropy.cli import main
-from cohentropy import scenarios
+from cohentropy import scenarios, thermo
 from cohentropy.scenarios import (
     CONFIGS,
     CSV_HEADER,
@@ -279,6 +279,31 @@ class TestRunCommand:
         assert "heat_flow_reversed: yes" in summary
         assert "iii_reversal_bound: pass" in summary
 
+    def test_reversal_runs_at_its_defaults(self, tmp_path):
+        """The scenario name alone finds a reversing amplitude at the default beta_0 and passes."""
+        cfg = tmp_path / "reversal.json"
+        cfg.write_text(json.dumps({"scenario": "heat-flow-reversal"}))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert "heat_flow_reversed: yes" in (out / "summary.txt").read_text()
+
+    def test_unclosed_rates_are_counted_not_raised(self, tmp_path, capsys, monkeypatch):
+        """Rates that do not close are judged once, by ThermoSeries.verdicts: the run counts
+        them in closure_failures, writes both files and exits 2."""
+        real = thermo.rate_rows
+
+        def unclosed(gen, states):
+            first, *rest = real(gen, states)
+            return [first._replace(Pi=first.Pi + 1.0), *rest]
+
+        monkeypatch.setattr(thermo, "rate_rows", unclosed)
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 2
+        summary = (out / "summary.txt").read_text()
+        assert "closure_failures: 1" in summary and "positivity_failures: 0" in summary
+        assert (out / "timeseries.csv").read_text().startswith(CSV_HEADER)
+        assert capsys.readouterr().err.startswith("1 invariant failure(s); see ")
+
     def test_malformed_config_exits_1_without_outputs(self, tmp_path):
         cfg = write_config(tmp_path, gamma=-0.5)
         out = tmp_path / "out"
@@ -398,11 +423,17 @@ class TestRunCommand:
         ({"omega": 0.17906776516898695, "delta": 4.80340180867457e-10, "beta_0": -0.01,
           "beta_B": -300, "gamma": 3.334694933543093e-06, "time_grid": {"points": 4}},
          "propagated state is not finite at t = 123247.92638462444"),
+        # an Otto machine whose cold isochore loses its state names the machine, isochore and t
+        ({"scenario": "otto-cycle", "omega": 0.6531559426494649, "gamma": 100,
+          "otto": {"stroke_time": 0.1, "lam": 0.01, "beta_cold": -300, "prep_beta": 0.01,
+                   "beta_hot": 0.0168527851461938}},
+         "incoherent: cold isochore: propagated state is not finite at t = 0.1"),
     ])
     def test_overflowing_rates_are_a_scenario_failure(self, tmp_path, capsys, entries, message):
         """A bath at beta_B * omega far below -1 (a negative temperature) gives an upward
-        rate that overflows, or a state its propagation loses: one line, no outputs."""
-        cfg = tmp_path / "near.json"
+        rate that overflows, or a state its propagation loses: one line, no outputs.  The
+        scenario is near-degenerate unless the entries name another."""
+        cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"scenario": "near-degenerate", **entries}))
         out = tmp_path / "out"
         with warnings.catch_warnings():
@@ -458,7 +489,8 @@ class TestRunCommand:
         ({"scenario": "collective-spins", "n": 2, "beta_0": 1.0, "beta_B": 20.0},
          "ratio_within_5_percent: FAIL"),
         # a beta_0 = 50 thermal start: the backtrack reads ln p_0 of weight e^-100
-        ({"scenario": "heat-flow-reversal", "coherence_amplitude": 0}, "heat_flow_reversed: no"),
+        ({"scenario": "heat-flow-reversal", "beta_0": 50, "coherence_amplitude": 0},
+         "heat_flow_reversed: no"),
     ],
 )
 def test_cold_thermal_weights_keep_exact_logs(config, failure):
@@ -474,7 +506,8 @@ def test_cold_thermal_weights_keep_exact_logs(config, failure):
       for name in ("collective", "reversal", "near_degenerate", "otto")),
     pytest.param({"scenario": "collective-spins", "n": 2, "beta_0": 1.0, "beta_B": 20.0},
                  id="cold-collective"),
-    pytest.param({"scenario": "heat-flow-reversal", "coherence_amplitude": 0}, id="cold-reversal"),
+    pytest.param({"scenario": "heat-flow-reversal", "beta_0": 50, "coherence_amplitude": 0},
+                 id="cold-reversal"),
 ])
 def test_invariant_failures_count_the_reports_verdicts(monkeypatch, config):
     """A run's invariant_failures is the number of failing verdicts its reports return,

@@ -58,7 +58,7 @@ def eig_calls(monkeypatch):
 
 def test_instantaneous_rates_budget(two_qubit_collective, eig_calls):
     *_, els, gen = two_qubit_collective
-    rho = DensityMatrix(random_density(els.dim, 3), els.basis_labels)
+    rho = DensityMatrix(random_density(els.dim, 3))
     eig_calls["n"] = 0
     rates_of(gen, rho.elements)
     assert 1 <= eig_calls["n"] <= 3
@@ -108,7 +108,7 @@ def test_thermal_state_budget(two_qubit_collective, eig_calls):
 def test_finite_difference_point_budget(two_qubit_collective, eig_calls):
     """One floor eigvalsh, then two kernel decompositions for each of four shifted states."""
     *_, els, gen = two_qubit_collective
-    rho = DensityMatrix(random_density(els.dim, 3), els.basis_labels)
+    rho = DensityMatrix(random_density(els.dim, 3))
     snap = rates_of(gen, rho.elements, 1.0)
     eig_calls["n"] = 0
     points = [(1.0, rho.elements, snap)]
@@ -129,7 +129,7 @@ def test_complementarity_report_budget(two_qubit_collective, eig_calls):
 def test_evolve_validates_each_state_once(two_qubit_collective, eig_calls):
     """One eigvalsh per evolved state: cleaned_states hands its spectrum to the validation."""
     *_, els, gen = two_qubit_collective
-    rho0 = DensityMatrix(random_density(els.dim, 3), els.basis_labels)
+    rho0 = DensityMatrix(random_density(els.dim, 3))
     times = [0.1, 1.0, 5.0, 50.0]
     eig_calls["n"] = 0
     evolve(gen, rho0, times)
@@ -140,7 +140,7 @@ def test_decompose_series_budget(two_qubit_collective, eig_calls):
     """300 snapshots, past one chunk: two kernel decompositions each, one eigvalsh for each
     evolved state after t = 0, and nine for each of the 13 finite-difference points."""
     *_, els, gen = two_qubit_collective
-    rho0 = DensityMatrix(random_density(els.dim, 3), els.basis_labels)
+    rho0 = DensityMatrix(random_density(els.dim, 3))
     eig_calls["n"] = 0
     decompose_series(gen, rho0, np.linspace(0.0, 50.0, 300))
     assert eig_calls["n"] == 2 * 300 + 299 + 9 * 13

@@ -12,7 +12,7 @@ from cohentropy import (
     build_level_structure,
     state_functionals,
 )
-from cohentropy.qcore import max_admissible_amplitude, tensor_labels, trace_distance
+from cohentropy.qcore import max_admissible_amplitude, trace_distance
 from conftest import (
     matrix_log_on_support,
     partial_trace,
@@ -35,10 +35,6 @@ class TestDensityMatrix:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(InvariantViolation, match="eigenvalue"):
             DensityMatrix(np.diag([1.2, -0.2]))
-
-    def test_label_count_must_match(self):
-        with pytest.raises(ShapeMismatch):
-            DensityMatrix(np.eye(2) / 2, ("a",))
 
 
 class TestTraceDistance:
@@ -101,12 +97,6 @@ class TestRelativeEntropy:
         rho = DensityMatrix(np.diag([1.0, 0.0]))
         assert relative_entropy(sigma, rho) == math.inf
 
-    def test_label_mismatch_raises(self):
-        a = DensityMatrix(np.eye(2) / 2, ("x", "y"))
-        b = DensityMatrix(np.eye(2) / 2, ("u", "v"))
-        with pytest.raises(ShapeMismatch):
-            relative_entropy(a, b)
-
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 6))
     def test_nonnegative_with_equality_iff_equal(self, seed, dim):
@@ -129,9 +119,8 @@ class TestRelativeEntropy:
     @given(st.integers(0, 10_000))
     def test_contracts_under_partial_trace(self, seed):
         dims = (2, 3)
-        labels = tensor_labels(("0", "1"), ("0", "1", "2"))
-        sigma = DensityMatrix(random_density(6, seed), labels)
-        rho = DensityMatrix(random_density(6, seed + 7), labels)
+        sigma = DensityMatrix(random_density(6, seed))
+        rho = DensityMatrix(random_density(6, seed + 7))
         joint = relative_entropy(sigma, rho)
         local = relative_entropy(
             partial_trace(sigma, dims, "A"), partial_trace(rho, dims, "A")
@@ -177,8 +166,7 @@ class TestPartialTrace:
     def test_product_state(self):
         a = random_density(2, 1)
         b = random_density(3, 2)
-        labels = tensor_labels(("0", "1"), ("0", "1", "2"))
-        joint = DensityMatrix(np.kron(a, b), labels)
+        joint = DensityMatrix(np.kron(a, b))
         assert np.allclose(partial_trace(joint, (2, 3), "A").elements, a, atol=1e-14)
         assert np.allclose(partial_trace(joint, (2, 3), "B").elements, b, atol=1e-14)
 

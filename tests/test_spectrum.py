@@ -22,6 +22,7 @@ from cohentropy import (
     thermal_state_of,
 )
 from cohentropy.qcore import CHUNK_ENTRIES
+from cohentropy.spectrum import spectral_pass
 from cohentropy.scenarios import thermal_operation_systems
 from conftest import (
     dephase_block_diagonal,
@@ -305,7 +306,7 @@ class TestStateFunctionals:
         """D_th = S(rho_D|rho_th) and C_h + D_th = S(rho_BD|rho_th) against the closed
         form -S + beta <E> + ln Z, which holds for every finite beta."""
         els = STRUCTURES[name]
-        rho = DensityMatrix(random_density(els.dim, seed, rank), els.basis_labels)
+        rho = DensityMatrix(random_density(els.dim, seed, rank))
         f = state_functionals(rho.elements, els, beta)
         rho_bd, rho_d = dephase_block_diagonal(rho, els), dephase_diagonal(rho, els)
         s, s_bd, s_d = (von_neumann_entropy(x) for x in (rho, rho_bd, rho_d))
@@ -330,7 +331,7 @@ class TestStateFunctionals:
         """A raw array and the elements of its validated state give bitwise-equal
         functionals: symmetrizing a checked state again keeps its bits."""
         m = random_density(els.dim, seed, rank)
-        rho = DensityMatrix(m, els.basis_labels)
+        rho = DensityMatrix(m)
         assert _bits(state_functionals(m, els, beta)) == _bits(
             state_functionals(rho.elements, els, beta)
         )
@@ -341,13 +342,15 @@ class TestStateFunctionals:
         ("eigenvalue", 2e-10, 1e-12, "eigenvalue"),
     ])
     def test_array_gets_the_density_matrix_checks(self, kind, beyond, within, message):
-        """Beyond a DensityMatrix tolerance both reject the array; within it both accept."""
+        """Beyond a DensityMatrix tolerance the kernel's pass rejects the array too, alone
+        or through state_functionals; within it all accept."""
         els = STRUCTURES["degenerate qutrit"]
-        for reject in (DensityMatrix, lambda m: state_functionals(m, els, 1.0)):
+        checks = (DensityMatrix, lambda m: state_functionals(m, els, 1.0),
+                  lambda m: spectral_pass(m[None], els, 1.0))
+        for check in checks:
             with pytest.raises(InvariantViolation, match=message):
-                reject(_perturbed(kind, beyond))
-        DensityMatrix(_perturbed(kind, within))
-        state_functionals(_perturbed(kind, within), els, 1.0)
+                check(_perturbed(kind, beyond))
+            check(_perturbed(kind, within))
 
     def test_array_of_wrong_dimension(self):
         with pytest.raises(ShapeMismatch):
@@ -358,13 +361,12 @@ class TestStateFunctionals:
     def test_thermal_state_from_structure(self, name, beta):
         els = STRUCTURES[name]
         got = thermal_state_of(els, beta)
-        want = thermal_state(els.hamiltonian(), beta, els.basis_labels)
-        assert got.basis_labels == els.basis_labels
+        want = thermal_state(els.hamiltonian(), beta)
         assert np.max(np.abs(got.elements - want.elements)) <= 1e-14
 
     def test_ground_state_distance_stays_finite_at_low_temperature(self):
         els = STRUCTURES["degenerate qutrit"]
-        rho = DensityMatrix(np.diag([1.0, 0.0, 0.0]), els.basis_labels)
+        rho = DensityMatrix(np.diag([1.0, 0.0, 0.0]))
         d_th = state_functionals(rho.elements, els, 40.0).D_th
         assert math.isfinite(d_th)
         assert _agree(d_th, relative_entropy(dephase_diagonal(rho, els), thermal_state_of(els, 40.0)))
@@ -383,15 +385,20 @@ class TestStateFunctionals:
             assert [np.asarray(getattr(f, fld.name)[k]).tobytes() for fld in dataclasses.fields(f)] == one
 
     def test_stack_of_one_keeps_a_leading_axis(self):
+        """A stack of one keeps its axis in every stacked field; ln rho_th is one (d, d)."""
         els = STRUCTURES["degenerate qutrit"]
-        f = state_functionals(random_density(3, 5)[None], els, 1.3)
-        assert f.S.shape == (1,) and f.log_rho.shape == f.null.shape == (1, 3, 3)
+        stack = random_density(3, 5)[None]
+        assert state_functionals(stack, els, 1.3).S.shape == (1,)
+        *functionals, log_rho, log_bd, log_d, log_th, null = spectral_pass(stack, els, 1.3)
+        assert all(f.shape == (1,) for f in functionals)
+        assert log_rho.shape == log_bd.shape == log_d.shape == null.shape == (1, 3, 3)
+        assert log_th.shape == (3, 3)
 
     def test_null_vectors_in_input_basis(self):
         """The null-space projector, in the input basis: rank 2 for a rank-1 qutrit."""
         els = STRUCTURES["rotated qutrit"]
-        rho = DensityMatrix(random_density(3, 7, rank=1), els.basis_labels)
-        null = state_functionals(rho.elements, els, 1.0).null
+        rho = DensityMatrix(random_density(3, 7, rank=1))
+        (null,) = spectral_pass(rho.elements[None], els, 1.0)[-1]
         assert null.shape == (3, 3)
         assert np.max(np.abs(null @ null - null)) < 1e-12
         assert abs(np.trace(null) - 2.0) < 1e-12

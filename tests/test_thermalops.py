@@ -17,7 +17,7 @@ from cohentropy import (
     thermal_state_of,
 )
 from cohentropy import scenarios, thermalops
-from cohentropy.qcore import max_admissible_amplitude, tensor_labels
+from cohentropy.qcore import max_admissible_amplitude
 from cohentropy.qcore import max_abs
 from cohentropy.spectrum import state_functionals
 from cohentropy.thermalops import (
@@ -49,7 +49,7 @@ def oracle_report_inputs(sys_, u, rho_s, rho_b, beta_b):
     """The six cut quantities, Delta E_S and the check (g) deviation of a report on the
     (d, d) array rho_s, rebuilt from validated DensityMatrixes of the reference partial
     traces and projector cut."""
-    rho_s = DensityMatrix(rho_s, sys_.els_S.basis_labels)
+    rho_s = DensityMatrix(rho_s)
     joint0 = DensityMatrix(np.kron(rho_s.elements, rho_b.elements))
     final = u.matrix @ joint0.elements @ u.matrix.conj().T
     joint_f = DensityMatrix(0.5 * (final + final.conj().T))
@@ -73,16 +73,14 @@ def float_bits(cuts, delta_e_s, dev):
 
 @pytest.fixture(scope="module")
 def qubit_pair():
-    els = build_level_structure(HermitianObservable(np.diag([0.0, 1.0])), labels=("g", "e"))
+    els = build_level_structure(HermitianObservable(np.diag([0.0, 1.0])))
     return BipartiteSystem.build(els, els)
 
 
 @pytest.fixture(scope="module")
 def qutrit_qubit():
-    els_s = build_level_structure(
-        HermitianObservable(np.diag([0.0, 1.0, 1.0])), labels=("g", "e1", "e2")
-    )
-    els_b = build_level_structure(HermitianObservable(np.diag([0.0, 1.0])), labels=("g", "e"))
+    els_s = build_level_structure(HermitianObservable(np.diag([0.0, 1.0, 1.0])))
+    els_b = build_level_structure(HermitianObservable(np.diag([0.0, 1.0])))
     return BipartiteSystem.build(els_s, els_b)
 
 
@@ -122,7 +120,6 @@ class TestJointStructure:
         sums = Counter(int(a + b) for a in ints[0] for b in ints[1])
         assert joint.degeneracies == tuple(sums[e] for e in sorted(sums))
         assert np.allclose(joint.energies, np.array(sorted(sums)) * 10.0**k, rtol=1e-12, atol=0)
-        assert joint.basis_labels == tensor_labels(els_s.basis_labels, els_b.basis_labels)
         # the basis is a column permutation of kron(V_S, V_B), energy by energy
         overlap = np.abs(np.kron(els_s.basis_vectors, els_b.basis_vectors).conj().T
                          @ joint.basis_vectors)
@@ -150,7 +147,7 @@ class TestSampling:
         assert np.max(np.abs(off)) < 1e-13
         assert np.allclose(np.abs(np.diag(u.matrix)), 1.0, atol=1e-13)
         # all cuts invariant under a diagonal unitary acting on a diagonal state
-        rho_s = DensityMatrix(np.diag([0.8, 0.2]), els_a.basis_labels)
+        rho_s = DensityMatrix(np.diag([0.8, 0.2]))
         rho_b = thermal_state_of(els_b, 1.0)
         _, rs, rb = apply_operation(sys_, u, rho_s, rho_b)
         assert np.allclose(rs, rho_s.elements, atol=1e-12)
@@ -171,7 +168,7 @@ class TestSampling:
 class TestApplyOperation:
     def test_identity_changes_nothing(self, qubit_pair):
         u = EnergyConservingUnitary(np.eye(4, dtype=complex), qubit_pair.joint)
-        rho_s = DensityMatrix(random_density(2, 3), ("g", "e"))
+        rho_s = DensityMatrix(random_density(2, 3))
         rho_b = thermal_state_of(qubit_pair.els_B, 1.0)
         sb, rs, rb = apply_operation(qubit_pair, u, rho_s, rho_b)
         assert np.allclose(rs, rho_s.elements, atol=1e-13)
@@ -180,7 +177,7 @@ class TestApplyOperation:
     def test_requires_stationary_environment(self, qubit_pair):
         u = EnergyConservingUnitary(np.eye(4, dtype=complex), qubit_pair.joint)
         rho_s = thermal_state_of(qubit_pair.els_S, 1.0)
-        rho_b = DensityMatrix(np.full((2, 2), 0.5), ("g", "e"))  # coherent: not stationary
+        rho_b = DensityMatrix(np.full((2, 2), 0.5))  # coherent: not stationary
         with pytest.raises(InvariantViolation, match="stationary"):
             apply_operation(qubit_pair, u, rho_s, rho_b)
 
@@ -256,7 +253,7 @@ class TestConservationReport:
         assert seen > 1e-6
 
     def test_nonthermal_stationary_environment_flagged(self, qutrit_qubit):
-        rho_b = DensityMatrix(np.diag([0.5, 0.5]), ("g", "e"))  # stationary, not thermal
+        rho_b = DensityMatrix(np.diag([0.5, 0.5]))  # stationary, not thermal
         rho_s = thermal_state_of(qutrit_qubit.els_S, 0.7)
         u = seeded_unitary(qutrit_qubit, 3)
         rep = single_report(qutrit_qubit, u, rho_s.elements, rho_b, 1.3)
@@ -286,7 +283,7 @@ class TestConservationScan:
                        diagonal_prepared_states(els, range(5))):
             assert states.shape == (5, els.dim, els.dim) and not states.flags.writeable
             for m in states:
-                assert DensityMatrix(m, els.basis_labels).elements.tobytes() == m.tobytes()
+                assert DensityMatrix(m).elements.tobytes() == m.tobytes()
 
     @pytest.mark.parametrize("index", [0, 1])
     @pytest.mark.parametrize("beta_0", [0.7, None])
@@ -300,7 +297,7 @@ class TestConservationScan:
         if environment == "thermal":
             rho_b = thermal_state_of(els_b, 1.3)
         else:
-            rho_b = DensityMatrix(np.eye(els_b.dim) / els_b.dim, els_b.basis_labels)
+            rho_b = DensityMatrix(np.eye(els_b.dim) / els_b.dim)
         reports = conservation_scan(sys_, self.SEEDS, rho_b, 1.3, beta_0=beta_0)
         assert len(reports) == len(self.SEEDS)
         for seed, rep in zip(self.SEEDS, reports):
@@ -377,11 +374,8 @@ class TestDivergenceWitness:
     def test_energy_sign_follows_coherence_sign(self):
         """Swap-like resonant exchange: the sign of the S energy change tracks
         the ordering of the coherence loads c+ versus c-."""
-        els_s = build_level_structure(
-            HermitianObservable(np.diag([0.0, 1.0, 1.0, 2.0])),
-            labels=("gg", "ge", "eg", "ee"),
-        )
-        els_b = build_level_structure(HermitianObservable(np.diag([0.0, 1.0])), labels=("g", "e"))
+        els_s = build_level_structure(HermitianObservable(np.diag([0.0, 1.0, 1.0, 2.0])))
+        els_b = build_level_structure(HermitianObservable(np.diag([0.0, 1.0])))
         sys_ = BipartiteSystem.build(els_s, els_b)
         beta_b = 1.0
         base = thermal_state_of(els_s, beta_b)
@@ -398,7 +392,7 @@ class TestDivergenceWitness:
         signs = {}
         for sign in (+1.0, -1.0):
             chi = sign * 0.9 * c_lim * pattern.elements
-            rho_s = DensityMatrix(base.elements + chi, base.basis_labels)
+            rho_s = DensityMatrix(base.elements + chi)
             rep = single_report(sys_, u, rho_s.elements, rho_b, beta_b)
             c_plus = np.trace(chi @ aad).real / np.trace(base.elements @ aad).real
             c_minus = np.trace(chi @ ada).real / np.trace(base.elements @ ada).real
