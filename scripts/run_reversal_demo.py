@@ -18,7 +18,7 @@ def main():
     snap0 = scen.series.snapshots[0]
     print(f"coherence amplitude c = {scen.amplitude:.6f} (max {scen.amplitude_max:.6f})")
     print(f"initial dE/dt = {snap0.E_dot:+.6e}  -> (beta_0-beta_B) dE/dt = "
-          f"{0.1 * snap0.E_dot:+.3e}  (reversed: flows against the gradient)")
+          f"{scen.weighted_E_dot:+.3e}  (reversed: flows against the gradient)")
     for ch in heat_flow(scen.gen, scen.rho0).channels:
         print(f"transition omega = {ch.omega:g}: apparent temperature {ch.T_apparent:.6f} "
               f"(bath temperature 1.0)")
@@ -26,11 +26,13 @@ def main():
 
     rep = complementarity_report(scen.series)
     print("   t        -dC_h      -dD_th    (beta0-betaB)dE   consumption bound")
-    for e in rep.entries[:: max(1, len(rep.entries) // 12)]:
-        bound = "active+ok" if e.reversal_active and e.reversal_bound_ok else (
-            "active+VIOLATED" if e.reversal_active else "inactive")
-        print(f"{e.t:8.3f} {e.minus_dCh:+.3e} {e.minus_dDth:+.3e} "
-              f"{e.weighted_dE:+.3e}   {bound}")
+    times = [s.t for s in scen.series.snapshots[1:]]
+    columns = (times, rep.minus_dCh, rep.minus_dDth, rep.weighted_dE,
+               rep.reversal_active, rep.reversal_bound_ok)
+    every = slice(None, None, max(1, len(times) // 12))
+    for t, minus_dch, minus_ddth, weighted, active, ok in zip(*(c[every] for c in columns)):
+        bound = ("active+ok" if ok else "active+VIOLATED") if active else "inactive"
+        print(f"{t:8.3f} {minus_dch:+.3e} {minus_ddth:+.3e} {weighted:+.3e}   {bound}")
 
 
 if __name__ == "__main__":

@@ -63,8 +63,6 @@ from .collective import (
 from .thermalops import (
     BipartiteSystem,
     ConservationReport,
-    EnergyConservingUnitary,
-    apply_operation,
     conservation_report,
     divergence_witness,
     operation_rows,

@@ -293,7 +293,7 @@ def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
     active = {}
     for name in ("reversal", "generation"):
         rep = complementarity_report(getattr(ctx, name).series, tol=tol)
-        active[name] = sum(getattr(e, f"{name}_active") for e in rep.entries)
+        active[name] = int(getattr(rep, f"{name}_active").sum())
         if not rep.applicable:
             problems.append(f"{name}: inapplicable")
             continue

@@ -193,7 +193,7 @@ def entropy_of_spectrum(lam: np.ndarray) -> np.ndarray:
 
 def log_of_spectrum(lam: np.ndarray) -> np.ndarray:
     """ln lambda above the clip floor and 0 on the null space; rejects a negative spectrum."""
-    if lam.min() < -POSITIVITY_TOL:
+    if lam.min(initial=0.0) < -POSITIVITY_TOL:
         raise InvariantViolation(f"negative eigenvalue {lam.min():.3e} in matrix log")
     return np.where(lam > CLIP_FLOOR, np.log(np.maximum(lam, CLIP_FLOOR)), 0.0)
 
@@ -239,7 +239,7 @@ def diagonal_relative_entropy(p: np.ndarray, log_p: np.ndarray, log_q: np.ndarra
 
 
 def _check_relative_entropy(val: np.ndarray) -> None:
-    least = np.min(val)
+    least = np.min(val, initial=0.0)
     if least < -POSITIVITY_TOL:
         raise InvariantViolation(f"relative entropy {least:.3e} below -{POSITIVITY_TOL}")
 

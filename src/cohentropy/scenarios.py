@@ -53,7 +53,6 @@ from .thermalops import (
     WITNESS_THRESHOLD,
     BipartiteSystem,
     ConservationReport,
-    apply_operation,
     conservation_report,
     divergence_witness,
     horizontal_pattern,
@@ -415,11 +414,11 @@ def conservation_scan(
                 prep = [10_000 + s for s in seeds[part]]
                 rho_s = coherent_prepared_states(sys_.els_S, beta_0, prep)
             unitaries = sample_energy_conserving_unitaries(sys_, seeds[part])
+            rows = operation_rows(sys_, unitaries, rho_s, rho_B, beta_B)
         except InvariantViolation as exc:
             if hasattr(exc, "index"):
                 exc.index += part.start
             raise
-        rows = operation_rows(sys_, unitaries, rho_s, rho_B, beta_B)
         reports += [conservation_report(sys_, row, tol=tol) for row in rows]
     return reports
 
@@ -549,8 +548,8 @@ class _Summary:
         self.kv("fit_residual", report.fit_residual)
         for v in report.verdicts():
             self.judge(v)
-        self.kv("reversal_active_entries", sum(e.reversal_active for e in report.entries))
-        self.kv("generation_active_entries", sum(e.generation_active for e in report.entries))
+        self.kv("reversal_active_entries", int(report.reversal_active.sum()))
+        self.kv("generation_active_entries", int(report.generation_active.sum()))
 
     def output(self, csv_text: str) -> ScenarioOutput:
         text = "\n".join(self.lines) + "\n"
@@ -700,10 +699,9 @@ class ThermalOperationConfig:
                 continue
             keys = ("seed", "coherence_amplitude", "delta_D_th_S", "delta_C_h_S", "delta_E_S")
             summary.kvs(wit, keys)
-            _, rho_s_f, _ = apply_operation(sys_, wit.unitary, wit.rho_S, wit.rho_B)
             witness_rows = finite_change_rows(
                 (t, state, sys_.els_S, self.beta_B, "finite-operation")
-                for t, state in ((0.0, wit.rho_S.elements), (1.0, rho_s_f))
+                for t, state in ((0.0, wit.rho_S.elements), (1.0, wit.rho_S_final))
             )
         return summary.output(series_to_csv(witness_rows))
 

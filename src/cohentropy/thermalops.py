@@ -76,26 +76,13 @@ class BipartiteSystem:
         return (self.els_S.dim, self.els_B.dim)
 
 
-@dataclass(frozen=True)
-class EnergyConservingUnitary:
-    """Unitary commuting with every joint energy projector Pi_k."""
-
-    matrix: np.ndarray
-    joint: EnergyLevelStructure
-
-    def __post_init__(self):
-        u = np.asarray(self.matrix, dtype=complex)
-        dim = self.joint.dim
-        if u.shape != (dim, dim):
-            raise ShapeMismatch(f"unitary shape {u.shape} != ({dim}, {dim})")
-        object.__setattr__(self, "matrix", _checked_unitaries(u[None], self.joint)[0])
-
-
-def _checked_unitaries(u: np.ndarray, joint: EnergyLevelStructure) -> np.ndarray:
-    """The checks of an EnergyConservingUnitary on a (T, d, d) stack: each matrix unitary
-    and with no element between two levels of ``joint`` in its labeled basis, [U, Pi_k] = 0,
-    to UNITARY_TOL max(1, d).  The InvariantViolation raised for the first matrix that fails
-    carries its position in the stack as ``index``.  Returns a read-only copy."""
+def _checked_unitaries(u: np.ndarray, joint: EnergyLevelStructure) -> None:
+    """The checks of a (T, d, d) stack of energy-conserving unitaries: the shape, and each
+    matrix unitary and with no element between two levels of ``joint`` in its labeled basis,
+    [U, Pi_k] = 0, to UNITARY_TOL max(1, d).  The InvariantViolation raised for the first
+    matrix that fails carries its position in the stack as ``index``."""
+    if u.ndim != 3 or u.shape[1:] != (joint.dim, joint.dim):
+        raise ShapeMismatch(f"unitary stack shape {u.shape} != (T, {joint.dim}, {joint.dim})")
     tol = UNITARY_TOL * max(1.0, joint.dim)
     dev = np.max(np.abs(dagger(u) @ u - np.eye(joint.dim)), axis=(-2, -1))
     comm = np.max(np.abs(np.where(joint.same_level, 0.0, joint.to_labeled(u))), axis=(-2, -1))
@@ -108,16 +95,14 @@ def _checked_unitaries(u: np.ndarray, joint: EnergyLevelStructure) -> np.ndarray
         )
         exc.index = k
         raise exc
-    u = u.copy()
-    u.setflags(write=False)
-    return u
 
 
 def sample_energy_conserving_unitaries(sys: BipartiteSystem, seeds: Sequence[int]) -> np.ndarray:
-    """The unitary of each seed as a checked, read-only (T, d, d) stack: an independent Haar
+    """The unitary of each seed as a (T, d, d) stack: an independent Haar
     block on each joint energy eigenspace.  Seed s draws, from default_rng(s) and level by
     level, the real and then the imaginary part of a Gaussian block, whose QR with the
-    phases of R's diagonal fixed is taken for all seeds at once."""
+    phases of R's diagonal fixed is taken for all seeds at once.  ``operation_rows`` checks
+    the stack where it is used."""
     joint = sys.joint
     sizes = joint.degeneracies
     n = 2 * sum(l * l for l in sizes)
@@ -131,7 +116,7 @@ def sample_energy_conserving_unitaries(sys: BipartiteSystem, seeds: Sequence[int
         blocks[:, offset:offset + l, offset:offset + l] = q * (diag / np.abs(diag))[:, None, :]
         start, offset = start + 2 * l * l, offset + l
     v = joint.basis_vectors
-    return _checked_unitaries(v @ blocks @ dagger(v), joint)
+    return v @ blocks @ dagger(v)
 
 
 def _check_stationary(sys: BipartiteSystem, rho_B: DensityMatrix) -> None:
@@ -164,23 +149,6 @@ def _operate(
     return joint0, rho_sb, 0.5 * (rho_s_f + dagger(rho_s_f)), 0.5 * (rho_b_f + dagger(rho_b_f))
 
 
-def apply_operation(
-    sys: BipartiteSystem,
-    U: EnergyConservingUnitary,
-    rho_S: DensityMatrix,
-    rho_B: DensityMatrix,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """U (rho_S (x) rho_B) U^dag and its reduced states on S and B, as Hermitian arrays.
-
-    Requires rho_B stationary, [H_B, rho_B] = 0: an a-thermal operation.  The map
-    preserves positivity, so the outputs are validated where they are used, by
-    ``state_functionals`` from its own spectrum.
-    """
-    _check_stationary(sys, rho_B)
-    _, rho_sb, rho_s, rho_b = _operate(sys, U.matrix[None], rho_S.elements[None], rho_B.elements)
-    return rho_sb[0], rho_s[0], rho_b[0]
-
-
 def _block_diagonal(m: np.ndarray, els: EnergyLevelStructure) -> np.ndarray:
     """sum_n pi_n m pi_n of each matrix of a stack, by the ``same_level`` mask in the labeled
     eigenbasis."""
@@ -199,11 +167,13 @@ class CutQuantities:
 class OperationRow(NamedTuple):
     """What a report reads of one operation: ``cuts``, the [C_v, C_h, D_th] of S, B and SB,
     each before and then after; Delta E_S; check (g)'s deviation of the initial joint
-    block-diagonal cut from the product of the factors' cuts; and max |rho_B - rho_th|."""
+    block-diagonal cut from the product of the factors' cuts; the Hermitian (d_S, d_S) array
+    rho_S' of S after the operation; and max |rho_B - rho_th|."""
 
     cuts: list[list[float]]
     delta_E_S: float
     factorization_dev: float
+    rho_S_final: np.ndarray
     thermal_dev: float
 
 
@@ -215,13 +185,19 @@ def operation_rows(
     beta_B: float,
 ) -> list[OperationRow]:
     """The OperationRow of U_k (rho_S,k (x) rho_B) U_k^dag for each k of a (T, d, d) stack of
-    checked energy-conserving unitaries and one of checked states, from one stacked pass:
-    the operation and its partial traces, one ``state_functionals`` call on the 2T states
-    before and after of each of S, B and SB, and Delta E_S and check (g) as stacks.
-    rho_B's stationarity, its distance from the thermal state at beta_B and H_S are taken
-    once.  A row is bitwise the one its operation gets alone."""
+    energy-conserving unitaries and one of checked states, from one stacked pass: the
+    checks of the unitaries, the operation and its partial traces, one ``state_functionals``
+    call on the 2T states before and after of each of S, B and SB, and Delta E_S and check
+    (g) as stacks.  rho_B's stationarity, its distance from the thermal state at beta_B and
+    H_S are taken once.  A row is bitwise the one its operation gets alone.  Requires one
+    state per unitary (ShapeMismatch otherwise); the map preserves positivity, so the
+    states after are validated by ``state_functionals`` from its own spectrum."""
     _check_stationary(sys, rho_B)
-    t, rho_b = len(U), rho_B.elements
+    _checked_unitaries(U, sys.joint)
+    t, d_s, rho_b = len(U), sys.els_S.dim, rho_B.elements
+    if rho_S.shape != (t, d_s, d_s):
+        raise ShapeMismatch(f"{t} unitaries need a ({t}, {d_s}, {d_s}) stack of states, "
+                            f"got {rho_S.shape}")
     joint0, rho_sb, rho_s_f, rho_b_f = _operate(sys, U, rho_S, rho_b)
     pairs = (
         ((rho_S, rho_s_f), sys.els_S),
@@ -238,7 +214,8 @@ def operation_rows(
     factorization_dev = np.max(np.abs(_block_diagonal(joint0, sys.joint) - factorized), (-2, -1))
     thermal_dev = max_abs(rho_b - thermal_state_of(sys.els_B, beta_B).elements)
     columns = (cuts.transpose(2, 0, 1, 3).reshape(t, 6, 3), delta_e_s, factorization_dev)
-    return [OperationRow(*row, thermal_dev) for row in zip(*(c.tolist() for c in columns))]
+    rows = zip(*(c.tolist() for c in columns), rho_s_f)
+    return [OperationRow(*row, thermal_dev) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -334,13 +311,14 @@ def incoherent_input_verdicts(
 
 @dataclass(frozen=True)
 class DivergenceWitness:
-    """A concrete (U, rho_S, rho_B) where the populations diverge from equilibrium."""
+    """A concrete (U, rho_S) where, with rho_B thermal at beta_B, the populations diverge
+    from equilibrium; rho_S_final is the state of S after the operation."""
 
     seed: int
     coherence_amplitude: float
     rho_S: DensityMatrix
-    rho_B: DensityMatrix
-    unitary: EnergyConservingUnitary
+    rho_S_final: np.ndarray
+    unitary: np.ndarray
     report: ConservationReport
     delta_D_th_S: float
     delta_C_h_S: float
@@ -391,8 +369,8 @@ def divergence_witness(
                 seed=seed,
                 coherence_amplitude=c,
                 rho_S=rho_s,
-                rho_B=rho_b,
-                unitary=EnergyConservingUnitary(u[0], sys.joint),
+                rho_S_final=row.rho_S_final,
+                unitary=u[0],
                 report=report,
                 delta_D_th_S=d_dth,
                 delta_C_h_S=d_ch,

@@ -347,29 +347,25 @@ def heat_flow(gen: LindbladGenerator, rho: DensityMatrix) -> HeatFlowReport:
 
 
 @dataclass(frozen=True)
-class ComplementarityEntry:
-    """Checks (i)-(iv) of the coherence/convergence complementarity at one time."""
-
-    t: float
-    minus_dCh: float          # -Delta C_h since the initial snapshot
-    minus_dDth: float         # -Delta D_th
-    weighted_dE: float        # (beta_0 - beta_B) * Delta E_S
-    backtrack: float          # S(rho_t|D | rho_0|D)
-    sum_nonneg_ok: bool       # (i)   -dC_h - dD_th >= 0
-    energy_identity_residual: float
-    energy_identity_ok: bool  # (ii)  -dD_th = weighted_dE - backtrack
-    reversal_active: bool     # (iii) applies when weighted_dE < 0
-    reversal_bound_ok: bool | None
-    generation_active: bool   # (iv)  applies when dC_h > 0
-    generation_bound_ok: bool | None
-
-
-@dataclass(frozen=True)
 class ComplementarityReport:
+    """Checks (i)-(v) of the coherence/convergence complementarity.  Each array holds one
+    entry per snapshot pair (0, t), t > 0; the entries of (ii)-(iv) read the thermal start
+    and are nan, or inactive, when the report is not applicable."""
+
     applicable: bool
     beta_0: float | None
     fit_residual: float
-    entries: tuple[ComplementarityEntry, ...]
+    minus_dCh: np.ndarray                 # -Delta C_h since the initial snapshot
+    minus_dDth: np.ndarray                # -Delta D_th
+    weighted_dE: np.ndarray               # (beta_0 - beta_B) * Delta E_S
+    backtrack: np.ndarray                 # S(rho_t|D | rho_0|D)
+    energy_identity_residual: np.ndarray
+    sum_nonneg_ok: np.ndarray             # (i)   -dC_h - dD_th >= 0
+    energy_identity_ok: np.ndarray        # (ii)  -dD_th = weighted_dE - backtrack
+    reversal_active: np.ndarray           # (iii) applies where weighted_dE < 0
+    reversal_bound_ok: np.ndarray         #       -dC_h >= -weighted_dE, read where active
+    generation_active: np.ndarray         # (iv)  applies where dC_h > tol
+    generation_bound_ok: np.ndarray       #       weighted_dE >= dC_h, read where active
     initial_rate_ok: bool | None  # (v) -dC_h/dt + (beta_0 - beta_B) E_dot >= 0 at t0, if applicable
     flags: tuple[str, ...] = ()
 
@@ -378,15 +374,14 @@ class ComplementarityReport:
         report is not applicable); complementarity_report judged the entries at its tol."""
         if not self.applicable:
             return []
-        e = self.entries
         checks = (
-            ("i_sum_nonnegative", [x.sum_nonneg_ok for x in e]),
-            ("ii_energy_identity", [x.energy_identity_ok for x in e]),
-            ("iii_reversal_bound", [x.reversal_bound_ok for x in e if x.reversal_active]),
-            ("iv_generation_bound", [x.generation_bound_ok for x in e if x.generation_active]),
-            ("v_initial_rate", [self.initial_rate_ok]),
+            ("i_sum_nonnegative", self.sum_nonneg_ok),
+            ("ii_energy_identity", self.energy_identity_ok),
+            ("iii_reversal_bound", self.reversal_bound_ok[self.reversal_active]),
+            ("iv_generation_bound", self.generation_bound_ok[self.generation_active]),
+            ("v_initial_rate", np.array([self.initial_rate_ok])),
         )
-        return [Verdict(name, oks.count(False), 0, all(oks)) for name, oks in checks]
+        return [Verdict(name, int(np.sum(~oks)), 0, bool(oks.all())) for name, oks in checks]
 
 
 def fit_inverse_temperature(pops: np.ndarray, els: EnergyLevelStructure) -> tuple[float, float]:
@@ -425,44 +420,31 @@ def complementarity_report(
     beta0, residual = fit_inverse_temperature(pops[0], els)
     applicable = math.isfinite(beta0) and residual <= THERMAL_FIT_TOL
     flags = () if applicable else (FLAG_NOT_APPLICABLE,)
-    backtracks = np.full(len(pops), np.nan)  # (ii)-(iv) read the thermal start
-    if applicable:
-        log0 = log_boltzmann_weights(els.index_energies, beta0)
-        backtracks[1:] = diagonal_relative_entropy(pops[1:], log_of_spectrum(pops[1:]), log0)
-
-    entries: list[ComplementarityEntry] = []
-    for snap, backtrack in zip(series.snapshots[1:], backtracks[1:].tolist()):
-        minus_dch = -(snap.C_h - first.C_h)
-        minus_ddth = -(snap.D_th - first.D_th)
-        weighted = float("nan")
-        if applicable:
-            weighted = (beta0 - series.beta_B) * (snap.E_S - first.E_S)
-        resid = minus_ddth - (weighted - backtrack)
-        reversal_active = weighted < 0.0
-        generation_active = applicable and -minus_dch > tol
-        entries.append(ComplementarityEntry(
-            t=snap.t,
-            minus_dCh=minus_dch,
-            minus_dDth=minus_ddth,
-            weighted_dE=weighted,
-            backtrack=backtrack,
-            sum_nonneg_ok=minus_dch + minus_ddth >= -tol,
-            energy_identity_residual=resid,
-            energy_identity_ok=abs(resid) <= tol,
-            reversal_active=reversal_active,
-            reversal_bound_ok=(minus_dch >= -weighted - tol) if reversal_active else None,
-            generation_active=generation_active,
-            generation_bound_ok=(weighted >= -minus_dch - tol) if generation_active else None,
-        ))
-
+    c_h, d_th, e_s = np.array([(x.C_h, x.D_th, x.E_S) for x in series.snapshots]).T
+    minus_dch, minus_ddth = -(c_h[1:] - c_h[0]), -(d_th[1:] - d_th[0])
+    backtrack = weighted = np.full(len(pops) - 1, np.nan)  # (ii)-(iv) read the thermal start
     initial_rate_ok: bool | None = None
     if applicable:
+        log0 = log_boltzmann_weights(els.index_energies, beta0)
+        backtrack = diagonal_relative_entropy(pops[1:], log_of_spectrum(pops[1:]), log0)
+        weighted = (beta0 - series.beta_B) * (e_s[1:] - e_s[0])
         initial_rate_ok = -first.rate_C_h + (beta0 - series.beta_B) * first.E_dot >= -tol
+    resid = minus_ddth - (weighted - backtrack)
     return ComplementarityReport(
         applicable=applicable,
         beta_0=beta0 if applicable else None,
         fit_residual=residual,
-        entries=tuple(entries),
+        minus_dCh=minus_dch,
+        minus_dDth=minus_ddth,
+        weighted_dE=weighted,
+        backtrack=backtrack,
+        energy_identity_residual=resid,
+        sum_nonneg_ok=minus_dch + minus_ddth >= -tol,
+        energy_identity_ok=np.abs(resid) <= tol,
+        reversal_active=weighted < 0.0,
+        reversal_bound_ok=minus_dch >= -weighted - tol,
+        generation_active=applicable & (-minus_dch > tol),
+        generation_bound_ok=weighted >= -minus_dch - tol,
         initial_rate_ok=initial_rate_ok,
         flags=flags,
     )

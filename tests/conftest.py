@@ -13,13 +13,22 @@ from cohentropy import (
 )
 from cohentropy.qcore import (
     CLIP_FLOOR,
+    Verdict,
     boltzmann_weights,
+    chunks,
+    diagonal_relative_entropy,
+    log_boltzmann_weights,
     log_of_spectrum,
     relative_entropy_from_logs,
 )
-from cohentropy.thermo import instantaneous_rates, rate_rows
+from cohentropy.thermo import (
+    COMPLEMENTARITY_TOL,
+    THERMAL_FIT_TOL,
+    fit_inverse_temperature,
+    instantaneous_rates,
+    rate_rows,
+)
 from cohentropy.thermalops import (
-    EnergyConservingUnitary,
     conservation_report,
     operation_rows,
     sample_energy_conserving_unitaries,
@@ -171,16 +180,21 @@ def dense_blocks(gen) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def seeded_unitary(sys_, seed: int) -> EnergyConservingUnitary:
-    """The energy-conserving unitary of one seed: a stack of one."""
-    return EnergyConservingUnitary(sample_energy_conserving_unitaries(sys_, [seed])[0], sys_.joint)
+def seeded_unitary(sys_, seed: int) -> np.ndarray:
+    """The (d, d) energy-conserving unitary of one seed: a stack of one."""
+    return sample_energy_conserving_unitaries(sys_, [seed])[0]
 
 
-def single_report(sys_, u: EnergyConservingUnitary, rho_s: np.ndarray, rho_b, beta_b: float):
-    """The conservation report of one operation on the (d, d) array rho_s, measured by
+def single_row(sys_, u: np.ndarray, rho_s: np.ndarray, rho_b, beta_b: float):
+    """The OperationRow of one operation of the (d, d) arrays u and rho_s, measured by
     ``operation_rows`` as a stack of one."""
-    (row,) = operation_rows(sys_, u.matrix[None], rho_s[None], rho_b, beta_b)
-    return conservation_report(sys_, row)
+    (row,) = operation_rows(sys_, u[None], rho_s[None], rho_b, beta_b)
+    return row
+
+
+def single_report(sys_, u: np.ndarray, rho_s: np.ndarray, rho_b, beta_b: float):
+    """The conservation report of one operation, from its ``single_row``."""
+    return conservation_report(sys_, single_row(sys_, u, rho_s, rho_b, beta_b))
 
 
 def rates_of(gen, state: np.ndarray, t: float = 0.0):
@@ -193,6 +207,58 @@ def rates_of(gen, state: np.ndarray, t: float = 0.0):
 def column(series, name: str) -> np.ndarray:
     """The field ``name`` of each snapshot of a series."""
     return np.array([getattr(s, name) for s in series.snapshots])
+
+
+def complementarity_reference(series, tol: float = COMPLEMENTARITY_TOL):
+    """Reference per-entry form of ``complementarity_report``: checks (i)-(iv) judged one
+    snapshot pair (0, t) at a time in Python floats, a bound that is not active None, and
+    the verdicts (i)-(v) counted over those entries.  Returns (entries, verdicts)."""
+    els, first = series.els, series.snapshots[0]
+    pops = np.concatenate([
+        els.to_labeled(series.states[part]).diagonal(0, 1, 2).real
+        for part in chunks(len(series.states), els.dim)
+    ])
+    beta0, residual = fit_inverse_temperature(pops[0], els)
+    applicable = np.isfinite(beta0) and residual <= THERMAL_FIT_TOL
+    backtracks = np.full(len(pops), np.nan)
+    if applicable:
+        log0 = log_boltzmann_weights(els.index_energies, beta0)
+        backtracks[1:] = diagonal_relative_entropy(pops[1:], log_of_spectrum(pops[1:]), log0)
+    entries = []
+    for snap, backtrack in zip(series.snapshots[1:], backtracks[1:].tolist()):
+        minus_dch = -(snap.C_h - first.C_h)
+        minus_ddth = -(snap.D_th - first.D_th)
+        weighted = float("nan")
+        if applicable:
+            weighted = (beta0 - series.beta_B) * (snap.E_S - first.E_S)
+        resid = minus_ddth - (weighted - backtrack)
+        reversal_active = weighted < 0.0
+        generation_active = bool(applicable) and -minus_dch > tol
+        entries.append(dict(
+            minus_dCh=minus_dch,
+            minus_dDth=minus_ddth,
+            weighted_dE=weighted,
+            backtrack=backtrack,
+            energy_identity_residual=resid,
+            sum_nonneg_ok=minus_dch + minus_ddth >= -tol,
+            energy_identity_ok=abs(resid) <= tol,
+            reversal_active=reversal_active,
+            reversal_bound_ok=(minus_dch >= -weighted - tol) if reversal_active else None,
+            generation_active=generation_active,
+            generation_bound_ok=(weighted >= -minus_dch - tol) if generation_active else None,
+        ))
+    if not applicable:
+        return entries, []
+    initial_rate_ok = -first.rate_C_h + (beta0 - series.beta_B) * first.E_dot >= -tol
+    checks = (
+        ("i_sum_nonnegative", [e["sum_nonneg_ok"] for e in entries]),
+        ("ii_energy_identity", [e["energy_identity_ok"] for e in entries]),
+        ("iii_reversal_bound", [e["reversal_bound_ok"] for e in entries if e["reversal_active"]]),
+        ("iv_generation_bound",
+         [e["generation_bound_ok"] for e in entries if e["generation_active"]]),
+        ("v_initial_rate", [initial_rate_ok]),
+    )
+    return entries, [Verdict(name, oks.count(False), 0, all(oks)) for name, oks in checks]
 
 
 def random_density(dim: int, seed: int, rank: int | None = None) -> np.ndarray:

@@ -122,7 +122,7 @@ def test_complementarity_report_budget(two_qubit_collective, eig_calls):
     series = decompose_series(gen, thermal_state_of(els, 2.0), [0.0, 0.5, 5.0, 50.0])
     eig_calls["n"] = 0
     rep = complementarity_report(series)
-    assert rep.applicable and all(e.energy_identity_ok for e in rep.entries)
+    assert rep.applicable and rep.energy_identity_ok.all()
     assert eig_calls["n"] == 0
 
 

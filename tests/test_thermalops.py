@@ -10,7 +10,7 @@ from cohentropy import (
     DensityMatrix,
     HermitianObservable,
     InvariantViolation,
-    apply_operation,
+    ShapeMismatch,
     build_level_structure,
     divergence_witness,
     eigenoperators,
@@ -23,9 +23,9 @@ from cohentropy.spectrum import state_functionals
 from cohentropy.thermalops import (
     BipartiteSystem,
     CutQuantities,
-    EnergyConservingUnitary,
     combine_level_structures,
     horizontal_pattern,
+    operation_rows,
 )
 from cohentropy.scenarios import (
     coherent_prepared_states,
@@ -42,6 +42,7 @@ from conftest import (
     random_density,
     seeded_unitary,
     single_report,
+    single_row,
 )
 
 
@@ -51,7 +52,7 @@ def oracle_report_inputs(sys_, u, rho_s, rho_b, beta_b):
     traces and projector cut."""
     rho_s = DensityMatrix(rho_s)
     joint0 = DensityMatrix(np.kron(rho_s.elements, rho_b.elements))
-    final = u.matrix @ joint0.elements @ u.matrix.conj().T
+    final = u @ joint0.elements @ u.conj().T
     joint_f = DensityMatrix(0.5 * (final + final.conj().T))
     rho_s_f = partial_trace(joint_f, sys_.dims, "A")
     rho_b_f = partial_trace(joint_f, sys_.dims, "B")
@@ -134,78 +135,110 @@ class TestSampling:
     def test_deterministic_per_seed(self, qubit_pair):
         u1 = seeded_unitary(qubit_pair, 42)
         u2 = seeded_unitary(qubit_pair, 42)
-        assert np.array_equal(u1.matrix, u2.matrix)
+        assert np.array_equal(u1, u2)
         u3 = seeded_unitary(qubit_pair, 43)
-        assert np.max(np.abs(u3.matrix - u1.matrix)) > 1e-3
+        assert np.max(np.abs(u3 - u1)) > 1e-3
 
     def test_one_dimensional_eigenspaces_give_pure_phases(self):
         els_a = build_level_structure(HermitianObservable(np.diag([0.0, 1.0])))
         els_b = build_level_structure(HermitianObservable(np.diag([0.0, 0.4])))
         sys_ = BipartiteSystem.build(els_a, els_b)
         u = seeded_unitary(sys_, 7)
-        off = u.matrix - np.diag(np.diag(u.matrix))
+        off = u - np.diag(np.diag(u))
         assert np.max(np.abs(off)) < 1e-13
-        assert np.allclose(np.abs(np.diag(u.matrix)), 1.0, atol=1e-13)
+        assert np.allclose(np.abs(np.diag(u)), 1.0, atol=1e-13)
         # all cuts invariant under a diagonal unitary acting on a diagonal state
-        rho_s = DensityMatrix(np.diag([0.8, 0.2]))
+        rho_s = np.diag([0.8, 0.2]).astype(complex)
         rho_b = thermal_state_of(els_b, 1.0)
-        _, rs, rb = apply_operation(sys_, u, rho_s, rho_b)
-        assert np.allclose(rs, rho_s.elements, atol=1e-12)
-        assert np.allclose(rb, rho_b.elements, atol=1e-12)
+        *_, rs, rb = thermalops._operate(sys_, u[None], rho_s[None], rho_b.elements)
+        assert np.allclose(rs[0], rho_s, atol=1e-12)
+        assert np.allclose(rb[0], rho_b.elements, atol=1e-12)
 
     def test_resonant_exchange_block_mixes(self, qubit_pair):
         u = seeded_unitary(qubit_pair, 0)
         # the (ge, eg) block is 2-dim: generically nonzero transfer amplitude
-        assert abs(u.matrix[1, 2]) > 1e-3
+        assert abs(u[1, 2]) > 1e-3
 
     def test_energy_conservation_enforced(self, qubit_pair):
+        """A U that permutes across energy sectors, third in its stack, is named by its
+        position there."""
         bad = np.eye(4, dtype=complex)
-        bad[[0, 1]] = bad[[1, 0]]  # permutes across energy sectors
-        with pytest.raises(InvariantViolation):
-            EnergyConservingUnitary(matrix=bad, joint=qubit_pair.joint)
+        bad[[0, 1]] = bad[[1, 0]]
+        stack = np.array([np.eye(4), seeded_unitary(qubit_pair, 0), bad, np.eye(4)])
+        rho_s = np.repeat(thermal_state_of(qubit_pair.els_S, 1.0).elements[None], 4, axis=0)
+        rho_b = thermal_state_of(qubit_pair.els_B, 1.0)
+        with pytest.raises(InvariantViolation, match="energy conservation violated") as info:
+            operation_rows(qubit_pair, stack, rho_s, rho_b, 1.0)
+        assert info.value.index == 2
 
 
 class TestApplyOperation:
+    """One operation, measured by ``operation_rows`` as a stack of one; ``_operate`` where
+    rho_B' is read."""
+
     def test_identity_changes_nothing(self, qubit_pair):
-        u = EnergyConservingUnitary(np.eye(4, dtype=complex), qubit_pair.joint)
-        rho_s = DensityMatrix(random_density(2, 3))
+        u = np.eye(4, dtype=complex)
+        rho_s = random_density(2, 3)
         rho_b = thermal_state_of(qubit_pair.els_B, 1.0)
-        sb, rs, rb = apply_operation(qubit_pair, u, rho_s, rho_b)
-        assert np.allclose(rs, rho_s.elements, atol=1e-13)
-        assert np.allclose(rb, rho_b.elements, atol=1e-13)
+        row = single_row(qubit_pair, u, rho_s, rho_b, 1.0)
+        *_, rb = thermalops._operate(qubit_pair, u[None], rho_s[None], rho_b.elements)
+        assert np.allclose(row.rho_S_final, rho_s, atol=1e-13)
+        assert np.allclose(rb[0], rho_b.elements, atol=1e-13)
 
     def test_requires_stationary_environment(self, qubit_pair):
-        u = EnergyConservingUnitary(np.eye(4, dtype=complex), qubit_pair.joint)
-        rho_s = thermal_state_of(qubit_pair.els_S, 1.0)
+        u = np.eye(4, dtype=complex)
+        rho_s = thermal_state_of(qubit_pair.els_S, 1.0).elements
         rho_b = DensityMatrix(np.full((2, 2), 0.5))  # coherent: not stationary
         with pytest.raises(InvariantViolation, match="stationary"):
-            apply_operation(qubit_pair, u, rho_s, rho_b)
+            single_row(qubit_pair, u, rho_s, rho_b, 1.0)
 
     def test_thermal_fixed_point_of_reduced_map(self, qubit_pair):
         """With a thermal environment the system thermal state is invariant."""
         beta = 0.9
-        rho_s = thermal_state_of(qubit_pair.els_S, beta)
+        rho_s = thermal_state_of(qubit_pair.els_S, beta).elements
         rho_b = thermal_state_of(qubit_pair.els_B, beta)
         for seed in range(5):
-            u = seeded_unitary(qubit_pair, seed)
-            _, rs, _ = apply_operation(qubit_pair, u, rho_s, rho_b)
-            assert np.max(np.abs(rs - rho_s.elements)) < 1e-12
+            row = single_row(qubit_pair, seeded_unitary(qubit_pair, seed), rho_s, rho_b, beta)
+            assert np.max(np.abs(row.rho_S_final - rho_s)) < 1e-12
 
     def test_resonant_full_swap_exchanges_populations(self, qubit_pair):
         swap = np.zeros((4, 4), dtype=complex)
         swap[0, 0] = swap[3, 3] = 1.0
         swap[1, 2] = swap[2, 1] = 1.0
-        u = EnergyConservingUnitary(swap, qubit_pair.joint)
         rho_s = thermal_state_of(qubit_pair.els_S, 2.0)
         rho_b = thermal_state_of(qubit_pair.els_B, 0.5)
-        _, rs, rb = apply_operation(qubit_pair, u, rho_s, rho_b)
-        assert np.allclose(rs, rho_b.elements, atol=1e-13)
-        assert np.allclose(rb, rho_s.elements, atol=1e-13)
+        row = single_row(qubit_pair, swap, rho_s.elements, rho_b, 0.5)
+        *_, rb = thermalops._operate(qubit_pair, swap[None], rho_s.elements[None], rho_b.elements)
+        assert np.allclose(row.rho_S_final, rho_b.elements, atol=1e-13)
+        assert np.allclose(rb[0], rho_s.elements, atol=1e-13)
+
+    @pytest.mark.parametrize("unitaries, states", [(5, 1), (1, 5)])
+    def test_one_state_per_unitary(self, qutrit_qubit, unitaries, states):
+        u = np.repeat(np.eye(6, dtype=complex)[None], unitaries, axis=0)
+        rho_s = np.repeat(thermal_state_of(qutrit_qubit.els_S, 1.3).elements[None], states, axis=0)
+        rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
+        with pytest.raises(ShapeMismatch, match="stack of states"):
+            operation_rows(qutrit_qubit, u, rho_s, rho_b, 1.3)
+
+    def test_unitaries_of_the_joint_dimension(self, qutrit_qubit):
+        """4x4 unitaries on the 6-dimensional joint space of a qutrit and a qubit."""
+        rho_s = thermal_state_of(qutrit_qubit.els_S, 1.3).elements[None]
+        rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
+        with pytest.raises(ShapeMismatch, match="unitary stack shape"):
+            operation_rows(qutrit_qubit, np.eye(4, dtype=complex)[None], rho_s, rho_b, 1.3)
+
+    def test_witness_final_state_is_its_rows(self, qutrit_qubit):
+        """The witness carries the S state after its operation from the row that found it."""
+        wit = divergence_witness(qutrit_qubit, range(64), 1.3)
+        rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
+        row = single_row(qutrit_qubit, wit.unitary, wit.rho_S.elements, rho_b, 1.3)
+        assert wit.rho_S_final.tobytes() == row.rho_S_final.tobytes()
+        assert np.array_equal(wit.unitary, seeded_unitary(qutrit_qubit, wit.seed))
 
 
 class TestConservationReport:
     def test_identity_operation_all_deltas_zero(self, qutrit_qubit):
-        u = EnergyConservingUnitary(np.eye(6, dtype=complex), qutrit_qubit.joint)
+        u = np.eye(6, dtype=complex)
         rho_s = coherent_prepared_states(qutrit_qubit.els_S, 0.7, [5])[0]
         rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
         rep = single_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
@@ -331,6 +364,23 @@ class TestConservationScan:
         swap = np.eye(6, dtype=complex)[[1, 0, 2, 3, 4, 5]]
         check = self.poisoned(thermalops._checked_unitaries, 33, swap)
         monkeypatch.setattr(thermalops, "_checked_unitaries", check)
+        rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
+        with pytest.raises(InvariantViolation, match="energy conservation violated") as info:
+            conservation_scan(qutrit_qubit, range(40), rho_b, 1.3, beta_0=0.7)
+        assert info.value.index == 33
+
+    def test_drawn_unitaries_are_checked_where_used(self, qutrit_qubit, monkeypatch):
+        """The draws are not checked where they are made: ``operation_rows`` catches an
+        energy-violating U drawn for seed 33, and the scan names that seed."""
+        swap = np.eye(6, dtype=complex)[[1, 0, 2, 3, 4, 5]]
+        sample = scenarios.sample_energy_conserving_unitaries
+
+        def drawn(sys_, seeds):
+            u = sample(sys_, seeds)
+            u[[k for k, s in enumerate(seeds) if s == 33]] = swap
+            return u
+
+        monkeypatch.setattr(scenarios, "sample_energy_conserving_unitaries", drawn)
         rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
         with pytest.raises(InvariantViolation, match="energy conservation violated") as info:
             conservation_scan(qutrit_qubit, range(40), rho_b, 1.3, beta_0=0.7)

@@ -30,7 +30,14 @@ from cohentropy.scenarios import (
     parse_config,
 )
 from cohentropy.thermo import _resymm
-from conftest import column, matrix_log_on_support, random_density, rates_of, von_neumann_entropy
+from conftest import (
+    column,
+    complementarity_reference,
+    matrix_log_on_support,
+    random_density,
+    rates_of,
+    von_neumann_entropy,
+)
 
 
 class TestInstantaneousRates:
@@ -224,28 +231,23 @@ class TestComplementarity:
         rep = complementarity_report(series)
         assert rep.applicable
         assert rep.beta_0 == pytest.approx(1.0, abs=1e-6)
-        for e in rep.entries:
-            assert e.sum_nonneg_ok and e.energy_identity_ok
-            assert abs(e.minus_dCh) < 1e-10 and abs(e.minus_dDth) < 1e-10
+        assert rep.sum_nonneg_ok.all() and rep.energy_identity_ok.all()
+        assert np.max(np.abs(rep.minus_dCh)) < 1e-10 and np.max(np.abs(rep.minus_dDth)) < 1e-10
 
     def test_reversal_scenario_consumption_bound(self):
         scen = build_reversal_scenario(ReversalConfig(beta_0=1.1, time_grid=GridSpec(50)))
         rep = complementarity_report(scen.series)
         assert rep.applicable
-        active = [e for e in rep.entries if e.reversal_active]
-        assert active, "heat-exchange reversal never became active"
-        assert all(e.reversal_bound_ok for e in active)
-        assert all(e.sum_nonneg_ok and e.energy_identity_ok for e in rep.entries)
+        assert rep.reversal_active.any(), "heat-exchange reversal never became active"
+        assert rep.reversal_bound_ok[rep.reversal_active].all()
+        assert rep.sum_nonneg_ok.all() and rep.energy_identity_ok.all()
         assert rep.initial_rate_ok
 
     def test_generation_scenario_energy_cost(self, two_qubit_collective):
         _, _, els, gen = two_qubit_collective
-        rho0 = thermal_state_of(els, 2.0)
-        series = decompose_series(gen, rho0, [0.0] + list(np.geomspace(0.1, 200.0, 30)))
-        rep = complementarity_report(series)
-        active = [e for e in rep.entries if e.generation_active]
-        assert active, "horizontal-coherence generation never became active"
-        assert all(e.generation_bound_ok for e in active)
+        rep = complementarity_report(generation_series(els, gen))
+        assert rep.generation_active.any(), "horizontal-coherence generation never became active"
+        assert rep.generation_bound_ok[rep.generation_active].all()
 
     def test_non_thermal_start_not_applicable(self, two_qubit_collective):
         _, _, els, gen = two_qubit_collective
@@ -254,6 +256,50 @@ class TestComplementarity:
         rep = complementarity_report(series)
         assert not rep.applicable
         assert "not-applicable" in rep.flags
+
+    def test_one_snapshot_series_has_no_entries(self, two_qubit_collective):
+        """A series of its initial snapshot alone gets a report with zero entries, whose
+        checks (i)-(iv) pass vacuously."""
+        _, _, els, gen = two_qubit_collective
+        rep = complementarity_report(decompose_series(gen, thermal_state_of(els, 2.0), [0.0]))
+        assert rep.applicable and rep.minus_dCh.shape == rep.reversal_active.shape == (0,)
+        assert [(v.value, v.passed) for v in rep.verdicts()[:4]] == [(0, True)] * 4
+
+    @pytest.mark.parametrize("case", ["reversal", "generation", "non-thermal"])
+    def test_columns_equal_the_per_entry_reference(self, two_qubit_collective, case):
+        """Each column, the active counts and the verdicts equal those of the per-entry
+        reference bit for bit."""
+        _, _, els, gen = two_qubit_collective
+        if case == "reversal":
+            series = build_reversal_scenario(
+                ReversalConfig(beta_0=1.1, time_grid=GridSpec(50))).series
+        elif case == "generation":
+            series = generation_series(els, gen)
+        else:
+            series = decompose_series(gen, DensityMatrix(np.diag([0.5, 0.3, 0.1, 0.1])),
+                                      [0.0, 0.5, 1.0])
+        rep = complementarity_report(series)
+        entries, verdicts = complementarity_reference(series)
+        assert len(entries) == len(series.snapshots) - 1
+        for name in ("minus_dCh", "minus_dDth", "weighted_dE", "backtrack",
+                     "energy_identity_residual"):
+            assert getattr(rep, name).tobytes() == np.array([e[name] for e in entries]).tobytes()
+        for name in ("sum_nonneg_ok", "energy_identity_ok", "reversal_active",
+                     "generation_active"):
+            assert getattr(rep, name).tolist() == [e[name] for e in entries]
+        for name in ("reversal", "generation"):
+            active = getattr(rep, f"{name}_active")
+            assert int(active.sum()) == sum(e[f"{name}_active"] for e in entries)
+            assert getattr(rep, f"{name}_bound_ok")[active].tolist() == [
+                e[f"{name}_bound_ok"] for e in entries if e[f"{name}_active"]]
+        assert rep.verdicts() == verdicts
+
+
+def generation_series(els, gen):
+    """From the thermal state at beta_0 = 2 against the bath at beta_B = 1: horizontal
+    coherences are generated."""
+    return decompose_series(
+        gen, thermal_state_of(els, 2.0), [0.0] + list(np.geomspace(0.1, 200.0, 30)))
 
 
 @pytest.fixture(scope="module")
