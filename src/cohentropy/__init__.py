@@ -62,7 +62,6 @@ from .collective import (
 )
 from .thermalops import (
     BipartiteSystem,
-    ConservationReport,
     conservation_report,
     divergence_witness,
     operation_rows,

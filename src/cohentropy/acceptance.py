@@ -49,7 +49,12 @@ from .scenarios import (
     thermal_operation_systems,
 )
 from .spectrum import build_level_structure, state_functionals, thermal_state_of
-from .thermalops import CHECK_TOL, WITNESS_THRESHOLD, incoherent_input_verdicts
+from .thermalops import (
+    CHECK_TOL,
+    WITNESS_THRESHOLD,
+    conservation_report,
+    incoherent_input_verdicts,
+)
 from .thermo import (
     CLOSURE_TOL,
     COMPLEMENTARITY_TOL,
@@ -315,9 +320,9 @@ def criterion_9(ctx: AcceptanceContext) -> CriterionResult:
     total = 0
     for name, sys_ in ctx.thermal_systems:
         rho_b = thermal_state_of(sys_.els_B, 1.3)
-        for rep in conservation_scan(sys_, range(N_SEEDS), rho_b, 1.3, beta_0=0.7, tol=tol):
+        for row in conservation_scan(sys_, range(N_SEEDS), rho_b, 1.3, beta_0=0.7):
             total += 1
-            if not all(v.passed for v in rep.verdicts()):
+            if not all(v.passed for v in conservation_report(row, tol)):
                 failures += 1
     return CriterionResult(
         9, "conservation laws (a)-(g) over 256 seeded energy-conserving unitaries",
@@ -328,8 +333,8 @@ def criterion_9(ctx: AcceptanceContext) -> CriterionResult:
 def criterion_10(ctx: AcceptanceContext) -> CriterionResult:
     """No vertical generation from incoherent inputs; horizontal generation occurs."""
     finals = [
-        rep.S_final for _, sys_ in ctx.thermal_systems
-        for rep in conservation_scan(sys_, range(N_SEEDS), thermal_state_of(sys_.els_B, 1.3), 1.3)
+        row.S_final for _, sys_ in ctx.thermal_systems
+        for row in conservation_scan(sys_, range(N_SEEDS), thermal_state_of(sys_.els_B, 1.3), 1.3)
     ]
     cv, ch = incoherent_input_verdicts(
         finals, ctx.tol(10, CHECK_TOL), ctx.threshold(10, WITNESS_THRESHOLD)

@@ -49,10 +49,9 @@ from .spectrum import (
     thermal_state_of,
 )
 from .thermalops import (
-    CHECK_TOL,
     WITNESS_THRESHOLD,
     BipartiteSystem,
-    ConservationReport,
+    OperationRow,
     conservation_report,
     divergence_witness,
     horizontal_pattern,
@@ -391,22 +390,18 @@ def conservation_scan(
     rho_B: DensityMatrix,
     beta_B: float,
     beta_0: float | None = None,
-    tol: float = CHECK_TOL,
-) -> list[ConservationReport]:
-    """conservation_report for the energy-conserving unitary of each seed, by stacked passes.
+) -> list[OperationRow]:
+    """The OperationRow of the energy-conserving unitary of each seed, by stacked passes.
 
     rho_S is the coherent_prepared_states state at beta_0 (seeded 10000 + seed) or, when
     beta_0 is None, the incoherent diagonal_prepared_states state (seeded 20000 + seed).
-    Each chunk of seeds is one pass: its states and unitaries are drawn and checked as
-    stacks and measured by ``operation_rows``, and each report is assembled and judged
-    from its row by ``conservation_report``.  A check that fails on one seed raises an
-    InvariantViolation whose ``index`` is that seed's position in ``seeds``.
+    Each ``chunks`` chunk of seeds is one pass: its states and unitaries are drawn and
+    checked as stacks and measured by ``operation_rows``.  A check that fails on one seed
+    raises an InvariantViolation whose ``index`` is that seed's position in ``seeds``.
     """
     seeds = list(seeds)
-    reports: list[ConservationReport] = []
-    # a pass measures 2 states per seed at the joint dimension d; seeds by chunks of 2d
-    # keep each of its state_functionals calls within one chunk of the kernel
-    for part in chunks(len(seeds), 2 * sys_.joint.dim):
+    rows: list[OperationRow] = []
+    for part in chunks(len(seeds), sys_.joint.dim):
         try:
             if beta_0 is None:
                 rho_s = diagonal_prepared_states(sys_.els_S, [20_000 + s for s in seeds[part]])
@@ -414,13 +409,12 @@ def conservation_scan(
                 prep = [10_000 + s for s in seeds[part]]
                 rho_s = coherent_prepared_states(sys_.els_S, beta_0, prep)
             unitaries = sample_energy_conserving_unitaries(sys_, seeds[part])
-            rows = operation_rows(sys_, unitaries, rho_s, rho_B, beta_B)
+            rows += operation_rows(sys_, unitaries, rho_s, rho_B, beta_B)
         except InvariantViolation as exc:
             if hasattr(exc, "index"):
                 exc.index += part.start
             raise
-        reports += [conservation_report(sys_, row, tol=tol) for row in rows]
-    return reports
+    return rows
 
 
 def build_otto_report(cfg: OttoConfig):
@@ -678,8 +672,8 @@ class ThermalOperationConfig:
         for name, sys_ in thermal_operation_systems(self.omega):
             summary.section(f"conservation laws: {name}")
             rho_b = thermal_state_of(sys_.els_B, self.beta_B)
-            reports = conservation_scan(sys_, seeds, rho_b, self.beta_B, beta_0=self.beta_0)
-            for column in zip(*(r.verdicts() for r in reports)):
+            rows = conservation_scan(sys_, seeds, rho_b, self.beta_B, beta_0=self.beta_0)
+            for column in zip(*map(conservation_report, rows)):
                 bad = summary.tally(column)
                 summary.kv(column[0].name, f"{len(column) - bad}/{len(column)} pass")
 
@@ -701,7 +695,7 @@ class ThermalOperationConfig:
             summary.kvs(wit, keys)
             witness_rows = finite_change_rows(
                 (t, state, sys_.els_S, self.beta_B, "finite-operation")
-                for t, state in ((0.0, wit.rho_S.elements), (1.0, wit.rho_S_final))
+                for t, state in ((0.0, wit.rho_S.elements), (1.0, wit.row.rho_S_final))
             )
         return summary.output(series_to_csv(witness_rows))
 

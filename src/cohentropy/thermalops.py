@@ -38,8 +38,6 @@ FACTORIZATION_TOL = 1e-10
 STATIONARITY_TOL = 1e-10
 UNITARY_TOL = 1e-12
 
-FLAG_RHO_B_NOT_THERMAL = "rho_B-not-thermal"
-
 
 def combine_level_structures(
     els_S: EnergyLevelStructure, els_B: EnergyLevelStructure
@@ -157,24 +155,28 @@ def _block_diagonal(m: np.ndarray, els: EnergyLevelStructure) -> np.ndarray:
     return 0.5 * (out + dagger(out))
 
 
-@dataclass(frozen=True)
-class CutQuantities:
+class CutQuantities(NamedTuple):
+    """The [C_v, C_h, D_th] cut of one state."""
+
     C_v: float
     C_h: float
     D_th: float
 
 
 class OperationRow(NamedTuple):
-    """What a report reads of one operation: ``cuts``, the [C_v, C_h, D_th] of S, B and SB,
-    each before and then after; Delta E_S; check (g)'s deviation of the initial joint
-    block-diagonal cut from the product of the factors' cuts; the Hermitian (d_S, d_S) array
-    rho_S' of S after the operation; and max |rho_B - rho_th|."""
+    """The record of one operation: the cuts of S, B and SB, each before and after; Delta
+    E_S; check (g)'s deviation of the initial joint block-diagonal cut from the product of
+    the factors' cuts; and the Hermitian (d_S, d_S) array rho_S' of S after the operation."""
 
-    cuts: list[list[float]]
+    S_initial: CutQuantities
+    S_final: CutQuantities
+    B_initial: CutQuantities
+    B_final: CutQuantities
+    SB_initial: CutQuantities
+    SB_final: CutQuantities
     delta_E_S: float
     factorization_dev: float
     rho_S_final: np.ndarray
-    thermal_dev: float
 
 
 def operation_rows(
@@ -188,13 +190,15 @@ def operation_rows(
     energy-conserving unitaries and one of checked states, from one stacked pass: the
     checks of the unitaries, the operation and its partial traces, one ``state_functionals``
     call on the 2T states before and after of each of S, B and SB, and Delta E_S and check
-    (g) as stacks.  rho_B's stationarity, its distance from the thermal state at beta_B and
-    H_S are taken once.  A row is bitwise the one its operation gets alone.  Requires one
-    state per unitary (ShapeMismatch otherwise); the map preserves positivity, so the
-    states after are validated by ``state_functionals`` from its own spectrum."""
+    (g) as stacks.  rho_B's dimension and stationarity and H_S are taken once.  A row is
+    bitwise the one its operation gets alone.  Requires a (d_B, d_B) rho_B and one state per
+    unitary (ShapeMismatch otherwise); the map preserves positivity, so the states after are
+    validated by ``state_functionals`` from its own spectrum."""
+    t, (d_s, d_b), rho_b = len(U), sys.dims, rho_B.elements
+    if rho_B.dim != d_b:
+        raise ShapeMismatch(f"rho_B is {rho_B.dim}x{rho_B.dim}, the bath has d_B = {d_b}")
     _check_stationary(sys, rho_B)
     _checked_unitaries(U, sys.joint)
-    t, d_s, rho_b = len(U), sys.els_S.dim, rho_B.elements
     if rho_S.shape != (t, d_s, d_s):
         raise ShapeMismatch(f"{t} unitaries need a ({t}, {d_s}, {d_s}) stack of states, "
                             f"got {rho_S.shape}")
@@ -212,77 +216,30 @@ def operation_rows(
     delta_e_s = np.trace(h_s @ (rho_s_f - rho_S), axis1=-2, axis2=-1).real
     factorized = _kron(_block_diagonal(rho_S, sys.els_S), rho_b)
     factorization_dev = np.max(np.abs(_block_diagonal(joint0, sys.joint) - factorized), (-2, -1))
-    thermal_dev = max_abs(rho_b - thermal_state_of(sys.els_B, beta_B).elements)
     columns = (cuts.transpose(2, 0, 1, 3).reshape(t, 6, 3), delta_e_s, factorization_dev)
-    rows = zip(*(c.tolist() for c in columns), rho_s_f)
-    return [OperationRow(*row, thermal_dev) for row in rows]
+    return [
+        OperationRow(*map(CutQuantities._make, six), *rest, rho)
+        for six, *rest, rho in zip(*(c.tolist() for c in columns), rho_s_f)
+    ]
 
 
-@dataclass(frozen=True)
-class ConservationReport:
-    """Before/after coherence bookkeeping and the checks (a)-(g).
-
-    checks maps each check's short name to its Verdict; for the inequality checks
-    the value is the left-hand side that must be >= -tol.  D_th quantities are
-    measured against beta_B; when rho_B is not thermal at beta_B the S-local
-    inequality (f) is not guaranteed by theory and the report carries a flag.
-    """
-
-    S_initial: CutQuantities
-    S_final: CutQuantities
-    B_initial: CutQuantities
-    B_final: CutQuantities
-    SB_initial: CutQuantities
-    SB_final: CutQuantities
-    correlated_initial: CutQuantities
-    correlated_final: CutQuantities
-    delta_E_S: float
-    checks: dict[str, Verdict]
-    flags: tuple[str, ...] = ()
-
-    def verdicts(self) -> list[Verdict]:
-        return list(self.checks.values())
-
-
-def conservation_report(
-    sys: BipartiteSystem, row: OperationRow, tol: float = CHECK_TOL
-) -> ConservationReport:
-    """The report of one operation, assembled from its ``operation_rows`` row and judged:
-    checks (a)-(g), and the rho_B-not-thermal flag when rho_B is farther than tol from the
-    thermal state."""
-    s0, sf, b0, bf, sb0, sbf = (CutQuantities(*cut) for cut in row.cuts)
-
-    def correlated(sb: CutQuantities, s: CutQuantities, b: CutQuantities) -> CutQuantities:
-        return CutQuantities(
-            C_v=sb.C_v - s.C_v - b.C_v,
-            C_h=sb.C_h - s.C_h - b.C_h,
-            D_th=sb.D_th - s.D_th - b.D_th,
-        )
-
-    corr0 = correlated(sb0, s0, b0)
-    corrf = correlated(sbf, sf, bf)
-    checks = (
+def conservation_report(row: OperationRow, tol: float = CHECK_TOL) -> tuple[Verdict, ...]:
+    """The verdicts of checks (a)-(g) on one ``operation_rows`` row; for the inequality
+    checks the value is the left-hand side that must be >= -tol.  The D_th quantities are
+    measured against beta_B, so when rho_B is stationary but not thermal at beta_B the
+    S-local inequality (f) is not guaranteed by theory."""
+    s0, sf, b0, bf = row.S_initial, row.S_final, row.B_initial, row.B_final
+    sb0, sbf = row.SB_initial, row.SB_final
+    corr_v, corr_h, corr_d = (sb - s - b for sb, s, b in zip(sbf, sf, bf))  # of SB, final
+    return (
         _eq("a:dCv_SB=0", sbf.C_v - sb0.C_v, tol),
         _eq("b:dCh_SB+dDth_SB=0", (sbf.C_h - sb0.C_h) + (sbf.D_th - sb0.D_th), tol),
-        _eq("c:local_Cv_to_correlated", -(sf.C_v - s0.C_v) - (bf.C_v - b0.C_v) - corrf.C_v, tol),
+        _eq("c:local_Cv_to_correlated", -(sf.C_v - s0.C_v) - (bf.C_v - b0.C_v) - corr_v, tol),
         _eq("d:expanded_balance", -(sf.C_h - s0.C_h) - (bf.C_h - b0.C_h) - (sf.D_th - s0.D_th)
-            - (bf.D_th - b0.D_th) - corrf.C_h - corrf.D_th, tol),
+            - (bf.D_th - b0.D_th) - corr_h - corr_d, tol),
         _ge("e:-dCv_S>=0", -(sf.C_v - s0.C_v), tol),
         _ge("f:-dCh_S-dDth_S>=0", -(sf.C_h - s0.C_h) - (sf.D_th - s0.D_th), tol),
         _eq("g:initial_BD_factorizes", row.factorization_dev, FACTORIZATION_TOL),
-    )
-    return ConservationReport(
-        S_initial=s0,
-        S_final=sf,
-        B_initial=b0,
-        B_final=bf,
-        SB_initial=sb0,
-        SB_final=sbf,
-        correlated_initial=corr0,
-        correlated_final=corrf,
-        delta_E_S=row.delta_E_S,
-        checks={v.name: v for v in checks},
-        flags=(FLAG_RHO_B_NOT_THERMAL,) if row.thermal_dev > tol else (),
     )
 
 
@@ -312,14 +269,13 @@ def incoherent_input_verdicts(
 @dataclass(frozen=True)
 class DivergenceWitness:
     """A concrete (U, rho_S) where, with rho_B thermal at beta_B, the populations diverge
-    from equilibrium; rho_S_final is the state of S after the operation."""
+    from equilibrium; ``row`` is its operation's record, rho_S' included."""
 
     seed: int
     coherence_amplitude: float
     rho_S: DensityMatrix
-    rho_S_final: np.ndarray
     unitary: np.ndarray
-    report: ConservationReport
+    row: OperationRow
     delta_D_th_S: float
     delta_C_h_S: float
     delta_E_S: float
@@ -347,7 +303,7 @@ def divergence_witness(
     initial resource: its diagonal is already at equilibrium, so any later
     distance from equilibrium is a reversal of the population convergence).
     The witness also certifies the consumption bound -Delta C_h^S >= Delta
-    D_th^S > 0, reading its report's verdict (f).
+    D_th^S > 0, reading verdict (f) of its row.
     """
     pattern = horizontal_pattern(sys.els_S)
     base = thermal_state_of(sys.els_S, beta_B)
@@ -357,11 +313,11 @@ def divergence_witness(
     for seed in seeds:
         u = sample_energy_conserving_unitaries(sys, [seed])
         (row,) = operation_rows(sys, u, rho_s.elements[None], rho_b, beta_B)
-        report = conservation_report(sys, row)
-        d_dth = report.S_final.D_th - report.S_initial.D_th
-        d_ch = report.S_final.C_h - report.S_initial.C_h
+        consumption = conservation_report(row)[5]  # f: -dC_h^S - dD_th^S >= 0
+        d_dth = row.S_final.D_th - row.S_initial.D_th
+        d_ch = row.S_final.C_h - row.S_initial.C_h
         if -d_dth < -WITNESS_THRESHOLD:
-            if not (report.checks["f:-dCh_S-dDth_S>=0"].passed and d_dth > 0):
+            if not (consumption.passed and d_dth > 0):
                 raise InvariantViolation(
                     "witness violates the consumption bound -dC_h >= dD_th > 0"
                 )
@@ -369,12 +325,11 @@ def divergence_witness(
                 seed=seed,
                 coherence_amplitude=c,
                 rho_S=rho_s,
-                rho_S_final=row.rho_S_final,
                 unitary=u[0],
-                report=report,
+                row=row,
                 delta_D_th_S=d_dth,
                 delta_C_h_S=d_ch,
-                delta_E_S=report.delta_E_S,
+                delta_E_S=row.delta_E_S,
             )
     raise WitnessNotFound(
         f"no population-divergence witness among {len(list(seeds))} seeds"

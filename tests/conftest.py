@@ -193,8 +193,8 @@ def single_row(sys_, u: np.ndarray, rho_s: np.ndarray, rho_b, beta_b: float):
 
 
 def single_report(sys_, u: np.ndarray, rho_s: np.ndarray, rho_b, beta_b: float):
-    """The conservation report of one operation, from its ``single_row``."""
-    return conservation_report(sys_, single_row(sys_, u, rho_s, rho_b, beta_b))
+    """The verdicts (a)-(g) of one operation, judged on its ``single_row``."""
+    return conservation_report(single_row(sys_, u, rho_s, rho_b, beta_b))
 
 
 def rates_of(gen, state: np.ndarray, t: float = 0.0):

@@ -24,6 +24,7 @@ from cohentropy.thermalops import (
     BipartiteSystem,
     CutQuantities,
     combine_level_structures,
+    conservation_report,
     horizontal_pattern,
     operation_rows,
 )
@@ -41,7 +42,6 @@ from conftest import (
     partial_trace,
     random_density,
     seeded_unitary,
-    single_report,
     single_row,
 )
 
@@ -70,6 +70,12 @@ def oracle_report_inputs(sys_, u, rho_s, rho_b, beta_b):
 
 def float_bits(cuts, delta_e_s, dev):
     return [x.hex() for c in cuts for x in (c.C_v, c.C_h, c.D_th)] + [delta_e_s.hex(), dev.hex()]
+
+
+def correlated(row, when):
+    """The correlated cut SB - S - B of a row, ``when`` 'initial' or 'final'."""
+    sb, s, b = (getattr(row, f"{cut}_{when}") for cut in ("SB", "S", "B"))
+    return CutQuantities(*(x - y - z for x, y, z in zip(sb, s, b)))
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +226,14 @@ class TestApplyOperation:
         with pytest.raises(ShapeMismatch, match="stack of states"):
             operation_rows(qutrit_qubit, u, rho_s, rho_b, 1.3)
 
+    def test_environment_of_the_bath_dimension(self, qutrit_qubit):
+        """A 3x3 rho_B against the qubit bath of a qutrit and a qubit."""
+        u = np.eye(6, dtype=complex)[None]
+        rho_s = thermal_state_of(qutrit_qubit.els_S, 1.3).elements[None]
+        rho_b = thermal_state_of(qutrit_qubit.els_S, 1.3)
+        with pytest.raises(ShapeMismatch, match="d_B = 2"):
+            operation_rows(qutrit_qubit, u, rho_s, rho_b, 1.3)
+
     def test_unitaries_of_the_joint_dimension(self, qutrit_qubit):
         """4x4 unitaries on the 6-dimensional joint space of a qutrit and a qubit."""
         rho_s = thermal_state_of(qutrit_qubit.els_S, 1.3).elements[None]
@@ -228,11 +242,11 @@ class TestApplyOperation:
             operation_rows(qutrit_qubit, np.eye(4, dtype=complex)[None], rho_s, rho_b, 1.3)
 
     def test_witness_final_state_is_its_rows(self, qutrit_qubit):
-        """The witness carries the S state after its operation from the row that found it."""
+        """The witness carries the S state after its operation in the row that found it."""
         wit = divergence_witness(qutrit_qubit, range(64), 1.3)
         rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
         row = single_row(qutrit_qubit, wit.unitary, wit.rho_S.elements, rho_b, 1.3)
-        assert wit.rho_S_final.tobytes() == row.rho_S_final.tobytes()
+        assert wit.row.rho_S_final.tobytes() == row.rho_S_final.tobytes()
         assert np.array_equal(wit.unitary, seeded_unitary(qutrit_qubit, wit.seed))
 
 
@@ -241,21 +255,22 @@ class TestConservationReport:
         u = np.eye(6, dtype=complex)
         rho_s = coherent_prepared_states(qutrit_qubit.els_S, 0.7, [5])[0]
         rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
-        rep = single_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
-        assert all(v.passed for v in rep.verdicts())
-        assert rep.S_final.C_h == pytest.approx(rep.S_initial.C_h, abs=1e-12)
-        assert abs(rep.correlated_final.C_v) < 1e-12
-        assert abs(rep.delta_E_S) < 1e-13
+        row = single_row(qutrit_qubit, u, rho_s, rho_b, 1.3)
+        assert all(v.passed for v in conservation_report(row))
+        assert row.S_final.C_h == pytest.approx(row.S_initial.C_h, abs=1e-12)
+        assert abs(correlated(row, "final").C_v) < 1e-12
+        assert abs(row.delta_E_S) < 1e-13
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 17])
     def test_random_unitaries_pass_all_checks(self, qutrit_qubit, seed):
         rho_s = coherent_prepared_states(qutrit_qubit.els_S, 0.7, [100 + seed])[0]
         rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
         u = seeded_unitary(qutrit_qubit, seed)
-        rep = single_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
-        assert all(v.passed for v in rep.verdicts()), [v for v in rep.verdicts() if not v.passed]
+        row = single_row(qutrit_qubit, u, rho_s, rho_b, 1.3)
+        verdicts = conservation_report(row)
+        assert all(v.passed for v in verdicts), [v for v in verdicts if not v.passed]
         # correlated quantities are genuinely correlational: never negative
-        for corr in (rep.correlated_initial, rep.correlated_final):
+        for corr in (correlated(row, "initial"), correlated(row, "final")):
             assert corr.C_v >= -1e-9 and corr.C_h >= -1e-9 and corr.D_th >= -1e-9
 
     @pytest.mark.parametrize("index", [0, 1])
@@ -268,10 +283,10 @@ class TestConservationReport:
             u = seeded_unitary(sys_, seed)
             for rho_s in (coherent_prepared_states(sys_.els_S, 0.7, [10_000 + seed])[0],
                           diagonal_prepared_states(sys_.els_S, [20_000 + seed])[0]):
-                rep = single_report(sys_, u, rho_s, rho_b, 1.3)
-                cuts = [rep.S_initial, rep.S_final, rep.B_initial, rep.B_final,
-                        rep.SB_initial, rep.SB_final]
-                got = float_bits(cuts, rep.delta_E_S, rep.checks["g:initial_BD_factorizes"].value)
+                row = single_row(sys_, u, rho_s, rho_b, 1.3)
+                g = conservation_report(row)[6]
+                assert g.name == "g:initial_BD_factorizes"
+                got = float_bits(row[:6], row.delta_E_S, g.value)
                 assert got == float_bits(*oracle_report_inputs(sys_, u, rho_s, rho_b, 1.3))
 
     def test_local_horizontal_coherence_changes(self, qutrit_qubit):
@@ -281,31 +296,29 @@ class TestConservationReport:
         for seed in range(8):
             rho_s = thermal_state_of(qutrit_qubit.els_S, 0.7)
             u = seeded_unitary(qutrit_qubit, seed)
-            rep = single_report(qutrit_qubit, u, rho_s.elements, rho_b, 1.3)
-            seen = max(seen, abs(rep.S_final.C_h - rep.S_initial.C_h))
+            row = single_row(qutrit_qubit, u, rho_s.elements, rho_b, 1.3)
+            seen = max(seen, abs(row.S_final.C_h - row.S_initial.C_h))
         assert seen > 1e-6
 
     def test_nonthermal_stationary_environment_flagged(self, qutrit_qubit):
+        """The global conservation laws hold for any stationary environment."""
         rho_b = DensityMatrix(np.diag([0.5, 0.5]))  # stationary, not thermal
         rho_s = thermal_state_of(qutrit_qubit.els_S, 0.7)
         u = seeded_unitary(qutrit_qubit, 3)
-        rep = single_report(qutrit_qubit, u, rho_s.elements, rho_b, 1.3)
-        assert "rho_B-not-thermal" in rep.flags
-        # the global conservation laws hold for any stationary environment
-        assert rep.checks["a:dCv_SB=0"].passed
-        assert rep.checks["b:dCh_SB+dDth_SB=0"].passed
+        a, b, *_ = conservation_report(single_row(qutrit_qubit, u, rho_s.elements, rho_b, 1.3))
+        assert (a.name, b.name) == ("a:dCv_SB=0", "b:dCh_SB+dDth_SB=0")
+        assert a.passed and b.passed
 
     def test_no_vertical_generation_from_incoherent_inputs(self, qutrit_qubit):
         rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
         for seed in range(10):
             rho_s = diagonal_prepared_states(qutrit_qubit.els_S, [300 + seed])[0]
             u = seeded_unitary(qutrit_qubit, seed)
-            rep = single_report(qutrit_qubit, u, rho_s, rho_b, 1.3)
-            assert rep.S_final.C_v <= 1e-9
+            assert single_row(qutrit_qubit, u, rho_s, rho_b, 1.3).S_final.C_v <= 1e-9
 
 
 class TestConservationScan:
-    SEEDS = range(120)  # past the scan's chunks of seeds: 28 at joint d = 6, 64 at d = 4
+    SEEDS = range(260)  # past the scan's chunks of seeds: 113 at joint d = 6, 256 at d = 4
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_prepared_states_are_checked_stacks(self, index):
@@ -322,8 +335,8 @@ class TestConservationScan:
     @pytest.mark.parametrize("beta_0", [0.7, None])
     @pytest.mark.parametrize("environment", ["thermal", "uniform"])
     def test_scan_equals_single_reports_bit_for_bit(self, index, beta_0, environment):
-        """Each report of the stacked scan equals the report of its seed measured alone, as
-        a stack of one, field for field, verdicts and flags included; a uniform rho_B is
+        """Each row of the stacked scan equals the row of its seed measured alone, as a
+        stack of one, field for field, and so do their verdicts; a uniform rho_B is
         stationary, not thermal."""
         _, sys_ = thermal_operation_systems()[index]
         els_b = sys_.els_B
@@ -331,18 +344,20 @@ class TestConservationScan:
             rho_b = thermal_state_of(els_b, 1.3)
         else:
             rho_b = DensityMatrix(np.eye(els_b.dim) / els_b.dim)
-        reports = conservation_scan(sys_, self.SEEDS, rho_b, 1.3, beta_0=beta_0)
-        assert len(reports) == len(self.SEEDS)
-        for seed, rep in zip(self.SEEDS, reports):
+        rows = conservation_scan(sys_, self.SEEDS, rho_b, 1.3, beta_0=beta_0)
+        assert len(rows) == len(self.SEEDS)
+        for seed, row in zip(self.SEEDS, rows):
             if beta_0 is None:
                 rho_s = diagonal_prepared_states(sys_.els_S, [20_000 + seed])[0]
             else:
                 rho_s = coherent_prepared_states(sys_.els_S, beta_0, [10_000 + seed])[0]
             u = seeded_unitary(sys_, seed)
+            alone = single_row(sys_, u, rho_s, rho_b, 1.3)
+            assert float_bits(row[:6], row.delta_E_S, row.factorization_dev) == float_bits(
+                alone[:6], alone.delta_E_S, alone.factorization_dev)
+            assert row.rho_S_final.tobytes() == alone.rho_S_final.tobytes()
             # a float's repr round-trips, so equal reprs are equal bits
-            assert repr(rep) == repr(single_report(sys_, u, rho_s, rho_b, 1.3))
-        flagged = {rep.flags for rep in reports}
-        assert flagged == {("rho_B-not-thermal",) if environment == "uniform" else ()}
+            assert repr(conservation_report(row)) == repr(conservation_report(alone))
 
     @staticmethod
     def poisoned(check, position, bad):
@@ -360,42 +375,44 @@ class TestConservationScan:
         return wrapper
 
     def test_energy_violating_unitary_names_its_seed(self, qutrit_qubit, monkeypatch):
-        """One U permutes across energy sectors: the stacked check names its seed."""
+        """One U, in the second pass, permutes across energy sectors: the stacked check
+        names its seed."""
         swap = np.eye(6, dtype=complex)[[1, 0, 2, 3, 4, 5]]
-        check = self.poisoned(thermalops._checked_unitaries, 33, swap)
+        check = self.poisoned(thermalops._checked_unitaries, 120, swap)
         monkeypatch.setattr(thermalops, "_checked_unitaries", check)
         rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
         with pytest.raises(InvariantViolation, match="energy conservation violated") as info:
-            conservation_scan(qutrit_qubit, range(40), rho_b, 1.3, beta_0=0.7)
-        assert info.value.index == 33
+            conservation_scan(qutrit_qubit, range(130), rho_b, 1.3, beta_0=0.7)
+        assert info.value.index == 120
 
     def test_drawn_unitaries_are_checked_where_used(self, qutrit_qubit, monkeypatch):
         """The draws are not checked where they are made: ``operation_rows`` catches an
-        energy-violating U drawn for seed 33, and the scan names that seed."""
+        energy-violating U drawn for seed 120, in the second pass, and the scan names that
+        seed."""
         swap = np.eye(6, dtype=complex)[[1, 0, 2, 3, 4, 5]]
         sample = scenarios.sample_energy_conserving_unitaries
 
         def drawn(sys_, seeds):
             u = sample(sys_, seeds)
-            u[[k for k, s in enumerate(seeds) if s == 33]] = swap
+            u[[k for k, s in enumerate(seeds) if s == 120]] = swap
             return u
 
         monkeypatch.setattr(scenarios, "sample_energy_conserving_unitaries", drawn)
         rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
         with pytest.raises(InvariantViolation, match="energy conservation violated") as info:
-            conservation_scan(qutrit_qubit, range(40), rho_b, 1.3, beta_0=0.7)
-        assert info.value.index == 33
+            conservation_scan(qutrit_qubit, range(130), rho_b, 1.3, beta_0=0.7)
+        assert info.value.index == 120
 
     def test_non_positive_state_names_its_seed(self, qutrit_qubit, monkeypatch):
-        """One rho_S is Hermitian of unit trace but not positive: the stacked validation
-        names its seed."""
+        """One rho_S, in the second pass, is Hermitian of unit trace but not positive: the
+        stacked validation names its seed."""
         bad = np.diag([1.2, -0.1, -0.1]).astype(complex)
         monkeypatch.setattr(scenarios, "checked_states",
-                            self.poisoned(scenarios.checked_states, 31, bad))
+                            self.poisoned(scenarios.checked_states, 120, bad))
         rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
         with pytest.raises(InvariantViolation, match="negative eigenvalue") as info:
-            conservation_scan(qutrit_qubit, range(40), rho_b, 1.3, beta_0=0.7)
-        assert info.value.index == 31
+            conservation_scan(qutrit_qubit, range(130), rho_b, 1.3, beta_0=0.7)
+        assert info.value.index == 120
 
 
 class TestDivergenceWitness:
@@ -405,8 +422,8 @@ class TestDivergenceWitness:
         rho_b = thermal_state_of(qutrit_qubit.els_B, 1.3)
         for seed in range(6):
             u = seeded_unitary(qutrit_qubit, seed)
-            rep = single_report(qutrit_qubit, u, rho_s.elements, rho_b, 1.3)
-            d_dth = rep.S_final.D_th - rep.S_initial.D_th
+            row = single_row(qutrit_qubit, u, rho_s.elements, rho_b, 1.3)
+            d_dth = row.S_final.D_th - row.S_initial.D_th
             assert -d_dth >= -1e-9
 
     def test_witness_found_and_certified(self, qutrit_qubit):
@@ -414,10 +431,11 @@ class TestDivergenceWitness:
         assert -wit.delta_D_th_S < -1e-6
         assert -wit.delta_C_h_S >= wit.delta_D_th_S > 0
         # global bound on S alone and the global conservation trade-off
-        rep = wit.report
-        assert rep.checks["f:-dCh_S-dDth_S>=0"].passed
-        d_ch_sb = rep.SB_final.C_h - rep.SB_initial.C_h
-        d_dth_sb = rep.SB_final.D_th - rep.SB_initial.D_th
+        row = wit.row
+        f = conservation_report(row)[5]
+        assert f.name == "f:-dCh_S-dDth_S>=0" and f.passed
+        d_ch_sb = row.SB_final.C_h - row.SB_initial.C_h
+        d_dth_sb = row.SB_final.D_th - row.SB_initial.D_th
         assert d_dth_sb == pytest.approx(-d_ch_sb, abs=1e-9)
         assert d_dth_sb > 0  # population divergence paid by coherence consumption
 
@@ -443,10 +461,10 @@ class TestDivergenceWitness:
         for sign in (+1.0, -1.0):
             chi = sign * 0.9 * c_lim * pattern.elements
             rho_s = DensityMatrix(base.elements + chi)
-            rep = single_report(sys_, u, rho_s.elements, rho_b, beta_b)
+            row = single_row(sys_, u, rho_s.elements, rho_b, beta_b)
             c_plus = np.trace(chi @ aad).real / np.trace(base.elements @ aad).real
             c_minus = np.trace(chi @ ada).real / np.trace(base.elements @ ada).real
-            signs[sign] = (math.copysign(1, rep.delta_E_S), math.copysign(1, c_plus - c_minus))
+            signs[sign] = (math.copysign(1, row.delta_E_S), math.copysign(1, c_plus - c_minus))
         # flipping chi flips both the coherence ordering and the energy change
         assert signs[+1.0][0] == -signs[-1.0][0]
         assert signs[+1.0][1] == -signs[-1.0][1]
@@ -469,8 +487,8 @@ def test_criterion_14_run_matches_recorded_outputs():
 )
 def test_shipped_config_matches_recorded_outputs(name):
     """Each shipped config reproduces its recorded csv and summary byte for byte; the
-    thermal-operation run covers a 256-seed scan over many chunks and the witness at
-    beta_B = 1.3."""
+    thermal-operation run covers a 256-seed scan over three chunks at joint d = 6 and the
+    witness at beta_B = 1.3."""
     root = Path(__file__).parent
     cfg = config_from_json((root.parent / "configs" / f"{name}.json").read_text())
     out = run_scenario_config(cfg)

@@ -28,8 +28,9 @@ from cohentropy.scenarios import (
     build_near_degenerate_scenario,
     build_reversal_scenario,
     parse_config,
+    run_scenario_config,
 )
-from cohentropy.thermo import _resymm
+from cohentropy.thermo import RATE_POSITIVITY_TOL, _resymm
 from conftest import (
     column,
     complementarity_reference,
@@ -84,6 +85,20 @@ class TestInstantaneousRates:
         snap = rates_of(gen, rho.elements)
         assert "pi-divergent" in snap.flags
         assert snap.Pi_rate == math.inf
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a pi-divergent row writes finite support rates whose sum has the "
+                   "wrong sign (ROADMAP direction 11)")
+def test_singular_start_writes_a_positive_horizontal_rate():
+    """From |gg>, every population leaks into an empty level, so dD_th/dt is -inf at t = 0
+    and -(dC_h + dD_th)/dt is +inf: each CSV row keeps the positivity the paper proves."""
+    cfg = parse_config({"scenario": "heat-flow-reversal", "beta_0": 50,
+                        "coherence_amplitude": 0})
+    header, *rows = (line.split(",") for line in run_scenario_config(cfg).csv_text.splitlines())
+    c_h, d_th = header.index("rate_C_h"), header.index("rate_D_th")
+    for row in rows:
+        assert -(float(row[c_h]) + float(row[d_th])) >= -RATE_POSITIVITY_TOL, row
 
 
 def _series(name: str, qubit_system):
