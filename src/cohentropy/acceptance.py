@@ -143,7 +143,7 @@ def criterion_1(ctx: AcceptanceContext) -> CriterionResult:
     """Decomposition closure at every snapshot of every scenario."""
     tol = ctx.tol(1, CLOSURE_TOL)
     verdicts = _series_verdicts(ctx, "closure", closure_tol=tol)
-    worst = max((v.value for v in verdicts), default=0.0)
+    worst = np.max(np.concatenate([s.judged()[0] for s in ctx.all_series]), initial=0.0)
     count = sum(len(s.snapshots) for s in ctx.all_series)
     return CriterionResult(
         1, "decomposition closure Pi = -dC_v - dC_h - dD_th",
@@ -156,7 +156,7 @@ def criterion_2(ctx: AcceptanceContext) -> CriterionResult:
     """Pi >= 0, -dC_v >= 0 and -dC_h - dD_th >= 0 everywhere."""
     tol = ctx.tol(2, RATE_POSITIVITY_TOL)
     verdicts = _series_verdicts(ctx, "positivity", positivity_tol=tol)
-    worst = min((v.value for v in verdicts), default=math.inf)
+    worst = np.min(np.concatenate([s.judged()[1] for s in ctx.all_series]), initial=math.inf)
     return CriterionResult(
         2, "positivity of Pi, -dC_v/dt, -(dC_h + dD_th)/dt",
         all(v.passed for v in verdicts), f"most negative witness {worst:.3e} (floor {-tol:.1e})",

@@ -61,6 +61,7 @@ from .thermalops import (
 )
 from .thermo import (
     ComplementarityReport,
+    RATE_COLUMNS,
     ThermoSeries,
     ThermoSnapshot,
     complementarity_report,
@@ -71,6 +72,9 @@ from .thermo import (
 )
 
 CSV_HEADER = "t,S,C_v,C_h,D_th,E_S,F_D,Pi_rate,Phi_rate,rate_C_v,rate_C_h,rate_D_th,flags"
+# The twelve float fields of a snapshot, t to rate_D_th, then its flags and the line end:
+# "%.17g" % x is format(x, ".17g"), the bytes of ``fmt``, for every float.
+CSV_ROW = ",".join(["%.17g"] * 12) + ",%s\n"
 LINDBLAD_DIM_BUDGET = 64
 RATIO_RELATIVE_TOL = 0.05  # the entropy-production ratio against its limits
 TRACE_DISTANCE_TOL = 1e-3  # clustered against exactly-degenerate near-degenerate run
@@ -275,9 +279,9 @@ def build_reversal_scenario(cfg: ReversalConfig) -> ReversalScenario:
     if amplitude is None:
         amplitudes = np.linspace(0.05, 0.95, 19) * c_max
         candidates = base.elements + amplitudes[:, None, None] * pattern.elements
-        rows = rate_rows(gen, candidates)
-        reversing = [a for a, r in zip(amplitudes, rows) if (beta_0 - beta_B) * r.E_dot < -1e-12]
-        if not reversing:
+        e_dot = rate_rows(gen, candidates)[0][:, RATE_COLUMNS.index("E_dot")]
+        reversing = amplitudes[(beta_0 - beta_B) * e_dot < -1e-12]
+        if not len(reversing):
             raise CohentropyError("no reversing coherence amplitude found in scan")
         amplitude = reversing[0]
     elif amplitude >= c_max:
@@ -436,15 +440,8 @@ def build_otto_report(cfg: OttoConfig):
 
 def series_to_csv(snapshots: Sequence[ThermoSnapshot]) -> str:
     """The CSV of every scenario: one row per snapshot, in the standard header."""
-    lines = [CSV_HEADER]
-    for s in snapshots:
-        row = [
-            fmt(s.t), fmt(s.S), fmt(s.C_v), fmt(s.C_h), fmt(s.D_th), fmt(s.E_S),
-            fmt(s.F_D), fmt(s.Pi_rate), fmt(s.Phi_rate), fmt(s.rate_C_v),
-            fmt(s.rate_C_h), fmt(s.rate_D_th), ";".join(s.flags),
-        ]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    rows = (CSV_ROW % (*s[:12], ";".join(s.flags)) for s in snapshots)
+    return "".join([CSV_HEADER + "\n", *rows])  # one join: no second copy of the text
 
 
 def ratio_verdict(n: int, ratio: float, tol: float = RATIO_RELATIVE_TOL) -> Verdict:
@@ -526,11 +523,11 @@ class _Summary:
         return bad
 
     def invariants(self, series: ThermoSeries) -> None:
-        verdicts = series.verdicts()
         self.section("invariants")
         self.kv("snapshots", len(series.snapshots))
-        for name in ("closure", "positivity"):
-            self.kv(f"{name}_failures", self.tally([v for v in verdicts if v.name == name]))
+        for v in series.verdicts():  # each valued by its count of failing snapshots
+            self.kv(f"{v.name}_failures", v.value)
+            self.failures += v.value
 
     def complementarity(self, report: ComplementarityReport) -> None:
         self.section("complementarity")

@@ -233,8 +233,9 @@ def spectral_pass(m: np.ndarray, els: EnergyLevelStructure, beta: float) -> tupl
     r = V^dag rho V: S, C_v, C_h, D_th, E_S and F_D, each (T,); ln rho, ln rho_BD and ln rho_D
     on their supports in the labeled eigenbasis, each (T, d, d); ln rho_th, one (d, d)
     diagonal that broadcasts over the stack; and the projector onto the null space of each
-    rho (eigenvalues <= CLIP_FLOOR) in the input basis, (T, d, d).  ``state_functionals``
-    takes it chunk by chunk; ``thermo.rate_rows`` reads its logs too.
+    rho (eigenvalues <= CLIP_FLOOR) in the input basis, (T, d, d), exact zeros when every
+    state has full rank.  ``state_functionals`` takes it chunk by chunk; ``thermo.rate_rows``
+    reads its logs too.
 
     The states get the checks of ``checked_states`` here: Hermitian and of unit trace, and
     no eigenvalue of r below -POSITIVITY_TOL, which ``log_of_spectrum`` enforces on the
@@ -272,7 +273,7 @@ def spectral_pass(m: np.ndarray, els: EnergyLevelStructure, beta: float) -> tupl
     e_s = (pops[:, None, :] @ els.index_energies[:, None])[:, 0, 0]  # per state, pops @ e
     with np.errstate(over="ignore"):  # -inf at a subnormal beta, as float arithmetic gives
         f_d = e_s - s_d / beta if beta != 0.0 else np.full(len(m), np.nan)
-    null = _null_projector(els.basis_vectors @ u, lam)
+    null = _null_projector(u, lam, els.basis_vectors)
     return s, c_v, c_h, d_th, e_s, f_d, log_rho, log_bd, log_d, np.diag(log_w), null
 
 
@@ -284,10 +285,17 @@ def _diagonal_stack(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _null_projector(vecs: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Projector onto the eigenvectors (columns of ``vecs``, or of each of a stack) whose
-    eigenvalue in the matching row of ``lam`` is at most CLIP_FLOOR."""
-    return (vecs * (lam <= CLIP_FLOOR)[:, None, :]) @ dagger(vecs)
+def _null_projector(vecs: np.ndarray, lam: np.ndarray, basis: np.ndarray | None = None):
+    """Projector onto the eigenvectors (columns of ``vecs``, or of each of a stack, taken to
+    the input basis as ``basis @ vecs`` when given) whose eigenvalue in the matching row of
+    ``lam`` is at most CLIP_FLOOR.  When no eigenvalue of the stack is, the projector is
+    exact zeros, formed without a product: its readers test it for nonzero entries."""
+    null = lam <= CLIP_FLOOR
+    if not null.any():
+        return np.zeros(lam.shape + lam.shape[-1:], dtype=complex)
+    if basis is not None:
+        vecs = basis @ vecs
+    return (vecs * null[:, None, :]) @ dagger(vecs)
 
 
 def thermal_state_of(els: EnergyLevelStructure, beta: float) -> DensityMatrix:

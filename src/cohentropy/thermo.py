@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -67,8 +68,7 @@ FLAG_UNDEFINED_TEMPERATURE = "undefined-temperature"
 FLAG_NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class ThermoSnapshot:
+class ThermoSnapshot(NamedTuple):
     """State functionals and analytic rates at one instant."""
 
     t: float
@@ -89,7 +89,8 @@ class ThermoSnapshot:
 
 @dataclass(frozen=True)
 class ThermoSeries:
-    """Time-ordered snapshots along one trajectory, with the (T, d, d) stack of its states."""
+    """Time-ordered snapshots along one trajectory, with the (T, d, d) stack of its states;
+    their float fields are judged from one table."""
 
     snapshots: tuple[ThermoSnapshot, ...]
     els: EnergyLevelStructure
@@ -97,53 +98,61 @@ class ThermoSeries:
     states: np.ndarray
 
     def __post_init__(self):
-        ts = [s.t for s in self.snapshots]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        t = self.column("t")
+        if (t[1:] <= t[:-1]).any():
             raise InvariantViolation("snapshot times must be strictly increasing")
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The float fields of every snapshot, t to E_dot, as one (T, 13) array built once."""
+        width = len(ThermoSnapshot._fields) - 1
+        return np.array([s[:-1] for s in self.snapshots], dtype=float).reshape(-1, width)
+
+    def column(self, name: str) -> np.ndarray:
+        """The float field ``name`` of every snapshot, a (T,) view of the table."""
+        return self.table[:, ThermoSnapshot._fields.index(name)]
+
+    def judged(self) -> tuple[np.ndarray, np.ndarray]:
+        """The closure residual |Pi + dC_v/dt + dC_h/dt + dD_th/dt| / max(1, |Pi|) and the
+        least of Pi, -dC_v/dt and -(dC_h + dD_th)/dt (of equal values the first, as min()
+        takes it) of each judged snapshot: Pi finite, so not pi-divergent."""
+        keep = np.isfinite(self.column("Pi_rate"))
+        pi, c_v, c_h, d_th = (
+            self.column(name)[keep] for name in ("Pi_rate", "rate_C_v", "rate_C_h", "rate_D_th")
+        )
+        least = np.where(-c_v < pi, -c_v, pi)
+        return (
+            np.abs(pi + c_v + c_h + d_th) / np.maximum(1.0, np.abs(pi)),
+            np.where(-c_h - d_th < least, -c_h - d_th, least),
+        )
 
     def verdicts(
         self, closure_tol: float = CLOSURE_TOL, positivity_tol: float = RATE_POSITIVITY_TOL
     ) -> list[Verdict]:
-        """Per snapshot, the closure residual relative to max(1, |Pi|) and the least of
-        Pi, -dC_v/dt and -(dC_h + dD_th)/dt; a pi-divergent snapshot is not judged."""
-        out = []
-        for s in self.snapshots:
-            if not math.isfinite(s.Pi_rate):
-                continue
-            closure = abs(s.Pi_rate + s.rate_C_v + s.rate_C_h + s.rate_D_th)
-            closure /= max(1.0, abs(s.Pi_rate))
-            least = min(s.Pi_rate, -s.rate_C_v, -s.rate_C_h - s.rate_D_th)
-            out.append(Verdict("closure", closure, closure_tol, closure <= closure_tol))
-            out.append(Verdict("positivity", least, -positivity_tol, least >= -positivity_tol))
-        return out
+        """The closure residual at most ``closure_tol`` and the least contribution at least
+        -``positivity_tol`` at every judged snapshot, each valued by its count of failing
+        snapshots."""
+        closure, least = self.judged()
+        checks = (("closure", closure <= closure_tol), ("positivity", least >= -positivity_tol))
+        return [Verdict(name, int(np.sum(~oks)), 0, bool(oks.all())) for name, oks in checks]
 
 
-class RateRow(NamedTuple):
-    """State functionals, analytic rates and heat flow E_dot = Tr(L rho H) of one state;
-    ``divergent`` marks a drift L rho with weight on the null space of rho."""
-
-    S: float
-    C_v: float
-    C_h: float
-    D_th: float
-    E_S: float
-    F_D: float
-    Pi: float
-    rate_C_v: float
-    rate_C_h: float
-    rate_D_th: float
-    E_dot: float
-    divergent: bool
+# The columns of ``rate_rows``, in order.
+RATE_COLUMNS = ("S", "C_v", "C_h", "D_th", "E_S", "F_D", "Pi", "rate_C_v", "rate_C_h",
+                "rate_D_th", "E_dot")
 
 
-def rate_rows(gen: LindbladGenerator, states: np.ndarray) -> list[RateRow]:
-    """The RateRow of each state of a (T, d, d) stack, computed as columns by ``chunks``: per
+def rate_rows(gen: LindbladGenerator, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """State functionals, analytic rates and heat flow E_dot = Tr(L rho H) of each state of
+    a (T, d, d) stack, as the (T, 11) array of the RATE_COLUMNS, and the (T,) mask of the
+    states whose drift L rho has weight on their null space.  Computed by ``chunks``: per
     chunk one ``spectral_pass``, which checks the states, and one stacked ``gen.apply``,
     each rate the overlap of r_dot = V^dag L rho V with a difference of the pass's logs.
     A state's row is bitwise the one it gets alone."""
     els, beta_b = gen.els, gen.bath.beta_B
     h = els.hamiltonian().elements
-    rows: list[RateRow] = []
+    table = np.empty((len(states), len(RATE_COLUMNS)))
+    divergent = np.zeros(len(states), dtype=bool)
     for part in chunks(len(states), gen.dim):
         m = states[part]
         *functionals, log_rho, log_bd, log_d, log_th, null = spectral_pass(m, els, beta_b)
@@ -153,52 +162,41 @@ def rate_rows(gen: LindbladGenerator, states: np.ndarray) -> list[RateRow]:
         def overlap(op: np.ndarray) -> np.ndarray:
             return np.trace(r_dot @ op, axis1=-2, axis2=-1).real
 
-        leak = np.max(np.abs(null @ rho_dot @ null), axis=(-2, -1)) > 1e-12
-        columns = (
+        table[part] = np.column_stack((
             *functionals,
             -overlap(log_rho - log_th),
             overlap(log_rho - log_bd),
             overlap(log_bd - log_d),
             overlap(log_d - log_th),
             np.trace(rho_dot @ h, axis1=-2, axis2=-1).real,
-            (np.max(np.abs(null), axis=(-2, -1)) > 0.5) & leak,
-        )
-        rows += map(RateRow._make, zip(*(c.tolist() for c in columns)))
-    return rows
+        ))
+        if null.any():  # zeros when every state of the chunk has full rank
+            leak = np.max(np.abs(null @ rho_dot @ null), axis=(-2, -1)) > 1e-12
+            divergent[part] = (np.max(np.abs(null), axis=(-2, -1)) > 0.5) & leak
+    return table, divergent
 
 
-def instantaneous_rates(gen: LindbladGenerator, row: RateRow, t: float) -> ThermoSnapshot:
-    """The snapshot at time t assembled from a state's ``rate_rows`` row.  Closure and
-    Pi >= 0 are not judged here but by ``ThermoSeries.verdicts``.
+def instantaneous_rates(
+    gen: LindbladGenerator, row: Sequence[float], divergent: bool, t: float
+) -> ThermoSnapshot:
+    """The snapshot at time t assembled from a state's ``rate_rows`` row and divergence
+    mark.  Closure and Pi >= 0 are not judged here but by ``ThermoSeries.verdicts``.
 
     Logs are taken on the support of a numerically singular state; when the drift L rho
     additionally has weight on the null space the production rate is divergent and
     reported as +inf with a warning flag.
     """
+    s, c_v, c_h, d_th, e_s, f_d, pi, rate_c_v, rate_c_h, rate_d_th, e_dot = row
     beta_b = gen.bath.beta_B
-    flags: list[str] = []
-    pi = row.Pi
-    if row.divergent:
-        flags.append(FLAG_PI_DIVERGENT)
+    flags: tuple[str, ...] = ()
+    if divergent:
+        flags = (FLAG_PI_DIVERGENT,)
         pi = float("inf")
     if beta_b == 0.0:
-        flags.append(FLAG_NOT_APPLICABLE)
-
+        flags += (FLAG_NOT_APPLICABLE,)
     return ThermoSnapshot(
-        t=float(t),
-        S=row.S,
-        C_v=row.C_v,
-        C_h=row.C_h,
-        D_th=row.D_th,
-        E_S=row.E_S,
-        F_D=row.F_D,
-        Pi_rate=pi,
-        Phi_rate=beta_b * row.E_dot,
-        rate_C_v=row.rate_C_v,
-        rate_C_h=row.rate_C_h,
-        rate_D_th=row.rate_D_th,
-        E_dot=row.E_dot,
-        flags=tuple(flags),
+        float(t), s, c_v, c_h, d_th, e_s, f_d, pi, beta_b * e_dot,
+        rate_c_v, rate_c_h, rate_d_th, e_dot, flags,
     )
 
 
@@ -222,23 +220,21 @@ def decompose_series(
     if not len(times):
         raise ShapeMismatch("decompose_series: the time list is empty")
     states = evolve(gen, rho0, times)
-    rows = rate_rows(gen, states)
-    snapshots = [instantaneous_rates(gen, row, t) for row, t in zip(rows, times)]
-    series = ThermoSeries(
-        snapshots=tuple(snapshots),
-        els=gen.els,
-        beta_B=gen.bath.beta_B,
-        states=states,
+    table, divergent = rate_rows(gen, states)
+    rows, divergent = table.tolist(), divergent.tolist()
+    snapshots = tuple(
+        instantaneous_rates(gen, row, div, t) for row, div, t in zip(rows, divergent, times)
     )
+    series = ThermoSeries(snapshots=snapshots, els=gen.els, beta_B=gen.bath.beta_B, states=states)
     if len(states) >= 3:
-        interior = range(1, len(states) - 1)
-        usable = [k for k in interior if FLAG_PI_DIVERGENT not in snapshots[k].flags]
+        usable = [k for k in range(1, len(states) - 1) if not divergent[k]]
         picks = usable[:: max(1, (len(states) - 2) // 12)]
         check_rates_by_finite_differences(gen, [(times[k], states[k], snapshots[k]) for k in picks])
     return series
 
 
 FD_MINEIG_FLOOR = 1e-6
+FD_IDENTITIES = ("dS/dt = Pi + Phi", "dC_v/dt", "dC_h/dt", "dD_th/dt")  # the rates checked
 
 
 def check_rates_by_finite_differences(
@@ -251,9 +247,11 @@ def check_rates_by_finite_differences(
     (t, state, snapshot) point, the state a (d, d) array.
 
     The estimate is the Richardson extrapolation (4 D(h/2) - D(h)) / 3 of the
-    centered differences D at h ||L|| = 1e-3, so its error is O(h^4); the
-    states at t +- h/2 and t +- h come from one ``gen.propagate`` call and go to the
-    spectral kernel as one stack.
+    centered differences D at h ||L|| = 1e-3, so its error is O(h^4).  One stacked
+    eigvalsh takes the lowest eigenvalue of every point's state; each kept point's states
+    at t +- h/2 and t +- h come from one ``gen.propagate`` call, and the kernel takes them
+    a ``chunks`` chunk of points at a time (four (d, d) states are the entries of one
+    (2d, 2d) matrix), so the stack never outgrows a chunk.
     Returns the list of failing identity descriptions (empty when all pass).
     """
     norm = gen.norm_inf
@@ -261,29 +259,28 @@ def check_rates_by_finite_differences(
     atol = 1e-9 * max(1.0, norm)
     d = gen.dim
 
+    points = [p for p in points if p[0] > h]
+    if points:
+        lam_min = np.linalg.eigvalsh(np.array([state for _, state, _ in points]))[:, 0]
+        points = [p for p, lam in zip(points, lam_min.tolist()) if lam >= FD_MINEIG_FLOOR]
     failures: list[str] = []
-    for t, state, snap in points:
-        if t <= h:
-            continue
-        lam_min = float(np.linalg.eigvalsh(state)[0])
-        if lam_min < FD_MINEIG_FLOOR:
-            continue
-        shifted = gen.propagate(state.reshape(-1), (-h, -0.5 * h, 0.5 * h, h))
-        stack = np.array([_resymm(x.reshape(d, d)) for x in shifted])
+    for part in chunks(len(points), 2 * d):
+        stack = np.array([
+            _resymm(x.reshape(d, d))
+            for _, state, _ in points[part]
+            for x in gen.propagate(state.reshape(-1), (-h, -0.5 * h, 0.5 * h, h))
+        ])
         f = state_functionals(stack, gen.els, gen.bath.beta_B)
-        columns = (c.tolist() for c in (f.S, f.C_v, f.C_h, f.D_th))
-        analytic = {
-            "dS/dt = Pi + Phi": snap.Pi_rate + snap.Phi_rate,
-            "dC_v/dt": snap.rate_C_v,
-            "dC_h/dt": snap.rate_C_h,
-            "dD_th/dt": snap.rate_D_th,
-        }
-        for (key, an), (b2, b1, f1, f2) in zip(analytic.items(), columns):
-            fd = (4 * (f1 - b1) / h - (f2 - b2) / (2 * h)) / 3
-            if abs(fd - an) > rel_tol * max(abs(fd), abs(an)) + atol:
-                failures.append(
-                    f"{key} at t = {t:.6g}: analytic {an:.6e}, finite difference {fd:.6e}"
-                )
+        # [point][functional][shift] of the functionals of FD_IDENTITIES
+        shifts = np.stack((f.S, f.C_v, f.C_h, f.D_th)).reshape(4, -1, 4).transpose(1, 0, 2)
+        for (t, _, snap), columns in zip(points[part], shifts.tolist()):
+            analytic = (snap.Pi_rate + snap.Phi_rate, snap.rate_C_v, snap.rate_C_h, snap.rate_D_th)
+            for key, an, (b2, b1, f1, f2) in zip(FD_IDENTITIES, analytic, columns):
+                fd = (4 * (f1 - b1) / h - (f2 - b2) / (2 * h)) / 3
+                if abs(fd - an) > rel_tol * max(abs(fd), abs(an)) + atol:
+                    failures.append(
+                        f"{key} at t = {t:.6g}: analytic {an:.6e}, finite difference {fd:.6e}"
+                    )
     if failures and raise_on_failure:
         raise IdentityViolation("; ".join(failures))
     return failures
@@ -294,8 +291,6 @@ class FrequencyChannel:
     """Per-frequency heat-flow record of the spectral decomposition."""
 
     omega: float
-    occupation_down: float  # <A(w) A(w)^dag>
-    occupation_up: float    # <A(w)^dag A(w)>
     T_apparent: float | None
     contribution: float
     flags: tuple[str, ...] = ()
@@ -331,13 +326,11 @@ def heat_flow(gen: LindbladGenerator, rho: DensityMatrix) -> HeatFlowReport:
         up = float(np.trace(r @ (a.conj().T @ a)).real)
         contribution = w * g * (down * math.exp(-w * beta_b) - up)
         if min(down, up) <= CLIP_FLOOR:
-            channels.append(
-                FrequencyChannel(w, down, up, None, contribution, (FLAG_UNDEFINED_TEMPERATURE,))
-            )
+            channels.append(FrequencyChannel(w, None, contribution, (FLAG_UNDEFINED_TEMPERATURE,)))
             continue
         log_ratio = math.log(down / up)
         t_apparent = w / log_ratio if log_ratio != 0.0 else float("inf")
-        channels.append(FrequencyChannel(w, down, up, t_apparent, contribution))
+        channels.append(FrequencyChannel(w, t_apparent, contribution))
     spectral = float(sum(c.contribution for c in channels))
     if abs(direct - spectral) > HEAT_FLOW_TOL * max(1.0, abs(direct), abs(spectral)):
         raise InvariantViolation(
@@ -420,7 +413,7 @@ def complementarity_report(
     beta0, residual = fit_inverse_temperature(pops[0], els)
     applicable = math.isfinite(beta0) and residual <= THERMAL_FIT_TOL
     flags = () if applicable else (FLAG_NOT_APPLICABLE,)
-    c_h, d_th, e_s = np.array([(x.C_h, x.D_th, x.E_S) for x in series.snapshots]).T
+    c_h, d_th, e_s = (series.column(name) for name in ("C_h", "D_th", "E_S"))
     minus_dch, minus_ddth = -(c_h[1:] - c_h[0]), -(d_th[1:] - d_th[0])
     backtrack = weighted = np.full(len(pops) - 1, np.nan)  # (ii)-(iv) read the thermal start
     initial_rate_ok: bool | None = None

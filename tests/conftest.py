@@ -21,6 +21,7 @@ from cohentropy.qcore import (
     log_of_spectrum,
     relative_entropy_from_logs,
 )
+from cohentropy.scenarios import CSV_HEADER
 from cohentropy.thermo import (
     COMPLEMENTARITY_TOL,
     THERMAL_FIT_TOL,
@@ -180,6 +181,17 @@ def dense_blocks(gen) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
+def csv_reference(snapshots) -> str:
+    """Reference CSV writer: the standard header, then each snapshot's fields t to
+    rate_D_th written one cell at a time by format(x, ".17g"), then its flags."""
+    names = CSV_HEADER.split(",")[:-1]
+    lines = [CSV_HEADER]
+    for s in snapshots:
+        cells = [format(float(getattr(s, name)), ".17g") for name in names]
+        lines.append(",".join([*cells, ";".join(s.flags)]))
+    return "\n".join(lines) + "\n"
+
+
 def seeded_unitary(sys_, seed: int) -> np.ndarray:
     """The (d, d) energy-conserving unitary of one seed: a stack of one."""
     return sample_energy_conserving_unitaries(sys_, [seed])[0]
@@ -198,15 +210,10 @@ def single_report(sys_, u: np.ndarray, rho_s: np.ndarray, rho_b, beta_b: float):
 
 
 def rates_of(gen, state: np.ndarray, t: float = 0.0):
-    """The judged snapshot of one (d, d) state at time t, from its ``rate_rows`` row as a
-    stack of one."""
-    (row,) = rate_rows(gen, state[None])
-    return instantaneous_rates(gen, row, t)
-
-
-def column(series, name: str) -> np.ndarray:
-    """The field ``name`` of each snapshot of a series."""
-    return np.array([getattr(s, name) for s in series.snapshots])
+    """The snapshot of one (d, d) state at time t, from its ``rate_rows`` row as a stack of
+    one."""
+    table, divergent = rate_rows(gen, state[None])
+    return instantaneous_rates(gen, table[0].tolist(), bool(divergent[0]), t)
 
 
 def complementarity_reference(series, tol: float = COMPLEMENTARITY_TOL):

@@ -32,6 +32,7 @@ from cohentropy.scenarios import (
 )
 from cohentropy.thermo import ComplementarityReport, OttoCycleReport, ThermoSeries
 from cohentropy.exceptions import ConfigError
+from conftest import csv_reference
 
 
 SHIPPED = Path(__file__).parent.parent / "configs"
@@ -293,8 +294,9 @@ class TestRunCommand:
         real = thermo.rate_rows
 
         def unclosed(gen, states):
-            first, *rest = real(gen, states)
-            return [first._replace(Pi=first.Pi + 1.0), *rest]
+            table, divergent = real(gen, states)
+            table[0, thermo.RATE_COLUMNS.index("Pi")] += 1.0
+            return table, divergent
 
         monkeypatch.setattr(thermo, "rate_rows", unclosed)
         out = tmp_path / "out"
@@ -347,6 +349,17 @@ class TestRunCommand:
         entry = line.split(",")[1]  # entropy column: irrational value
         mantissa = entry.replace("-", "").replace(".", "").split("e")[0].lstrip("0")
         assert len(mantissa) == 17
+
+    def test_csv_rows_equal_the_per_cell_reference(self):
+        """Each row is one %-format of its twelve floats and flags: byte for byte the
+        per-cell format(x, ".17g") reference, at signed zeros, infinities, nan, the least
+        subnormal and values whose shortest repr has fewer digits."""
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1 / 3, -1e-300,
+                   0.1, -2.5, 1e-5, 123456789.125]  # the 13 float fields, rotated per row
+        flags = [(), ("pi-divergent",), ("pi-divergent", "not-applicable")]
+        rows = [thermo.ThermoSnapshot(*special[k:], *special[:k], flags=flags[k % 3])
+                for k in range(len(special))]
+        assert scenarios.series_to_csv(rows) == csv_reference(rows)
 
     @pytest.mark.parametrize("name", ["otto.json", "near_degenerate.json"])
     def test_shipped_config_runs_clean(self, tmp_path, name):
@@ -510,23 +523,25 @@ def test_cold_thermal_weights_keep_exact_logs(config, failure):
                  id="cold-reversal"),
 ])
 def test_invariant_failures_count_the_reports_verdicts(monkeypatch, config):
-    """A run's invariant_failures is the number of failing verdicts its reports return,
-    and the summary shows each: a FAIL/no line or its share of a *_failures count."""
-    returned = []
+    """A run's invariant_failures is the number of failing verdicts its reports return, a
+    series' verdicts counting their failing snapshots, and the summary shows each: a FAIL/no
+    line or its share of a *_failures count."""
+    returned, per_snapshot = [], []
 
-    def recording(method):
+    def recording(method, into):
         def wrapper(*args, **kwargs):
             verdicts = method(*args, **kwargs)
-            returned.extend([verdicts] if isinstance(verdicts, tuple) else verdicts)
+            into.extend([verdicts] if isinstance(verdicts, tuple) else verdicts)
             return verdicts
         return wrapper
 
-    for owner in (ThermoSeries, ComplementarityReport, OttoCycleReport, ReversalScenario,
+    for owner in (ComplementarityReport, OttoCycleReport, ReversalScenario,
                   NearDegenerateScenario):
-        monkeypatch.setattr(owner, "verdicts", recording(owner.verdicts))
-    monkeypatch.setattr(scenarios, "ratio_verdict", recording(scenarios.ratio_verdict))
+        monkeypatch.setattr(owner, "verdicts", recording(owner.verdicts, returned))
+    monkeypatch.setattr(ThermoSeries, "verdicts", recording(ThermoSeries.verdicts, per_snapshot))
+    monkeypatch.setattr(scenarios, "ratio_verdict", recording(scenarios.ratio_verdict, returned))
     out = run_scenario_config(parse_config(config))
-    failing = sum(not v.passed for v in returned)
+    failing = sum(not v.passed for v in returned) + sum(v.value for v in per_snapshot)
     assert returned and out.invariant_failures == failing
     shown = len(re.findall(r"^\w+: (?:FAIL|no)$", out.summary_text, re.M))
     shown += sum(int(k) for k in re.findall(r"^\w+_failures: (\d+)$", out.summary_text, re.M))

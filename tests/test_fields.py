@@ -23,10 +23,6 @@ ALLOWED = {
     # the witness's checked unitary: the tests re-measure its row from it and compare it
     # with the seed's draw
     ("thermalops", "DivergenceWitness", "unitary"),
-    # <A A^dag> and <A^dag A> of a heat-flow channel, the inputs of its apparent
-    # temperature, kept for library callers of heat_flow
-    ("thermo", "FrequencyChannel", "occupation_down"),
-    ("thermo", "FrequencyChannel", "occupation_up"),
     # the columns behind check (ii); the tests compare them bitwise with the per-entry
     # reference
     ("thermo", "ComplementarityReport", "backtrack"),

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,11 +7,13 @@ import pytest
 
 from cohentropy import (
     DensityMatrix,
+    IdentityViolation,
     InvariantViolation,
     ShapeMismatch,
     complementarity_report,
     decompose_series,
     eigenoperators,
+    evolve,
     flat_bath,
     heat_flow,
     otto_cycle,
@@ -30,9 +33,14 @@ from cohentropy.scenarios import (
     parse_config,
     run_scenario_config,
 )
-from cohentropy.thermo import RATE_POSITIVITY_TOL, _resymm
+from cohentropy.qcore import CHUNK_ENTRIES
+from cohentropy.thermo import (
+    RATE_POSITIVITY_TOL,
+    _resymm,
+    check_rates_by_finite_differences,
+    rate_rows,
+)
 from conftest import (
-    column,
     complementarity_reference,
     matrix_log_on_support,
     random_density,
@@ -127,6 +135,26 @@ def test_series_rows_equal_single_state_rows(name, qubit_system):
         assert series.snapshots[0].flags == ("pi-divergent",)
 
 
+def test_full_rank_chunk_rows_equal_single_state_rows(two_qubit_collective):
+    """A stack across a chunk boundary, full rank in the first chunk, whose null-space
+    projector is exact zeros, and one singular state among full-rank ones in the second:
+    each row, its divergence mark and its functionals are bitwise those its state gets
+    alone, and only the singular state is pi-divergent."""
+    _, _, els, gen = two_qubit_collective
+    n = CHUNK_ENTRIES // els.dim**2 + 4
+    singular = n - 3
+    stack = np.array([random_density(els.dim, seed) for seed in range(n)])
+    stack[singular] = np.diag([1.0, 0.0, 0.0, 0.0])
+    table, divergent = rate_rows(gen, stack)
+    assert np.flatnonzero(divergent).tolist() == [singular]
+    for k, state in enumerate(stack):
+        row, div = rate_rows(gen, state[None])
+        assert table[k].tobytes() == row[0].tobytes() and divergent[k] == div[0]
+        f = state_functionals(state, els, gen.bath.beta_B)
+        alone = np.array([f.S, f.C_v, f.C_h, f.D_th, f.E_S, f.F_D])
+        assert table[k, :6].tobytes() == alone.tobytes()
+
+
 class TestDecomposeSeries:
     def test_empty_time_list_is_a_shape_mismatch(self, two_qubit_collective):
         _, _, els, gen = two_qubit_collective
@@ -137,7 +165,7 @@ class TestDecomposeSeries:
         _, _, els, gen = two_qubit_collective
         series = decompose_series(gen, thermal_state_of(els, 1.0), [0.5, 1.0, 2.0])
         for name in ("Pi_rate", "rate_C_v", "rate_C_h", "rate_D_th"):
-            assert np.max(np.abs(column(series, name))) < 1e-10
+            assert np.max(np.abs(series.column(name))) < 1e-10
 
     def test_quadrature_consistency(self, qubit_system):
         """integral of Pi over the relaxation equals dS - beta_B dE (to 1e-6)."""
@@ -147,7 +175,7 @@ class TestDecomposeSeries:
         rho0 = thermal_state_of(els, 3.0)
         times = np.linspace(0.0, 120.0, 4001)
         series = decompose_series(gen, rho0, times)
-        pi = column(series, "Pi_rate")
+        pi = series.column("Pi_rate")
         integral = float(simpson(pi, x=times))
         ds = series.snapshots[-1].S - von_neumann_entropy(rho0)
         de = series.snapshots[-1].E_S - float(
@@ -229,6 +257,28 @@ def test_finite_differences_check_points_at_any_bath_temperature(beta_b, monkeyp
     monkeypatch.setattr(LindbladGenerator, "propagate", counted)
     build_reversal_scenario(reversal_at(beta_b))
     assert len(checked) == 15
+
+
+def test_finite_difference_points_checked_as_stacks_equal_each_alone(two_qubit_collective):
+    """Points past one chunk, checked together, fail with the messages each fails with
+    alone, in order: every fifth point's dC_h/dt is off by 1e-3; the point at t = 0 and the
+    singular state are skipped."""
+    _, _, els, gen = two_qubit_collective
+    times = np.linspace(0.0, 40.0, 80)
+    states = evolve(gen, DensityMatrix(random_density(els.dim, 5)), times)
+    points = []
+    for k, (t, state) in enumerate(zip(times.tolist(), states)):
+        snap = rates_of(gen, state, t)
+        if k % 5 == 0:
+            snap = snap._replace(rate_C_h=snap.rate_C_h + 1e-3)
+        points.append((t, state, snap))
+    points.append((50.0, np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), points[-1][2]))
+    together = check_rates_by_finite_differences(gen, points, raise_on_failure=False)
+    alone = [m for p in points for m in check_rates_by_finite_differences(gen, [p], False)]
+    assert together == alone and len(alone) == 15
+    assert all(m.startswith("dC_h/dt at t = ") for m in alone)
+    with pytest.raises(IdentityViolation, match="; ".join(map(re.escape, alone))):
+        check_rates_by_finite_differences(gen, points)
 
 
 class TestComplementarity:
