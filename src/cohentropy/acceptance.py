@@ -11,11 +11,19 @@ these functions.
 A criterion id passed as ``perturb`` poisons that criterion's tolerances
 (-inf) and witness thresholds (+inf), which must make it fail: a self-test
 that the harness can detect regressions at all.
+
+`run_all` builds the two artifacts that depend on no other part of the suite,
+criterion 10's incoherent scan and criterion 14's two determinism bundles, in
+one forked worker process while this process runs the other criteria; where
+``os.fork`` is missing or fails, the context builds them in this process when
+they are first read, as it does for any caller of ``run_criterion``.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -84,11 +92,97 @@ class CriterionResult:
         return f"[{status}] criterion {self.cid:2d}: {self.title} -- {self.details}"
 
 
+def _bundle(seed: int) -> str:
+    """Criterion 14's outputs: a reversal run and a thermal-operation run at ``seed``."""
+    out_rev = ReversalConfig(beta_0=1.1, beta_B=1.0).run()
+    out_ops = ThermalOperationConfig(beta_0=0.7, beta_B=1.3, seeds=32, seed=seed).run()
+    return out_rev.csv_text + out_rev.summary_text + out_ops.csv_text + out_ops.summary_text
+
+
+def _incoherent_finals(ctx: "AcceptanceContext") -> list:
+    return [
+        row.S_final for _, sys_ in ctx.thermal_systems
+        for row in conservation_scan(sys_, range(N_SEEDS), thermal_state_of(sys_.els_B, 1.3), 1.3)
+    ]
+
+
+# The artifacts that depend neither on ``perturb`` nor on another artifact, by name, in the
+# order the criteria read them: what ``AcceptanceContext.fork_worker`` builds and sends.
+WORKER_ARTIFACTS = {
+    "incoherent_finals": _incoherent_finals,
+    "determinism_bundles": lambda ctx: (_bundle(0), _bundle(0)),
+}
+
+
 class AcceptanceContext:
     """Shared, lazily built artifacts for the acceptance criteria."""
 
     def __init__(self, perturb: str | None = None):
         self.perturb = perturb
+        self._worker = None  # (pid, read end of its pipe) while a worker may still send
+        self._received: dict[str, tuple[bool, object]] = {}
+
+    def fork_worker(self) -> None:
+        """Build the WORKER_ARTIFACTS in one forked child, which sends each through a pipe as
+        (True, value), or (False, exception) when building it raised, and ends with
+        ``os._exit``.  Where fork fails, nothing starts and the artifacts are built here."""
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            return
+        if pid == 0:
+            try:
+                os.close(read_fd)
+                with os.fdopen(write_fd, "wb") as pipe:
+                    for build in WORKER_ARTIFACTS.values():
+                        try:
+                            built = (True, build(self))
+                        except Exception as exc:
+                            built = (False, exc)
+                        pickle.dump(built, pipe)
+                        pipe.flush()
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        self._worker = (pid, os.fdopen(read_fd, "rb"))
+
+    def reap_worker(self) -> None:
+        """Close the pipe and wait for the worker; a worker still building meets the closed
+        pipe at its next send and exits."""
+        if self._worker is not None:
+            pid, pipe = self._worker
+            self._worker = None
+            pipe.close()
+            os.waitpid(pid, 0)
+
+    def _artifact(self, name: str):
+        """The worker's ``name``, its exception re-raised here, once the worker has sent it;
+        built in this process when no worker runs or it ended before sending it."""
+        while self._worker is not None and name not in self._received:
+            try:  # the worker sends in WORKER_ARTIFACTS order
+                self._received[list(WORKER_ARTIFACTS)[len(self._received)]] = pickle.load(
+                    self._worker[1])
+            except (EOFError, pickle.UnpicklingError):  # the worker ended early
+                self.reap_worker()
+        if name not in self._received:
+            return WORKER_ARTIFACTS[name](self)
+        ok, value = self._received[name]
+        if not ok:
+            raise value
+        return value
+
+    @cached_property
+    def incoherent_finals(self) -> list:
+        """Criterion 10's final S cuts: 256 seeded incoherent inputs on each thermal system."""
+        return self._artifact("incoherent_finals")
+
+    @cached_property
+    def determinism_bundles(self) -> tuple[str, str]:
+        """Criterion 14's two unperturbed runs of its bundle, at seed 0."""
+        return self._artifact("determinism_bundles")
 
     def tol(self, cid: int, base: float) -> float:
         """Upper-bound tolerance; poisoned to -inf (unachievable) when perturbed."""
@@ -332,12 +426,8 @@ def criterion_9(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_10(ctx: AcceptanceContext) -> CriterionResult:
     """No vertical generation from incoherent inputs; horizontal generation occurs."""
-    finals = [
-        row.S_final for _, sys_ in ctx.thermal_systems
-        for row in conservation_scan(sys_, range(N_SEEDS), thermal_state_of(sys_.els_B, 1.3), 1.3)
-    ]
     cv, ch = incoherent_input_verdicts(
-        finals, ctx.tol(10, CHECK_TOL), ctx.threshold(10, WITNESS_THRESHOLD)
+        ctx.incoherent_finals, ctx.tol(10, CHECK_TOL), ctx.threshold(10, WITNESS_THRESHOLD)
     )
     return CriterionResult(
         10, "no vertical-coherence generation; horizontal generation witnessed",
@@ -395,14 +485,9 @@ def criterion_13(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_14(ctx: AcceptanceContext) -> CriterionResult:
     """Byte-identical outputs on repeated runs with identical seeds."""
-    def bundle(seed: int) -> str:
-        out_rev = ReversalConfig(beta_0=1.1, beta_B=1.0).run()
-        out_ops = ThermalOperationConfig(beta_0=0.7, beta_B=1.3, seeds=32, seed=seed).run()
-        return out_rev.csv_text + out_rev.summary_text + out_ops.csv_text + out_ops.summary_text
-
-    first = bundle(0)
-    # a perturbed run must be caught: the second bundle uses a shifted seed
-    second = bundle(5000 if ctx.perturb == "14" else 0)
+    first, second = ctx.determinism_bundles
+    if ctx.perturb == "14":  # a perturbed run must be caught: the second bundle uses a shifted seed
+        second = _bundle(5000)
     same = first == second
     return CriterionResult(
         14, "deterministic outputs for fixed configuration and seeds",
@@ -422,5 +507,12 @@ def run_criterion(ctx: AcceptanceContext, cid: int) -> CriterionResult:
 
 
 def run_all(perturb: str | None = None) -> list[CriterionResult]:
+    """Every criterion in order, in this process; the WORKER_ARTIFACTS are built meanwhile in
+    a forked worker where ``os.fork`` exists, and the worker is always reaped."""
     ctx = AcceptanceContext(perturb=perturb)
-    return [run_criterion(ctx, cid) for cid in sorted(CRITERIA)]
+    if hasattr(os, "fork"):
+        ctx.fork_worker()
+    try:
+        return [run_criterion(ctx, cid) for cid in sorted(CRITERIA)]
+    finally:
+        ctx.reap_worker()

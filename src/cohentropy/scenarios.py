@@ -591,7 +591,7 @@ class CollectiveConfig:
 
         summary.section("entropy-production ratio sweep")
         rows = [
-            (x, *entropy_production_ratio(scen.spec, self.beta_0 * self.omega, x / self.omega))
+            (x, *entropy_production_ratio(scen.spec, self.beta_0, x / self.omega))
             for x in self.sweep.values()
         ]
         summary.table(("beta_B_omega", "Pi_th", "Pi_col", "ratio"), rows)

@@ -229,12 +229,13 @@ def state_functionals(m: np.ndarray, els: EnergyLevelStructure, beta: float) -> 
 
 
 def spectral_pass(m: np.ndarray, els: EnergyLevelStructure, beta: float) -> tuple[np.ndarray, ...]:
-    """The kernel on a (T, d, d) stack of states, from two eigendecompositions of each
-    r = V^dag rho V: S, C_v, C_h, D_th, E_S and F_D, each (T,); ln rho, ln rho_BD and ln rho_D
-    on their supports in the labeled eigenbasis, each (T, d, d); ln rho_th, one (d, d)
-    diagonal that broadcasts over the stack; and the projector onto the null space of each
-    rho (eigenvalues <= CLIP_FLOOR) in the input basis, (T, d, d), exact zeros when every
-    state has full rank.  ``state_functionals`` takes it chunk by chunk; ``thermo.rate_rows``
+    """The kernel on a (T, d, d) stack of states, from the eigendecompositions of each
+    r = V^dag rho V and of its block-diagonal cut rho_BD, the latter only where it differs
+    from r (elsewhere r's serves): S, C_v, C_h, D_th, E_S and F_D, each (T,); ln rho,
+    ln rho_BD and ln rho_D on their supports in the labeled eigenbasis, each (T, d, d);
+    ln rho_th, one (d, d) diagonal that broadcasts over the stack; and the projector onto the
+    null space of each rho (eigenvalues <= CLIP_FLOOR) in the input basis, (T, d, d), exact
+    zeros when every state has full rank.  ``state_functionals`` takes it chunk by chunk; ``thermo.rate_rows``
     reads its logs too.
 
     The states get the checks of ``checked_states`` here: Hermitian and of unit trace, and
@@ -251,7 +252,10 @@ def spectral_pass(m: np.ndarray, els: EnergyLevelStructure, beta: float) -> tupl
     r = els.to_labeled(m)
     bd = np.where(els.same_level, r, 0.0)
     lam, u = np.linalg.eigh(r)
-    lam_bd, u_bd = np.linalg.eigh(bd)
+    lam_bd, u_bd = lam.copy(), u.copy()
+    vertical = np.any(bd != r, axis=(-2, -1))  # rho_BD is rho itself elsewhere
+    if vertical.any():
+        lam_bd[vertical], u_bd[vertical] = np.linalg.eigh(bd[vertical])
     pops = r.diagonal(axis1=-2, axis2=-1).real
     log_rho = (u * log_of_spectrum(lam)[:, None, :]) @ dagger(u)
     log_bd = (u_bd * log_of_spectrum(lam_bd)[:, None, :]) @ dagger(u_bd)

@@ -189,11 +189,12 @@ def operation_rows(
     """The OperationRow of U_k (rho_S,k (x) rho_B) U_k^dag for each k of a (T, d, d) stack of
     energy-conserving unitaries and one of checked states, from one stacked pass: the
     checks of the unitaries, the operation and its partial traces, one ``state_functionals``
-    call on the 2T states before and after of each of S, B and SB, and Delta E_S and check
-    (g) as stacks.  rho_B's dimension and stationarity and H_S are taken once.  A row is
-    bitwise the one its operation gets alone.  Requires a (d_B, d_B) rho_B and one state per
-    unitary (ShapeMismatch otherwise); the map preserves positivity, so the states after are
-    validated by ``state_functionals`` from its own spectrum."""
+    call on the 2T states before and after of each of S and SB and on rho_B and the T states
+    of B after, and Delta E_S and check (g) as stacks.  rho_B's dimension, stationarity and
+    cut, and H_S, are taken once.  A row is bitwise the one its operation gets alone.
+    Requires a (d_B, d_B) rho_B and one state per unitary (ShapeMismatch otherwise); the map
+    preserves positivity, so the states after are validated by ``state_functionals`` from its
+    own spectrum."""
     t, (d_s, d_b), rho_b = len(U), sys.dims, rho_B.elements
     if rho_B.dim != d_b:
         raise ShapeMismatch(f"rho_B is {rho_B.dim}x{rho_B.dim}, the bath has d_B = {d_b}")
@@ -203,14 +204,16 @@ def operation_rows(
         raise ShapeMismatch(f"{t} unitaries need a ({t}, {d_s}, {d_s}) stack of states, "
                             f"got {rho_S.shape}")
     joint0, rho_sb, rho_s_f, rho_b_f = _operate(sys, U, rho_S, rho_b)
-    pairs = (
-        ((rho_S, rho_s_f), sys.els_S),
-        ((np.broadcast_to(rho_b, rho_b_f.shape), rho_b_f), sys.els_B),
-        ((joint0, rho_sb), sys.joint),
-    )
+
+    def cuts_of(m: np.ndarray, els: EnergyLevelStructure) -> np.ndarray:
+        f = state_functionals(m, els, beta_B)
+        return np.stack((f.C_v, f.C_h, f.D_th), axis=-1)
+
+    b = cuts_of(np.concatenate((rho_b[None], rho_b_f)), sys.els_B)  # rho_B once, then each after
     cuts = np.stack([
-        np.stack((f.C_v, f.C_h, f.D_th), axis=-1).reshape(2, t, 3)
-        for f in (state_functionals(np.concatenate(pair), els, beta_B) for pair, els in pairs)
+        cuts_of(np.concatenate((rho_S, rho_s_f)), sys.els_S).reshape(2, t, 3),
+        np.stack((np.broadcast_to(b[0], (t, 3)), b[1:])),
+        cuts_of(np.concatenate((joint0, rho_sb)), sys.joint).reshape(2, t, 3),
     ])  # (cut, before/after, k, quantity)
     h_s = sys.els_S.hamiltonian().elements
     delta_e_s = np.trace(h_s @ (rho_s_f - rho_S), axis1=-2, axis2=-1).real

@@ -629,6 +629,18 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout == "[]\n"
 
 
+def test_imports_load_no_process_pool():
+    """verify's worker is a bare os.fork: importing the package loads neither
+    multiprocessing nor concurrent.futures, whose import alone costs setup time."""
+    code = (
+        "import sys, cohentropy, cohentropy.acceptance, cohentropy.cli\n"
+        "print([m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_collective_spins_at_the_dimension_budget(tmp_path):
     """n = 6, d = 2^6 = LINDBLAD_DIM_BUDGET: the largest documented run exits 0 in its own

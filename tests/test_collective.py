@@ -238,3 +238,63 @@ class TestEntropyProductionRatio:
         minus_delta_ind = -(0.0 - d0)  # independent relaxes to thermal: D_th(inf) = 0
         assert minus_delta_col < minus_delta_ind
         assert d_col > 1e-6
+
+
+# Unit covariance: scaling every energy by K (omega and gamma by K, each beta by 1/K) must
+# leave every dimensionless output as it is and scale the others by K to their energy
+# exponent; K a power of two keeps the scaled inputs exact.
+K = 2.0
+CSV_EXPONENTS = {"t": -1, "S": 0, "C_v": 0, "C_h": 0, "D_th": 0, "E_S": 1, "F_D": 1,
+                 "Pi_rate": 1, "Phi_rate": 1, "rate_C_v": 1, "rate_C_h": 1, "rate_D_th": 1}
+SUMMARY_EXPONENTS = {"omega": 1, "beta_0": -1, "beta_B": -1, "gamma": 1, "max_rate_C_h": 1}
+COVARIANCE_RTOL = 1e-11  # of each column's largest magnitude; 9.2e-14 measured at the shipped values
+
+
+def _summary_numbers(text: str) -> tuple[dict[str, float], list[str], np.ndarray]:
+    """The numeric ``key: value`` lines, the verdict lines and the ratio table of a summary."""
+    head, rest = text.split("beta_B_omega,Pi_th,Pi_col,ratio\n")
+    table, tail = rest.split("ratio_at_top", 1)
+    numbers, verdicts = {}, []
+    for line in (head + "ratio_at_top" + tail).splitlines():
+        key, sep, value = line.partition(": ")
+        if sep and not key.startswith("#"):
+            try:
+                numbers[key] = float(value)
+            except ValueError:
+                verdicts.append(line)
+    rows = np.array([[float(x) for x in row.split(",")] for row in table.splitlines()])
+    return numbers, verdicts, rows
+
+
+def _assert_scaled(got: np.ndarray, ref: np.ndarray, exponent: int, what: str) -> None:
+    scale = COVARIANCE_RTOL * max(np.max(np.abs(ref)), np.finfo(float).tiny)
+    np.testing.assert_allclose(got, ref * K**exponent, rtol=0, atol=scale, err_msg=what)
+
+
+@pytest.mark.parametrize("n, beta_0", [(2, 50.0), (3, 2.0)])
+def test_collective_run_is_unit_covariant(n, beta_0):
+    """The collective run at energy unit K against unit 1: the shipped n = 2 run, and n = 3
+    at beta_0 = 2, where a sweep started from beta_0 omega^2 flipped the ratio verdict."""
+    from cohentropy.scenarios import CollectiveConfig
+
+    ref = CollectiveConfig(n=n, beta_0=beta_0).run()
+    got = CollectiveConfig(n=n, omega=K, beta_0=beta_0 / K, beta_B=1.0 / K, gamma=0.1 * K).run()
+
+    ref_lines, got_lines = ref.csv_text.splitlines(), got.csv_text.splitlines()
+    assert got_lines[0] == ref_lines[0]
+    header = ref_lines[0].split(",")
+    ref_rows = [line.split(",") for line in ref_lines[1:]]
+    got_rows = [line.split(",") for line in got_lines[1:]]
+    assert [r[-1] for r in got_rows] == [r[-1] for r in ref_rows]  # the flags
+    for j, name in enumerate(header[:-1]):
+        column = [float(r[j]) for r in ref_rows]
+        _assert_scaled(np.array([float(r[j]) for r in got_rows]), np.array(column),
+                       CSV_EXPONENTS[name], name)
+
+    ref_numbers, ref_verdicts, ref_table = _summary_numbers(ref.summary_text)
+    got_numbers, got_verdicts, got_table = _summary_numbers(got.summary_text)
+    assert got_verdicts == ref_verdicts
+    assert got_numbers.keys() == ref_numbers.keys()
+    for key, value in ref_numbers.items():
+        _assert_scaled(np.array(got_numbers[key]), np.array(value), SUMMARY_EXPONENTS.get(key, 0), key)
+    _assert_scaled(got_table, ref_table, 0, "ratio table")  # beta_B omega and the ratios

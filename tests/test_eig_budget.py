@@ -1,7 +1,8 @@
 """Eigendecomposition budgets of the spectral kernel and of the propagator.
 
 Every state functional comes from ``spectrum.state_functionals``, which needs
-two eigendecompositions; these counts catch a second functional path, and
+two eigendecompositions, or one for a state without vertical coherence, whose
+block-diagonal cut is the state itself; these counts catch a second functional path, and
 the complementarity report, which reads only populations, needs none.  A
 state the library derives from validated ones (a thermal operation's outputs,
 a finite-difference shift) is validated by the kernel from those two
@@ -30,8 +31,10 @@ from cohentropy import (
     decompose_series,
     evolve,
     flat_bath,
+    state_functionals,
     thermal_state_of,
 )
+from cohentropy.thermalops import horizontal_pattern
 from cohentropy.thermo import check_rates_by_finite_differences
 from cohentropy.scenarios import (
     coherent_prepared_states,
@@ -72,20 +75,21 @@ def test_conservation_report_budget(eig_calls, index):
     u = seeded_unitary(sys_, 4)
     eig_calls["n"] = 0
     single_report(sys_, u, rho_s, rho_b, 1.3)
-    assert eig_calls["n"] == 12  # two kernel decompositions for each of six states, in three pairs
+    assert eig_calls["n"] == 11  # two kernel decompositions for each of five states, one for rho_B
 
 
 @pytest.mark.parametrize("index", [0, 1])
-@pytest.mark.parametrize("beta_0, per_seed", [(0.7, 14), (None, 13)])
+@pytest.mark.parametrize("beta_0, per_seed", [(0.7, 12), (None, 6)])
 def test_conservation_scan_budget(eig_calls, index, beta_0, per_seed):
-    """A 32-seed scan, one stacked pass, decomposes what its 32 reports do one by one: 12
-    matrices per report, plus the prepared state's own, two for a coherent state and one
-    for a diagonal state."""
+    """A 32-seed scan, one stacked pass, decomposes the thermal rho_B once and, per seed,
+    the prepared state's own matrices, two for a coherent state and one for a diagonal
+    state, and the kernel's: two for each of the five states of a coherent input, and one
+    for each of the five of a diagonal input, none of which has vertical coherence."""
     _, sys_ = thermal_operation_systems()[index]
     rho_b = thermal_state_of(sys_.els_B, 1.3)
     eig_calls["n"] = 0
     conservation_scan(sys_, range(32), rho_b, 1.3, beta_0=beta_0)
-    assert eig_calls["n"] == 32 * per_seed
+    assert eig_calls["n"] == 32 * per_seed + 1
 
 
 @pytest.mark.parametrize("index", [0, 1])
@@ -96,6 +100,18 @@ def test_coherent_prepared_state_budget(eig_calls, index):
     eig_calls["n"] = 0
     coherent_prepared_states(sys_.els_S, 0.7, [11])
     assert eig_calls["n"] == 2
+
+
+def test_kernel_reuses_the_spectrum_without_vertical_coherence(two_qubit_collective, eig_calls):
+    """A state with horizontal coherence only is its own block-diagonal cut: one eigh; a
+    state with vertical coherence takes a second for its cut."""
+    *_, els, _ = two_qubit_collective
+    horizontal = thermal_state_of(els, 2.0).elements + 0.1 * horizontal_pattern(els).elements
+    states = np.stack([horizontal, random_density(els.dim, 3)])
+    eig_calls["n"] = 0
+    f = state_functionals(states, els, 1.0)
+    assert eig_calls["n"] == 3
+    assert f.C_v[0] == 0.0 and f.C_h[0] > 0.0 and f.C_v[1] > 0.0
 
 
 def test_thermal_state_budget(two_qubit_collective, eig_calls):
@@ -153,6 +169,16 @@ PROPAGATION_BUDGET = {
     "reversal": (1, 0),
     "thermal_operation": (0, 0),
 }
+# Matrices eigh and eigvalsh decompose in one run of each shipped config.  No state of the
+# reversal or the n = 2 collective run has vertical coherence, so the kernel decomposes
+# each once; the thermal-operation run's incoherent inputs and rho_B's cut likewise.
+EIG_BUDGET = {
+    "collective": 195,
+    "near_degenerate": 315,
+    "otto": 28,
+    "reversal": 216,
+    "thermal_operation": 9315,
+}
 
 
 @pytest.fixture
@@ -168,11 +194,13 @@ def linalg_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(PROPAGATION_BUDGET))
-def test_shipped_config_propagation_budget(linalg_calls, name):
-    """np.linalg.eig and scipy.linalg.expm calls of one shipped config."""
+def test_shipped_config_propagation_budget(linalg_calls, eig_calls, name):
+    """np.linalg.eig and scipy.linalg.expm calls of one shipped config, and the matrices
+    np.linalg.eigh and np.linalg.eigvalsh decompose."""
     path = Path(__file__).parent.parent / "configs" / f"{name}.json"
     run_scenario_config(config_from_json(path.read_text()))
     assert (len(linalg_calls["eig"]), len(linalg_calls["expm"])) == PROPAGATION_BUDGET[name]
+    assert eig_calls["n"] == EIG_BUDGET[name]
 
 
 def test_thermal_start_decomposes_one_sector(linalg_calls):
