@@ -13,19 +13,23 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Any, ClassVar, Sequence, get_args
 
 import numpy as np
 
 from .collective import (
+    CollectiveSystem,
     SpinEnsembleSpec,
     collective_coupling,
+    collective_series,
     delta_C_h_limit,
     entropy_production_ratio,
     local_couplings,
 )
 from .exceptions import CohentropyError, ConfigError, InvariantViolation, WitnessNotFound
 from .lindblad import (
+    BathSpectrum,
     LindbladGenerator,
     build_generator,
     evolve,
@@ -61,14 +65,12 @@ from .thermalops import (
 )
 from .thermo import (
     ComplementarityReport,
-    RATE_COLUMNS,
     ThermoSeries,
     ThermoSnapshot,
     complementarity_report,
     decompose_series,
     heat_flow,
     otto_cycle,
-    rate_rows,
 )
 
 CSV_HEADER = "t,S,C_v,C_h,D_th,E_S,F_D,Pi_rate,Phi_rate,rate_C_v,rate_C_h,rate_D_th,flags"
@@ -223,22 +225,31 @@ def config_from_json(text: str) -> AnyConfig:
 @dataclass(frozen=True)
 class CollectiveScenario:
     spec: SpinEnsembleSpec
+    system: CollectiveSystem
     els: EnergyLevelStructure
-    gen: LindbladGenerator
+    bath: BathSpectrum
     series: ThermoSeries
+
+    @cached_property
+    def gen(self) -> LindbladGenerator:
+        """The generic generator of the same dissipation, built only when read: the
+        trajectory comes from the (J, m) populations."""
+        return build_generator([self.system.A_S], self.els, self.bath)
 
 
 def build_collective_scenario(
     cfg: CollectiveConfig, times: Sequence[float] | None = None
 ) -> CollectiveScenario:
-    """The collective relaxation from thermal(beta_0), at ``times`` or the config's own."""
+    """The collective relaxation from thermal(beta_0), at ``times`` or the config's own,
+    from its (J, m) populations (``collective_series``); the generic Lindblad path
+    (``decompose_series`` of ``gen``) is its oracle."""
     times = cfg.times() if times is None else times
     spec = SpinEnsembleSpec(cfg.n, cfg.s, cfg.omega)
     system = collective_coupling(spec)
     els = system.level_structure()
-    gen = build_generator([system.A_S], els, flat_bath(cfg.gamma, cfg.beta_B))
-    series = decompose_series(gen, thermal_state_of(els, cfg.beta_0), times)
-    return CollectiveScenario(spec=spec, els=els, gen=gen, series=series)
+    bath = flat_bath(cfg.gamma, cfg.beta_B)
+    series = collective_series(spec, els, bath, cfg.beta_0, times)
+    return CollectiveScenario(spec=spec, system=system, els=els, bath=bath, series=series)
 
 
 @dataclass(frozen=True)
@@ -260,9 +271,10 @@ def build_reversal_scenario(cfg: ReversalConfig) -> ReversalScenario:
     """Two resonant qubits, collective coupling, rho0 = thermal(beta_0) + c chi.
 
     chi = |01><10| + h.c. in the one-excitation doublet.  When no amplitude is
-    given, c is scanned upward over 19 fractions of c_max, measured by one
-    ``rate_rows`` pass, and the first at which the initial heat flow reverses,
-    (beta_0 - beta_B) dE/dt < 0, is taken.
+    given, c is scanned upward over 19 fractions of c_max, each candidate's
+    dE/dt = Tr(L(rho) H) from one stacked ``gen.apply``, and the first at which the
+    initial heat flow reverses, (beta_0 - beta_B) dE/dt < 0, is taken; when none
+    does, the error names the threshold of ``_reversal_threshold``.
     """
     times = cfg.times()
     beta_0, beta_B = cfg.beta_0, cfg.beta_B
@@ -274,15 +286,24 @@ def build_reversal_scenario(cfg: ReversalConfig) -> ReversalScenario:
     pattern = horizontal_pattern(els)
     # chi has eigenvalues +-1, so c < lambda_min(base), its smallest Boltzmann weight,
     # keeps rho positive; not the largest such amplitude (0.187 vs 0.0624 at beta_0 = 1.1)
-    c_max = float(boltzmann_weights(els.index_energies, beta_0).min())
+    weights = boltzmann_weights(els.index_energies, beta_0)
+    c_max = float(weights.min())
     amplitude = cfg.coherence_amplitude
     if amplitude is None:
         amplitudes = np.linspace(0.05, 0.95, 19) * c_max
         candidates = base.elements + amplitudes[:, None, None] * pattern.elements
-        e_dot = rate_rows(gen, candidates)[0][:, RATE_COLUMNS.index("E_dot")]
+        h = els.hamiltonian().elements
+        e_dot = np.trace(gen.apply(candidates) @ h, axis1=-2, axis2=-1).real
         reversing = amplitudes[(beta_0 - beta_B) * e_dot < -1e-12]
         if not len(reversing):
-            raise CohentropyError("no reversing coherence amplitude found in scan")
+            a_star = _reversal_threshold(gen, base.elements, pattern.elements)
+            doublet = np.repeat(els.degeneracies, els.degeneracies) > 1  # chi's level
+            p_1 = float(weights[doublet][0])
+            raise CohentropyError(
+                f"no reversing coherence amplitude found in scan: the heat flow reverses "
+                f"only beyond c = {a_star:.6g}; positivity allows |c| <= {p_1:.6g}, and the "
+                f"scan tries 0 < c < c_max = {c_max:.6g}"
+            )
         amplitude = reversing[0]
     elif amplitude >= c_max:
         raise ConfigError(
@@ -299,6 +320,14 @@ def build_reversal_scenario(cfg: ReversalConfig) -> ReversalScenario:
         amplitude_max=float(c_max),
         weighted_E_dot=(beta_0 - beta_B) * series.snapshots[0].E_dot,
     )
+
+
+def _reversal_threshold(gen: LindbladGenerator, rho_th: np.ndarray, chi: np.ndarray) -> float:
+    """a* = -E_dot(rho_th) / E_dot(chi): E_dot = Tr(L(rho) H) is linear in rho, so the heat
+    flow of rho_th + c chi changes sign at c = a*; inf when chi does not move it."""
+    h = gen.els.hamiltonian().elements
+    e_th, e_chi = (float(np.trace(gen.apply(x) @ h).real) for x in (rho_th, chi))
+    return -e_th / e_chi if e_chi != 0.0 else math.inf
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -177,17 +177,17 @@ def rate_rows(gen: LindbladGenerator, states: np.ndarray) -> tuple[np.ndarray, n
 
 
 def instantaneous_rates(
-    gen: LindbladGenerator, row: Sequence[float], divergent: bool, t: float
+    beta_b: float, row: Sequence[float], divergent: bool, t: float
 ) -> ThermoSnapshot:
-    """The snapshot at time t assembled from a state's ``rate_rows`` row and divergence
-    mark.  Closure and Pi >= 0 are not judged here but by ``ThermoSeries.verdicts``.
+    """The snapshot at time t, at bath inverse temperature ``beta_b``, assembled from a
+    state's row of the RATE_COLUMNS and its divergence mark.  Closure and Pi >= 0 are not
+    judged here but by ``ThermoSeries.verdicts``.
 
     Logs are taken on the support of a numerically singular state; when the drift L rho
     additionally has weight on the null space the production rate is divergent and
     reported as +inf with a warning flag.
     """
     s, c_v, c_h, d_th, e_s, f_d, pi, rate_c_v, rate_c_h, rate_d_th, e_dot = row
-    beta_b = gen.bath.beta_B
     flags: tuple[str, ...] = ()
     if divergent:
         flags = (FLAG_PI_DIVERGENT,)
@@ -209,26 +209,21 @@ def decompose_series(
 
     The rates of the whole trajectory come from one ``rate_rows`` pass; each
     snapshot is assembled from its row by ``instantaneous_rates``.
-    Rates are cross-validated at interior points, to relative 1e-4, against
-    the Richardson extrapolation of centered differences of the state
-    functionals at steps h and h/2 with h ||L|| = 1e-3 (dedicated evaluations
-    at t +- h/2 and t +- h, not grid neighbors), at interior snapshots that are
-    not pi-divergent.  Points where the state has eigenvalues below 1e-6 are
-    skipped: there the functionals are dominated by log-singular transients no
-    fixed-step difference can resolve.
+    Rates are cross-validated at the ``finite_difference_picks`` by
+    ``check_rates_by_finite_differences``.
     """
     if not len(times):
         raise ShapeMismatch("decompose_series: the time list is empty")
     states = evolve(gen, rho0, times)
     table, divergent = rate_rows(gen, states)
+    beta_b = gen.bath.beta_B
     rows, divergent = table.tolist(), divergent.tolist()
     snapshots = tuple(
-        instantaneous_rates(gen, row, div, t) for row, div, t in zip(rows, divergent, times)
+        instantaneous_rates(beta_b, row, div, t) for row, div, t in zip(rows, divergent, times)
     )
-    series = ThermoSeries(snapshots=snapshots, els=gen.els, beta_B=gen.bath.beta_B, states=states)
+    series = ThermoSeries(snapshots=snapshots, els=gen.els, beta_B=beta_b, states=states)
     if len(states) >= 3:
-        usable = [k for k in range(1, len(states) - 1) if not divergent[k]]
-        picks = usable[:: max(1, (len(states) - 2) // 12)]
+        picks = finite_difference_picks(divergent)
         check_rates_by_finite_differences(gen, [(times[k], states[k], snapshots[k]) for k in picks])
     return series
 
@@ -237,42 +232,76 @@ FD_MINEIG_FLOOR = 1e-6
 FD_IDENTITIES = ("dS/dt = Pi + Phi", "dC_v/dt", "dC_h/dt", "dD_th/dt")  # the rates checked
 
 
+def finite_difference_picks(divergent: Sequence[bool]) -> list[int]:
+    """The snapshots a trajectory of at least three is cross-checked at: about 12 of the
+    interior ones that are not pi-divergent, evenly strided."""
+    usable = [k for k in range(1, len(divergent) - 1) if not divergent[k]]
+    return usable[:: max(1, (len(divergent) - 2) // 12)]
+
+
 def check_rates_by_finite_differences(
     gen: LindbladGenerator,
     points: Sequence[tuple[float, np.ndarray, ThermoSnapshot]],
     raise_on_failure: bool = True,
     rel_tol: float = FD_RELATIVE_TOL,
 ) -> list[str]:
+    """``finite_difference_check`` of the (t, state, snapshot) points of a trajectory of
+    ``gen``, each state a (d, d) array, with ||L|| = ``gen.norm_inf``.
+
+    One stacked eigvalsh takes the lowest eigenvalue of every point's state; each kept
+    point's states at t +- h/2 and t +- h come from one ``gen.propagate`` call, and the
+    kernel takes them a ``chunks`` chunk of points at a time (four (d, d) states are the
+    entries of one (2d, 2d) matrix), so the stack never outgrows a chunk.
+    """
+    d = gen.dim
+
+    def lowest(kept):
+        return np.linalg.eigvalsh(np.array([state for _, state, _ in kept]))[:, 0]
+
+    def shifted(kept, steps):
+        for part in chunks(len(kept), 2 * d):
+            stack = np.array([
+                _resymm(x.reshape(d, d))
+                for _, state, _ in kept[part]
+                for x in gen.propagate(state.reshape(-1), steps)
+            ])
+            f = state_functionals(stack, gen.els, gen.bath.beta_B)
+            yield part, np.stack((f.S, f.C_v, f.C_h, f.D_th)).reshape(4, -1, 4).transpose(1, 0, 2)
+
+    return finite_difference_check(points, gen.norm_inf, lowest, shifted, raise_on_failure, rel_tol)
+
+
+def finite_difference_check(
+    points: Sequence[tuple[float, np.ndarray, ThermoSnapshot]],
+    norm: float,
+    lowest: Callable,
+    shifted: Callable,
+    raise_on_failure: bool = True,
+    rel_tol: float = FD_RELATIVE_TOL,
+) -> list[str]:
     """Compare analytic rates with finite differences of the state functionals at each
-    (t, state, snapshot) point, the state a (d, d) array.
+    (t, state, snapshot) point of a trajectory whose generator has norm ``norm``: the one
+    rule of every trajectory path.
 
     The estimate is the Richardson extrapolation (4 D(h/2) - D(h)) / 3 of the
-    centered differences D at h ||L|| = 1e-3, so its error is O(h^4).  One stacked
-    eigvalsh takes the lowest eigenvalue of every point's state; each kept point's states
-    at t +- h/2 and t +- h come from one ``gen.propagate`` call, and the kernel takes them
-    a ``chunks`` chunk of points at a time (four (d, d) states are the entries of one
-    (2d, 2d) matrix), so the stack never outgrows a chunk.
+    centered differences D at h ||L|| = 1e-3, so its error is O(h^4), judged to
+    ``rel_tol`` with an absolute slack of 1e-9 max(1, ||L||).  Points at t <= h, and
+    points whose state has an eigenvalue below FD_MINEIG_FLOOR (there the functionals are
+    dominated by log-singular transients no fixed-step difference can resolve), are
+    skipped.  ``lowest(points)`` gives the lowest eigenvalue of each point's state, and
+    ``shifted(points, steps)`` yields (slice of points, [point][functional][shift] array)
+    pairs of S, C_v, C_h and D_th at t + each of the steps (-h, -h/2, h/2, h).
     Returns the list of failing identity descriptions (empty when all pass).
     """
-    norm = gen.norm_inf
     h = 1e-3 / max(norm, 1e-12)
     atol = 1e-9 * max(1.0, norm)
-    d = gen.dim
 
     points = [p for p in points if p[0] > h]
     if points:
-        lam_min = np.linalg.eigvalsh(np.array([state for _, state, _ in points]))[:, 0]
+        lam_min = lowest(points)
         points = [p for p, lam in zip(points, lam_min.tolist()) if lam >= FD_MINEIG_FLOOR]
     failures: list[str] = []
-    for part in chunks(len(points), 2 * d):
-        stack = np.array([
-            _resymm(x.reshape(d, d))
-            for _, state, _ in points[part]
-            for x in gen.propagate(state.reshape(-1), (-h, -0.5 * h, 0.5 * h, h))
-        ])
-        f = state_functionals(stack, gen.els, gen.bath.beta_B)
-        # [point][functional][shift] of the functionals of FD_IDENTITIES
-        shifts = np.stack((f.S, f.C_v, f.C_h, f.D_th)).reshape(4, -1, 4).transpose(1, 0, 2)
+    for part, shifts in shifted(points, (-h, -0.5 * h, 0.5 * h, h)):
         for (t, _, snap), columns in zip(points[part], shifts.tolist()):
             analytic = (snap.Pi_rate + snap.Phi_rate, snap.rate_C_v, snap.rate_C_h, snap.rate_D_th)
             for key, an, (b2, b1, f1, f2) in zip(FD_IDENTITIES, analytic, columns):

@@ -213,7 +213,7 @@ def rates_of(gen, state: np.ndarray, t: float = 0.0):
     """The snapshot of one (d, d) state at time t, from its ``rate_rows`` row as a stack of
     one."""
     table, divergent = rate_rows(gen, state[None])
-    return instantaneous_rates(gen, table[0].tolist(), bool(divergent[0]), t)
+    return instantaneous_rates(gen.bath.beta_B, table[0].tolist(), bool(divergent[0]), t)
 
 
 def complementarity_reference(series, tol: float = COMPLEMENTARITY_TOL):

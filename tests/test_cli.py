@@ -455,6 +455,62 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"scenario failed: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("poison, message", [
+        ("leak", "population drift at t = 0.09999999999999999: total 0.9971935330983"),
+        ("nan", "propagated populations are not finite at t = 0.09999999999999999"),
+    ])
+    def test_poisoned_population_chain_is_a_scenario_failure(
+        self, tmp_path, capsys, monkeypatch, poison, message
+    ):
+        """The collective run's (J, m) populations are checked as ``evolve`` checks states:
+        a chain that leaks weight out of its ground state, or one whose rate is nan, ends
+        in one line that names t, with no outputs."""
+        from cohentropy import collective
+
+        build = collective.population_chains
+
+        def poisoned(*args):
+            chains = build(*args)
+            rates = chains.rates.copy()
+            if poison == "leak":
+                rates[0, 0] -= 0.05
+            else:
+                rates[0, 1] = np.nan
+            return dataclasses.replace(chains, rates=rates)
+
+        monkeypatch.setattr(collective, "population_chains", poisoned)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(write_config(tmp_path, scenario="collective-spins")),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario failed: {message}") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entries, threshold, p_1, c_max", [
+        ({"beta_0": 2}, "0.324027", "0.104994", "0.0142093"),  # beyond what positivity allows
+        ({"beta_0": 1.1, "beta_B": 0}, "inf", "0.18737", "0.06237"),  # chi moves no heat
+        ({"beta_0": 1.1, "beta_B": 300}, "-0.24974", "0.18737", "0.06237"),  # c < 0 only
+        ({"beta_0": 0.5}, "-0.235004", "0.235004", "0.142537"),
+    ])
+    def test_no_reversal_names_its_threshold(
+        self, tmp_path, capsys, entries, threshold, p_1, c_max
+    ):
+        """E_dot = Tr(L(rho) H) is linear, so the heat flow of rho_th + c chi reverses only
+        beyond a* = -E_dot(rho_th) / E_dot(chi): a scan without a reversal names a*, the
+        doublet weight p_1 that bounds |c| and the scan's c_max, on one line."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"scenario": "heat-flow-reversal", **entries}))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "scenario failed: no reversing coherence amplitude found in scan: the heat flow "
+            f"reverses only beyond c = {threshold}; positivity allows |c| <= {p_1}, and the "
+            f"scan tries 0 < c < c_max = {c_max}\n"
+        )
+        assert not out.exists()
+
     def test_linalg_error_is_a_scenario_failure(self, tmp_path, capsys, monkeypatch):
         def broken(cfg):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

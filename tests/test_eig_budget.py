@@ -24,6 +24,7 @@ import scipy.linalg
 
 from cohentropy import (
     DensityMatrix,
+    LindbladGenerator,
     SpinEnsembleSpec,
     build_generator,
     collective_coupling,
@@ -163,20 +164,23 @@ def test_decompose_series_budget(two_qubit_collective, eig_calls):
 
 
 PROPAGATION_BUDGET = {
-    "collective": (1, 0),
+    "collective": (0, 0),
     "near_degenerate": (2, 0),
     "otto": (4, 0),
     "reversal": (1, 0),
     "thermal_operation": (0, 0),
 }
 # Matrices eigh and eigvalsh decompose in one run of each shipped config.  No state of the
-# reversal or the n = 2 collective run has vertical coherence, so the kernel decomposes
-# each once; the thermal-operation run's incoherent inputs and rho_B's cut likewise.
+# reversal run has vertical coherence, so the kernel decomposes each once; the
+# thermal-operation run's incoherent inputs and rho_B's cut likewise; the reversal run's 19
+# amplitude candidates take their heat flow from gen.apply and decompose nothing.  The n = 2
+# collective run takes its trajectory from the (J, m) populations: one eigh of J^2 per
+# magnetization sector, 3, and no state.
 EIG_BUDGET = {
-    "collective": 195,
+    "collective": 3,
     "near_degenerate": 315,
     "otto": 28,
-    "reversal": 216,
+    "reversal": 197,
     "thermal_operation": 9315,
 }
 
@@ -217,7 +221,28 @@ def test_thermal_start_decomposes_one_sector(linalg_calls):
 
 def test_cold_bath_makes_no_expm(linalg_calls):
     """At beta_B = 30 the 252-row sector is too near defective for its own eig; its Krylov
-    matrix is not, so no expm step is taken."""
-    run_scenario_config(config_from_json('{"scenario": "collective-spins", "n": 5, "beta_B": 30}'))
+    matrix is not, so no expm step is taken: the generic path of the n = 5 run."""
+    cfg = config_from_json('{"scenario": "collective-spins", "n": 5, "beta_B": 30}')
+    system = collective_coupling(SpinEnsembleSpec(5, 0.5, 1.0))
+    els = system.level_structure()
+    gen = build_generator([system.A_S], els, flat_bath(cfg.gamma, cfg.beta_B))
+    decompose_series(gen, thermal_state_of(els, cfg.beta_0), cfg.times())
     assert linalg_calls["expm"] == []
     assert linalg_calls["eig"] and all(rows <= 12 for rows in linalg_calls["eig"])
+
+
+def test_collective_run_builds_no_generator(monkeypatch, linalg_calls):
+    """n = 5, d = 32: the run takes its trajectory from the (J, m) populations, so it
+    constructs no LindbladGenerator, and no eigendecomposition it makes is of a (32, 32)
+    matrix: only the J^2 sectors, of at most binom(5, 2) = 10 rows, are decomposed."""
+    built, shapes = [], []
+    monkeypatch.setattr(LindbladGenerator, "__post_init__", lambda gen: built.append(gen))
+    for name in ("eigh", "eigvalsh"):
+        def recorded(a, *args, _orig=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _orig(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    out = run_scenario_config(config_from_json('{"scenario": "collective-spins", "n": 5}'))
+    assert out.invariant_failures == 0
+    assert built == [] and linalg_calls == {"eig": [], "expm": []}
+    assert len(shapes) == 6 and all(shape[-1] <= 10 for shape in shapes)

@@ -29,12 +29,10 @@ from cohentropy.exceptions import InvariantViolation
 from cohentropy.lindblad import KRYLOV_MAX_DIM, BathSpectrum, JumpOperatorSet, LindbladGenerator
 from cohentropy.qcore import max_abs
 from cohentropy.scenarios import (
-    CollectiveConfig,
     GridSpec,
     NearDegenerateConfig,
     OttoParams,
     ReversalConfig,
-    build_collective_scenario,
     build_near_degenerate_scenario,
     build_reversal_scenario,
 )
@@ -531,9 +529,7 @@ ORACLE_GENERATORS = {
         for n in (2, 3, 4, 5, 6)
         for b in (1.0, 30.0)
     },
-    "generation": lambda: build_collective_scenario(
-        CollectiveConfig(beta_0=2.0, time_grid=GridSpec(3))
-    ).gen,
+    "generation": lambda: collective_generator(2),  # criterion 5's and 7's generator
     "lamb shift collective": lambda: lamb_shifted_generator(local=False),
     "lamb shift local": lambda: lamb_shifted_generator(local=True),
     "generic": generic_generator,
