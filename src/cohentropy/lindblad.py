@@ -231,6 +231,15 @@ class LindbladGenerator:
         terms = np.swapaxes(left @ m[..., None, :, :], -3, -2)  # [..., i, j, :] = (left_j m)[i]
         return terms.reshape(*m.shape[:-1], -1) @ right.reshape(-1, self.dim)
 
+    def labeled_drift(self, r: np.ndarray) -> np.ndarray:
+        """L r of each matrix of a (T, d, d) stack in the labeled eigenbasis, by one stacked
+        product per block, so that each matrix's drift is bitwise the one it gets alone."""
+        flat = r.reshape(len(r), -1)
+        out = np.empty_like(flat)
+        for idx, block in self.blocks:
+            out[:, idx] = np.matmul(flat[:, None, idx], block.T)[:, 0]
+        return out.reshape(r.shape)
+
     @cached_property
     def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(flat labeled index pairs i * d + j, block of L) per connected component of
@@ -397,14 +406,15 @@ def _exp_series(block: np.ndarray, eig: tuple | None, x: np.ndarray, ts: np.ndar
 def _diagonalize(block: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """(w, V, V^-1) with block = V diag(w) V^-1 to within tol, or None when it is defective
     or so near it that eps cond_1(V), the rounding V exp(t w) V^-1 adds to a unit vector,
-    exceeds 1e-9."""
+    exceeds 1e-9, or when the residual is not finite (an overflowing V diag(w) V^-1)."""
     try:
         w, v = np.linalg.eig(block)
         vinv = np.linalg.inv(v)
     except np.linalg.LinAlgError:
         return None
-    resid = max_abs((v * w) @ vinv - block)
-    kappa = np.linalg.norm(v, 1) * np.linalg.norm(vinv, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual rejects
+        resid = max_abs((v * w) @ vinv - block)
+        kappa = np.linalg.norm(v, 1) * np.linalg.norm(vinv, 1)
     return (w, v, vinv) if resid <= tol and np.finfo(float).eps * kappa <= 1e-9 else None
 
 

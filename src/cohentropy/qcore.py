@@ -213,23 +213,6 @@ def boltzmann_weights(energies: np.ndarray, beta: float) -> np.ndarray:
     return np.exp(log_boltzmann_weights(energies, beta))
 
 
-def relative_entropy_from_logs(
-    sigma: np.ndarray,
-    log_sigma: np.ndarray,
-    log_rho: np.ndarray,
-    rho_null: np.ndarray | None = None,
-) -> float | np.ndarray:
-    """Tr sigma (ln sigma - ln rho) from logs on the supports, all in one basis, of one
-    matrix or of each of a stack; +inf where sigma weighs more than SUPPORT_WEIGHT_TOL on
-    the null-space projector ``rho_null`` of rho (None: rho has full support)."""
-    val = np.trace(sigma @ (log_sigma - log_rho), axis1=-2, axis2=-1).real
-    if rho_null is not None and rho_null.any():
-        weight = np.trace(sigma @ rho_null, axis1=-2, axis2=-1).real
-        val = np.where(weight > SUPPORT_WEIGHT_TOL, np.inf, val)
-    _check_relative_entropy(val)
-    return val if np.ndim(val) else float(val)
-
-
 def diagonal_relative_entropy(p: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
     """sum p (ln p - ln q) of each row of a stack of populations: the relative entropy
     of two diagonal states, added as the trace of their diagonal matrix product is."""

@@ -11,15 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from .exceptions import AmbiguousClustering, InvariantViolation, ShapeMismatch
 from .qcore import (
     CLIP_FLOOR,
+    SUPPORT_WEIGHT_TOL,
     DensityMatrix,
     HermitianObservable,
     _as_square_complex,
+    _check_relative_entropy,
     _density_matrix,
     _hermitian_unit_trace,
     boltzmann_weights,
@@ -31,7 +34,6 @@ from .qcore import (
     log_boltzmann_weights,
     log_of_spectrum,
     max_abs,
-    relative_entropy_from_logs,
 )
 
 PROJECTOR_TOL = 1e-12
@@ -228,23 +230,29 @@ def state_functionals(m: np.ndarray, els: EnergyLevelStructure, beta: float) -> 
     return StateFunctionals(*([float(c[0]) for c in columns] if single else columns))
 
 
-def spectral_pass(m: np.ndarray, els: EnergyLevelStructure, beta: float) -> tuple[np.ndarray, ...]:
+def spectral_pass(
+    m: np.ndarray, els: EnergyLevelStructure, beta: float, drift: Callable | None = None
+) -> tuple:
     """The kernel on a (T, d, d) stack of states, from the eigendecompositions of each
     r = V^dag rho V and of its block-diagonal cut rho_BD, the latter only where it differs
-    from r (elsewhere r's serves): S, C_v, C_h, D_th, E_S and F_D, each (T,); ln rho,
-    ln rho_BD and ln rho_D on their supports in the labeled eigenbasis, each (T, d, d);
-    ln rho_th, one (d, d) diagonal that broadcasts over the stack; and the projector onto the
-    null space of each rho (eigenvalues <= CLIP_FLOOR) in the input basis, (T, d, d), exact
-    zeros when every state has full rank.  ``state_functionals`` takes it chunk by chunk; ``thermo.rate_rows``
-    reads its logs too.
+    from r (elsewhere r's serves): S, C_v, C_h, D_th, E_S and F_D, each (T,); the projector
+    onto the null space of each rho (eigenvalues <= CLIP_FLOOR) in the input basis, (T, d, d),
+    exact zeros when every state has full rank; and, when ``drift`` maps the labeled stack r
+    to r_dot = L r, the (T, 5) overlaps Tr r_dot ln X for X = rho, rho_BD, rho_D and rho_th,
+    and Tr r_dot H, which ``thermo.rate_rows`` reads (else None).  No log matrix is formed:
+    Tr x ln X is sum_k <u_k|x|u_k> ln lambda_k on X's own eigenbasis, diag(x) for rho_D and
+    rho_th.
 
     The states get the checks of ``checked_states`` here: Hermitian and of unit trace, and
     no eigenvalue of r below -POSITIVITY_TOL, which ``log_of_spectrum`` enforces on the
     spectrum the kernel computes anyway; a checked state, already Hermitian, keeps its bits.
     The spectrum of rho_D is diag(r); ln rho_th is ``log_boltzmann_weights`` of the
     level energies, exact and never clipped, so D_th is finite at every finite beta.
-    C_v = S(rho_BD) - S(rho) and C_h = S(rho_D) - S(rho_BD) must agree with
-    S(rho|rho_BD) and S(rho_BD|rho_D) to 1e-8; F_D is nan at beta = 0.
+    C_v = S(rho_BD) - S(rho) and C_h = S(rho_D) - S(rho_BD) must agree with S(rho|rho_BD)
+    and S(rho_BD|rho_D) to 1e-8, read from diag(U^dag r U) and diag(U_BD^dag rho_BD U_BD)
+    rather than from the eigenvalues, so that the check tests each decomposition; either is
+    +inf where its first state weighs more than SUPPORT_WEIGHT_TOL on the second's null
+    space.  F_D is nan at beta = 0.
     """
     m = _hermitian_unit_trace(_as_square_complex(m, stacked=True))
     if m.shape[-1] != els.dim:
@@ -252,20 +260,35 @@ def spectral_pass(m: np.ndarray, els: EnergyLevelStructure, beta: float) -> tupl
     r = els.to_labeled(m)
     bd = np.where(els.same_level, r, 0.0)
     lam, u = np.linalg.eigh(r)
-    lam_bd, u_bd = lam.copy(), u.copy()
+    lam_bd, u_bd = lam.copy(), u[:0]
     vertical = np.any(bd != r, axis=(-2, -1))  # rho_BD is rho itself elsewhere
     if vertical.any():
-        lam_bd[vertical], u_bd[vertical] = np.linalg.eigh(bd[vertical])
+        lam_bd[vertical], u_bd = np.linalg.eigh(bd[vertical])
     pops = r.diagonal(axis1=-2, axis2=-1).real
-    log_rho = (u * log_of_spectrum(lam)[:, None, :]) @ dagger(u)
-    log_bd = (u_bd * log_of_spectrum(lam_bd)[:, None, :]) @ dagger(u_bd)
-    log_p = log_of_spectrum(pops)
+    log_rho, log_bd, log_p = log_of_spectrum(lam), log_of_spectrum(lam_bd), log_of_spectrum(pops)
     log_w = log_boltzmann_weights(els.index_energies, beta)
-    log_d = _diagonal_stack(log_p)
+
+    def overlaps(x, x_bd, f, f_bd):
+        """sum_k <u_k|x|u_k> f_k on rho's eigenbasis, and likewise x_bd on rho_BD's (x's own
+        sum where rho_BD is rho), of each state, by stacked products and elementwise sums, so
+        that each state's bits are those it gets alone."""
+        on_rho = np.sum(np.sum(u.conj() * (x @ u), axis=-2).real * f, axis=-1)
+        on_bd = on_rho.copy()
+        if vertical.any():
+            on = np.sum(u_bd.conj() * (x_bd[vertical] @ u_bd), axis=-2).real
+            on_bd[vertical] = np.sum(on * f_bd[vertical], axis=-1)
+        return on_rho, on_bd
+
     s, s_bd, s_d = (entropy_of_spectrum(x) for x in (lam, lam_bd, pops))
     c_v, c_h = s_bd - s, s_d - s_bd
-    alt_v = relative_entropy_from_logs(r, log_rho, log_bd, _null_projector(u_bd, lam_bd))
-    alt_h = relative_entropy_from_logs(bd, log_bd, log_d, _null_projector(np.eye(els.dim), pops))
+    tr_rho, tr_bd = overlaps(r, bd, log_rho, log_bd)  # Tr r ln rho_BD = Tr rho_BD ln rho_BD
+    alt_v, alt_h = tr_rho - tr_bd, tr_bd - np.sum(pops * log_p, axis=-1)
+    null_bd = lam_bd <= CLIP_FLOOR
+    if null_bd.any():  # Tr r P_null(rho_BD)
+        alt_v[overlaps(r, r, null_bd, null_bd)[1] > SUPPORT_WEIGHT_TOL] = np.inf
+    alt_h[np.sum(np.where(pops <= CLIP_FLOOR, pops, 0.0), axis=-1) > SUPPORT_WEIGHT_TOL] = np.inf
+    _check_relative_entropy(alt_v)
+    _check_relative_entropy(alt_h)
     bad = np.maximum(np.abs(alt_v - c_v), np.abs(alt_h - c_h)) > MEASURE_CONSISTENCY_TOL
     if bad.any():
         k = int(np.argmax(bad))
@@ -277,29 +300,18 @@ def spectral_pass(m: np.ndarray, els: EnergyLevelStructure, beta: float) -> tupl
     e_s = (pops[:, None, :] @ els.index_energies[:, None])[:, 0, 0]  # per state, pops @ e
     with np.errstate(over="ignore"):  # -inf at a subnormal beta, as float arithmetic gives
         f_d = e_s - s_d / beta if beta != 0.0 else np.full(len(m), np.nan)
-    null = _null_projector(u, lam, els.basis_vectors)
-    return s, c_v, c_h, d_th, e_s, f_d, log_rho, log_bd, log_d, np.diag(log_w), null
-
-
-def _diagonal_stack(rows: np.ndarray) -> np.ndarray:
-    """The diagonal matrix of each row of a (T, d) stack."""
-    out = np.zeros(rows.shape + rows.shape[-1:], dtype=rows.dtype)
-    i = np.arange(rows.shape[-1])
-    out[:, i, i] = rows
-    return out
-
-
-def _null_projector(vecs: np.ndarray, lam: np.ndarray, basis: np.ndarray | None = None):
-    """Projector onto the eigenvectors (columns of ``vecs``, or of each of a stack, taken to
-    the input basis as ``basis @ vecs`` when given) whose eigenvalue in the matching row of
-    ``lam`` is at most CLIP_FLOOR.  When no eigenvalue of the stack is, the projector is
-    exact zeros, formed without a product: its readers test it for nonzero entries."""
-    null = lam <= CLIP_FLOOR
-    if not null.any():
-        return np.zeros(lam.shape + lam.shape[-1:], dtype=complex)
-    if basis is not None:
-        vecs = basis @ vecs
-    return (vecs * null[:, None, :]) @ dagger(vecs)
+    null = np.zeros_like(u)  # exact zeros at full rank, formed without a product
+    if (lam <= CLIP_FLOOR).any():
+        vecs = els.basis_vectors @ u  # the eigenvectors in the input basis
+        null = (vecs * (lam <= CLIP_FLOOR)[:, None, :]) @ dagger(vecs)
+    if drift is None:
+        return s, c_v, c_h, d_th, e_s, f_d, null, None
+    r_dot = drift(r)
+    p_dot = r_dot.diagonal(axis1=-2, axis2=-1).real
+    diagonal = (np.sum(p_dot * f, axis=-1) for f in (log_p, log_w, els.index_energies))
+    return s, c_v, c_h, d_th, e_s, f_d, null, np.column_stack(
+        (*overlaps(r_dot, r_dot, log_rho, log_bd), *diagonal)
+    )
 
 
 def thermal_state_of(els: EnergyLevelStructure, beta: float) -> DensityMatrix:

@@ -9,6 +9,9 @@ the integrand identities
     dD_th/dt = Tr drho [ln rho_D - ln rho_th]
 
 so the closure Pi = -dC_v/dt - dC_h/dt - dD_th/dt telescopes exactly.
+Each Tr drho ln X is read off X's own eigenbasis as sum_k <u_k|drho|u_k> ln lambda_k,
+from the decompositions the state functionals take anyway (the populations' basis for
+rho_D and rho_th), so no log matrix is formed.
 Centered finite differences of the state functionals are used only as
 cross-checks.  Rate fields store the plain time derivatives; the negated
 quantities (-dC_h/dt etc.) are the signed contributions to Pi.
@@ -146,31 +149,22 @@ def rate_rows(gen: LindbladGenerator, states: np.ndarray) -> tuple[np.ndarray, n
     """State functionals, analytic rates and heat flow E_dot = Tr(L rho H) of each state of
     a (T, d, d) stack, as the (T, 11) array of the RATE_COLUMNS, and the (T,) mask of the
     states whose drift L rho has weight on their null space.  Computed by ``chunks``: per
-    chunk one ``spectral_pass``, which checks the states, and one stacked ``gen.apply``,
-    each rate the overlap of r_dot = V^dag L rho V with a difference of the pass's logs.
-    A state's row is bitwise the one it gets alone."""
+    chunk one ``spectral_pass``, which checks the states and reads the overlaps of the
+    labeled drift from ``gen.labeled_drift`` off its eigenbases; the mark is formed from
+    ``gen.apply`` in the input basis, only on chunks that have a null space.  A state's row
+    is bitwise the one it gets alone."""
     els, beta_b = gen.els, gen.bath.beta_B
-    h = els.hamiltonian().elements
     table = np.empty((len(states), len(RATE_COLUMNS)))
     divergent = np.zeros(len(states), dtype=bool)
     for part in chunks(len(states), gen.dim):
         m = states[part]
-        *functionals, log_rho, log_bd, log_d, log_th, null = spectral_pass(m, els, beta_b)
-        rho_dot = gen.apply(m)
-        r_dot = els.to_labeled(rho_dot)
-
-        def overlap(op: np.ndarray) -> np.ndarray:
-            return np.trace(r_dot @ op, axis1=-2, axis2=-1).real
-
+        *functionals, null, flows = spectral_pass(m, els, beta_b, gen.labeled_drift)
+        on_rho, on_bd, on_d, on_th, e_dot = flows.T
         table[part] = np.column_stack((
-            *functionals,
-            -overlap(log_rho - log_th),
-            overlap(log_rho - log_bd),
-            overlap(log_bd - log_d),
-            overlap(log_d - log_th),
-            np.trace(rho_dot @ h, axis1=-2, axis2=-1).real,
+            *functionals, -(on_rho - on_th), on_rho - on_bd, on_bd - on_d, on_d - on_th, e_dot
         ))
         if null.any():  # zeros when every state of the chunk has full rank
+            rho_dot = gen.apply(m)
             leak = np.max(np.abs(null @ rho_dot @ null), axis=(-2, -1)) > 1e-12
             divergent[part] = (np.max(np.abs(null), axis=(-2, -1)) > 0.5) & leak
     return table, divergent

@@ -13,13 +13,16 @@ from cohentropy import (
 )
 from cohentropy.qcore import (
     CLIP_FLOOR,
+    SUPPORT_WEIGHT_TOL,
     Verdict,
+    _check_relative_entropy,
     boltzmann_weights,
     chunks,
+    dagger,
     diagonal_relative_entropy,
+    entropy_of_spectrum,
     log_boltzmann_weights,
     log_of_spectrum,
-    relative_entropy_from_logs,
 )
 from cohentropy.scenarios import CSV_HEADER
 from cohentropy.thermo import (
@@ -53,6 +56,60 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     lam = np.linalg.eigvalsh(rho.elements)
     lam = lam[lam > CLIP_FLOOR]
     return float(-np.sum(lam * np.log(lam)))
+
+
+def relative_entropy_from_logs(
+    sigma: np.ndarray,
+    log_sigma: np.ndarray,
+    log_rho: np.ndarray,
+    rho_null: np.ndarray | None = None,
+) -> float | np.ndarray:
+    """Reference Tr sigma (ln sigma - ln rho) from logs on the supports, all in one basis, of
+    one matrix or of each of a stack; +inf where sigma weighs more than SUPPORT_WEIGHT_TOL on
+    the null-space projector ``rho_null`` of rho (None: rho has full support)."""
+    val = np.trace(sigma @ (log_sigma - log_rho), axis1=-2, axis2=-1).real
+    if rho_null is not None and rho_null.any():
+        weight = np.trace(sigma @ rho_null, axis1=-2, axis2=-1).real
+        val = np.where(weight > SUPPORT_WEIGHT_TOL, np.inf, val)
+    _check_relative_entropy(val)
+    return val if np.ndim(val) else float(val)
+
+
+def dense_rate_rows(gen, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference ``rate_rows`` from formed (T, d, d) log matrices: each functional from the
+    spectra of r = V^dag rho V, of its block-diagonal cut and of its populations, each rate
+    the overlap Tr r_dot (ln X - ln Y) with r_dot = V^dag (L rho) V from ``gen.apply``, E_dot
+    = Tr (L rho) H, and the divergence mark from the null-space projector of each rho."""
+    els, beta = gen.els, gen.bath.beta_B
+    m = 0.5 * (states + dagger(states))
+    r = els.to_labeled(m)
+    lam, u = np.linalg.eigh(r)
+    lam_bd, u_bd = np.linalg.eigh(np.where(els.same_level, r, 0.0))
+    pops = r.diagonal(axis1=-2, axis2=-1).real
+    log_rho, log_bd = ((v * log_of_spectrum(x)[:, None, :]) @ dagger(v)
+                       for x, v in ((lam, u), (lam_bd, u_bd)))
+    log_p, log_w = log_of_spectrum(pops), log_boltzmann_weights(els.index_energies, beta)
+    log_d, log_th = log_p[:, :, None] * np.eye(els.dim), np.diag(log_w)
+    s, s_bd, s_d = (entropy_of_spectrum(x) for x in (lam, lam_bd, pops))
+    e_s = (pops[:, None, :] @ els.index_energies[:, None])[:, 0, 0]
+    with np.errstate(over="ignore"):
+        f_d = e_s - s_d / beta if beta != 0.0 else np.full(len(m), np.nan)
+    rho_dot = gen.apply(states)
+    r_dot = els.to_labeled(rho_dot)
+
+    def overlap(op: np.ndarray) -> np.ndarray:
+        return np.trace(r_dot @ op, axis1=-2, axis2=-1).real
+
+    table = np.column_stack((
+        s, s_bd - s, s_d - s_bd, diagonal_relative_entropy(pops, log_p, log_w), e_s, f_d,
+        -overlap(log_rho - log_th), overlap(log_rho - log_bd), overlap(log_bd - log_d),
+        overlap(log_d - log_th),
+        np.trace(rho_dot @ els.hamiltonian().elements, axis1=-2, axis2=-1).real,
+    ))
+    vecs = els.basis_vectors @ u
+    null = (vecs * (lam <= CLIP_FLOOR)[:, None, :]) @ dagger(vecs)
+    leak = np.max(np.abs(null @ rho_dot @ null), axis=(-2, -1)) > 1e-12
+    return table, (np.max(np.abs(null), axis=(-2, -1)) > 0.5) & leak
 
 
 def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix) -> float:

@@ -441,6 +441,9 @@ class TestRunCommand:
           "otto": {"stroke_time": 0.1, "lam": 0.01, "beta_cold": -300, "prep_beta": 0.01,
                    "beta_hot": 0.0168527851461938}},
          "incoherent: cold isochore: propagated state is not finite at t = 0.1"),
+        # a block whose eig residual overflows is rejected without a warning
+        ({"scenario": "heat-flow-reversal", "beta_B": -700, "coherence_amplitude": 0.01},
+         "propagated state is not finite at t = 0.09999999999999999"),
     ])
     def test_overflowing_rates_are_a_scenario_failure(self, tmp_path, capsys, entries, message):
         """A bath at beta_B * omega far below -1 (a negative temperature) gives an upward

@@ -212,6 +212,37 @@ class TestCoherenceMeasures:
         assert c_h == pytest.approx(math.log(2), abs=1e-10)
 
 
+def _horizontal_state(els) -> np.ndarray:
+    """A block-diagonal state of the collective n = 2 structure, its doublet coherent."""
+    r = np.diag([0.85, 0.06, 0.06, 0.03]).astype(complex)
+    r[1, 2] = r[2, 1] = 0.05
+    v = els.basis_vectors
+    return v @ r @ v.conj().T
+
+
+@pytest.mark.parametrize("state", ["vertical", "horizontal"])
+def test_rotated_eigenvectors_fail_the_consistency_check(state, two_qubit_collective, monkeypatch):
+    """The relative-entropy forms are read off the eigenvectors, not the eigenvalues alone:
+    an eigh whose lowest and highest eigenvectors are rotated by 1e-4 rad into each other
+    makes them disagree with C_v or C_h, for a state with vertical coherence (two
+    decompositions) and for one whose block-diagonal cut is itself (one)."""
+    *_, els, _ = two_qubit_collective
+    m = random_density(4, 3) if state == "vertical" else _horizontal_state(els)
+    state_functionals(m, els, 1.0)
+    c, s = math.cos(1e-4), math.sin(1e-4)
+
+    def rotated(a, *args, _orig=np.linalg.eigh, **kwargs):
+        w, v = _orig(a, *args, **kwargs)
+        v = v.copy()
+        low, high = v[..., :, 0].copy(), v[..., :, -1].copy()
+        v[..., :, 0], v[..., :, -1] = c * low + s * high, c * high - s * low
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", rotated)
+    with pytest.raises(InvariantViolation, match="coherence measures disagree"):
+        state_functionals(m, els, 1.0)
+
+
 class TestDistanceToThermal:
     def test_thermal_state_has_zero_distance(self, els4):
         rho = thermal_state_of(els4, 1.3)
@@ -385,20 +416,21 @@ class TestStateFunctionals:
             assert [np.asarray(getattr(f, fld.name)[k]).tobytes() for fld in dataclasses.fields(f)] == one
 
     def test_stack_of_one_keeps_a_leading_axis(self):
-        """A stack of one keeps its axis in every stacked field; ln rho_th is one (d, d)."""
+        """A stack of one keeps its axis in every stacked field and in the overlaps of its
+        drift, which are None without one."""
         els = STRUCTURES["degenerate qutrit"]
         stack = random_density(3, 5)[None]
         assert state_functionals(stack, els, 1.3).S.shape == (1,)
-        *functionals, log_rho, log_bd, log_d, log_th, null = spectral_pass(stack, els, 1.3)
+        *functionals, null, flows = spectral_pass(stack, els, 1.3)
         assert all(f.shape == (1,) for f in functionals)
-        assert log_rho.shape == log_bd.shape == log_d.shape == null.shape == (1, 3, 3)
-        assert log_th.shape == (3, 3)
+        assert null.shape == (1, 3, 3) and flows is None
+        assert spectral_pass(stack, els, 1.3, lambda r: r)[-1].shape == (1, 5)
 
     def test_null_vectors_in_input_basis(self):
         """The null-space projector, in the input basis: rank 2 for a rank-1 qutrit."""
         els = STRUCTURES["rotated qutrit"]
         rho = DensityMatrix(random_density(3, 7, rank=1))
-        (null,) = spectral_pass(rho.elements[None], els, 1.0)[-1]
+        (null,) = spectral_pass(rho.elements[None], els, 1.0)[-2]
         assert null.shape == (3, 3)
         assert np.max(np.abs(null @ null - null)) < 1e-12
         assert abs(np.trace(null) - 2.0) < 1e-12

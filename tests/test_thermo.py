@@ -41,6 +41,7 @@ from cohentropy.thermo import (
 )
 from conftest import (
     complementarity_reference,
+    dense_rate_rows,
     matrix_log_on_support,
     random_density,
     rates_of,
@@ -154,6 +155,46 @@ def test_full_rank_chunk_rows_equal_single_state_rows(two_qubit_collective):
         f = state_functionals(state, els, gen.bath.beta_B)
         alone = np.array([f.S, f.C_v, f.C_h, f.D_th, f.E_S, f.F_D])
         assert table[k, :6].tobytes() == alone.tobytes()
+
+
+def _kernel_case(name: str, two_qubit_collective):
+    """(generator, (T, d, d) states) of one input of the dense-reference comparison."""
+    if name.startswith("reversal"):
+        beta_0 = float(name.split("=")[1])
+        amplitude = None if beta_0 == 1.1 else 0.0
+        scen = build_reversal_scenario(ReversalConfig(beta_0=beta_0, coherence_amplitude=amplitude))
+        return scen.gen, scen.series.states
+    if name == "near-degenerate":
+        scen = build_near_degenerate_scenario(NearDegenerateConfig())
+        return scen.gen_clustered, scen.series.states
+    if name.startswith("collective"):
+        system = collective_coupling(SpinEnsembleSpec(int(name[-1]), 0.5, 1.0))
+        els = system.level_structure()
+        gen = build_generator([system.A_S], els, flat_bath(0.1, 1.0))
+        return gen, evolve(gen, thermal_state_of(els, 50.0), np.linspace(0.0, 30.0, 70))
+    _, _, els, gen = two_qubit_collective
+    return gen, np.array([random_density(els.dim, seed) for seed in range(40)])
+
+
+@pytest.mark.parametrize("name", [
+    "reversal beta_0=1.1", "reversal beta_0=50", "reversal beta_0=-3", "near-degenerate",
+    "collective n=2", "collective n=3", "collective n=4", "random vertical",
+])
+def test_rates_match_the_formed_log_reference(name, two_qubit_collective):
+    """The eigenbasis projections against the formed-log overlaps of ``dense_rate_rows``:
+    the functionals bitwise, the divergence marks equal, and each rate column and E_dot
+    within 1e-14 max(1, max |column|)."""
+    gen, states = _kernel_case(name, two_qubit_collective)
+    table, divergent = rate_rows(gen, states)
+    want, want_divergent = dense_rate_rows(gen, states)
+    assert table[:, :6].tobytes() == want[:, :6].tobytes()
+    assert divergent.tolist() == want_divergent.tolist()
+    if name == "reversal beta_0=50":
+        assert np.flatnonzero(divergent).tolist() == [0]
+    if name == "random vertical":
+        assert (table[:, 7] != 0.0).all()  # every state has vertical coherence
+    scale = np.maximum(1.0, np.max(np.abs(want[:, 6:]), axis=0))
+    assert (np.max(np.abs(table[:, 6:] - want[:, 6:]), axis=0) <= 1e-14 * scale).all()
 
 
 class TestDecomposeSeries:
