@@ -34,7 +34,6 @@ from .spectrum import EnergyLevelStructure, clustering_tolerance, gap_clusters
 
 ZERO_OPERATOR_TOL = 1e-13
 KERNEL_SV_RATIO = 1e-10
-KRYLOV_MAX_DIM = 64  # a larger block propagates on the Krylov space of at most this many vectors
 
 
 @dataclass(frozen=True)
@@ -184,7 +183,7 @@ class LindbladGenerator:
     els: EnergyLevelStructure
     bath: BathSpectrum
     jumps: JumpOperatorSet | None = None
-    # per-block ``_diagonalize`` results of the blocks ``propagate`` applies in full
+    # ``_diagonalize`` result of each block ``propagate`` has applied, by block number
     _block_eigs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -337,11 +336,9 @@ class LindbladGenerator:
         """exp(t L) vec0 for each t of any sign and order, row-stacked in the input basis:
         one row per t.
 
-        vec0 goes to the labeled eigenbasis and back once.  A block of more than
-        KRYLOV_MAX_DIM rows is applied on the Krylov space its part of vec0 reaches, when
-        at most KRYLOV_MAX_DIM vectors span it and it is invariant; every other block
-        through its cached eig.  Either matrix takes expm steps between times when
-        ``_diagonalize`` rejects it.
+        vec0 goes to the labeled eigenbasis and back once.  Each block vec0 occupies goes
+        through its cached eig, or takes expm steps between times when ``_diagonalize``
+        rejects it.
         """
         ts = np.asarray(times, dtype=float)
         if not len(ts):
@@ -349,42 +346,14 @@ class LindbladGenerator:
         d, v = self.dim, self.els.basis_vectors
         x0 = self.els.to_labeled(np.asarray(vec0, dtype=complex).reshape(d, d)).reshape(-1)
         out = np.zeros((len(ts), d * d), dtype=complex)
-        tol = 1e-9 * self._scale
         for k, (idx, block) in enumerate(self.blocks):
             x = x0[idx]
             if not x.any():
                 continue
-            krylov = len(idx) > KRYLOV_MAX_DIM and _krylov_projection(block, x, self.norm_inf, tol)
-            if krylov:
-                q, small = krylov
-                out[:, idx] = _exp_series(small, _diagonalize(small, tol), q.conj().T @ x, ts) @ q.T
-                continue
             if k not in self._block_eigs:
-                self._block_eigs[k] = _diagonalize(block, tol)
+                self._block_eigs[k] = _diagonalize(block, 1e-9 * self._scale)
             out[:, idx] = _exp_series(block, self._block_eigs[k], x, ts)
         return (v @ out.reshape(-1, d, d) @ v.conj().T).reshape(len(ts), -1)
-
-
-def _krylov_projection(
-    block: np.ndarray, x: np.ndarray, norm: float, tol: float
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """(Q, Q^dag block Q) for orthonormal columns Q spanning the Krylov space of x, by
-    Arnoldi with full reorthogonalization and breakdown at ||w|| <= 1e-9 norm; None
-    when that takes more than KRYLOV_MAX_DIM vectors or ||block Q - Q Q^dag block Q|| > tol."""
-    q = np.zeros((len(x), KRYLOV_MAX_DIM + 1), dtype=complex)
-    bq = np.zeros_like(q)
-    q[:, 0] = x / np.linalg.norm(x)
-    for j in range(KRYLOV_MAX_DIM):
-        w = bq[:, j] = block @ q[:, j]
-        for _ in range(2):
-            w = w - q[:, : j + 1] @ (q[:, : j + 1].conj().T @ w)
-        size = np.linalg.norm(w)
-        if size <= 1e-9 * norm:
-            q, bq = q[:, : j + 1], bq[:, : j + 1]
-            small = q.conj().T @ bq
-            return (q, small) if max_abs(bq - q @ small) <= tol else None
-        q[:, j + 1] = w / size
-    return None
 
 
 def _exp_series(block: np.ndarray, eig: tuple | None, x: np.ndarray, ts: np.ndarray) -> np.ndarray:

@@ -316,10 +316,10 @@ def divergence_witness(
     for seed in seeds:
         u = sample_energy_conserving_unitaries(sys, [seed])
         (row,) = operation_rows(sys, u, rho_s.elements[None], rho_b, beta_B)
-        consumption = conservation_report(row)[5]  # f: -dC_h^S - dD_th^S >= 0
         d_dth = row.S_final.D_th - row.S_initial.D_th
         d_ch = row.S_final.C_h - row.S_initial.C_h
         if -d_dth < -WITNESS_THRESHOLD:
+            consumption = conservation_report(row)[5]  # f: -dC_h^S - dD_th^S >= 0
             if not (consumption.passed and d_dth > 0):
                 raise InvariantViolation(
                     "witness violates the consumption bound -dC_h >= dD_th > 0"

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from cohentropy import (
@@ -29,7 +28,7 @@ from cohentropy.collective import (
     population_chains,
     spin_matrices,
 )
-from cohentropy.lindblad import KRYLOV_MAX_DIM, build_generator, evolve
+from cohentropy.lindblad import build_generator, evolve
 from cohentropy.qcore import log_boltzmann_weights
 from cohentropy.scenarios import geometric_times
 from cohentropy.thermo import instantaneous_rates, rate_rows
@@ -416,26 +415,11 @@ ORACLE_CASES = [
 ]
 
 
-def _expm_states(gen, rho0, times):
-    """exp(t L) rho0 by scipy's expm of each occupied assembled block: the oracle where the
-    Krylov path drifts (a cold bath and a block above KRYLOV_MAX_DIM rows)."""
-    d, v = gen.dim, gen.els.basis_vectors
-    x0 = gen.els.to_labeled(rho0.elements).reshape(-1)
-    out = np.zeros((len(times), d * d), dtype=complex)
-    for idx, block in gen.blocks:
-        if x0[idx].any():
-            out[:, idx] = [scipy.linalg.expm(block * t) @ x0[idx] for t in times]
-    states = v @ out.reshape(-1, d, d) @ v.conj().T
-    return 0.5 * (states + states.conj().transpose(0, 2, 1))
-
-
 def _generic_snapshots(gen, rho0, times):
     """The snapshots ``decompose_series`` writes, without its finite-difference cross-check,
     which misfires on the generic path at n = 3, s = 1, beta_0 = -3, beta_B = 1 (dS/dt
     -7.8e-9 against a difference of 0 at t = 84.7; both paths agree on the rate)."""
-    krylov = any(len(idx) > KRYLOV_MAX_DIM for idx, _ in gen.blocks)
-    cold = gen.bath.beta_B == 30.0
-    states = _expm_states(gen, rho0, times) if krylov and cold else evolve(gen, rho0, times)
+    states = evolve(gen, rho0, times)
     table, divergent = rate_rows(gen, states)
     return [
         instantaneous_rates(gen.bath.beta_B, row, div, t)

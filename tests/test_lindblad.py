@@ -24,9 +24,8 @@ from cohentropy import (
     local_couplings,
     thermal_state_of,
 )
-from cohentropy import lindblad
 from cohentropy.exceptions import InvariantViolation
-from cohentropy.lindblad import KRYLOV_MAX_DIM, BathSpectrum, JumpOperatorSet, LindbladGenerator
+from cohentropy.lindblad import BathSpectrum, JumpOperatorSet, LindbladGenerator
 from cohentropy.qcore import max_abs
 from cohentropy.scenarios import (
     GridSpec,
@@ -298,8 +297,7 @@ def collective_generator(n: int, beta_b: float = 1.0, gamma: float = 0.1) -> Lin
 
 
 def generic_generator() -> LindbladGenerator:
-    """Two six-fold degenerate levels and a random coupling: a 72-row population sector
-    whose Krylov spaces are the whole sector, past KRYLOV_MAX_DIM."""
+    """Two six-fold degenerate levels and a random coupling: a 72-row population sector."""
     rng = np.random.default_rng(3)
     els = build_level_structure(HermitianObservable(np.diag([0.0] * 6 + [1.0] * 6)))
     g = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
@@ -344,6 +342,7 @@ BLOCKED_GENERATORS = {
     },
     "rotated qutrit": rotated_qutrit_generator,
     "cascade": cascade_generator,
+    "generic": generic_generator,
 }
 
 
@@ -360,23 +359,26 @@ def eig_rows(monkeypatch):
     return rows
 
 
-def block_paths(gen, vec, eig_rows) -> list[str]:
-    """The path each block vec occupies takes in one propagate on a copy of gen with no cached
-    eig, read off eig_rows: one eig per block, of the block ("full") or of its Krylov matrix."""
+def assert_one_eig_per_occupied_block(gen, vec, eig_rows) -> None:
+    """One propagate of vec on a copy of gen with no cached eig makes one eig per block vec
+    occupies, of that block's own rows, in block order."""
     gen = dataclasses.replace(gen)
     eig_rows.clear()
     gen.propagate(vec, (1.0,))
     x = gen.els.to_labeled(vec.reshape(gen.dim, gen.dim)).reshape(-1)
-    rows = [len(idx) for idx, _ in gen.blocks if x[idx].any()]
-    assert len(eig_rows) == len(rows)
-    return ["krylov" if m < r else "full" for m, r in zip(eig_rows, rows)]
+    assert eig_rows == [len(idx) for idx, _ in gen.blocks if x[idx].any()]
 
 
-def full_path_propagate(monkeypatch, gen, vec, times):
-    """propagate on a copy of gen with every block on its eig/expm path, as below the cap."""
-    with monkeypatch.context() as m:
-        m.setattr(lindblad, "KRYLOV_MAX_DIM", 10**9)
-        return dataclasses.replace(gen).propagate(vec, times)
+def blockwise_expm(gen, vec, times) -> np.ndarray:
+    """exp(t L) vec by scipy's expm of each occupied block at each t, row-stacked in the
+    input basis: one row per t."""
+    d, v = gen.dim, gen.els.basis_vectors
+    x0 = gen.els.to_labeled(vec.reshape(d, d)).reshape(-1)
+    out = np.zeros((len(times), d * d), dtype=complex)
+    for idx, block in gen.blocks:
+        if x0[idx].any():
+            out[:, idx] = [scipy.linalg.expm(block * t) @ x0[idx] for t in times]
+    return (v @ out.reshape(-1, d, d) @ v.conj().T).reshape(len(times), -1)
 
 
 class TestPropagate:
@@ -419,67 +421,28 @@ class TestPropagate:
 
     @pytest.mark.parametrize("name", list(BLOCKED_GENERATORS))
     def test_every_block_against_expm(self, name, eig_rows):
-        """A full-rank state occupies every block; only a block above KRYLOV_MAX_DIM rows
-        (the 70-row population sector at n = 4) goes through its Krylov space."""
+        """A full-rank state occupies every block, and each block takes its own eig."""
         gen = BLOCKED_GENERATORS[name]()
-        vec = random_density(gen.dim, 5).reshape(-1)
-        want = ["krylov" if len(idx) > KRYLOV_MAX_DIM else "full" for idx, _ in gen.blocks]
-        assert block_paths(gen, vec, eig_rows) == want
+        assert_one_eig_per_occupied_block(gen, random_density(gen.dim, 5).reshape(-1), eig_rows)
         self.check_against_expm(gen)
 
     @pytest.mark.parametrize("beta_b", [1.0, 30.0])
     @pytest.mark.parametrize("n", [4, 5])
     def test_collective_against_expm(self, n, beta_b, eig_rows):
-        """Thermal (beta_0 = 2) and full-rank starts, also at the nearly defective cold bath.
-        Every block of KRYLOV_MAX_DIM rows or fewer takes its eig/expm path; a larger one
-        its Krylov space, except at n = 5, beta_B = 1, where a full-rank start reaches past
-        the cap in the 252-, 210- and 120-row sectors."""
+        """Thermal (beta_0 = 2) and full-rank starts, also at the nearly defective cold bath,
+        where the population sector takes expm steps; one eig per occupied block either way.
+        At beta_B = 30 a beta_0 = 50 start also holds to t = 3000 against block-wise expm."""
         gen = collective_generator(n, beta_b)
         thermal = thermal_state_of(gen.els, 2.0).elements.reshape(-1)
         full = random_density(gen.dim, 5).reshape(-1)
         self.check_against_expm(gen, thermal, full)
-        rows = [len(idx) for idx, _ in gen.blocks]
-        big = "full" if (n, beta_b) == (5, 1.0) else "krylov"
-        paths = [big if r > KRYLOV_MAX_DIM else "full" for r in rows]
-        assert block_paths(gen, thermal, eig_rows) == ["krylov"]
-        assert block_paths(gen, full, eig_rows) == paths
-
-    def test_breakdown_is_relative_to_the_norm(self, eig_rows):
-        """The Arnoldi breakdown scales with ||L||: the same Krylov dimension from gamma = 1e-6 to 1e4."""
-        dims = []
-        for gamma in (1e-6, 0.1, 1e4):
-            gen = collective_generator(5, gamma=gamma)
-            assert gen.norm_inf == max(np.max(np.sum(np.abs(b), axis=1)) for _, b in gen.blocks)
-            eig_rows.clear()
-            gen.propagate(thermal_state_of(gen.els, 2.0).elements.reshape(-1), (1.0,))
-            dims.append(list(eig_rows))
-        assert dims == [[10]] * 3
-
-    def test_krylov_cap_takes_the_full_path_bit_for_bit(self, monkeypatch, eig_rows):
-        """A 72-row sector whose Krylov space needs more than KRYLOV_MAX_DIM vectors."""
-        vec = random_density(12, 5).reshape(-1)
-        gen = generic_generator()
-        got = gen.propagate(vec, self.TIMES)
-        assert eig_rows == [72, 36, 36]
-        want = full_path_propagate(monkeypatch, gen, vec, self.TIMES)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-
-    def test_non_invariant_basis_takes_the_full_path_bit_for_bit(self, monkeypatch):
-        """An early breakdown (the norm inflated 1e12-fold) leaves a basis that fails the
-        invariance check, so the block goes through its own eig."""
-        results = []
-
-        def early(block, x, norm, tol, _orig=lindblad._krylov_projection):
-            results.append(_orig(block, x, 1e12 * norm, tol))
-            return results[-1]
-
-        gen = collective_generator(4)
-        vec = thermal_state_of(gen.els, 2.0).elements.reshape(-1)
-        monkeypatch.setattr(lindblad, "_krylov_projection", early)
-        got = gen.propagate(vec, self.TIMES)
-        assert results == [None]
-        want = full_path_propagate(monkeypatch, gen, vec, self.TIMES)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        for vec in (thermal, full):
+            assert_one_eig_per_occupied_block(gen, vec, eig_rows)
+        if beta_b == 30.0:
+            cold = thermal_state_of(gen.els, 50.0).elements.reshape(-1)
+            times = (5.0, 300.0, 3000.0)
+            got, want = gen.propagate(cold, times), blockwise_expm(gen, cold, times)
+            assert np.max(np.abs(got - want)) < 1e-12
 
     def test_expm_fallback_on_defective_generator(self):
         gen = cascade_generator()
@@ -532,7 +495,6 @@ ORACLE_GENERATORS = {
     "generation": lambda: collective_generator(2),  # criterion 5's and 7's generator
     "lamb shift collective": lambda: lamb_shifted_generator(local=False),
     "lamb shift local": lambda: lamb_shifted_generator(local=True),
-    "generic": generic_generator,
 }
 
 
@@ -547,6 +509,7 @@ class TestAssembly:
         assert [idx.tolist() for idx, _ in gen.blocks] == [idx.tolist() for idx, _ in want]
         assert all(b.tobytes() == w.tobytes() for (_, b), (_, w) in zip(gen.blocks, want))
         assert gen._scale == max(1.0, max(max_abs(w) for _, w in want))
+        assert gen.norm_inf == max(np.max(np.sum(np.abs(w), axis=1)) for _, w in want)
 
     def test_no_jump_term_gives_zero_blocks(self):
         """A degenerate qutrit with A_S = 0, or with no channel at all: each level pair is its
