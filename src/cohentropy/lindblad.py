@@ -175,8 +175,9 @@ def eigenoperators(A_S: HermitianObservable, els: EnergyLevelStructure) -> JumpO
 class LindbladGenerator:
     """Sum over uncorrelated channels of their terms (A_k, Gamma_k),
     Gamma_k [A_k X A_k^dag - A_k^dag A_k X] + h.c., each A_k in the labeled
-    eigenbasis of ``els``.  ``blocks``, ``apply`` and ``propagate`` (the one
-    finite-time exp(t L)) all derive from the terms.
+    eigenbasis of ``els``.  The terms are assembled once into ``blocks``, the one form
+    of L: ``labeled_drift``, ``apply`` and ``propagate`` (the one finite-time exp(t L))
+    all read them, and construction checks on them that L preserves the trace.
     """
 
     channels: tuple[tuple[tuple[np.ndarray, complex], ...], ...]
@@ -192,9 +193,11 @@ class LindbladGenerator:
         object.__setattr__(self, "channels", channels)
         if any(a.shape != (d, d) for ch in channels for a, _ in ch):
             raise ShapeMismatch(f"jump operator shapes must be ({d}, {d})")
-        left, right = self._sandwiches  # Tr L X = Tr (sum_j right_j left_j) X
-        drift = max_abs(np.sum(right @ left, axis=0))
-        if drift > 1e-10 * self._scale:
+        # Tr L X = 0 for every X: in each block, every column sums to 0 over the rows of the
+        # diagonal pairs (i, i), the flat indices idx % (d + 1) == 0; a non-finite sum fails
+        sums = [np.sum(b[idx % (d + 1) == 0], axis=0) for idx, b in self.blocks]
+        drift = max_abs(np.concatenate(sums))
+        if not drift <= 1e-10 * self._scale:
             raise InvariantViolation(f"generator does not preserve the trace ({drift:.3e})")
 
     @property
@@ -207,36 +210,24 @@ class LindbladGenerator:
 
     @cached_property
     def _scale(self) -> float:
-        """max(1, max |L_ij|): the scale of the trace check and of every block's eig residual."""
+        """max(1, max |L_ij|) over the assembled entries (1 where one is nan): the scale of
+        the trace check and of every block's eig residual."""
         return self._assembly[1]
 
-    @cached_property
-    def _sandwiches(self) -> tuple[np.ndarray, np.ndarray]:
-        """L X = sum_j left_j X right_j in the input basis, stacked: left = (2 Re Gamma_k A_k,
-        -K, -1), right = (A_k^dag, 1, K^dag), with K = sum_k Gamma_k A_k^dag A_k."""
-        d, v = self.dim, self.els.basis_vectors
-        terms = [term for channel in self.channels for term in channel]
-        a = v @ np.array([op for op, _ in terms], dtype=complex).reshape(-1, d, d) @ v.conj().T
-        gam = np.array([g for _, g in terms], dtype=complex)
-        ah, eye = np.swapaxes(a.conj(), 1, 2), np.eye(d)
-        k = np.tensordot(gam, ah @ a, 1)
-        left = np.concatenate([2 * gam.real[:, None, None] * a, [-k, -eye]])
-        return left, np.concatenate([ah, [eye, k.conj().T]])
-
     def apply(self, m: np.ndarray) -> np.ndarray:
-        """L rho = sum_k 2 Re Gamma_k A_k rho A_k^dag - K rho - rho K^dag, of one matrix or
-        of each of a (T, d, d) stack."""
-        left, right = self._sandwiches
-        terms = np.swapaxes(left @ m[..., None, :, :], -3, -2)  # [..., i, j, :] = (left_j m)[i]
-        return terms.reshape(*m.shape[:-1], -1) @ right.reshape(-1, self.dim)
+        """L m of one matrix or of each of a (T, d, d) stack in the input basis:
+        V ``labeled_drift``(V^dag m V) V^dag."""
+        v = self.els.basis_vectors
+        return v @ self.labeled_drift(self.els.to_labeled(m)) @ v.conj().T
 
     def labeled_drift(self, r: np.ndarray) -> np.ndarray:
-        """L r of each matrix of a (T, d, d) stack in the labeled eigenbasis, by one stacked
-        product per block, so that each matrix's drift is bitwise the one it gets alone."""
-        flat = r.reshape(len(r), -1)
+        """L r of one matrix or of each of a (T, d, d) stack in the labeled eigenbasis, by
+        one stacked product per block, so that each matrix's drift is bitwise the one it gets
+        alone."""
+        flat = r.reshape(*r.shape[:-2], -1)
         out = np.empty_like(flat)
         for idx, block in self.blocks:
-            out[:, idx] = np.matmul(flat[:, None, idx], block.T)[:, 0]
+            out[..., idx] = np.matmul(flat[..., None, idx], block.T)[..., 0, :]
         return out.reshape(r.shape)
 
     @cached_property

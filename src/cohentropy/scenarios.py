@@ -271,10 +271,12 @@ def build_reversal_scenario(cfg: ReversalConfig) -> ReversalScenario:
     """Two resonant qubits, collective coupling, rho0 = thermal(beta_0) + c chi.
 
     chi = |01><10| + h.c. in the one-excitation doublet.  When no amplitude is
-    given, c is scanned upward over 19 fractions of c_max, each candidate's
-    dE/dt = Tr(L(rho) H) from one stacked ``gen.apply``, and the first at which the
-    initial heat flow reverses, (beta_0 - beta_B) dE/dt < 0, is taken; when none
-    does, the error names the threshold of ``_reversal_threshold``.
+    given, c is scanned upward over 19 fractions of c_max and the first at which the
+    initial heat flow reverses, (beta_0 - beta_B) dE/dt < 0, is taken.  dE/dt =
+    Tr(L(rho) H) is linear in rho: E_dot = sum_i e_i r_dot_ii of one ``gen.labeled_drift``
+    of rho_th and of chi, the series' own E_dot form, gives e_th + c e_chi for every
+    candidate, and the flow changes sign at a* = -e_th / e_chi, which the error names
+    when no candidate reverses; at e_chi = 0 it says that chi does not move the flow.
     """
     times = cfg.times()
     beta_0, beta_B = cfg.beta_0, cfg.beta_B
@@ -290,19 +292,22 @@ def build_reversal_scenario(cfg: ReversalConfig) -> ReversalScenario:
     c_max = float(weights.min())
     amplitude = cfg.coherence_amplitude
     if amplitude is None:
+        r_dot = gen.labeled_drift(els.to_labeled(np.stack((base.elements, pattern.elements))))
+        e_th, e_chi = np.sum(r_dot.diagonal(axis1=-2, axis2=-1).real * els.index_energies, -1)
         amplitudes = np.linspace(0.05, 0.95, 19) * c_max
-        candidates = base.elements + amplitudes[:, None, None] * pattern.elements
-        h = els.hamiltonian().elements
-        e_dot = np.trace(gen.apply(candidates) @ h, axis1=-2, axis2=-1).real
-        reversing = amplitudes[(beta_0 - beta_B) * e_dot < -1e-12]
+        reversing = amplitudes[(beta_0 - beta_B) * (e_th + amplitudes * e_chi) < -1e-12]
         if not len(reversing):
-            a_star = _reversal_threshold(gen, base.elements, pattern.elements)
+            if e_chi == 0.0:
+                raise CohentropyError(
+                    "no reversing coherence amplitude found in scan: E_dot(chi) = 0, so the "
+                    "coherence does not move the heat flow"
+                )
             doublet = np.repeat(els.degeneracies, els.degeneracies) > 1  # chi's level
             p_1 = float(weights[doublet][0])
             raise CohentropyError(
                 f"no reversing coherence amplitude found in scan: the heat flow reverses "
-                f"only beyond c = {a_star:.6g}; positivity allows |c| <= {p_1:.6g}, and the "
-                f"scan tries 0 < c < c_max = {c_max:.6g}"
+                f"only beyond c = {-e_th / e_chi:.6g}; positivity allows |c| <= {p_1:.6g}, "
+                f"and the scan tries 0 < c < c_max = {c_max:.6g}"
             )
         amplitude = reversing[0]
     elif amplitude >= c_max:
@@ -320,14 +325,6 @@ def build_reversal_scenario(cfg: ReversalConfig) -> ReversalScenario:
         amplitude_max=float(c_max),
         weighted_E_dot=(beta_0 - beta_B) * series.snapshots[0].E_dot,
     )
-
-
-def _reversal_threshold(gen: LindbladGenerator, rho_th: np.ndarray, chi: np.ndarray) -> float:
-    """a* = -E_dot(rho_th) / E_dot(chi): E_dot = Tr(L(rho) H) is linear in rho, so the heat
-    flow of rho_th + c chi changes sign at c = a*; inf when chi does not move it."""
-    h = gen.els.hamiltonian().elements
-    e_th, e_chi = (float(np.trace(gen.apply(x) @ h).real) for x in (rho_th, chi))
-    return -e_th / e_chi if e_chi != 0.0 else math.inf
 
 
 @dataclass(frozen=True)

@@ -239,9 +239,9 @@ def spectral_pass(
     onto the null space of each rho (eigenvalues <= CLIP_FLOOR) in the input basis, (T, d, d),
     exact zeros when every state has full rank; and, when ``drift`` maps the labeled stack r
     to r_dot = L r, the (T, 5) overlaps Tr r_dot ln X for X = rho, rho_BD, rho_D and rho_th,
-    and Tr r_dot H, which ``thermo.rate_rows`` reads (else None).  No log matrix is formed:
-    Tr x ln X is sum_k <u_k|x|u_k> ln lambda_k on X's own eigenbasis, diag(x) for rho_D and
-    rho_th.
+    and Tr r_dot H, then r_dot itself, both of which ``thermo.rate_rows`` reads (else None,
+    None).  No log matrix is formed: Tr x ln X is sum_k <u_k|x|u_k> ln lambda_k on X's own
+    eigenbasis, diag(x) for rho_D and rho_th.
 
     The states get the checks of ``checked_states`` here: Hermitian and of unit trace, and
     no eigenvalue of r below -POSITIVITY_TOL, which ``log_of_spectrum`` enforces on the
@@ -305,13 +305,12 @@ def spectral_pass(
         vecs = els.basis_vectors @ u  # the eigenvectors in the input basis
         null = (vecs * (lam <= CLIP_FLOOR)[:, None, :]) @ dagger(vecs)
     if drift is None:
-        return s, c_v, c_h, d_th, e_s, f_d, null, None
+        return s, c_v, c_h, d_th, e_s, f_d, null, None, None
     r_dot = drift(r)
     p_dot = r_dot.diagonal(axis1=-2, axis2=-1).real
     diagonal = (np.sum(p_dot * f, axis=-1) for f in (log_p, log_w, els.index_energies))
-    return s, c_v, c_h, d_th, e_s, f_d, null, np.column_stack(
-        (*overlaps(r_dot, r_dot, log_rho, log_bd), *diagonal)
-    )
+    flows = np.column_stack((*overlaps(r_dot, r_dot, log_rho, log_bd), *diagonal))
+    return s, c_v, c_h, d_th, e_s, f_d, null, flows, r_dot
 
 
 def thermal_state_of(els: EnergyLevelStructure, beta: float) -> DensityMatrix:

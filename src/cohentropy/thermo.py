@@ -149,22 +149,22 @@ def rate_rows(gen: LindbladGenerator, states: np.ndarray) -> tuple[np.ndarray, n
     """State functionals, analytic rates and heat flow E_dot = Tr(L rho H) of each state of
     a (T, d, d) stack, as the (T, 11) array of the RATE_COLUMNS, and the (T,) mask of the
     states whose drift L rho has weight on their null space.  Computed by ``chunks``: per
-    chunk one ``spectral_pass``, which checks the states and reads the overlaps of the
-    labeled drift from ``gen.labeled_drift`` off its eigenbases; the mark is formed from
-    ``gen.apply`` in the input basis, only on chunks that have a null space.  A state's row
-    is bitwise the one it gets alone."""
+    chunk one ``spectral_pass``, which checks the states, takes their labeled drift from
+    ``gen.labeled_drift`` and reads its overlaps off its eigenbases; the mark reads that same
+    drift, mapped to the input basis where the null projector lives, only on chunks that
+    have a null space.  A state's row is bitwise the one it gets alone."""
     els, beta_b = gen.els, gen.bath.beta_B
     table = np.empty((len(states), len(RATE_COLUMNS)))
     divergent = np.zeros(len(states), dtype=bool)
     for part in chunks(len(states), gen.dim):
         m = states[part]
-        *functionals, null, flows = spectral_pass(m, els, beta_b, gen.labeled_drift)
+        *functionals, null, flows, r_dot = spectral_pass(m, els, beta_b, gen.labeled_drift)
         on_rho, on_bd, on_d, on_th, e_dot = flows.T
         table[part] = np.column_stack((
             *functionals, -(on_rho - on_th), on_rho - on_bd, on_bd - on_d, on_d - on_th, e_dot
         ))
         if null.any():  # zeros when every state of the chunk has full rank
-            rho_dot = gen.apply(m)
+            rho_dot = els.basis_vectors @ r_dot @ els.basis_vectors.conj().T
             leak = np.max(np.abs(null @ rho_dot @ null), axis=(-2, -1)) > 1e-12
             divergent[part] = (np.max(np.abs(null), axis=(-2, -1)) > 0.5) & leak
     return table, divergent

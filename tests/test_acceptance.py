@@ -5,12 +5,15 @@ or `cohentropy verify` for the same suite through the CLI.
 """
 
 import os
+from pathlib import Path
 
 import pytest
 
 from cohentropy import acceptance
 from cohentropy.acceptance import CRITERIA, AcceptanceContext, run_all, run_criterion
 from cohentropy.exceptions import InvariantViolation
+
+VERIFY_STDOUT = Path(__file__).parent / "data" / "verify_stdout.txt"
 
 
 @pytest.fixture(scope="module")
@@ -44,11 +47,15 @@ def assert_no_child_left():
 @pytest.mark.parametrize("perturb", [None, "10", "14"])
 def test_run_all_matches_one_process(perturb):
     """The lines of ``run_all``, whose worker builds criteria 10's and 14's artifacts, are
-    byte for byte those of every criterion run on one in-process context."""
+    byte for byte those of every criterion run on one in-process context; unperturbed,
+    they are byte for byte the pinned ``cohentropy verify`` stdout."""
     fresh = AcceptanceContext(perturb)
     expected = [run_criterion(fresh, cid).line() for cid in sorted(CRITERIA)]
-    assert [r.line() for r in run_all(perturb)] == expected
+    lines = [r.line() for r in run_all(perturb)]
+    assert lines == expected
     assert_no_child_left()
+    if perturb is None:
+        assert "\n".join(lines) + "\n" == VERIFY_STDOUT.read_text()
 
 
 def _no_fork(monkeypatch):

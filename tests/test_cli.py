@@ -493,7 +493,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("entries, threshold, p_1, c_max", [
         ({"beta_0": 2}, "0.324027", "0.104994", "0.0142093"),  # beyond what positivity allows
-        ({"beta_0": 1.1, "beta_B": 0}, "inf", "0.18737", "0.06237"),  # chi moves no heat
+        ({"beta_0": 1.1, "beta_B": 0}, None, None, None),  # chi moves no heat: no a*
         ({"beta_0": 1.1, "beta_B": 300}, "-0.24974", "0.18737", "0.06237"),  # c < 0 only
         ({"beta_0": 0.5}, "-0.235004", "0.235004", "0.142537"),
     ])
@@ -502,15 +502,18 @@ class TestRunCommand:
     ):
         """E_dot = Tr(L(rho) H) is linear, so the heat flow of rho_th + c chi reverses only
         beyond a* = -E_dot(rho_th) / E_dot(chi): a scan without a reversal names a*, the
-        doublet weight p_1 that bounds |c| and the scan's c_max, on one line."""
+        doublet weight p_1 that bounds |c| and the scan's c_max, on one line; where chi
+        moves no heat (E_dot(chi) = 0 at beta_B = 0) there is no a*, and the line says so."""
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"scenario": "heat-flow-reversal", **entries}))
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 2
+        reason = "E_dot(chi) = 0, so the coherence does not move the heat flow"
+        if threshold is not None:
+            reason = (f"the heat flow reverses only beyond c = {threshold}; positivity allows "
+                      f"|c| <= {p_1}, and the scan tries 0 < c < c_max = {c_max}")
         assert capsys.readouterr().err == (
-            "scenario failed: no reversing coherence amplitude found in scan: the heat flow "
-            f"reverses only beyond c = {threshold}; positivity allows |c| <= {p_1}, and the "
-            f"scan tries 0 < c < c_max = {c_max}\n"
+            f"scenario failed: no reversing coherence amplitude found in scan: {reason}\n"
         )
         assert not out.exists()
 

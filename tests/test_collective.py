@@ -12,6 +12,7 @@ from cohentropy import (
     analytic_steady_state,
     asymptotic_state,
     collective_coupling,
+    decompose_series,
     degeneracy_table,
     delta_C_h_limit,
     entropy_production_ratio,
@@ -28,10 +29,9 @@ from cohentropy.collective import (
     population_chains,
     spin_matrices,
 )
-from cohentropy.lindblad import build_generator, evolve
+from cohentropy.lindblad import build_generator
 from cohentropy.qcore import log_boltzmann_weights
 from cohentropy.scenarios import geometric_times
-from cohentropy.thermo import instantaneous_rates, rate_rows
 from conftest import dephase_diagonal, von_neumann_entropy
 
 
@@ -415,18 +415,6 @@ ORACLE_CASES = [
 ]
 
 
-def _generic_snapshots(gen, rho0, times):
-    """The snapshots ``decompose_series`` writes, without its finite-difference cross-check,
-    which misfires on the generic path at n = 3, s = 1, beta_0 = -3, beta_B = 1 (dS/dt
-    -7.8e-9 against a difference of 0 at t = 84.7; both paths agree on the rate)."""
-    states = evolve(gen, rho0, times)
-    table, divergent = rate_rows(gen, states)
-    return [
-        instantaneous_rates(gen.bath.beta_B, row, div, t)
-        for row, div, t in zip(table.tolist(), divergent.tolist(), times)
-    ]
-
-
 @pytest.mark.parametrize("n, s, beta_0, beta_b", ORACLE_CASES)
 def test_population_path_against_the_generic_path(n, s, beta_0, beta_b):
     """Every CSV column of the (J, m) population path within ORACLE_TOL of the generic
@@ -439,7 +427,7 @@ def test_population_path_against_the_generic_path(n, s, beta_0, beta_b):
     times = geometric_times(0.1, 300.0, 12, include_zero=True)
     got = collective_series(spec, els, bath, beta_0, times).snapshots
     gen = build_generator([system.A_S], els, bath)
-    want = _generic_snapshots(gen, thermal_state_of(els, beta_0), times)
+    want = decompose_series(gen, thermal_state_of(els, beta_0), times).snapshots
     assert [x.flags for x in got] == [x.flags for x in want]
     if beta_0 == 50.0 and beta_b != 30.0:
         assert "pi-divergent" in got[0].flags

@@ -536,6 +536,31 @@ class TestAssembly:
         with pytest.raises(InvariantViolation, match="across components"):
             collective_generator(2)
 
+    def test_nan_rate_fails_the_trace_check(self):
+        """A nan rate makes the columns' sums over the diagonal-pair rows nan, which the
+        trace check rejects rather than lets through."""
+        gen = collective_generator(2)
+        (channel,) = gen.channels
+        channel = ((channel[0][0], complex(np.nan)),) + channel[1:]
+        with pytest.raises(InvariantViolation, match="does not preserve the trace"):
+            LindbladGenerator(channels=(channel,), els=gen.els, bath=gen.bath)
+
+    def test_poisoned_block_fails_the_trace_check(self, monkeypatch):
+        """+1e-3 on one entry of a diagonal-pair row (i, i) of the assembled blocks, the
+        form that propagates the state, breaks Tr L X = 0, and construction says so."""
+        assemble = LindbladGenerator._assembly.func
+
+        def poisoned(self):
+            blocks, scale = assemble(self)
+            d = self.dim
+            idx, block = next((idx, b) for idx, b in blocks if (idx % (d + 1) == 0).any())
+            block[np.flatnonzero(idx % (d + 1) == 0)[0], 0] += 1e-3
+            return blocks, scale
+
+        monkeypatch.setattr(LindbladGenerator, "_assembly", property(poisoned))
+        with pytest.raises(InvariantViolation, match="does not preserve the trace"):
+            collective_generator(2)
+
     def test_assembly_peak_memory_scales_with_the_blocks(self):
         """Under tracemalloc, assembling the n = 6 generator (beta_B = 1, 41.3 MiB of blocks)
         peaks at 1.47x the bytes of the blocks it returns; evaluating every entry of every

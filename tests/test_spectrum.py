@@ -421,16 +421,16 @@ class TestStateFunctionals:
         els = STRUCTURES["degenerate qutrit"]
         stack = random_density(3, 5)[None]
         assert state_functionals(stack, els, 1.3).S.shape == (1,)
-        *functionals, null, flows = spectral_pass(stack, els, 1.3)
+        *functionals, null, flows, _ = spectral_pass(stack, els, 1.3)
         assert all(f.shape == (1,) for f in functionals)
         assert null.shape == (1, 3, 3) and flows is None
-        assert spectral_pass(stack, els, 1.3, lambda r: r)[-1].shape == (1, 5)
+        assert spectral_pass(stack, els, 1.3, lambda r: r)[-2].shape == (1, 5)
 
     def test_null_vectors_in_input_basis(self):
         """The null-space projector, in the input basis: rank 2 for a rank-1 qutrit."""
         els = STRUCTURES["rotated qutrit"]
         rho = DensityMatrix(random_density(3, 7, rank=1))
-        (null,) = spectral_pass(rho.elements[None], els, 1.0)[-2]
+        (null,) = spectral_pass(rho.elements[None], els, 1.0)[-3]
         assert null.shape == (3, 3)
         assert np.max(np.abs(null @ null - null)) < 1e-12
         assert abs(np.trace(null) - 2.0) < 1e-12
