@@ -24,8 +24,8 @@ from __future__ import annotations
 import math
 import os
 import pickle
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +80,7 @@ RATIO_MONOTONE_SLACK = 1e-12  # criterion 4: the ratio may dip this much between
 RATIO_UNIT_SLACK = 1e-9  # criterion 4: and lie this far below its lower bound 1
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     cid: int
     title: str
     passed: bool

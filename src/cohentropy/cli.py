@@ -48,16 +48,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raw = read_json(path.read_text())
         if args.seed is not None and isinstance(raw, dict):
             raw = {**raw, "seed": args.seed}  # a scenario without a seed rejects it
-        cfg = parse_config(raw)
-    except OSError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        result = run_scenario_config(cfg)
-    except ConfigError as exc:
+        result = run_scenario_config(parse_config(raw))
+    except (OSError, ConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

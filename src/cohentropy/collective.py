@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,8 +68,7 @@ class SpinEnsembleSpec:
         return np.arange(self.local_dim) - self.s
 
 
-@dataclass(frozen=True)
-class AngularMomentumTable:
+class AngularMomentumTable(NamedTuple):
     """Total-spin degeneracies l_J and magnetization multiplicities I_m."""
 
     n: int
@@ -78,13 +77,6 @@ class AngularMomentumTable:
     l_J: tuple[int, ...]
     m_values: tuple[float, ...]
     I_m: tuple[int, ...]
-
-    def __post_init__(self):
-        dim = int(round(2 * self.s + 1)) ** self.n
-        if sum(l * int(round(2 * j + 1)) for j, l in zip(self.J_values, self.l_J)) != dim:
-            raise InvariantViolation("sum_J l_J (2J+1) does not reach the dimension")
-        if sum(self.I_m) != dim:
-            raise InvariantViolation("sum_m I_m does not reach the dimension")
 
 
 def degeneracy_table(spec: SpinEnsembleSpec) -> AngularMomentumTable:
@@ -109,7 +101,7 @@ def degeneracy_table(spec: SpinEnsembleSpec) -> AngularMomentumTable:
         if l > 0:
             j_list.append(float(j))
             l_list.append(l)
-    return AngularMomentumTable(
+    table = AngularMomentumTable(
         n=spec.n,
         s=spec.s,
         J_values=tuple(j_list),
@@ -117,6 +109,12 @@ def degeneracy_table(spec: SpinEnsembleSpec) -> AngularMomentumTable:
         m_values=tuple(float(m) for m in m_values),
         I_m=tuple(int(c) for c in counts),
     )
+    dim = spec.dim
+    if sum(l * int(round(2 * j + 1)) for j, l in zip(table.J_values, table.l_J)) != dim:
+        raise InvariantViolation("sum_J l_J (2J+1) does not reach the dimension")
+    if sum(table.I_m) != dim:
+        raise InvariantViolation("sum_m I_m does not reach the dimension")
+    return table
 
 
 def spin_matrices(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -137,8 +135,7 @@ def _embed(op: np.ndarray, k: int, n: int, d: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CollectiveSystem:
+class CollectiveSystem(NamedTuple):
     """Collective observable A_S = sum_k (j_+ + j_-)^(k) and H_S = omega sum_k j_z^(k)."""
 
     spec: SpinEnsembleSpec
@@ -314,8 +311,7 @@ def entropy_production_ratio(
 TAYLOR_TERMS = 20  # of e^(-y) sum_k y^k/k! P^k at y <= 1: the first one dropped is below 5e-19
 
 
-@dataclass(frozen=True)
-class PopulationChains:
+class PopulationChains(NamedTuple):
     """Collective dissipation of a thermal start, whose state stays sum_{J,m} p_{J,m} Pi_{J,m}:
     one birth-death chain over m = -J..J per total spin J, dp/dt = ``rates`` @ p.
 

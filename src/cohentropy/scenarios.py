@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Any, ClassVar, Sequence, get_args
+from typing import Any, ClassVar, NamedTuple, Sequence, get_args
 
 import numpy as np
 
@@ -148,6 +148,10 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class OttoParams:
+    """The ``otto`` section of an Otto config: the hot isochore's Hamiltonian is lam * H_cold,
+    the baths' inverse temperatures, each isochore's duration and the inverse temperature
+    of the thermal start."""
+
     lam: float = 2.0
     beta_cold: float = 1.17
     beta_hot: float = 0.1
@@ -224,6 +228,9 @@ def config_from_json(text: str) -> AnyConfig:
 
 @dataclass(frozen=True)
 class CollectiveScenario:
+    """A collective relaxation: the spins, their coupling and level structure, the bath
+    and the series from the (J, m) populations; ``gen`` is cached on first read."""
+
     spec: SpinEnsembleSpec
     system: CollectiveSystem
     els: EnergyLevelStructure
@@ -252,8 +259,7 @@ def build_collective_scenario(
     return CollectiveScenario(spec=spec, system=system, els=els, bath=bath, series=series)
 
 
-@dataclass(frozen=True)
-class ReversalScenario:
+class ReversalScenario(NamedTuple):
     els: EnergyLevelStructure
     gen: LindbladGenerator
     rho0: DensityMatrix
@@ -327,8 +333,7 @@ def build_reversal_scenario(cfg: ReversalConfig) -> ReversalScenario:
     )
 
 
-@dataclass(frozen=True)
-class NearDegenerateScenario:
+class NearDegenerateScenario(NamedTuple):
     gen_exact: LindbladGenerator
     gen_clustered: LindbladGenerator
     series: ThermoSeries
@@ -501,8 +506,7 @@ def finite_change_rows(frames) -> list[ThermoSnapshot]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScenarioOutput:
+class ScenarioOutput(NamedTuple):
     """In-memory result of one scenario run: serialized files plus a verdict."""
 
     csv_text: str

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -205,8 +205,7 @@ def _order_and_fix_phase(block: np.ndarray) -> np.ndarray:
     return fixed
 
 
-@dataclass(frozen=True)
-class StateFunctionals:
+class StateFunctionals(NamedTuple):
     """Functionals of one state at beta.  For a stack of states each field is an array with
     one entry per state."""
 

@@ -10,7 +10,7 @@ coherences and of horizontal coherences plus population convergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -57,8 +57,7 @@ def combine_level_structures(
     )
 
 
-@dataclass(frozen=True)
-class BipartiteSystem:
+class BipartiteSystem(NamedTuple):
     """Two level structures and the induced joint energy eigenspaces."""
 
     els_S: EnergyLevelStructure
@@ -269,8 +268,7 @@ def incoherent_input_verdicts(
     ]
 
 
-@dataclass(frozen=True)
-class DivergenceWitness:
+class DivergenceWitness(NamedTuple):
     """A concrete (U, rho_S) where, with rho_B thermal at beta_B, the populations diverge
     from equilibrium; ``row`` is its operation's record, rho_S' included."""
 

@@ -309,8 +309,7 @@ def finite_difference_check(
     return failures
 
 
-@dataclass(frozen=True)
-class FrequencyChannel:
+class FrequencyChannel(NamedTuple):
     """Per-frequency heat-flow record of the spectral decomposition."""
 
     omega: float
@@ -319,8 +318,7 @@ class FrequencyChannel:
     flags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class HeatFlowReport:
+class HeatFlowReport(NamedTuple):
     direct: float
     spectral: float
     channels: tuple[FrequencyChannel, ...]
@@ -362,8 +360,7 @@ def heat_flow(gen: LindbladGenerator, rho: DensityMatrix) -> HeatFlowReport:
     return HeatFlowReport(direct=direct, spectral=spectral, channels=tuple(channels))
 
 
-@dataclass(frozen=True)
-class ComplementarityReport:
+class ComplementarityReport(NamedTuple):
     """Checks (i)-(v) of the coherence/convergence complementarity.  Each array holds one
     entry per snapshot pair (0, t), t > 0; the entries of (ii)-(iv) read the thermal start
     and are nan, or inactive, when the report is not applicable."""
@@ -473,8 +470,7 @@ def complementarity_report(
 FLAG_MODE_MISMATCH = "mode-mismatch"
 
 
-@dataclass(frozen=True)
-class OttoMachineResult:
+class OttoMachineResult(NamedTuple):
     """Per-cycle energetics of one machine at its limit cycle."""
 
     Q_c: float
@@ -488,8 +484,7 @@ class OttoMachineResult:
     stroke_states: tuple[DensityMatrix, ...] = ()
 
 
-@dataclass(frozen=True)
-class OttoCycleReport:
+class OttoCycleReport(NamedTuple):
     """Limit-cycle comparison of the incoherent and coherent (starred) machines.
 
     ``equal_W_identity`` / ``equal_eta_identity`` hold the residuals of the

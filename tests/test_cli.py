@@ -479,7 +479,7 @@ class TestRunCommand:
                 rates[0, 0] -= 0.05
             else:
                 rates[0, 1] = np.nan
-            return dataclasses.replace(chains, rates=rates)
+            return chains._replace(rates=rates)
 
         monkeypatch.setattr(collective, "population_chains", poisoned)
         out = tmp_path / "out"

@@ -6,6 +6,9 @@ string constant equal to ``f``, as the summaries' ``getattr`` keys are), in any 
 the package or any script; names are matched, so a read counts for every field of that
 name.  A field is an annotated name in the body of a class decorated with ``dataclass``
 or derived from ``NamedTuple``; ``ClassVar`` annotations are not fields.
+
+A plain record is a ``NamedTuple``: a class is a ``dataclass`` only where it validates
+(``__post_init__``) or caches (a ``cached_property``).
 """
 
 import ast
@@ -30,21 +33,37 @@ ALLOWED = {
 }
 
 
-def _is_record(node: ast.ClassDef) -> bool:
+def _decorated(node: ast.ClassDef | ast.FunctionDef, name: str) -> bool:
+    """Whether ``node`` carries the decorator ``name``, called or not, plain or dotted."""
     for d in node.decorator_list:
         f = d.func if isinstance(d, ast.Call) else d
-        if getattr(f, "id", getattr(f, "attr", None)) == "dataclass":
+        if getattr(f, "id", getattr(f, "attr", None)) == name:
             return True
-    return any(getattr(b, "id", None) == "NamedTuple" for b in node.bases)
+    return False
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    return _decorated(node, "dataclass") or any(
+        getattr(b, "id", None) == "NamedTuple" for b in node.bases
+    )
+
+
+def _classes() -> list[tuple[str, ast.ClassDef]]:
+    """(module, class node) of every class of the package."""
+    return [
+        (path.stem, node)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    ]
 
 
 def _fields() -> set[tuple[str, str, str]]:
     """(module, class, field) of every record of the package."""
     return {
-        (path.stem, node.name, item.target.id)
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.ClassDef) and _is_record(node)
+        (module, node.name, item.target.id)
+        for module, node in _classes()
+        if _is_record(node)
         for item in node.body
         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
         and "ClassVar" not in ast.unparse(item.annotation)
@@ -70,3 +89,19 @@ def unread() -> set[tuple[str, str, str]]:
 
 def test_every_field_has_a_reader():
     assert unread() == ALLOWED
+
+
+def test_dataclasses_validate_or_cache():
+    """A plain record is a NamedTuple: a class decorated with ``dataclass`` defines
+    ``__post_init__`` or a ``cached_property``."""
+    plain = [
+        f"{module}.{node.name}"
+        for module, node in _classes()
+        if _decorated(node, "dataclass")
+        and not any(
+            isinstance(item, ast.FunctionDef)
+            and (item.name == "__post_init__" or _decorated(item, "cached_property"))
+            for item in node.body
+        )
+    ]
+    assert plain == []

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -304,7 +303,7 @@ THERMAL_OPERATION_STRUCTURES = [
 
 def _bits(f) -> list:
     """Every field of a StateFunctionals as bytes: equal lists mean bitwise-equal results."""
-    return [np.asarray(getattr(f, fld.name)).tobytes() for fld in dataclasses.fields(f)]
+    return [np.asarray(getattr(f, name)).tobytes() for name in f._fields]
 
 
 def _perturbed(kind: str, size: float) -> np.ndarray:
@@ -413,7 +412,7 @@ class TestStateFunctionals:
         f = state_functionals(stack, els, beta)
         for k in (0, 1, n - 4, n - 3, n - 2, n - 1):
             one = _bits(state_functionals(stack[k], els, beta))
-            assert [np.asarray(getattr(f, fld.name)[k]).tobytes() for fld in dataclasses.fields(f)] == one
+            assert [np.asarray(getattr(f, name)[k]).tobytes() for name in f._fields] == one
 
     def test_stack_of_one_keeps_a_leading_axis(self):
         """A stack of one keeps its axis in every stacked field and in the overlaps of its
