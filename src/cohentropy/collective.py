@@ -34,7 +34,7 @@ from .thermo import (
     ThermoSeries,
     finite_difference_check,
     finite_difference_picks,
-    instantaneous_rates,
+    pi_divergent,
 )
 
 STATE_DIM_BUDGET = 1024
@@ -328,6 +328,11 @@ class PopulationChains(NamedTuple):
     cut: np.ndarray
     rates: np.ndarray
 
+    @property
+    def norm(self) -> float:
+        """||M||, the inf-norm of the chains' generator: the scale of their drift."""
+        return float(np.max(np.sum(np.abs(self.rates), axis=1)))
+
     def propagate(self, p0: np.ndarray, times: Sequence[float]) -> np.ndarray:
         """exp(t M) p0 for each t >= 0, one row per t, by uniformization: with
         lam = max_k -M_kk, P = 1 + M / lam is entrywise nonnegative and
@@ -425,9 +430,9 @@ def population_rows(
     diagonal cut has the populations q = p @ cut, ln rho_th is ``log_boltzmann_weights`` of
     the d level energies, and each rate is the overlap of the drift p_dot = M p (so
     q_dot = p_dot @ cut) with a difference of these logs.  A weight at or below CLIP_FLOOR
-    is null, as ``spectral_pass`` clips a spectrum; a state is pi-divergent where its null
-    projector has an entry above 0.5 and the drift on its null space one above 1e-12, as
-    ``thermo.rate_rows`` marks it.
+    is null, as ``spectral_kernel`` clips a spectrum; a state is pi-divergent by
+    ``thermo.pi_divergent``, the rule ``thermo.rate_rows`` marks with, from its null projector
+    and the drift on its null space at the scale ||M|| of the chains.
     """
     p_dot = p @ chains.rates.T
     q, q_dot = p @ chains.cut, p_dot @ chains.cut
@@ -453,11 +458,8 @@ def population_rows(
     rows = null.any(axis=1)
     if rows.any():
         flat = chains.projectors.reshape(len(chains.l_J), -1)
-        projector = null[rows] @ flat
         leak = np.where(null[rows], p_dot[rows], 0.0) @ flat
-        divergent[rows] = (np.max(np.abs(projector), axis=1) > 0.5) & (
-            np.max(np.abs(leak), axis=1) > 1e-12
-        )
+        divergent[rows] = pi_divergent(null[rows] @ flat, leak, chains.norm)
     return table, divergent
 
 
@@ -472,9 +474,10 @@ def collective_series(
     (J, m) populations of its ``population_chains``: no superoperator and no
     eigendecomposition of a (d, d) state.
 
-    The chains start from the thermal weights ``log_boltzmann_weights`` gives, and each
-    snapshot is assembled from its ``population_rows`` row by ``instantaneous_rates``.
-    ``states`` is the (T, d, d) stack sum p Pi in the product basis.  The rates are
+    The chains start from the thermal weights ``log_boltzmann_weights`` gives, and the
+    series is assembled from the ``population_rows`` rows by ``ThermoSeries.from_rates``.
+    ``states`` is the (T, d, d) stack sum p Pi in the product basis, and ``populations``
+    the diagonal cut's p @ cut.  The rates are
     cross-checked by ``finite_difference_check`` at the ``finite_difference_picks``, with
     ||L|| the inf-norm of the chains' generator M and the functionals at t +- h/2 and
     t +- h propagated from the start.
@@ -489,14 +492,13 @@ def collective_series(
     p0 = np.exp(log_w0[np.argmax(chains.cut, axis=1)])  # the weight of a state of m's level
     p = chains.propagate(p0, ts)
     table, divergent = population_rows(chains, p, els, bath.beta_B)
-    rows, divergent = table.tolist(), divergent.tolist()
-    snapshots = tuple(
-        instantaneous_rates(bath.beta_B, row, div, t) for row, div, t in zip(rows, divergent, ts)
-    )
     states = (p @ chains.projectors.reshape(len(p0), -1)).reshape(len(ts), spec.dim, spec.dim)
     states = states.astype(complex)
     states.setflags(write=False)
-    series = ThermoSeries(snapshots=snapshots, els=els, beta_B=bath.beta_B, states=states)
+    series = ThermoSeries.from_rates(
+        ts, table, divergent, els, bath.beta_B, states, p @ chains.cut
+    )
+    snapshots = series.snapshots
     if len(ts) < 3:
         return series
 
@@ -509,7 +511,6 @@ def collective_series(
             f = population_rows(chains, shift, els, bath.beta_B)[0][:, :4]
             yield slice(0, len(kept)), f.T.reshape(4, -1, 4).transpose(1, 0, 2)
 
-    points = [(ts[k], p[k], snapshots[k]) for k in finite_difference_picks(divergent)]
-    norm = float(np.max(np.sum(np.abs(chains.rates), axis=1)))  # ||M||, the inf-norm
-    finite_difference_check(points, norm, lowest, shifted)
+    points = [(ts[k], p[k], snapshots[k]) for k in finite_difference_picks(divergent.tolist())]
+    finite_difference_check(points, chains.norm, lowest, shifted)
     return series

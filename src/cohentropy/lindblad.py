@@ -15,6 +15,7 @@ A block's entries are evaluated only where a jump operator's nonzeros reach.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -29,7 +30,16 @@ from .exceptions import (
     NumericalFailure,
     ShapeMismatch,
 )
-from .qcore import DensityMatrix, HermitianObservable, _density_matrix, cleaned_states, max_abs
+from .qcore import (
+    DRIFT_TOL,
+    DensityMatrix,
+    HermitianObservable,
+    _density_matrix,
+    chunks,
+    drift_checked,
+    max_abs,
+    settled,
+)
 from .spectrum import EnergyLevelStructure, clustering_tolerance, gap_clusters
 
 ZERO_OPERATOR_TOL = 1e-13
@@ -176,15 +186,16 @@ class LindbladGenerator:
     """Sum over uncorrelated channels of their terms (A_k, Gamma_k),
     Gamma_k [A_k X A_k^dag - A_k^dag A_k X] + h.c., each A_k in the labeled
     eigenbasis of ``els``.  The terms are assembled once into ``blocks``, the one form
-    of L: ``labeled_drift``, ``apply`` and ``propagate`` (the one finite-time exp(t L))
-    all read them, and construction checks on them that L preserves the trace.
+    of L: ``labeled_drift`` and ``labeled_propagate`` (the one finite-time exp(t L)) read
+    them in the labeled eigenbasis, ``apply`` and ``propagate`` through those in the input
+    basis, and construction checks on them that L preserves the trace.
     """
 
     channels: tuple[tuple[tuple[np.ndarray, complex], ...], ...]
     els: EnergyLevelStructure
     bath: BathSpectrum
     jumps: JumpOperatorSet | None = None
-    # ``_diagonalize`` result of each block ``propagate`` has applied, by block number
+    # ``_diagonalize`` result of each block ``labeled_propagate`` has applied, by block number
     _block_eigs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -325,18 +336,20 @@ class LindbladGenerator:
 
     def propagate(self, vec0: np.ndarray, times: Sequence[float]) -> np.ndarray:
         """exp(t L) vec0 for each t of any sign and order, row-stacked in the input basis:
-        one row per t.
+        one row per t, V (``labeled_propagate`` of V^dag vec0 V) V^dag."""
+        d, v = self.dim, self.els.basis_vectors
+        x0 = self.els.to_labeled(np.asarray(vec0, dtype=complex).reshape(d, d)).reshape(-1)
+        rows = self.labeled_propagate(x0, times).reshape(-1, d, d)
+        return (v @ rows @ v.conj().T).reshape(len(rows), -1)
 
-        vec0 goes to the labeled eigenbasis and back once.  Each block vec0 occupies goes
-        through its cached eig, or takes expm steps between times when ``_diagonalize``
-        rejects it.
-        """
+    def labeled_propagate(self, x0: np.ndarray, times: Sequence[float]) -> np.ndarray:
+        """exp(t L) x0 for each t of any sign and order, row-stacked in the labeled eigenbasis
+        as x0 is: one row per t.  Each block x0 occupies goes through its cached eig, or takes
+        expm steps between times when ``_diagonalize`` rejects it."""
         ts = np.asarray(times, dtype=float)
         if not len(ts):
             raise ShapeMismatch("LindbladGenerator.propagate: the time list is empty")
-        d, v = self.dim, self.els.basis_vectors
-        x0 = self.els.to_labeled(np.asarray(vec0, dtype=complex).reshape(d, d)).reshape(-1)
-        out = np.zeros((len(ts), d * d), dtype=complex)
+        out = np.zeros((len(ts), self.dim**2), dtype=complex)
         for k, (idx, block) in enumerate(self.blocks):
             x = x0[idx]
             if not x.any():
@@ -344,7 +357,7 @@ class LindbladGenerator:
             if k not in self._block_eigs:
                 self._block_eigs[k] = _diagonalize(block, 1e-9 * self._scale)
             out[:, idx] = _exp_series(block, self._block_eigs[k], x, ts)
-        return (v @ out.reshape(-1, d, d) @ v.conj().T).reshape(len(ts), -1)
+        return out
 
 
 def _exp_series(block: np.ndarray, eig: tuple | None, x: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -406,9 +419,26 @@ def _check_horizon(els: EnergyLevelStructure, t_max: float) -> None:
         )
 
 
-def evolve(gen: LindbladGenerator, rho0: DensityMatrix, times: Sequence[float]) -> np.ndarray:
-    """rho(t) = exp(t L) rho0 by ``gen.propagate`` for each t in a sorted nonnegative list:
-    the read-only (T, d, d) stack of the states, whose rows at t = 0 are rho0's elements."""
+@contextmanager
+def drift_at(times: Sequence[float]):
+    """Report an InvariantViolation that carries the ``index`` of a drifted state of a
+    trajectory as the NumericalFailure 'invariant drift at t = ...' of that state's time."""
+    try:
+        yield
+    except InvariantViolation as exc:
+        if not hasattr(exc, "index"):
+            raise
+        raise NumericalFailure(f"invariant drift at t = {times[exc.index]}: {exc}") from exc
+
+
+def labeled_trajectory(
+    gen: LindbladGenerator, rho0: DensityMatrix, times: Sequence[float]
+) -> np.ndarray:
+    """exp(t L) rho0 by ``gen.labeled_propagate`` for each t in a sorted nonnegative list, in
+    the labeled eigenbasis: a writable (T, d, d) stack whose rows at t = 0 are V^dag rho0 V
+    itself, and whose other rows are finite and ``drift_checked`` to DRIFT_TOL, else a
+    NumericalFailure names their t.  Positivity is judged by the eigh its reader takes
+    (``settled``)."""
     ts = [float(t) for t in times]
     if any(t < 0 for t in ts) or ts != sorted(ts):
         raise InvariantViolation("times must be sorted and nonnegative")
@@ -416,16 +446,31 @@ def evolve(gen: LindbladGenerator, rho0: DensityMatrix, times: Sequence[float]) 
         raise ShapeMismatch(f"state dimension {rho0.dim} != generator {gen.dim}")
     if ts:
         _check_horizon(gen.els, max(ts))
-    states = gen.propagate(rho0.elements.reshape(-1), ts).reshape(-1, gen.dim, gen.dim)
+    x0 = gen.els.to_labeled(rho0.elements)
+    r = gen.labeled_propagate(x0.reshape(-1), ts).reshape(-1, gen.dim, gen.dim)
     first = ts.count(0.0)  # rho0 itself at t = 0, the sorted times' prefix
-    lost = ~np.isfinite(states).all(axis=(-2, -1))
+    lost = ~np.isfinite(r).all(axis=(-2, -1))
     if lost.any():
         raise NumericalFailure(f"propagated state is not finite at t = {ts[int(np.argmax(lost))]}")
-    try:
-        states[first:] = cleaned_states(states[first:], 1e-8)
-    except InvariantViolation as exc:
-        raise NumericalFailure(f"invariant drift at t = {ts[first + exc.index]}: {exc}") from exc
-    states[:first] = rho0.elements
+    with drift_at(ts):
+        r = drift_checked(r, DRIFT_TOL)
+    r[:first] = x0
+    return r
+
+
+def evolve(gen: LindbladGenerator, rho0: DensityMatrix, times: Sequence[float]) -> np.ndarray:
+    """rho(t) = exp(t L) rho0 for each t in a sorted nonnegative list: the read-only (T, d, d)
+    stack of the states in the input basis, V r V^dag of each ``labeled_trajectory`` row r
+    ``settled`` (one eigh per state judges positivity and repairs), whose rows at t = 0 are
+    rho0's elements."""
+    ts = [float(t) for t in times]
+    r = labeled_trajectory(gen, rho0, ts)
+    with drift_at(ts):
+        for part in chunks(len(r), gen.dim):
+            r[part] = settled(r[part], DRIFT_TOL, part.start)[0]
+    v = gen.els.basis_vectors
+    states = v @ r @ v.conj().T
+    states[: ts.count(0.0)] = rho0.elements
     states.setflags(write=False)
     return states
 
@@ -456,5 +501,6 @@ def asymptotic_state(gen: LindbladGenerator, rho0: DensityMatrix) -> DensityMatr
     if not out.any():
         raise DiagonalizationFailure("the state has no weight on the kernel of L")
     v, d = gen.els.basis_vectors, gen.dim
-    (m,) = cleaned_states((v @ out.reshape(d, d) @ v.conj().T)[None], 1e-7)
+    (m,) = settled(drift_checked((v @ out.reshape(d, d) @ v.conj().T)[None], 1e-7), 1e-7)[0]
+    m.setflags(write=False)
     return _density_matrix(m)

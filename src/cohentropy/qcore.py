@@ -19,6 +19,9 @@ TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 CLIP_FLOOR = 1e-14
 SUPPORT_WEIGHT_TOL = 1e-12
+# Largest drift of a propagated state from Hermitian, unit trace and positive that is
+# repaired (``drift_checked``, ``settled``) rather than reported.
+DRIFT_TOL = 1e-8
 # Matrix entries per chunk of a stacked pass over states: a stack of (d, d) states is
 # processed max(1, CHUNK_ENTRIES // d^2) at a time, so its temporaries stay near 64 KiB
 # whatever its length.  Whole trajectories at once raised peak RSS by 10.9 MiB (3001
@@ -138,43 +141,60 @@ def checked_states(matrices: np.ndarray, lam_min: np.ndarray | None = None) -> n
     return m
 
 
-def cleaned_states(matrices: np.ndarray, drift_tol: float = 1e-8) -> np.ndarray:
-    """Re-symmetrize ((m + m^dag)/2), renormalize and validate each matrix of a (T, d, d)
-    stack of candidate states, by ``chunks`` with one stacked eigvalsh each, whose lowest
-    eigenvalues also validate the states: one eigvalsh per state, not two.  Returns the
-    read-only (T, d, d) stack of states.  The InvariantViolation raised for the first
-    matrix whose repair exceeds ``drift_tol`` carries that matrix's position in the stack
-    as ``index``."""
+def _drift(index: int, message: str) -> InvariantViolation:
+    """The InvariantViolation of the state at position ``index`` of its stack."""
+    exc = InvariantViolation(message)
+    exc.index = index
+    return exc
+
+
+def drift_checked(matrices: np.ndarray, drift_tol: float) -> np.ndarray:
+    """(m + m^dag)/2 / Tr of each matrix of a (T, d, d) stack of propagated states, each
+    Hermitian and of unit trace within ``drift_tol``, by ``chunks``: the drift checks that
+    come before positivity, which ``settled`` judges from each state's eigh.  The
+    InvariantViolation raised for the first matrix beyond ``drift_tol`` carries its position
+    in the stack as ``index``."""
     stack = _as_square_complex(matrices, stacked=True)
     out = np.empty_like(stack)
     for part in chunks(len(stack), stack.shape[-1]):
         m = stack[part]
         herm_dev = np.max(np.abs(m - dagger(m)), axis=(-2, -1))
         off = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
-        m = 0.5 * (m + dagger(m))
-        lam_min = np.linalg.eigvalsh(m)[:, 0]
-        bad = (herm_dev > drift_tol) | (off > drift_tol) | (lam_min < -drift_tol)
+        bad = (herm_dev > drift_tol) | (off > drift_tol)
         if bad.any():
             k = int(np.argmax(bad))
-            exc = InvariantViolation(
-                f"state drift beyond {drift_tol:.1e}: hermiticity {herm_dev[k]:.3e}, "
-                f"trace deviation {off[k]:.3e}, min eigenvalue {lam_min[k]:.3e}"
-            )
-            exc.index = part.start + k
-            raise exc
-        norm = np.trace(m, axis1=-2, axis2=-1).real
-        m, lam_min = m / norm[:, None, None], lam_min / norm
-        neg = lam_min < 0.0
-        if neg.any():
-            # project tiny negatives away, then renormalize once more
-            w, v = np.linalg.eigh(m[neg])
-            x = (v * np.clip(w, 0.0, None)[:, None, :]) @ dagger(v)
-            x = 0.5 * (x + dagger(x))
-            m[neg] = x / np.trace(x, axis1=-2, axis2=-1).real[:, None, None]
-            lam_min[neg] = 0.0  # the clipped spectrum's lowest value
-        out[part] = checked_states(m, lam_min)
-    out.setflags(write=False)
+            raise _drift(part.start + k, f"state drift beyond {drift_tol:.1e}: hermiticity "
+                                         f"{herm_dev[k]:.3e}, trace deviation {off[k]:.3e}")
+        m = 0.5 * (m + dagger(m))
+        out[part] = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
     return out
+
+
+def settled(
+    r: np.ndarray, drift_tol: float, start: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, lam, u): one eigh r = u diag(lam) u^dag of each ``drift_checked`` state of a
+    (T, d, d) stack, which also judges positivity.  A lowest eigenvalue below -``drift_tol``
+    raises the InvariantViolation whose ``index`` is the state's position plus ``start``; a
+    state with a negative eigenvalue above it is repaired from its clipped spectrum: the
+    state becomes u diag(max(lam, 0)) u^dag, symmetrized and divided by its trace, and its
+    spectrum max(lam, 0) over that trace, on the same u.  Arrays with a repaired state are
+    new; the others are returned as given."""
+    lam, u = np.linalg.eigh(r)
+    least = lam[:, 0]
+    if (least < -drift_tol).any():
+        k = int(np.argmax(least < -drift_tol))
+        raise _drift(start + k, f"state drift beyond {drift_tol:.1e}: "
+                                f"min eigenvalue {least[k]:.3e}")
+    neg = least < 0.0
+    if neg.any():
+        clipped = np.clip(lam[neg], 0.0, None)
+        x = (u[neg] * clipped[:, None, :]) @ dagger(u[neg])
+        x = 0.5 * (x + dagger(x))
+        norm = np.trace(x, axis1=-2, axis2=-1).real
+        r, lam = r.copy(), lam.copy()
+        r[neg], lam[neg] = x / norm[:, None, None], clipped / norm[:, None]
+    return r, lam, u
 
 
 def entropy_of_spectrum(lam: np.ndarray) -> np.ndarray:

@@ -278,11 +278,12 @@ def build_reversal_scenario(cfg: ReversalConfig) -> ReversalScenario:
 
     chi = |01><10| + h.c. in the one-excitation doublet.  When no amplitude is
     given, c is scanned upward over 19 fractions of c_max and the first at which the
-    initial heat flow reverses, (beta_0 - beta_B) dE/dt < 0, is taken.  dE/dt =
-    Tr(L(rho) H) is linear in rho: E_dot = sum_i e_i r_dot_ii of one ``gen.labeled_drift``
-    of rho_th and of chi, the series' own E_dot form, gives e_th + c e_chi for every
-    candidate, and the flow changes sign at a* = -e_th / e_chi, which the error names
-    when no candidate reverses; at e_chi = 0 it says that chi does not move the flow.
+    initial heat flow reverses, (beta_0 - beta_B) dE/dt below -1e-12 of its own scale, is
+    taken.  dE/dt = Tr(L(rho) H) is linear in rho: E_dot = sum_i e_i r_dot_ii of one
+    ``gen.labeled_drift`` of rho_th and of chi, the series' own E_dot form, gives
+    e_th + c e_chi for every candidate, and the flow changes sign at a* = -e_th / e_chi,
+    which the error names when no candidate reverses; at e_chi = 0 it says that chi does
+    not move the flow.
     """
     times = cfg.times()
     beta_0, beta_B = cfg.beta_0, cfg.beta_B
@@ -301,7 +302,9 @@ def build_reversal_scenario(cfg: ReversalConfig) -> ReversalScenario:
         r_dot = gen.labeled_drift(els.to_labeled(np.stack((base.elements, pattern.elements))))
         e_th, e_chi = np.sum(r_dot.diagonal(axis1=-2, axis2=-1).real * els.index_energies, -1)
         amplitudes = np.linspace(0.05, 0.95, 19) * c_max
-        reversing = amplitudes[(beta_0 - beta_B) * (e_th + amplitudes * e_chi) < -1e-12]
+        # judged on the flows' own scale, so that a change of time unit keeps the choice
+        scale = abs(beta_0 - beta_B) * (abs(e_th) + amplitudes * abs(e_chi))
+        reversing = amplitudes[(beta_0 - beta_B) * (e_th + amplitudes * e_chi) < -1e-12 * scale]
         if not len(reversing):
             if e_chi == 0.0:
                 raise CohentropyError(

@@ -219,32 +219,52 @@ class StateFunctionals(NamedTuple):
 
 def state_functionals(m: np.ndarray, els: EnergyLevelStructure, beta: float) -> StateFunctionals:
     """S, C_v, C_h, D_th, E_S and F_D of one state (d, d), whose fields are floats, or of a
-    stack of states (T, d, d), whose fields are (T,) arrays, by one ``spectral_pass`` per
-    ``chunks`` chunk.  Each state's values are bitwise those it gets alone: every step acts
-    on each matrix of the stack by itself."""
+    stack of states (T, d, d), whose fields are (T,) arrays, in the input basis: one
+    ``spectral_pass`` of V^dag rho V per ``chunks`` chunk, which checks each state.  Each
+    state's values are bitwise those it gets alone: every step acts on each matrix of the
+    stack by itself."""
     single = np.ndim(m) != 3
     stack = np.asarray(m)[None] if single else np.asarray(m)
-    passes = [spectral_pass(stack[part], els, beta)[:6] for part in chunks(len(stack), els.dim)]
+    if stack.ndim != 3 or stack.shape[-2:] != (els.dim, els.dim):
+        raise ShapeMismatch(f"state shape {np.shape(m)} does not fit structure dimension {els.dim}")
+    passes = [
+        spectral_pass(els.to_labeled(stack[part]), els, beta)[:6]
+        for part in chunks(len(stack), els.dim)
+    ]
     columns = [np.concatenate(c) if len(passes) > 1 else c[0] for c in zip(*passes)]
     return StateFunctionals(*([float(c[0]) for c in columns] if single else columns))
 
 
-def spectral_pass(
-    m: np.ndarray, els: EnergyLevelStructure, beta: float, drift: Callable | None = None
-) -> tuple:
-    """The kernel on a (T, d, d) stack of states, from the eigendecompositions of each
-    r = V^dag rho V and of its block-diagonal cut rho_BD, the latter only where it differs
-    from r (elsewhere r's serves): S, C_v, C_h, D_th, E_S and F_D, each (T,); the projector
-    onto the null space of each rho (eigenvalues <= CLIP_FLOOR) in the input basis, (T, d, d),
-    exact zeros when every state has full rank; and, when ``drift`` maps the labeled stack r
-    to r_dot = L r, the (T, 5) overlaps Tr r_dot ln X for X = rho, rho_BD, rho_D and rho_th,
-    and Tr r_dot H, then r_dot itself, both of which ``thermo.rate_rows`` reads (else None,
-    None).  No log matrix is formed: Tr x ln X is sum_k <u_k|x|u_k> ln lambda_k on X's own
-    eigenbasis, diag(x) for rho_D and rho_th.
+def spectral_pass(r: np.ndarray, els: EnergyLevelStructure, beta: float) -> tuple:
+    """``spectral_kernel`` of a (T, d, d) stack of states r = V^dag rho V in the labeled
+    eigenbasis, after the checks of ``checked_states``: Hermitian and of unit trace, and no
+    eigenvalue of r below -POSITIVITY_TOL, which ``log_of_spectrum`` enforces on the one
+    eigh of each r; a checked state, already Hermitian, keeps its bits."""
+    r = _hermitian_unit_trace(_as_square_complex(r, stacked=True))
+    if r.shape[-1] != els.dim:
+        raise ShapeMismatch(f"state dimension {r.shape[-1]} != structure dimension {els.dim}")
+    return spectral_kernel(r, *np.linalg.eigh(r), els, beta, None)
 
-    The states get the checks of ``checked_states`` here: Hermitian and of unit trace, and
-    no eigenvalue of r below -POSITIVITY_TOL, which ``log_of_spectrum`` enforces on the
-    spectrum the kernel computes anyway; a checked state, already Hermitian, keeps its bits.
+
+def spectral_kernel(
+    r: np.ndarray,
+    lam: np.ndarray,
+    u: np.ndarray,
+    els: EnergyLevelStructure,
+    beta: float,
+    drift: Callable | None,
+) -> tuple:
+    """The kernel on a (T, d, d) stack of checked states r in the labeled eigenbasis, from
+    the eigendecomposition r = u diag(lam) u^dag of each and that of its block-diagonal cut
+    rho_BD, the latter only where it differs from r (elsewhere r's serves): S, C_v, C_h,
+    D_th, E_S and F_D, each (T,); the projector onto the null space of each rho (eigenvalues
+    <= CLIP_FLOOR) in the input basis, (T, d, d), exact zeros when every state has full
+    rank; and, when ``drift`` maps the labeled stack r to r_dot = L r, the (T, 5) overlaps
+    Tr r_dot ln X for X = rho, rho_BD, rho_D and rho_th, and Tr r_dot H, then r_dot itself,
+    both of which ``thermo.rate_rows`` reads (else None, None).  No log matrix is formed:
+    Tr x ln X is sum_k <u_k|x|u_k> ln lambda_k on X's own eigenbasis, diag(x) for rho_D and
+    rho_th.
+
     The spectrum of rho_D is diag(r); ln rho_th is ``log_boltzmann_weights`` of the
     level energies, exact and never clipped, so D_th is finite at every finite beta.
     C_v = S(rho_BD) - S(rho) and C_h = S(rho_D) - S(rho_BD) must agree with S(rho|rho_BD)
@@ -253,12 +273,7 @@ def spectral_pass(
     +inf where its first state weighs more than SUPPORT_WEIGHT_TOL on the second's null
     space.  F_D is nan at beta = 0.
     """
-    m = _hermitian_unit_trace(_as_square_complex(m, stacked=True))
-    if m.shape[-1] != els.dim:
-        raise ShapeMismatch(f"state dimension {m.shape[-1]} != structure dimension {els.dim}")
-    r = els.to_labeled(m)
     bd = np.where(els.same_level, r, 0.0)
-    lam, u = np.linalg.eigh(r)
     lam_bd, u_bd = lam.copy(), u[:0]
     vertical = np.any(bd != r, axis=(-2, -1))  # rho_BD is rho itself elsewhere
     if vertical.any():
@@ -298,7 +313,7 @@ def spectral_pass(
     d_th = diagonal_relative_entropy(pops, log_p, log_w)
     e_s = (pops[:, None, :] @ els.index_energies[:, None])[:, 0, 0]  # per state, pops @ e
     with np.errstate(over="ignore"):  # -inf at a subnormal beta, as float arithmetic gives
-        f_d = e_s - s_d / beta if beta != 0.0 else np.full(len(m), np.nan)
+        f_d = e_s - s_d / beta if beta != 0.0 else np.full(len(r), np.nan)
     null = np.zeros_like(u)  # exact zeros at full rank, formed without a product
     if (lam <= CLIP_FLOOR).any():
         vecs = els.basis_vectors @ u  # the eigenvectors in the input basis

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -33,9 +32,16 @@ from .exceptions import (
     NumericalFailure,
     ShapeMismatch,
 )
-from .lindblad import BathSpectrum, LindbladGenerator, build_generator, evolve
+from .lindblad import (
+    BathSpectrum,
+    LindbladGenerator,
+    build_generator,
+    drift_at,
+    labeled_trajectory,
+)
 from .qcore import (
     CLIP_FLOOR,
+    DRIFT_TOL,
     DensityMatrix,
     HermitianObservable,
     Verdict,
@@ -46,12 +52,13 @@ from .qcore import (
     log_boltzmann_weights,
     log_of_spectrum,
     max_abs,
+    settled,
     trace_distance,
 )
 from .spectrum import (
     EnergyLevelStructure,
     build_level_structure,
-    spectral_pass,
+    spectral_kernel,
     state_functionals,
 )
 
@@ -92,24 +99,46 @@ class ThermoSnapshot(NamedTuple):
 
 @dataclass(frozen=True)
 class ThermoSeries:
-    """Time-ordered snapshots along one trajectory, with the (T, d, d) stack of its states;
-    their float fields are judged from one table."""
+    """Time-ordered snapshots along one trajectory, with their float fields as one (T, 13)
+    ``table`` (t to E_dot, judged from it), the (T, d, d) stack of its states in the input
+    basis and the (T, d) ``populations`` diag(V^dag rho V) of each state's diagonal cut."""
 
     snapshots: tuple[ThermoSnapshot, ...]
     els: EnergyLevelStructure
     beta_B: float
     states: np.ndarray
+    table: np.ndarray
+    populations: np.ndarray
 
     def __post_init__(self):
         t = self.column("t")
         if (t[1:] <= t[:-1]).any():
             raise InvariantViolation("snapshot times must be strictly increasing")
 
-    @cached_property
-    def table(self) -> np.ndarray:
-        """The float fields of every snapshot, t to E_dot, as one (T, 13) array built once."""
-        width = len(ThermoSnapshot._fields) - 1
-        return np.array([s[:-1] for s in self.snapshots], dtype=float).reshape(-1, width)
+    @classmethod
+    def from_rates(
+        cls,
+        times: Sequence[float],
+        rates: np.ndarray,
+        divergent: np.ndarray,
+        els: EnergyLevelStructure,
+        beta_b: float,
+        states: np.ndarray,
+        populations: np.ndarray,
+    ) -> ThermoSeries:
+        """The series of a (T, 11) array of the RATE_COLUMNS and its (T,) pi-divergence
+        mask at ``times``: each snapshot from its row by ``instantaneous_rates``, and the
+        table by column operations on the same values (Pi = +inf where pi-divergent,
+        Phi = beta_B E_dot)."""
+        snapshots = tuple(
+            instantaneous_rates(beta_b, row, div, t)
+            for row, div, t in zip(rates.tolist(), divergent.tolist(), times)
+        )
+        pi = np.where(divergent, np.inf, rates[:, 6])
+        table = np.column_stack((
+            np.asarray(times, dtype=float), rates[:, :6], pi, beta_b * rates[:, 10], rates[:, 7:]
+        ))
+        return cls(snapshots, els, beta_b, states, table, populations)
 
     def column(self, name: str) -> np.ndarray:
         """The float field ``name`` of every snapshot, a (T,) view of the table."""
@@ -143,31 +172,55 @@ class ThermoSeries:
 # The columns of ``rate_rows``, in order.
 RATE_COLUMNS = ("S", "C_v", "C_h", "D_th", "E_S", "F_D", "Pi", "rate_C_v", "rate_C_h",
                 "rate_D_th", "E_dot")
+LEAK_TOL = 1e-12  # drift on a null space, relative to the drift's scale, read as a leak
 
 
-def rate_rows(gen: LindbladGenerator, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def pi_divergent(null: np.ndarray, leak: np.ndarray, norm: float) -> np.ndarray:
+    """The pi-divergence mark of each state of a stack, from its null-space projector and
+    the drift there, each one row of ``null`` and ``leak`` (flat or (d, d)): the projector
+    has an entry above 0.5 and the drift one above LEAK_TOL ``norm``, the scale of the
+    generator that drives it.  The one rule of the generic and the population path."""
+    def peak(x):
+        return np.max(np.abs(x.reshape(len(x), -1)), axis=1)
+
+    return (peak(null) > 0.5) & (peak(leak) > LEAK_TOL * norm)
+
+
+def rate_rows(
+    gen: LindbladGenerator, states: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """State functionals, analytic rates and heat flow E_dot = Tr(L rho H) of each state of
-    a (T, d, d) stack, as the (T, 11) array of the RATE_COLUMNS, and the (T,) mask of the
-    states whose drift L rho has weight on their null space.  Computed by ``chunks``: per
-    chunk one ``spectral_pass``, which checks the states, takes their labeled drift from
-    ``gen.labeled_drift`` and reads its overlaps off its eigenbases; the mark reads that same
-    drift, mapped to the input basis where the null projector lives, only on chunks that
-    have a null space.  A state's row is bitwise the one it gets alone."""
+    a (T, d, d) stack of ``drift_checked`` states r = V^dag rho V in the labeled eigenbasis:
+    the (T, 11) array of the RATE_COLUMNS, the (T,) ``pi_divergent`` mask of the states
+    whose drift L rho has weight on their null space, at ||L|| = ``gen.norm_inf``, and the
+    states as read, each ``settled``.  Computed by ``chunks``: per chunk one eigh, which
+    ``settled`` also judges positivity with (an InvariantViolation whose ``index`` is the
+    state's position) and repairs tiny negative eigenvalues from, then one
+    ``spectral_kernel``, which takes the labeled drift from ``gen.labeled_drift`` and reads
+    its overlaps off the eigenbases; the mark reads that same drift, mapped to the input
+    basis where the null projector lives, only on chunks that have a null space.  A state's
+    row is bitwise the one it gets alone."""
     els, beta_b = gen.els, gen.bath.beta_B
     table = np.empty((len(states), len(RATE_COLUMNS)))
     divergent = np.zeros(len(states), dtype=bool)
+    read = states
     for part in chunks(len(states), gen.dim):
         m = states[part]
-        *functionals, null, flows, r_dot = spectral_pass(m, els, beta_b, gen.labeled_drift)
+        r, lam, u = settled(m, DRIFT_TOL, part.start)
+        if r is not m:  # a state was repaired: the stack as read is a copy
+            read = states.copy() if read is states else read
+            read[part] = r
+        *functionals, null, flows, r_dot = spectral_kernel(
+            r, lam, u, els, beta_b, gen.labeled_drift
+        )
         on_rho, on_bd, on_d, on_th, e_dot = flows.T
         table[part] = np.column_stack((
             *functionals, -(on_rho - on_th), on_rho - on_bd, on_bd - on_d, on_d - on_th, e_dot
         ))
         if null.any():  # zeros when every state of the chunk has full rank
             rho_dot = els.basis_vectors @ r_dot @ els.basis_vectors.conj().T
-            leak = np.max(np.abs(null @ rho_dot @ null), axis=(-2, -1)) > 1e-12
-            divergent[part] = (np.max(np.abs(null), axis=(-2, -1)) > 0.5) & leak
-    return table, divergent
+            divergent[part] = pi_divergent(null, null @ rho_dot @ null, gen.norm_inf)
+    return table, divergent, read
 
 
 def instantaneous_rates(
@@ -201,23 +254,29 @@ def decompose_series(
 ) -> ThermoSeries:
     """Evolve rho0 and emit snapshots; cross-check rates by finite differences.
 
-    The rates of the whole trajectory come from one ``rate_rows`` pass; each
-    snapshot is assembled from its row by ``instantaneous_rates``.
-    Rates are cross-validated at the ``finite_difference_picks`` by
-    ``check_rates_by_finite_differences``.
+    One pass in the labeled eigenbasis: the ``labeled_trajectory`` of rho0, its states
+    drift-checked, symmetrized and normalized, goes straight into ``rate_rows``, whose one
+    eigh per state also judges positivity and repairs tiny negative eigenvalues; a drift
+    beyond DRIFT_TOL is a NumericalFailure naming t.  Each snapshot is assembled from its
+    row by ``instantaneous_rates``, the populations are the diagonals of the settled
+    states, and ``states`` is V r V^dag of each, formed once.  Rates are cross-validated at
+    the ``finite_difference_picks`` by ``check_rates_by_finite_differences``.
     """
     if not len(times):
         raise ShapeMismatch("decompose_series: the time list is empty")
-    states = evolve(gen, rho0, times)
-    table, divergent = rate_rows(gen, states)
-    beta_b = gen.bath.beta_B
-    rows, divergent = table.tolist(), divergent.tolist()
-    snapshots = tuple(
-        instantaneous_rates(beta_b, row, div, t) for row, div, t in zip(rows, divergent, times)
+    r = labeled_trajectory(gen, rho0, times)
+    with drift_at([float(t) for t in times]):
+        rates, divergent, r = rate_rows(gen, r)
+    v = gen.els.basis_vectors
+    states = v @ r @ v.conj().T
+    states.setflags(write=False)
+    populations = r.diagonal(axis1=-2, axis2=-1).real.copy()
+    series = ThermoSeries.from_rates(
+        times, rates, divergent, gen.els, gen.bath.beta_B, states, populations
     )
-    series = ThermoSeries(snapshots=snapshots, els=gen.els, beta_B=beta_b, states=states)
     if len(states) >= 3:
-        picks = finite_difference_picks(divergent)
+        snapshots = series.snapshots
+        picks = finite_difference_picks(divergent.tolist())
         check_rates_by_finite_differences(gen, [(times[k], states[k], snapshots[k]) for k in picks])
     return series
 
@@ -417,19 +476,15 @@ def complementarity_report(
     """Evaluate the complementarity inequalities between horizontal coherences
     and population convergence on every snapshot pair (0, t).
 
-    Everything here reads the populations p_t = diag(V^dag rho_t V) of the
-    diagonal cut.  Entries based on the thermal-populations identity require
+    Everything here reads the populations p_t = diag(V^dag rho_t V) of the diagonal
+    cut, ``series.populations``, which the series' pass computed; no state is converted
+    or decomposed.  Entries based on the thermal-populations identity require
     p_0 to be thermal to ``THERMAL_FIT_TOL``; otherwise the report is marked
     not-applicable (only the convention-free check (i) is still evaluated).
     The backtrack S(p_t|p_0) takes ln p_0 as the exact log Boltzmann weights
     at the fitted beta_0, so it stays finite however cold the start.
     """
-    els = series.els
-    first = series.snapshots[0]
-    pops = np.concatenate([
-        els.to_labeled(series.states[part]).diagonal(0, 1, 2).real
-        for part in chunks(len(series.states), els.dim)
-    ])
+    els, first, pops = series.els, series.snapshots[0], series.populations
     beta0, residual = fit_inverse_temperature(pops[0], els)
     applicable = math.isfinite(beta0) and residual <= THERMAL_FIT_TOL
     flags = () if applicable else (FLAG_NOT_APPLICABLE,)

@@ -4,6 +4,7 @@ import pytest
 from cohentropy import (
     DensityMatrix,
     HermitianObservable,
+    InvariantViolation,
     ShapeMismatch,
     build_generator,
     build_level_structure,
@@ -13,6 +14,7 @@ from cohentropy import (
 )
 from cohentropy.qcore import (
     CLIP_FLOOR,
+    DRIFT_TOL,
     SUPPORT_WEIGHT_TOL,
     Verdict,
     _check_relative_entropy,
@@ -23,6 +25,7 @@ from cohentropy.qcore import (
     entropy_of_spectrum,
     log_boltzmann_weights,
     log_of_spectrum,
+    settled,
 )
 from cohentropy.scenarios import CSV_HEADER
 from cohentropy.thermo import (
@@ -77,14 +80,19 @@ def relative_entropy_from_logs(
 
 def dense_rate_rows(gen, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reference ``rate_rows`` from formed (T, d, d) log matrices: each functional from the
-    spectra of r = V^dag rho V, of its block-diagonal cut and of its populations, each rate
-    the overlap Tr r_dot (ln X - ln Y) with r_dot = V^dag (L rho) V from ``gen.apply``, E_dot
-    = Tr (L rho) H, and the divergence mark from the null-space projector of each rho."""
+    spectra of r = V^dag rho V, as ``settled`` reads it (repaired where it has a tiny
+    negative eigenvalue), of its block-diagonal cut and of its populations, each rate the
+    overlap Tr r_dot (ln X - ln Y) with r_dot = V^dag (L rho) V from ``gen.apply``, E_dot
+    = Tr (L rho) H, and the divergence mark from the null-space projector of each rho, at
+    the drift's scale ||L||."""
     els, beta = gen.els, gen.bath.beta_B
     m = 0.5 * (states + dagger(states))
-    r = els.to_labeled(m)
-    lam, u = np.linalg.eigh(r)
-    lam_bd, u_bd = np.linalg.eigh(np.where(els.same_level, r, 0.0))
+    r, lam, u = settled(els.to_labeled(m), DRIFT_TOL)
+    states = els.basis_vectors @ r @ dagger(els.basis_vectors)
+    bd = np.where(els.same_level, r, 0.0)
+    lam_bd, u_bd = np.linalg.eigh(bd)
+    own = (bd == r).all(axis=(-2, -1))  # rho_BD is rho, whose decomposition the kernel reads
+    lam_bd[own], u_bd[own] = lam[own], u[own]
     pops = r.diagonal(axis1=-2, axis2=-1).real
     log_rho, log_bd = ((v * log_of_spectrum(x)[:, None, :]) @ dagger(v)
                        for x, v in ((lam, u), (lam_bd, u_bd)))
@@ -108,8 +116,47 @@ def dense_rate_rows(gen, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ))
     vecs = els.basis_vectors @ u
     null = (vecs * (lam <= CLIP_FLOOR)[:, None, :]) @ dagger(vecs)
-    leak = np.max(np.abs(null @ rho_dot @ null), axis=(-2, -1)) > 1e-12
+    leak = np.max(np.abs(null @ rho_dot @ null), axis=(-2, -1)) > 1e-12 * gen.norm_inf
     return table, (np.max(np.abs(null), axis=(-2, -1)) > 0.5) & leak
+
+
+def reference_cleaned_states(matrices: np.ndarray, drift_tol: float = 1e-8):
+    """Reference repair of propagated states, one stacked eigvalsh first: (m + m^dag)/2 / Tr of
+    each matrix, Hermitian and of unit trace within ``drift_tol`` and no eigenvalue below
+    -``drift_tol``, else an InvariantViolation carrying its position as ``index``; a matrix
+    with a negative eigenvalue is replaced by v diag(max(w, 0)) v^dag of its own eigh,
+    symmetrized and divided by its trace.  Returns (states, mask of the repaired ones)."""
+    m = np.array(matrices, dtype=complex)
+    herm_dev = np.max(np.abs(m - dagger(m)), axis=(-2, -1))
+    off = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+    m = 0.5 * (m + dagger(m))
+    lam_min = np.linalg.eigvalsh(m)[:, 0]
+    bad = (herm_dev > drift_tol) | (off > drift_tol) | (lam_min < -drift_tol)
+    if bad.any():
+        exc = InvariantViolation(f"drift at {int(np.argmax(bad))}")
+        exc.index = int(np.argmax(bad))
+        raise exc
+    m = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    neg = lam_min < 0.0
+    if neg.any():
+        w, v = np.linalg.eigh(m[neg])
+        x = (v * np.clip(w, 0.0, None)[:, None, :]) @ dagger(v)
+        x = 0.5 * (x + dagger(x))
+        m[neg] = x / np.trace(x, axis1=-2, axis2=-1).real[:, None, None]
+    return m, neg
+
+
+def reference_trajectory(gen, rho0: DensityMatrix, times):
+    """Reference trajectory in the input basis: ``gen.propagate`` of rho0 at each time, the
+    rows after t = 0 through ``reference_cleaned_states`` and those at t = 0 rho0 itself.
+    Returns (states, mask of the repaired ones)."""
+    d = gen.dim
+    states = gen.propagate(rho0.elements.reshape(-1), times).reshape(-1, d, d)
+    first = list(times).count(0.0)
+    repaired = np.zeros(len(states), dtype=bool)
+    states[first:], repaired[first:] = reference_cleaned_states(states[first:])
+    states[:first] = rho0.elements
+    return states, repaired
 
 
 def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix) -> float:
@@ -267,9 +314,9 @@ def single_report(sys_, u: np.ndarray, rho_s: np.ndarray, rho_b, beta_b: float):
 
 
 def rates_of(gen, state: np.ndarray, t: float = 0.0):
-    """The snapshot of one (d, d) state at time t, from its ``rate_rows`` row as a stack of
-    one."""
-    table, divergent = rate_rows(gen, state[None])
+    """The snapshot of one (d, d) state at time t, from the ``rate_rows`` row of V^dag rho V
+    as a stack of one."""
+    table, divergent, _ = rate_rows(gen, gen.els.to_labeled(state)[None])
     return instantaneous_rates(gen.bath.beta_B, table[0].tolist(), bool(divergent[0]), t)
 
 

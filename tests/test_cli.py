@@ -294,9 +294,9 @@ class TestRunCommand:
         real = thermo.rate_rows
 
         def unclosed(gen, states):
-            table, divergent = real(gen, states)
+            table, divergent, read = real(gen, states)
             table[0, thermo.RATE_COLUMNS.index("Pi")] += 1.0
-            return table, divergent
+            return table, divergent, read
 
         monkeypatch.setattr(thermo, "rate_rows", unclosed)
         out = tmp_path / "out"

@@ -403,6 +403,54 @@ def test_scenario_run_is_unit_covariant(name):
         assert abs(float(got_value) - number * K**exponent) <= atol, (key, value, got_value)
 
 
+# A pure change of time unit: gamma times TIME_UNIT and every time divided by it.  Each rate
+# and each drift is TIME_UNIT times smaller, so a decision that reads one must read it on its
+# own scale; a power of two keeps the scaled inputs exact.
+TIME_UNIT = 2.0**-40
+
+
+def test_reversal_scan_is_time_unit_covariant(tmp_path):
+    """The scan judges the sign of (beta_0 - beta_B) E_dot on the flows' own scale: at gamma
+    times TIME_UNIT it picks the amplitude it picks at the shipped gamma, and the run exits
+    0.  Judged against an absolute 1e-12, every candidate's flow looked like zero."""
+    from cohentropy.cli import main
+    from cohentropy.scenarios import parse_config
+
+    def amplitude(summary: str) -> str:
+        return next(x for x in summary.splitlines() if x.startswith("coherence_amplitude:"))
+
+    ref = parse_config({"scenario": "heat-flow-reversal"}).run()
+    cfg = tmp_path / "slow.json"
+    cfg.write_text(json.dumps({"scenario": "heat-flow-reversal", "gamma": 0.1 * TIME_UNIT}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert amplitude((tmp_path / "out" / "summary.txt").read_text()) == amplitude(ref.summary_text)
+
+
+@pytest.mark.parametrize("path", ["generic", "population"])
+def test_pi_divergent_mark_is_time_unit_covariant(path):
+    """A beta_0 = 50 start leaks into its empty levels at a rate that scales with gamma, and
+    so does the bound of the pi-divergent mark: at gamma times TIME_UNIT every row carries
+    the flags it carries at gamma = 0.1, the t = 0 row pi-divergent, on the generic path (the
+    reversal scenario without coherence) and on the population path alike."""
+    from cohentropy.scenarios import build_reversal_scenario, parse_config
+
+    def flags(gamma: float) -> list[tuple[str, ...]]:
+        if path == "generic":
+            cfg = parse_config({"scenario": "heat-flow-reversal", "beta_0": 50,
+                                "coherence_amplitude": 0, "gamma": gamma})
+            snapshots = build_reversal_scenario(cfg).series.snapshots
+        else:
+            spec = SpinEnsembleSpec(2, 0.5)
+            times = [t / gamma for t in geometric_times(1e-3, 3.0, 12, include_zero=True)]
+            els = collective_coupling(spec).level_structure()
+            snapshots = collective_series(spec, els, flat_bath(gamma, 1.0), 50.0, times).snapshots
+        return [s.flags for s in snapshots]
+
+    want = flags(0.1)
+    assert "pi-divergent" in want[0]
+    assert flags(0.1 * TIME_UNIT) == want
+
+
 # The collective trajectory from its (J, m) populations against the generic Lindblad path.
 # Of max(1, |column|): 1.04e-13 measured worst (n = 5, beta_0 = 50, beta_B = 30, E_S).  D_th
 # is near 1e-13 at beta_0 = 50, beta_B = 30, where either path's rounding moves it by 1e-16.

@@ -11,8 +11,10 @@ neither pays a decomposition of its own.  Every
 finite-time exp(t L) comes from ``LindbladGenerator.propagate``, which needs
 one ``eig`` per occupied block of L, and no ``expm`` when that block is
 diagonalizable; the per-config counts catch a second propagation path, and a
-thermal start must decompose its one Bohr sector only.  Each evolved state is
-validated with one eigvalsh.
+thermal start must decompose its one Bohr sector only.  A propagated state is
+judged positive, and repaired where it has tiny negative eigenvalues, from the one
+eigh the kernel takes of it anyway (``evolve``, which has no kernel, takes that
+one eigh itself): no eigvalsh and no second decomposition.
 """
 
 from pathlib import Path
@@ -143,7 +145,8 @@ def test_complementarity_report_budget(two_qubit_collective, eig_calls):
 
 
 def test_evolve_validates_each_state_once(two_qubit_collective, eig_calls):
-    """One eigvalsh per evolved state: cleaned_states hands its spectrum to the validation."""
+    """One eigh per evolved state, which judges positivity and gives the repair its
+    spectrum."""
     *_, els, gen = two_qubit_collective
     rho0 = DensityMatrix(random_density(els.dim, 3))
     times = [0.1, 1.0, 5.0, 50.0]
@@ -153,13 +156,13 @@ def test_evolve_validates_each_state_once(two_qubit_collective, eig_calls):
 
 
 def test_decompose_series_budget(two_qubit_collective, eig_calls):
-    """300 snapshots, past one chunk: two kernel decompositions each, one eigvalsh for each
-    evolved state after t = 0, and nine for each of the 13 finite-difference points."""
+    """300 snapshots, past one chunk: two kernel decompositions each, the first of which
+    also judges positivity, and nine for each of the 13 finite-difference points."""
     *_, els, gen = two_qubit_collective
     rho0 = DensityMatrix(random_density(els.dim, 3))
     eig_calls["n"] = 0
     decompose_series(gen, rho0, np.linspace(0.0, 50.0, 300))
-    assert eig_calls["n"] == 2 * 300 + 299 + 9 * 13
+    assert eig_calls["n"] == 2 * 300 + 9 * 13
 
 
 PROPAGATION_BUDGET = {
@@ -174,12 +177,14 @@ PROPAGATION_BUDGET = {
 # thermal-operation run's incoherent inputs and rho_B's cut likewise; the reversal run's 19
 # amplitude candidates take their heat flow from gen.apply and decompose nothing.  The n = 2
 # collective run takes its trajectory from the (J, m) populations: one eigh of J^2 per
-# magnetization sector, 3, and no state.
+# magnetization sector, 3, and no state.  A propagated state is judged positive from the
+# kernel's eigh of it, and the near-degenerate run's exact twin from evolve's one eigh per
+# state, which also repairs it: no eigvalsh of a trajectory and no second eigh of a repair.
 EIG_BUDGET = {
     "collective": 3,
-    "near_degenerate": 315,
+    "near_degenerate": 195,
     "otto": 28,
-    "reversal": 197,
+    "reversal": 137,
     "thermal_operation": 9315,
 }
 

@@ -9,6 +9,7 @@ from cohentropy import (
     DensityMatrix,
     IdentityViolation,
     InvariantViolation,
+    NumericalFailure,
     ShapeMismatch,
     build_generator,
     complementarity_report,
@@ -33,10 +34,13 @@ from cohentropy.scenarios import (
     run_scenario_config,
 )
 from cohentropy.qcore import CHUNK_ENTRIES
+from cohentropy import thermo
 from cohentropy.thermo import (
+    FLAG_PI_DIVERGENT,
     RATE_POSITIVITY_TOL,
     _resymm,
     check_rates_by_finite_differences,
+    instantaneous_rates,
     rate_rows,
 )
 from conftest import (
@@ -45,6 +49,7 @@ from conftest import (
     matrix_log_on_support,
     random_density,
     rates_of,
+    reference_trajectory,
     von_neumann_entropy,
 )
 
@@ -127,12 +132,23 @@ def _series(name: str, qubit_system):
 
 
 @pytest.mark.parametrize("name", ["reversal", "collective n=3", "near-degenerate", "singular start"])
-def test_series_rows_equal_single_state_rows(name, qubit_system):
-    """Each snapshot of the stacked pass is bitwise the one its state gets alone, as a stack
-    of one, flags included (the singular start's first row is pi-divergent)."""
+def test_series_rows_equal_single_state_rows(name, qubit_system, monkeypatch):
+    """Each snapshot of the stacked pass is bitwise the one its state, as the pass reads it
+    in the labeled eigenbasis, gets alone, as a stack of one, flags included (the singular
+    start's first row is pi-divergent); a state the pass repairs gets its repair alone too."""
+    read = []
+
+    def recorded(gen, states):
+        read.append(np.array(states))
+        return rate_rows(gen, states)
+
+    monkeypatch.setattr(thermo, "rate_rows", recorded)
     gen, series = _series(name, qubit_system)
-    for snap, state in zip(series.snapshots, series.states):
-        assert repr(snap) == repr(rates_of(gen, state, snap.t))
+    (stack,) = read
+    for snap, state in zip(series.snapshots, stack):
+        table, divergent, _ = rate_rows(gen, state[None])
+        alone = instantaneous_rates(gen.bath.beta_B, table[0].tolist(), bool(divergent[0]), snap.t)
+        assert repr(snap) == repr(alone)
     if name == "singular start":
         assert series.snapshots[0].flags == ("pi-divergent",)
 
@@ -147,10 +163,10 @@ def test_full_rank_chunk_rows_equal_single_state_rows(two_qubit_collective):
     singular = n - 3
     stack = np.array([random_density(els.dim, seed) for seed in range(n)])
     stack[singular] = np.diag([1.0, 0.0, 0.0, 0.0])
-    table, divergent = rate_rows(gen, stack)
+    table, divergent, _ = rate_rows(gen, els.to_labeled(stack))
     assert np.flatnonzero(divergent).tolist() == [singular]
     for k, state in enumerate(stack):
-        row, div = rate_rows(gen, state[None])
+        row, div, _ = rate_rows(gen, els.to_labeled(state)[None])
         assert table[k].tobytes() == row[0].tobytes() and divergent[k] == div[0]
         f = state_functionals(state, els, gen.bath.beta_B)
         alone = np.array([f.S, f.C_v, f.C_h, f.D_th, f.E_S, f.F_D])
@@ -185,7 +201,7 @@ def test_rates_match_the_formed_log_reference(name, two_qubit_collective):
     the functionals bitwise, the divergence marks equal, and each rate column and E_dot
     within 1e-14 max(1, max |column|)."""
     gen, states = _kernel_case(name, two_qubit_collective)
-    table, divergent = rate_rows(gen, states)
+    table, divergent, _ = rate_rows(gen, gen.els.to_labeled(states))
     want, want_divergent = dense_rate_rows(gen, states)
     assert table[:, :6].tobytes() == want[:, :6].tobytes()
     assert divergent.tolist() == want_divergent.tolist()
@@ -195,6 +211,115 @@ def test_rates_match_the_formed_log_reference(name, two_qubit_collective):
         assert (table[:, 7] != 0.0).all()  # every state has vertical coherence
     scale = np.maximum(1.0, np.max(np.abs(want[:, 6:]), axis=0))
     assert (np.max(np.abs(table[:, 6:] - want[:, 6:]), axis=0) <= 1e-14 * scale).all()
+
+
+def _trajectory_case(name: str, two_qubit_collective):
+    """(generator, rho0, times) of one input of the reference-route comparison."""
+    if name.startswith("reversal"):
+        beta_0 = float(name.split("=")[1])
+        cfg = ReversalConfig(beta_0=beta_0, coherence_amplitude=None if beta_0 == 1.1 else 0.0)
+        scen = build_reversal_scenario(cfg)
+        return scen.gen, scen.rho0, cfg.times()
+    if name == "near-degenerate":
+        cfg = NearDegenerateConfig()
+        scen = build_near_degenerate_scenario(cfg)
+        return scen.gen_clustered, thermal_state_of(scen.gen_exact.els, cfg.beta_0), cfg.times()
+    if name.startswith("collective"):
+        system = collective_coupling(SpinEnsembleSpec(int(name[-1]), 0.5, 1.0))
+        els = system.level_structure()
+        gen = build_generator([system.A_S], els, flat_bath(0.1, 1.0))
+        return gen, thermal_state_of(els, 50.0), np.linspace(0.0, 30.0, 70)
+    _, _, els, gen = two_qubit_collective
+    seed = int(name.split("=")[1])
+    return gen, DensityMatrix(random_density(els.dim, seed)), np.linspace(0.0, 40.0, 80)
+
+
+def _assert_agrees(got: np.ndarray, want: np.ndarray, kept: np.ndarray, what: str) -> None:
+    """Bitwise on the ``kept`` rows, every row within 1e-14 max(1, |column|)."""
+    assert got[kept].tobytes() == want[kept].tobytes(), what
+    scale = np.maximum(1.0, np.max(np.abs(want.reshape(len(want), -1)), axis=0))
+    dev = np.max(np.abs(got - want).reshape(len(want), -1), axis=0)
+    assert (dev <= 1e-14 * scale).all(), (what, np.max(dev / scale))
+
+
+@pytest.mark.parametrize("name", [
+    "reversal beta_0=1.1", "reversal beta_0=50", "reversal beta_0=-3", "near-degenerate",
+    "collective n=2", "collective n=3", "collective n=4", "random seed=5", "random seed=11",
+])
+def test_labeled_pass_matches_the_reference_route(name, two_qubit_collective):
+    """The one labeled pass of ``decompose_series`` against the reference route, the input-
+    basis trajectory through ``reference_cleaned_states`` (one eigvalsh, then an eigh of each
+    state with a negative eigenvalue) and the checked kernel: functionals, populations and
+    states bitwise where neither route repairs a state, and within 1e-14 max(1, |column|)
+    where they do; the rates within 1e-14 of ``dense_rate_rows`` and the flags equal."""
+    gen, rho0, times = _trajectory_case(name, two_qubit_collective)
+    series = decompose_series(gen, rho0, times)
+    states, repaired = reference_trajectory(gen, rho0, times)
+    if name == "reversal beta_0=50" or name.startswith("collective"):
+        assert repaired.any()  # the repair branch is exercised
+    kept = ~repaired
+    f = state_functionals(states, gen.els, gen.bath.beta_B)
+    _assert_agrees(series.table[:, 1:7], np.column_stack(f), kept, "functionals")
+    pops = gen.els.to_labeled(states).diagonal(axis1=-2, axis2=-1).real
+    _assert_agrees(series.populations, pops, kept, "populations")
+    _assert_agrees(series.states, states, kept, "states")
+    want, want_divergent = dense_rate_rows(gen, states)
+    assert [FLAG_PI_DIVERGENT in s.flags for s in series.snapshots] == want_divergent.tolist()
+    columns = [series.column(c) for c in ("rate_C_v", "rate_C_h", "rate_D_th", "E_dot")]
+    got = np.column_stack([np.where(want_divergent, want[:, 6], series.column("Pi_rate")), *columns])
+    scale = np.maximum(1.0, np.max(np.abs(want[:, 6:]), axis=0))
+    assert (np.max(np.abs(got - want[:, 6:]), axis=0) <= 1e-14 * scale).all()
+
+
+def _poison(monkeypatch, gen, times, k: int, depth: float) -> None:
+    """Move ``depth`` of the weight of the propagated state at times[k] from its least to
+    its largest eigenvector, so that its lowest eigenvalue is near -depth; Hermitian and of
+    unit trace still.  Only the trajectory's own propagation is poisoned."""
+    real = LindbladGenerator.labeled_propagate
+
+    def poisoned(self, x0, ts):
+        rows = real(self, x0, ts)
+        if len(ts) == len(times):
+            r = rows[k].reshape(self.dim, self.dim)
+            _, v = np.linalg.eigh(r)
+            r += depth * (np.outer(v[:, -1], v[:, -1].conj()) - np.outer(v[:, 0], v[:, 0].conj()))
+        return rows
+
+    monkeypatch.setattr(LindbladGenerator, "labeled_propagate", poisoned)
+
+
+def test_slightly_negative_state_gets_its_repair(two_qubit_collective, monkeypatch):
+    """A propagated state whose lowest eigenvalue is -1e-9, inside (-DRIFT_TOL, 0) and beyond
+    the kernel's POSITIVITY_TOL, gets the functionals, populations and state of its
+    reference repair to 1e-14; a pass that skipped the repair would reject it or read the
+    negative weight."""
+    _, _, els, gen = two_qubit_collective
+    rho0, times, k = thermal_state_of(els, 50.0), np.linspace(0.0, 20.0, 40), 7
+    _poison(monkeypatch, gen, times, k, 1e-9)
+    series = decompose_series(gen, rho0, times)
+    states, repaired = reference_trajectory(gen, rho0, times)
+    assert repaired[k] and np.linalg.eigvalsh(gen.propagate(rho0.elements.reshape(-1), times)
+                                              .reshape(-1, 4, 4)[k])[0] < -5e-10
+    f = state_functionals(states, els, gen.bath.beta_B)
+    _assert_agrees(series.table[:, 1:7], np.column_stack(f), ~repaired, "functionals")
+    pops = els.to_labeled(states).diagonal(axis1=-2, axis2=-1).real
+    _assert_agrees(series.populations, pops, ~repaired, "populations")
+    _assert_agrees(series.states, states, ~repaired, "states")
+
+
+def test_negative_state_beyond_the_drift_tolerance_names_its_time(two_qubit_collective,
+                                                                  monkeypatch):
+    """A lowest eigenvalue near -1e-6 is reported, not repaired: the invariant drift at the
+    time the reference route names."""
+    _, _, els, gen = two_qubit_collective
+    rho0, times, k = thermal_state_of(els, 50.0), np.linspace(0.0, 20.0, 40), 7
+    _poison(monkeypatch, gen, times, k, 1e-6)
+    with pytest.raises(InvariantViolation) as ref:
+        reference_trajectory(gen, rho0, times)
+    t = times[1 + ref.value.index]
+    assert t == times[k]
+    with pytest.raises(NumericalFailure, match=f"invariant drift at t = {t}: "):
+        decompose_series(gen, rho0, times)
 
 
 class TestDecomposeSeries:
