@@ -468,11 +468,20 @@ def evolve(gen: LindbladGenerator, rho0: DensityMatrix, times: Sequence[float]) 
     with drift_at(ts):
         for part in chunks(len(r), gen.dim):
             r[part] = settled(r[part], DRIFT_TOL, part.start)[0]
-    v = gen.els.basis_vectors
-    states = v @ r @ v.conj().T
+    states = in_input_basis(gen.els, r)
     states[: ts.count(0.0)] = rho0.elements
     states.setflags(write=False)
     return states
+
+
+def in_input_basis(els: EnergyLevelStructure, r: np.ndarray) -> np.ndarray:
+    """V r V^dag of each state of a writable (T, d, d) stack r in the labeled eigenbasis,
+    written over r a ``chunks`` chunk at a time, so that a trajectory never holds its
+    states in both bases at once; returns r."""
+    v = els.basis_vectors
+    for part in chunks(len(r), els.dim):
+        r[part] = v @ r[part] @ v.conj().T
+    return r
 
 
 def asymptotic_state(gen: LindbladGenerator, rho0: DensityMatrix) -> DensityMatrix:

@@ -219,31 +219,22 @@ class StateFunctionals(NamedTuple):
 
 def state_functionals(m: np.ndarray, els: EnergyLevelStructure, beta: float) -> StateFunctionals:
     """S, C_v, C_h, D_th, E_S and F_D of one state (d, d), whose fields are floats, or of a
-    stack of states (T, d, d), whose fields are (T,) arrays, in the input basis: one
-    ``spectral_pass`` of V^dag rho V per ``chunks`` chunk, which checks each state.  Each
-    state's values are bitwise those it gets alone: every step acts on each matrix of the
-    stack by itself."""
+    stack of states (T, d, d), whose fields are (T,) arrays, in the input basis: per
+    ``chunks`` chunk one ``spectral_kernel`` on the eigh of each r = V^dag rho V.  The
+    states get the checks of ``checked_states`` on the way: Hermitian and of unit trace,
+    and no eigenvalue of r below -POSITIVITY_TOL, which ``log_of_spectrum`` enforces on
+    that one eigh; a checked state, already Hermitian, keeps its bits.  Each state's values are
+    bitwise those it gets alone: every step acts on each matrix of the stack by itself."""
     single = np.ndim(m) != 3
-    stack = np.asarray(m)[None] if single else np.asarray(m)
-    if stack.ndim != 3 or stack.shape[-2:] != (els.dim, els.dim):
+    stack = _as_square_complex(np.asarray(m)[None] if single else m, stacked=True)
+    if stack.shape[-1] != els.dim:
         raise ShapeMismatch(f"state shape {np.shape(m)} does not fit structure dimension {els.dim}")
-    passes = [
-        spectral_pass(els.to_labeled(stack[part]), els, beta)[:6]
-        for part in chunks(len(stack), els.dim)
-    ]
+    passes = []
+    for part in chunks(len(stack), els.dim):
+        r = els.to_labeled(_hermitian_unit_trace(stack[part]))
+        passes.append(spectral_kernel(r, *np.linalg.eigh(r), els, beta, None)[:6])
     columns = [np.concatenate(c) if len(passes) > 1 else c[0] for c in zip(*passes)]
     return StateFunctionals(*([float(c[0]) for c in columns] if single else columns))
-
-
-def spectral_pass(r: np.ndarray, els: EnergyLevelStructure, beta: float) -> tuple:
-    """``spectral_kernel`` of a (T, d, d) stack of states r = V^dag rho V in the labeled
-    eigenbasis, after the checks of ``checked_states``: Hermitian and of unit trace, and no
-    eigenvalue of r below -POSITIVITY_TOL, which ``log_of_spectrum`` enforces on the one
-    eigh of each r; a checked state, already Hermitian, keeps its bits."""
-    r = _hermitian_unit_trace(_as_square_complex(r, stacked=True))
-    if r.shape[-1] != els.dim:
-        raise ShapeMismatch(f"state dimension {r.shape[-1]} != structure dimension {els.dim}")
-    return spectral_kernel(r, *np.linalg.eigh(r), els, beta, None)
 
 
 def spectral_kernel(

@@ -37,6 +37,7 @@ from .lindblad import (
     LindbladGenerator,
     build_generator,
     drift_at,
+    in_input_basis,
     labeled_trajectory,
 )
 from .qcore import (
@@ -100,8 +101,9 @@ class ThermoSnapshot(NamedTuple):
 @dataclass(frozen=True)
 class ThermoSeries:
     """Time-ordered snapshots along one trajectory, with their float fields as one (T, 13)
-    ``table`` (t to E_dot, judged from it), the (T, d, d) stack of its states in the input
-    basis and the (T, d) ``populations`` diag(V^dag rho V) of each state's diagonal cut."""
+    ``table`` (t to E_dot, judged from it; each snapshot is built from its row), the
+    (T, d, d) stack of its states in the input basis and the (T, d) ``populations``
+    diag(V^dag rho V) of each state's diagonal cut."""
 
     snapshots: tuple[ThermoSnapshot, ...]
     els: EnergyLevelStructure
@@ -127,17 +129,13 @@ class ThermoSeries:
         populations: np.ndarray,
     ) -> ThermoSeries:
         """The series of a (T, 11) array of the RATE_COLUMNS and its (T,) pi-divergence
-        mask at ``times``: each snapshot from its row by ``instantaneous_rates``, and the
-        table by column operations on the same values (Pi = +inf where pi-divergent,
-        Phi = beta_B E_dot)."""
+        mask at ``times``: the table by ``snapshot_table``, and each snapshot from its table
+        row by ``instantaneous_rates``."""
+        table = snapshot_table(times, rates, divergent, beta_b)
         snapshots = tuple(
-            instantaneous_rates(beta_b, row, div, t)
-            for row, div, t in zip(rates.tolist(), divergent.tolist(), times)
+            instantaneous_rates(beta_b, row, div)
+            for row, div in zip(table.tolist(), divergent.tolist())
         )
-        pi = np.where(divergent, np.inf, rates[:, 6])
-        table = np.column_stack((
-            np.asarray(times, dtype=float), rates[:, :6], pi, beta_b * rates[:, 10], rates[:, 7:]
-        ))
         return cls(snapshots, els, beta_b, states, table, populations)
 
     def column(self, name: str) -> np.ndarray:
@@ -223,28 +221,31 @@ def rate_rows(
     return table, divergent, read
 
 
-def instantaneous_rates(
-    beta_b: float, row: Sequence[float], divergent: bool, t: float
-) -> ThermoSnapshot:
-    """The snapshot at time t, at bath inverse temperature ``beta_b``, assembled from a
-    state's row of the RATE_COLUMNS and its divergence mark.  Closure and Pi >= 0 are not
-    judged here but by ``ThermoSeries.verdicts``.
+def snapshot_table(
+    times: Sequence[float], rates: np.ndarray, divergent: np.ndarray, beta_b: float
+) -> np.ndarray:
+    """The (T, 13) float fields t to E_dot of the snapshots of a (T, 11) array of the
+    RATE_COLUMNS and its (T,) pi-divergence mask at ``times``, at bath inverse temperature
+    ``beta_b``, by column operations: Pi is +inf where pi-divergent, and Phi = beta_B E_dot.
 
     Logs are taken on the support of a numerically singular state; when the drift L rho
-    additionally has weight on the null space the production rate is divergent and
-    reported as +inf with a warning flag.
-    """
-    s, c_v, c_h, d_th, e_s, f_d, pi, rate_c_v, rate_c_h, rate_d_th, e_dot = row
-    flags: tuple[str, ...] = ()
-    if divergent:
-        flags = (FLAG_PI_DIVERGENT,)
-        pi = float("inf")
+    additionally has weight on the null space the production rate is divergent, and it is
+    reported as +inf with a warning flag (``instantaneous_rates``)."""
+    pi = np.where(divergent, np.inf, rates[:, 6])
+    return np.column_stack((
+        np.asarray(times, dtype=float), rates[:, :6], pi, beta_b * rates[:, 10], rates[:, 7:]
+    ))
+
+
+def instantaneous_rates(beta_b: float, row: Sequence[float], divergent: bool) -> ThermoSnapshot:
+    """The snapshot of one row of a ``snapshot_table`` (its float fields t to E_dot) and its
+    divergence mark, at bath inverse temperature ``beta_b``: only the flags are added, the
+    ``pi-divergent`` one where marked and ``not-applicable`` at beta_b = 0.  Closure and
+    Pi >= 0 are not judged here but by ``ThermoSeries.verdicts``."""
+    flags: tuple[str, ...] = (FLAG_PI_DIVERGENT,) if divergent else ()
     if beta_b == 0.0:
         flags += (FLAG_NOT_APPLICABLE,)
-    return ThermoSnapshot(
-        float(t), s, c_v, c_h, d_th, e_s, f_d, pi, beta_b * e_dot,
-        rate_c_v, rate_c_h, rate_d_th, e_dot, flags,
-    )
+    return ThermoSnapshot(*row, flags)
 
 
 def decompose_series(
@@ -257,20 +258,20 @@ def decompose_series(
     One pass in the labeled eigenbasis: the ``labeled_trajectory`` of rho0, its states
     drift-checked, symmetrized and normalized, goes straight into ``rate_rows``, whose one
     eigh per state also judges positivity and repairs tiny negative eigenvalues; a drift
-    beyond DRIFT_TOL is a NumericalFailure naming t.  Each snapshot is assembled from its
-    row by ``instantaneous_rates``, the populations are the diagonals of the settled
-    states, and ``states`` is V r V^dag of each, formed once.  Rates are cross-validated at
-    the ``finite_difference_picks`` by ``check_rates_by_finite_differences``.
+    beyond DRIFT_TOL is a NumericalFailure naming t.  ``ThermoSeries.from_rates`` forms the
+    table and a snapshot from each of its rows, the populations are the diagonals of the
+    settled states, and ``states`` is V r V^dag of each, formed once over the labeled stack
+    by ``in_input_basis``.  Rates are cross-validated at the ``finite_difference_picks`` by
+    ``check_rates_by_finite_differences``.
     """
     if not len(times):
         raise ShapeMismatch("decompose_series: the time list is empty")
     r = labeled_trajectory(gen, rho0, times)
     with drift_at([float(t) for t in times]):
         rates, divergent, r = rate_rows(gen, r)
-    v = gen.els.basis_vectors
-    states = v @ r @ v.conj().T
-    states.setflags(write=False)
     populations = r.diagonal(axis1=-2, axis2=-1).real.copy()
+    states = in_input_basis(gen.els, r)
+    states.setflags(write=False)
     series = ThermoSeries.from_rates(
         times, rates, divergent, gen.els, gen.bath.beta_B, states, populations
     )

@@ -14,7 +14,6 @@ from cohentropy import (
 )
 from cohentropy.qcore import (
     CLIP_FLOOR,
-    DRIFT_TOL,
     SUPPORT_WEIGHT_TOL,
     Verdict,
     _check_relative_entropy,
@@ -25,7 +24,6 @@ from cohentropy.qcore import (
     entropy_of_spectrum,
     log_boltzmann_weights,
     log_of_spectrum,
-    settled,
 )
 from cohentropy.scenarios import CSV_HEADER
 from cohentropy.thermo import (
@@ -34,6 +32,7 @@ from cohentropy.thermo import (
     fit_inverse_temperature,
     instantaneous_rates,
     rate_rows,
+    snapshot_table,
 )
 from cohentropy.thermalops import (
     conservation_report,
@@ -80,19 +79,15 @@ def relative_entropy_from_logs(
 
 def dense_rate_rows(gen, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reference ``rate_rows`` from formed (T, d, d) log matrices: each functional from the
-    spectra of r = V^dag rho V, as ``settled`` reads it (repaired where it has a tiny
-    negative eigenvalue), of its block-diagonal cut and of its populations, each rate the
-    overlap Tr r_dot (ln X - ln Y) with r_dot = V^dag (L rho) V from ``gen.apply``, E_dot
-    = Tr (L rho) H, and the divergence mark from the null-space projector of each rho, at
-    the drift's scale ||L||."""
+    spectra of r = V^dag rho V, of its block-diagonal cut and of its populations, each from
+    its own eigh, each rate the overlap Tr r_dot (ln X - ln Y) with r_dot = V^dag (L rho) V
+    from ``gen.apply``, E_dot = Tr (L rho) H, and the divergence mark from the null-space
+    projector of each rho, at the drift's scale ||L||."""
     els, beta = gen.els, gen.bath.beta_B
     m = 0.5 * (states + dagger(states))
-    r, lam, u = settled(els.to_labeled(m), DRIFT_TOL)
-    states = els.basis_vectors @ r @ dagger(els.basis_vectors)
-    bd = np.where(els.same_level, r, 0.0)
-    lam_bd, u_bd = np.linalg.eigh(bd)
-    own = (bd == r).all(axis=(-2, -1))  # rho_BD is rho, whose decomposition the kernel reads
-    lam_bd[own], u_bd[own] = lam[own], u[own]
+    r = els.to_labeled(m)
+    lam, u = np.linalg.eigh(r)
+    lam_bd, u_bd = np.linalg.eigh(np.where(els.same_level, r, 0.0))
     pops = r.diagonal(axis1=-2, axis2=-1).real
     log_rho, log_bd = ((v * log_of_spectrum(x)[:, None, :]) @ dagger(v)
                        for x, v in ((lam, u), (lam_bd, u_bd)))
@@ -317,7 +312,9 @@ def rates_of(gen, state: np.ndarray, t: float = 0.0):
     """The snapshot of one (d, d) state at time t, from the ``rate_rows`` row of V^dag rho V
     as a stack of one."""
     table, divergent, _ = rate_rows(gen, gen.els.to_labeled(state)[None])
-    return instantaneous_rates(gen.bath.beta_B, table[0].tolist(), bool(divergent[0]), t)
+    beta = gen.bath.beta_B
+    return instantaneous_rates(beta, snapshot_table([t], table, divergent, beta)[0].tolist(),
+                               bool(divergent[0]))
 
 
 def complementarity_reference(series, tol: float = COMPLEMENTARITY_TOL):

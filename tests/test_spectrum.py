@@ -21,7 +21,7 @@ from cohentropy import (
     thermal_state_of,
 )
 from cohentropy.qcore import CHUNK_ENTRIES
-from cohentropy.spectrum import spectral_kernel, spectral_pass
+from cohentropy.spectrum import spectral_kernel
 from cohentropy.scenarios import thermal_operation_systems
 from conftest import (
     dephase_block_diagonal,
@@ -372,11 +372,11 @@ class TestStateFunctionals:
         ("eigenvalue", 2e-10, 1e-12, "eigenvalue"),
     ])
     def test_array_gets_the_density_matrix_checks(self, kind, beyond, within, message):
-        """Beyond a DensityMatrix tolerance the kernel's pass rejects the array too, alone
-        or through state_functionals; within it all accept."""
+        """Beyond a DensityMatrix tolerance state_functionals rejects the array too, alone
+        or as a stack of one; within it all accept."""
         els = STRUCTURES["degenerate qutrit"]
         checks = (DensityMatrix, lambda m: state_functionals(m, els, 1.0),
-                  lambda m: spectral_pass(els.to_labeled(m)[None], els, 1.0))
+                  lambda m: state_functionals(m[None], els, 1.0))
         for check in checks:
             with pytest.raises(InvariantViolation, match=message):
                 check(_perturbed(kind, beyond))
@@ -416,12 +416,12 @@ class TestStateFunctionals:
 
     def test_stack_of_one_keeps_a_leading_axis(self):
         """A stack of one keeps its axis in every stacked field and in the overlaps of its
-        drift, which are None without one: the kernel reads a drift, the checked pass none."""
+        drift, which are None without one."""
         els = STRUCTURES["degenerate qutrit"]
         stack = random_density(3, 5)[None]
         assert state_functionals(stack, els, 1.3).S.shape == (1,)
         r = els.to_labeled(stack)
-        *functionals, null, flows, _ = spectral_pass(r, els, 1.3)
+        *functionals, null, flows, _ = spectral_kernel(r, *np.linalg.eigh(r), els, 1.3, None)
         assert all(f.shape == (1,) for f in functionals)
         assert null.shape == (1, 3, 3) and flows is None
         assert spectral_kernel(r, *np.linalg.eigh(r), els, 1.3, lambda r: r)[-2].shape == (1, 5)
@@ -430,7 +430,8 @@ class TestStateFunctionals:
         """The null-space projector, in the input basis: rank 2 for a rank-1 qutrit."""
         els = STRUCTURES["rotated qutrit"]
         rho = DensityMatrix(random_density(3, 7, rank=1))
-        (null,) = spectral_pass(els.to_labeled(rho.elements)[None], els, 1.0)[-3]
+        r = els.to_labeled(rho.elements)[None]
+        (null,) = spectral_kernel(r, *np.linalg.eigh(r), els, 1.0, None)[-3]
         assert null.shape == (3, 3)
         assert np.max(np.abs(null @ null - null)) < 1e-12
         assert abs(np.trace(null) - 2.0) < 1e-12
