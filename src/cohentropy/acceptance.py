@@ -441,9 +441,9 @@ def criterion_11(ctx: AcceptanceContext) -> CriterionResult:
     series = ctx.reversal.series
     interior = list(range(1, len(series.snapshots) - 1))
     picks = sorted(rng.choice(interior, size=20, replace=False))
-    points = [(series.snapshots[k].t, series.states[k], series.snapshots[k]) for k in picks]
     failures = check_rates_by_finite_differences(
-        ctx.reversal.gen, points, raise_on_failure=False, rel_tol=ctx.tol(11, FD_RELATIVE_TOL)
+        ctx.reversal.gen, ctx.reversal.rho0, series.table[picks], raise_on_failure=False,
+        rel_tol=ctx.tol(11, FD_RELATIVE_TOL),
     )
     return CriterionResult(
         11, "analytic rates match centered finite differences (rel 1e-4)",

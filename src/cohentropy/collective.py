@@ -34,6 +34,7 @@ from .thermo import (
     ThermoSeries,
     finite_difference_check,
     finite_difference_picks,
+    finite_difference_rates,
     pi_divergent,
 )
 
@@ -475,12 +476,12 @@ def collective_series(
     eigendecomposition of a (d, d) state.
 
     The chains start from the thermal weights ``log_boltzmann_weights`` gives, and the
-    series is assembled from the ``population_rows`` rows by ``ThermoSeries.from_rates``.
-    ``states`` is the (T, d, d) stack sum p Pi in the product basis, and ``populations``
-    the diagonal cut's p @ cut.  The rates are
-    cross-checked by ``finite_difference_check`` at the ``finite_difference_picks``, with
-    ||L|| the inf-norm of the chains' generator M and the functionals at t +- h/2 and
-    t +- h propagated from the start.
+    series is assembled from the ``population_rows`` rows by ``ThermoSeries.from_rates``,
+    with ``populations`` the diagonal cut's p @ cut.  The rates are cross-checked by
+    ``finite_difference_check`` at the ``finite_difference_picks``, with ||L|| the inf-norm
+    of the chains' generator M, and the least eigenvalue (the least population) and the
+    functionals at each time it asks for from ``population_rows`` of the populations
+    propagated from the start.
     """
     ts = [float(t) for t in times]
     if not ts:
@@ -492,25 +493,17 @@ def collective_series(
     p0 = np.exp(log_w0[np.argmax(chains.cut, axis=1)])  # the weight of a state of m's level
     p = chains.propagate(p0, ts)
     table, divergent = population_rows(chains, p, els, bath.beta_B)
-    states = (p @ chains.projectors.reshape(len(p0), -1)).reshape(len(ts), spec.dim, spec.dim)
-    states = states.astype(complex)
-    states.setflags(write=False)
-    series = ThermoSeries.from_rates(
-        ts, table, divergent, els, bath.beta_B, states, p @ chains.cut
-    )
-    snapshots = series.snapshots
+    series = ThermoSeries.from_rates(ts, table, divergent, els, bath.beta_B, p @ chains.cut)
     if len(ts) < 3:
         return series
 
-    def lowest(kept):
-        return np.array([pops.min() for _, pops, _ in kept])
+    def functionals_at(at, kernel):
+        q = chains.propagate(p0, at)
+        f = population_rows(chains, q, els, bath.beta_B)[0][:, :4] if kernel else None
+        return q.min(axis=1), f
 
-    def shifted(kept, steps):
-        if kept:
-            shift = chains.propagate(p0, [t + h for t, _, _ in kept for h in steps])
-            f = population_rows(chains, shift, els, bath.beta_B)[0][:, :4]
-            yield slice(0, len(kept)), f.T.reshape(4, -1, 4).transpose(1, 0, 2)
-
-    points = [(ts[k], p[k], snapshots[k]) for k in finite_difference_picks(divergent.tolist())]
-    finite_difference_check(points, chains.norm, lowest, shifted)
+    rows = series.table[finite_difference_picks(divergent.tolist())]
+    finite_difference_check(
+        rows[:, 0].tolist(), finite_difference_rates(rows), chains.norm, functionals_at
+    )
     return series

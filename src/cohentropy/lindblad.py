@@ -186,9 +186,10 @@ class LindbladGenerator:
     """Sum over uncorrelated channels of their terms (A_k, Gamma_k),
     Gamma_k [A_k X A_k^dag - A_k^dag A_k X] + h.c., each A_k in the labeled
     eigenbasis of ``els``.  The terms are assembled once into ``blocks``, the one form
-    of L: ``labeled_drift`` and ``labeled_propagate`` (the one finite-time exp(t L)) read
-    them in the labeled eigenbasis, ``apply`` and ``propagate`` through those in the input
-    basis, and construction checks on them that L preserves the trace.
+    of L: ``labeled_drift`` and ``labeled_propagate`` (the one finite-time exp(t L), which
+    only ``labeled_trajectory`` calls) read them in the labeled eigenbasis, ``apply``
+    through ``labeled_drift`` in the input basis, and construction checks on them that L
+    preserves the trace.
     """
 
     channels: tuple[tuple[tuple[np.ndarray, complex], ...], ...]
@@ -334,21 +335,13 @@ class LindbladGenerator:
         ]
         return blocks, max(1.0, max_abs(total))
 
-    def propagate(self, vec0: np.ndarray, times: Sequence[float]) -> np.ndarray:
-        """exp(t L) vec0 for each t of any sign and order, row-stacked in the input basis:
-        one row per t, V (``labeled_propagate`` of V^dag vec0 V) V^dag."""
-        d, v = self.dim, self.els.basis_vectors
-        x0 = self.els.to_labeled(np.asarray(vec0, dtype=complex).reshape(d, d)).reshape(-1)
-        rows = self.labeled_propagate(x0, times).reshape(-1, d, d)
-        return (v @ rows @ v.conj().T).reshape(len(rows), -1)
-
     def labeled_propagate(self, x0: np.ndarray, times: Sequence[float]) -> np.ndarray:
         """exp(t L) x0 for each t of any sign and order, row-stacked in the labeled eigenbasis
         as x0 is: one row per t.  Each block x0 occupies goes through its cached eig, or takes
         expm steps between times when ``_diagonalize`` rejects it."""
         ts = np.asarray(times, dtype=float)
         if not len(ts):
-            raise ShapeMismatch("LindbladGenerator.propagate: the time list is empty")
+            raise ShapeMismatch("LindbladGenerator.labeled_propagate: the time list is empty")
         out = np.zeros((len(ts), self.dim**2), dtype=complex)
         for k, (idx, block) in enumerate(self.blocks):
             x = x0[idx]
@@ -438,7 +431,9 @@ def labeled_trajectory(
     the labeled eigenbasis: a writable (T, d, d) stack whose rows at t = 0 are V^dag rho0 V
     itself, and whose other rows are finite and ``drift_checked`` to DRIFT_TOL, else a
     NumericalFailure names their t.  Positivity is judged by the eigh its reader takes
-    (``settled``)."""
+    (``settled``).  Every finite-time state of the package comes from here: ``evolve``, the
+    series' pass and its finite-difference cross-check, the Otto strokes and the
+    near-degenerate twin."""
     ts = [float(t) for t in times]
     if any(t < 0 for t in ts) or ts != sorted(ts):
         raise InvariantViolation("times must be sorted and nonnegative")
@@ -477,7 +472,8 @@ def evolve(gen: LindbladGenerator, rho0: DensityMatrix, times: Sequence[float]) 
 def in_input_basis(els: EnergyLevelStructure, r: np.ndarray) -> np.ndarray:
     """V r V^dag of each state of a writable (T, d, d) stack r in the labeled eigenbasis,
     written over r a ``chunks`` chunk at a time, so that a trajectory never holds its
-    states in both bases at once; returns r."""
+    states in both bases at once; returns r.  The one way back to the input basis of
+    ``evolve``, the Otto strokes and the near-degenerate twin."""
     v = els.basis_vectors
     for part in chunks(len(r), els.dim):
         r[part] = v @ r[part] @ v.conj().T

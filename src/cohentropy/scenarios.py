@@ -34,6 +34,8 @@ from .lindblad import (
     build_generator,
     evolve,
     flat_bath,
+    in_input_basis,
+    labeled_trajectory,
 )
 from .qcore import (
     DensityMatrix,
@@ -213,7 +215,7 @@ def parse_config(raw: Any) -> AnyConfig:
 def read_json(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
 
 
@@ -371,11 +373,13 @@ def build_near_degenerate_scenario(cfg: NearDegenerateConfig) -> NearDegenerateS
     rho0 = thermal_state_of(els_exact, cfg.beta_0)
     traj_exact = evolve(gen_exact, rho0, times)
     series = decompose_series(gen_clustered, rho0, times)
+    # the series' pass judged these states' positivity; the block eigs are cached
+    traj = in_input_basis(gen_clustered.els, labeled_trajectory(gen_clustered, rho0, times))
     return NearDegenerateScenario(
         gen_exact=gen_exact,
         gen_clustered=gen_clustered,
         series=series,
-        max_trace_distance=float(np.max(trace_distance(traj_exact, series.states))),
+        max_trace_distance=float(np.max(trace_distance(traj_exact, traj))),
     )
 
 
@@ -605,9 +609,12 @@ class CollectiveConfig:
         _require_positive(self, "omega", "gamma")
         if self.n < 1 or self.s <= 0 or round(2 * self.s) != 2 * self.s:
             raise ConfigError("need n >= 1 and positive half-integer s")
-        dim = int(round(2 * self.s + 1)) ** self.n
-        if dim > LINDBLAD_DIM_BUDGET:
-            raise ConfigError(f"(2s+1)^n = {dim} exceeds the Lindblad budget {LINDBLAD_DIM_BUDGET}")
+        # n ln(2s+1) against ln(budget), so that no power of a large n or s is formed
+        if self.n > math.log(LINDBLAD_DIM_BUDGET) / math.log(2 * self.s + 1) + 1e-9:
+            raise ConfigError(
+                f"(2s+1)^n exceeds the Lindblad budget {LINDBLAD_DIM_BUDGET} at n = {self.n}, "
+                f"s = {self.s}"
+            )
 
     def times(self) -> list[float]:
         return geometric_times(0.01 / self.gamma, 30.0 / self.gamma, self.time_grid.points)

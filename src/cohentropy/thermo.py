@@ -46,7 +46,6 @@ from .qcore import (
     DensityMatrix,
     HermitianObservable,
     Verdict,
-    _as_square_complex,
     boltzmann_weights,
     chunks,
     diagonal_relative_entropy,
@@ -101,14 +100,13 @@ class ThermoSnapshot(NamedTuple):
 @dataclass(frozen=True)
 class ThermoSeries:
     """Time-ordered snapshots along one trajectory, with their float fields as one (T, 13)
-    ``table`` (t to E_dot, judged from it; each snapshot is built from its row), the
-    (T, d, d) stack of its states in the input basis and the (T, d) ``populations``
-    diag(V^dag rho V) of each state's diagonal cut."""
+    ``table`` (t to E_dot, judged from it; each snapshot is built from its row) and the
+    (T, d) ``populations`` diag(V^dag rho V) of each state's diagonal cut.  The states
+    themselves are used up by the pass that computed these."""
 
     snapshots: tuple[ThermoSnapshot, ...]
     els: EnergyLevelStructure
     beta_B: float
-    states: np.ndarray
     table: np.ndarray
     populations: np.ndarray
 
@@ -125,7 +123,6 @@ class ThermoSeries:
         divergent: np.ndarray,
         els: EnergyLevelStructure,
         beta_b: float,
-        states: np.ndarray,
         populations: np.ndarray,
     ) -> ThermoSeries:
         """The series of a (T, 11) array of the RATE_COLUMNS and its (T,) pi-divergence
@@ -136,7 +133,7 @@ class ThermoSeries:
             instantaneous_rates(beta_b, row, div)
             for row, div in zip(table.tolist(), divergent.tolist())
         )
-        return cls(snapshots, els, beta_b, states, table, populations)
+        return cls(snapshots, els, beta_b, table, populations)
 
     def column(self, name: str) -> np.ndarray:
         """The float field ``name`` of every snapshot, a (T,) view of the table."""
@@ -191,23 +188,20 @@ def rate_rows(
     a (T, d, d) stack of ``drift_checked`` states r = V^dag rho V in the labeled eigenbasis:
     the (T, 11) array of the RATE_COLUMNS, the (T,) ``pi_divergent`` mask of the states
     whose drift L rho has weight on their null space, at ||L|| = ``gen.norm_inf``, and the
-    states as read, each ``settled``.  Computed by ``chunks``: per chunk one eigh, which
-    ``settled`` also judges positivity with (an InvariantViolation whose ``index`` is the
-    state's position) and repairs tiny negative eigenvalues from, then one
-    ``spectral_kernel``, which takes the labeled drift from ``gen.labeled_drift`` and reads
-    its overlaps off the eigenbases; the mark reads that same drift, mapped to the input
-    basis where the null projector lives, only on chunks that have a null space.  A state's
-    row is bitwise the one it gets alone."""
+    (T, d) populations, the diagonal of each state as read, ``settled``.  Computed by
+    ``chunks``: per chunk one eigh, which ``settled`` also judges positivity with (an
+    InvariantViolation whose ``index`` is the state's position) and repairs tiny negative
+    eigenvalues from, then one ``spectral_kernel``, which takes the labeled drift from
+    ``gen.labeled_drift`` and reads its overlaps off the eigenbases; the mark reads that
+    same drift, mapped to the input basis where the null projector lives, only on chunks
+    that have a null space.  A state's row is bitwise the one it gets alone."""
     els, beta_b = gen.els, gen.bath.beta_B
     table = np.empty((len(states), len(RATE_COLUMNS)))
     divergent = np.zeros(len(states), dtype=bool)
-    read = states
+    populations = np.empty(states.shape[:2])
     for part in chunks(len(states), gen.dim):
-        m = states[part]
-        r, lam, u = settled(m, DRIFT_TOL, part.start)
-        if r is not m:  # a state was repaired: the stack as read is a copy
-            read = states.copy() if read is states else read
-            read[part] = r
+        r, lam, u = settled(states[part], DRIFT_TOL, part.start)
+        populations[part] = r.diagonal(axis1=-2, axis2=-1).real
         *functionals, null, flows, r_dot = spectral_kernel(
             r, lam, u, els, beta_b, gen.labeled_drift
         )
@@ -218,7 +212,7 @@ def rate_rows(
         if null.any():  # zeros when every state of the chunk has full rank
             rho_dot = els.basis_vectors @ r_dot @ els.basis_vectors.conj().T
             divergent[part] = pi_divergent(null, null @ rho_dot @ null, gen.norm_inf)
-    return table, divergent, read
+    return table, divergent, populations
 
 
 def snapshot_table(
@@ -259,26 +253,18 @@ def decompose_series(
     drift-checked, symmetrized and normalized, goes straight into ``rate_rows``, whose one
     eigh per state also judges positivity and repairs tiny negative eigenvalues; a drift
     beyond DRIFT_TOL is a NumericalFailure naming t.  ``ThermoSeries.from_rates`` forms the
-    table and a snapshot from each of its rows, the populations are the diagonals of the
-    settled states, and ``states`` is V r V^dag of each, formed once over the labeled stack
-    by ``in_input_basis``.  Rates are cross-validated at the ``finite_difference_picks`` by
-    ``check_rates_by_finite_differences``.
+    table and a snapshot from each of its rows, and the populations are the diagonals of
+    the settled states; no state outlives the pass.  Rates are cross-validated at the
+    ``finite_difference_picks`` by ``check_rates_by_finite_differences``.
     """
     if not len(times):
         raise ShapeMismatch("decompose_series: the time list is empty")
-    r = labeled_trajectory(gen, rho0, times)
     with drift_at([float(t) for t in times]):
-        rates, divergent, r = rate_rows(gen, r)
-    populations = r.diagonal(axis1=-2, axis2=-1).real.copy()
-    states = in_input_basis(gen.els, r)
-    states.setflags(write=False)
-    series = ThermoSeries.from_rates(
-        times, rates, divergent, gen.els, gen.bath.beta_B, states, populations
-    )
-    if len(states) >= 3:
-        snapshots = series.snapshots
+        rates, divergent, populations = rate_rows(gen, labeled_trajectory(gen, rho0, times))
+    series = ThermoSeries.from_rates(times, rates, divergent, gen.els, gen.bath.beta_B, populations)
+    if len(times) >= 3:
         picks = finite_difference_picks(divergent.tolist())
-        check_rates_by_finite_differences(gen, [(times[k], states[k], snapshots[k]) for k in picks])
+        check_rates_by_finite_differences(gen, rho0, series.table[picks])
     return series
 
 
@@ -293,72 +279,87 @@ def finite_difference_picks(divergent: Sequence[bool]) -> list[int]:
     return usable[:: max(1, (len(divergent) - 2) // 12)]
 
 
+def finite_difference_rates(rows: np.ndarray) -> np.ndarray:
+    """The analytic side of each of the FD_IDENTITIES, Pi + Phi, dC_v/dt, dC_h/dt and
+    dD_th/dt, of (P, 13) rows of a snapshot table: a (P, 4) array."""
+    names = ThermoSnapshot._fields
+    pi, phi = (rows[:, names.index(name)] for name in ("Pi_rate", "Phi_rate"))
+    rates = [rows[:, names.index(name)] for name in ("rate_C_v", "rate_C_h", "rate_D_th")]
+    return np.column_stack((pi + phi, *rates))
+
+
 def check_rates_by_finite_differences(
     gen: LindbladGenerator,
-    points: Sequence[tuple[float, np.ndarray, ThermoSnapshot]],
+    rho0: DensityMatrix,
+    rows: np.ndarray,
     raise_on_failure: bool = True,
     rel_tol: float = FD_RELATIVE_TOL,
 ) -> list[str]:
-    """``finite_difference_check`` of the (t, state, snapshot) points of a trajectory of
-    ``gen``, each state a (d, d) array, with ||L|| = ``gen.norm_inf``.
+    """``finite_difference_check`` of (P, 13) rows of the snapshot table of the trajectory
+    of rho0 under ``gen``, with ||L|| = ``gen.norm_inf``.
 
-    One stacked eigvalsh takes the lowest eigenvalue of every point's state; each kept
-    point's states at t +- h/2 and t +- h come from one ``gen.propagate`` call, and the
-    kernel takes them a ``chunks`` chunk of points at a time (four (d, d) states are the
-    entries of one (2d, 2d) matrix), so the stack never outgrows a chunk.
+    Each call's states come from one ``labeled_trajectory`` of rho0, its times sorted once,
+    so each is checked as every propagated state is; per ``chunks`` chunk one eigh through
+    ``settled`` gives the least eigenvalues and, with ``spectral_kernel`` where asked, the
+    functionals.
     """
-    d = gen.dim
+    def functionals_at(ts, kernel):
+        order = np.argsort(ts, kind="stable")
+        ordered = [ts[k] for k in order]
+        r = labeled_trajectory(gen, rho0, ordered)
+        least, f = np.empty(len(ts)), np.empty((len(ts), 4)) if kernel else None
+        with drift_at(ordered):
+            for part in chunks(len(r), gen.dim):
+                r_part, lam, u = settled(r[part], DRIFT_TOL, part.start)
+                least[order[part]] = lam[:, 0]
+                if kernel:
+                    columns = spectral_kernel(r_part, lam, u, gen.els, gen.bath.beta_B, None)
+                    f[order[part]] = np.column_stack(columns[:4])
+        return least, f
 
-    def lowest(kept):
-        return np.linalg.eigvalsh(np.array([state for _, state, _ in kept]))[:, 0]
-
-    def shifted(kept, steps):
-        for part in chunks(len(kept), 2 * d):
-            stack = np.array([
-                _resymm(x.reshape(d, d))
-                for _, state, _ in kept[part]
-                for x in gen.propagate(state.reshape(-1), steps)
-            ])
-            f = state_functionals(stack, gen.els, gen.bath.beta_B)
-            yield part, np.stack((f.S, f.C_v, f.C_h, f.D_th)).reshape(4, -1, 4).transpose(1, 0, 2)
-
-    return finite_difference_check(points, gen.norm_inf, lowest, shifted, raise_on_failure, rel_tol)
+    return finite_difference_check(
+        rows[:, 0].tolist(), finite_difference_rates(rows), gen.norm_inf, functionals_at,
+        raise_on_failure, rel_tol,
+    )
 
 
 def finite_difference_check(
-    points: Sequence[tuple[float, np.ndarray, ThermoSnapshot]],
+    times: Sequence[float],
+    analytic: np.ndarray,
     norm: float,
-    lowest: Callable,
-    shifted: Callable,
+    functionals_at: Callable,
     raise_on_failure: bool = True,
     rel_tol: float = FD_RELATIVE_TOL,
 ) -> list[str]:
-    """Compare analytic rates with finite differences of the state functionals at each
-    (t, state, snapshot) point of a trajectory whose generator has norm ``norm``: the one
-    rule of every trajectory path.
+    """Compare the (P, 4) ``analytic`` rates of the FD_IDENTITIES at ``times`` along a
+    trajectory whose generator has norm ``norm`` with finite differences of its state
+    functionals: the one rule of every trajectory path.
 
     The estimate is the Richardson extrapolation (4 D(h/2) - D(h)) / 3 of the
     centered differences D at h ||L|| = 1e-3, so its error is O(h^4), judged to
     ``rel_tol`` with an absolute slack of 1e-9 max(1, ||L||).  Points at t <= h, and
     points whose state has an eigenvalue below FD_MINEIG_FLOOR (there the functionals are
     dominated by log-singular transients no fixed-step difference can resolve), are
-    skipped.  ``lowest(points)`` gives the lowest eigenvalue of each point's state, and
-    ``shifted(points, steps)`` yields (slice of points, [point][functional][shift] array)
-    pairs of S, C_v, C_h and D_th at t + each of the steps (-h, -h/2, h/2, h).
-    Returns the list of failing identity descriptions (empty when all pass).
+    skipped.  ``functionals_at(ts, kernel)`` gives, for each t of a list, the least
+    eigenvalue of the state propagated from the start to t and, when ``kernel``, the
+    (len(ts), 4) array of its S, C_v, C_h and D_th (else None): it is asked for the least
+    eigenvalues at the points past h, then for the functionals at the shifted times t - h,
+    t - h/2, t + h/2 and t + h of each point kept.  Returns the list of failing identity
+    descriptions (empty when all pass).
     """
     h = 1e-3 / max(norm, 1e-12)
     atol = 1e-9 * max(1.0, norm)
-
-    points = [p for p in points if p[0] > h]
-    if points:
-        lam_min = lowest(points)
-        points = [p for p, lam in zip(points, lam_min.tolist()) if lam >= FD_MINEIG_FLOOR]
+    kept = [k for k, t in enumerate(times) if t > h]
+    if kept:
+        least = functionals_at([times[k] for k in kept], False)[0]
+        kept = [k for k, lam in zip(kept, least.tolist()) if lam >= FD_MINEIG_FLOOR]
     failures: list[str] = []
-    for part, shifts in shifted(points, (-h, -0.5 * h, 0.5 * h, h)):
-        for (t, _, snap), columns in zip(points[part], shifts.tolist()):
-            analytic = (snap.Pi_rate + snap.Phi_rate, snap.rate_C_v, snap.rate_C_h, snap.rate_D_th)
-            for key, an, (b2, b1, f1, f2) in zip(FD_IDENTITIES, analytic, columns):
+    if kept:
+        steps = (-h, -0.5 * h, 0.5 * h, h)
+        f = functionals_at([times[k] + step for k in kept for step in steps], True)[1]
+        shifted = f.reshape(-1, 4, 4).transpose(0, 2, 1).tolist()  # [point][functional][step]
+        for t, rates, columns in zip([times[k] for k in kept], analytic[kept].tolist(), shifted):
+            for key, an, (b2, b1, f1, f2) in zip(FD_IDENTITIES, rates, columns):
                 fd = (4 * (f1 - b1) / h - (f2 - b2) / (2 * h)) / 3
                 if abs(fd - an) > rel_tol * max(abs(fd), abs(an)) + atol:
                     failures.append(
@@ -569,16 +570,6 @@ class OttoCycleReport(NamedTuple):
         return [Verdict(name, r, tol, abs(r) <= tol) for name, r in residuals]
 
 
-def _resymm(m: np.ndarray) -> np.ndarray:
-    """Hermitian part of a propagated state at unit trace; rejects it before dividing if it is lost."""
-    m = _as_square_complex(m)
-    tr = m.trace().real
-    if not tr > 0.0:
-        raise InvariantViolation(f"propagated state has trace {tr:.3e}")
-    m = 0.5 * (m + m.conj().T)
-    return m / tr
-
-
 def _run_machine(
     label: str,
     gen_cold: LindbladGenerator,
@@ -587,13 +578,12 @@ def _run_machine(
     stroke_time: float,
 ) -> OttoMachineResult:
     def relax(gen: LindbladGenerator, rho: DensityMatrix) -> DensityMatrix:
-        (vec,) = gen.propagate(rho.elements.reshape(-1), (stroke_time,))
-        if not np.isfinite(vec).all():
+        try:
+            r = labeled_trajectory(gen, rho, (stroke_time,))
+        except NumericalFailure as exc:
             isochore = "cold" if gen is gen_cold else "hot"
-            raise NumericalFailure(
-                f"{label}: {isochore} isochore: propagated state is not finite at t = {stroke_time}"
-            )
-        return DensityMatrix(_resymm(vec.reshape(rho.dim, rho.dim)))
+            raise NumericalFailure(f"{label}: {isochore} isochore: {exc}") from exc
+        return DensityMatrix(in_input_basis(gen.els, r)[0])
 
     s0 = rho_start
     cycles = 0
@@ -665,8 +655,9 @@ def otto_cycle(
     single collective channel.  The limit cycle of the coherent machine
     depends on ``initial_state`` through the conserved collective-sector
     weights.  The report's level structures ``els_cold`` and ``els_hot`` are
-    those of H_cold and lam * H_cold.  A propagated stroke state that is not
-    finite raises NumericalFailure naming the machine, the isochore and t.
+    those of H_cold and lam * H_cold.  Each stroke state comes from
+    ``labeled_trajectory``: one that is not finite, or drifts from Hermitian and unit
+    trace beyond DRIFT_TOL, raises NumericalFailure naming the machine, the isochore and t.
     """
     if not lam > 0.0:
         raise InvariantViolation(f"lam must be positive, got {lam}")

@@ -18,7 +18,6 @@ from cohentropy.qcore import (
     Verdict,
     _check_relative_entropy,
     boltzmann_weights,
-    chunks,
     dagger,
     diagonal_relative_entropy,
     entropy_of_spectrum,
@@ -141,12 +140,21 @@ def reference_cleaned_states(matrices: np.ndarray, drift_tol: float = 1e-8):
     return m, neg
 
 
+def propagate(gen, vec0: np.ndarray, times) -> np.ndarray:
+    """exp(t L) vec0 for each t of any sign and order, row-stacked in the input basis: one
+    row per t, V (``gen.labeled_propagate`` of V^dag vec0 V) V^dag, with no check."""
+    d, v = gen.dim, gen.els.basis_vectors
+    x0 = gen.els.to_labeled(np.asarray(vec0, dtype=complex).reshape(d, d)).reshape(-1)
+    rows = gen.labeled_propagate(x0, times).reshape(-1, d, d)
+    return (v @ rows @ v.conj().T).reshape(len(rows), -1)
+
+
 def reference_trajectory(gen, rho0: DensityMatrix, times):
-    """Reference trajectory in the input basis: ``gen.propagate`` of rho0 at each time, the
+    """Reference trajectory in the input basis: ``propagate`` of rho0 at each time, the
     rows after t = 0 through ``reference_cleaned_states`` and those at t = 0 rho0 itself.
     Returns (states, mask of the repaired ones)."""
     d = gen.dim
-    states = gen.propagate(rho0.elements.reshape(-1), times).reshape(-1, d, d)
+    states = propagate(gen, rho0.elements, times).reshape(-1, d, d)
     first = list(times).count(0.0)
     repaired = np.zeros(len(states), dtype=bool)
     states[first:], repaired[first:] = reference_cleaned_states(states[first:])
@@ -317,15 +325,15 @@ def rates_of(gen, state: np.ndarray, t: float = 0.0):
                                bool(divergent[0]))
 
 
-def complementarity_reference(series, tol: float = COMPLEMENTARITY_TOL):
-    """Reference per-entry form of ``complementarity_report``: checks (i)-(iv) judged one
-    snapshot pair (0, t) at a time in Python floats, a bound that is not active None, and
-    the verdicts (i)-(v) counted over those entries.  Returns (entries, verdicts)."""
+def complementarity_reference(series, gen, rho0, tol: float = COMPLEMENTARITY_TOL):
+    """Reference per-entry form of ``complementarity_report`` of the series of rho0 under
+    ``gen``: checks (i)-(iv) judged one snapshot pair (0, t) at a time in Python floats, a
+    bound that is not active None, and the verdicts (i)-(v) counted over those entries, with
+    the populations from the ``reference_trajectory``, not from the series.  Returns
+    (entries, verdicts)."""
     els, first = series.els, series.snapshots[0]
-    pops = np.concatenate([
-        els.to_labeled(series.states[part]).diagonal(0, 1, 2).real
-        for part in chunks(len(series.states), els.dim)
-    ])
+    states = reference_trajectory(gen, rho0, series.column("t"))[0]
+    pops = els.to_labeled(states).diagonal(0, 1, 2).real
     beta0, residual = fit_inverse_temperature(pops[0], els)
     applicable = np.isfinite(beta0) and residual <= THERMAL_FIT_TOL
     backtracks = np.full(len(pops), np.nan)

@@ -6,7 +6,7 @@ module of the package, outside the body of the definition itself; names are matc
 so a reference counts for every def or class of that name.  A method is referenced only
 by attribute (``x.f``): a local variable of the same name does not count for it.  An
 export is a name that ``__init__`` imports.  Dunder methods, which Python calls by
-protocol, are not scanned.
+protocol, are not scanned.  The same scan pins the one caller of the propagator.
 """
 
 import ast
@@ -69,3 +69,26 @@ def unreferenced() -> set[tuple[str, str]]:
 
 def test_every_def_has_a_library_caller():
     assert unreferenced() == ALLOWED
+
+
+def callers(name: str) -> set[tuple[str, str]]:
+    """(module, def) of every function of the package under which ``name`` is called, as a
+    name (``f(...)``) or an attribute (``x.f(...)``); a call in a nested def counts for the
+    enclosing defs too."""
+    return {
+        (path.stem, node.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(sub, ast.Call)
+            and getattr(sub.func, "id", getattr(sub.func, "attr", None)) == name
+            for sub in ast.walk(node)
+        )
+    }
+
+
+def test_one_consumer_of_the_propagator():
+    """Every finite-time state comes from ``labeled_trajectory``: it is the only caller of
+    ``LindbladGenerator.labeled_propagate``, so every propagated state gets its checks."""
+    assert callers("labeled_propagate") == {("lindblad", "labeled_trajectory")}

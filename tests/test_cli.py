@@ -419,15 +419,44 @@ class TestRunCommand:
         assert sorted(p.name for p in out.iterdir()) == ["summary.txt"]
 
     def test_non_finite_state_is_a_scenario_failure(self, tmp_path, capsys):
-        """exp(t L) at t = 1e300 loses the state (all zero here); the Otto stroke reports it."""
+        """exp(t L) at t = 1e300 loses the state (all zero here); the Otto stroke reports its
+        drift, naming the machine, the isochore and t."""
         cfg = tmp_path / "otto.json"
         cfg.write_text(json.dumps({"scenario": "otto-cycle", "otto": {"stroke_time": 1e300}}))
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning ahead of the error line
             assert main(["run", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "scenario failed: propagated state has trace 0.000e+00\n"
+        assert capsys.readouterr().err == (
+            "scenario failed: incoherent: cold isochore: invariant drift at t = 1e+300: state "
+            "drift beyond 1.0e-08: hermiticity 0.000e+00, trace deviation 1.000e+00\n"
+        )
         assert not out.exists()
+
+    @pytest.mark.parametrize("entries", [{"n": 20000}, {"n": 10**12}, {"n": 2000}, {"s": 1e300}])
+    def test_large_ensemble_is_one_configuration_error(self, tmp_path, capsys, entries):
+        """(2s+1)^n is judged against the budget by its logarithm, so no power of a large n or
+        s is formed or printed: one line naming n, s and the budget, exit 1, no outputs."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"scenario": "collective-spins", **entries}))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        n, s = entries.get("n", 2), float(entries.get("s", 0.5))
+        assert capsys.readouterr().err == (
+            f"configuration error: (2s+1)^n exceeds the Lindblad budget 64 at n = {n}, s = {s}\n"
+        )
+        assert not out.exists()
+
+    def test_integer_past_the_digit_limit_is_one_configuration_error(self, tmp_path, capsys):
+        """An n of 5000 digits, past the interpreter's integer conversion limit, is rejected
+        where the JSON is read: one line, exit 1, no outputs."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"scenario": "collective-spins", "n": ' + "9" * 5000 + "}")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: configuration is not valid JSON: Exceeds ")
+        assert err.count("\n") == 1 and not out.exists()
 
     @pytest.mark.parametrize("entries, message", [
         ({"beta_B": -800}, "G(-1.0) overflows to inf at beta_B = -800"),

@@ -1,20 +1,20 @@
 """Eigendecomposition budgets of the spectral kernel and of the propagator.
 
-Every state functional comes from ``spectrum.state_functionals``, which needs
+Every state functional comes from ``spectrum.spectral_kernel``, which needs
 two eigendecompositions, or one for a state without vertical coherence, whose
 block-diagonal cut is the state itself; these counts catch a second functional path, and
 the complementarity report, which reads only populations, needs none.  A
-state the library derives from validated ones (a thermal operation's outputs,
-a finite-difference shift) is validated by the kernel from those two
-decompositions, and a thermal state from its known Boltzmann weights, so
-neither pays a decomposition of its own.  Every
-finite-time exp(t L) comes from ``LindbladGenerator.propagate``, which needs
-one ``eig`` per occupied block of L, and no ``expm`` when that block is
-diagonalizable; the per-config counts catch a second propagation path, and a
-thermal start must decompose its one Bohr sector only.  A propagated state is
-judged positive, and repaired where it has tiny negative eigenvalues, from the one
-eigh the kernel takes of it anyway (``evolve``, which has no kernel, takes that
-one eigh itself): no eigvalsh and no second decomposition.
+state the library derives from validated ones (a thermal operation's outputs)
+is validated by the kernel from those two decompositions, and a thermal state
+from its known Boltzmann weights, so neither pays a decomposition of its own.
+Every finite-time state comes from ``lindblad.labeled_trajectory``, the one caller of
+``LindbladGenerator.labeled_propagate``, which needs one ``eig`` per occupied block of
+L, and no ``expm`` when that block is diagonalizable; the per-config counts catch a
+second propagation path, and a thermal start must decompose its one Bohr sector only.
+A propagated state, a finite-difference shift included, is judged positive, and
+repaired where it has tiny negative eigenvalues, from the one eigh the kernel takes
+of it anyway (``evolve``, and the finite-difference floor, which have no kernel, take
+that one eigh themselves): no eigvalsh and no second decomposition.
 """
 
 from pathlib import Path
@@ -124,13 +124,13 @@ def test_thermal_state_budget(two_qubit_collective, eig_calls):
 
 
 def test_finite_difference_point_budget(two_qubit_collective, eig_calls):
-    """One floor eigvalsh, then two kernel decompositions for each of four shifted states."""
+    """One floor eigh of the state at t, then two kernel decompositions for each of four
+    shifted states, all propagated from a start with vertical coherence."""
     *_, els, gen = two_qubit_collective
-    rho = DensityMatrix(random_density(els.dim, 3))
-    snap = rates_of(gen, rho.elements, 1.0)
+    rho0 = DensityMatrix(random_density(els.dim, 3))
+    rows = decompose_series(gen, rho0, [0.0, 1.0, 2.0]).table[1:2]
     eig_calls["n"] = 0
-    points = [(1.0, rho.elements, snap)]
-    assert check_rates_by_finite_differences(gen, points, raise_on_failure=False) == []
+    assert check_rates_by_finite_differences(gen, rho0, rows, raise_on_failure=False) == []
     assert eig_calls["n"] == 9
 
 
@@ -180,6 +180,8 @@ PROPAGATION_BUDGET = {
 # magnetization sector, 3, and no state.  A propagated state is judged positive from the
 # kernel's eigh of it, and the near-degenerate run's exact twin from evolve's one eigh per
 # state, which also repairs it: no eigvalsh of a trajectory and no second eigh of a repair.
+# The twin comparison reads the clustered states from labeled_trajectory, which the
+# series' pass has judged, and decomposes none of them again.
 EIG_BUDGET = {
     "collective": 3,
     "near_degenerate": 195,

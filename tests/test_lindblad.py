@@ -42,6 +42,7 @@ from conftest import (
     dense_superoperator,
     dephase_block_diagonal,
     dephase_diagonal,
+    propagate,
     random_density,
     rates_of,
 )
@@ -221,7 +222,7 @@ class TestBuildGenerator:
         vec = rho.elements.reshape(-1)
         times = (-1e-3, 0.5, 5.0)
         dense = dense_superoperator(gen)
-        for t, got in zip(times, gen.propagate(vec, times)):
+        for t, got in zip(times, propagate(gen, vec, times)):
             assert np.max(np.abs(got - scipy.linalg.expm(t * dense) @ vec)) < 1e-10
         snap = rates_of(gen, rho.elements)
         assert snap.Pi_rate >= -1e-8
@@ -364,7 +365,7 @@ def assert_one_eig_per_occupied_block(gen, vec, eig_rows) -> None:
     occupies, of that block's own rows, in block order."""
     gen = dataclasses.replace(gen)
     eig_rows.clear()
-    gen.propagate(vec, (1.0,))
+    propagate(gen, vec, (1.0,))
     x = gen.els.to_labeled(vec.reshape(gen.dim, gen.dim)).reshape(-1)
     assert eig_rows == [len(idx) for idx, _ in gen.blocks if x[idx].any()]
 
@@ -382,7 +383,8 @@ def blockwise_expm(gen, vec, times) -> np.ndarray:
 
 
 class TestPropagate:
-    """The blocks, ``apply`` and the blocked ``propagate`` against the dense kron reference."""
+    """The blocks, ``apply`` and the blocked ``labeled_propagate`` against the dense kron
+    reference."""
 
     TIMES = (-1e-3, 5e-4, 5.0)
 
@@ -391,13 +393,13 @@ class TestPropagate:
         dense = dense_superoperator(gen)
         steps = [scipy.linalg.expm(t * dense) for t in self.TIMES]
         for vec in vecs:
-            for step, got in zip(steps, gen.propagate(vec, self.TIMES)):
+            for step, got in zip(steps, propagate(gen, vec, self.TIMES)):
                 assert np.max(np.abs(got - step @ vec)) < 1e-12
 
     def test_empty_time_list_is_a_shape_mismatch(self):
         gen = BLOCKED_GENERATORS["collective n=2"]()
         with pytest.raises(ShapeMismatch, match="propagate: the time list is empty"):
-            gen.propagate(random_density(gen.dim, 5).reshape(-1), [])
+            propagate(gen, random_density(gen.dim, 5).reshape(-1), [])
 
     @pytest.mark.parametrize("name", list(BLOCKED_GENERATORS))
     def test_blocks_equal_dense_reference(self, name):
@@ -441,7 +443,7 @@ class TestPropagate:
         if beta_b == 30.0:
             cold = thermal_state_of(gen.els, 50.0).elements.reshape(-1)
             times = (5.0, 300.0, 3000.0)
-            got, want = gen.propagate(cold, times), blockwise_expm(gen, cold, times)
+            got, want = propagate(gen, cold, times), blockwise_expm(gen, cold, times)
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_expm_fallback_on_defective_generator(self):
@@ -524,7 +526,7 @@ class TestAssembly:
             assert [b.tobytes() for _, b in gen.blocks] == [b.tobytes() for _, b in dense_blocks(gen)]
             assert not any(b.any() for _, b in gen.blocks)
             assert gen._scale == 1.0 and gen.norm_inf == 0.0
-            assert np.array_equal(gen.propagate(vec, (2.0,))[0], vec)
+            assert np.array_equal(propagate(gen, vec, (2.0,))[0], vec)
 
     def test_pair_across_components_is_an_invariant_violation(self, monkeypatch):
         """A reachable pair whose row and column sit in different components is never
@@ -625,7 +627,7 @@ class TestSteadyStates:
         def vertical(m: np.ndarray) -> float:
             return max_abs(np.where(els.same_level, 0.0, els.to_labeled(m)))
 
-        (late,) = gen.propagate(rho0.elements.reshape(-1), (1e16,))
+        (late,) = propagate(gen, rho0.elements.reshape(-1), (1e16,))
         assert vertical(late.reshape(4, 4)) <= 1e-40
         assert vertical(asymptotic_state(gen, rho0).elements) <= 1e-12
 

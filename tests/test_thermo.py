@@ -1,6 +1,5 @@
 import math
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -27,18 +26,18 @@ from cohentropy.lindblad import LindbladGenerator
 from cohentropy.scenarios import (
     GridSpec,
     NearDegenerateConfig,
+    OttoConfig,
     ReversalConfig,
     build_near_degenerate_scenario,
     build_reversal_scenario,
     parse_config,
     run_scenario_config,
 )
-from cohentropy.qcore import CHUNK_ENTRIES
+from cohentropy.qcore import CHUNK_ENTRIES, DRIFT_TOL, settled
 from cohentropy import thermo
 from cohentropy.thermo import (
     FLAG_PI_DIVERGENT,
     RATE_POSITIVITY_TOL,
-    _resymm,
     check_rates_by_finite_differences,
     instantaneous_rates,
     rate_rows,
@@ -48,6 +47,7 @@ from conftest import (
     complementarity_reference,
     dense_rate_rows,
     matrix_log_on_support,
+    propagate,
     random_density,
     rates_of,
     reference_trajectory,
@@ -177,22 +177,13 @@ def test_full_rank_chunk_rows_equal_single_state_rows(two_qubit_collective):
 
 
 def _kernel_case(name: str, two_qubit_collective):
-    """(generator, (T, d, d) states) of one input of the dense-reference comparison."""
-    if name.startswith("reversal"):
-        beta_0 = float(name.split("=")[1])
-        amplitude = None if beta_0 == 1.1 else 0.0
-        scen = build_reversal_scenario(ReversalConfig(beta_0=beta_0, coherence_amplitude=amplitude))
-        return scen.gen, scen.series.states
-    if name == "near-degenerate":
-        scen = build_near_degenerate_scenario(NearDegenerateConfig())
-        return scen.gen_clustered, scen.series.states
-    if name.startswith("collective"):
-        system = collective_coupling(SpinEnsembleSpec(int(name[-1]), 0.5, 1.0))
-        els = system.level_structure()
-        gen = build_generator([system.A_S], els, flat_bath(0.1, 1.0))
-        return gen, evolve(gen, thermal_state_of(els, 50.0), np.linspace(0.0, 30.0, 70))
-    _, _, els, gen = two_qubit_collective
-    return gen, np.array([random_density(els.dim, seed) for seed in range(40)])
+    """(generator, (T, d, d) states) of one input of the dense-reference comparison: the
+    ``evolve`` trajectory of a scenario's start, or random states."""
+    if name == "random vertical":
+        _, _, els, gen = two_qubit_collective
+        return gen, np.array([random_density(els.dim, seed) for seed in range(40)])
+    gen, rho0, times = _trajectory_case(name, two_qubit_collective)
+    return gen, evolve(gen, rho0, times)
 
 
 def _assert_agrees(got: np.ndarray, want: np.ndarray, kept: np.ndarray, what: str) -> None:
@@ -216,8 +207,8 @@ def test_rates_match_the_formed_log_reference(name, two_qubit_collective):
     gen, states = _kernel_case(name, two_qubit_collective)
     m = 0.5 * (states + np.swapaxes(states.conj(), -1, -2))
     r = gen.els.to_labeled(m)
-    table, divergent, read = rate_rows(gen, r)
-    repaired = (read != r).any(axis=(-2, -1))
+    table, divergent, _ = rate_rows(gen, r)
+    repaired = (settled(r, DRIFT_TOL)[0] != r).any(axis=(-2, -1))
     if name == "reversal beta_0=50" or name.startswith("collective"):
         assert repaired.any()  # the repaired rows are compared too
     want, want_divergent = dense_rate_rows(gen, m)
@@ -257,11 +248,12 @@ def _trajectory_case(name: str, two_qubit_collective):
     "collective n=2", "collective n=3", "collective n=4", "random seed=5", "random seed=11",
 ])
 def test_labeled_pass_matches_the_reference_route(name, two_qubit_collective):
-    """The one labeled pass of ``decompose_series`` against the reference route, the input-
-    basis trajectory through ``reference_cleaned_states`` (one eigvalsh, then an eigh of each
-    state with a negative eigenvalue) and the checked kernel: functionals, populations and
-    states bitwise where neither route repairs a state, and within 1e-14 max(1, |column|)
-    where they do; the rates within 1e-14 of ``dense_rate_rows`` and the flags equal."""
+    """The one labeled pass of ``decompose_series``, and the states of ``evolve``, against the
+    reference route, the input-basis trajectory through ``reference_cleaned_states`` (one
+    eigvalsh, then an eigh of each state with a negative eigenvalue) and the checked kernel:
+    functionals, populations and states bitwise where neither route repairs a state, and
+    within 1e-14 max(1, |column|) where they do; the rates within 1e-14 of
+    ``dense_rate_rows`` and the flags equal."""
     gen, rho0, times = _trajectory_case(name, two_qubit_collective)
     series = decompose_series(gen, rho0, times)
     states, repaired = reference_trajectory(gen, rho0, times)
@@ -272,7 +264,7 @@ def test_labeled_pass_matches_the_reference_route(name, two_qubit_collective):
     _assert_agrees(series.table[:, 1:7], np.column_stack(f), kept, "functionals")
     pops = gen.els.to_labeled(states).diagonal(axis1=-2, axis2=-1).real
     _assert_agrees(series.populations, pops, kept, "populations")
-    _assert_agrees(series.states, states, kept, "states")
+    _assert_agrees(evolve(gen, rho0, times), states, kept, "states")
     want, want_divergent = dense_rate_rows(gen, states)
     assert [FLAG_PI_DIVERGENT in s.flags for s in series.snapshots] == want_divergent.tolist()
     columns = [series.column(c) for c in ("rate_C_v", "rate_C_h", "rate_D_th", "E_dot")]
@@ -300,21 +292,21 @@ def _poison(monkeypatch, gen, times, k: int, depth: float) -> None:
 
 def test_slightly_negative_state_gets_its_repair(two_qubit_collective, monkeypatch):
     """A propagated state whose lowest eigenvalue is -1e-9, inside (-DRIFT_TOL, 0) and beyond
-    the kernel's POSITIVITY_TOL, gets the functionals, populations and state of its
-    reference repair to 1e-14; a pass that skipped the repair would reject it or read the
-    negative weight."""
+    the kernel's POSITIVITY_TOL, gets the functionals and populations of its reference
+    repair in the series, and its repaired state from ``evolve``, to 1e-14; a pass that
+    skipped the repair would reject it or read the negative weight."""
     _, _, els, gen = two_qubit_collective
     rho0, times, k = thermal_state_of(els, 50.0), np.linspace(0.0, 20.0, 40), 7
     _poison(monkeypatch, gen, times, k, 1e-9)
     series = decompose_series(gen, rho0, times)
     states, repaired = reference_trajectory(gen, rho0, times)
-    assert repaired[k] and np.linalg.eigvalsh(gen.propagate(rho0.elements.reshape(-1), times)
+    assert repaired[k] and np.linalg.eigvalsh(propagate(gen, rho0.elements, times)
                                               .reshape(-1, 4, 4)[k])[0] < -5e-10
     f = state_functionals(states, els, gen.bath.beta_B)
     _assert_agrees(series.table[:, 1:7], np.column_stack(f), ~repaired, "functionals")
     pops = els.to_labeled(states).diagonal(axis1=-2, axis2=-1).real
     _assert_agrees(series.populations, pops, ~repaired, "populations")
-    _assert_agrees(series.states, states, ~repaired, "states")
+    _assert_agrees(evolve(gen, rho0, times), states, ~repaired, "states")
 
 
 def test_negative_state_beyond_the_drift_tolerance_names_its_time(two_qubit_collective,
@@ -422,40 +414,89 @@ def reversal_at(beta_b: float) -> ReversalConfig:
 @pytest.mark.parametrize("beta_b", [0.0, 1.0])
 def test_finite_differences_check_points_at_any_bath_temperature(beta_b, monkeypatch):
     """Every snapshot at beta_B = 0 is flagged not-applicable, yet the cross-check skips only
-    pi-divergent ones: 15 points are checked, as at beta_B = 1, and all agree.  A point's
-    propagation to t - h, t - h/2, t + h/2, t + h is the only one to negative times."""
-    checked = []
-    propagate = LindbladGenerator.propagate
+    pi-divergent ones: 15 points are checked, as at beta_B = 1, and all agree.  The check
+    propagates from the start twice: to the 15 points, for the floor, then to the four
+    shifted times t - h, t - h/2, t + h/2 and t + h of each."""
+    propagated = []
+    real = thermo.labeled_trajectory
 
-    def counted(self, vec0, times):
-        checked.extend(times[:1] if times[0] < 0 else ())
-        return propagate(self, vec0, times)
+    def recorded(gen, rho0, times):
+        if times[0] > 0.0:  # the series' own trajectory starts at t = 0
+            propagated.append(len(times))
+        return real(gen, rho0, times)
 
-    monkeypatch.setattr(LindbladGenerator, "propagate", counted)
+    monkeypatch.setattr(thermo, "labeled_trajectory", recorded)
     build_reversal_scenario(reversal_at(beta_b))
-    assert len(checked) == 15
+    assert propagated == [15, 4 * 15]
+
+
+def _fd_case(two_qubit_collective, seed: int = 5):
+    """(generator, start, times, table rows) of a trajectory from a random start, whose
+    rows past one chunk of shifted states (4 per point) are checked together."""
+    _, _, els, gen = two_qubit_collective
+    rho0, times = DensityMatrix(random_density(els.dim, seed)), np.linspace(0.0, 40.0, 80)
+    return gen, rho0, times, decompose_series(gen, rho0, times).table
 
 
 def test_finite_difference_points_checked_as_stacks_equal_each_alone(two_qubit_collective):
     """Points past one chunk, checked together, fail with the messages each fails with
-    alone, in order: every fifth point's dC_h/dt is off by 1e-3; the point at t = 0 and the
-    singular state are skipped."""
-    _, _, els, gen = two_qubit_collective
-    times = np.linspace(0.0, 40.0, 80)
-    states = evolve(gen, DensityMatrix(random_density(els.dim, 5)), times)
-    points = []
-    for k, (t, state) in enumerate(zip(times.tolist(), states)):
-        snap = rates_of(gen, state, t)
-        if k % 5 == 0:
-            snap = snap._replace(rate_C_h=snap.rate_C_h + 1e-3)
-        points.append((t, state, snap))
-    points.append((50.0, np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), points[-1][2]))
-    together = check_rates_by_finite_differences(gen, points, raise_on_failure=False)
-    alone = [m for p in points for m in check_rates_by_finite_differences(gen, [p], False)]
+    alone, in order: every fifth point's dC_h/dt is off by 1e-3; the point at t = 0, which
+    is not past h, is skipped."""
+    gen, rho0, _, table = _fd_case(two_qubit_collective)
+    rows = table.copy()
+    rows[::5, thermo.ThermoSnapshot._fields.index("rate_C_h")] += 1e-3
+    together = check_rates_by_finite_differences(gen, rho0, rows, raise_on_failure=False)
+    alone = [m for row in rows for m in check_rates_by_finite_differences(gen, rho0, row[None],
+                                                                          False)]
     assert together == alone and len(alone) == 15
     assert all(m.startswith("dC_h/dt at t = ") for m in alone)
     with pytest.raises(IdentityViolation, match="; ".join(map(re.escape, alone))):
-        check_rates_by_finite_differences(gen, points)
+        check_rates_by_finite_differences(gen, rho0, rows)
+
+
+def test_finite_difference_skips_states_below_the_floor(two_qubit_collective):
+    """A start with no weight on the singlet, which collective dissipation never fills,
+    keeps a zero eigenvalue at every t: each point is skipped below FD_MINEIG_FLOOR, so
+    even rates off by 1e-3 pass, while the same offset on the rows of the full-rank thermal
+    start fails at every point past h."""
+    _, _, els, gen = two_qubit_collective
+    rates = [thermo.ThermoSnapshot._fields.index(name) for name in ("rate_C_h", "rate_D_th")]
+    thermal = thermal_state_of(els, 2.0)
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    triplet = thermal.elements - thermal.elements[1, 1] * np.outer(singlet, singlet)
+    times = np.linspace(0.0, 40.0, 20)
+    for rho0, failing in ((DensityMatrix(triplet / np.trace(triplet).real), 0), (thermal, 19)):
+        rows = decompose_series(gen, rho0, times).table
+        rows[:, rates] += 1e-3
+        failures = check_rates_by_finite_differences(gen, rho0, rows, raise_on_failure=False)
+        assert len(failures) == 2 * failing
+
+
+def _scaled(monkeypatch, only_length: int | None = None) -> None:
+    """Scale every row ``labeled_propagate`` returns by 1 + 1e-6, a trace drift beyond
+    DRIFT_TOL that renormalizing would hide; only on calls of ``only_length`` times, when
+    given."""
+    real = LindbladGenerator.labeled_propagate
+
+    def scaled(self, x0, ts):
+        rows = real(self, x0, ts)
+        return rows * (1 + 1e-6) if only_length in (None, len(ts)) else rows
+
+    monkeypatch.setattr(LindbladGenerator, "labeled_propagate", scaled)
+
+
+def test_drifting_finite_difference_state_is_reported(two_qubit_collective, monkeypatch):
+    """The cross-check's states are checked as the series' are: a trace drift in its
+    propagation to the 4 shifted times of each of the 13 points alone is the invariant
+    drift of the first shifted time, not a renormalized state."""
+    gen, rho0, times, table = _fd_case(two_qubit_collective)
+    picks = thermo.finite_difference_picks([False] * len(times))
+    first = table[picks[0], 0] - 1e-3 / gen.norm_inf
+    _scaled(monkeypatch, 4 * len(picks))
+    with pytest.raises(NumericalFailure, match=re.escape(
+            f"invariant drift at t = {first}: state drift beyond 1.0e-08: hermiticity ")
+            + r"\S+, trace deviation 1\.000e-06$"):
+        decompose_series(gen, rho0, times)
 
 
 class TestComplementarity:
@@ -513,15 +554,15 @@ class TestComplementarity:
         reference bit for bit."""
         _, _, els, gen = two_qubit_collective
         if case == "reversal":
-            series = build_reversal_scenario(
-                ReversalConfig(beta_0=1.1, time_grid=GridSpec(50))).series
+            scen = build_reversal_scenario(ReversalConfig(beta_0=1.1, time_grid=GridSpec(50)))
+            gen, rho0, series = scen.gen, scen.rho0, scen.series
         elif case == "generation":
-            series = generation_series(els, gen)
+            rho0, series = thermal_state_of(els, 2.0), generation_series(els, gen)
         else:
-            series = decompose_series(gen, DensityMatrix(np.diag([0.5, 0.3, 0.1, 0.1])),
-                                      [0.0, 0.5, 1.0])
+            rho0 = DensityMatrix(np.diag([0.5, 0.3, 0.1, 0.1]))
+            series = decompose_series(gen, rho0, [0.0, 0.5, 1.0])
         rep = complementarity_report(series)
-        entries, verdicts = complementarity_reference(series)
+        entries, verdicts = complementarity_reference(series, gen, rho0)
         assert len(entries) == len(series.snapshots) - 1
         for name in ("minus_dCh", "minus_dDth", "weighted_dE", "backtrack",
                      "energy_identity_residual"):
@@ -592,6 +633,15 @@ class TestOttoCycle:
         )
         assert abs(rep.coherent.W) < abs(rep.incoherent.W)
 
+    def test_drifting_stroke_is_reported(self, monkeypatch):
+        """A stroke state whose trace drifts by 1e-6 is the invariant drift of the first
+        isochore that propagates it, not a renormalized state."""
+        _scaled(monkeypatch)
+        with pytest.raises(NumericalFailure, match=re.escape(
+                "incoherent: cold isochore: invariant drift at t = 400.0: state drift beyond "
+                "1.0e-08: hermiticity 0.000e+00, trace deviation 1.000e-06")):
+            OttoConfig().run()
+
     @pytest.mark.parametrize("lam", [0.0, -2.0, math.nan])
     def test_nonpositive_rescaling_rejected(self, machines, lam):
         spec, system, els_c = machines
@@ -600,17 +650,3 @@ class TestOttoCycle:
                 system.H_S, lam, flat_bath(0.1, 1.17), flat_bath(0.1, 0.1),
                 [system.A_S], local_couplings(spec), 400.0, thermal_state_of(els_c, 50.0),
             )
-
-
-class TestResymm:
-    """A lost propagated state is rejected before the trace division, with no RuntimeWarning."""
-
-    @pytest.mark.parametrize(
-        "bad, message",
-        [(np.full((2, 2), np.nan), "non-finite entries"), (np.zeros((2, 2)), r"trace 0\.000e\+00")],
-    )
-    def test_lost_state_rejected(self, bad, message):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(InvariantViolation, match=message):
-                _resymm(bad)
